@@ -20,15 +20,19 @@ from repro.core import (
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_mnist_cnn_gan, build_toy_gan
 from repro.nn import Adam
+from repro.nn.precision import resolve_dtype
 from repro.nn.tensor_ops import conv2d_forward, conv2d_input_grad, conv2d_weight_grad
 
 
 @pytest.fixture(scope="module")
 def conv_inputs():
+    # Timed in the policy dtype (float32 by default), which is what the
+    # layers feed these kernels — not in rng.normal's float64.
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(16, 16, 16, 16))
-    w = rng.normal(size=(32, 16, 3, 3))
-    grad = rng.normal(size=(16, 32, 8, 8))
+    dtype = resolve_dtype()
+    x = rng.normal(size=(16, 16, 16, 16)).astype(dtype)
+    w = rng.normal(size=(32, 16, 3, 3)).astype(dtype)
+    grad = rng.normal(size=(16, 32, 8, 8)).astype(dtype)
     return x, w, grad
 
 

@@ -91,20 +91,19 @@ class TrainingConfig:
     #: Ship resident-pool install payloads (dataset shards, large weight
     #: tensors) through ``multiprocessing.shared_memory`` instead of the
     #: pool pipes, so install cost stops scaling with shard bytes.  ``None``
-    #: (the default) follows the process-wide default (on unless the
-    #: platform lacks shared memory); ``True``/``False`` force it for this
-    #: run — the CLI's ``--shm-install``/``--no-shm-install`` flags thread
-    #: into this field.  Ignored by non-resident backends.  Bitwise-neutral
-    #: either way — the transport moves the same bytes.
+    #: (the default) means on (unless the platform or transport lacks shared
+    #: memory); ``True``/``False`` force it for this run — the CLI's
+    #: ``--shm-install``/``--no-shm-install`` flags thread into this field.
+    #: Ignored by non-resident backends.  Bitwise-neutral either way — the
+    #: transport moves the same bytes.
     shm_install: Optional[bool] = None
     #: Transport carrying the resident pool's wire protocol: ``"pipe"``
     #: (local child processes over ``multiprocessing`` pipes), ``"tcp"``
     #: (length-prefixed frames over one socket per slot — loopback workers,
     #: or real machines running ``python -m repro.runtime.worker_host``), or
-    #: ``None`` to follow the process-wide default (normally ``pipe``) — the
-    #: CLI's ``--transport`` flag threads into this field.  Bitwise-neutral:
-    #: seeded runs are identical over either transport.  Ignored by
-    #: non-resident backends.
+    #: ``None`` for the default (``pipe``) — the CLI's ``--transport`` flag
+    #: threads into this field.  Bitwise-neutral: seeded runs are identical
+    #: over either transport.  Ignored by non-resident backends.
     transport: Optional[str] = None
     #: ``"HOST:PORT"`` the tcp transport should listen on for externally
     #: started worker hosts; ``None`` (with ``transport="tcp"``) binds

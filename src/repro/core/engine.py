@@ -278,9 +278,8 @@ class ExecutionEngine:
                     trainer._admit_joiners_async(update)
                     trainer._async_after_update(ctx, update)
                 trainer._async_barrier(ctx)
-            # Straggler units past the end of training: the work is
-            # discarded (never merged, never charged trainer-side).
-            collector.drain()
+            # Straggler units past the end of training: closing drains them
+            # and the work is discarded (never merged, never charged).
             collector.close()
         except BaseException:
             trainer._cleanup_after_failure()

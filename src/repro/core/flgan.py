@@ -21,7 +21,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
-from ..models.base import GANFactory, generator_input
+from ..models.base import GANFactory
 from ..nn.model import Sequential
 from ..nn.serialize import weighted_average_parameters
 from ..runtime.membership import LOST, SlotLossError
@@ -40,7 +40,7 @@ from ..simulation.messages import MessageKind
 from ..simulation.network import LinkModel
 from .async_aggregation import BoundedStalenessScheduler
 from .config import TrainingConfig
-from .gan_ops import GANObjective
+from .gan_ops import GANObjective, draw_generator_input
 from .history import TrainingHistory
 
 __all__ = ["FLGANWorkerState", "FLGANTrainer"]
@@ -151,15 +151,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
 
     def sample_images(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Generate ``n`` images from the server's averaged generator."""
-        noise = rng.normal(0.0, 1.0, size=(n, self.factory.latent_dim)).astype(
-            self.server_generator.dtype, copy=False
-        )
-        labels = (
-            rng.integers(0, self.factory.num_classes, size=n)
-            if self.factory.conditional
-            else None
-        )
-        g_input = generator_input(noise, labels, self.factory.num_classes)
+        _, _, g_input = draw_generator_input(self.server_generator, self.factory, n, rng)
         return self.server_generator.predict(g_input)
 
     # -- local epochs ---------------------------------------------------------------
@@ -229,27 +221,21 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         mirrors = resident.pull_mirror([worker.index for worker in targets])
         for worker in targets:
             mirror = mirrors.get(worker.index)
-            if mirror is None:
-                continue
-            worker.generator = mirror["generator"]
-            worker.discriminator = mirror["discriminator"]
-            worker.gen_opt = mirror["gen_opt"]
-            worker.disc_opt = mirror["disc_opt"]
-            worker.rng.bit_generator.state = mirror["rng_state"]
-            # Full sampler position (incl. mid-epoch shuffle order): the
-            # mirrored sampler must be complete, so a close_backend()-then-
-            # train() re-install resumes exactly where the pool left off.
-            worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
+            if mirror is not None:
+                self._restore_worker_from_mirror(worker, mirror)
 
     def _restore_worker_from_mirror(
         self, worker: FLGANWorkerState, mirror: Dict[str, object]
     ) -> None:
-        """Reset a worker to its last merged boundary mirror (elastic revival)."""
+        """Set a worker's objects to a mirror payload (end-of-run refresh, elastic revival)."""
         worker.generator = mirror["generator"]
         worker.discriminator = mirror["discriminator"]
         worker.gen_opt = mirror["gen_opt"]
         worker.disc_opt = mirror["disc_opt"]
         worker.rng.bit_generator.state = mirror["rng_state"]
+        # Full sampler position (incl. mid-epoch shuffle order): the
+        # mirrored sampler must be complete, so a close_backend()-then-
+        # train() re-install resumes exactly where the pool left off.
         worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
 
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:

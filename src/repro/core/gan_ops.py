@@ -28,6 +28,7 @@ __all__ = [
     "generator_feedback",
     "apply_feedback_to_generator",
     "generator_update",
+    "draw_generator_input",
     "sample_generator_images",
 ]
 
@@ -141,6 +142,22 @@ class GANObjective:
         return self._loss.generator_loss(fake_outputs)
 
 
+def draw_generator_input(
+    generator: Sequential, factory: GANFactory, batch_size: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+    """Draw one batch's noise (and labels if conditional): ``(noise, labels, g_input)``.
+
+    Noise is drawn in float64 by the caller's RNG and cast once to the
+    generator's policy dtype, so the stored batch replays without per-step
+    upcasts.  Every generation path (inline, fan-out, resident) draws here,
+    in batch order, which is what keeps them on one RNG stream.
+    """
+    noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))
+    noise = noise.astype(generator.dtype, copy=False)
+    labels = rng.integers(0, factory.num_classes, size=batch_size) if factory.conditional else None
+    return noise, labels, generator_input(noise, labels, factory.num_classes)
+
+
 def sample_generator_images(
     generator: Sequential,
     factory: GANFactory,
@@ -149,20 +166,8 @@ def sample_generator_images(
     batch_index: int = 0,
     training: bool = True,
 ) -> GeneratedBatch:
-    """Draw noise (and labels if conditional) and run the generator forward.
-
-    Noise is drawn in float64 by the generator's RNG and cast once to the
-    generator's policy dtype, so the stored batch replays without per-step
-    upcasts.
-    """
-    noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))
-    noise = noise.astype(generator.dtype, copy=False)
-    labels = (
-        rng.integers(0, factory.num_classes, size=batch_size)
-        if factory.conditional
-        else None
-    )
-    g_input = generator_input(noise, labels, factory.num_classes)
+    """Draw noise (and labels if conditional) and run the generator forward."""
+    noise, labels, g_input = draw_generator_input(generator, factory, batch_size, rng)
     images = generator.forward(g_input, training=training)
     return GeneratedBatch(images=images, noise=noise, labels=labels, batch_index=batch_index)
 

@@ -39,7 +39,7 @@ def close_quietly(backend: ExecutorBackend) -> None:
     individual ``train()``/``serve()`` calls, so an owner dropped without an
     explicit ``close()`` still releases its pool processes and shared-memory
     segments — and a shutdown-time failure must never surface as a spurious
-    error.  (``repro.runtime.backend.close_quietly`` is the deprecated alias.)
+    error.
     """
     try:
         backend.close()

@@ -37,7 +37,7 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
-from ..models.base import GANFactory, generator_input
+from ..models.base import GANFactory
 from ..nn.model import Sequential
 from ..runtime.backend import PendingResult
 from ..runtime.pipeline import (
@@ -69,6 +69,7 @@ from .gan_ops import (
     GANObjective,
     GeneratedBatch,
     apply_feedback_to_generator,
+    draw_generator_input,
     sample_generator_images,
 )
 from .history import TrainingHistory
@@ -215,15 +216,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
 
     def sample_images(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Generate ``n`` images from the server generator (evaluation mode)."""
-        noise = rng.normal(0.0, 1.0, size=(n, self.factory.latent_dim)).astype(
-            self.generator.dtype, copy=False
-        )
-        labels = (
-            rng.integers(0, self.factory.num_classes, size=n)
-            if self.factory.conditional
-            else None
-        )
-        g_input = generator_input(noise, labels, self.factory.num_classes)
+        _, _, g_input = draw_generator_input(self.generator, self.factory, n, rng)
         return self.generator.predict(g_input)
 
     # -- server side --------------------------------------------------------------
@@ -488,23 +481,19 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         mirrors = resident.pull_mirror([worker.index for worker in targets])
         for worker in targets:
             mirror = mirrors.get(worker.index)
-            if mirror is None:
-                continue
-            worker.discriminator = mirror["discriminator"]
-            worker.disc_opt = mirror["disc_opt"]
-            worker.rng.bit_generator.state = mirror["rng_state"]
-            # Full sampler position (incl. mid-epoch shuffle order): the
-            # mirrored sampler must be complete, so a close_backend()-then-
-            # train() re-install resumes exactly where the pool left off.
-            worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
+            if mirror is not None:
+                self._restore_worker_from_mirror(worker, mirror)
 
     def _restore_worker_from_mirror(
         self, worker: MDGANWorkerState, mirror: Dict[str, object]
     ) -> None:
-        """Reset a worker to its last merged boundary mirror (elastic revival)."""
+        """Set a worker's objects to a mirror payload (end-of-run refresh, elastic revival)."""
         worker.discriminator = mirror["discriminator"]
         worker.disc_opt = mirror["disc_opt"]
         worker.rng.bit_generator.state = mirror["rng_state"]
+        # Full sampler position (incl. mid-epoch shuffle order): the
+        # mirrored sampler must be complete, so a close_backend()-then-
+        # train() re-install resumes exactly where the pool left off.
         worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
 
     def _merge_worker_result(
@@ -1047,6 +1036,10 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         queue = getattr(self, "_pipeline_queue", None)
         if queue is not None:
             queue.clear()
+        # Feedback the abandoned iteration already posted indexes *its*
+        # batch set; folded into the next update it would pair with the
+        # wrong batches (or none, once k shrinks with the fleet).
+        self.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
         resident = self._active_resident()
         if resident is not None:
             resident.drain_inflight()

@@ -15,12 +15,13 @@ import numpy as np
 from ..datasets.base import ImageDataset
 from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
-from ..models.base import GANFactory, generator_input
+from ..models.base import GANFactory
 from ..nn.model import Sequential
 from .config import TrainingConfig
 from .gan_ops import (
     GANObjective,
     discriminator_update,
+    draw_generator_input,
     generator_update,
     sample_generator_images,
 )
@@ -70,15 +71,7 @@ class StandaloneGANTrainer:
     # -- sampling interface used by the evaluator -----------------------------
     def sample_images(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Generate ``n`` images from the current generator (evaluation mode)."""
-        noise = rng.normal(0.0, 1.0, size=(n, self.factory.latent_dim)).astype(
-            self.generator.dtype, copy=False
-        )
-        labels = (
-            rng.integers(0, self.factory.num_classes, size=n)
-            if self.factory.conditional
-            else None
-        )
-        g_input = generator_input(noise, labels, self.factory.num_classes)
+        _, _, g_input = draw_generator_input(self.generator, self.factory, n, rng)
         return self.generator.predict(g_input)
 
     # -- training ---------------------------------------------------------------

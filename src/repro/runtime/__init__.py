@@ -27,7 +27,6 @@ from .backend import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    close_quietly,
     create_backend,
     default_max_workers,
     register_backend,
@@ -58,8 +57,6 @@ from .resident import (
     get_program,
     register_program,
     serve_slot,
-    set_shm_install_default,
-    shm_install_default,
     stable_key_hash,
 )
 from .transport import (
@@ -75,8 +72,6 @@ from .transport import (
     TransportError,
     create_transport,
     register_transport,
-    set_transport_default,
-    transport_default,
 )
 from .tasks import (
     FLGANLocalResult,
@@ -141,11 +136,6 @@ __all__ = [
     "get_program",
     "serve_slot",
     "default_max_workers",
-    "close_quietly",
-    "set_shm_install_default",
-    "shm_install_default",
-    "set_transport_default",
-    "transport_default",
     "stable_key_hash",
     "MDGANWorkerTask",
     "MDGANWorkerResult",

@@ -59,32 +59,7 @@ __all__ = [
     "create_backend",
     "register_backend",
     "default_max_workers",
-    "close_quietly",
 ]
-
-
-def close_quietly(backend: "ExecutorBackend") -> None:
-    """Deprecated alias for :func:`repro.core.lifecycle.close_quietly`.
-
-    The quiet-close now lives with the :class:`~repro.core.lifecycle.
-    BackendOwner` lifecycle mixin, the one documented open/close contract
-    shared by trainers, the serving layer and the experiment runners.  The
-    body is duplicated here (rather than imported) because ``repro.runtime``
-    must not import ``repro.core``.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.runtime.backend.close_quietly is deprecated; use "
-        "repro.core.lifecycle.close_quietly (or own the backend through the "
-        "BackendOwner mixin / a context manager)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        backend.close()
-    except Exception:
-        pass
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -68,16 +68,14 @@ returns ``None`` and the caller falls back to the serial loop.
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.gan_ops import GeneratedBatch
-from ..models.base import generator_input
+from ..core.gan_ops import GeneratedBatch, draw_generator_input
 from ..nn.layers import BatchNorm, Dropout
-from .backend import ExecutorBackend
+from .backend import CompletedResult, ExecutorBackend
 
 __all__ = [
     "BatchAheadQueue",
@@ -334,31 +332,10 @@ def fan_out_generation(
     """
     if not can_fan_out(backend, generator, k):
         return None
-    tasks: List[_GenerationTask] = []
-    noises: List[np.ndarray] = []
-    labels_list: List[Optional[np.ndarray]] = []
-    for _ in range(k):
-        noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))
-        noise = noise.astype(generator.dtype, copy=False)
-        labels = (
-            rng.integers(0, factory.num_classes, size=batch_size)
-            if factory.conditional
-            else None
-        )
-        noises.append(noise)
-        labels_list.append(labels)
-        tasks.append(
-            _GenerationTask(
-                generator=copy.deepcopy(generator),
-                g_input=generator_input(noise, labels, factory.num_classes),
-            )
-        )
-    outputs = backend.map_ordered(_run_generation_task, tasks)
-    _fold_batchnorm_stats(generator, [stats for _, stats in outputs])
-    return [
-        GeneratedBatch(images=images, noise=noises[j], labels=labels_list[j], batch_index=j)
-        for j, (images, _) in enumerate(outputs)
-    ]
+    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(k)]
+    tasks = [_GenerationTask(copy.deepcopy(generator), g_input) for _, _, g_input in drawn]
+    handle = CompletedResult(backend.map_ordered(_run_generation_task, tasks))
+    return PendingGeneration(handle, generator, drawn).collect()
 
 
 # -- resident-side generation ------------------------------------------------------
@@ -381,28 +358,14 @@ def fan_out_generation(
 _GENERATOR_KEY = "__server_generator__"
 
 
-def __getattr__(name: str):
-    """Deprecation shim: ``GENERATOR_KEY`` is now :class:`GeneratorHandle`."""
-    if name == "GENERATOR_KEY":
-        warnings.warn(
-            "repro.runtime.pipeline.GENERATOR_KEY is deprecated; pass a "
-            "GeneratorHandle to start_generation()/start_resident_generation() "
-            "instead of the magic string",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _GENERATOR_KEY
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class GeneratorHandle:
     """Typed, versioned identity of a generator installed on pool slots.
 
-    Replaces the old ``GENERATOR_KEY`` magic string.  ``key`` names the
-    resident generator copy on each slot (structure installs are tracked per
-    slot under it); ``version`` is a monotonic counter identifying the
-    current *parameters* of the generator the handle describes.
+    ``key`` names the resident generator copy on each slot (structure
+    installs are tracked per slot under it); ``version`` is a monotonic
+    counter identifying the current *parameters* of the generator the handle
+    describes.
 
     The resident backend caches, per ``(key, slot)``, the version whose flat
     parameter vector it last shipped: a request whose handle version matches
@@ -454,24 +417,19 @@ class PendingGeneration:
     serial loop would have produced.
     """
 
-    def __init__(self, handle, generator, noises, labels_list) -> None:
+    def __init__(self, handle, generator, drawn) -> None:
         self._handle = handle
         self._generator = generator
-        self._noises = noises
-        self._labels = labels_list
+        #: Per batch, the ``(noise, labels, g_input)`` drawn at dispatch.
+        self._drawn = drawn
 
     def collect(self) -> List[GeneratedBatch]:
         """Receive the slot replies, fold BatchNorm stats, build the batches."""
         outputs = self._handle.result()
         _fold_batchnorm_stats(self._generator, [stats for _, stats in outputs])
         return [
-            GeneratedBatch(
-                images=images,
-                noise=self._noises[j],
-                labels=self._labels[j],
-                batch_index=j,
-            )
-            for j, (images, _) in enumerate(outputs)
+            GeneratedBatch(images=images, noise=noise, labels=labels, batch_index=j)
+            for j, ((images, _), (noise, labels, _)) in enumerate(zip(outputs, self._drawn))
         ]
 
 
@@ -508,24 +466,11 @@ def start_resident_generation(
         return None
     if handle is None:
         handle = GeneratorHandle()
-    noises: List[np.ndarray] = []
-    labels_list: List[Optional[np.ndarray]] = []
-    g_inputs: List[np.ndarray] = []
-    for _ in range(k):
-        noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))
-        noise = noise.astype(generator.dtype, copy=False)
-        labels = (
-            rng.integers(0, factory.num_classes, size=batch_size)
-            if factory.conditional
-            else None
-        )
-        noises.append(noise)
-        labels_list.append(labels)
-        g_inputs.append(generator_input(noise, labels, factory.num_classes))
+    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(k)]
     pending = backend.start_generation(
         handle,
         lambda: generator,
         generator.get_parameters(),
-        g_inputs,
+        [g_input for _, _, g_input in drawn],
     )
-    return PendingGeneration(pending, generator, noises, labels_list)
+    return PendingGeneration(pending, generator, drawn)

@@ -41,32 +41,25 @@ pool runs the exact same step functions on state that round-tripped through
 pickle (which preserves float bits and object-graph sharing), and results
 merge in worker-index order exactly like every other backend.
 
-Beyond per-worker steps the pool also serves two protocol extensions:
+This module is the **owner side** of the pool only.  The slot serving loop
+(:mod:`repro.runtime.slot`), the program registry
+(:mod:`repro.runtime.programs`) and the shared-memory install codec
+(:mod:`repro.runtime.install_codec`) are sibling modules whose public names
+are re-exported here; the bytes move over one
+:class:`~repro.runtime.transport.SlotChannel` per slot (``"pipe"`` child
+processes by default, ``"tcp"`` sockets to loopback workers or to
+``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).
 
-* **Resident-side generation** (:meth:`ResidentBackend.start_generation`) —
-  slots hold a copy of the *server's* generator and run per-batch forward
-  passes on shipped inputs, returning images plus the per-batch BatchNorm
-  statistics the caller folds back in batch order.  The pipelined MD-GAN
-  loop uses it so lookahead k-batch generation leaves the trainer thread
-  (see :func:`repro.runtime.pipeline.start_resident_generation`).
-* **Shared-memory installs** — install payloads spill their large arrays
-  (dataset shards, conv weight tensors) into ``multiprocessing.shared_memory``
-  segments instead of pushing them through the pipe, so install cost stops
-  scaling with shard bytes.  Toggle per backend (``shm_install``) or process
-  wide (:func:`set_shm_install_default`); unavailable platforms fall back to
-  plain pickling transparently.
-
-Since the transport split (:mod:`repro.runtime.transport`) this module is the
-**protocol layer** only: it speaks pickled ``(op, payload)`` messages over a
-:class:`~repro.runtime.transport.SlotChannel` per slot and never cares what
-moves the bytes.  ``transport="pipe"`` (the default) keeps today's local pool
-— child processes over ``multiprocessing`` pipes, bitwise unchanged — while
-``transport="tcp"`` puts each slot behind a socket, served either by
-loopback processes the transport spawns itself or by
-``python -m repro.runtime.worker_host --connect HOST:PORT`` running on
-another machine.  Any wire-level failure raises
-:class:`~repro.runtime.transport.TransportError` naming the slot index and
-the in-flight op, and poisons the pool fail-stop.
+Every frame this backend writes to a slot — a batched ``run``
+(:meth:`ResidentBackend.start_steps`), a single-key ``run``
+(:meth:`ResidentCollector.dispatch`), a ``generate``
+(:meth:`ResidentBackend.start_generation`) or a boundary op
+(``pull_params`` / ``push_params`` / ``pull_state`` / ``pull_mirror``) — goes
+through one in-flight ledger (:mod:`repro.runtime.ledger`), whose single wait
+loop reads every reply and routes every fault: a wire failure either poisons
+the pool fail-stop (:class:`~repro.runtime.transport.TransportError` naming
+the slot and op) or, under an elastic membership policy, quarantines the slot
+and answers its queued frames :data:`LOST`.
 
 The backend also meters its own IPC: :attr:`ResidentBackend.ipc_bytes_sent`
 and :attr:`ResidentBackend.ipc_bytes_received` count the pickled bytes that
@@ -84,31 +77,30 @@ from __future__ import annotations
 
 import io
 import pickle
-import time
-import traceback
 import zlib
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import defaultdict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .backend import (
-    CompletionCollector,
-    ExecutorBackend,
-    default_max_workers,
-    register_backend,
+from .backend import ExecutorBackend, default_max_workers, register_backend
+from .install_codec import (
+    DEFAULT_SHM_MIN_BYTES,
+    SHM_INSTALL_DEFAULT,
+    _InstallPickler,
+    _release_segments,
+    _shared_memory,
+    _ShmInstall,
 )
+from .ledger import InflightLedger, PendingSteps, ResidentCollector
 from .membership import LOST, MembershipPolicy, PoolMembership, SlotLossError
-from .transport import Transport, TransportError, create_transport, transport_default
-
-try:  # gate: platforms without POSIX shared memory fall back to pickling
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - all supported platforms have it
-    _shared_memory = None
+from .programs import ResidentProgram, get_program, register_program
+from .slot import serve_slot
+from .transport import TRANSPORT_DEFAULT, Transport, TransportError, create_transport
 
 __all__ = [
     "ResidentBackend",
+    "ResidentCollector",
     "ResidentProgram",
     "PendingSteps",
     "TransportError",
@@ -118,62 +110,7 @@ __all__ = [
     "get_program",
     "serve_slot",
     "stable_key_hash",
-    "set_shm_install_default",
-    "shm_install_default",
 ]
-
-
-# -- worker programs ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidentProgram:
-    """Named behaviour executed inside pool processes for one trainer family.
-
-    ``step`` mutates the resident state in place and returns the light-weight
-    per-iteration result; ``pull_params``/``push_params`` read/write the flat
-    parameter vectors exchanged at swap/round boundaries without disturbing
-    the rest of the resident state.  ``mirror`` (optional) extracts the
-    light-weight end-of-run view served by
-    :meth:`ResidentBackend.pull_mirror` — typically models, optimizer
-    moments and RNG/sampler cursors, but *not* bulky immutable payloads like
-    dataset shards, so refreshing the trainer's objects after a successful
-    ``train()`` does not scale with shard bytes; when ``None`` the full
-    resident state is returned instead.
-    """
-
-    name: str
-    step: Callable[[Any, Any], Any]
-    pull_params: Callable[[Any], Any]
-    push_params: Callable[[Any, Any], None]
-    mirror: Optional[Callable[[Any], Any]] = None
-
-
-_PROGRAMS: Dict[str, ResidentProgram] = {}
-
-
-def register_program(program: ResidentProgram) -> ResidentProgram:
-    """Register a :class:`ResidentProgram` under its name (idempotent)."""
-    _PROGRAMS[program.name] = program
-    return program
-
-
-def get_program(name: str) -> ResidentProgram:
-    """Look up a registered program, importing the built-ins if needed."""
-    if name not in _PROGRAMS:
-        # The built-in MD-GAN / FL-GAN programs register themselves when
-        # repro.runtime.tasks is imported; a freshly spawned pool process may
-        # not have imported it yet.
-        from . import tasks  # noqa: F401  (registration side effect)
-    try:
-        return _PROGRAMS[name]
-    except KeyError:
-        raise ValueError(
-            f"Unknown resident program {name!r}; registered: {sorted(_PROGRAMS)}"
-        ) from None
-
-
-# -- stable slot affinity ----------------------------------------------------------
 
 
 def stable_key_hash(key) -> int:
@@ -189,640 +126,6 @@ def stable_key_hash(key) -> int:
     if isinstance(key, (int, np.integer)):
         return int(key)
     return zlib.crc32(repr(key).encode("utf-8"))
-
-
-# -- shared-memory install transport -----------------------------------------------
-
-#: Process-wide default for shipping install payloads via shared memory.
-_SHM_INSTALL_DEFAULT = True
-
-#: Arrays below this many bytes ride the pipe; larger ones go through shm.
-DEFAULT_SHM_MIN_BYTES = 1 << 16
-
-
-def set_shm_install_default(enabled: bool) -> None:
-    """Deprecated: set the process-wide default for shared-memory installs.
-
-    Process-global mutation has been replaced by explicit config threading —
-    set ``TrainingConfig(shm_install=...)`` (or the backend's ``shm_install``
-    attribute) instead, so the setting travels with the run that asked for
-    it.  Backends whose ``shm_install`` attribute is ``None`` still follow
-    this process-wide default for compatibility.
-    """
-    import warnings
-
-    warnings.warn(
-        "set_shm_install_default is deprecated; pass shm_install= through "
-        "TrainingConfig / ResidentBackend instead of mutating the "
-        "process-wide default",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _SHM_INSTALL_DEFAULT
-    _SHM_INSTALL_DEFAULT = bool(enabled)
-
-
-def shm_install_default() -> bool:
-    """Return the current process-wide shared-memory-install default."""
-    return _SHM_INSTALL_DEFAULT
-
-
-class _ShmInstall:
-    """Wire wrapper for an install payload pre-pickled with shm spill.
-
-    ``blob`` is the payload's pickle stream in which every large array was
-    replaced by an :func:`_attach_shm_array` call; the slot process unpickles
-    it with :func:`_decode_install`, attaching the segments by name.
-    """
-
-    __slots__ = ("blob",)
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-
-
-class _InstallPickler(pickle.Pickler):
-    """Pickler that spills large, C-contiguous arrays to shared memory.
-
-    Every spilled array is copied once into a fresh ``SharedMemory`` segment
-    (recorded in ``segments`` — the caller owns and eventually unlinks them)
-    and pickled as a tiny attach handle instead of its bytes.  Everything
-    else falls through to the default reducers.
-    """
-
-    def __init__(self, buffer, segments: List, min_bytes: int) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self._segments = segments
-        self._min_bytes = min_bytes
-
-    def reducer_override(self, obj):
-        """Spill qualifying ndarrays to shm; defer everything else."""
-        if (
-            type(obj) is np.ndarray
-            and obj.nbytes >= self._min_bytes
-            and obj.flags.c_contiguous
-            and not obj.dtype.hasobject
-        ):
-            segment = _shared_memory.SharedMemory(create=True, size=obj.nbytes)
-            self._segments.append(segment)
-            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=segment.buf)
-            view[...] = obj
-            del view
-            return (_attach_shm_array, (segment.name, obj.shape, obj.dtype.str))
-        return NotImplemented
-
-
-#: Child-process registry of attached segments, keyed by segment name, so the
-#: mapping outlives any individual array view; entries are detached when the
-#: resident that brought them in is replaced or dropped, and the remainder is
-#: cleared when the slot exits.
-_ATTACHED_SHM: Dict[str, Any] = {}
-
-#: While :func:`_decode_install` unpickles one install payload, this is the
-#: set collecting the segment names that payload attached (``None`` outside a
-#: decode); the slot stores the names next to the resident so it can detach
-#: exactly those mappings when the resident goes away.
-_DECODING_SHM_NAMES: Optional[set] = None
-
-
-def _attach_untracked(name: str):
-    """Attach to a named segment without registering it with any tracker.
-
-    The **parent** owns every segment (it registered at create time and
-    unlinks on release); a pool child's attach must therefore not register
-    at all — depending on fork timing the child either shares the parent's
-    tracker (a duplicate registration that the parent's unlink would
-    double-unregister) or has spawned its own (which would then unlink /
-    warn about "leaked" segments it never owned at child exit).  Python
-    3.13 exposes this as ``SharedMemory(track=False)``; on earlier versions
-    the registration call is suppressed around the constructor, the
-    standard workaround.
-    """
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
-def _attach_shm_array(name: str, shape, dtype_str: str) -> np.ndarray:
-    """Rebuild an ndarray over the named shared-memory segment (child side)."""
-    segment = _ATTACHED_SHM.get(name)
-    if segment is None:
-        segment = _attach_untracked(name)
-        _ATTACHED_SHM[name] = segment
-    if _DECODING_SHM_NAMES is not None:
-        _DECODING_SHM_NAMES.add(name)
-    return np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=segment.buf)
-
-
-def _decode_install(payload) -> Tuple[Any, set]:
-    """Unwrap an install payload; return ``(state, attached_segment_names)``.
-
-    The names travel with the resident so the slot can detach exactly those
-    shared-memory mappings once the resident is replaced or dropped — without
-    them the mappings (whose names the parent has already unlinked) would pin
-    tmpfs pages for the pool's whole lifetime.
-    """
-    global _DECODING_SHM_NAMES
-    if isinstance(payload, _ShmInstall):
-        _DECODING_SHM_NAMES = names = set()
-        try:
-            state = pickle.loads(payload.blob)
-        finally:
-            _DECODING_SHM_NAMES = None
-        return state, names
-    return payload, set()
-
-
-def _try_detach_shm(names: Iterable[str]) -> List[str]:
-    """Close attached segments whose arrays are gone; return the rest.
-
-    A segment still referenced by a live array view (e.g. the request that
-    dropped the resident is itself still holding the state while its reply is
-    in flight) raises ``BufferError`` on close; such names are returned so
-    the caller retries on a later message, when the references have died.
-    """
-    remaining: List[str] = []
-    for name in names:
-        segment = _ATTACHED_SHM.get(name)
-        if segment is None:
-            continue
-        try:
-            segment.close()
-        except BufferError:
-            remaining.append(name)
-            continue
-        _ATTACHED_SHM.pop(name, None)
-    return remaining
-
-
-def _release_segments(segments: Iterable) -> None:
-    """Close and unlink owned shared-memory segments (best effort)."""
-    for segment in segments:
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover - defensive cleanup
-            pass
-        try:
-            segment.unlink()
-        except Exception:  # pragma: no cover - already unlinked / shutdown
-            pass
-
-
-# -- slot serving loop (runs in pool processes / remote worker hosts) --------------
-
-
-def serve_slot(channel) -> None:
-    """Serve resident-state requests on ``channel`` until EOF or ``close``.
-
-    The slot side of the wire protocol, transport-agnostic: ``channel`` is
-    any :class:`~repro.runtime.transport.SlotChannel` — the child end of a
-    ``multiprocessing`` pipe for the local pool, a framed TCP connection for
-    :mod:`repro.runtime.worker_host`.
-
-    Residents are stored as ``key -> [program_name, epoch, state,
-    shm_names]``; generator copies for resident-side generation live in a
-    separate ``key -> [generator, shm_names]`` map (they carry no epoch — the
-    caller ships current parameters with every request).  The ``shm_names``
-    record which shared-memory mappings each install brought in, so replacing
-    or dropping a resident detaches them instead of pinning unlinked tmpfs
-    pages for the pool's lifetime (over TCP installs never carry shm, so the
-    sets are simply empty).  Every reply is ``("ok", payload)`` or
-    ``("err", traceback_text)``; the server re-raises errors, so a failure in
-    worker code surfaces in the trainer with the slot traceback attached.
-    """
-    residents: Dict[Any, list] = {}
-    generators: Dict[Any, list] = {}
-    pending_detach: List[str] = []
-    while True:
-        try:
-            raw = channel.recv_bytes()
-        except (EOFError, OSError):
-            break
-        # Retry mappings whose arrays were still referenced last time (the
-        # dropping request's own reply holds the state until it is sent).
-        pending_detach = _try_detach_shm(pending_detach)
-        op, payload = pickle.loads(raw)
-        if op == "close":
-            break
-        try:
-            if op == "run":
-                out = []
-                for key, program_name, epoch, install, step_payload in payload:
-                    if install is not None:
-                        state, shm_names = _decode_install(install)
-                        replaced = residents.get(key)
-                        if replaced is not None:
-                            pending_detach.extend(replaced[3])
-                        residents[key] = [program_name, epoch, state, shm_names]
-                    entry = residents.get(key)
-                    if entry is None:
-                        raise RuntimeError(
-                            f"no resident state for worker {key!r} and no "
-                            "install payload shipped"
-                        )
-                    if entry[1] != epoch:
-                        raise RuntimeError(
-                            f"stale resident state for worker {key!r}: resident "
-                            f"epoch {entry[1]}, trainer epoch {epoch} (state was "
-                            "mutated outside the pool without re-install)"
-                        )
-                    out.append(get_program(entry[0]).step(entry[2], step_payload))
-                reply = ("ok", out)
-            elif op == "generate":
-                key, install, params, g_inputs = payload
-                if install is not None:
-                    generator, shm_names = _decode_install(install)
-                    replaced = generators.get(key)
-                    if replaced is not None:
-                        pending_detach.extend(replaced[1])
-                    generators[key] = [generator, shm_names]
-                entry = generators.get(key)
-                if entry is None:
-                    raise RuntimeError(
-                        f"no resident generator {key!r} and no install payload shipped"
-                    )
-                generator = entry[0]
-                if params is not None:
-                    generator.set_parameters(params)
-                # Lazy import: keeps module import light and cycle-free (the
-                # helper lives next to the fan-out path whose bitwise
-                # contract resident-side generation shares).
-                from .pipeline import _batchnorm_stats
-
-                reply = ("ok", [_batchnorm_stats(generator, g_input) for g_input in g_inputs])
-            elif op == "pull_params":
-                out = {}
-                for key in payload:
-                    entry = residents[key]
-                    out[key] = get_program(entry[0]).pull_params(entry[2])
-                reply = ("ok", out)
-            elif op == "pull_mirror":
-                out = {}
-                for key in payload:
-                    entry = residents[key]
-                    mirror = get_program(entry[0]).mirror
-                    out[key] = entry[2] if mirror is None else mirror(entry[2])
-                reply = ("ok", out)
-            elif op == "push_params":
-                for key, params in payload.items():
-                    entry = residents[key]
-                    get_program(entry[0]).push_params(entry[2], params)
-                reply = ("ok", None)
-            elif op == "pull_state":
-                keys, drop = payload
-                reply = ("ok", {key: residents[key][2] for key in keys})
-                if drop:
-                    for key in keys:
-                        dropped = residents.pop(key, None)
-                        if dropped is not None:
-                            pending_detach.extend(dropped[3])
-            else:
-                raise RuntimeError(f"unknown resident-pool op {op!r}")
-        except BaseException:
-            reply = ("err", traceback.format_exc())
-        try:
-            channel.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
-        except (BrokenPipeError, OSError):
-            break
-    # Drop residents first so no array view still exports the shm buffers,
-    # then detach; the parent owns (and unlinks) the segments themselves.
-    residents.clear()
-    generators.clear()
-    for segment in _ATTACHED_SHM.values():
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover - lingering exports at exit
-            pass
-    _ATTACHED_SHM.clear()
-
-
-# -- trainer-side backend ----------------------------------------------------------
-
-
-class PendingSteps:
-    """In-flight resident request batch; ``result()`` collects the slot replies.
-
-    Returned by :meth:`ResidentBackend.start_steps` and
-    :meth:`ResidentBackend.start_generation`.  The request bytes were
-    already written to the slot channels at submit time, so the pool slots
-    compute while the trainer does other work; ``result`` performs only the
-    receives.  Because slot channels are FIFO, handles **must be collected
-    in dispatch order** — the backend enforces this and raises otherwise.
-    """
-
-    def __init__(
-        self, backend: "ResidentBackend", per_slot, size: int, op: str = "run"
-    ) -> None:
-        self._backend = backend
-        self._per_slot = per_slot
-        self._size = size
-        #: Protocol op in flight (``"run"``/``"generate"``); named by any
-        #: :class:`TransportError` raised while collecting.
-        self._op = op
-        self._values: Optional[List[Any]] = None
-        #: Set when the pool died/closed before the replies were read.
-        self._dead = False
-        #: Slots (elastic pools only) whose entries were lost with their
-        #: slot; their result positions come back as :data:`LOST`.
-        self._lost_slots: set = set()
-
-    @property
-    def done(self) -> bool:
-        """Whether the replies were already collected."""
-        return self._values is not None
-
-    def result(self) -> List[Any]:
-        """Collect the slot replies (in dispatch order) and return the results."""
-        if self._values is None:
-            self._values = self._backend._collect_steps(self)
-        return self._values
-
-
-class ResidentCollector(CompletionCollector):
-    """Completion-order collection over per-key resident step dispatches.
-
-    The FIFO :class:`PendingSteps` contract collects whole step batches in
-    dispatch order; this collector is its as-completed sibling for the
-    asynchronous aggregation mode.  Each :meth:`dispatch` writes one
-    single-item ``run`` frame for its key's slot and :meth:`collect_any`
-    returns whichever slot answers next.  Per-slot ordering stays FIFO (slot
-    channels are ordered), so the collector keeps one outstanding-op queue
-    per slot and always reads the queue head; *across* slots, completion
-    order is whatever the pool produces.
-
-    Boundary ops remain available mid-flight through :meth:`pull_params` /
-    :meth:`push_params`: their request rides the same slot channel behind any
-    outstanding step frames, and step replies received while waiting for the
-    boundary reply are buffered and served by a later :meth:`collect_any`.
-    Fail-stop semantics are inherited from the backend's ``_recv``/``_send``
-    helpers — any wire fault poisons the pool and surfaces as a
-    :class:`TransportError` naming the slot and op, and the collector refuses
-    further use.
-    """
-
-    def __init__(self, backend: "ResidentBackend", program: str) -> None:
-        self._backend = backend
-        self._program = program
-        #: slot -> FIFO of in-flight ops on that channel: ``("run", key)``
-        #: for steps, ``(op, None)`` for boundary requests.
-        self._per_slot: Dict[int, deque] = defaultdict(deque)
-        #: Step results received while waiting for a boundary reply.
-        self._ready: deque = deque()
-        self._count = 0
-        #: Set when the pool died/closed; every later call raises.
-        self._dead = False
-
-    @property
-    def outstanding(self) -> int:
-        """Dispatched steps not yet returned by :meth:`collect_any`.
-
-        Includes step replies already received off the wire (buffered while
-        waiting for a boundary reply) but not yet handed to the caller.
-        """
-        return self._count + len(self._ready)
-
-    def _check_open(self) -> None:
-        if self._dead:
-            raise RuntimeError(
-                "resident collector is closed (pool failure or backend close); "
-                "open a new collector to continue"
-            )
-        self._backend._check_usable()
-
-    def dispatch(self, key, state_supplier: Callable[[], Any], payload) -> None:
-        """Start one resident step for ``key`` (installs state on first use).
-
-        The frame goes through the async writer: the target slot may be busy
-        computing an earlier step, and an inline send of a large payload
-        against a slot blocked writing its own reply would deadlock
-        (same rationale as the pipelined lookahead sends).
-        """
-        self._check_open()
-        backend = self._backend
-        if any(entry == ("run", key) for entry in self._per_slot[backend._slot_for(key)]):
-            raise RuntimeError(f"key {key!r} already has a step in flight")
-        epoch = backend._epochs.setdefault(key, 0)
-        install = None
-        if backend._installed.get(key) != epoch:
-            install = state_supplier()
-            if install is not None:
-                install = backend._encode_install(("state", key), install)
-                backend.install_count += 1
-        wire = (key, self._program, epoch, install, payload)
-        slot_index = backend._slot_for(key)
-        backend._send_async(slot_index, ("run", [wire]))
-        backend._installed[key] = epoch
-        self._per_slot[slot_index].append(("run", key))
-        self._count += 1
-
-    def _note_slot_loss(self, slot_index: int, lost_keys: Sequence) -> None:
-        """Convert a quarantined slot's queued work into :data:`LOST` results.
-
-        Called by the backend's quarantine: in-flight steps on the dead slot
-        become ready ``(key, LOST)`` results (their replies will never
-        arrive), queued boundary entries vanish (their caller receives the
-        :class:`SlotLossError` directly), and idle keys lost with the slot
-        are surfaced as extra ``(key, LOST)`` results so the trainer's
-        recovery path learns about them on its normal collection loop.
-        """
-        queue = self._per_slot.get(slot_index)
-        seen = []
-        if queue:
-            while queue:
-                op, key = queue.popleft()
-                if op == "run":
-                    self._ready.append((key, LOST))
-                    self._count -= 1
-                    seen.append(key)
-        for key in lost_keys:
-            if key not in seen:
-                self._ready.append((key, LOST))
-
-    def _pop_reply(self, slot_index: int):
-        """Read the head reply of one slot's FIFO and return ``(op, key, payload)``."""
-        op, key = self._per_slot[slot_index][0]
-        try:
-            payload = self._backend._recv(slot_index, op)
-        except SlotLossError:
-            # The quarantine already converted this slot's queue (including
-            # the entry we were reading) into LOST results; the collector
-            # itself stays open.
-            raise
-        except BaseException:
-            self._dead = True
-            raise
-        self._per_slot[slot_index].popleft()
-        return op, key, payload
-
-    def collect_any(self, timeout: Optional[float] = None):
-        """Block until any outstanding step finishes; return ``(key, result)``.
-
-        The wait mirrors ``_recv``'s heartbeat loop across every slot with
-        outstanding work: async-writer failures and the transport's
-        ``read_timeout`` both surface as a :class:`TransportError` (pool
-        poisoned, fail stop) instead of a hang; an explicit ``timeout``
-        raises ``TimeoutError`` without poisoning.
-        """
-        self._check_open()
-        if not self._ready and self._count == 0:
-            raise RuntimeError("collect_any called with no outstanding steps")
-        backend = self._backend
-        transport = backend._ensure_transport()
-        read_timeout = transport.read_timeout
-        poison_deadline = None if read_timeout is None else time.monotonic() + read_timeout
-        caller_deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._ready:
-                return self._ready.popleft()
-            lost_one = False
-            busy = sorted(slot for slot, queue in self._per_slot.items() if queue)
-            for slot_index in busy:
-                try:
-                    ready = transport.channel(slot_index).poll(0.0)
-                except (EOFError, OSError) as exc:
-                    op = self._per_slot[slot_index][0][0]
-                    fault = backend._wire_fault(
-                        slot_index,
-                        op,
-                        f"resident pool slot {slot_index} died "
-                        f"(in-flight op {op!r}: {exc!r})",
-                        f"pool slot {slot_index} died mid-request ({op!r}): {exc!r}",
-                    )
-                    if fault is None or isinstance(fault, SlotLossError):
-                        # Quarantined: its queue just became LOST entries in
-                        # the ready buffer, served by the loop's next pass.
-                        self._note_slot_loss(slot_index, [])
-                        lost_one = True
-                        break
-                    self._dead = True
-                    raise fault from exc
-                if ready:
-                    try:
-                        op, key, payload = self._pop_reply(slot_index)
-                    except SlotLossError:
-                        lost_one = True
-                        break
-                    if op != "run":  # pragma: no cover - head is run by construction
-                        raise RuntimeError(f"unexpected {op!r} reply at slot head")
-                    self._count -= 1
-                    return key, payload[0]
-            if lost_one:
-                continue
-            error = transport.take_writer_error()
-            if error is not None:
-                fault = backend._writer_failure(error, op="run")
-                if fault is not None and not isinstance(fault, SlotLossError):
-                    self._dead = True
-                    raise fault
-                continue
-            now = time.monotonic()
-            if caller_deadline is not None and now > caller_deadline:
-                raise TimeoutError(
-                    f"collect_any timed out after {timeout}s with "
-                    f"{self._count} step(s) outstanding"
-                )
-            if poison_deadline is not None and now > poison_deadline:
-                slot_index = busy[0]
-                op = self._per_slot[slot_index][0][0]
-                fault = backend._wire_fault(
-                    slot_index,
-                    op,
-                    f"timed out after {read_timeout}s waiting for pool slot "
-                    f"{slot_index} to answer {op!r} (frame dropped, or "
-                    "read_timeout shorter than the slot's compute time)",
-                    f"timed out after {read_timeout}s waiting for pool slot "
-                    f"{slot_index} to answer {op!r}",
-                )
-                if fault is None or isinstance(fault, SlotLossError):
-                    # Survivable loss: restart the heartbeat clock for the
-                    # remaining slots and keep collecting.
-                    poison_deadline = time.monotonic() + read_timeout
-                    continue
-                self._dead = True
-                raise fault
-            time.sleep(0.005)
-
-    def _boundary_request(self, slot_index: int, op: str, wire_payload):
-        """Send one boundary op on a slot and wait for *its* reply.
-
-        Step replies queued ahead of it on the channel are collected into the
-        ready buffer (their FIFO position is fixed; the boundary reply cannot
-        arrive before them).
-
-        Under an elastic membership policy a :class:`SlotLossError` naming
-        *this* slot propagates immediately (the queue was already converted to
-        LOST results); a loss on a *different* slot is deferred until this
-        slot's reply has been read, so the channel stream stays aligned.
-        """
-        backend = self._backend
-        backend._send_async(slot_index, (op, wire_payload))
-        self._per_slot[slot_index].append((op, None))
-        pending_loss = None
-        try:
-            backend._flush_sends()
-        except SlotLossError as exc:
-            if exc.slot_index == slot_index:
-                raise
-            pending_loss = exc
-        while True:
-            head_op, key, payload = self._pop_reply(slot_index)
-            if head_op == op:
-                if pending_loss is not None:
-                    raise pending_loss
-                return payload
-            self._ready.append((key, payload[0]))
-            self._count -= 1
-
-    def pull_params(self, keys: Sequence) -> Dict[Any, Any]:
-        """Fetch flat parameter vectors mid-flight (state stays resident)."""
-        keys = list(keys)
-        if not keys:
-            return {}
-        self._check_open()
-        self._backend._require_installed(keys, "pull_params")
-        merged: Dict[Any, Any] = {}
-        for slot_index, slot_keys in self._backend._grouped(keys).items():
-            merged.update(self._boundary_request(slot_index, "pull_params", slot_keys))
-        return merged
-
-    def push_params(self, params_by_key: Dict[Any, Any]) -> None:
-        """Write flat parameter vectors into installed residents mid-flight."""
-        if not params_by_key:
-            return
-        self._check_open()
-        self._backend._require_installed(params_by_key, "push_params")
-        for slot_index, slot_keys in self._backend._grouped(params_by_key).items():
-            self._boundary_request(
-                slot_index,
-                "push_params",
-                {key: params_by_key[key] for key in slot_keys},
-            )
-
-    def drain(self) -> int:
-        """Collect and discard every outstanding step; return the count.
-
-        The steps *did* run in the pool (resident state reflects them) —
-        only their results are dropped, mirroring ``drain_inflight``.
-        """
-        drained = len(self._ready)
-        self._ready.clear()
-        while self._count:
-            self.collect_any()
-            drained += 1
-        return drained
-
-    def close(self) -> None:
-        """Drain outstanding work (when the pool is healthy) and detach."""
-        if not self._dead and self._backend._broken_reason is None:
-            self.drain()
-        self._dead = True
-        if self._backend._collector is self:
-            self._backend._collector = None
 
 
 class ResidentBackend(ExecutorBackend):
@@ -868,18 +171,18 @@ class ResidentBackend(ExecutorBackend):
         #: runs zero elastic code: any wire fault poisons the pool exactly as
         #: before the membership layer existed.
         self.membership_policy = membership_policy
-        #: Ship install payloads via shared memory?  ``None`` follows the
-        #: process-wide default (:func:`set_shm_install_default`); platforms
-        #: without ``multiprocessing.shared_memory`` — and transports whose
-        #: endpoints don't share a kernel (``tcp``) — fall back to pickling.
+        #: Ship install payloads via shared memory?  ``None`` means
+        #: :data:`~repro.runtime.install_codec.SHM_INSTALL_DEFAULT` (on);
+        #: platforms without ``multiprocessing.shared_memory`` — and
+        #: transports whose endpoints don't share a kernel (``tcp``) — fall
+        #: back to pickling.
         self.shm_install = shm_install
         #: Arrays at or above this many bytes are spilled to shared memory.
         self.shm_min_bytes = shm_min_bytes
         #: Transport carrying the slot channels: a name (``"pipe"``/
         #: ``"tcp"``), a pre-built :class:`~repro.runtime.transport.Transport`
-        #: instance (tests inject fault wrappers this way), or ``None`` to
-        #: follow the process-wide default
-        #: (:func:`repro.runtime.transport.set_transport_default`).
+        #: instance (tests inject fault wrappers this way), or ``None`` for
+        #: :data:`~repro.runtime.transport.TRANSPORT_DEFAULT` (``"pipe"``).
         self.transport = transport
         #: ``"HOST:PORT"`` for the ``tcp`` transport's external mode
         #: (``None`` = loopback with spawned workers); ignored by ``pipe``.
@@ -930,13 +233,11 @@ class ResidentBackend(ExecutorBackend):
         #: requests.  The serving layer's param-cache regression test pins
         #: that repeat requests against an unchanged generator add zero.
         self.param_bytes_sent = 0
-        #: Dispatched-but-uncollected :class:`PendingSteps`, in dispatch
-        #: order.  Slot channels are FIFO, so replies must be read in this
-        #: order; boundary ops (pull/push) refuse to run while it is
-        #: non-empty.
-        self._pending: List[PendingSteps] = []
-        #: The open :class:`ResidentCollector`, if any; mutually exclusive
-        #: with whole-pool boundary ops while it has outstanding steps.
+        #: Every frame written to a slot and not yet answered; the only
+        #: reader of the slot channels (:mod:`repro.runtime.ledger`).
+        self._ledger = InflightLedger(self)
+        #: The open :class:`ResidentCollector`, if any; whole-pool boundary
+        #: ops refuse to run while it has outstanding steps.
         self._collector: Optional[ResidentCollector] = None
         #: Live :class:`PoolMembership` state, built lazily on first use when
         #: an elastic :attr:`membership_policy` is set; ``None`` otherwise.
@@ -951,27 +252,19 @@ class ResidentBackend(ExecutorBackend):
     def _ensure_transport(self) -> Transport:
         """Open the pool's transport (and its slot channels) on first use.
 
-        A ``transport`` given as a string (or left ``None`` — the process-wide
-        default) is built via the transport registry with this backend's
-        address/timeout settings; a pre-built :class:`Transport` instance is
-        adopted as-is, which is how tests inject fault-wrapped channels and
-        how callers hand over a ``tcp`` transport that is already listening
-        for external worker hosts.
+        A ``transport`` given as a name (or left ``None`` — the default) is
+        built via the transport registry with this backend's address/timeout
+        settings; a pre-built :class:`Transport` instance is adopted as-is,
+        which is how tests inject fault-wrapped channels and how callers
+        hand over a ``tcp`` transport that is already listening for external
+        worker hosts.
         """
         if self._transport is None:
             transport = self.transport
             if transport is None or isinstance(transport, str):
-                name, address = (
-                    (transport, self.transport_address)
-                    if transport is not None
-                    else transport_default()
-                )
-                if self.transport_address is not None:
-                    address = self.transport_address
                 transport = create_transport(
-                    name,
-                    slot_main=serve_slot,
-                    address=address,
+                    transport or TRANSPORT_DEFAULT,
+                    address=self.transport_address,
                     connect_timeout=self.connect_timeout,
                     read_timeout=self.read_timeout,
                 )
@@ -1014,10 +307,8 @@ class ResidentBackend(ExecutorBackend):
                 self._membership = PoolMembership(policy=policy)
         return self._membership
 
-    @property
-    def membership(self) -> Optional[PoolMembership]:
-        """Public alias for the live membership state (``None`` if fail-stop)."""
-        return self._elastic()
+    #: Public alias for the live membership state (``None`` if fail-stop).
+    membership = property(_elastic)
 
     def membership_counters(self) -> Dict[str, int]:
         """Membership-event counts (empty for fail-stop pools) for the meters."""
@@ -1048,6 +339,11 @@ class ResidentBackend(ExecutorBackend):
         there is forgotten and invalidated (the trainer's copy becomes
         authoritative again), and the lost keys are queued in
         ``membership.pending_loss`` for the trainer's recovery path.
+
+        Every frame still queued on the slot is answered :data:`LOST`, and an
+        open collector also gets an extra ``(key, LOST)`` result per *idle*
+        key lost with it, so the trainer's recovery path meets them on its
+        normal collection loop.
         """
         membership = self._elastic()
         if membership is None:
@@ -1072,14 +368,9 @@ class ResidentBackend(ExecutorBackend):
             transport.channel(slot_index).close()
         except Exception:
             pass
-        reap = getattr(transport, "reap_slot", None)
-        if reap is not None:  # pragma: no cover - optional transport hook
-            try:
-                reap(slot_index)
-            except Exception:
-                pass
+        stepping = self._ledger.lose_slot(slot_index)
         if self._collector is not None and not self._collector._dead:
-            self._collector._note_slot_loss(slot_index, lost)
+            self._collector._ready.extend((key, LOST) for key in lost if key not in stepping)
         return lost
 
     def _wire_fault(
@@ -1091,11 +382,10 @@ class ResidentBackend(ExecutorBackend):
     ) -> Optional[TransportError]:
         """Route one wire fault: poison (fail-stop) or quarantine (elastic).
 
-        Returns the exception the caller should raise — a plain
-        :class:`TransportError` after poisoning, a :class:`SlotLossError`
-        after a survivable quarantine — or ``None`` when the fault refers to
-        an already-quarantined slot and is stale news the caller should
-        simply ignore.
+        Returns the exception a fail-stop caller must raise — a plain
+        :class:`TransportError` after poisoning — or a :class:`SlotLossError`
+        after a survivable quarantine, or ``None`` when the fault refers to
+        an already-quarantined slot and is stale news to ignore.
         """
         membership = self._elastic()
         if membership is not None and slot_index is not None:
@@ -1120,18 +410,18 @@ class ResidentBackend(ExecutorBackend):
         transport = self._ensure_transport()
         slot_index = transport.poll_joiner(timeout)
         if slot_index is not None:
-            membership.record("join", slot=slot_index)
-            self._inherit_orphans(slot_index)
+            self._joined(slot_index)
         return slot_index
 
-    def _inherit_orphans(self, slot_index: int) -> None:
-        """Point keys stranded on quarantined slots at a freshly joined slot.
+    def _joined(self, slot_index: int) -> None:
+        """Record a join and point keys stranded on quarantined slots at the new slot.
 
         Their installs were popped at quarantine time, so the next dispatch
         reinstalls them (from whatever state the trainer's recovery restored)
         on the new slot.
         """
         membership = self._elastic()
+        membership.record("join", slot=slot_index)
         for key, slot in list(membership.assignments.items()):
             if slot in membership.quarantined:
                 membership.assignments[key] = slot_index
@@ -1157,8 +447,7 @@ class ResidentBackend(ExecutorBackend):
             slot_index = transport.open_slot()
         except TransportError:
             return None
-        membership.record("join", slot=slot_index)
-        self._inherit_orphans(slot_index)
+        self._joined(slot_index)
         return slot_index
 
     def close(self) -> None:
@@ -1167,6 +456,7 @@ class ResidentBackend(ExecutorBackend):
             # Its queued replies die with the pool; later use must raise.
             self._collector._dead = True
             self._collector = None
+        self._ledger.abandon()
         if self._transport is not None:
             transport = self._transport
             # Stop the async writer first: its queued sends either land
@@ -1174,12 +464,6 @@ class ResidentBackend(ExecutorBackend):
             # message) or fail against an already-dead slot, which is
             # irrelevant mid-teardown.
             transport.stop_writer()
-            # Any uncollected steps die with the pool; their handles would
-            # read from closed channels, so mark them dead (``result()``
-            # then raises).
-            for handle in self._pending:
-                handle._dead = True
-            self._pending.clear()
             close_frame = pickle.dumps(("close", None), protocol=pickle.HIGHEST_PROTOCOL)
             for slot_index in range(transport.num_slots):
                 try:
@@ -1188,10 +472,6 @@ class ResidentBackend(ExecutorBackend):
                     pass
             transport.close()
             self._transport = None
-        else:
-            for handle in self._pending:
-                handle._dead = True
-            self._pending.clear()
         # Segments are unlinked only after the slot processes are gone, so a
         # queued install message can never race its own backing store.
         for segments in self._shm_segments.values():
@@ -1201,7 +481,7 @@ class ResidentBackend(ExecutorBackend):
         self._generator_slots.clear()
         self._generator_versions.clear()
 
-    # -- wire helpers -----------------------------------------------------------
+    # -- placement --------------------------------------------------------------
     def _slot_for(self, key) -> int:
         membership = self._elastic()
         if membership is None:
@@ -1227,201 +507,23 @@ class ResidentBackend(ExecutorBackend):
         membership.assignments[key] = primary
         return primary
 
-    def _meter_sent(self, op: str, nbytes: int) -> None:
-        self.ipc_bytes_sent += nbytes
-        self.op_bytes_sent[op] += nbytes
-
-    def _send(self, slot_index: int, message: tuple) -> None:
-        # Queued async sends must land first: channels are FIFO per slot, and
-        # a direct send overtaking a queued one would corrupt the stream
-        # order.
-        self._flush_sends()
-        op = message[0]
-        transport = self._ensure_transport()
-        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self._meter_sent(op, len(data))
-        started = time.perf_counter()
-        try:
-            transport.channel(slot_index).send_bytes(data)
-        except (BrokenPipeError, OSError) as exc:
-            fault = self._wire_fault(
-                slot_index,
-                op,
-                f"resident pool slot {slot_index} is gone "
-                f"(transport send failed; in-flight op {op!r})",
-                f"transport to pool slot {slot_index} failed while sending {op!r}: {exc!r}",
-            )
-            if fault is None:
-                fault = SlotLossError(
-                    f"resident pool slot {slot_index} is quarantined "
-                    f"(send of {op!r} refused)",
-                    slot_index=slot_index,
-                    op=op,
-                )
-            raise fault from exc
-        self.op_transfer_seconds[op] += time.perf_counter() - started
-
-    def _send_async(self, slot_index: int, message: tuple) -> None:
-        """Queue a send on the transport's writer thread instead of inline.
-
-        Used for dispatches that may target a slot *currently computing* an
-        earlier request (the pipelined lookahead generation): a large
-        payload — generator parameters easily exceed the channel's buffer —
-        would otherwise block the trainer thread in ``send_bytes`` while the
-        slot is blocked writing its own (large) step reply, neither side
-        reading: a send/send deadlock.  The writer thread takes the blocking
-        write instead, the trainer proceeds to collect replies (which
-        unblocks the slot), and per-slot FIFO order is preserved because
-        every direct send first flushes the queue (:meth:`_flush_sends`).
-        """
-        op = message[0]
-        transport = self._ensure_transport()
-        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        self._meter_sent(op, len(data))
-        transport.send_async(slot_index, data)
-
-    def _writer_failure(self, error: tuple, op: Optional[str]) -> Optional[TransportError]:
-        """Route a recorded async-send failure; build the error to raise.
-
-        Fail-stop pools poison and get a :class:`TransportError`; elastic
-        pools quarantine the failed slot and get a :class:`SlotLossError`.
-        ``None`` means the failure hit an already-quarantined slot and is
-        stale news the caller should ignore.
-        """
-        slot_index, reason = error
-        return self._wire_fault(
-            slot_index,
-            op,
-            f"resident pool async send failed:\n{reason}",
-            reason,
-        )
-
-    def _flush_sends(self) -> None:
-        """Block until every queued async send has been written to its channel."""
-        if self._transport is not None:
-            self._transport.flush_sends()
-            error = self._transport.take_writer_error()
-            if error is not None:
-                fault = self._writer_failure(error, op=None)
-                if fault is not None:
-                    raise fault
-
-    def _recv(self, slot_index: int, op: str):
-        transport = self._ensure_transport()
-        channel = transport.channel(slot_index)
-        timeout = transport.read_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            # Heartbeat wait: if an *async* send failed (recorded by the
-            # writer thread) the reply we are waiting for may never come —
-            # surface the failure instead of blocking forever.  A full
-            # flush here would deadlock (the writer may legitimately be
-            # blocked behind a busy slot whose reply we are about to read).
-            # The same loop enforces the transport's read timeout, so a
-            # dropped frame surfaces as a TransportError instead of a hang.
-            while not channel.poll(0.05):
-                error = transport.take_writer_error()
-                if error is not None:
-                    fault = self._writer_failure(error, op=op)
-                    if fault is not None:
-                        raise fault
-                if deadline is not None and time.monotonic() > deadline:
-                    fault = self._wire_fault(
-                        slot_index,
-                        op,
-                        f"timed out after {timeout}s waiting for pool slot "
-                        f"{slot_index} to answer {op!r} (frame dropped, or "
-                        "read_timeout shorter than the slot's compute time)",
-                        f"timed out after {timeout}s waiting for pool slot "
-                        f"{slot_index} to answer {op!r}",
-                    )
-                    if fault is None:  # pragma: no cover - stale quarantine echo
-                        fault = SlotLossError(
-                            f"pool slot {slot_index} is quarantined",
-                            slot_index=slot_index,
-                            op=op,
-                        )
-                    raise fault
-            # Timed from first-byte-ready, so the figure is frame transfer,
-            # not the slot's compute time (the poll loop above absorbs that).
-            started = time.perf_counter()
-            data = channel.recv_bytes()
-        except (EOFError, OSError) as exc:
-            fault = self._wire_fault(
-                slot_index,
-                op,
-                f"resident pool slot {slot_index} died (in-flight op {op!r}: {exc!r})",
-                f"pool slot {slot_index} died mid-request ({op!r}): {exc!r}",
-            )
-            if fault is None:  # pragma: no cover - stale quarantine echo
-                fault = SlotLossError(
-                    f"pool slot {slot_index} is quarantined",
-                    slot_index=slot_index,
-                    op=op,
-                )
-            raise fault from exc
-        self.op_transfer_seconds[op] += time.perf_counter() - started
-        self.ipc_bytes_received += len(data)
-        self.op_bytes_received[op] += len(data)
-        status, payload = pickle.loads(data)
-        if status != "ok":
-            # The slot may have executed part of a batch before failing, and
-            # other slots may still have unread replies in flight: both leave
-            # state/channels inconsistent, so fail stop rather than desync.
-            self._poison(payload)
-            raise RuntimeError(f"resident worker program failed:\n{payload}")
-        return payload
-
-    def _grouped(self, keys: Iterable) -> Dict[int, List]:
-        grouped: Dict[int, List] = defaultdict(list)
-        for key in keys:
-            grouped[self._slot_for(key)].append(key)
-        return grouped
-
-    def _grouped_exchange(
-        self, op: str, grouped: Dict[int, List], payload_for: Callable[[List], Any]
-    ) -> Tuple[Dict[Any, Any], Optional[SlotLossError]]:
-        """Send one boundary op per slot group and receive every reply.
-
-        Fail-stop pools behave exactly as before (the first fault poisons and
-        raises).  Elastic pools keep going: a slot lost mid-exchange is
-        skipped, the surviving slots' replies are still read (their frames
-        are already queued on their channels — skipping them would
-        desynchronize every later op), and the first :class:`SlotLossError`
-        is returned for the caller to surface or swallow.
-        """
-        membership = self._elastic()
-        slot_loss: Optional[SlotLossError] = None
-        sent: List[int] = []
-        for slot_index, slot_keys in grouped.items():
-            try:
-                self._send(slot_index, (op, payload_for(slot_keys)))
-            except SlotLossError as exc:
-                slot_loss = slot_loss or exc
-                continue
-            sent.append(slot_index)
-        merged: Dict[Any, Any] = {}
-        for slot_index in sent:
-            if membership is not None and slot_index in membership.quarantined:
-                continue  # quarantined after its send; reply unreadable
-            try:
-                reply = self._recv(slot_index, op)
-            except SlotLossError as exc:
-                slot_loss = slot_loss or exc
-                continue
-            if isinstance(reply, dict):
-                merged.update(reply)
-        return merged, slot_loss
-
+    # -- guards -----------------------------------------------------------------
     def _require_installed(self, keys: Iterable, op: str) -> None:
         missing = [key for key in keys if not self.installed(key)]
         if missing:
             raise ValueError(f"{op} requires installed resident state; missing for {missing}")
 
+    def _inflight_batches(self) -> int:
+        """Number of :class:`PendingSteps` batches with unanswered frames."""
+        entries = self._ledger.entries()
+        return len({id(e.owner) for e in entries if isinstance(e.owner, PendingSteps)})
+
     def _require_no_inflight(self, op: str) -> None:
-        if self._pending:
+        self._check_usable()
+        batches = self._inflight_batches()
+        if batches:
             raise RuntimeError(
-                f"{op} cannot run while {len(self._pending)} step batch(es) are "
+                f"{op} cannot run while {batches} step batch(es) are "
                 "in flight; collect the PendingSteps handles (or call "
                 "drain_inflight()) first"
             )
@@ -1446,10 +548,7 @@ class ResidentBackend(ExecutorBackend):
             return False
         if not self._ensure_transport().supports_shm:
             return False
-        enabled = self.shm_install
-        if enabled is None:
-            enabled = _SHM_INSTALL_DEFAULT
-        return bool(enabled)
+        return SHM_INSTALL_DEFAULT if self.shm_install is None else bool(self.shm_install)
 
     def _release_shm(self, segment_key) -> None:
         """Unlink the segments backing one install (no-op when absent)."""
@@ -1466,6 +565,7 @@ class ResidentBackend(ExecutorBackend):
         new install has superseded the old views, and Linux keeps existing
         child mappings valid after an unlink.
         """
+        self.install_count += 1
         if not self._shm_active():
             return payload
         segments: List = []
@@ -1507,13 +607,41 @@ class ResidentBackend(ExecutorBackend):
             raise ValueError(
                 "ResidentBackend.open_collector requires the resident program name"
             )
-        self._check_usable()
         self._require_no_inflight("open_collector")
         if self._collector is not None:
             self._collector._dead = True
-        collector = ResidentCollector(self, program)
-        self._collector = collector
-        return collector
+        self._collector = ResidentCollector(self, program)
+        return self._collector
+
+    def _run_item(self, program: str, key, state_supplier: Callable[[], Any], payload) -> tuple:
+        """The ``run`` wire item for one worker key, install included when due.
+
+        ``state_supplier`` is invoked (trainer-side, at dispatch) only when
+        the pool holds no current copy for ``key`` — first participation,
+        after an invalidation, or after a pool restart — and its return value
+        is shipped as the install payload.
+        """
+        epoch = self._epochs.setdefault(key, 0)
+        install = None
+        if self._installed.get(key) != epoch:
+            install = state_supplier()
+            if install is not None:
+                install = self._encode_install(("state", key), install)
+        return (key, program, epoch, install, payload)
+
+    def _post_run(self, slot_index: int, items: List[tuple], **entry_fields):
+        """Post one ``run`` frame of :meth:`_run_item` items to a slot.
+
+        The installs it carries are recorded at send time, so a later
+        dispatch in the same flight window does not re-ship (and thereby
+        clobber) resident state with the trainer's stale copy; a frame lost
+        at send records nothing, so the next dispatch re-ships.
+        """
+        entry = self._ledger.post(slot_index, "run", items, **entry_fields)
+        if not entry.lost:
+            for key, _, epoch, _, _ in items:
+                self._installed[key] = epoch
+        return entry
 
     def start_steps(
         self,
@@ -1522,54 +650,26 @@ class ResidentBackend(ExecutorBackend):
     ) -> PendingSteps:
         """Dispatch one per-iteration step per ``(key, state_supplier, payload)``.
 
-        The request is written to the slot pipes immediately and a
+        The request is written to the slot channels immediately and a
         :class:`PendingSteps` handle is returned; the pool computes while the
         trainer does other work, and ``handle.result()`` collects the replies
         (in item order).  Multiple batches may be in flight at once — slots
         execute them FIFO — but handles must be collected in dispatch order,
         and boundary ops (pull/push/pull_state) are refused while any step is
-        uncollected.
-
-        ``state_supplier`` is invoked (trainer-side, at dispatch) only when
-        the pool holds no current copy for ``key`` — first participation,
-        after an invalidation, or after a pool restart — and its return value
-        is shipped as the install payload.  The install is recorded at send
-        time, so a later dispatch in the same flight window does not re-ship
-        (and thereby clobber) resident state with the trainer's stale copy.
+        uncollected.  ``state_supplier`` provides the install payload when
+        the pool holds no current copy for ``key`` (see :meth:`_run_item`).
         """
+        handle = PendingSteps(self, len(items), op="run")
         if not items:
-            return PendingSteps(self, {}, 0)
+            return handle
         self._check_usable()
         per_slot: Dict[int, List[Tuple[int, tuple]]] = defaultdict(list)
         for position, (key, state_supplier, payload) in enumerate(items):
-            epoch = self._epochs.setdefault(key, 0)
-            install = None
-            if self._installed.get(key) != epoch:
-                install = state_supplier()
-                if install is not None:
-                    install = self._encode_install(("state", key), install)
-                    self.install_count += 1
-            wire = (key, program, epoch, install, payload)
-            per_slot[self._slot_for(key)].append((position, wire))
-        handle = PendingSteps(self, dict(per_slot), len(items), op="run")
-        membership = self._elastic()
-        for slot_index, entries in per_slot.items():
-            if membership is not None and slot_index in membership.quarantined:
-                # The slot died between placement and send (e.g. a writer
-                # failure quarantined it mid-loop); its steps are lost.
-                handle._lost_slots.add(slot_index)
-                continue
-            try:
-                self._send(slot_index, ("run", [wire for _, wire in entries]))
-            except SlotLossError:
-                # This slot's steps are lost whether the fault named it (its
-                # quarantine) or another slot (nothing was written here); the
-                # install was not recorded, so the next dispatch re-ships.
-                handle._lost_slots.add(slot_index)
-                continue
-            for _, (key, _, epoch, _, _) in entries:
-                self._installed[key] = epoch
-        self._pending.append(handle)
+            item = self._run_item(program, key, state_supplier, payload)
+            per_slot[self._slot_for(key)].append((position, item))
+        for slot_index, placed in per_slot.items():
+            entry = self._post_run(slot_index, [item for _, item in placed], owner=handle)
+            handle._frames.append((entry, [position for position, _ in placed]))
         return handle
 
     def start_generation(
@@ -1582,9 +682,8 @@ class ResidentBackend(ExecutorBackend):
         """Dispatch per-batch generator forward passes across the pool slots.
 
         ``handle`` is a :class:`~repro.runtime.pipeline.GeneratorHandle`
-        naming the generator (a bare string key is accepted as a deprecated
-        shim and behaves like an unversioned handle).  Batch ``j`` runs on
-        slot ``j mod pool size`` against that slot's resident copy of the
+        naming the generator.  Batch ``j`` runs on the ``j``-th alive slot
+        (round-robin) against that slot's resident copy of the
         generator: ``generator_supplier()`` is shipped (once per slot, on
         first use or after a pool restart) as the structural install, and
         ``params`` — the current flat parameter vector — is written into the
@@ -1603,99 +702,49 @@ class ResidentBackend(ExecutorBackend):
         per-batch replies in batch order; it participates in the same
         dispatch-order collection discipline as step batches.
         """
-        if isinstance(handle, str):
-            import warnings
-
-            warnings.warn(
-                "passing a bare string key to ResidentBackend.start_generation "
-                "is deprecated; pass a repro.runtime.GeneratorHandle instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            from .pipeline import GeneratorHandle
-
-            handle = GeneratorHandle(key=handle)
         key, version = handle.key, handle.version
+        pending = PendingSteps(self, len(g_inputs), op="generate")
         if not len(g_inputs):
-            return PendingSteps(self, {}, 0)
+            return pending
         self._check_usable()
-        nslots = self._ensure_transport().num_slots
-        per_slot: Dict[int, List[Tuple[int, Any]]] = defaultdict(list)
-        for position, g_input in enumerate(g_inputs):
-            per_slot[position % nslots].append((position, g_input))
+        slots = self._alive_slots()
+        per_slot: Dict[int, List[int]] = defaultdict(list)
+        for position in range(len(g_inputs)):
+            per_slot[slots[position % len(slots)]].append(position)
         installed_slots = self._generator_slots.setdefault(key, set())
-        for slot_index, entries in per_slot.items():
+        for slot_index, positions in per_slot.items():
             install = None
             if slot_index not in installed_slots:
                 install = self._encode_install(
                     ("generator", key, slot_index),
                     generator_supplier(),
                 )
-                self.install_count += 1
             # Param-cache: skip the parameter payload when this slot's copy
             # already holds exactly this version's bits.  Sends are FIFO per
             # slot, so "last version shipped" is also "version the copy will
-            # hold by the time this request executes".
+            # hold by the time this request executes".  The frame is always
+            # queued: the serving dispatcher posts under its queue lock and
+            # the pipelined trainer mid-iteration, and an inline write there
+            # costs serve_mlp_pool_pipe ~5% of its request rate.
             slot_params = params
             if version is not None and self._generator_versions.get((key, slot_index)) == version:
                 slot_params = None
-            self._send_async(
+            entry = self._ledger.post(
                 slot_index,
-                ("generate", (key, install, slot_params, [g_input for _, g_input in entries])),
+                "generate",
+                (key, install, slot_params, [g_inputs[position] for position in positions]),
+                owner=pending,
+                queued=True,
             )
+            pending._frames.append((entry, positions))
+            if entry.lost:
+                continue
             installed_slots.add(slot_index)
             if slot_params is not None:
                 self.param_bytes_sent += int(getattr(slot_params, "nbytes", 0))
             if version is not None:
                 self._generator_versions[(key, slot_index)] = version
-        pending = PendingSteps(self, dict(per_slot), len(g_inputs), op="generate")
-        self._pending.append(pending)
         return pending
-
-    def _collect_steps(self, handle: PendingSteps) -> List[Any]:
-        """Receive the slot replies for ``handle`` (dispatch order enforced)."""
-        if handle._dead:
-            raise RuntimeError(
-                "resident pool was closed or poisoned before these steps were "
-                "collected; their results are lost"
-            )
-        if not handle._per_slot:
-            return []
-        self._check_usable()
-        if not self._pending or self._pending[0] is not handle:
-            raise RuntimeError(
-                "resident step handles must be collected in dispatch order "
-                "(slot pipes are FIFO)"
-            )
-        results: List[Any] = [None] * handle._size
-        membership = self._elastic()
-        slot_loss: Optional[SlotLossError] = None
-        for slot_index, entries in handle._per_slot.items():
-            if membership is not None and (
-                slot_index in handle._lost_slots or slot_index in membership.quarantined
-            ):
-                for position, _ in entries:
-                    results[position] = LOST
-                continue
-            try:
-                out = self._recv(slot_index, handle._op)
-            except SlotLossError as exc:
-                # Keep receiving from the surviving slots: their replies are
-                # already queued on their channels and skipping them would
-                # desynchronize every later op on those streams.
-                for position, _ in entries:
-                    results[position] = LOST
-                if slot_loss is None:
-                    slot_loss = exc
-                continue
-            for (position, _), result in zip(entries, out):
-                results[position] = result
-        self._pending.pop(0)
-        if slot_loss is not None and handle._op != "run":
-            # Generation batches cannot be partially merged; surface the loss.
-            handle._dead = True
-            raise slot_loss
-        return results
 
     def run_steps(
         self,
@@ -1711,84 +760,109 @@ class ResidentBackend(ExecutorBackend):
         return self.start_steps(program, items).result()
 
     def drain_inflight(self) -> int:
-        """Collect and discard any uncollected step replies; return the count.
+        """Wait out and discard every unanswered frame; return the batch count.
 
         Exception-path safety valve used before boundary ops: the steps *did*
         execute in the pool (resident state reflects them), only their
         results are dropped, so a subsequent :meth:`pull_state` observes
-        consistent post-step state.  On the normal training path the trainers
-        always collect every handle, making this a no-op.
+        consistent post-step state.  Discard-only: a frame lost with a
+        quarantined slot is answered :data:`LOST`, never raised as a
+        :class:`SlotLossError`, so draining is safe inside a loss-recovery
+        path.  On the normal path every handle is collected and this is a no-op.
         """
-        drained = 0
-        while self._pending:
-            handle = self._pending[0]
-            handle.result()
-            drained += 1
+        drained = self._inflight_batches()
+        self._ledger.wait(self._ledger.entries())
         if self._collector is not None and not self._collector._dead:
             drained += self._collector.drain()
         return drained
+
+    def _exchange(
+        self, op: str, keys: Iterable, payload_for: Callable[[List], Any]
+    ) -> Tuple[Dict[Any, Any], Optional[SlotLossError]]:
+        """Post one boundary op per slot group and wait for exactly those replies.
+
+        Replies queued ahead of them (steps dispatched through an open
+        collector) reach their own entries on the way.  Elastic pools keep
+        going when a slot is lost mid-exchange: the surviving slots' replies
+        are still read (skipping them would desynchronize every later op on
+        those channels) and the first loss is returned for the caller to
+        surface or swallow.
+        """
+        grouped: Dict[int, List] = defaultdict(list)
+        for key in keys:
+            grouped[self._slot_for(key)].append(key)
+        entries = [
+            self._ledger.post(slot_index, op, payload_for(slot_keys))
+            for slot_index, slot_keys in grouped.items()
+        ]
+        self._ledger.wait(entries)
+        merged: Dict[Any, Any] = {}
+        slot_loss: Optional[SlotLossError] = None
+        for entry in entries:
+            if entry.lost:
+                slot_loss = slot_loss or entry.loss()
+            elif isinstance(entry.reply, dict):
+                merged.update(entry.reply)
+        return merged, slot_loss
+
+    def _pull_params(self, keys: List) -> Dict[Any, Any]:
+        """The pull behind both the guarded public op and the collector's mid-flight one."""
+        self._require_installed(keys, "pull_params")
+        merged, slot_loss = self._exchange("pull_params", keys, lambda slot_keys: slot_keys)
+        if slot_loss is not None:
+            raise slot_loss
+        return merged
+
+    def _push_params(self, params_by_key: Dict[Any, Any]) -> None:
+        """The push behind both the guarded public op and the collector's mid-flight one."""
+        self._require_installed(params_by_key, "push_params")
+        _, slot_loss = self._exchange(
+            "push_params",
+            params_by_key,
+            lambda slot_keys: {key: params_by_key[key] for key in slot_keys},
+        )
+        if slot_loss is not None:
+            raise slot_loss
 
     def pull_params(self, keys: Sequence) -> Dict[Any, Any]:
         """Fetch flat parameter vectors from installed residents (state stays put)."""
         keys = list(keys)
         if not keys:
             return {}
-        self._check_usable()
         self._require_no_inflight("pull_params")
-        self._require_installed(keys, "pull_params")
-        grouped = self._grouped(keys)
-        merged, slot_loss = self._grouped_exchange("pull_params", grouped, lambda ks: ks)
-        if slot_loss is not None:
-            raise slot_loss
-        return merged
+        return self._pull_params(keys)
 
     def push_params(self, params_by_key: Dict[Any, Any]) -> None:
         """Write flat parameter vectors into installed residents in place."""
         if not params_by_key:
             return
-        self._check_usable()
         self._require_no_inflight("push_params")
-        self._require_installed(params_by_key, "push_params")
-        grouped = self._grouped(params_by_key)
-        _, slot_loss = self._grouped_exchange(
-            "push_params",
-            grouped,
-            lambda slot_keys: {key: params_by_key[key] for key in slot_keys},
-        )
-        if slot_loss is not None:
-            raise slot_loss
+        self._push_params(params_by_key)
 
-    def pull_state(self, keys: Sequence, drop: bool = True) -> Dict[Any, Any]:
-        """Fetch full resident state for ``keys``.
+    def pull_state(self, keys: Sequence) -> Dict[Any, Any]:
+        """Fetch full resident state for ``keys`` and *reclaim* authority over it.
 
-        With ``drop`` (the default) the trainer *reclaims* authority: the
-        pool forgets the residents and the epoch is bumped, so stale copies
-        can never be stepped again; the next participation re-installs from
-        the trainer's (now current) objects.  With ``drop=False`` the call is
-        a non-destructive full-state snapshot — the returned objects are
-        current pickled copies, the pool stays authoritative and warm, and
-        the epoch protocol is untouched.  (For the end-of-``train()``
-        refresh prefer :meth:`pull_mirror`, which skips bulky immutable
-        payloads like dataset shards.)
+        The pool forgets the residents and the epoch is bumped, so stale
+        copies can never be stepped again; the next participation re-installs
+        from the trainer's (now current) objects.  (For the end-of-``train()``
+        refresh use :meth:`pull_mirror`, which keeps the pool warm and skips
+        bulky immutable payloads like dataset shards.)
         """
         keys = list(keys)
         if not keys:
             return {}
-        self._check_usable()
         self._require_no_inflight("pull_state")
         self._require_installed(keys, "pull_state")
-        grouped = self._grouped(keys)
-        merged, slot_loss = self._grouped_exchange(
-            "pull_state", grouped, lambda slot_keys: (slot_keys, drop)
+        merged, slot_loss = self._exchange(
+            "pull_state", keys, lambda slot_keys: (slot_keys, True)
         )
-        if drop:
-            # Applied even on the loss path: slots that answered did drop
-            # their residents (keys lost with a slot were already popped and
-            # invalidated by the quarantine).
-            for key in keys:
-                self._installed.pop(key, None)
-                self.invalidate(key)
-                self._release_shm(("state", key))
+        # Applied even on the loss path: slots that answered did drop their
+        # residents (keys lost with a slot were already popped and
+        # invalidated by the quarantine).
+        for key in keys:
+            self._installed.pop(key, None)
+            self.invalidate(key)
+            self._release_shm(("state", key))
         if slot_loss is not None:
             raise slot_loss
         return merged
@@ -1811,13 +885,10 @@ class ResidentBackend(ExecutorBackend):
             return {}
         self.drain_inflight()
         keys = [key for key in keys if self.installed(key)]
-        if not keys:
-            return {}
-        grouped = self._grouped(keys)
         # The mirror is the degrade-never-raise refresh: a slot lost while
         # mirroring simply contributes nothing (its keys are queued for the
         # trainer's recovery path by the quarantine).
-        merged, _ = self._grouped_exchange("pull_mirror", grouped, lambda ks: ks)
+        merged, _ = self._exchange("pull_mirror", keys, lambda slot_keys: slot_keys)
         return merged
 
     def pull_into(
@@ -1848,7 +919,7 @@ class ResidentBackend(ExecutorBackend):
         ]
         if not keys:
             return
-        states = self.pull_state(keys, drop=True)
+        states = self.pull_state(keys)
         for holder in holders:
             state = states.get(getattr(holder, key_attr))
             if state is None:

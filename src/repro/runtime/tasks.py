@@ -47,7 +47,7 @@ from ..core.gan_ops import (
 from ..datasets.sampler import EpochSampler
 from ..nn.model import Sequential
 from ..simulation.node import ComputeTape
-from .resident import ResidentProgram, register_program
+from .programs import ResidentProgram, register_program
 
 __all__ = [
     "MDGANWorkerTask",

@@ -18,15 +18,13 @@ never cares what moves the bytes.  This package supplies the channels:
 
 Transport selection is threaded explicitly through configuration —
 ``TrainingConfig(transport=..., transport_address=...)`` or the backend's
-own attributes; the CLI's ``--transport`` flag travels the same way.  The
-process-wide default (:func:`set_transport_default`) survives only as a
-deprecated shim for backends built with ``transport=None``.
+own attributes; the CLI's ``--transport`` flag travels the same way.  A
+backend built with ``transport=None`` gets :data:`TRANSPORT_DEFAULT`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
+from ..slot import serve_slot
 from .base import (
     TRANSPORTS,
     SlotChannel,
@@ -62,62 +60,19 @@ __all__ = [
     "parse_address",
     "create_transport",
     "register_transport",
-    "set_transport_default",
-    "transport_default",
+    "TRANSPORT_DEFAULT",
 ]
 
+#: Transport of a resident backend built without an explicit ``transport=``.
+TRANSPORT_DEFAULT = "pipe"
 
-def _pipe_factory(slot_main=None, **options) -> LocalPipeTransport:
-    if slot_main is None:
-        # Lazy: the protocol layer imports this package; resolving its
-        # serving loop at build time keeps the imports acyclic.
-        from ..resident import serve_slot as slot_main
+
+def _pipe_factory(**options) -> LocalPipeTransport:
     options.pop("address", None)  # pipes are always local; accepted, ignored
     options.pop("connect_timeout", None)
-    return LocalPipeTransport(slot_main, **options)
-
-
-def _tcp_factory(slot_main=None, address=None, **options) -> TcpTransport:
-    # ``slot_main`` is pipe-specific (TCP workers run the serving loop in
-    # worker_host); accepted and dropped so factories share a signature.
-    return TcpTransport(address=address, **options)
+    return LocalPipeTransport(serve_slot, **options)
 
 
 register_transport("pipe", _pipe_factory)
-register_transport("tcp", _tcp_factory)
+register_transport("tcp", TcpTransport)
 
-
-#: Process-wide ``(transport_name, address)`` default for resident backends
-#: built without an explicit ``transport=``.
-_TRANSPORT_DEFAULT: Tuple[str, Optional[str]] = ("pipe", None)
-
-
-def set_transport_default(name: str, address: Optional[str] = None) -> None:
-    """Deprecated: set the process-wide default transport for new pools.
-
-    Process-global mutation has been replaced by explicit config threading —
-    set ``TrainingConfig(transport=..., transport_address=...)`` (or the
-    backend's ``transport`` / ``transport_address`` attributes) instead.
-    Backends whose ``transport`` attribute is ``None`` still follow this
-    process-wide default for compatibility.
-    """
-    import warnings
-
-    warnings.warn(
-        "set_transport_default is deprecated; pass transport=/"
-        "transport_address= through TrainingConfig / ResidentBackend instead "
-        "of mutating the process-wide default",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _TRANSPORT_DEFAULT
-    if name not in TRANSPORTS:
-        raise ValueError(f"Unknown transport {name!r}; expected one of {TRANSPORTS}")
-    if address is not None:
-        parse_address(address)  # validation only
-    _TRANSPORT_DEFAULT = (name, address)
-
-
-def transport_default() -> Tuple[str, Optional[str]]:
-    """Return the current process-wide ``(transport, address)`` default."""
-    return _TRANSPORT_DEFAULT

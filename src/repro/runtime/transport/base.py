@@ -7,7 +7,7 @@ seam between the two concerns:
 
 * :class:`SlotChannel` — one bidirectional, ordered, message-framed byte
   stream to a single pool slot.  ``multiprocessing.Connection`` satisfies the
-  interface structurally (``send_bytes`` / ``recv_bytes`` / ``poll`` /
+  interface structurally (``send_bytes`` / ``recv_bytes`` / ``fileno`` /
   ``close``), which is exactly why the pipe transport can hand out raw
   ``Connection`` objects and stay bitwise identical to the pre-refactor
   backend.
@@ -96,7 +96,9 @@ class SlotChannel(ABC):
     structurally and is used as-is by the pipe transport): messages are
     delivered whole and in order, ``recv_bytes`` raises :class:`EOFError` on
     a cleanly closed peer and :class:`OSError` on anything uglier, and
-    ``poll`` never consumes data.
+    ``fileno`` names a descriptor that turns readable exactly when
+    ``recv_bytes`` has something to return (a message or the peer's EOF) —
+    what the backend's one wait loop blocks on.
     """
 
     @abstractmethod
@@ -108,8 +110,8 @@ class SlotChannel(ABC):
         """Block for and return one whole message; ``EOFError`` on peer close."""
 
     @abstractmethod
-    def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a message is ready to read within ``timeout`` seconds."""
+    def fileno(self) -> int:
+        """Descriptor to wait on for readability; negative or ``OSError`` once closed."""
 
     @abstractmethod
     def close(self) -> None:
@@ -130,9 +132,10 @@ class Transport(ABC):
     for the same reason: a large dispatch to a slot that is *busy computing*
     can fill the channel's buffer while the slot is itself blocked writing a
     large reply — a send/send deadlock.  ``send_async`` queues the write on a
-    daemon thread; the backend flushes the queue before any direct send so
-    per-slot FIFO order is preserved, and polls :meth:`take_writer_error`
-    while waiting on replies that a failed async send may mean never arrive.
+    daemon thread; the backend writes directly only to slots with nothing in
+    flight, so per-slot FIFO order is preserved, and looks at
+    :meth:`take_writer_error` while waiting on replies that a failed async
+    send may mean never arrive.
     """
 
     #: Transport name (one of :data:`TRANSPORTS`).
@@ -239,20 +242,17 @@ class Transport(ABC):
         """Drain the async-send queue; record (never raise) send failures."""
         while True:
             item = self._write_queue.get()
+            if item is None:
+                return
+            slot_index, channel, data = item
             try:
-                if item is None:
-                    return
-                slot_index, channel, data = item
-                try:
-                    channel.send_bytes(data)
-                except Exception as exc:
-                    if self._writer_error is None:
-                        self._writer_error = (
-                            slot_index,
-                            f"async send to pool slot {slot_index} failed: {exc!r}",
-                        )
-            finally:
-                self._write_queue.task_done()
+                channel.send_bytes(data)
+            except Exception as exc:
+                if self._writer_error is None:
+                    self._writer_error = (
+                        slot_index,
+                        f"async send to pool slot {slot_index} failed: {exc!r}",
+                    )
 
     def send_async(self, slot_index: int, data: bytes) -> None:
         """Queue ``data`` for the writer thread instead of writing inline.
@@ -270,11 +270,6 @@ class Transport(ABC):
             )
             self._writer.start()
         self._write_queue.put((slot_index, channel, data))
-
-    def flush_sends(self) -> None:
-        """Block until every queued async send has been written to its channel."""
-        if self._write_queue is not None:
-            self._write_queue.join()
 
     def take_writer_error(self) -> Optional[Tuple[Optional[int], str]]:
         """Pop the recorded async-send failure, if any: ``(slot_index, reason)``."""

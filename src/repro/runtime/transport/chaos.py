@@ -181,9 +181,9 @@ class ChaosChannel(SlotChannel):
         """Delegate to the wrapped channel."""
         return self._inner.recv_bytes()
 
-    def poll(self, timeout: float = 0.0) -> bool:
+    def fileno(self) -> int:
         """Delegate to the wrapped channel."""
-        return self._inner.poll(timeout)
+        return self._inner.fileno()
 
     def close(self) -> None:
         """Delegate to the wrapped channel."""

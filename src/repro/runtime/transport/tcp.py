@@ -154,6 +154,10 @@ class TcpChannel(SlotChannel):
             return True  # let recv_bytes surface the real error
         return bool(ready)
 
+    def fileno(self) -> int:
+        """The socket's descriptor (``-1`` once closed)."""
+        return self._sock.fileno()
+
     def close(self) -> None:
         """Shut the connection down (idempotent)."""
         try:

@@ -34,6 +34,7 @@ import sys
 import time
 from typing import Optional, Sequence, Tuple
 
+from .slot import serve_slot
 from .transport.tcp import HandshakeRefused, TcpChannel, client_handshake, parse_address
 
 __all__ = ["run_worker", "serve_forever", "main"]
@@ -113,10 +114,6 @@ def run_worker(
                 file=sys.stderr,
                 flush=True,
             )
-        # Lazy import: the protocol layer imports the transport package,
-        # which spawns this module — importing at call time stays acyclic.
-        from .resident import serve_slot
-
         serve_slot(channel)
     finally:
         channel.close()

@@ -56,6 +56,7 @@ from typing import Any, Deque, List, Optional
 import numpy as np
 
 from ..core.config import TrainingConfig
+from ..core.gan_ops import draw_generator_input
 from ..core.lifecycle import BackendOwner
 from ..models.base import generator_input
 from ..runtime.pipeline import (
@@ -269,19 +270,10 @@ class GeneratorService(BackendOwner):
         with self._lock:
             self._check_open()
             for _ in range(num_batches):
-                noise = self._rng.normal(0.0, 1.0, size=(1, self.factory.latent_dim))
-                noise = noise.astype(self.generator.dtype, copy=False)
-                labels = (
-                    self._rng.integers(0, self.factory.num_classes, size=1)
-                    if self.factory.conditional
-                    else None
+                noise, labels, g_input = draw_generator_input(
+                    self.generator, self.factory, 1, self._rng
                 )
-                request = _Request(
-                    g_input=generator_input(noise, labels, self.factory.num_classes),
-                    noise=noise,
-                    labels=labels,
-                    enqueued_at=now,
-                )
+                request = _Request(g_input=g_input, noise=noise, labels=labels, enqueued_at=now)
                 requests.append(request)
                 self._queue.append(request)
             self._ensure_dispatcher()

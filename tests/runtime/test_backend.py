@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import time
+import warnings
 
 import pytest
 
+from repro.core.lifecycle import close_quietly
 from repro.runtime import (
     BACKENDS,
     ProcessBackend,
@@ -102,3 +104,20 @@ class TestLifecycle:
         assert backend.map_ordered(_square, [5]) == [25]
         # The shortcut ran inline, so no pool was ever created.
         assert backend._pool is None
+
+
+def test_close_quietly_swallows_close_errors_silently():
+    # The owners' GC / interpreter-exit finalizer: a shutdown-time failure
+    # must neither surface nor warn.
+    class _ExplodingBackend:
+        closed = 0
+
+        def close(self) -> None:
+            self.closed += 1
+            raise RuntimeError("boom")
+
+    target = _ExplodingBackend()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        close_quietly(target)
+    assert target.closed == 1

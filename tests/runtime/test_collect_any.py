@@ -1,29 +1,39 @@
 """Completion-order collection API tests (``open_collector`` / ``collect_any``).
 
-The FIFO ``PendingSteps``/``submit_ordered`` contract collects whole batches
-in dispatch order; the collectors are its as-completed sibling powering
-``aggregation="async"``.  These tests pin the order semantics of all three
-collector families (eager, futures, resident), the mid-flight parameter
+The ``PendingSteps``/``submit_ordered`` handles collect whole batches in
+dispatch order; the collectors hand back whichever unit finishes next and
+power ``aggregation="async"``.  These tests pin the order semantics of all
+three collector families (eager, futures, resident), the mid-flight parameter
 traffic of the resident one, and — mirroring ``test_transport.py`` — the
 failure contract under fault injection: a killed slot, a dropped frame and a
 truncated frame mid-``collect_any`` must each surface as a
 :class:`TransportError` naming the slot and the in-flight op, poison the
-pool fail-stop, and never hang.
+pool fail-stop, and never hang.  On the resident backend both are views of
+one in-flight ledger: ``TestOneLedger`` interleaves every view on one slot,
+and ``TestFaultsThroughBothViews`` runs the same injections through
+``PendingSteps.result()`` and ``collect_any()``, fail-stop and elastic.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.gan_ops import draw_generator_input
+from repro.models import build_toy_gan
 from repro.runtime import (
+    LOST,
     ChaosTransport,
     EagerCollector,
     FuturesCollector,
+    GeneratorHandle,
+    MembershipPolicy,
     ResidentBackend,
     ResidentCollector,
     SerialBackend,
+    SlotLossError,
     ThreadBackend,
     TransportError,
 )
@@ -322,5 +332,159 @@ class TestCollectAnyFaultInjection:
                 collector.dispatch(0, _fresh_state, "c")
             with pytest.raises(RuntimeError, match="previously failed"):
                 backend.open_collector("collect-echo")
+        finally:
+            backend.close()
+
+
+# -- one ledger, every view --------------------------------------------------------
+
+
+def _toy_generation():
+    """A tiny generator plus one input batch for ``start_generation``."""
+    factory = build_toy_gan(image_shape=(1, 8, 8), num_classes=4, latent_dim=8, hidden=16)
+    generator = factory.make_generator(np.random.default_rng(0))
+    _, _, g_input = draw_generator_input(generator, factory, 4, np.random.default_rng(1))
+    return generator, g_input
+
+
+class TestOneLedger:
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_views_interleave_on_one_slot_in_fifo_order(self, transport):
+        # A collector step, a generate handle, a run handle and a boundary op
+        # queued on the SAME slot: the slot answers in that order, and every
+        # reply must land with the view that posted its frame — whichever
+        # view happens to be waiting when it arrives.
+        generator, g_input = _toy_generation()
+        backend = ResidentBackend(max_workers=1, transport=transport)
+        try:
+            collector = backend.open_collector("collect-echo")
+            collector.dispatch(0, _fresh_state, {"sleep": 0.2})
+            generated = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), [g_input]
+            )
+            batch = backend.start_steps("collect-echo", [(1, _fresh_state, "fifo")])
+            assert [entry.op for entry in backend._ledger.entries()] == ["run", "generate", "run"]
+            # The boundary op is last in the slot's queue: waiting for *its*
+            # reply delivers the three replies queued ahead of it to their
+            # own views on the way.
+            assert collector.pull_params([0]) == {0: {"count": 1}}
+            assert backend._ledger.entries() == []
+            assert collector.outstanding == 1
+            assert batch.result() == [(1, "fifo")]
+            ((images, _stats),) = generated.result()
+            assert images.shape[0] == 4
+            assert collector.collect_any() == (0, (1, {"sleep": 0.2}))
+            assert collector.outstanding == 0
+            collector.close()
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_waiting_on_a_later_view_first_still_routes_earlier_replies(self, transport):
+        # Same queue, but the *generate* handle is collected first: the
+        # collector step queued ahead of it lands in the ready buffer, the
+        # run handle behind it stays in flight (and still guards boundary ops).
+        generator, g_input = _toy_generation()
+        backend = ResidentBackend(max_workers=1, transport=transport)
+        try:
+            collector = backend.open_collector("collect-echo")
+            collector.dispatch(0, _fresh_state, "step")
+            generated = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), [g_input]
+            )
+            batch = backend.start_steps("collect-echo", [(1, _fresh_state, {"sleep": 0.2})])
+            with pytest.raises(RuntimeError, match="dispatch order"):
+                batch.result()
+            assert generated.result()[0][0].shape[0] == 4
+            assert [entry.owner for entry in backend._ledger.entries()] == [batch]
+            assert collector.collect_any() == (0, (1, "step"))
+            with pytest.raises(RuntimeError, match="1 step batch"):
+                backend.pull_params([0])
+            assert batch.result() == [(1, {"sleep": 0.2})]
+            assert backend.pull_params([0, 1]) == {0: {"count": 1}, 1: {"count": 1}}
+            collector.close()
+        finally:
+            backend.close()
+
+
+# -- the same faults through both views --------------------------------------------
+
+
+def _chaos_transport(fault):
+    if fault == "truncate":
+        return ChaosTransport(TcpTransport(connect_timeout=30.0))
+    return ChaosTransport(
+        LocalPipeTransport(serve_slot, read_timeout=1.0 if fault == "drop" else None)
+    )
+
+
+def _steps_through(backend, view, payloads, inject):
+    """Dispatch one echo step per key through a view; return ``{key: result}``.
+
+    ``inject`` runs between dispatch and collection (a fault landing while
+    the steps are in flight).
+    """
+    if view == "fifo":
+        items = [(key, _fresh_state, payload) for key, payload in payloads.items()]
+        handle = backend.start_steps("collect-echo", items)
+        inject()
+        return dict(zip(payloads, handle.result()))
+    collector = backend._collector or backend.open_collector("collect-echo")
+    for key, payload in payloads.items():
+        collector.dispatch(key, _fresh_state, payload)
+    inject()
+    return dict(collector.collect_any() for _ in payloads)
+
+
+def _arm(transport, fault):
+    """Return ``(before, during)`` injection callables for slot 0."""
+    if fault == "kill":
+        victim = transport.inner._processes[0]
+        return (lambda: None), (lambda: (victim.kill(), victim.join()))
+    return (lambda: transport.channel(0).force_next(fault)), (lambda: None)
+
+
+@pytest.mark.parametrize("view", ("fifo", "collector"))
+@pytest.mark.parametrize("fault", ("kill", "drop", "truncate"))
+class TestFaultsThroughBothViews:
+    def test_fail_stop_names_slot_and_op(self, fault, view):
+        transport = _chaos_transport(fault)
+        backend = ResidentBackend(max_workers=1, transport=transport)
+        try:
+            assert _steps_through(backend, view, {0: "a"}, lambda: None) == {0: (1, "a")}
+            before, during = _arm(transport, fault)
+            before()
+            started = time.monotonic()
+            with pytest.raises(TransportError) as excinfo:
+                _steps_through(backend, view, {0: {"sleep": 30.0}}, during)
+            assert time.monotonic() - started < 10.0
+            assert not isinstance(excinfo.value, SlotLossError)
+            assert (excinfo.value.slot_index, excinfo.value.op) == (0, "run")
+            assert backend._transport is None  # fail-stop: pool torn down
+            with pytest.raises(RuntimeError, match="previously failed"):
+                backend.run_steps("collect-echo", [(0, _fresh_state, "c")])
+        finally:
+            backend.close()
+
+    def test_elastic_answers_lost_and_survivors_complete(self, fault, view):
+        transport = _chaos_transport(fault)
+        backend = ResidentBackend(
+            max_workers=2,
+            transport=transport,
+            membership_policy=MembershipPolicy(on_slot_loss="degrade"),
+        )
+        try:
+            # Keys 0 and 1 live on slots 0 and 1 (founding hash placement).
+            warm = _steps_through(backend, view, {0: "a", 1: "b"}, lambda: None)
+            assert warm == {0: (1, "a"), 1: (1, "b")}
+            before, during = _arm(transport, fault)
+            before()
+            started = time.monotonic()
+            out = _steps_through(backend, view, {0: {"sleep": 30.0}, 1: "b2"}, during)
+            assert time.monotonic() - started < 10.0
+            assert out[0] is LOST
+            assert out[1] == (2, "b2")
+            assert backend.alive_slot_count() == 1
+            assert backend.membership.take_pending_loss() == [0]
         finally:
             backend.close()

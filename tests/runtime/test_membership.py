@@ -673,6 +673,65 @@ class TestComposedElastic:
         finally:
             trainer.close_backend()
 
+    @pytest.mark.parametrize("policy", ("degrade", "wait"))
+    def test_second_slot_loss_inside_the_drain_stays_on_the_recovery_path(
+        self, policy, ring_setup3
+    ):
+        # Regression: iteration 1 at depth 2 leaves two lookahead ``generate``
+        # handles in flight on all three slots.  Slot 1 dies under the merge,
+        # so collecting the first handle raises SlotLossError and the
+        # recovery path drains the second one — and slot 2 is found dead
+        # *inside that drain*.  The drain is discard-only: the second loss
+        # must become LOST entries for the boundary pipeline, not a
+        # SlotLossError escaping the ``except SlotLossError`` handler.
+        shards, factory = ring_setup3
+        config = _config(
+            max_workers=3,
+            num_batches=3,
+            pipeline_depth=2,
+            on_slot_loss=policy,
+            rejoin_backoff=0.05,
+            rejoin_timeout=10.0,
+        )
+        trainer = MDGANTrainer(factory, shards, config)
+        transport = ChaosTransport(LocalPipeTransport(serve_slot))
+        backend = ResidentBackend(
+            max_workers=3, transport=transport, membership_policy=config.membership_policy()
+        )
+        trainer.adopt_backend(backend, owned=True)
+        merge, drain = trainer._merge_worker_phase, backend.drain_inflight
+
+        def merge_under_first_kill(iteration, live_workers, handle):
+            if iteration == 1:
+                transport.kill_slot(1)
+            return merge(iteration, live_workers, handle)
+
+        def drain_under_second_kill():
+            if backend.membership.counters.get("slot_loss") == 1:
+                transport.kill_slot(2)
+            return drain()
+
+        trainer._merge_worker_phase = merge_under_first_kill
+        backend.drain_inflight = drain_under_second_kill
+        try:
+            history = trainer.train()
+            assert history.membership["slot_loss"] == 2
+            assert len(history.events_of_kind("membership_iteration_loss")) == 1
+            evicted = [e["worker"] for e in history.events_of_kind("membership_evict")]
+            if policy == "degrade":
+                assert evicted == [1, 2]
+                assert [n.alive for n in trainer.cluster.workers] == [True, False, False]
+            else:
+                assert evicted == []
+                assert all(node.alive for node in trainer.cluster.workers)
+                assert history.membership["join"] >= 1
+            # Iteration 1 lost its un-merged remainder; the rest of the
+            # schedule ran to the end on what survived.
+            assert history.iterations == list(range(2, config.iterations + 1))
+            assert np.isfinite(history.generator_loss).all()
+        finally:
+            trainer.close_backend()
+
     def test_mdgan_async_wait_heals_without_eviction(self, ring_setup4):
         # "wait" under async: the engine's drain barrier empties the
         # collector (consuming every queued LOST), blocks for a replacement

@@ -17,9 +17,20 @@ import numpy as np
 import pytest
 
 from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
+from repro.core.gan_ops import draw_generator_input
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
-from repro.runtime import ResidentBackend, stable_key_hash
+from repro.runtime import (
+    LOST,
+    ChaosTransport,
+    GeneratorHandle,
+    LocalPipeTransport,
+    MembershipPolicy,
+    ResidentBackend,
+    SlotLossError,
+    serve_slot,
+    stable_key_hash,
+)
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +224,89 @@ class TestProtocolErrors:
                 backend.run_steps("mdgan", [(0, lambda: None, None)])
         finally:
             backend.close()
+
+
+class TestInflightLedger:
+    """Backend-level pins of the one in-flight ledger (guards, drain, close)."""
+
+    def _generation(self, small_shards_and_factory, batches):
+        _, factory = small_shards_and_factory
+        generator = factory.make_generator(np.random.default_rng(0))
+        _, _, g_input = draw_generator_input(generator, factory, 4, np.random.default_rng(1))
+        return generator, [g_input] * batches
+
+    def test_drain_discards_every_view_and_handles_stay_readable(
+        self, small_shards_and_factory
+    ):
+        shards, factory = small_shards_and_factory
+        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        generator, g_inputs = self._generation(small_shards_and_factory, batches=2)
+        try:
+            trainer.train_iteration(1)
+            backend = trainer._backend
+            generated = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), g_inputs
+            )
+            again = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), g_inputs
+            )
+            # The boundary guard counts batches (handles), not frames.
+            assert len(backend._ledger.entries()) == 4
+            with pytest.raises(RuntimeError, match="2 step batch"):
+                backend.pull_params([0])
+            assert backend.drain_inflight() == 2
+            assert backend._ledger.entries() == []
+            assert backend.drain_inflight() == 0
+            assert set(backend.pull_params([0])) == {0}
+            # Drained replies were delivered to their handles, not lost.
+            assert [images.shape[0] for images, _ in generated.result()] == [4, 4]
+            assert [images.shape[0] for images, _ in again.result()] == [4, 4]
+        finally:
+            trainer.close_backend()
+
+    def test_elastic_drain_never_raises_for_lost_generate_frames(
+        self, small_shards_and_factory
+    ):
+        # Satellite regression at the backend level: a generate handle cannot
+        # absorb a lost frame (its own result() raises), but draining it is
+        # discard-only and must stay silent inside a loss-recovery path.
+        generator, g_inputs = self._generation(small_shards_and_factory, batches=2)
+        transport = ChaosTransport(LocalPipeTransport(serve_slot))
+        backend = ResidentBackend(
+            max_workers=2,
+            transport=transport,
+            membership_policy=MembershipPolicy(on_slot_loss="degrade"),
+        )
+        try:
+            generated = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), g_inputs
+            )
+            transport.kill_slot(1)
+            assert backend.drain_inflight() == 1
+            assert backend.alive_slot_count() == 1
+            assert backend.membership.counters["slot_loss"] == 1
+            with pytest.raises(SlotLossError) as excinfo:
+                generated.result()
+            assert (excinfo.value.slot_index, excinfo.value.op) == (1, "generate")
+            # Later generations avoid the quarantined slot altogether.
+            ahead = backend.start_generation(
+                GeneratorHandle(), lambda: generator, generator.get_parameters(), g_inputs
+            )
+            assert {entry.slot for entry in backend._ledger.entries()} == {0}
+            assert all(result is not LOST for result in ahead.result())
+        finally:
+            backend.close()
+
+    def test_close_marks_every_unanswered_owner_dead(self, small_shards_and_factory):
+        generator, g_inputs = self._generation(small_shards_and_factory, batches=1)
+        backend = ResidentBackend(max_workers=1)
+        generated = backend.start_generation(
+            GeneratorHandle(), lambda: generator, generator.get_parameters(), g_inputs
+        )
+        backend.close()
+        assert backend._ledger.entries() == []
+        with pytest.raises(RuntimeError, match="closed or poisoned"):
+            generated.result()
 
 
 class TestLifecycle:

@@ -10,6 +10,7 @@ index and the in-flight op, poison the pool fail-stop, and never hang.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import socket
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing import connection
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,15 @@ import pytest
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
-from repro.runtime import ChaosTransport, ResidentBackend, TransportError
+from repro.runtime import (
+    LOST,
+    ChaosChannel,
+    ChaosSchedule,
+    ChaosTransport,
+    MembershipPolicy,
+    ResidentBackend,
+    TransportError,
+)
 from repro.runtime.resident import ResidentProgram, register_program, serve_slot
 from repro.runtime.transport import (
     LocalPipeTransport,
@@ -185,6 +195,111 @@ class TestTcpFraming:
         finally:
             a.close()
             b.close()
+
+
+# -- fileno: what the backend's one wait loop blocks on ----------------------------
+
+
+def _channel_pair(kind):
+    """``(owner end, peer end)`` of one channel of each kind the pool hands out."""
+    if kind == "tcp":
+        return _tcp_pair()
+    owner, peer = multiprocessing.Pipe(duplex=True)
+    if kind == "chaos":
+        owner = ChaosChannel(owner, ChaosSchedule(), slot=0)
+    return owner, peer
+
+
+def _echo_sleep_step(state, payload):
+    time.sleep(payload)
+    return payload
+
+
+register_program(
+    ResidentProgram(
+        name="transport-sleep",
+        step=_echo_sleep_step,
+        pull_params=lambda state: dict(state),
+        push_params=lambda state, params: state.update(params),
+    )
+)
+
+
+class TestFilenoContract:
+    @pytest.mark.parametrize("kind", ("pipe", "tcp", "chaos"))
+    def test_descriptor_is_readable_exactly_when_a_message_waits(self, kind):
+        owner, peer = _channel_pair(kind)
+        try:
+            assert isinstance(owner.fileno(), int) and owner.fileno() >= 0
+            assert connection.wait([owner], 0.0) == []
+            peer.send_bytes(b"reply")
+            assert connection.wait([owner], 5.0) == [owner]
+            assert owner.recv_bytes() == b"reply"
+            assert connection.wait([owner], 0.0) == []
+            # The peer's EOF is "something to return" too.
+            peer.close()
+            assert connection.wait([owner], 5.0) == [owner]
+            with pytest.raises(EOFError):
+                owner.recv_bytes()
+        finally:
+            owner.close()
+            peer.close()
+
+    @pytest.mark.parametrize("kind", ("pipe", "tcp", "chaos"))
+    def test_closed_channel_has_no_descriptor_to_wait_on(self, kind):
+        owner, peer = _channel_pair(kind)
+        peer.close()
+        owner.close()
+        try:
+            assert owner.fileno() < 0  # a closed socket answers -1 ...
+        except OSError:
+            pass  # ... a closed Connection raises
+        with pytest.raises((OSError, ValueError)):
+            connection.wait([owner], 0.0)
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_waiting_on_a_closed_channel_is_a_routed_wire_fault(self, transport):
+        # The owner's end of a channel closed *under the wait* (kill_slot)
+        # cannot be waited on at all; that must surface as the same routed
+        # TransportError as any dead slot, not a bare ValueError/OSError.
+        inner = LocalPipeTransport(serve_slot) if transport == "pipe" else TcpTransport()
+        chaos = ChaosTransport(inner)
+        backend = ResidentBackend(max_workers=1, transport=chaos)
+        try:
+            assert backend.run_steps("transport-sleep", [(0, _fresh_state, 0.0)]) == [0.0]
+            handle = backend.start_steps("transport-sleep", [(0, _fresh_state, 30.0)])
+            chaos.kill_slot(0)
+            started = time.monotonic()
+            with pytest.raises(TransportError) as excinfo:
+                handle.result()
+            assert time.monotonic() - started < 10.0
+            assert (excinfo.value.slot_index, excinfo.value.op) == (0, "run")
+            assert backend._transport is None
+        finally:
+            backend.close()
+
+    def test_closed_channel_under_an_elastic_wait_answers_lost(self):
+        chaos = ChaosTransport(LocalPipeTransport(serve_slot))
+        backend = ResidentBackend(
+            max_workers=2,
+            transport=chaos,
+            membership_policy=MembershipPolicy(on_slot_loss="degrade"),
+        )
+        try:
+            items = [(0, _fresh_state, 0.0), (1, _fresh_state, 0.0)]
+            assert backend.run_steps("transport-sleep", items) == [0.0, 0.0]
+            handle = backend.start_steps(
+                "transport-sleep", [(0, _fresh_state, 30.0), (1, _fresh_state, 0.1)]
+            )
+            chaos.kill_slot(0)
+            out = handle.result()
+            assert out[0] is LOST and out[1] == 0.1
+            # A boundary op towards the quarantined slot's key is refused
+            # up front (its install died with the slot), never a hang.
+            with pytest.raises(ValueError, match="pull_params requires"):
+                backend.pull_params([0])
+        finally:
+            backend.close()
 
 
 # -- handshake ---------------------------------------------------------------------
