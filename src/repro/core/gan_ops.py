@@ -186,16 +186,18 @@ def discriminator_update(
     The discriminator loss is the sum of a real-batch term (A-tilde) and a
     generated-batch term (B-tilde), so each term is forwarded and
     backpropagated in its own pass — gradients accumulate across the two
-    passes and a single optimizer step is applied.  Returns the total loss.
+    passes and a single optimizer step is applied.  Nobody reads the gradient
+    with respect to the images here, so neither pass computes it.  Returns
+    the total loss.
     """
     discriminator.zero_grad()
     real_outputs = discriminator.forward(real_images, training=True)
     loss_real, grad_real = objective.discriminator_real_term(real_outputs, real_labels)
-    discriminator.backward(grad_real)
+    discriminator.backward(grad_real, input_grad=False)
 
     fake_outputs = discriminator.forward(fake_images, training=True)
     loss_fake, grad_fake = objective.discriminator_fake_term(fake_outputs, fake_labels)
-    discriminator.backward(grad_fake)
+    discriminator.backward(grad_fake, input_grad=False)
 
     optimizer.step(discriminator)
     return float(loss_real + loss_fake)
@@ -209,16 +211,14 @@ def generator_feedback(
     """Compute MD-GAN's error feedback ``F_n`` for a generated batch.
 
     Returns ``(generator_loss, dJ_gen/d_images)`` where the gradient has the
-    same shape as ``generated.images``.  The discriminator's parameter
-    gradients are cleared afterwards — the worker never updates its
-    discriminator from the generator objective.
+    same shape as ``generated.images``.  The worker never updates its
+    discriminator from the generator objective, so the backward pass is the
+    input-gradient-only one — no weight gradient is computed — and the
+    discriminator's parameter gradients are left cleared.
     """
     outputs = discriminator.forward(generated.images, training=True)
     loss, grad_outputs = objective.generator_loss(outputs, generated.labels)
-    discriminator.zero_grad()
-    feedback = discriminator.backward(grad_outputs)
-    # Discard the parameter gradients produced as a by-product; only the
-    # input gradient (the feedback) is used.
+    feedback = discriminator.backward(grad_outputs, param_grads=False)
     discriminator.zero_grad()
     return float(loss), feedback
 
@@ -259,7 +259,9 @@ def apply_feedback_to_generator(
             )
         g_input = generator_input(batch.noise, batch.labels, factory.num_classes)
         generator.forward(g_input, training=True)
-        generator.backward(np.asarray(feedback, dtype=generator.dtype) * weight)
+        generator.backward(
+            np.asarray(feedback, dtype=generator.dtype) * weight, input_grad=False
+        )
 
 
 def generator_update(

@@ -12,11 +12,12 @@ no per-step casts.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from . import initializers as init
+from . import tensor_ops
 from .layers import Layer
 from .tensor_ops import (
     conv2d_forward,
@@ -32,9 +33,7 @@ __all__ = ["Conv2D", "Conv2DTranspose", "MaxPool2D", "AvgPool2D", "same_padding"
 def same_padding(kernel_size: int) -> int:
     """Symmetric padding that preserves spatial size for stride-1, odd kernels."""
     if kernel_size % 2 == 0:
-        raise ValueError(
-            f"'same' padding requires an odd kernel size, got {kernel_size}"
-        )
+        raise ValueError(f"'same' padding requires an odd kernel size, got {kernel_size}")
     return kernel_size // 2
 
 
@@ -43,6 +42,12 @@ class Conv2D(Layer):
 
     Weight shape is ``(filters, in_channels, kh, kw)``.
     """
+
+    #: ``im2col`` of ``_x``, kept from forward so that the weight gradient
+    #: does not lower the same input a second time.  Several times the size
+    #: of ``_x`` and rebuilt by every forward, so it never travels: pickles
+    #: and copies leave it out and fall back to this default.
+    _col: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -67,6 +72,11 @@ class Conv2D(Layer):
         self.kernel_initializer = kernel_initializer
         self._x: Optional[np.ndarray] = None
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_col", None)
+        return state
+
     def compute_output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         _, h, w = input_shape
         out_h = conv_output_size(h, self.kernel_size, self.stride, self.padding)
@@ -88,23 +98,35 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._x = x
-        out = conv2d_forward(x, self.params["W"], self.stride, self.padding)
+        k = self.kernel_size
+        # Through the module, like the primitives do: the name the perf
+        # harness rebinds.
+        self._col = tensor_ops.im2col(x, k, k, self.stride, self.padding)
+        out = conv2d_forward(x, self.params["W"], self.stride, self.padding, col=self._col)
         if self.use_bias:
-            out = out + self.params["b"].reshape(1, -1, 1, 1)
+            out += self.params["b"].reshape(1, -1, 1, 1)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads["W"] += conv2d_weight_grad(
-            self._x,
-            grad_out,
-            (self.kernel_size, self.kernel_size),
-            self.stride,
-            self.padding,
-        )
-        if self.use_bias:
-            self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
+        if param_grads:
+            # ``_col`` is None on a copy of a layer that has run forward;
+            # the primitive then lowers ``_x`` itself.
+            self.grads["W"] += conv2d_weight_grad(
+                self._x,
+                grad_out,
+                (self.kernel_size, self.kernel_size),
+                self.stride,
+                self.padding,
+                col=self._col,
+            )
+            if self.use_bias:
+                self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         return conv2d_input_grad(
             grad_out,
             self.params["W"],
@@ -184,24 +206,28 @@ class Conv2DTranspose(Layer):
             self.padding,
         )
         if self.use_bias:
-            out = out + self.params["b"].reshape(1, -1, 1, 1)
+            out += self.params["b"].reshape(1, -1, 1, 1)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        # Duality: weight gradient of the transpose is the weight gradient of
-        # the virtual convolution with (input=grad_out, output-grad=x).
-        self.grads["W"] += conv2d_weight_grad(
-            grad_out,
-            self._x,
-            (self.kernel_size, self.kernel_size),
-            self.stride,
-            self.padding,
-        )
-        if self.use_bias:
-            self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
-        return conv2d_forward(grad_out, self.params["W"], self.stride, self.padding)
+        k = self.kernel_size
+        # Both halves lower the same tensor: the virtual convolution's input.
+        col = tensor_ops.im2col(grad_out, k, k, self.stride, self.padding)
+        if param_grads:
+            # Duality: weight gradient of the transpose is the weight gradient
+            # of the virtual convolution with (input=grad_out, output-grad=x).
+            self.grads["W"] += conv2d_weight_grad(
+                grad_out, self._x, (k, k), self.stride, self.padding, col=col
+            )
+            if self.use_bias:
+                self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
+        return conv2d_forward(grad_out, self.params["W"], self.stride, self.padding, col=col)
 
 
 class MaxPool2D(Layer):

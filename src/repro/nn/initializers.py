@@ -143,6 +143,4 @@ def get_initializer(name_or_fn) -> Initializer:
     try:
         return _NAMED[str(name_or_fn)]
     except KeyError as exc:
-        raise ValueError(
-            f"Unknown initializer {name_or_fn!r}; known: {sorted(_NAMED)}"
-        ) from exc
+        raise ValueError(f"Unknown initializer {name_or_fn!r}; known: {sorted(_NAMED)}") from exc

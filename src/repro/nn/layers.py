@@ -7,7 +7,11 @@ Every layer implements the interface defined by :class:`Layer`:
 * ``forward(x, training)`` computes the output and caches whatever is needed
   for the backward pass,
 * ``backward(grad_out)`` accumulates parameter gradients into ``self.grads``
-  and **returns the gradient with respect to the layer input**.
+  and **returns the gradient with respect to the layer input**.  A layer that
+  has parameters also accepts the keywords ``param_grads=False`` (leave
+  ``self.grads`` alone: the caller only wants the input gradient) and
+  ``input_grad=False`` (return ``None``: nobody reads the input gradient);
+  parameter-free layers are never passed either.
 
 Returning input gradients is what lets MD-GAN's workers produce the error
 feedback :math:`F_n = \\partial \\tilde B / \\partial x` without holding a
@@ -145,9 +149,7 @@ class Dense(Layer):
 
     def compute_output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 1:
-            raise ValueError(
-                f"Dense expects flat inputs, got per-sample shape {input_shape}"
-            )
+            raise ValueError(f"Dense expects flat inputs, got per-sample shape {input_shape}")
         return (self.units,)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
@@ -162,15 +164,20 @@ class Dense(Layer):
         self._x = x
         out = x @ self.params["W"]
         if self.use_bias:
-            out = out + self.params["b"]
+            out += self.params["b"]
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.grads["W"] += self._x.T @ grad_out
-        if self.use_bias:
-            self.grads["b"] += grad_out.sum(axis=0)
+        if param_grads:
+            self.grads["W"] += self._x.T @ grad_out
+            if self.use_bias:
+                self.grads["b"] += grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_out @ self.params["W"].T
 
 
@@ -359,12 +366,8 @@ class BatchNorm(Layer):
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = (
-                self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1.0 - self.momentum) * var
-            )
+            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         else:
             mean = self.running_mean
             var = self.running_var
@@ -376,11 +379,16 @@ class BatchNorm(Layer):
             "beta"
         ].reshape(bshape)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         axes = self._reduce_axes(grad_out.ndim)
         bshape = self._bshape(grad_out.ndim)
-        self.grads["gamma"] += (grad_out * self._xhat).sum(axis=axes)
-        self.grads["beta"] += grad_out.sum(axis=axes)
+        if param_grads:
+            self.grads["gamma"] += (grad_out * self._xhat).sum(axis=axes)
+            self.grads["beta"] += grad_out.sum(axis=axes)
+        if not input_grad:
+            return None
         gamma = self.params["gamma"].reshape(bshape)
         dxhat = grad_out * gamma
         if not self._training:
@@ -413,10 +421,15 @@ class LayerNorm(Layer):
         self._m = x[0].size
         return self.params["gamma"] * self._xhat + self.params["beta"]
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         axes = tuple(range(1, grad_out.ndim))
-        self.grads["gamma"] += (grad_out * self._xhat).sum(axis=0)
-        self.grads["beta"] += grad_out.sum(axis=0)
+        if param_grads:
+            self.grads["gamma"] += (grad_out * self._xhat).sum(axis=0)
+            self.grads["beta"] += grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         dxhat = grad_out * self.params["gamma"]
         m = float(self._m)
         sum_dxhat = dxhat.sum(axis=axes, keepdims=True)

@@ -57,9 +57,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_with_logits(
-    logits: np.ndarray, targets: np.ndarray
-) -> Tuple[float, np.ndarray]:
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, np.ndarray]:
     """Binary cross-entropy evaluated on raw logits.
 
     Returns the mean loss and its gradient with respect to the logits
@@ -69,9 +67,7 @@ def bce_with_logits(
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if logits.shape != targets.shape:
-        raise ValueError(
-            f"Shape mismatch: logits {logits.shape} vs targets {targets.shape}"
-        )
+        raise ValueError(f"Shape mismatch: logits {logits.shape} vs targets {targets.shape}")
     # log(1 + exp(-|x|)) formulation avoids overflow.
     loss = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     probs = sigmoid(logits)
@@ -79,9 +75,7 @@ def bce_with_logits(
     return float(loss.mean()), _grad_like(grad, logits_in)
 
 
-def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
-) -> Tuple[float, np.ndarray]:
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> Tuple[float, np.ndarray]:
     """Softmax cross-entropy with integer class labels.
 
     ``logits`` has shape ``(N, K)`` and ``labels`` shape ``(N,)``.  Returns

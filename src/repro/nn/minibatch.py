@@ -78,7 +78,9 @@ class MinibatchDiscrimination(Layer):
         o = self._k.sum(axis=1) - 1.0
         return np.concatenate([x, o], axis=1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         n = grad_out.shape[0]
         features = self._x.shape[1]
         dx_direct = grad_out[:, :features]
@@ -96,5 +98,8 @@ class MinibatchDiscrimination(Layer):
         dm = ddiffs.sum(axis=1) - ddiffs.sum(axis=0)
 
         dm_flat = dm.reshape(n, -1)
-        self.grads["T"] += self._x.T @ dm_flat
+        if param_grads:
+            self.grads["T"] += self._x.T @ dm_flat
+        if not input_grad:
+            return None
         return dx_direct + dm_flat @ self.params["T"].T

@@ -63,9 +63,7 @@ class Sequential:
 
     def _require_built(self) -> None:
         if not self.built:
-            raise RuntimeError(
-                f"Model {self.name!r} must be built before use; call build()"
-            )
+            raise RuntimeError(f"Model {self.name!r} must be built before use; call build()")
 
     # -- computation -------------------------------------------------------
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -83,17 +81,37 @@ class Sequential:
         """Forward pass in evaluation mode (no dropout, running BN stats)."""
         return self.forward(x, training=False)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
         """Backpropagate ``grad_output`` and return the input gradient.
 
         Parameter gradients are *accumulated* into each layer's ``grads``;
         call :meth:`zero_grad` before starting a fresh accumulation.
+
+        ``param_grads=False`` is the input-gradient-only pass (MD-GAN's error
+        feedback): ``grads`` is left untouched and the returned gradient is
+        bitwise the one the full pass returns.  ``input_grad=False`` is for
+        callers that only want parameter gradients: the pass stops at the
+        first layer that has parameters, skips that layer's input gradient,
+        and returns ``None``.
         """
         self._require_built()
         grad = as_dtype(grad_output, self.dtype)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+        layers = self.layers
+        first = 0
+        if not input_grad:
+            # Nothing below the first layer that has parameters needs a gradient.
+            first = next((i for i, layer in enumerate(layers) if layer.params), len(layers))
+        for index in range(len(layers) - 1, first - 1, -1):
+            layer = layers[index]
+            if layer.params:
+                grad = layer.backward(
+                    grad, param_grads=param_grads, input_grad=input_grad or index > first
+                )
+            else:
+                grad = layer.backward(grad)
+        return grad if input_grad else None
 
     def zero_grad(self) -> None:
         """Reset gradients of every layer."""
@@ -202,9 +220,7 @@ class Sequential:
         lines.append(f"{'layer':<28}{'output shape':<20}{'params':>12}")
         lines.append("-" * 60)
         for layer in self.layers:
-            lines.append(
-                f"{layer.name:<28}{str(layer.output_shape):<20}{layer.num_params:>12,}"
-            )
+            lines.append(f"{layer.name:<28}{str(layer.output_shape):<20}{layer.num_params:>12,}")
         lines.append("-" * 60)
         lines.append(f"Total parameters: {self.num_parameters:,}")
         return "\n".join(lines)

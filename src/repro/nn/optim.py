@@ -14,11 +14,16 @@ the gradient, so it follows the model's precision policy automatically — a
 float32 model keeps float32 moments.  A parameter whose shape changed between
 steps indicates a wiring bug (e.g. a discriminator swapped against a
 different architecture) and raises instead of silently resetting state.
+
+Updates run in place: the state arrays are allocated once per parameter and
+every intermediate of a step goes through one scratch array per parameter,
+so a step allocates nothing.  The scratch is working memory, not state — it
+is left out of pickles and copies and rebuilt on the next step.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -35,15 +40,42 @@ class Optimizer:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = float(learning_rate)
         self.iterations = 0
+        self._scratch: Dict[str, np.ndarray] = {}
 
     def step(self, model: Sequential) -> None:
         """Apply one update using the gradients currently stored in ``model``."""
         self.iterations += 1
         for key, param, grad in model.named_parameters_and_grads():
-            self._update(key, param, grad)
+            scratch = self._scratch.get(key)
+            if scratch is None or scratch.shape != grad.shape or scratch.dtype != grad.dtype:
+                scratch = self._scratch[key] = np.empty_like(grad)
+            self._update(key, param, grad, scratch)
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def _update(self, key: str, param: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
+        """Update ``param`` in place; ``scratch`` is free working memory shaped like ``grad``."""
         raise NotImplementedError
+
+    def _state_for(self, state: Dict[str, np.ndarray], key: str, grad: np.ndarray) -> np.ndarray:
+        """The state array of ``key``: zeros on first use, a ``ValueError`` on a shape change."""
+        value: Optional[np.ndarray] = state.get(key)
+        if value is None:
+            value = state[key] = np.zeros_like(grad)
+        elif value.shape != grad.shape:
+            raise ValueError(
+                f"{type(self).__name__} state for {key!r} has shape {value.shape} but the "
+                f"gradient has shape {grad.shape}; the model wiring "
+                "changed mid-training (call reset() to start fresh)"
+            )
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        del state["_scratch"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._scratch = {}
 
     def state_dict(self) -> Dict[str, object]:
         """Snapshot of the optimizer hyper-parameters and internal state."""
@@ -64,22 +96,15 @@ class SGD(Optimizer):
         self.momentum = float(momentum)
         self._velocity: Dict[str, np.ndarray] = {}
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
+    def _update(self, key: str, param: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
+        np.multiply(grad, self.learning_rate, out=scratch)
         if self.momentum > 0.0:
-            vel = self._velocity.get(key)
-            if vel is None:
-                vel = np.zeros_like(grad)
-            elif vel.shape != grad.shape:
-                raise ValueError(
-                    f"SGD state for {key!r} has shape {vel.shape} but the "
-                    f"gradient has shape {grad.shape}; the model wiring "
-                    "changed mid-training (call reset() to start fresh)"
-                )
-            vel = self.momentum * vel - self.learning_rate * grad
-            self._velocity[key] = vel
+            vel = self._state_for(self._velocity, key, grad)
+            vel *= self.momentum
+            vel -= scratch
             param += vel
         else:
-            param -= self.learning_rate * grad
+            param -= scratch
 
     def reset(self) -> None:
         super().reset()
@@ -115,26 +140,25 @@ class Adam(Optimizer):
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
 
-    def _update(self, key: str, param: np.ndarray, grad: np.ndarray) -> None:
-        m = self._m.get(key)
-        v = self._v.get(key)
-        if m is None:
-            m = np.zeros_like(grad)
-            v = np.zeros_like(grad)
-        elif m.shape != grad.shape:
-            raise ValueError(
-                f"Adam state for {key!r} has shape {m.shape} but the "
-                f"gradient has shape {grad.shape}; the model wiring "
-                "changed mid-training (call reset() to start fresh)"
-            )
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad**2
-        self._m[key] = m
-        self._v[key] = v
+    def _update(self, key: str, param: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
+        m = self._state_for(self._m, key, grad)
+        v = self._state_for(self._v, key, grad)
+        np.multiply(grad, 1.0 - self.beta1, out=scratch)
+        m *= self.beta1
+        m += scratch
+        np.square(grad, out=scratch)
+        scratch *= 1.0 - self.beta2
+        v *= self.beta2
+        v += scratch
         t = self.iterations
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # param -= lr * m_hat / (sqrt(v_hat) + eps), the two bias corrections
+        # folded into scalars.
+        np.divide(v, 1.0 - self.beta2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        np.divide(m, scratch, out=scratch)
+        scratch *= self.learning_rate / (1.0 - self.beta1**t)
+        param -= scratch
 
     def reset(self) -> None:
         super().reset()

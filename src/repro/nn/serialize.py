@@ -65,9 +65,7 @@ def weighted_average_parameters(
     """
     weights = np.asarray(list(weights), dtype=np.float64)
     if len(vectors) != weights.size:
-        raise ValueError(
-            f"Got {len(vectors)} vectors but {weights.size} weights"
-        )
+        raise ValueError(f"Got {len(vectors)} vectors but {weights.size} weights")
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("Weights must be non-negative and sum to a positive value")
     weights = weights / weights.sum()

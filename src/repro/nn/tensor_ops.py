@@ -2,11 +2,31 @@
 
 All image tensors use the NCHW layout: ``(batch, channels, height, width)``.
 Convolutions are implemented with the classic im2col / col2im lowering so that
-the inner loops run as a handful of large GEMMs instead of Python loops.  The
-three primitives below (forward, input-gradient, weight-gradient) are shared
-between :class:`~repro.nn.conv.Conv2D` and
+the arithmetic of each primitive is one large BLAS GEMM instead of Python
+loops.  The three primitives below (forward, input-gradient, weight-gradient)
+are shared between :class:`~repro.nn.conv.Conv2D` and
 :class:`~repro.nn.conv.Conv2DTranspose`, since a transposed convolution is
 exactly the input-gradient of a convolution.
+
+**Column layout.**  :func:`im2col` returns, and :func:`col2im` consumes,
+``(kh, kw, C, N, out_h, out_w)``: kernel offsets outermost, the batch inside
+the channels.  Flattened to ``(kh*kw*C, N*out_h*out_w)`` it is the right-hand
+side of *one* GEMM for the whole batch (a ``(N, K, P)`` layout needs ``N``
+small ones, which loses badly once the spatial size is small), and each
+kernel offset's slice ``col[i, j]`` is one contiguous block, which is what
+:func:`col2im`'s accumulation reads.  The price is that weights, stored
+``(C_out, C_in, kh, kw)``, are permuted to ``(C_out, kh, kw, C_in)`` per call
+— a copy the size of the weight, small next to the GEMM it feeds.
+
+**Scratch.**  :func:`im2col` with ``pad > 0`` writes the input into the
+interior of a zero-bordered buffer and gathers the windows from it with one
+strided copy.  The buffer and its window view are a *plan*, cached per
+``(input shape, dtype, kh, kw, stride, pad)`` in a bounded, **thread-local**
+LRU: concurrent workers of the ``thread`` backend never share one, nothing
+hangs off a layer (so nothing is pickled or deep-copied with a model), and a
+plan is only live inside one :func:`im2col` call.  Everything a primitive
+*returns* is, or is a view of, memory allocated by that call and never
+written again.
 
 Every primitive preserves the dtype of its operands: feed float32 tensors in
 (the default precision policy, see :mod:`repro.nn.precision`) and the im2col
@@ -16,9 +36,12 @@ to float64.
 
 from __future__ import annotations
 
-from typing import Tuple
+import threading
+from collections import OrderedDict
+from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv_output_size",
@@ -29,6 +52,13 @@ __all__ = [
     "conv2d_input_grad",
     "conv2d_weight_grad",
 ]
+
+#: Plans kept per thread.  A trainer thread touches one plan per distinct
+#: padded conv geometry (about a dozen with evaluation batches); beyond the
+#: bound the least recently used plan is dropped and rebuilt on demand.
+MAX_PLANS = 32
+
+_local = threading.local()
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -56,15 +86,59 @@ def conv_transpose_output_size(
     return out
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
-) -> np.ndarray:
+def _output_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> Tuple[int, int]:
+    return conv_output_size(h, kh, stride, pad), conv_output_size(w, kw, stride, pad)
+
+
+def _windows(img: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Read-only ``(kh, kw, C, N, out_h, out_w)`` view of every patch of ``img``."""
+    n, c = img.shape[:2]
+    sn, sc, sh, sw = img.strides
+    return as_strided(
+        img,
+        (kh, kw, c, n, out_h, out_w),
+        (sh, sw, sc, sn, sh * stride, sw * stride),
+        writeable=False,
+    )
+
+
+class _PaddedPlan:
+    """Zero-bordered staging buffer for one padded im2col geometry."""
+
+    __slots__ = ("interior", "windows")
+
+    def __init__(self, shape, dtype, kh: int, kw: int, stride: int, pad: int) -> None:
+        n, c, h, w = shape
+        out_h, out_w = _output_hw(h, w, kh, kw, stride, pad)
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
+        #: The only part ever written, so the border stays zero for good.
+        self.interior = padded[:, :, pad : pad + h, pad : pad + w]
+        self.windows = _windows(padded, kh, kw, stride, out_h, out_w)
+
+
+def _padded_plan(shape, dtype, kh: int, kw: int, stride: int, pad: int) -> _PaddedPlan:
+    """This thread's plan for a geometry (built on first use, LRU-bounded)."""
+    plans: Optional[OrderedDict] = getattr(_local, "plans", None)
+    if plans is None:
+        plans = _local.plans = OrderedDict()
+    key = (shape, dtype, kh, kw, stride, pad)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _PaddedPlan(shape, dtype, kh, kw, stride, pad)
+        if len(plans) > MAX_PLANS:
+            plans.popitem(last=False)
+    else:
+        plans.move_to_end(key)
+    return plan
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Lower image patches into a matrix.
 
     Parameters
     ----------
     x:
-        Input of shape ``(N, C, H, W)``.
+        Input of shape ``(N, C, H, W)``; any strides.
     kh, kw:
         Kernel height and width.
     stride, pad:
@@ -73,21 +147,17 @@ def im2col(
     Returns
     -------
     np.ndarray
-        Array of shape ``(N, C, kh, kw, out_h, out_w)``.
+        Fresh contiguous array of shape ``(kh, kw, C, N, out_h, out_w)``.
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
     if pad > 0:
-        img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+        plan = _padded_plan(x.shape, x.dtype, kh, kw, stride, pad)
+        np.copyto(plan.interior, x)
+        windows = plan.windows
     else:
-        img = x
-    col = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * out_h
-        for j in range(kw):
-            j_max = j + stride * out_w
-            col[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
+        out_h, out_w = _output_hw(x.shape[2], x.shape[3], kh, kw, stride, pad)
+        windows = _windows(x, kh, kw, stride, out_h, out_w)
+    col = np.empty(windows.shape, dtype=x.dtype)
+    np.copyto(col, windows)
     return col
 
 
@@ -99,28 +169,66 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Scatter-add column patches back into an image (adjoint of :func:`im2col`)."""
+    """Scatter-add column patches back into an image (adjoint of :func:`im2col`).
+
+    ``col`` has :func:`im2col`'s layout ``(kh, kw, C, N, out_h, out_w)``.  The
+    result is ``(N, C, H, W)`` as a view of a fresh accumulator — the padded
+    border cropped off, as ever, and the memory channel-major — so it is not
+    contiguous, and what it looks at is never written again.
+    """
     n, c, h, w = input_shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
-    img = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
+    out_h, out_w = _output_hw(h, w, kh, kw, stride, pad)
+    if col.shape != (kh, kw, c, n, out_h, out_w):
+        raise ValueError(
+            f"Columns of shape {col.shape} do not lower an input of shape "
+            f"{tuple(input_shape)} with kernel=({kh}, {kw}), stride={stride}, pad={pad}"
+        )
+    # Accumulate channel-major, the order the columns are in: every offset
+    # then adds one contiguous block of ``col``.
+    img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
     for i in range(kh):
-        i_max = i + stride * out_h
+        rows = slice(i, i + stride * out_h, stride)
         for j in range(kw):
-            j_max = j + stride * out_w
-            img[:, :, i:i_max:stride, j:j_max:stride] += col[:, :, i, j, :, :]
-    if pad > 0:
-        return img[:, :, pad : pad + h, pad : pad + w]
-    return img
+            img[:, :, rows, j : j + stride * out_w : stride] += col[i, j]
+    return img[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+
+
+# The GEMMs below are ``np.dot`` on 2-D operands, not ``@``: the same BLAS
+# call with less dispatch, and the result carries NumPy's canonical dtype
+# object where ``matmul`` hands on an operand's — which, for a model that was
+# unpickled into a pool slot, changes how pickle memoizes every reply.
+
+
+def _weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """``(C_out, C_in, kh, kw)`` weights as the ``(C_out, kh*kw*C_in)`` GEMM operand."""
+    return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
+
+
+def _channel_major(grad_out: np.ndarray) -> np.ndarray:
+    """``(N, C_out, out_h, out_w)`` as the ``(C_out, N*out_h*out_w)`` GEMM operand."""
+    return grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
+
+
+def _geometry_error(size, kernel, stride: int, pad: int, expected, got) -> ValueError:
+    return ValueError(
+        f"Inconsistent convolution geometry: size={tuple(size)}, "
+        f"kernel={tuple(kernel)}, stride={stride}, pad={pad} gives output "
+        f"{tuple(expected)}, but the output gradient is {tuple(got)}"
+    )
 
 
 def conv2d_forward(
-    x: np.ndarray, weight: np.ndarray, stride: int = 1, pad: int = 0
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    col: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Cross-correlation of ``x`` with ``weight``.
 
     ``x`` has shape ``(N, C_in, H, W)``; ``weight`` has shape
-    ``(C_out, C_in, kh, kw)``.  Returns ``(N, C_out, out_h, out_w)``.
+    ``(C_out, C_in, kh, kw)``.  Returns ``(N, C_out, out_h, out_w)``.  ``col``
+    is ``im2col(x, kh, kw, stride, pad)`` when the caller already holds it.
     """
     n = x.shape[0]
     c_out, c_in, kh, kw = weight.shape
@@ -129,12 +237,13 @@ def conv2d_forward(
             f"Channel mismatch: input has {x.shape[1]} channels, "
             f"weight expects {c_in}"
         )
-    out_h = conv_output_size(x.shape[2], kh, stride, pad)
-    out_w = conv_output_size(x.shape[3], kw, stride, pad)
-    col = im2col(x, kh, kw, stride, pad).reshape(n, c_in * kh * kw, out_h * out_w)
-    w_mat = weight.reshape(c_out, c_in * kh * kw)
-    out = np.einsum("fk,nkp->nfp", w_mat, col, optimize=True)
-    return out.reshape(n, c_out, out_h, out_w)
+    if col is None:
+        col = im2col(x, kh, kw, stride, pad)
+    elif col.shape[:4] != (kh, kw, c_in, n):
+        raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
+    out_h, out_w = col.shape[4:]
+    out = np.dot(_weight_matrix(weight), col.reshape(kh * kw * c_in, -1))
+    return np.ascontiguousarray(out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3))
 
 
 def conv2d_input_grad(
@@ -147,19 +256,19 @@ def conv2d_input_grad(
     """Gradient of a convolution w.r.t. its input (a.k.a. transposed conv).
 
     ``grad_out`` has shape ``(N, C_out, out_h, out_w)``; the result has shape
-    ``(N, C_in, *input_hw)``.
+    ``(N, C_in, *input_hw)``.  ``input_hw`` must be a size the convolution
+    maps to ``grad_out``'s spatial size.
     """
     n, c_out, out_h, out_w = grad_out.shape
     c_out_w, c_in, kh, kw = weight.shape
     if c_out != c_out_w:
-        raise ValueError(
-            f"Channel mismatch: grad has {c_out} channels, weight has {c_out_w}"
-        )
+        raise ValueError(f"Channel mismatch: grad has {c_out} channels, weight has {c_out_w}")
     h, w = input_hw
-    w_mat = weight.reshape(c_out, c_in * kh * kw)
-    grad_mat = grad_out.reshape(n, c_out, out_h * out_w)
-    col = np.einsum("fk,nfp->nkp", w_mat, grad_mat, optimize=True)
-    col = col.reshape(n, c_in, kh, kw, out_h, out_w)
+    expected = _output_hw(h, w, kh, kw, stride, pad)
+    if expected != (out_h, out_w):
+        raise _geometry_error((h, w), (kh, kw), stride, pad, expected, (out_h, out_w))
+    col = np.dot(_weight_matrix(weight).T, _channel_major(grad_out))
+    col = col.reshape(kh, kw, c_in, n, out_h, out_w)
     return col2im(col, (n, c_in, h, w), kh, kw, stride, pad)
 
 
@@ -169,15 +278,22 @@ def conv2d_weight_grad(
     kernel_hw: Tuple[int, int],
     stride: int = 1,
     pad: int = 0,
+    col: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Gradient of a convolution w.r.t. its weight.
 
-    Returns an array of shape ``(C_out, C_in, kh, kw)``.
+    Returns an array of shape ``(C_out, C_in, kh, kw)`` (a transposed view of
+    a fresh array).  ``col`` is ``im2col(x, kh, kw, stride, pad)`` when the
+    caller already holds it.
     """
-    n, c_in, _, _ = x.shape
-    _, c_out, out_h, out_w = grad_out.shape
+    n, c_in = x.shape[:2]
+    c_out = grad_out.shape[1]
     kh, kw = kernel_hw
-    col = im2col(x, kh, kw, stride, pad).reshape(n, c_in * kh * kw, out_h * out_w)
-    grad_mat = grad_out.reshape(n, c_out, out_h * out_w)
-    dw = np.einsum("nfp,nkp->fk", grad_mat, col, optimize=True)
-    return dw.reshape(c_out, c_in, kh, kw)
+    if col is None:
+        col = im2col(x, kh, kw, stride, pad)
+    expected = (n,) + col.shape[4:]
+    got = grad_out.shape[:1] + grad_out.shape[2:]
+    if col.shape[:4] != (kh, kw, c_in, n) or expected != got:
+        raise _geometry_error((n,) + x.shape[2:], kernel_hw, stride, pad, expected, got)
+    dw = np.dot(_channel_major(grad_out), col.reshape(kh * kw * c_in, -1).T)
+    return dw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)

@@ -141,6 +141,74 @@ class TestFeedback:
         np.testing.assert_array_equal(discriminator.get_gradients(), 0.0)
 
 
+class TestInputGradientOnlyFeedback:
+    """The feedback pass skips every weight gradient; nothing else may change."""
+
+    @pytest.fixture()
+    def cnn(self, rng):
+        from repro.models import build_mnist_cnn_gan
+
+        factory = build_mnist_cnn_gan(image_shape=(1, 16, 16), width_factor=0.25)
+        return (
+            factory,
+            factory.make_generator(rng),
+            factory.make_discriminator(rng),
+            GANObjective(factory),
+        )
+
+    def test_feedback_equals_the_full_backward_feedback_bitwise(self, cnn, rng):
+        import copy
+
+        factory, generator, discriminator, objective = cnn
+        batch = sample_generator_images(generator, factory, 8, rng)
+        # Leave stale gradients behind, as a discriminator update does.
+        real = rng.uniform(-1, 1, size=(8,) + factory.image_shape)
+        labels = rng.integers(0, factory.num_classes, size=8)
+        discriminator_update(
+            discriminator, objective, Adam(), real, labels, batch.images, batch.labels
+        )
+        assert np.any(discriminator.get_gradients() != 0)
+
+        reference = copy.deepcopy(discriminator)  # same dropout stream too
+        outputs = reference.forward(batch.images, training=True)
+        ref_loss, grad_outputs = objective.generator_loss(outputs, batch.labels)
+        ref_feedback = reference.backward(grad_outputs)
+
+        loss, feedback = generator_feedback(discriminator, objective, batch)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(feedback, ref_feedback)
+        for layer in discriminator.layers:
+            for name, grad in layer.grads.items():
+                assert not grad.any(), f"{layer.name}.{name} is not zero"
+
+    def test_discriminator_update_equals_the_update_with_image_gradients(self, cnn, rng):
+        import copy
+
+        factory, generator, discriminator, objective = cnn
+        batch = sample_generator_images(generator, factory, 8, rng)
+        real = rng.uniform(-1, 1, size=(8,) + factory.image_shape)
+        labels = rng.integers(0, factory.num_classes, size=8)
+
+        reference = copy.deepcopy(discriminator)
+        ref_opt = Adam()
+        reference.zero_grad()
+        out = reference.forward(real, training=True)
+        loss_real, grad = objective.discriminator_real_term(out, labels)
+        assert reference.backward(grad).shape == real.shape
+        out = reference.forward(batch.images, training=True)
+        loss_fake, grad = objective.discriminator_fake_term(out, batch.labels)
+        reference.backward(grad)
+        ref_opt.step(reference)
+
+        loss = discriminator_update(
+            discriminator, objective, Adam(), real, labels, batch.images, batch.labels
+        )
+        assert loss == float(loss_real + loss_fake)
+        np.testing.assert_array_equal(
+            discriminator.get_parameters(), reference.get_parameters()
+        )
+
+
 class TestSplitUpdateEquivalence:
     def test_single_worker_feedback_equals_direct_backprop(self, setup, rng):
         """Server-side chaining of F_n reproduces end-to-end generator gradients."""

@@ -2,9 +2,16 @@
 
 These tests validate the backward pass of every layer family in composition,
 including the input-gradient path MD-GAN's error feedback relies on.  Smooth
-activations (Tanh) are used so that finite differences are well behaved, and
-the whole module opts into the float64 precision policy — central differences
-with ``eps=1e-6`` need more headroom than the float32 default provides.
+activations (Tanh) are used so that finite differences are well behaved.
+
+Every stack is checked under both precision policies.  float64 is the sharp
+check: central differences with ``eps=1e-6`` and tolerances of a few 1e-4.
+float32 — the default policy, and the dtype every kernel actually runs in —
+cannot resolve that: a loss of O(10) carries ~1e-6 of rounding noise, so the
+step is ``1e-2`` (noise/eps ~1e-4, truncation ~eps^2), the relative tolerance
+is 5e-2, and gradients below ``1e-2`` are compared absolutely.  That is loose,
+but a kernel that is wrong only in float32 (a stride, a dtype-dependent
+branch, an upcast that hides an overflow) is wrong by far more.
 """
 
 import numpy as np
@@ -27,8 +34,16 @@ from repro.nn import (
 )
 
 
+def _fd_settings(model, tol):
+    """``(eps, relative tolerance, absolute floor)`` for the model's dtype."""
+    if model.dtype == np.float32:
+        return 1e-3, 5e-2, 1e-2
+    return 1e-6, tol, 1e-8
+
+
 def check_parameter_gradients(model, x, target, samples, rng, tol=2e-4):
     """Compare analytic parameter gradients against central differences."""
+    eps, tol, floor = _fd_settings(model, tol)
 
     def loss_of(flat):
         model.set_parameters(flat)
@@ -42,7 +57,6 @@ def check_parameter_gradients(model, x, target, samples, rng, tol=2e-4):
     model.backward(out - target)
     analytic = model.get_gradients()
 
-    eps = 1e-6
     indices = rng.choice(flat0.size, size=min(samples, flat0.size), replace=False)
     for i in indices:
         up = flat0.copy()
@@ -50,7 +64,7 @@ def check_parameter_gradients(model, x, target, samples, rng, tol=2e-4):
         down = flat0.copy()
         down[i] -= eps
         numeric = (loss_of(up) - loss_of(down)) / (2 * eps)
-        denom = abs(numeric) + abs(analytic[i]) + 1e-8
+        denom = abs(numeric) + abs(analytic[i]) + floor
         assert abs(numeric - analytic[i]) / denom < tol, (
             f"parameter {i}: numeric {numeric} vs analytic {analytic[i]}"
         )
@@ -59,6 +73,7 @@ def check_parameter_gradients(model, x, target, samples, rng, tol=2e-4):
 
 def check_input_gradients(model, x, target, samples, rng, tol=2e-4):
     """Compare the analytic input gradient against central differences."""
+    eps, tol, floor = _fd_settings(model, tol)
     model.zero_grad()
     out = model.forward(x)
     grad_in = model.backward(out - target)
@@ -67,7 +82,6 @@ def check_input_gradients(model, x, target, samples, rng, tol=2e-4):
         out = model.forward(xflat.reshape(x.shape))
         return 0.5 * float(np.sum((out - target) ** 2))
 
-    eps = 1e-6
     flat = x.ravel()
     indices = rng.choice(flat.size, size=min(samples, flat.size), replace=False)
     for i in indices:
@@ -77,16 +91,16 @@ def check_input_gradients(model, x, target, samples, rng, tol=2e-4):
         down[i] -= eps
         numeric = (loss_of_input(up) - loss_of_input(down)) / (2 * eps)
         analytic = grad_in.ravel()[i]
-        denom = abs(numeric) + abs(analytic) + 1e-8
+        denom = abs(numeric) + abs(analytic) + floor
         assert abs(numeric - analytic) / denom < tol, (
             f"input {i}: numeric {numeric} vs analytic {analytic}"
         )
 
 
-@pytest.fixture(autouse=True)
-def _float64_policy():
-    """Finite-difference checks use the documented float64 opt-in."""
-    with precision_scope("float64"):
+@pytest.fixture(autouse=True, params=["float64", "float32"])
+def _precision_policy(request):
+    """Every stack is built and checked under both precision policies."""
+    with precision_scope(request.param):
         yield
 
 
@@ -162,6 +176,10 @@ def test_minibatch_discrimination_stack(grad_rng):
         input_shape=(4,),
         rng=grad_rng,
     )
+    # The layer's |M_i - M_j| has a kink wherever two projected samples meet.
+    # At the initialiser's scale (0.05) they sit within a float32-sized step
+    # of each other; spread them so a finite difference stays on one side.
+    model.layers[2].params["T"] *= 20.0
     x = grad_rng.normal(size=(5, 4))
     target = grad_rng.normal(size=(5, 1))
     check_parameter_gradients(model, x, target, samples=30, rng=grad_rng)

@@ -123,6 +123,63 @@ class TestBackward:
         model.zero_grad()
         np.testing.assert_array_equal(model.get_gradients(), 0.0)
 
+    @pytest.mark.parametrize("first_has_params", [True, False])
+    def test_partial_backward_passes_match_the_full_one_bitwise(self, rng, first_has_params):
+        # Every layer family that owns parameters, in one stack.
+        from repro.nn import (
+            BatchNorm,
+            Conv2D,
+            Conv2DTranspose,
+            GaussianNoise,
+            LayerNorm,
+            MinibatchDiscrimination,
+        )
+
+        layers = [] if first_has_params else [GaussianNoise(0.0)]
+        layers += [
+            Conv2D(3, 3, stride=2, padding=1),
+            BatchNorm(),
+            LeakyReLU(0.2),
+            Conv2DTranspose(2, 3, stride=2, padding=1, output_padding=1),
+            Tanh(),
+            Flatten(),
+            Dense(6),
+            LayerNorm(),
+            MinibatchDiscrimination(3, 2),
+            Dense(2),
+        ]
+        model = Sequential(layers, input_shape=(2, 6, 6), rng=rng)
+        x = rng.normal(size=(4, 2, 6, 6))
+        grad_out = rng.normal(size=(4, 2))
+
+        model.zero_grad()
+        model.forward(x)
+        full_input_grad = model.backward(grad_out)
+        full_param_grads = model.get_gradients()
+        assert np.any(full_param_grads != 0)
+
+        # Input gradient only: same gradient, ``grads`` untouched.
+        model.zero_grad()
+        model.forward(x)
+        only_input = model.backward(grad_out, param_grads=False)
+        np.testing.assert_array_equal(only_input, full_input_grad)
+        np.testing.assert_array_equal(model.get_gradients(), 0.0)
+
+        # Parameter gradients only: same gradients, nothing returned.
+        model.forward(x)
+        assert model.backward(grad_out, input_grad=False) is None
+        np.testing.assert_array_equal(model.get_gradients(), full_param_grads)
+
+    def test_parameter_free_model_ignores_the_partial_flags(self, rng):
+        model = Sequential([Tanh(), Flatten()], input_shape=(2, 3), rng=rng)
+        x = rng.normal(size=(4, 2, 3))
+        model.forward(x)
+        grad = rng.normal(size=(4, 6))
+        np.testing.assert_array_equal(
+            model.backward(grad, param_grads=False), model.backward(grad)
+        )
+        assert model.backward(grad, input_grad=False) is None
+
     def test_predict_uses_eval_mode(self, rng):
         from repro.nn import Dropout
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Dense, SGD, Sequential, make_optimizer
+from repro.nn import Adam, Dense, SGD, Sequential, make_optimizer, precision_scope
 
 
 def quadratic_model(rng, dim=4):
@@ -148,6 +148,89 @@ class TestAdam:
         state = opt.state_dict()
         assert state["learning_rate"] == 0.002
         assert state["beta1"] == 0.4
+
+
+class TestInPlaceUpdates:
+    """A step allocates nothing: state and scratch arrays are reused."""
+
+    @staticmethod
+    def _reference_adam(params, grads, lr=0.01, beta1=0.5, beta2=0.999, eps=1e-8):
+        """The textbook update, out of place, in the parameters' dtype."""
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
+        for t, grad in enumerate(grads, start=1):
+            m = beta1 * m + (1.0 - beta1) * grad
+            v = beta2 * v + (1.0 - beta2) * grad**2
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+        return params
+
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    def test_adam_matches_the_textbook_update_to_rounding(self, rng, precision):
+        with precision_scope(precision):
+            model = quadratic_model(rng, dim=6)
+        opt = Adam(learning_rate=0.01)
+        start = model.get_parameters()
+        grads = [rng.normal(size=start.shape).astype(start.dtype) for _ in range(25)]
+        for grad in grads:
+            model.set_gradients(grad)
+            opt.step(model)
+        expected = self._reference_adam(start, grads)
+        assert model.get_parameters().dtype == expected.dtype == start.dtype
+        rtol = 1e-5 if precision == "float32" else 1e-12
+        np.testing.assert_allclose(model.get_parameters(), expected, rtol=rtol)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_matches_the_out_of_place_update_bitwise(self, rng, momentum):
+        model = quadratic_model(rng, dim=6)
+        opt = SGD(learning_rate=0.05, momentum=momentum)
+        params = model.get_parameters()
+        velocity = np.zeros_like(params)
+        for _ in range(10):
+            grad = rng.normal(size=params.shape).astype(params.dtype)
+            model.set_gradients(grad)
+            opt.step(model)
+            if momentum:
+                velocity = momentum * velocity - 0.05 * grad
+                params = params + velocity
+            else:
+                params = params - 0.05 * grad
+            np.testing.assert_array_equal(model.get_parameters(), params)
+
+    def test_state_and_scratch_arrays_are_allocated_once(self, rng):
+        model = quadratic_model(rng)
+        x = rng.normal(size=(8, 4))
+        y = rng.normal(size=(8, 1))
+        for opt, states in (
+            (Adam(), lambda o: [o._m, o._v, o._scratch]),
+            (SGD(momentum=0.5), lambda o: [o._velocity, o._scratch]),
+        ):
+            quadratic_step(model, x, y)
+            opt.step(model)
+            before = [id(array) for state in states(opt) for array in state.values()]
+            assert before
+            grads_before = model.get_gradients()
+            opt.step(model)
+            assert before == [id(array) for state in states(opt) for array in state.values()]
+            # The step reads the gradients; it never uses them as workspace.
+            np.testing.assert_array_equal(model.get_gradients(), grads_before)
+
+    def test_scratch_does_not_travel(self, rng):
+        import copy
+        import pickle
+
+        model = quadratic_model(rng)
+        opt = Adam()
+        quadratic_step(model, rng.normal(size=(8, 4)), rng.normal(size=(8, 1)))
+        opt.step(model)
+        assert opt._scratch
+        for clone in (pickle.loads(pickle.dumps(opt)), copy.deepcopy(opt)):
+            assert clone._scratch == {}
+            assert clone.iterations == 1
+            np.testing.assert_array_equal(clone._m["0.Dense.W"], opt._m["0.Dense.W"])
+            assert clone._m["0.Dense.W"] is not opt._m["0.Dense.W"]
+            clone.step(model)  # rebuilt on demand
 
 
 class TestFactory:
