@@ -7,7 +7,7 @@ few minutes on CPU; set the ``REPRO_BENCH_SCALE`` environment variable to
 
 Benchmark results (who wins, final scores, crossover points) are attached to
 ``benchmark.extra_info`` so they appear in ``--benchmark-json`` exports and
-can be compared against the paper's reported trends (see EXPERIMENTS.md).
+can be compared against the paper's reported trends.
 """
 
 from __future__ import annotations

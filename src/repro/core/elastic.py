@@ -26,9 +26,11 @@ bitwise identical to the pre-membership trainers.
 
 Host-class contract: ``self.workers`` (objects with ``index`` / ``dataset``
 / ``sampler``), ``self.cluster.workers[i]`` nodes (``alive`` / ``crash()``
-/ ``rejoin()``), ``self.config``, ``self.history``,
-``self._active_resident()``, ``self.sync_worker_state(workers, reclaim)``
-and a ``_restore_worker_from_mirror(worker, mirror)`` hook.
+/ ``rejoin()``), ``self.config``, ``self.history`` and the
+:class:`~repro.core.lifecycle.WorkerStateOwner` methods
+(``_active_resident()``, ``_alive_workers()``,
+``sync_worker_state(workers, reclaim)``,
+``_restore_worker_from_mirror(worker, mirror)``).
 """
 
 from __future__ import annotations
@@ -77,10 +79,6 @@ class ElasticMembershipMixin:
             return None
         return resident.membership
 
-    def _alive_worker_states(self) -> List[Any]:
-        """Worker-state objects whose emulated node is alive."""
-        return [w for w in self.workers if self.cluster.workers[w.index].alive]
-
     def _sync_membership_events(self, iteration: int) -> None:
         """Mirror newly recorded backend membership events into the history."""
         membership = self._membership()
@@ -101,14 +99,6 @@ class ElasticMembershipMixin:
         resident = self._active_resident()
         if resident is not None:
             self.history.membership = resident.membership_counters()
-
-    def _restore_worker_from_mirror(self, worker: Any, mirror: Dict[str, Any]) -> None:
-        """Reset a worker's trainer-side objects from a boundary mirror.
-
-        Per-trainer hook (the mirror payload is program-specific); the
-        default raises so a trainer cannot silently skip restoration.
-        """
-        raise NotImplementedError  # pragma: no cover - trainers override
 
     # -- the per-iteration wrapper -----------------------------------------------
     def _elastic_iteration(self, iteration: int, body) -> None:
@@ -198,7 +188,7 @@ class ElasticMembershipMixin:
     def _check_min_workers(self, membership: PoolMembership) -> None:
         """Escalate to a run failure when the fleet shrank below the floor."""
         floor = membership.policy.min_workers
-        alive = len(self._alive_worker_states())
+        alive = len(self._alive_workers())
         if alive < floor:
             raise TransportError(
                 f"elastic pool degraded to {alive} live worker(s), below "
@@ -207,6 +197,8 @@ class ElasticMembershipMixin:
 
     def _wait_for_replacement(self, iteration: int, lost_keys: List[Any]) -> None:
         """``wait`` policy: block for replacement capacity, then reassign.
+
+        Shared by the synchronous boundary and the async drain-barrier heal.
 
         The lost workers stay alive; once a replacement/joiner slot exists
         their state is restored from the last merged mirror (or kept as the
@@ -225,9 +217,8 @@ class ElasticMembershipMixin:
     def _block_for_replacement(self, lost_keys: List[Any]) -> int:
         """Block until a joiner/replacement slot exists; return its index.
 
-        Shared by the synchronous wait-policy boundary and the async
-        drain-barrier heal; raises :class:`TransportError` when no capacity
-        appears within ``rejoin_timeout``.
+        Raises :class:`TransportError` when no capacity appears within
+        ``rejoin_timeout``.
         """
         membership = self._membership()
         resident = self._active_resident()
@@ -293,7 +284,7 @@ class ElasticMembershipMixin:
         """
         membership = self._membership()
         founding = self._founding()
-        alive = sorted(w.index for w in self._alive_worker_states())
+        alive = sorted(w.index for w in self._alive_workers())
         if not alive:
             self._rebalance_pending = False
             return
@@ -343,7 +334,7 @@ class ElasticMembershipMixin:
         membership = self._membership()
         resident = self._active_resident()
         keys = [
-            w.index for w in self._alive_worker_states() if resident.installed(w.index)
+            w.index for w in self._alive_workers() if resident.installed(w.index)
         ]
         if not keys:
             return
@@ -388,25 +379,18 @@ class ElasticMembershipMixin:
     def _async_wait_heal(self, ctx) -> None:
         """Heal queued wait-policy losses against a drained collector.
 
-        Called by the engine once ``collector.outstanding == 0``: block for
-        replacement capacity, restore the lost workers from their last
-        merged mirror (async runs keep no mid-run mirrors, so this usually
-        keeps the trainer's current objects — the crash-discard semantics),
-        record the reassignments, and hand the keys to the trainer's
+        Called by the engine once ``collector.outstanding == 0``: the
+        :meth:`_wait_for_replacement` heal (async runs keep no mid-run
+        mirrors, so it usually keeps the trainer's current objects — the
+        crash-discard semantics), then the keys go to the trainer's
         :meth:`_async_resume_healed` to resume dispatch.  Healed workers
         re-enter with a fresh dispatch mark, so
         ``max_worker_staleness() <= max_staleness`` stays pinned.
         """
         lost = sorted(self._async_heal_keys, key=repr)
         self._async_heal_keys = set()
-        membership = self._membership()
         update = ctx.sched.updates
-        slot = self._block_for_replacement(lost)
-        for key in lost:
-            mirror = membership.mirrors.get(key)
-            if mirror is not None:
-                self._restore_worker_from_mirror(self.workers[key], mirror)
-            membership.record("reassign", slot=slot, worker=key, detail="wait-policy heal")
+        self._wait_for_replacement(update, lost)
         self._sync_membership_events(update)
         self._async_resume_healed(lost, ctx)
 

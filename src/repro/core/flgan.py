@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -28,13 +29,8 @@ from ..runtime.membership import LOST, SlotLossError
 from ..runtime.pipeline import InflightWindow, PipelineStats
 from .elastic import ElasticMembershipMixin
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
-from .lifecycle import BackendOwner
-from ..runtime.tasks import (
-    FLGANLocalResult,
-    FLGANLocalTask,
-    FLGANResidentState,
-    run_flgan_local_task,
-)
+from .lifecycle import WorkerStateOwner
+from ..runtime.tasks import FLGANResidentState, WorkerTask, run_flgan_local_task
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.messages import MessageKind
 from ..simulation.network import LinkModel
@@ -62,14 +58,16 @@ class FLGANWorkerState:
     rng: np.random.Generator
 
 
-class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
+class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     """Federated-averaging GAN trainer over ``N`` emulated workers.
 
-    The trainer owns its execution backend (see
-    :class:`~repro.core.lifecycle.BackendOwner`): warm resident pools
+    The trainer owns its execution backend and its workers' state (see
+    :class:`~repro.core.lifecycle.WorkerStateOwner`): warm resident pools
     survive across ``train()`` calls until :meth:`close` / the
     context-manager exit.
     """
+
+    _state_type = FLGANResidentState
 
     def __init__(
         self,
@@ -98,6 +96,14 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             non_saturating=config.non_saturating,
             label_smoothing=config.label_smoothing,
         )
+        self._step_context = {
+            "objective": self._objective,
+            "disc_steps": config.disc_steps,
+            "batch_size": config.batch_size,
+        }
+        #: Dispatched-but-unmerged local iterations; deeper than 0 only on a
+        #: resident backend under ``pipeline_depth > 0`` (see _sync_schedule).
+        self._pipeline_window = InflightWindow(0)
 
         # The server keeps the reference (averaged) generator/discriminator.
         dtype = config.dtype
@@ -156,108 +162,20 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
 
     # -- local epochs ---------------------------------------------------------------
     #
-    # Local iterations between federated rounds run through the build ->
-    # compute -> merge protocol of ``repro.runtime``; resident backends
+    # A local iteration between federated rounds is
+    # ``repro.runtime.tasks.flgan_step`` on every backend; resident backends
     # install the full local GAN once per round era and only losses plus
-    # RNG/sampler cursors come back.  Backend ownership comes from
-    # BackendOwner.
+    # RNG/sampler cursors come back.  How state is installed, adopted,
+    # mirrored and reclaimed comes from WorkerStateOwner.
 
-    def _build_local_task(self, worker: FLGANWorkerState) -> FLGANLocalTask:
-        """Build phase (stateless backends): snapshot one local GAN iteration."""
-        return FLGANLocalTask(
-            worker_index=worker.index,
-            generator=worker.generator,
-            discriminator=worker.discriminator,
-            gen_opt=worker.gen_opt,
-            disc_opt=worker.disc_opt,
-            sampler=worker.sampler,
-            rng=worker.rng,
-            objective=self._objective,
-            disc_steps=self.config.disc_steps,
-            batch_size=self.config.batch_size,
-        )
-
-    def _resident_state(self, worker: FLGANWorkerState) -> FLGANResidentState:
-        """Build-once install payload for the resident backend."""
-        return FLGANResidentState(
-            worker_index=worker.index,
-            generator=worker.generator,
-            discriminator=worker.discriminator,
-            gen_opt=worker.gen_opt,
-            disc_opt=worker.disc_opt,
-            sampler=worker.sampler,
-            rng=worker.rng,
-            objective=self._objective,
-            disc_steps=self.config.disc_steps,
-            batch_size=self.config.batch_size,
-        )
-
-    def sync_worker_state(
-        self,
-        workers: Optional[Sequence[FLGANWorkerState]] = None,
-        reclaim: bool = True,
-    ) -> None:
-        """Pull resident worker state back into the trainer's own objects.
-
-        No-op for stateless backends.  With ``reclaim`` (the default) the
-        trainer becomes authoritative (pool copies dropped, state epoch
-        bumped), so worker state may be mutated freely before training
-        resumes.  With ``reclaim=False`` the trainer's objects merely mirror
-        the pool's current state via the program's light-weight mirror
-        payload (final models + optimizers, RNG/sampler cursors — the
-        immutable shard never re-crosses the pipe) and the residents stay
-        warm for the next ``train()`` call.
-        """
-        resident = self._active_resident()
-        if resident is None:
-            return
-        targets = list(self.workers) if workers is None else list(workers)
-        if reclaim:
-            resident.pull_into(
-                targets,
-                ("generator", "discriminator", "gen_opt", "disc_opt", "sampler", "rng"),
-            )
-            return
-        mirrors = resident.pull_mirror([worker.index for worker in targets])
-        for worker in targets:
-            mirror = mirrors.get(worker.index)
-            if mirror is not None:
-                self._restore_worker_from_mirror(worker, mirror)
-
-    def _restore_worker_from_mirror(
-        self, worker: FLGANWorkerState, mirror: Dict[str, object]
-    ) -> None:
-        """Set a worker's objects to a mirror payload (end-of-run refresh, elastic revival)."""
-        worker.generator = mirror["generator"]
-        worker.discriminator = mirror["discriminator"]
-        worker.gen_opt = mirror["gen_opt"]
-        worker.disc_opt = mirror["disc_opt"]
-        worker.rng.bit_generator.state = mirror["rng_state"]
-        # Full sampler position (incl. mid-epoch shuffle order): the
-        # mirrored sampler must be complete, so a close_backend()-then-
-        # train() re-install resumes exactly where the pool left off.
-        worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
+    def _build_local_task(self, worker: FLGANWorkerState) -> WorkerTask:
+        """One local GAN iteration as a stateless-backend task."""
+        return WorkerTask(self._resident_state(worker))
 
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:
-        """Merge phase: adopt the round-tripped state, or just the cursors.
-
-        A full-snapshot :class:`FLGANLocalResult` replaces the worker's
-        objects (a no-op under ``serial``/``thread``); a resident
-        :class:`FLGANStepResult` only folds the RNG/sampler cursors back —
-        the local GAN itself stayed in the pool.
-        """
-        if isinstance(result, FLGANLocalResult):
-            worker.generator = result.generator
-            worker.discriminator = result.discriminator
-            worker.gen_opt = result.gen_opt
-            worker.disc_opt = result.disc_opt
-            worker.sampler = result.sampler
-            worker.rng = result.rng
-        else:
-            worker.rng.bit_generator.state = result.rng_state
-            worker.sampler.samples_drawn = result.samples_drawn
-            worker.sampler.epochs_completed = result.epochs_completed
-        return result.gen_loss, result.disc_loss
+        """Merge phase: adopt the round-tripped state, or just the cursors."""
+        step = self._adopt_step(worker, result)
+        return step.gen_loss, step.disc_loss
 
     def _federated_round(self, iteration: int) -> None:
         """Workers upload their GANs, the server averages and broadcasts.
@@ -270,11 +188,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         never leave their pool process.
         """
         resident = self._active_resident()
-        alive = [
-            worker
-            for worker in self.workers
-            if self.cluster.workers[worker.index].alive
-        ]
+        alive = self._alive_workers()
         pulled: Dict[int, Dict[str, np.ndarray]] = {}
         if resident is not None:
             keys = [w.index for w in alive if resident.installed(w.index)]
@@ -309,8 +223,26 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         avg_disc = weighted_average_parameters(disc_vectors, weights)
         self.server_generator.set_parameters(avg_gen)
         self.server_discriminator.set_parameters(avg_disc)
+        self._broadcast_average(iteration, alive, avg_gen, avg_disc, resident)
+        self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+
+    def _broadcast_average(
+        self,
+        iteration: int,
+        workers: Sequence[FLGANWorkerState],
+        avg_gen: np.ndarray,
+        avg_disc: np.ndarray,
+        pool,
+    ) -> None:
+        """Broadcast the averaged model to ``workers`` and write it into each.
+
+        Installed residents receive it through ``pool.push_params`` (the
+        backend at a synchronous round, the open collector mid-flight);
+        every other worker's own objects are set directly.
+        """
+        resident = self._active_resident()
         push_map: Dict[int, Dict[str, np.ndarray]] = {}
-        for worker in alive:
+        for worker in workers:
             node = self.cluster.workers[worker.index]
             self.cluster.server.send(
                 node.name,
@@ -319,50 +251,28 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
                 iteration,
             )
             broadcast = node.receive(MessageKind.MODEL_BROADCAST)
-            if broadcast:
-                payload = broadcast[-1].payload
-                if resident is not None and resident.installed(worker.index):
-                    push_map[worker.index] = {
-                        "generator": payload["generator"],
-                        "discriminator": payload["discriminator"],
-                    }
-                else:
-                    worker.generator.set_parameters(payload["generator"])
-                    worker.discriminator.set_parameters(payload["discriminator"])
+            if not broadcast:
+                continue
+            payload = broadcast[-1].payload
+            if resident is not None and resident.installed(worker.index):
+                push_map[worker.index] = {
+                    "generator": payload["generator"],
+                    "discriminator": payload["discriminator"],
+                }
+            else:
+                worker.generator.set_parameters(payload["generator"])
+                worker.discriminator.set_parameters(payload["discriminator"])
         if push_map:
-            resident.push_params(push_map)
-        self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+            pool.push_params(push_map)
 
     # -- main loop --------------------------------------------------------------------
-    def _active_workers(self) -> List[FLGANWorkerState]:
-        """Workers whose emulated node is alive."""
-        return [
-            worker
-            for worker in self.workers
-            if self.cluster.workers[worker.index].alive
-        ]
-
     def _dispatch_local_iteration(self, active: Sequence[FLGANWorkerState]):
         """Dispatch one local iteration for every active worker, non-blocking.
 
-        Resident backends receive only the step trigger (state lives in the
-        pool) via ``start_steps``; stateless backends get full-snapshot tasks
-        via ``submit_ordered``.  Returns a handle whose ``result()`` yields
-        per-worker results in worker-index order.
+        Returns a handle whose ``result()`` yields per-worker results in
+        worker-index order.
         """
-        backend = self.executor
-        if getattr(backend, "supports_resident", False):
-            items = [
-                (
-                    worker.index,
-                    lambda w=worker: self._resident_state(w),
-                    None,
-                )
-                for worker in active
-            ]
-            return backend.start_steps("flgan", items)
-        tasks = [self._build_local_task(worker) for worker in active]
-        return backend.submit_ordered(run_flgan_local_task, tasks)
+        return self._start_steps(run_flgan_local_task, [(worker, None) for worker in active])
 
     def _merge_local_iteration(
         self, iteration: int, active: Sequence[FLGANWorkerState], results
@@ -401,20 +311,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         (straggler experiments) without touching the scheduler.
         """
         return run_flgan_local_task
-
-    def _dispatch_async_local_unit(self, worker: FLGANWorkerState, collector) -> None:
-        """Dispatch one local iteration for ``worker`` through the collector."""
-        backend = self.executor
-        if getattr(backend, "supports_resident", False):
-            collector.dispatch(
-                worker.index, lambda w=worker: self._resident_state(w), None
-            )
-        else:
-            collector.dispatch(
-                worker.index,
-                self._async_worker_fn(worker),
-                self._build_local_task(worker),
-            )
 
     def _pull_async_params(self, worker: FLGANWorkerState, collector) -> Dict[str, np.ndarray]:
         """Snapshot a worker's flat parameter vectors at its round boundary.
@@ -493,7 +389,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             )
             round_losses[key] = ([], [])
         elif done < self.config.iterations:
-            self._dispatch_async_local_unit(worker, collector)
+            self._dispatch_unit(collector, worker)
         else:
             sched.discard(key)
 
@@ -522,7 +418,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         contrib_keys = {c.key for c in contributions}
         outside_mass = sum(
             float(len(w.sampler))
-            for w in self._active_workers()
+            for w in self._alive_workers()
             if w.index not in contrib_keys
         )
         lost_mass = sum(
@@ -554,54 +450,22 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         self.history.record_event(
             update, "federated_round", workers=len(contributions)
         )
-        resident = getattr(self.executor, "supports_resident", False)
-        push_map: Dict[int, Dict[str, np.ndarray]] = {}
-        for contribution in contributions:
-            worker = self.workers[contribution.key]
-            node = self.cluster.workers[contribution.key]
-            if not node.alive:
-                continue
-            self.cluster.server.send(
-                node.name,
-                MessageKind.MODEL_BROADCAST,
-                {"generator": avg_gen, "discriminator": avg_disc},
-                update,
-            )
-            broadcast = node.receive(MessageKind.MODEL_BROADCAST)
-            if broadcast:
-                payload = broadcast[-1].payload
-                if resident:
-                    push_map[contribution.key] = {
-                        "generator": payload["generator"],
-                        "discriminator": payload["discriminator"],
-                    }
-                else:
-                    worker.generator.set_parameters(payload["generator"])
-                    worker.discriminator.set_parameters(payload["discriminator"])
-        if push_map:
-            try:
-                collector.push_params(push_map)
-            except SlotLossError:
-                # A contributor's slot died during the broadcast push: its
-                # merged copy is lost, the merge itself already happened.
-                self._handle_async_losses(update, sched)
-        for contribution in contributions:
-            worker = self.workers[contribution.key]
-            if (
-                self.cluster.workers[contribution.key].alive
-                and done_iters[contribution.key] < cfg.iterations
-            ):
-                sched.note_dispatch(contribution.key)
-                self._dispatch_async_local_unit(worker, collector)
+        receivers = [
+            self.workers[c.key] for c in contributions if self.cluster.workers[c.key].alive
+        ]
+        try:
+            self._broadcast_average(update, receivers, avg_gen, avg_disc, collector)
+        except SlotLossError:
+            # A contributor's slot died during the broadcast push: its
+            # merged copy is lost, the merge itself already happened.
+            self._handle_async_losses(update, sched)
+        for worker in receivers:
+            # Re-checked: the loss policy above may just have evicted one.
+            alive = self.cluster.workers[worker.index].alive
+            if alive and done_iters[worker.index] < cfg.iterations:
+                sched.note_dispatch(worker.index)
+                self._dispatch_unit(collector, worker)
         return update
-
-    def _sync_iteration(self, iteration: int) -> None:
-        """One synchronous local iteration plus its due federated round."""
-        active = self._active_workers()
-        handle = self._dispatch_local_iteration(active)
-        self._merge_local_iteration(iteration, active, handle.result())
-        if iteration % self.iterations_per_round == 0:
-            self._federated_round(iteration)
 
     def _async_begin(self, ctx: AsyncContext) -> None:
         """Initialise per-round progress and dispatch every active worker.
@@ -613,9 +477,9 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         """
         ctx.done_iters = {worker.index: 0 for worker in self.workers}
         ctx.round_losses = {worker.index: ([], []) for worker in self.workers}
-        for worker in self._active_workers():
+        for worker in self._alive_workers():
             ctx.sched.note_dispatch(worker.index)
-            self._dispatch_async_local_unit(worker, ctx.collector)
+            self._dispatch_unit(ctx.collector, worker)
 
     def _async_active(self, ctx: AsyncContext) -> bool:
         """Run until nothing is in flight, buffered, or awaiting a heal."""
@@ -630,11 +494,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:
         """Record the evaluation cadence on the merge-count axis."""
         cfg = self.config
-        if (
-            self.evaluator is not None
-            and cfg.eval_every
-            and update % cfg.eval_every == 0
-        ):
+        if self.evaluator is not None and cfg.eval_every and update % cfg.eval_every == 0:
             self.history.record_evaluation(
                 self.evaluator.evaluate(self.sample_images, update)
             )
@@ -657,7 +517,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             ctx.round_losses[key] = ([], [])
             if ctx.done_iters[key] < cfg.iterations:
                 ctx.sched.note_dispatch(key)
-                self._dispatch_async_local_unit(worker, ctx.collector)
+                self._dispatch_unit(ctx.collector, worker)
 
     def _async_finish(self, ctx: AsyncContext) -> None:
         """Catch up the final evaluation if the last merge wasn't evaluated."""
@@ -685,18 +545,20 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         """
         return ExecutionEngine(self).run()
 
-    def _windowed_iteration(
-        self,
-        iteration: int,
-        window: InflightWindow,
-        stats: PipelineStats,
-        round_length: int,
-    ) -> None:
-        """One windowed (resident, depth > 0) iteration: push, drain, round."""
+    def _sync_iteration(self, iteration: int, stats: Optional[PipelineStats] = None) -> None:
+        """One local iteration through the in-flight window, plus its due round.
+
+        Dispatch, then merge out (FIFO) whatever exceeds the window's depth
+        — everything at a round / evaluation / final boundary, and always
+        at depth 0, which is the plain synchronous iteration.
+        """
         cfg = self.config
-        active = self._active_workers()
+        window = self._pipeline_window
+        round_length = self.iterations_per_round
+        active = self._alive_workers()
         window.push((iteration, active, self._dispatch_local_iteration(active)))
-        stats.observe_in_flight(len(window))
+        if stats is not None and window.depth:
+            stats.observe_in_flight(len(window))
         at_boundary = (
             iteration % round_length == 0
             or iteration == cfg.iterations
@@ -712,31 +574,25 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             self._federated_round(iteration)
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The windowed or depth-0 per-iteration body (both elastic-wrapped)."""
-        cfg = self.config
-        depth = cfg.pipeline_depth
-        round_length = self.iterations_per_round
+        """The per-iteration body (elastic-wrapped) over this run's window.
+
+        Only a resident backend can keep iterations in flight; on the others
+        ``pipeline_depth`` is recorded but the window stays at depth 0.
+        """
+        depth = self.config.pipeline_depth
         if depth > 0:
             engine.stats = PipelineStats(depth=depth)
-        if depth > 0 and getattr(self.executor, "supports_resident", False):
-            window = InflightWindow(depth)
-            self._pipeline_window = window
-            stats = engine.stats
-
-            def windowed(iteration: int) -> None:
-                self._windowed_iteration(iteration, window, stats, round_length)
-
-            return lambda iteration: self._elastic_iteration(iteration, windowed)
+        resident = getattr(self.executor, "supports_resident", False)
+        self._pipeline_window = InflightWindow(depth if resident else 0)
+        body = partial(self._sync_iteration, stats=engine.stats)
         # Elastic membership (when configured) absorbs slot losses inside
         # the wrapper and runs its boundary pipeline after the iteration;
         # fail-stop runs call the body directly.
-        self._pipeline_window = None
-        return lambda iteration: self._elastic_iteration(iteration, self._sync_iteration)
+        return lambda iteration: self._elastic_iteration(iteration, body)
 
     def _pipeline_idle(self) -> bool:
         """Quiescent only when the in-flight window has fully drained."""
-        window = getattr(self, "_pipeline_window", None)
-        return window is None or len(window) == 0
+        return len(self._pipeline_window) == 0
 
     def _drain_pipeline_for_membership(self) -> None:
         """Merge out the in-flight window (LOST entries skipped) and clear frames.
@@ -746,10 +602,8 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         merge, so the membership boundary meets a quiescent pool with every
         surviving iteration accounted for.
         """
-        window = getattr(self, "_pipeline_window", None)
-        if window is not None:
-            for it, act, handle in window.drain(0):
-                self._merge_local_iteration(it, act, handle.result())
+        for it, act, handle in self._pipeline_window.drain(0):
+            self._merge_local_iteration(it, act, handle.result())
         resident = self._active_resident()
         if resident is not None:
             resident.drain_inflight()

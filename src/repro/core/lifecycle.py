@@ -14,21 +14,25 @@ the best-effort cleanup used on failure paths — so
 on lifecycle semantics.
 
 Subclasses provide ``self.config`` (a :class:`~repro.core.config.
-TrainingConfig`).  Owners holding worker state *inside* the pool override
-``sync_worker_state(workers=None, reclaim=True)`` to pull it back before the
-pool goes away; the default is a no-op for owners (like the serving layer)
-whose authoritative state lives on the caller side.
+TrainingConfig`).  Owners holding worker state *inside* the pool — the two
+trainers — derive from :class:`WorkerStateOwner`, which states once how that
+state is installed, adopted from a stateless backend's round trip, mirrored
+and reclaimed; the :class:`BackendOwner` default ``sync_worker_state`` is a
+no-op for owners (like the serving layer) whose authoritative state lives on
+the caller side.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional, Sequence
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime.backend import ExecutorBackend
 from ..runtime.resident import ResidentBackend
+from ..runtime.tasks import WorkerTask
 
-__all__ = ["BackendOwner", "close_quietly"]
+__all__ = ["BackendOwner", "WorkerStateOwner", "close_quietly"]
 
 
 def close_quietly(backend: ExecutorBackend) -> None:
@@ -98,9 +102,10 @@ class BackendOwner:
                          reclaim: bool = True) -> None:
         """Pull authoritative worker state out of the pool before it closes.
 
-        Default: no-op.  Trainers whose worker state is resident in the pool
-        override this; owners like the serving layer (whose generator lives
-        on the caller side and is merely mirrored into slots) keep the no-op.
+        Default: no-op.  Trainers, whose worker state is resident in the
+        pool, get the real one from :class:`WorkerStateOwner`; owners like
+        the serving layer (whose generator lives on the caller side and is
+        merely mirrored into slots) keep the no-op.
         """
 
     def close_backend(self) -> None:
@@ -171,3 +176,118 @@ class BackendOwner:
             self._cleanup_after_failure()
         else:
             self.close()
+
+
+class WorkerStateOwner(BackendOwner):
+    """A trainer: a :class:`BackendOwner` whose workers' state may live in the pool.
+
+    The subclass names its algorithm's state dataclass in ``_state_type``
+    (:mod:`repro.runtime.tasks`; its ``STATE_FIELDS`` tuple names the
+    stateful fields a worker object and the state object share) and the
+    static per-run context in ``_step_context``; everything that moves
+    worker state — install payload, stateless task, result adoption, mirror
+    restore, sync — is derived from those here, once for both trainers.
+    Host contract: ``self.workers`` (objects with ``index`` and the state
+    fields), ``self.cluster.workers[i]`` nodes, and the engine hooks'
+    ``_async_program`` / ``_async_worker_fn(worker)``.
+    """
+
+    #: The algorithm's state dataclass; its resident program is the
+    #: ``_async_program`` the trainer already names for the engine.
+    _state_type: type
+    #: Static keyword arguments completing ``_state_type`` (objective,
+    #: hyper-parameters); identical for every worker of a run.
+    _step_context: Dict[str, Any]
+
+    def _alive_workers(self) -> List[Any]:
+        """Worker-state objects whose emulated node is alive."""
+        return [w for w in self.workers if self.cluster.workers[w.index].alive]
+
+    def _resident_state(self, worker: Any):
+        """The worker as a state object: install payload and stateless task state."""
+        stateful = {name: getattr(worker, name) for name in self._state_type.STATE_FIELDS}
+        return self._state_type(worker_index=worker.index, **stateful, **self._step_context)
+
+    def _start_steps(self, worker_fn, work: Sequence[tuple]):
+        """Dispatch one step per ``(worker, step_input)`` without blocking.
+
+        Resident backends get the step input only (the install supplier runs
+        when the pool holds no current copy); stateless backends map
+        ``worker_fn`` over full :class:`WorkerTask` pairs.  Returns a handle
+        whose ``result()`` yields the results in ``work`` order.
+        """
+        backend = self.executor
+        if getattr(backend, "supports_resident", False):
+            return backend.start_steps(
+                self._async_program,
+                [(w.index, partial(self._resident_state, w), step) for w, step in work],
+            )
+        return backend.submit_ordered(
+            worker_fn, [WorkerTask(self._resident_state(w), step) for w, step in work]
+        )
+
+    def _dispatch_unit(self, collector, worker: Any, step_input: Any = None) -> None:
+        """Dispatch one step for ``worker`` through an as-completed collector."""
+        if getattr(self.executor, "supports_resident", False):
+            collector.dispatch(worker.index, partial(self._resident_state, worker), step_input)
+        else:
+            task = WorkerTask(self._resident_state(worker), step_input)
+            collector.dispatch(worker.index, self._async_worker_fn(worker), task)
+
+    def _adopt_step(self, worker: Any, result):
+        """Fold one step back into ``worker``; return the bare step result.
+
+        A stateless backend returns ``(state, step_result)``: the state's
+        objects replace the worker's (a no-op under ``serial``/``thread``,
+        the pickle round-tripped copies under ``process``).  A resident step
+        returns the step result alone and only the RNG/sampler cursors fold
+        back — the state stayed in the pool.
+        """
+        if isinstance(result, tuple):
+            state, result = result
+            for name in state.STATE_FIELDS:
+                setattr(worker, name, getattr(state, name))
+        else:
+            worker.rng.bit_generator.state = result.rng_state
+            worker.sampler.samples_drawn = result.samples_drawn
+            worker.sampler.epochs_completed = result.epochs_completed
+        return result
+
+    def sync_worker_state(
+        self, workers: Optional[Sequence[Any]] = None, reclaim: bool = True
+    ) -> None:
+        """Pull resident worker state back into the trainer's own objects.
+
+        No-op for stateless backends.  Either way the pool replies with each
+        worker's mirror payload (models, optimizer moments, RNG state, full
+        sampler cursor — the immutable shard never re-crosses the wire).
+        With ``reclaim`` (the default) the pool then drops its copies and the
+        state epochs are bumped: the trainer is authoritative again and may
+        mutate worker state freely before training resumes.  With
+        ``reclaim=False`` the residents stay warm for the next ``train()``.
+        """
+        resident = self._active_resident()
+        if resident is None:
+            return
+        targets = list(self.workers) if workers is None else list(workers)
+        pull = resident.pull_state if reclaim else resident.pull_mirror
+        mirrors = pull([worker.index for worker in targets])
+        for worker in targets:
+            mirror = mirrors.get(worker.index)
+            if mirror is not None:
+                self._restore_worker_from_mirror(worker, mirror)
+
+    def _restore_worker_from_mirror(self, worker: Any, mirror: Dict[str, Any]) -> None:
+        """Set a worker's objects to a mirror payload (sync, elastic heal/revival).
+
+        The inverse of :func:`repro.runtime.tasks.mirror_payload`: the
+        sampler position is restored in full (incl. the mid-epoch shuffle
+        order), so a later re-install resumes exactly where the pool left off.
+        """
+        for name, value in mirror.items():
+            if name == "rng_state":
+                worker.rng.bit_generator.state = value
+            elif name == "sampler_cursor":
+                worker.sampler.restore_cursor_state(value)
+            else:
+                setattr(worker, name, value)

@@ -50,18 +50,18 @@ from ..runtime.pipeline import (
 )
 from .elastic import ElasticMembershipMixin
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
-from .lifecycle import BackendOwner
+from .lifecycle import WorkerStateOwner
 from ..runtime.membership import LOST, SlotLossError
 from ..runtime.tasks import (
     MDGANResidentState,
     MDGANStepInput,
-    MDGANWorkerResult,
-    MDGANWorkerTask,
+    MDGANStepResult,
+    WorkerTask,
     run_mdgan_worker_task,
 )
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.failures import CrashSchedule
-from ..simulation.messages import Message, MessageKind
+from ..simulation.messages import MessageKind
 from ..simulation.network import LinkModel
 from .async_aggregation import BoundedStalenessScheduler, staleness_weights
 from .config import TrainingConfig, resolve_num_batches
@@ -89,14 +89,16 @@ class MDGANWorkerState:
     rng: np.random.Generator
 
 
-class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
+class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     """MD-GAN trainer: one server-side generator versus ``N`` worker discriminators.
 
-    The trainer owns its execution backend (see
-    :class:`~repro.core.lifecycle.BackendOwner`): warm resident pools
+    The trainer owns its execution backend and its workers' state (see
+    :class:`~repro.core.lifecycle.WorkerStateOwner`): warm resident pools
     survive across ``train()`` calls until :meth:`close` / the
     context-manager exit.
     """
+
+    _state_type = MDGANResidentState
 
     def __init__(
         self,
@@ -140,6 +142,12 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             non_saturating=config.non_saturating,
             label_smoothing=config.label_smoothing,
         )
+        self._step_context = {
+            "objective": self._objective,
+            "disc_steps": config.disc_steps,
+            "batch_size": config.batch_size,
+            "latent_dim": factory.latent_dim,
+        }
 
         # Server-side generator (the only generator in the system).
         self._dtype = config.dtype
@@ -198,11 +206,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             return 0
         m = min(len(w.dataset) for w in self.workers)
         return max(1, int(round(m * self.config.epochs_per_swap / self.config.batch_size)))
-
-    def _alive_workers(self) -> List[MDGANWorkerState]:
-        return [
-            w for w in self.workers if self.cluster.workers[w.index].alive
-        ]
 
     def _participating_workers(self) -> List[MDGANWorkerState]:
         """Workers taking part in this iteration (Section VII-4 extension)."""
@@ -337,62 +340,24 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
 
     # -- worker side ---------------------------------------------------------------
     #
-    # Steps 2-3 run through the build -> compute -> merge protocol of
-    # ``repro.runtime`` (merge in worker-index order, so any backend yields
-    # bitwise-identical trajectories).  Resident backends install worker
-    # state once and ship only per-iteration batches; reading or mutating
-    # pooled state goes through the pull/push/sync helpers below.  Backend
-    # ownership (executor property, close, context manager) comes from
-    # BackendOwner.
+    # Steps 2-3 are ``repro.runtime.tasks.mdgan_step`` on every backend,
+    # merged in worker-index order, so any backend yields bitwise-identical
+    # trajectories.  Resident backends install worker state once and ship
+    # only the step input; stateless ones map the step over (state, input)
+    # tasks.  How state is installed, adopted, mirrored and reclaimed — and
+    # backend ownership — comes from WorkerStateOwner.
 
-    def _receive_generated(self, worker: MDGANWorkerState) -> Optional[Message]:
-        """Drain the worker's generated-batch mailbox; latest message wins."""
+    def _step_input(self, worker: MDGANWorkerState) -> Optional[MDGANStepInput]:
+        """Drain the worker's generated-batch mailbox into a step input.
+
+        The latest message wins; ``None`` when nothing was delivered.
+        """
         received = self.cluster.workers[worker.index].receive(
             MessageKind.GENERATED_BATCHES
         )
-        return received[-1] if received else None
-
-    def _build_worker_task(
-        self, worker: MDGANWorkerState
-    ) -> Optional[MDGANWorkerTask]:
-        """Build phase (stateless backends): snapshot one worker's share."""
-        message = self._receive_generated(worker)
-        if message is None:
+        if not received:
             return None
-        return MDGANWorkerTask(
-            worker_index=worker.index,
-            discriminator=worker.discriminator,
-            disc_opt=worker.disc_opt,
-            sampler=worker.sampler,
-            rng=worker.rng,
-            objective=self._objective,
-            disc_steps=self.config.disc_steps,
-            batch_size=self.config.batch_size,
-            latent_dim=self.factory.latent_dim,
-            x_d=message.payload["X_d"],
-            x_g=message.payload["X_g"],
-            labels_d=message.metadata.get("labels_d"),
-            labels_g=message.metadata.get("labels_g"),
-            batch_index_g=message.metadata.get("batch_index_g", 0),
-        )
-
-    def _resident_state(self, worker: MDGANWorkerState) -> MDGANResidentState:
-        """Build-once install payload for the resident backend."""
-        return MDGANResidentState(
-            worker_index=worker.index,
-            discriminator=worker.discriminator,
-            disc_opt=worker.disc_opt,
-            sampler=worker.sampler,
-            rng=worker.rng,
-            objective=self._objective,
-            disc_steps=self.config.disc_steps,
-            batch_size=self.config.batch_size,
-            latent_dim=self.factory.latent_dim,
-        )
-
-    @staticmethod
-    def _resident_step_input(message: Message) -> MDGANStepInput:
-        """Per-iteration payload for the resident backend: the two batches."""
+        message = received[-1]
         return MDGANStepInput(
             x_d=message.payload["X_d"],
             x_g=message.payload["X_g"],
@@ -401,40 +366,26 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             batch_index_g=message.metadata.get("batch_index_g", 0),
         )
 
+    def _build_worker_task(self, worker: MDGANWorkerState) -> Optional[WorkerTask]:
+        """One worker's share as a stateless-backend task (``None``: no batches)."""
+        step_input = self._step_input(worker)
+        if step_input is None:
+            return None
+        return WorkerTask(self._resident_state(worker), step_input)
+
     def _dispatch_worker_phase(
         self, participants: List[MDGANWorkerState]
     ) -> tuple[List[MDGANWorkerState], PendingResult]:
         """Dispatch the per-worker phase (Algorithm 1 steps 2-3) asynchronously.
 
         Drains each participant's mailbox, then hands the work to the
-        backend without blocking (resident ``start_steps`` vs stateless
-        ``submit_ordered``).  Returns ``(live_workers, handle)``;
+        backend without blocking.  Returns ``(live_workers, handle)``;
         ``handle.result()`` yields the results in worker-index order.
         """
-        backend = self.executor
-        if getattr(backend, "supports_resident", False):
-            live, items = [], []
-            for worker in participants:
-                message = self._receive_generated(worker)
-                if message is None:
-                    continue
-                live.append(worker)
-                items.append(
-                    (
-                        worker.index,
-                        lambda w=worker: self._resident_state(w),
-                        self._resident_step_input(message),
-                    )
-                )
-            return live, backend.start_steps("mdgan", items)
-        pending = [
-            (worker, self._build_worker_task(worker)) for worker in participants
-        ]
-        live_pairs = [(worker, task) for worker, task in pending if task is not None]
-        handle = backend.submit_ordered(
-            run_mdgan_worker_task, [task for _, task in live_pairs]
-        )
-        return [worker for worker, _ in live_pairs], handle
+        inputs = [(worker, self._step_input(worker)) for worker in participants]
+        work = [(worker, step) for worker, step in inputs if step is not None]
+        handle = self._start_steps(run_mdgan_worker_task, work)
+        return [worker for worker, _ in work], handle
 
     def _merge_worker_phase(
         self,
@@ -451,82 +402,29 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
                 # elastic membership discards it (crash semantics) and the
                 # boundary pipeline decides the worker's fate.
                 continue
-            stats = self._merge_worker_result(iteration, worker, result)
-            gen_losses.append(stats["gen_loss"])
-            disc_losses.append(stats["disc_loss"])
+            step = self._merge_worker_result(iteration, worker, result)
+            gen_losses.append(step.gen_loss)
+            disc_losses.append(step.disc_loss)
         return gen_losses, disc_losses
-
-    def sync_worker_state(
-        self,
-        workers: Optional[Sequence[MDGANWorkerState]] = None,
-        reclaim: bool = True,
-    ) -> None:
-        """Pull resident worker state back into the trainer's own objects.
-
-        No-op for stateless backends.  With ``reclaim`` (the default) the
-        trainer becomes authoritative again (pool copies dropped, state
-        epoch bumped), so callers may freely mutate worker state before
-        training resumes.  With ``reclaim=False`` the trainer's objects
-        merely *mirror* the pool's current state (final discriminator +
-        optimizer, RNG/sampler cursors — the immutable shard never
-        re-crosses the pipe) and the residents stay warm.
-        """
-        resident = self._active_resident()
-        if resident is None:
-            return
-        targets = list(self.workers) if workers is None else list(workers)
-        if reclaim:
-            resident.pull_into(targets, ("discriminator", "disc_opt", "sampler", "rng"))
-            return
-        mirrors = resident.pull_mirror([worker.index for worker in targets])
-        for worker in targets:
-            mirror = mirrors.get(worker.index)
-            if mirror is not None:
-                self._restore_worker_from_mirror(worker, mirror)
-
-    def _restore_worker_from_mirror(
-        self, worker: MDGANWorkerState, mirror: Dict[str, object]
-    ) -> None:
-        """Set a worker's objects to a mirror payload (end-of-run refresh, elastic revival)."""
-        worker.discriminator = mirror["discriminator"]
-        worker.disc_opt = mirror["disc_opt"]
-        worker.rng.bit_generator.state = mirror["rng_state"]
-        # Full sampler position (incl. mid-epoch shuffle order): the
-        # mirrored sampler must be complete, so a close_backend()-then-
-        # train() re-install resumes exactly where the pool left off.
-        worker.sampler.restore_cursor_state(mirror["sampler_cursor"])
 
     def _merge_worker_result(
         self,
         iteration: int,
         worker: MDGANWorkerState,
         result,
-    ) -> Dict[str, float]:
-        """Merge phase: adopt worker state/cursors, absorb charges, ship feedback.
-
-        A full-snapshot :class:`MDGANWorkerResult` replaces the worker's
-        objects; a resident :class:`MDGANStepResult` only folds the
-        RNG/sampler cursors back — the state stayed in the pool.
-        """
-        if isinstance(result, MDGANWorkerResult):
-            worker.discriminator = result.discriminator
-            worker.disc_opt = result.disc_opt
-            worker.sampler = result.sampler
-            worker.rng = result.rng
-        else:
-            worker.rng.bit_generator.state = result.rng_state
-            worker.sampler.samples_drawn = result.samples_drawn
-            worker.sampler.epochs_completed = result.epochs_completed
+    ) -> MDGANStepResult:
+        """Merge phase: adopt worker state/cursors, absorb charges, ship feedback."""
+        step = self._adopt_step(worker, result)
         node = self.cluster.workers[worker.index]
-        self.cluster.absorb_tape(node.name, result.tape)
+        self.cluster.absorb_tape(node.name, step.tape)
         node.send(
             SERVER_NAME,
             MessageKind.ERROR_FEEDBACK,
-            result.feedback,
+            step.feedback,
             iteration,
-            batch_index=result.batch_index_g,
+            batch_index=step.batch_index_g,
         )
-        return {"disc_loss": result.disc_loss, "gen_loss": result.gen_loss}
+        return step
 
     def _swap_discriminators(self, iteration: int) -> None:
         """The SWAP procedure: gossip discriminator parameters between workers.
@@ -843,21 +741,10 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             batch_index_g=0,
             batch_index_d=len(batches) - 1,
         )
-        backend = self.executor
-        if getattr(backend, "supports_resident", False):
-            message = self._receive_generated(worker)
-            if message is None:
-                return
-            ctx.collector.dispatch(
-                worker.index,
-                lambda w=worker: self._resident_state(w),
-                self._resident_step_input(message),
-            )
-        else:
-            task = self._build_worker_task(worker)
-            if task is None:
-                return
-            ctx.collector.dispatch(worker.index, self._async_worker_fn(worker), task)
+        step_input = self._step_input(worker)
+        if step_input is None:
+            return
+        self._dispatch_unit(ctx.collector, worker, step_input)
         ctx.batch_store[worker.index] = batches
         sched.note_dispatch(worker.index, mark=mark)
 
@@ -886,17 +773,14 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         if not self.cluster.workers[key].alive:
             sched.discard(key)
             return
-        stats = self._merge_worker_result(sched.updates, worker, result)
+        step = self._merge_worker_result(sched.updates, worker, result)
         if ctx.participants is not None and key not in ctx.participants:
             sched.discard(key)
             self.history.record_event(
                 sched.updates, "participation_discard", worker=key
             )
             return
-        sched.note_completion(
-            key,
-            {"batch": batches[0], "feedback": result.feedback, "losses": stats},
-        )
+        sched.note_completion(key, {"batch": batches[0], "step": step})
 
     def _apply_async_update(
         self, sched: BoundedStalenessScheduler, stats: PipelineStats
@@ -919,7 +803,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
             self.generator,
             self.factory,
             [c.payload["batch"] for c in contributions],
-            [c.payload["feedback"] for c in contributions],
+            [c.payload["step"].feedback for c in contributions],
             weights=weights,
         )
         self._gen_opt.step(self.generator)
@@ -931,8 +815,8 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         update = sched.updates
         self.history.record_losses(
             update,
-            float(np.mean([c.payload["losses"]["gen_loss"] for c in contributions])),
-            float(np.mean([c.payload["losses"]["disc_loss"] for c in contributions])),
+            float(np.mean([c.payload["step"].gen_loss for c in contributions])),
+            float(np.mean([c.payload["step"].disc_loss for c in contributions])),
         )
         self.history.record_staleness(update, max(stalenesses))
         stats.record_staleness(max(stalenesses))
@@ -952,19 +836,11 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, BackendOwner):
         reclaimed mid-run — the final mirror refresh reconciles the
         trainer's objects.
         """
-        cfg = self.config
         ctx.participants = self._async_participants()
         if ctx.swap_period and update >= ctx.next_swap:
             ctx.swap_pending = True
-        if (
-            self.evaluator is not None
-            and cfg.eval_every
-            and (update % cfg.eval_every == 0 or update == cfg.iterations)
-        ):
-            self.history.record_evaluation(
-                self.evaluator.evaluate(self.sample_images, update)
-            )
-        if update < cfg.iterations:
+        ctx.engine._evaluate_if_due(update)
+        if update < self.config.iterations:
             for name in self.cluster.apply_crashes(update + 1):
                 self.history.record_event(update + 1, "crash", worker=name)
 

@@ -4,7 +4,7 @@ The experiment runners return :class:`~repro.experiments.common.ExperimentResult
 objects; this module turns them into artefacts a user can keep or diff:
 
 * :func:`save_json` / :func:`save_csv` — machine-readable exports,
-* :func:`to_markdown` — a table suitable for EXPERIMENTS.md,
+* :func:`to_markdown` — a Markdown table,
 * :func:`ascii_chart` — a dependency-free line chart for terminals, used to
   eyeball the Figure 3/5/6 trajectories without matplotlib.
 """

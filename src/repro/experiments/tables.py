@@ -50,7 +50,8 @@ def paper_architecture_params(use_paper_counts: bool = True) -> Dict[str, Dict[s
     With ``use_paper_counts=True`` (default) returns the counts printed in
     the paper; otherwise instantiates this repo's full-size architectures and
     counts their parameters (slightly different because of the ACGAN
-    conditioning scheme — see EXPERIMENTS.md).
+    conditioning scheme: the one-hot label concatenated to the noise widens
+    the first layer).
     """
     if use_paper_counts:
         return {k: dict(v) for k, v in PAPER_PARAM_COUNTS.items()}

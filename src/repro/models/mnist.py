@@ -6,8 +6,7 @@ Two variants are provided:
   (512, 512, 784 and 512, 512, 11 neurons).  With the paper's latent size of
   100 this gives 716,560 generator parameters, matching the paper's count;
   the ACGAN conditioning used here (one-hot concatenated to the noise) adds
-  ``num_classes x 512`` parameters on the first layer, which is documented in
-  EXPERIMENTS.md.
+  ``num_classes x 512`` parameters on the first layer.
 * **CNN** — generator of one dense layer (6,272 neurons = 128 x 7 x 7) and two
   transposed convolutions (32 and ``C`` kernels of 5x5); discriminator of six
   3x3 convolutions (16..512 kernels), a minibatch-discrimination layer and a

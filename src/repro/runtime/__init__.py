@@ -74,18 +74,16 @@ from .transport import (
     register_transport,
 )
 from .tasks import (
-    FLGANLocalResult,
-    FLGANLocalTask,
     FLGANResidentState,
     FLGANStepResult,
     MDGANResidentState,
     MDGANStepInput,
     MDGANStepResult,
-    MDGANWorkerResult,
-    MDGANWorkerTask,
+    WorkerTask,
+    flgan_step,
+    mdgan_step,
+    mirror_payload,
     run_flgan_local_task,
-    run_flgan_resident_step,
-    run_mdgan_resident_step,
     run_mdgan_worker_task,
 )
 
@@ -137,17 +135,15 @@ __all__ = [
     "serve_slot",
     "default_max_workers",
     "stable_key_hash",
-    "MDGANWorkerTask",
-    "MDGANWorkerResult",
+    "WorkerTask",
     "MDGANResidentState",
     "MDGANStepInput",
     "MDGANStepResult",
-    "FLGANLocalTask",
-    "FLGANLocalResult",
     "FLGANResidentState",
     "FLGANStepResult",
+    "mdgan_step",
+    "flgan_step",
+    "mirror_payload",
     "run_mdgan_worker_task",
     "run_flgan_local_task",
-    "run_mdgan_resident_step",
-    "run_flgan_resident_step",
 ]

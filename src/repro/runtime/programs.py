@@ -23,11 +23,11 @@ class ResidentProgram:
     per-iteration result; ``pull_params``/``push_params`` read/write the flat
     parameter vectors exchanged at swap/round boundaries without disturbing
     the rest of the resident state.  ``mirror`` (optional) extracts the
-    light-weight end-of-run view served by
-    :meth:`ResidentBackend.pull_mirror` — typically models, optimizer
-    moments and RNG/sampler cursors, but *not* bulky immutable payloads like
-    dataset shards, so refreshing the trainer's objects after a successful
-    ``train()`` does not scale with shard bytes; when ``None`` the full
+    light-weight view served by :meth:`ResidentBackend.pull_mirror` (pool
+    stays warm) and :meth:`ResidentBackend.pull_state` (pool drops the
+    resident) — typically models, optimizer moments and RNG/sampler cursors,
+    but *not* bulky immutable payloads like dataset shards, so bringing
+    state home does not scale with shard bytes; when ``None`` the full
     resident state is returned instead.
     """
 

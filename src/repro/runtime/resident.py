@@ -26,9 +26,12 @@ carries an explicit **state-epoch counter** per worker:
   which read/write flat parameter vectors in place without ever shipping the
   sampler or optimizer state;
 * any other mutation must first *reclaim* authority with
-  :meth:`ResidentBackend.pull_state`, which returns the full state, drops the
-  resident copy and bumps the worker's epoch.  The next ``run_steps`` call
-  detects the epoch mismatch and re-installs fresh state from the trainer.
+  :meth:`ResidentBackend.pull_state` — "mirror, then drop": it returns the
+  program's mirror payload (the same one :meth:`ResidentBackend.pull_mirror`
+  serves, so the immutable dataset shard never re-crosses the wire), drops
+  the resident copy and bumps the worker's epoch.  The next ``run_steps``
+  call detects the epoch mismatch and re-installs fresh state from the
+  trainer.
 
 Pool processes double-check the epoch of every step they execute and fail
 loudly on a mismatch, so any state handed through the protocol can never be
@@ -655,8 +658,8 @@ class ResidentBackend(ExecutorBackend):
         trainer does other work, and ``handle.result()`` collects the replies
         (in item order).  Multiple batches may be in flight at once — slots
         execute them FIFO — but handles must be collected in dispatch order,
-        and boundary ops (pull/push/pull_state) are refused while any step is
-        uncollected.  ``state_supplier`` provides the install payload when
+        and the parameter boundary ops (pull/push) are refused while any step
+        is uncollected.  ``state_supplier`` provides the install payload when
         the pool holds no current copy for ``key`` (see :meth:`_run_item`).
         """
         handle = PendingSteps(self, len(items), op="run")
@@ -839,23 +842,49 @@ class ResidentBackend(ExecutorBackend):
         self._require_no_inflight("push_params")
         self._push_params(params_by_key)
 
-    def pull_state(self, keys: Sequence) -> Dict[Any, Any]:
-        """Fetch full resident state for ``keys`` and *reclaim* authority over it.
+    def _pull_mirrors(
+        self, op: str, keys: Sequence
+    ) -> Tuple[List, Dict[Any, Any], Optional[SlotLossError]]:
+        """The exchange behind :meth:`pull_mirror` and :meth:`pull_state`.
 
-        The pool forgets the residents and the epoch is bumped, so stale
-        copies can never be stepped again; the next participation re-installs
-        from the trainer's (now current) objects.  (For the end-of-``train()``
-        refresh use :meth:`pull_mirror`, which keeps the pool warm and skips
-        bulky immutable payloads like dataset shards.)
+        Both are what trainers call from their success *and* cleanup paths,
+        so unlike the raw boundary ops this first drains any in-flight step
+        batches (an exception may have left pipelined steps uncollected, and
+        the mirror must reflect the steps the pool actually executed), skips
+        keys that are not installed, and on a broken pool answers nothing
+        instead of raising.  Returns ``(keys asked, mirrors, first loss)``.
         """
-        keys = list(keys)
-        if not keys:
-            return {}
-        self._require_no_inflight("pull_state")
-        self._require_installed(keys, "pull_state")
-        merged, slot_loss = self._exchange(
-            "pull_state", keys, lambda slot_keys: (slot_keys, True)
-        )
+        if self._broken_reason is not None:
+            return [], {}, None
+        self.drain_inflight()
+        keys = [key for key in keys if self.installed(key)]
+        merged, slot_loss = self._exchange(op, keys, lambda slot_keys: slot_keys)
+        return keys, merged, slot_loss
+
+    def pull_mirror(self, keys: Sequence) -> Dict[Any, Any]:
+        """Fetch the residents' mirror payloads; the pool stays authoritative.
+
+        No resident is dropped, no epoch is bumped, so a later ``train()``
+        re-enters **warm**, without any install.  Each program's ``mirror``
+        callable chooses what the trainer's objects need to reflect the
+        current state (models, optimizer moments, RNG/sampler cursors — not
+        the dataset shard, so the cost does not scale with shard bytes);
+        programs without one return the full resident state.  This is the
+        degrade-never-raise refresh: a slot lost while mirroring simply
+        contributes nothing (its keys are queued for the trainer's recovery
+        path by the quarantine).
+        """
+        return self._pull_mirrors("pull_mirror", keys)[1]
+
+    def pull_state(self, keys: Sequence) -> Dict[Any, Any]:
+        """*Reclaim* authority over ``keys``: mirror, then drop.
+
+        Replies exactly like :meth:`pull_mirror`; the slots then forget the
+        residents and the epochs are bumped, so stale copies can never be
+        stepped again and the next participation re-installs from the
+        trainer's (now current) objects.
+        """
+        keys, merged, slot_loss = self._pull_mirrors("pull_state", keys)
         # Applied even on the loss path: slots that answered did drop their
         # residents (keys lost with a slot were already popped and
         # invalidated by the quarantine).
@@ -866,66 +895,6 @@ class ResidentBackend(ExecutorBackend):
         if slot_loss is not None:
             raise slot_loss
         return merged
-
-    def pull_mirror(self, keys: Sequence) -> Dict[Any, Any]:
-        """Fetch light-weight end-of-run mirror payloads from the residents.
-
-        The pool stays authoritative and **warm** — no resident is dropped,
-        no epoch is bumped, so a later ``train()`` re-enters without any
-        install.  Each program's ``mirror`` callable chooses what the
-        trainer's objects need to reflect the final state (models, optimizer
-        moments, RNG/sampler cursors — not the dataset shard, so the refresh
-        cost does not scale with shard bytes); programs without one return
-        the full resident state.  Keys that are not installed are skipped,
-        and a broken pool yields ``{}`` — the success-path refresh must
-        degrade, never raise.  Any in-flight step batches are drained first,
-        as in :meth:`pull_into`.
-        """
-        if self._broken_reason is not None:
-            return {}
-        self.drain_inflight()
-        keys = [key for key in keys if self.installed(key)]
-        # The mirror is the degrade-never-raise refresh: a slot lost while
-        # mirroring simply contributes nothing (its keys are queued for the
-        # trainer's recovery path by the quarantine).
-        merged, _ = self._exchange("pull_mirror", keys, lambda slot_keys: slot_keys)
-        return merged
-
-    def pull_into(
-        self, holders: Sequence, fields: Sequence[str], key_attr: str = "index"
-    ) -> None:
-        """Reclaim resident state and copy ``fields`` onto the holder objects.
-
-        Convenience over :meth:`pull_state` shared by the trainers'
-        ``sync_worker_state``: holders whose key is not installed are left
-        untouched; for the rest, every named field is copied from the pulled
-        state object onto the holder (both sides use the same field names).
-        The pool copies are dropped and the epochs bumped — the trainer
-        becomes authoritative (use :meth:`pull_mirror` for the
-        non-destructive end-of-run refresh).
-
-        Unlike the raw boundary ops this method first drains any in-flight
-        step batches (discarding their results): it is what the trainers call
-        from their cleanup paths, where an exception may have left pipelined
-        steps uncollected, and the pulled state must reflect the steps the
-        pool actually executed.
-        """
-        if self._broken_reason is None:
-            self.drain_inflight()
-        keys = [
-            getattr(holder, key_attr)
-            for holder in holders
-            if self.installed(getattr(holder, key_attr))
-        ]
-        if not keys:
-            return
-        states = self.pull_state(keys)
-        for holder in holders:
-            state = states.get(getattr(holder, key_attr))
-            if state is None:
-                continue
-            for field in fields:
-                setattr(holder, field, getattr(state, field))
 
 
 register_backend(

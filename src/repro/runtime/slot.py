@@ -103,26 +103,24 @@ def serve_slot(channel) -> None:
                     entry = residents[key]
                     out[key] = get_program(entry[0]).pull_params(entry[2])
                 reply = ("ok", out)
-            elif op == "pull_mirror":
+            elif op in ("pull_mirror", "pull_state"):
                 out = {}
                 for key in payload:
                     entry = residents[key]
                     mirror = get_program(entry[0]).mirror
                     out[key] = entry[2] if mirror is None else mirror(entry[2])
                 reply = ("ok", out)
+                if op == "pull_state":
+                    # Reclaim is "mirror, then drop".
+                    for key in payload:
+                        dropped = residents.pop(key, None)
+                        if dropped is not None:
+                            pending_detach.extend(dropped[3])
             elif op == "push_params":
                 for key, params in payload.items():
                     entry = residents[key]
                     get_program(entry[0]).push_params(entry[2], params)
                 reply = ("ok", None)
-            elif op == "pull_state":
-                keys, drop = payload
-                reply = ("ok", {key: residents[key][2] for key in keys})
-                if drop:
-                    for key in keys:
-                        dropped = residents.pop(key, None)
-                        if dropped is not None:
-                            pending_detach.extend(dropped[3])
             else:
                 raise RuntimeError(f"unknown resident-pool op {op!r}")
         except BaseException:

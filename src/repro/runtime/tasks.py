@@ -1,38 +1,39 @@
-"""Picklable per-worker payloads for the execution backends.
+"""Per-worker state, step inputs, step results and the one step per algorithm.
 
-Two payload families serve the two execution styles:
+In the paper a worker *is* its discriminator, its optimizer and its shard
+``B_n``, and Algorithm 1 steps 2-3 are one function of that state and two
+generated batches.  This module states exactly that, once per algorithm:
 
-* **Full-snapshot tasks** (``MDGANWorkerTask`` / ``FLGANLocalTask``) carry a
-  worker's complete state every iteration.  They feed the stateless
-  ``serial``/``thread``/``process`` backends: the trainers snapshot, the
-  backend maps the pure runner over the tasks, and the (possibly pickle
-  round-tripped) state is re-adopted in the merge phase.
-* **Resident payloads** split the same work into a *build-once* state object
-  (``MDGANResidentState`` / ``FLGANResidentState``) installed into a pool
-  process exactly once, a *per-iteration* input (``MDGANStepInput``; FL-GAN
-  local epochs need none), and a *delta* result (``MDGANStepResult`` /
-  ``FLGANStepResult``) carrying only losses, feedback, compute tapes and the
-  RNG/sampler cursors.  They feed the ``resident`` backend
-  (:mod:`repro.runtime.resident`), which ships orders of magnitude fewer
-  bytes per iteration because model, optimizer, sampler and shard stay put.
+* a **state** dataclass (``MDGANResidentState`` / ``FLGANResidentState``) —
+  the worker's stateful objects plus the static per-run context.  Its
+  ``STATE_FIELDS`` tuple names the stateful objects; install payload,
+  mirror payload (:func:`mirror_payload`), mirror restore and snapshot
+  adoption are all derived from that one tuple;
+* a **step input** (``MDGANStepInput``; FL-GAN local iterations need none);
+* a **step result** (``MDGANStepResult`` / ``FLGANStepResult``) carrying only
+  losses, feedback, compute tapes and the RNG/sampler cursors;
+* one **step function** ``step(state, step_input) -> result``
+  (:func:`mdgan_step` / :func:`flgan_step`) that mutates the state in place.
 
-Both families execute the *same* compute cores (``_run_mdgan_compute`` /
-``_run_flgan_compute``), so every backend produces bitwise identical seeded
-trajectories.  Two identity invariants make the pickling backends faithful:
+The ``resident`` backend (:mod:`repro.runtime.resident`) installs the state
+into a pool process once and registers the step function as its program, so
+only inputs and results cross the wire.  The stateless
+``serial``/``thread``/``process`` backends map a one-argument adapter
+(:func:`run_mdgan_worker_task` / :func:`run_flgan_local_task`) over
+:class:`WorkerTask` pairs; the adapter returns the state next to the step
+result, so under ``process`` the pickle round-tripped copies replace the
+trainer's objects in the merge, while under ``serial``/``thread`` that
+re-assignment is a no-op.  Every backend therefore runs the *same* step
+function and produces bitwise identical seeded trajectories.
 
-* a full-snapshot task and its result reference the *same* stateful objects
-  (discriminator, optimizer, sampler, RNG), so under ``serial``/``thread``
-  the merge phase's re-assignment is a no-op, while under ``process`` the
-  round-tripped copies transparently replace the parent's state;
-* the sampler and the worker RNG share one :class:`numpy.random.Generator`,
-  and pickle preserves that sharing because both travel in the same payload
-  object graph (task, result, or resident install).
+The sampler and the worker RNG share one :class:`numpy.random.Generator`;
+pickle preserves that sharing because both travel in the same state object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,68 +51,67 @@ from ..simulation.node import ComputeTape
 from .programs import ResidentProgram, register_program
 
 __all__ = [
-    "MDGANWorkerTask",
-    "MDGANWorkerResult",
+    "WorkerTask",
     "MDGANResidentState",
     "MDGANStepInput",
     "MDGANStepResult",
-    "FLGANLocalTask",
-    "FLGANLocalResult",
     "FLGANResidentState",
     "FLGANStepResult",
+    "mdgan_step",
+    "flgan_step",
+    "mirror_payload",
     "run_mdgan_worker_task",
     "run_flgan_local_task",
-    "run_mdgan_resident_step",
-    "run_flgan_resident_step",
 ]
+
+
+class WorkerTask(NamedTuple):
+    """The stateless backends' one-argument form of ``step(state, step_input)``."""
+
+    state: Any
+    step_input: Any = None
+
+    @property
+    def worker_index(self) -> int:
+        """The worker the task belongs to (straggler injection keys on it)."""
+        return self.state.worker_index
+
+
+def mirror_payload(state) -> Dict[str, Any]:
+    """The stateful part of a worker state, with sampler and RNG as cursors.
+
+    What ``pull_mirror`` (pool stays warm) and ``pull_state`` (pool drops the
+    resident) both reply with: the ``STATE_FIELDS`` objects by value, the RNG
+    as its bit-generator state and the sampler as its full cursor (including
+    the mid-epoch shuffle order, so a later re-install resumes
+    bitwise-exactly).  The dataset shard — immutable inside the pool, and a
+    copy of what the trainer already holds — never re-crosses the wire.
+    """
+    payload = {
+        name: getattr(state, name)
+        for name in state.STATE_FIELDS
+        if name not in ("sampler", "rng")
+    }
+    payload["rng_state"] = state.rng.bit_generator.state
+    payload["sampler_cursor"] = state.sampler.cursor_state()
+    return payload
 
 
 # -- MD-GAN: Algorithm 1 steps 2-3 ------------------------------------------------
 
 
 @dataclass
-class MDGANWorkerTask:
-    """One worker's share of an MD-GAN global iteration (full snapshot)."""
-
-    worker_index: int
-    discriminator: Sequential
-    disc_opt: object
-    sampler: EpochSampler
-    rng: np.random.Generator
-    objective: GANObjective
-    disc_steps: int
-    batch_size: int
-    latent_dim: int
-    x_d: np.ndarray
-    x_g: np.ndarray
-    labels_d: Optional[np.ndarray]
-    labels_g: Optional[np.ndarray]
-    batch_index_g: int
-
-
-@dataclass
-class MDGANWorkerResult:
-    """Updated worker state plus the error feedback destined for the server."""
-
-    worker_index: int
-    discriminator: Sequential
-    disc_opt: object
-    sampler: EpochSampler
-    rng: np.random.Generator
-    disc_loss: float
-    gen_loss: float
-    feedback: np.ndarray
-    batch_index_g: int
-    tape: ComputeTape = field(default_factory=ComputeTape)
-
-
-@dataclass
 class MDGANResidentState:
-    """Build-once payload installed into a resident pool process.
+    """One MD-GAN worker: its stateful objects plus the static per-run context.
 
-    Bundles the worker's stateful objects with the static per-run context
-    (objective, hyper-parameters) so per-iteration messages carry neither.
+    Installed into a resident pool process exactly once, so per-iteration
+    messages carry neither the state nor the context (objective,
+    hyper-parameters).
     """
+
+    #: The stateful objects — every ``MDGANWorkerState`` field but its
+    #: ``index`` and ``dataset``.
+    STATE_FIELDS: ClassVar[Tuple[str, ...]] = ("discriminator", "disc_opt", "sampler", "rng")
 
     worker_index: int
     discriminator: Sequential
@@ -126,7 +126,7 @@ class MDGANResidentState:
 
 @dataclass
 class MDGANStepInput:
-    """Per-iteration input for a resident MD-GAN worker: the two batches."""
+    """Per-iteration input for an MD-GAN worker: the two generated batches."""
 
     x_d: np.ndarray
     x_g: np.ndarray
@@ -137,7 +137,7 @@ class MDGANStepInput:
 
 @dataclass
 class MDGANStepResult:
-    """Delta result of one resident MD-GAN step: outputs and cursors only.
+    """Result of one MD-GAN worker step: outputs and cursors only.
 
     ``rng_state``/``samples_drawn``/``epochs_completed`` let the trainer keep
     its local accounting exact while the heavyweight state stays resident.
@@ -154,70 +154,39 @@ class MDGANStepResult:
     tape: ComputeTape = field(default_factory=ComputeTape)
 
 
-def _run_mdgan_compute(holder, step, tape: ComputeTape):
-    """Shared MD-GAN compute core: ``L`` discriminator steps plus feedback.
+def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResult:
+    """``L`` discriminator steps plus the error feedback ``F_n``.
 
-    ``holder`` provides the stateful objects and static context (a
-    :class:`MDGANWorkerTask` or :class:`MDGANResidentState`); ``step``
-    provides the per-iteration inputs (the task itself, or a
-    :class:`MDGANStepInput`).  Keeping one core guarantees bitwise-identical
-    numerics across every backend.
+    Mutates ``state`` in place and touches nothing else: compute costs are
+    recorded on a private tape returned with the result.
     """
+    tape = ComputeTape()
     disc_loss = 0.0
-    for _ in range(holder.disc_steps):
-        real_images, real_labels = holder.sampler.next_batch()
+    for _ in range(state.disc_steps):
+        real_images, real_labels = state.sampler.next_batch()
         disc_loss = discriminator_update(
-            holder.discriminator,
-            holder.objective,
-            holder.disc_opt,
+            state.discriminator,
+            state.objective,
+            state.disc_opt,
             real_images,
-            real_labels if holder.objective.conditional else None,
+            real_labels if state.objective.conditional else None,
             step.x_d,
             step.labels_d,
         )
         tape.charge(
             "discriminator_training",
-            2 * holder.batch_size * holder.discriminator.num_parameters,
+            2 * state.batch_size * state.discriminator.num_parameters,
         )
 
     gen_batch = GeneratedBatch(
         images=step.x_g,
-        noise=np.zeros((step.x_g.shape[0], holder.latent_dim), dtype=step.x_g.dtype),
+        noise=np.zeros((step.x_g.shape[0], state.latent_dim), dtype=step.x_g.dtype),
         labels=step.labels_g,
         batch_index=step.batch_index_g,
     )
-    gen_loss, feedback = generator_feedback(holder.discriminator, holder.objective, gen_batch)
-    tape.charge("feedback", 2 * holder.batch_size * holder.discriminator.num_parameters)
-    tape.observe_memory(holder.discriminator.num_parameters)
-    return disc_loss, gen_loss, feedback
-
-
-def run_mdgan_worker_task(task: MDGANWorkerTask) -> MDGANWorkerResult:
-    """Run ``L`` discriminator steps and compute the error feedback ``F_n``.
-
-    Pure with respect to the trainer: touches only objects inside ``task``
-    and records compute costs on a private tape.
-    """
-    tape = ComputeTape()
-    disc_loss, gen_loss, feedback = _run_mdgan_compute(task, task, tape)
-    return MDGANWorkerResult(
-        worker_index=task.worker_index,
-        discriminator=task.discriminator,
-        disc_opt=task.disc_opt,
-        sampler=task.sampler,
-        rng=task.rng,
-        disc_loss=disc_loss,
-        gen_loss=gen_loss,
-        feedback=feedback,
-        batch_index_g=task.batch_index_g,
-        tape=tape,
-    )
-
-
-def run_mdgan_resident_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResult:
-    """One resident MD-GAN step: mutate resident state, return the delta."""
-    tape = ComputeTape()
-    disc_loss, gen_loss, feedback = _run_mdgan_compute(state, step, tape)
+    gen_loss, feedback = generator_feedback(state.discriminator, state.objective, gen_batch)
+    tape.charge("feedback", 2 * state.batch_size * state.discriminator.num_parameters)
+    tape.observe_memory(state.discriminator.num_parameters)
     return MDGANStepResult(
         worker_index=state.worker_index,
         disc_loss=disc_loss,
@@ -231,43 +200,29 @@ def run_mdgan_resident_step(state: MDGANResidentState, step: MDGANStepInput) -> 
     )
 
 
+def run_mdgan_worker_task(task: WorkerTask) -> Tuple[MDGANResidentState, MDGANStepResult]:
+    """Stateless-backend adapter: run :func:`mdgan_step`, return the state with it."""
+    state, step_input = task
+    return state, mdgan_step(state, step_input)
+
+
 # -- FL-GAN: one local iteration of the full GAN ----------------------------------
 
 
 @dataclass
-class FLGANLocalTask:
-    """One worker's local GAN iteration between two federated rounds."""
-
-    worker_index: int
-    generator: Sequential
-    discriminator: Sequential
-    gen_opt: object
-    disc_opt: object
-    sampler: EpochSampler
-    rng: np.random.Generator
-    objective: GANObjective
-    disc_steps: int
-    batch_size: int
-
-
-@dataclass
-class FLGANLocalResult:
-    """Updated local GAN state plus the iteration's losses."""
-
-    worker_index: int
-    generator: Sequential
-    discriminator: Sequential
-    gen_opt: object
-    disc_opt: object
-    sampler: EpochSampler
-    rng: np.random.Generator
-    gen_loss: float
-    disc_loss: float
-
-
-@dataclass
 class FLGANResidentState:
-    """Build-once payload for a resident FL-GAN worker (full local GAN)."""
+    """One FL-GAN worker: its full local GAN plus the static per-run context."""
+
+    #: The stateful objects — every ``FLGANWorkerState`` field but its
+    #: ``index`` and ``dataset``.
+    STATE_FIELDS: ClassVar[Tuple[str, ...]] = (
+        "generator",
+        "discriminator",
+        "gen_opt",
+        "disc_opt",
+        "sampler",
+        "rng",
+    )
 
     worker_index: int
     generator: Sequential
@@ -283,10 +238,10 @@ class FLGANResidentState:
 
 @dataclass
 class FLGANStepResult:
-    """Delta result of one resident FL-GAN local iteration: losses + cursors.
+    """Result of one FL-GAN local iteration: losses + cursors.
 
     Between federated rounds the trainer needs nothing else — the local GAN
-    evolves entirely inside the pool.
+    evolves entirely inside the worker state.
     """
 
     worker_index: int
@@ -297,55 +252,35 @@ class FLGANStepResult:
     rng_state: Dict[str, Any]
 
 
-def _run_flgan_compute(holder):
-    """Shared FL-GAN compute core: one discriminator+generator local step."""
-    factory = holder.objective.factory
+def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
+    """One discriminator+generator local step, as in the standalone baseline.
+
+    ``step`` carries no payload: a local iteration is a function of the
+    worker state alone.
+    """
+    factory = state.objective.factory
     disc_loss = 0.0
-    for _ in range(holder.disc_steps):
-        real_images, real_labels = holder.sampler.next_batch()
-        generated = sample_generator_images(
-            holder.generator, factory, holder.batch_size, holder.rng
-        )
+    for _ in range(state.disc_steps):
+        real_images, real_labels = state.sampler.next_batch()
+        generated = sample_generator_images(state.generator, factory, state.batch_size, state.rng)
         disc_loss = discriminator_update(
-            holder.discriminator,
-            holder.objective,
-            holder.disc_opt,
+            state.discriminator,
+            state.objective,
+            state.disc_opt,
             real_images,
-            real_labels if holder.objective.conditional else None,
+            real_labels if state.objective.conditional else None,
             generated.images,
             generated.labels,
         )
     gen_loss = generator_update(
-        holder.generator,
-        holder.discriminator,
+        state.generator,
+        state.discriminator,
         factory,
-        holder.objective,
-        holder.gen_opt,
-        holder.batch_size,
-        holder.rng,
+        state.objective,
+        state.gen_opt,
+        state.batch_size,
+        state.rng,
     )
-    return gen_loss, disc_loss
-
-
-def run_flgan_local_task(task: FLGANLocalTask) -> FLGANLocalResult:
-    """One discriminator+generator local step, as in the standalone baseline."""
-    gen_loss, disc_loss = _run_flgan_compute(task)
-    return FLGANLocalResult(
-        worker_index=task.worker_index,
-        generator=task.generator,
-        discriminator=task.discriminator,
-        gen_opt=task.gen_opt,
-        disc_opt=task.disc_opt,
-        sampler=task.sampler,
-        rng=task.rng,
-        gen_loss=gen_loss,
-        disc_loss=disc_loss,
-    )
-
-
-def run_flgan_resident_step(state: FLGANResidentState, step: None) -> FLGANStepResult:
-    """One resident FL-GAN local iteration (``step`` carries no payload)."""
-    gen_loss, disc_loss = _run_flgan_compute(state)
     return FLGANStepResult(
         worker_index=state.worker_index,
         gen_loss=gen_loss,
@@ -356,42 +291,17 @@ def run_flgan_resident_step(state: FLGANResidentState, step: None) -> FLGANStepR
     )
 
 
+def run_flgan_local_task(task: WorkerTask) -> Tuple[FLGANResidentState, FLGANStepResult]:
+    """Stateless-backend adapter: run :func:`flgan_step`, return the state with it."""
+    state, step_input = task
+    return state, flgan_step(state, step_input)
+
+
 # -- resident program registration -------------------------------------------------
 #
 # Boundary mutations (SWAP gossip, FedAvg broadcast) touch only model
 # parameters, so pull/push exchange flat vectors and leave optimizer, sampler
 # and RNG state untouched inside the pool.
-
-
-def _mdgan_mirror(state: MDGANResidentState) -> Dict[str, Any]:
-    """Light-weight end-of-run view: model, moments and cursors — no shard.
-
-    Served through :meth:`~repro.runtime.resident.ResidentBackend.pull_mirror`
-    when a ``train()`` call finishes successfully: the trainer's worker
-    objects adopt the final discriminator/optimizer and fold the RNG/sampler
-    cursors (including the mid-epoch shuffle order, so the mirrored sampler
-    is complete and a later re-install resumes bitwise-exactly) back, while
-    the dataset shard (immutable inside the pool, and a copy of what the
-    trainer already holds) never re-crosses the pipe.
-    """
-    return {
-        "discriminator": state.discriminator,
-        "disc_opt": state.disc_opt,
-        "rng_state": state.rng.bit_generator.state,
-        "sampler_cursor": state.sampler.cursor_state(),
-    }
-
-
-def _flgan_mirror(state: FLGANResidentState) -> Dict[str, Any]:
-    """Light-weight end-of-run view of a resident FL-GAN worker (no shard)."""
-    return {
-        "generator": state.generator,
-        "discriminator": state.discriminator,
-        "gen_opt": state.gen_opt,
-        "disc_opt": state.disc_opt,
-        "rng_state": state.rng.bit_generator.state,
-        "sampler_cursor": state.sampler.cursor_state(),
-    }
 
 
 def _mdgan_pull_params(state: MDGANResidentState) -> np.ndarray:
@@ -417,18 +327,18 @@ def _flgan_push_params(state: FLGANResidentState, params: Dict[str, np.ndarray])
 register_program(
     ResidentProgram(
         name="mdgan",
-        step=run_mdgan_resident_step,
+        step=mdgan_step,
         pull_params=_mdgan_pull_params,
         push_params=_mdgan_push_params,
-        mirror=_mdgan_mirror,
+        mirror=mirror_payload,
     )
 )
 register_program(
     ResidentProgram(
         name="flgan",
-        step=run_flgan_resident_step,
+        step=flgan_step,
         pull_params=_flgan_pull_params,
         push_params=_flgan_push_params,
-        mirror=_flgan_mirror,
+        mirror=mirror_payload,
     )
 )

@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 #: Wire-protocol version; bumped on any frame/handshake/op-table change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Handshake magic identifying this protocol family.
 _MAGIC = "repro-resident"

@@ -410,6 +410,10 @@ class TestDegradeTcp:
             assert sum(len(w.sampler) for w in alive) == 160
             assert len(trainer.workers[0].sampler) == len(shards[0]) + len(shards[1])
             assert len(trainer.workers[2].sampler) == len(shards[2])
+            # The rebalance went through the reclaim ("mirror, then drop")
+            # and the next dispatch re-installed worker 0 with its new shard.
+            assert backend.op_bytes_received["pull_state"] > 0
+            assert backend.installed(0)
             # FedAvg weights follow the live shard sizes (m_n / sum m):
             # full fleet at the round-3 boundary, survivors-only at round 6.
             assert captured_weights[0] == [float(len(s)) for s in shards]

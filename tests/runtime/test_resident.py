@@ -11,13 +11,16 @@ slot affinity is reproducible across interpreter runs.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
 
 from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
+from repro.core.flgan import FLGANWorkerState
 from repro.core.gan_ops import draw_generator_input
+from repro.core.mdgan import MDGANWorkerState
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.runtime import (
@@ -28,6 +31,7 @@ from repro.runtime import (
     MembershipPolicy,
     ResidentBackend,
     SlotLossError,
+    mirror_payload,
     serve_slot,
     stable_key_hash,
 )
@@ -50,6 +54,28 @@ def _config(backend: str, **overrides) -> TrainingConfig:
     base = dict(iterations=4, batch_size=8, seed=11, backend=backend, max_workers=2)
     base.update(overrides)
     return TrainingConfig(**base)
+
+
+def _assert_same_worker_state(reference, other) -> None:
+    """Every stateful field of every worker is bitwise equal across two trainers."""
+    for ref, got in zip(reference.workers, other.workers):
+        for name in reference._state_type.STATE_FIELDS:
+            a, b = getattr(ref, name), getattr(got, name)
+            if name == "rng":
+                assert a.bit_generator.state == b.bit_generator.state
+            elif name == "sampler":
+                assert got.sampler._rng is got.rng
+                cursor_a, cursor_b = a.cursor_state(), b.cursor_state()
+                assert np.array_equal(cursor_a.pop("order"), cursor_b.pop("order"))
+                assert cursor_a == cursor_b
+            elif name.endswith("_opt"):
+                assert a.iterations == b.iterations
+                for moments_a, moments_b in ((a._m, b._m), (a._v, b._v)):
+                    assert list(moments_a) == list(moments_b)
+                    for key in moments_a:
+                        assert np.array_equal(moments_a[key], moments_b[key])
+            else:
+                assert np.array_equal(a.get_parameters(), b.get_parameters())
 
 
 class TestInstallOnceThenDeltas:
@@ -116,6 +142,111 @@ class TestSyncAndInvalidation:
         finally:
             resident.close_backend()
             serial.close_backend()
+
+    @pytest.mark.parametrize(
+        "trainer_cls, worker_cls, mirror_keys",
+        [
+            (
+                MDGANTrainer,
+                MDGANWorkerState,
+                ["discriminator", "disc_opt", "rng_state", "sampler_cursor"],
+            ),
+            (
+                FLGANTrainer,
+                FLGANWorkerState,
+                [
+                    "generator",
+                    "discriminator",
+                    "gen_opt",
+                    "disc_opt",
+                    "rng_state",
+                    "sampler_cursor",
+                ],
+            ),
+        ],
+    )
+    def test_state_tuple_is_the_worker_state_and_orders_the_mirror(
+        self, trainer_cls, worker_cls, mirror_keys, small_shards_and_factory
+    ):
+        # One tuple per algorithm says what a worker's state is: it must
+        # cover the worker dataclass (all but the key and the immutable
+        # shard), and the mirror payload derived from it keeps the key order
+        # the wire has always carried (pull_mirror frames stay byte-identical).
+        shards, factory = small_shards_and_factory
+        trainer = trainer_cls(factory, shards, _config("serial"))
+        worker_fields = [f.name for f in dataclasses.fields(worker_cls)]
+        expected = [name for name in worker_fields if name not in ("index", "dataset")]
+        assert list(trainer._state_type.STATE_FIELDS) == expected
+        state = trainer._resident_state(trainer.workers[0])
+        assert list(mirror_payload(state)) == mirror_keys
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    @pytest.mark.parametrize("trainer_cls", (MDGANTrainer, FLGANTrainer))
+    def test_reclaim_restores_full_state_and_training_continues(
+        self, trainer_cls, transport, small_shards_and_factory
+    ):
+        # Reclaim is "mirror, then drop": after k resident steps the
+        # trainer's own objects must equal a serial trainer's bitwise —
+        # parameters, optimizer moments, RNG state and the *full* sampler
+        # cursor (shuffle order included) — and training on from there
+        # (a fresh install from those objects) must stay bitwise equal.
+        shards, factory = small_shards_and_factory
+
+        def step(trainer, iteration):
+            if trainer_cls is MDGANTrainer:
+                trainer.train_iteration(iteration)
+            else:
+                trainer._sync_iteration(iteration)
+
+        serial = trainer_cls(factory, shards, _config("serial", iterations=8))
+        resident = trainer_cls(
+            factory, shards, _config("resident", iterations=8, transport=transport)
+        )
+        try:
+            for iteration in (1, 2, 3):
+                step(serial, iteration)
+                step(resident, iteration)
+            backend = resident._backend
+            resident.sync_worker_state()
+            assert not any(backend.installed(w.index) for w in resident.workers)
+            _assert_same_worker_state(serial, resident)
+            installs = backend.install_count
+            for iteration in (4, 5):
+                step(serial, iteration)
+                step(resident, iteration)
+            assert backend.install_count == installs + len(resident.workers)
+            resident.sync_worker_state()
+            _assert_same_worker_state(serial, resident)
+        finally:
+            resident.close_backend()
+
+    def test_reclaim_bytes_equal_mirror_bytes_whatever_the_shard_size(self):
+        # pull_state used to ship every worker's immutable shard back to the
+        # server; it now replies with the mirror payload, so one reclaim
+        # receives what one mirror receives and the cost does not follow the
+        # shard's bytes (only the cursor's shuffle order: 8 bytes a sample).
+        def reclaim_bytes(n_train):
+            train, _ = make_gaussian_ring(n_train=n_train, n_test=8, image_size=8, seed=7)
+            factory = build_toy_gan(
+                image_shape=train.spec.shape,
+                num_classes=train.num_classes,
+                latent_dim=8,
+                hidden=16,
+            )
+            shards = partition_iid(train, 4, np.random.default_rng(3))
+            with MDGANTrainer(factory, shards, _config("resident")) as trainer:
+                trainer.train_iteration(1)
+                received = trainer._backend.op_bytes_received
+                trainer.sync_worker_state(reclaim=False)
+                trainer.sync_worker_state()
+                shard_bytes = sum(s.images.nbytes + s.labels.nbytes for s in shards)
+                return received["pull_mirror"], received["pull_state"], shard_bytes
+
+        mirror, reclaim, shard_bytes = reclaim_bytes(160)
+        assert abs(reclaim - mirror) <= 0.01 * mirror
+        big_mirror, big_reclaim, big_shard_bytes = reclaim_bytes(640)
+        assert abs(big_reclaim - big_mirror) <= 0.01 * big_mirror
+        assert big_reclaim - reclaim < 0.05 * (big_shard_bytes - shard_bytes)
 
     @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_replace_dataset_after_sync_matches_serial(

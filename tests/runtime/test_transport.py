@@ -340,14 +340,19 @@ class TestHandshake:
             server.close()
 
     def test_server_refuses_protocol_mismatch(self):
-        client, server = _tcp_pair()
-        try:
-            client.send_bytes(_dumps({"magic": _MAGIC, "protocol": 999}))
-            with pytest.raises(TransportError, match="999"):
-                _server_handshake(server, slot_index=1, num_slots=2, session="s")
-        finally:
-            client.close()
-            server.close()
+        # Version 1 is a real peer: a worker_host from before pull_state's
+        # request/reply changed shape must be refused at the handshake, not
+        # left to mis-unpack a frame.
+        for version in (999, 1):
+            assert version != PROTOCOL_VERSION
+            client, server = _tcp_pair()
+            try:
+                client.send_bytes(_dumps({"magic": _MAGIC, "protocol": version}))
+                with pytest.raises(TransportError, match=rf"got .* v{version}\b"):
+                    _server_handshake(server, slot_index=1, num_slots=2, session="s")
+            finally:
+                client.close()
+                server.close()
 
     def test_client_surfaces_refusal(self):
         client, server = _tcp_pair()
