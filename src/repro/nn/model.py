@@ -15,6 +15,11 @@ All parameters, activations and gradients live in the model's ``dtype``,
 resolved at construction from the precision policy (float32 by default, see
 :mod:`repro.nn.precision`); inputs are cast on entry (a no-op when callers
 already supply policy-dtype arrays) and stay in that dtype throughout.
+
+Every array that enters or leaves a model is C-contiguous: inside, conv
+activations are batch-innermost views (:mod:`repro.nn.tensor_ops`) and
+reductions sum in memory order, so one layout at the boundary is what keeps a
+value that crossed a pipe bitwise equal to one handed over in-process.
 """
 
 from __future__ import annotations
@@ -69,10 +74,10 @@ class Sequential:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         """Run the forward pass, caching intermediates for backward."""
         self._require_built()
-        out = as_dtype(x, self.dtype)
+        out = self.boundary(x)
         for layer in self.layers:
             out = layer.forward(out, training=training)
-        return out
+        return self.boundary(out)
 
     def __call__(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         return self.forward(x, training=training)
@@ -97,7 +102,7 @@ class Sequential:
         and returns ``None``.
         """
         self._require_built()
-        grad = as_dtype(grad_output, self.dtype)
+        grad = self.boundary(grad_output)
         layers = self.layers
         first = 0
         if not input_grad:
@@ -111,7 +116,11 @@ class Sequential:
                 )
             else:
                 grad = layer.backward(grad)
-        return grad if input_grad else None
+        return self.boundary(grad) if input_grad else None
+
+    def boundary(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as every value enters and leaves this model: C-contiguous, in its dtype."""
+        return np.ascontiguousarray(x, dtype=self.dtype)
 
     def zero_grad(self) -> None:
         """Reset gradients of every layer."""

@@ -8,19 +8,25 @@ are shared between :class:`~repro.nn.conv.Conv2D` and
 :class:`~repro.nn.conv.Conv2DTranspose`, since a transposed convolution is
 exactly the input-gradient of a convolution.
 
-**Column layout.**  :func:`im2col` returns, and :func:`col2im` consumes,
-``(kh, kw, C, N, out_h, out_w)``: kernel offsets outermost, the batch inside
-the channels.  Flattened to ``(kh*kw*C, N*out_h*out_w)`` it is the right-hand
-side of *one* GEMM for the whole batch (a ``(N, K, P)`` layout needs ``N``
-small ones, which loses badly once the spatial size is small), and each
-kernel offset's slice ``col[i, j]`` is one contiguous block, which is what
-:func:`col2im`'s accumulation reads.  The price is that weights, stored
-``(C_out, C_in, kh, kw)``, are permuted to ``(C_out, kh, kw, C_in)`` per call
-— a copy the size of the weight, small next to the GEMM it feeds.
+**Memory layout.**  The images the primitives return (forward outputs and
+input gradients) are NCHW-shaped views of fresh batch-innermost ``(C, H, W,
+N)`` memory — batch stride = itemsize — that callers index as NCHW; inputs
+may have any strides.  :func:`im2col` returns, and :func:`col2im` consumes,
+columns ``(kh, kw, C, out_h, out_w, N)``.  Flattened to ``(kh*kw*C,
+out_h*out_w*N)`` they are the right-hand side of *one* GEMM for the whole
+batch, whose result *is* the output's ``(C_out, out_h, out_w, N)`` memory
+(no copy into place), and a gradient a convolution produced enters the next
+GEMM as a free reshape.  Every gather and per-offset add runs over contiguous
+runs of ``N`` (``out_w*N`` at stride 1), not along ``out_w``, which is 2-8
+elements on a small discriminator's late layers.  Weights ``(C_out, C_in, kh,
+kw)`` are permuted to ``(C_out, kh, kw, C_in)`` per call, a copy the size of
+the weight.  The layout stays inside :mod:`repro.nn`: a
+:class:`~repro.nn.model.Sequential` hands C-contiguous arrays in and out.
 
-**Scratch.**  :func:`im2col` with ``pad > 0`` writes the input into the
-interior of a zero-bordered buffer and gathers the windows from it with one
-strided copy.  The buffer and its window view are a *plan*, cached per
+**Scratch.**  :func:`im2col` writes the input into the interior of a
+zero-bordered ``(C, Hp, Wp, N)`` buffer (the one copy that normalises any
+caller layout) and gathers the windows from it with one strided copy.  The
+buffer and its window view are a *plan*, cached per
 ``(input shape, dtype, kh, kw, stride, pad)`` in a bounded, **thread-local**
 LRU: concurrent workers of the ``thread`` backend never share one, nothing
 hangs off a layer (so nothing is pickled or deep-copied with a model), and a
@@ -54,8 +60,8 @@ __all__ = [
 ]
 
 #: Plans kept per thread.  A trainer thread touches one plan per distinct
-#: padded conv geometry (about a dozen with evaluation batches); beyond the
-#: bound the least recently used plan is dropped and rebuilt on demand.
+#: conv geometry (about a dozen with evaluation batches); beyond the bound
+#: the least recently used plan is dropped and rebuilt on demand.
 MAX_PLANS = 32
 
 _local = threading.local()
@@ -90,30 +96,25 @@ def _output_hw(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> Tuple
     return conv_output_size(h, kh, stride, pad), conv_output_size(w, kw, stride, pad)
 
 
-def _windows(img: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
-    """Read-only ``(kh, kw, C, N, out_h, out_w)`` view of every patch of ``img``."""
-    n, c = img.shape[:2]
-    sn, sc, sh, sw = img.strides
-    return as_strided(
-        img,
-        (kh, kw, c, n, out_h, out_w),
-        (sh, sw, sc, sn, sh * stride, sw * stride),
-        writeable=False,
-    )
-
-
 class _PaddedPlan:
-    """Zero-bordered staging buffer for one padded im2col geometry."""
+    """Zero-bordered ``(C, Hp, Wp, N)`` staging buffer for one im2col geometry."""
 
     __slots__ = ("interior", "windows")
 
     def __init__(self, shape, dtype, kh: int, kw: int, stride: int, pad: int) -> None:
         n, c, h, w = shape
         out_h, out_w = _output_hw(h, w, kh, kw, stride, pad)
-        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
-        #: The only part ever written, so the border stays zero for good.
-        self.interior = padded[:, :, pad : pad + h, pad : pad + w]
-        self.windows = _windows(padded, kh, kw, stride, out_h, out_w)
+        padded = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=dtype)
+        #: NCHW view of the only part ever written: the border stays zero.
+        self.interior = padded[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)
+        #: Read-only ``(kh, kw, C, out_h, out_w, N)`` view of every patch.
+        sc, sh, sw, sn = padded.strides
+        self.windows = as_strided(
+            padded,
+            (kh, kw, c, out_h, out_w, n),
+            (sh, sw, sc, sh * stride, sw * stride, sn),
+            writeable=False,
+        )
 
 
 def _padded_plan(shape, dtype, kh: int, kw: int, stride: int, pad: int) -> _PaddedPlan:
@@ -147,18 +148,11 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0) -> np
     Returns
     -------
     np.ndarray
-        Fresh contiguous array of shape ``(kh, kw, C, N, out_h, out_w)``.
+        Fresh contiguous array of shape ``(kh, kw, C, out_h, out_w, N)``.
     """
-    if pad > 0:
-        plan = _padded_plan(x.shape, x.dtype, kh, kw, stride, pad)
-        np.copyto(plan.interior, x)
-        windows = plan.windows
-    else:
-        out_h, out_w = _output_hw(x.shape[2], x.shape[3], kh, kw, stride, pad)
-        windows = _windows(x, kh, kw, stride, out_h, out_w)
-    col = np.empty(windows.shape, dtype=x.dtype)
-    np.copyto(col, windows)
-    return col
+    plan = _padded_plan(x.shape, x.dtype, kh, kw, stride, pad)
+    np.copyto(plan.interior, x)
+    return plan.windows.copy()
 
 
 def col2im(
@@ -171,26 +165,24 @@ def col2im(
 ) -> np.ndarray:
     """Scatter-add column patches back into an image (adjoint of :func:`im2col`).
 
-    ``col`` has :func:`im2col`'s layout ``(kh, kw, C, N, out_h, out_w)``.  The
-    result is ``(N, C, H, W)`` as a view of a fresh accumulator — the padded
-    border cropped off, as ever, and the memory channel-major — so it is not
-    contiguous, and what it looks at is never written again.
+    ``col`` has :func:`im2col`'s layout ``(kh, kw, C, out_h, out_w, N)``.  The
+    result is ``(N, C, H, W)`` as a view of a fresh ``(C, Hp, Wp, N)``
+    accumulator with the padded border cropped off — batch-innermost, so not
+    contiguous — and what it looks at is never written again.
     """
     n, c, h, w = input_shape
     out_h, out_w = _output_hw(h, w, kh, kw, stride, pad)
-    if col.shape != (kh, kw, c, n, out_h, out_w):
+    if col.shape != (kh, kw, c, out_h, out_w, n):
         raise ValueError(
             f"Columns of shape {col.shape} do not lower an input of shape "
             f"{tuple(input_shape)} with kernel=({kh}, {kw}), stride={stride}, pad={pad}"
         )
-    # Accumulate channel-major, the order the columns are in: every offset
-    # then adds one contiguous block of ``col``.
-    img = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=col.dtype)
+    img = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=col.dtype)
     for i in range(kh):
         rows = slice(i, i + stride * out_h, stride)
         for j in range(kw):
-            img[:, :, rows, j : j + stride * out_w : stride] += col[i, j]
-    return img[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+            img[:, rows, j : j + stride * out_w : stride] += col[i, j]
+    return img[:, pad : pad + h, pad : pad + w].transpose(3, 0, 1, 2)
 
 
 # The GEMMs below are ``np.dot`` on 2-D operands, not ``@``: the same BLAS
@@ -205,8 +197,8 @@ def _weight_matrix(weight: np.ndarray) -> np.ndarray:
 
 
 def _channel_major(grad_out: np.ndarray) -> np.ndarray:
-    """``(N, C_out, out_h, out_w)`` as the ``(C_out, N*out_h*out_w)`` GEMM operand."""
-    return grad_out.transpose(1, 0, 2, 3).reshape(grad_out.shape[1], -1)
+    """``(N, C_out, oh, ow)`` as the ``(C_out, oh*ow*N)`` GEMM operand: free if batch-innermost."""
+    return grad_out.transpose(1, 2, 3, 0).reshape(grad_out.shape[1], -1)
 
 
 def _geometry_error(size, kernel, stride: int, pad: int, expected, got) -> ValueError:
@@ -227,8 +219,9 @@ def conv2d_forward(
     """Cross-correlation of ``x`` with ``weight``.
 
     ``x`` has shape ``(N, C_in, H, W)``; ``weight`` has shape
-    ``(C_out, C_in, kh, kw)``.  Returns ``(N, C_out, out_h, out_w)``.  ``col``
-    is ``im2col(x, kh, kw, stride, pad)`` when the caller already holds it.
+    ``(C_out, C_in, kh, kw)``.  Returns ``(N, C_out, out_h, out_w)``, a view of
+    the GEMM's batch-innermost result.  ``col`` is ``im2col(x, kh, kw, stride,
+    pad)`` when the caller already holds it.
     """
     n = x.shape[0]
     c_out, c_in, kh, kw = weight.shape
@@ -239,11 +232,11 @@ def conv2d_forward(
         )
     if col is None:
         col = im2col(x, kh, kw, stride, pad)
-    elif col.shape[:4] != (kh, kw, c_in, n):
+    elif col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n):
         raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
-    out_h, out_w = col.shape[4:]
+    out_h, out_w = col.shape[3:5]
     out = np.dot(_weight_matrix(weight), col.reshape(kh * kw * c_in, -1))
-    return np.ascontiguousarray(out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3))
+    return out.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2)
 
 
 def conv2d_input_grad(
@@ -268,7 +261,7 @@ def conv2d_input_grad(
     if expected != (out_h, out_w):
         raise _geometry_error((h, w), (kh, kw), stride, pad, expected, (out_h, out_w))
     col = np.dot(_weight_matrix(weight).T, _channel_major(grad_out))
-    col = col.reshape(kh, kw, c_in, n, out_h, out_w)
+    col = col.reshape(kh, kw, c_in, out_h, out_w, n)
     return col2im(col, (n, c_in, h, w), kh, kw, stride, pad)
 
 
@@ -291,9 +284,9 @@ def conv2d_weight_grad(
     kh, kw = kernel_hw
     if col is None:
         col = im2col(x, kh, kw, stride, pad)
-    expected = (n,) + col.shape[4:]
+    expected = (n,) + col.shape[3:5]
     got = grad_out.shape[:1] + grad_out.shape[2:]
-    if col.shape[:4] != (kh, kw, c_in, n) or expected != got:
+    if col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n) or expected != got:
         raise _geometry_error((n,) + x.shape[2:], kernel_hw, stride, pad, expected, got)
     dw = np.dot(_channel_major(grad_out), col.reshape(kh * kw * c_in, -1).T)
     return dw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)

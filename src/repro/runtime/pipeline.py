@@ -276,16 +276,14 @@ def _batchnorm_stats(model, x: np.ndarray) -> Tuple[np.ndarray, List]:
     the exact expressions the layer itself uses, on the exact same inputs, so
     folding them back reproduces the serial running-stat updates bitwise.
     """
-    from ..nn.precision import as_dtype
-
     stats: List[Tuple[np.ndarray, np.ndarray]] = []
-    out = as_dtype(x, model.dtype)
+    out = model.boundary(x)
     for layer in model.layers:
         if isinstance(layer, BatchNorm):
             axes = layer._reduce_axes(out.ndim)
             stats.append((out.mean(axis=axes), out.var(axis=axes)))
         out = layer.forward(out, training=True)
-    return out, stats
+    return model.boundary(out), stats
 
 
 def _run_generation_task(task: _GenerationTask) -> Tuple[np.ndarray, List]:

@@ -6,9 +6,14 @@ BLAS.  The primitives in ``repro.nn.tensor_ops`` are compared against it over
 a grid of geometries; the arithmetic order differs (one GEMM against an
 explicit sum), so equality is to a tolerance fixed per dtype beforehand.
 
-The second half pins what the kernels promise about memory: the plan cache is
-bounded and per thread, nothing handed to a caller is written again, the
-columns a layer keeps are its own, and none of it travels with a pickle.
+Every comparison runs with the image operands both NCHW-contiguous and
+batch-innermost (the ``(C, H, W, N)`` memory the primitives themselves
+return), so neither layout can hide behind the other.
+
+The second half pins what the kernels promise about memory: images come back
+as batch-innermost views of fresh memory, the plan cache is bounded and per
+thread, nothing handed to a caller is written again, the columns a layer
+keeps are its own, and none of it travels with a pickle.
 """
 
 import copy
@@ -104,17 +109,28 @@ GEOMETRIES = [
 CHANNELS = [(2, 3, 4), (1, 1, 2), (3, 1, 1), (1, 2, 1)]
 
 
+def batch_innermost(image):
+    """The same NCHW values backed by ``(C, H, W, N)`` memory."""
+    return np.ascontiguousarray(image.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+#: How image operands are handed to the primitives.
+LAYOUTS = {"nchw": np.ascontiguousarray, "chwn": batch_innermost}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kernel,stride,pad,height,width", GEOMETRIES)
-def test_primitives_match_the_loop_reference(dtype, kernel, stride, pad, height, width):
+def test_primitives_match_the_loop_reference(layout, dtype, kernel, stride, pad, height, width):
     rng = np.random.default_rng(kernel * 100 + stride * 10 + pad)
     tol = TOLERANCE[dtype]
+    arrange = LAYOUTS[layout]
     for n, c_in, c_out in CHANNELS:
-        x = rng.normal(size=(n, c_in, height, width)).astype(dtype)
+        x = arrange(rng.normal(size=(n, c_in, height, width)).astype(dtype))
         weight = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
         out_h = conv_output_size(height, kernel, stride, pad)
         out_w = conv_output_size(width, kernel, stride, pad)
-        grad_out = rng.normal(size=(n, c_out, out_h, out_w)).astype(dtype)
+        grad_out = arrange(rng.normal(size=(n, c_out, out_h, out_w)).astype(dtype))
 
         out = conv2d_forward(x, weight, stride, pad)
         dx = conv2d_input_grad(grad_out, weight, (height, width), stride, pad)
@@ -155,6 +171,7 @@ def test_non_contiguous_operands_give_the_same_values(dtype, pad):
     )
 
 
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -166,12 +183,14 @@ def test_non_contiguous_operands_give_the_same_values(dtype, pad):
     extra_w=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_col2im_is_the_adjoint_of_im2col(n, c, kernel, stride, pad, extra_h, extra_w, seed):
+def test_col2im_is_the_adjoint_of_im2col(
+    layout, n, c, kernel, stride, pad, extra_h, extra_w, seed
+):
     # <im2col(x), c> == <x, col2im(c)> for every x and c.
     h = max(kernel - 2 * pad, 1) + extra_h
     w = max(kernel - 2 * pad, 1) + extra_w
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, c, h, w))
+    x = LAYOUTS[layout](rng.normal(size=(n, c, h, w)))
     cols = im2col(x, kernel, kernel, stride, pad)
     c_vec = rng.normal(size=cols.shape)
     lhs = float((cols * c_vec).sum())
@@ -214,11 +233,33 @@ class TestGeometryValidation:
 
 
 class TestPlansAndBuffers:
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_images_come_back_as_batch_innermost_views_without_a_copy(self, rng, layout):
+        x = LAYOUTS[layout](rng.normal(size=(3, 2, 6, 6)).astype(np.float32))
+        weight = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        col = im2col(x, 3, 3, 2, 1)
+        out = conv2d_forward(x, weight, 2, 1, col=col)
+        grad_out = LAYOUTS[layout](rng.normal(size=out.shape).astype(np.float32))
+        images = {
+            "conv2d_forward": out,
+            "col2im": col2im(col, x.shape, 3, 3, 2, 1),
+            "conv2d_input_grad": conv2d_input_grad(grad_out, weight, (6, 6), 2, 1),
+        }
+        for name, image in images.items():
+            # A view (never a layout copy) of memory this call allocated,
+            # with the batch innermost.
+            assert image.base is not None and not image.flags.owndata, name
+            assert image.strides[0] == image.itemsize, name
+            for operand in (x, weight, col, grad_out):
+                assert not np.shares_memory(image, operand), name
+        # The forward output *is* the GEMM's (C_out, out_h, out_w, N) result.
+        assert out.transpose(1, 2, 3, 0).flags.c_contiguous
+
     def test_plan_cache_stays_bounded_under_many_batch_sizes(self, rng):
         for batch in range(1, 101):
             x = rng.normal(size=(batch, 2, 5, 5)).astype(np.float32)
             cols = im2col(x, 3, 3, 1, 1)
-            np.testing.assert_array_equal(cols[1, 1], x.transpose(1, 0, 2, 3))
+            np.testing.assert_array_equal(cols[1, 1], x.transpose(1, 2, 3, 0))
         plans = tensor_ops._local.plans
         assert len(plans) <= tensor_ops.MAX_PLANS
         # Least recently used goes first: the latest geometries are the ones kept.

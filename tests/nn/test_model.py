@@ -180,6 +180,70 @@ class TestBackward:
         )
         assert model.backward(grad, input_grad=False) is None
 
+    def test_caller_layout_does_not_change_a_bit_and_outputs_are_contiguous(self, rng):
+        # A value that crossed a pipe arrives C-contiguous; the same value
+        # handed over in-process may be any view.  Reductions sum in memory
+        # order, so only one layout at the boundary keeps the two bitwise.
+        from repro.nn import BatchNorm, Conv2D, Conv2DTranspose
+
+        generator = Sequential(
+            [
+                Dense(4 * 4 * 4),
+                ReLU(),
+                Reshape((4, 4, 4)),
+                BatchNorm(),
+                Conv2DTranspose(3, 5, stride=2, padding=2, output_padding=1),
+                BatchNorm(),
+                ReLU(),
+                Conv2DTranspose(3, 5, stride=2, padding=2, output_padding=1),
+                Tanh(),
+            ],
+            input_shape=(6,),
+            rng=rng,
+        )
+        discriminator = Sequential(
+            [
+                Conv2D(4, 3, stride=2, padding=1),
+                LeakyReLU(0.2),
+                Conv2D(5, 3, stride=1, padding=1),
+                BatchNorm(),
+                LeakyReLU(0.2),
+                Flatten(),
+                Dense(1),
+            ],
+            input_shape=(3, 16, 16),
+            rng=rng,
+        )
+
+        def transposed(a):
+            """The same values in a non-contiguous, reversed-axes layout."""
+            return np.ascontiguousarray(a.transpose()).transpose()
+
+        def run(model, x, grad, arrange):
+            model.zero_grad()
+            out = model.forward(arrange(x))
+            grad_in = model.backward(arrange(grad))
+            return out, grad_in, [g.copy() for _, _, g in model.named_parameters_and_grads()]
+
+        batch = 5
+        cases = [
+            (generator, rng.normal(size=(batch, 6)), rng.normal(size=(batch, 3, 16, 16))),
+            (discriminator, rng.normal(size=(batch, 3, 16, 16)), rng.normal(size=(batch, 1))),
+        ]
+        assert not transposed(cases[0][2]).flags.c_contiguous
+        assert not transposed(cases[1][1]).flags.c_contiguous
+        for model, x, grad in cases:
+            x, grad = x.astype(model.dtype), grad.astype(model.dtype)
+            expected = run(model, x, grad, np.ascontiguousarray)
+            got = run(model, x, grad, transposed)
+            for result in (expected, got):
+                assert result[0].flags.c_contiguous and result[1].flags.c_contiguous
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+            assert len(got[2]) == len(expected[2]) > 0
+            for g_got, g_expected in zip(got[2], expected[2]):
+                np.testing.assert_array_equal(g_got, g_expected)
+
     def test_predict_uses_eval_mode(self, rng):
         from repro.nn import Dropout
 
