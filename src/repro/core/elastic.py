@@ -62,9 +62,6 @@ class ElasticMembershipMixin:
     #: Set when evictions/revivals changed the live fleet; cleared by the
     #: next boundary rebalance.
     _rebalance_pending: bool = False
-    #: Worker keys lost under the ``wait`` policy in an async run, awaiting
-    #: the engine's drain-barrier heal (``None`` until first used).
-    _async_heal_keys: Optional[set] = None
 
     # -- plumbing ----------------------------------------------------------------
     def _membership(self) -> Optional[PoolMembership]:
@@ -341,66 +338,5 @@ class ElasticMembershipMixin:
         membership.mirrors.update(resident.pull_mirror(keys))
 
     # -- async-loop hooks --------------------------------------------------------------
-    def _handle_async_losses(self, update: int, sched) -> None:
-        """Async loops: consume pending slot losses under the configured policy.
-
-        ``degrade`` evicts the lost workers like crashes (their in-flight
-        units are already gone).  ``wait`` instead queues them for the
-        engine's drain-barrier heal: the scheduler stops tracking them, the
-        workers stay alive, and :meth:`_async_wait_heal` restores and
-        resumes them once the collector has drained — the mid-loop path
-        here must not block or touch the pool, because the collector still
-        owns the channel streams.
-        """
-        membership = self._membership()
-        if membership is None:
-            return
-        lost = membership.take_pending_loss()
-        if not lost:
-            return
-        if membership.policy.on_slot_loss == "wait":
-            if self._async_heal_keys is None:
-                self._async_heal_keys = set()
-            for key in lost:
-                sched.discard(key)
-                self._async_heal_keys.add(key)
-            self._sync_membership_events(update)
-            return
-        for key in lost:
-            sched.discard(key)
-            self._evict_worker(update, key, detail="slot loss (async)")
-        self._sync_membership_events(update)
-        self._check_min_workers(membership)
-
-    def _async_heal_due(self) -> bool:
-        """Whether wait-policy losses are queued for the drain-barrier heal."""
-        return bool(self._async_heal_keys)
-
-    def _async_wait_heal(self, ctx) -> None:
-        """Heal queued wait-policy losses against a drained collector.
-
-        Called by the engine once ``collector.outstanding == 0``: the
-        :meth:`_wait_for_replacement` heal (async runs keep no mid-run
-        mirrors, so it usually keeps the trainer's current objects — the
-        crash-discard semantics), then the keys go to the trainer's
-        :meth:`_async_resume_healed` to resume dispatch.  Healed workers
-        re-enter with a fresh dispatch mark, so
-        ``max_worker_staleness() <= max_staleness`` stays pinned.
-        """
-        lost = sorted(self._async_heal_keys, key=repr)
-        self._async_heal_keys = set()
-        update = ctx.sched.updates
-        self._wait_for_replacement(update, lost)
-        self._sync_membership_events(update)
-        self._async_resume_healed(lost, ctx)
-
     def _async_resume_healed(self, lost_keys: List[Any], ctx) -> None:
         """Resume healed workers; default relies on the engine's idle refill."""
-
-    def _admit_joiners_async(self, update: int) -> None:
-        """Async loops: accept waiting joiners as extra capacity (no revival)."""
-        membership = self._membership()
-        if membership is None:
-            return
-        if self._admit_joiners(update):
-            self._sync_membership_events(update)

@@ -41,6 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
+from ..runtime.membership import LOST
 from ..runtime.pipeline import PipelineStats
 from .async_aggregation import BoundedStalenessScheduler
 
@@ -50,6 +53,7 @@ __all__ = [
     "AsyncContext",
     "EngineHooks",
     "ExecutionEngine",
+    "UnitAccountingError",
 ]
 
 
@@ -104,14 +108,26 @@ def check_composition(config: Any) -> None:
         )
 
 
+class UnitAccountingError(RuntimeError):
+    """An answer arrived for a worker key with no outstanding unit."""
+
+    def __init__(self, key: Any) -> None:
+        super().__init__(
+            f"answer for worker {key!r}, which has no outstanding unit "
+            "(answered twice, or never dispatched)"
+        )
+        self.key = key
+
+
 @dataclass
 class AsyncContext:
     """Mutable per-run state threaded through the async schedule's hooks.
 
     The engine owns the common fields (scheduler, stats, collector, the
-    lookahead store, swap bookkeeping, the participation set); trainers may
-    attach extra per-run state (FL-GAN keeps its round progress here) —
-    the dataclass is intentionally not slotted.
+    outstanding units, the lookahead store, swap bookkeeping, the
+    participation set, the heal queue); trainers may attach extra per-run
+    state (FL-GAN keeps its round progress here) — the dataclass is
+    intentionally not slotted.
     """
 
     #: The staleness gate deciding when the barrier opens.
@@ -122,6 +138,11 @@ class AsyncContext:
     collector: Any
     #: The engine driving this run (hooks may reach its helpers).
     engine: Optional["ExecutionEngine"] = None
+    #: Worker key -> its one dispatched, unanswered unit (see
+    #: :meth:`ExecutionEngine.dispatch`).
+    units: Dict[Any, Any] = field(default_factory=dict)
+    #: Worker keys lost under the ``wait`` policy, awaiting the heal.
+    heal: Set[Any] = field(default_factory=set)
     #: Pre-generated units waiting for dispatch: ``(unit, dispatch_mark)``.
     lookahead: List[Tuple[Any, int]] = field(default_factory=list)
     #: Worker keys selected for the current participation window, or
@@ -170,12 +191,20 @@ class EngineHooks:
     def _async_dispatch(self, ctx: AsyncContext) -> None:
         """Refill idle workers / the lookahead store (start of each turn)."""
 
-    def _async_collect(self, ctx: AsyncContext) -> None:
-        """Block for one completion and buffer/merge/discard it."""
+    def _async_make_unit(self, ctx: AsyncContext, worker: Any) -> Optional[tuple]:
+        """Build one unit for ``worker``: ``(unit, step_input, dispatch_mark)``.
+
+        ``None`` skips the dispatch; a ``None`` mark reads the model as of
+        now.  The default unit is empty (FL-GAN's local iteration).
+        """
+        return None, None, None
+
+    def _async_fold(self, ctx: AsyncContext, worker: Any, unit: Any, result: Any) -> Any:
+        """Adopt one answered step; return its contribution payload or ``None``."""
         raise NotImplementedError  # pragma: no cover - trainers override
 
-    def _async_apply(self, ctx: AsyncContext) -> int:
-        """Flush the buffer as ONE global update; return the update count."""
+    def _async_merge(self, ctx: AsyncContext, contributions: list, stalenesses: list) -> None:
+        """Fold the flushed contributions into the model as ONE global update."""
         raise NotImplementedError  # pragma: no cover - trainers override
 
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:
@@ -270,16 +299,17 @@ class ExecutionEngine:
                 trainer._async_dispatch(ctx)
                 stats.observe_in_flight(collector.outstanding)
                 if collector.outstanding:
-                    trainer._async_collect(ctx)
-                if trainer._async_heal_due():
+                    self._collect(ctx)
+                if ctx.heal:
                     self._drain_and_heal(ctx)
                 if sched.buffered and sched.gate_open:
-                    update = trainer._async_apply(ctx)
-                    trainer._admit_joiners_async(update)
-                    trainer._async_after_update(ctx, update)
+                    self._apply(ctx)
                 trainer._async_barrier(ctx)
-            # Straggler units past the end of training: closing drains them
-            # and the work is discarded (never merged, never charged).
+                self._consume_losses(ctx)
+            # Straggler units past the end of training are answered and
+            # discarded (never merged, never charged).
+            while collector.outstanding:
+                self._answer(ctx)
             collector.close()
         except BaseException:
             trainer._cleanup_after_failure()
@@ -293,20 +323,143 @@ class ExecutionEngine:
         trainer._record_run_summaries()
         return trainer.history
 
-    def _drain_and_heal(self, ctx: AsyncContext) -> None:
-        """The wait-policy drain barrier: empty the in-flight set, then heal.
+    # -- the unit record: every dispatched unit answered exactly once -----------
+    def dispatch(self, ctx: AsyncContext, worker: Any) -> None:
+        """Dispatch one unit to ``worker`` and record it until it is answered.
 
-        Every outstanding unit is collected first — survivors buffer their
-        contributions (or advance to their round boundary) and every queued
-        ``LOST`` marker for the dead slot is consumed, so no stale ``LOST``
-        can alias a post-heal re-dispatch of the same worker key.  Only
-        against that drained collector does the membership heal (block for
-        capacity, restore, resume) run.
+        Workers that are gone (see :meth:`_gone`) get nothing.  The read
+        point is noted only when the scheduler does not already hold one for
+        the key: FL-GAN's mid-round units keep their round-start mark.
+        """
+        trainer = self.trainer
+        key = worker.index
+        if self._gone(ctx, key):
+            return
+        made = trainer._async_make_unit(ctx, worker)
+        if made is None:
+            return
+        unit, step_input, mark = made
+        trainer._dispatch_unit(ctx.collector, worker, step_input)
+        ctx.units[key] = unit
+        if key not in ctx.sched.tracked_keys():
+            ctx.sched.note_dispatch(key, mark=mark)
+
+    def _answer(self, ctx: AsyncContext) -> Tuple[Any, Any, Any]:
+        """Block for the next answer; pop its unit and return ``(key, result, unit)``."""
+        key, result = ctx.collector.collect_any()
+        if key not in ctx.units:
+            raise UnitAccountingError(key)
+        return key, result, ctx.units.pop(key)
+
+    def _gone(self, ctx: AsyncContext, key: Any) -> bool:
+        """Whether ``key``'s worker crashed, was evicted, or lost its slot."""
+        trainer = self.trainer
+        if key in ctx.heal or not trainer.cluster.workers[key].alive:
+            return True
+        membership = trainer._membership()
+        return membership is not None and key in membership.pending_loss
+
+    def _collect(self, ctx: AsyncContext) -> None:
+        """Block for one answer and settle its unit: discard, fold, or buffer.
+
+        A unit answered :data:`LOST`, or whose worker is gone, is discarded —
+        the fail-stop model loses in-flight work.  A worker deselected by
+        partial participation while in flight keeps its folded state, but
+        the contribution is discarded through the scheduler: the same
+        accounting as the synchronous schedule.
+        """
+        trainer = self.trainer
+        sched = ctx.sched
+        key, result, unit = self._answer(ctx)
+        if result is LOST or self._gone(ctx, key):
+            sched.discard(key)
+            return
+        payload = trainer._async_fold(ctx, trainer.workers[key], unit, result)
+        if payload is None:
+            return
+        if ctx.participants is not None and key not in ctx.participants:
+            sched.discard(key)
+            trainer.history.record_event(sched.updates, "participation_discard", worker=key)
+            return
+        sched.note_completion(key, payload)
+
+    def _apply(self, ctx: AsyncContext) -> None:
+        """Flush the buffer as ONE global update and record its staleness."""
+        trainer = self.trainer
+        history = trainer.history
+        sched = ctx.sched
+        contributions = sched.take_buffered()
+        stalenesses = [sched.staleness_of(c) for c in contributions]
+        sched.note_applied()
+        update = sched.updates
+        trainer._async_merge(ctx, contributions, stalenesses)
+        history.record_losses(
+            update,
+            float(np.mean([c.payload["gen_loss"] for c in contributions])),
+            float(np.mean([c.payload["disc_loss"] for c in contributions])),
+        )
+        history.record_staleness(update, max(stalenesses))
+        ctx.stats.record_staleness(max(stalenesses))
+        for contribution, staleness in zip(contributions, stalenesses):
+            history.record_worker_staleness(contribution.key, staleness)
+        # Waiting joiners are admitted as extra capacity (no revival).
+        if trainer._membership() is not None and trainer._admit_joiners(update):
+            trainer._sync_membership_events(update)
+        trainer._async_after_update(ctx, update)
+
+    def _consume_losses(self, ctx: AsyncContext) -> None:
+        """Apply the loss policy to the slot losses whose units are all answered.
+
+        The async loop's one consumer of ``membership.pending_loss``.  A lost
+        key with a unit still outstanding stays pending until that unit's
+        answer (its ``LOST``, or a reply read before the slot died) has been
+        collected, so no answer outlives its key's loss handling.
+        ``degrade`` evicts the lost workers like crashes; ``wait`` queues
+        them in ``ctx.heal`` for the drain-barrier heal, because mid-loop the
+        collector still owns the channel streams.
+        """
+        trainer = self.trainer
+        membership = trainer._membership()
+        if membership is None:
+            return
+        lost = sorted(membership.pending_loss.difference(ctx.units), key=repr)
+        if not lost:
+            return
+        membership.pending_loss.difference_update(lost)
+        update = ctx.sched.updates
+        wait = membership.policy.on_slot_loss == "wait"
+        for key in lost:
+            ctx.sched.discard(key)
+            if wait:
+                ctx.heal.add(key)
+            else:
+                trainer._evict_worker(update, key, detail="slot loss (async)")
+        trainer._sync_membership_events(update)
+        if not wait:
+            trainer._check_min_workers(membership)
+
+    def _drain_and_heal(self, ctx: AsyncContext) -> None:
+        """The wait-policy drain barrier: answer every outstanding unit, then heal.
+
+        Survivors buffer their contributions (or advance to their round
+        boundary) and every ``LOST`` for the dead slot is consumed; losses
+        found on the way join the heal.  Only against that drained collector
+        does the membership heal run: block for capacity, restore (async
+        runs keep no mid-run mirrors, so usually the trainer's current
+        objects — the crash-discard semantics), then resume through the
+        trainer.  Healed workers re-enter with a fresh dispatch mark, so
+        ``max_worker_staleness() <= max_staleness`` stays pinned.
         """
         trainer = self.trainer
         while ctx.collector.outstanding:
-            trainer._async_collect(ctx)
-        trainer._async_wait_heal(ctx)
+            self._collect(ctx)
+        self._consume_losses(ctx)
+        lost = sorted(ctx.heal, key=repr)
+        ctx.heal.clear()
+        update = ctx.sched.updates
+        trainer._wait_for_replacement(update, lost)
+        trainer._sync_membership_events(update)
+        trainer._async_resume_healed(lost, ctx)
 
     # -- the lookahead store (async x pipelined) ---------------------------------
     def refill_lookahead(self, ctx: AsyncContext) -> None:
@@ -350,18 +503,23 @@ class ExecutionEngine:
 
         Skipped entirely while a SWAP drains the barrier, and while a
         wait-policy heal is pending — lost workers must come back through
-        the heal, not land on a survivor's slot.  A worker is idle when the
-        scheduler neither tracks it in flight nor holds its buffered
-        contribution (buffered workers wait for the flush — that is the
-        gate's blocking-dispatch back-pressure).
+        the heal, not land on a survivor's slot.  It stops at the first
+        pending slot loss (a failed send here is one) until the turn's loss
+        check has applied the policy.  A worker is idle when the scheduler
+        neither tracks it in flight nor holds its buffered contribution
+        (buffered workers wait for the flush — that is the gate's
+        blocking-dispatch back-pressure).
         """
         trainer = self.trainer
-        if ctx.swap_pending or trainer._async_heal_due():
+        if ctx.swap_pending or ctx.heal:
             return
+        membership = trainer._membership()
         tracked = ctx.sched.tracked_keys()
         for worker in trainer._alive_workers():
+            if membership is not None and membership.pending_loss:
+                return
             if worker.index in tracked:
                 continue
             if ctx.participants is not None and worker.index not in ctx.participants:
                 continue
-            trainer._dispatch_async_unit(worker, ctx)
+            self.dispatch(ctx, worker)

@@ -34,7 +34,6 @@ from ..runtime.tasks import FLGANResidentState, WorkerTask, run_flgan_local_task
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.messages import MessageKind
 from ..simulation.network import LinkModel
-from .async_aggregation import BoundedStalenessScheduler
 from .config import TrainingConfig
 from .gan_ops import GANObjective, draw_generator_input
 from .history import TrainingHistory
@@ -328,79 +327,53 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             "discriminator": worker.discriminator.get_parameters(),
         }
 
-    def _async_collect(self, ctx: AsyncContext) -> None:
-        """Wait for any worker's local iteration and advance its round.
+    def _async_fold(self, ctx: AsyncContext, worker: FLGANWorkerState, unit, result):
+        """Advance the worker's round; at its boundary, upload the GAN.
 
         Mid-round completions re-dispatch against the same round-start
-        mark; a round-boundary completion buffers the worker's GAN as a
-        contribution; a final *partial* round — or a worker crashed while
-        its unit was in flight — is discarded.
+        mark and contribute nothing; a round-boundary completion returns the
+        worker's GAN as a contribution; a final *partial* round is
+        discarded.
         """
-        sched = ctx.sched
-        collector = ctx.collector
-        done_iters = ctx.done_iters
-        round_losses = ctx.round_losses
-        key, result = collector.collect_any()
-        if result is LOST:
-            # The slot serving this worker died mid-unit: the round's work
-            # is gone (crash semantics) and the membership layer has queued
-            # the loss — apply the loss policy now so the worker is not
-            # re-dispatched (degrade evicts; wait queues the heal).
-            self._handle_async_losses(sched.updates, sched)
-            sched.discard(key)
-            return
-        worker = self.workers[key]
-        if not self.cluster.workers[key].alive:
-            sched.discard(key)
-            return
+        key = worker.index
         gen_loss, disc_loss = self._merge_local_result(worker, result)
-        gen_acc, disc_acc = round_losses[key]
+        gen_acc, disc_acc = ctx.round_losses[key]
         gen_acc.append(gen_loss)
         disc_acc.append(disc_loss)
-        done_iters[key] += 1
-        done = done_iters[key]
-        if done % self.iterations_per_round == 0:
-            try:
-                payload = self._pull_async_params(worker, collector)
-            except SlotLossError:
-                # The worker's slot died at its round boundary: the round's
-                # contribution is lost with it.
-                self._handle_async_losses(sched.updates, sched)
-                sched.discard(key)
-                return
-            # Metered upload through the simulated network; the contribution
-            # carries the authoritative vectors (drained at flush time).
-            self.cluster.workers[key].send(
-                SERVER_NAME,
-                MessageKind.MODEL_UPDATE,
-                payload,
-                sched.updates,
-                num_samples=len(worker.sampler),
-            )
-            sched.note_completion(
-                key,
-                {
-                    "generator": payload["generator"],
-                    "discriminator": payload["discriminator"],
-                    "num_samples": float(len(worker.sampler)),
-                    "gen_loss": float(np.mean(gen_acc)),
-                    "disc_loss": float(np.mean(disc_acc)),
-                },
-            )
-            round_losses[key] = ([], [])
-        elif done < self.config.iterations:
-            self._dispatch_unit(collector, worker)
-        else:
-            sched.discard(key)
+        ctx.done_iters[key] += 1
+        done = ctx.done_iters[key]
+        if done % self.iterations_per_round:
+            if done < self.config.iterations:
+                ctx.engine.dispatch(ctx, worker)
+            else:
+                ctx.sched.discard(key)
+            return None
+        try:
+            payload = self._pull_async_params(worker, ctx.collector)
+        except SlotLossError:
+            # The worker's slot died at its round boundary: the round's
+            # contribution is lost with it (the turn's loss check discards it).
+            return None
+        # Metered upload through the simulated network; the contribution
+        # carries the authoritative vectors (drained at flush time).
+        self.cluster.workers[key].send(
+            SERVER_NAME,
+            MessageKind.MODEL_UPDATE,
+            payload,
+            ctx.sched.updates,
+            num_samples=len(worker.sampler),
+        )
+        ctx.round_losses[key] = ([], [])
+        return {
+            "generator": payload["generator"],
+            "discriminator": payload["discriminator"],
+            "num_samples": float(len(worker.sampler)),
+            "gen_loss": float(np.mean(gen_acc)),
+            "disc_loss": float(np.mean(disc_acc)),
+        }
 
-    def _apply_async_round(
-        self,
-        sched: BoundedStalenessScheduler,
-        stats: PipelineStats,
-        done_iters: Dict[int, int],
-        collector,
-    ) -> int:
-        """Flush the contribution buffer as ONE staleness-weighted FedAvg merge.
+    def _async_merge(self, ctx: AsyncContext, contributions, stalenesses) -> None:
+        """One staleness-weighted FedAvg merge, broadcast back to its contributors.
 
         The merge averages ``[server] + contributors``: each contributor
         weighs its shard size decayed by ``1 / (1 + staleness)``; the server
@@ -409,11 +382,8 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         FedAvg exactly.  Contributors receive the merged model and start
         their next round against the new merge count.
         """
-        cfg = self.config
-        contributions = sched.take_buffered()
         # Uploads were metered at round boundaries; drain the mailbox copy.
         self.cluster.server.receive(MessageKind.MODEL_UPDATE)
-        stalenesses = [sched.staleness_of(c) for c in contributions]
         decay = [1.0 / (1.0 + float(s)) for s in stalenesses]
         contrib_keys = {c.key for c in contributions}
         outside_mass = sum(
@@ -436,17 +406,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         avg_disc = weighted_average_parameters(disc_vectors, weights)
         self.server_generator.set_parameters(avg_gen)
         self.server_discriminator.set_parameters(avg_disc)
-        sched.note_applied()
-        update = sched.updates
-        self.history.record_losses(
-            update,
-            float(np.mean([c.payload["gen_loss"] for c in contributions])),
-            float(np.mean([c.payload["disc_loss"] for c in contributions])),
-        )
-        self.history.record_staleness(update, max(stalenesses))
-        stats.record_staleness(max(stalenesses))
-        for contribution, staleness in zip(contributions, stalenesses):
-            self.history.record_worker_staleness(contribution.key, staleness)
+        update = ctx.sched.updates
         self.history.record_event(
             update, "federated_round", workers=len(contributions)
         )
@@ -454,18 +414,15 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             self.workers[c.key] for c in contributions if self.cluster.workers[c.key].alive
         ]
         try:
-            self._broadcast_average(update, receivers, avg_gen, avg_disc, collector)
+            self._broadcast_average(update, receivers, avg_gen, avg_disc, ctx.collector)
         except SlotLossError:
             # A contributor's slot died during the broadcast push: its
-            # merged copy is lost, the merge itself already happened.
-            self._handle_async_losses(update, sched)
+            # merged copy is lost (the turn's loss check applies the
+            # policy); the merge itself already happened.
+            pass
         for worker in receivers:
-            # Re-checked: the loss policy above may just have evicted one.
-            alive = self.cluster.workers[worker.index].alive
-            if alive and done_iters[worker.index] < cfg.iterations:
-                sched.note_dispatch(worker.index)
-                self._dispatch_unit(collector, worker)
-        return update
+            if ctx.done_iters[worker.index] < self.config.iterations:
+                ctx.engine.dispatch(ctx, worker)
 
     def _async_begin(self, ctx: AsyncContext) -> None:
         """Initialise per-round progress and dispatch every active worker.
@@ -478,18 +435,11 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         ctx.done_iters = {worker.index: 0 for worker in self.workers}
         ctx.round_losses = {worker.index: ([], []) for worker in self.workers}
         for worker in self._alive_workers():
-            ctx.sched.note_dispatch(worker.index)
-            self._dispatch_unit(ctx.collector, worker)
+            ctx.engine.dispatch(ctx, worker)
 
     def _async_active(self, ctx: AsyncContext) -> bool:
         """Run until nothing is in flight, buffered, or awaiting a heal."""
-        return bool(
-            ctx.collector.outstanding or ctx.sched.buffered or self._async_heal_due()
-        )
-
-    def _async_apply(self, ctx: AsyncContext) -> int:
-        """Flush the buffer (one FedAvg merge); return the merge count."""
-        return self._apply_async_round(ctx.sched, ctx.stats, ctx.done_iters, ctx.collector)
+        return bool(ctx.collector.outstanding or ctx.sched.buffered or ctx.heal)
 
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:
         """Record the evaluation cadence on the merge-count axis."""
@@ -507,7 +457,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         federated broadcast, and the fresh round-start dispatch mark
         re-pins the healed worker's staleness to the bound.
         """
-        cfg = self.config
         for key in lost_keys:
             worker = self.workers[key]
             worker.generator.set_parameters(self.server_generator.get_parameters())
@@ -515,9 +464,8 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 self.server_discriminator.get_parameters()
             )
             ctx.round_losses[key] = ([], [])
-            if ctx.done_iters[key] < cfg.iterations:
-                ctx.sched.note_dispatch(key)
-                self._dispatch_unit(ctx.collector, worker)
+            if ctx.done_iters[key] < self.config.iterations:
+                ctx.engine.dispatch(ctx, worker)
 
     def _async_finish(self, ctx: AsyncContext) -> None:
         """Catch up the final evaluation if the last merge wasn't evaluated."""

@@ -63,7 +63,7 @@ from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.failures import CrashSchedule
 from ..simulation.messages import MessageKind
 from ..simulation.network import LinkModel
-from .async_aggregation import BoundedStalenessScheduler, staleness_weights
+from .async_aggregation import staleness_weights
 from .config import TrainingConfig, resolve_num_batches
 from .gan_ops import (
     GANObjective,
@@ -676,7 +676,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
 
     def _async_begin(self, ctx: AsyncContext) -> None:
         """Arm SWAP/participation bookkeeping and apply the first crash window."""
-        ctx.batch_store = {}
         period = self.swap_period
         ctx.swap_period = period
         ctx.next_swap = period if period else 0
@@ -712,8 +711,8 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         """One pre-generated batch-set unit for the async lookahead store."""
         return self._generate_batches(min(self.num_batches, 2))
 
-    def _dispatch_async_unit(self, worker: MDGANWorkerState, ctx: AsyncContext) -> None:
-        """Dispatch one unit of work, from the lookahead store or generated fresh.
+    def _async_make_unit(self, ctx: AsyncContext, worker: MDGANWorkerState):
+        """One batch-set unit, from the lookahead store or generated fresh.
 
         The unit's dispatch mark is the update count its batches were
         generated against — that is what the eventual contribution's
@@ -743,55 +742,25 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         )
         step_input = self._step_input(worker)
         if step_input is None:
-            return
-        self._dispatch_unit(ctx.collector, worker, step_input)
-        ctx.batch_store[worker.index] = batches
-        sched.note_dispatch(worker.index, mark=mark)
+            return None
+        return batches, step_input, mark
 
-    def _async_collect(self, ctx: AsyncContext) -> None:
-        """Wait for any worker's unit to finish and buffer its contribution.
+    def _async_fold(self, ctx: AsyncContext, worker: MDGANWorkerState, batches, result):
+        """Merge one finished unit; its feedback and losses are the contribution."""
+        step = self._merge_worker_result(ctx.sched.updates, worker, result)
+        return {
+            "batch": batches[0],
+            "feedback": step.feedback,
+            "gen_loss": step.gen_loss,
+            "disc_loss": step.disc_loss,
+        }
 
-        A worker that crashed while its unit was in flight is discarded —
-        the fail-stop model loses in-flight work — and never re-dispatched.
-        A worker deselected by partial participation while in flight keeps
-        its merged state, but the contribution is discarded through the
-        scheduler: the same accounting as the synchronous schedule, which
-        never folds a non-participant's feedback into an update.
-        """
-        sched = ctx.sched
-        key, result = ctx.collector.collect_any()
-        if result is LOST:
-            # The slot serving this worker died mid-unit: the contribution
-            # is gone (crash semantics) and the membership layer has queued
-            # the loss — apply the loss policy now so the dispatch loop
-            # stops refilling it (degrade evicts; wait queues the heal).
-            ctx.batch_store.pop(key, None)
-            self._handle_async_losses(sched.updates, sched)
-            return
-        worker = self.workers[key]
-        batches = ctx.batch_store.pop(key)
-        if not self.cluster.workers[key].alive:
-            sched.discard(key)
-            return
-        step = self._merge_worker_result(sched.updates, worker, result)
-        if ctx.participants is not None and key not in ctx.participants:
-            sched.discard(key)
-            self.history.record_event(
-                sched.updates, "participation_discard", worker=key
-            )
-            return
-        sched.note_completion(key, {"batch": batches[0], "step": step})
-
-    def _apply_async_update(
-        self, sched: BoundedStalenessScheduler, stats: PipelineStats
-    ) -> None:
-        """Flush the contribution buffer as ONE staleness-weighted generator update."""
-        contributions = sched.take_buffered()
+    def _async_merge(self, ctx: AsyncContext, contributions, stalenesses) -> None:
+        """One staleness-weighted generator Adam step over the flushed feedback."""
         # The feedback messages were routed (and metered) through the
         # simulated network at merge time; consume them here — the
         # contributions carry the authoritative (batch, feedback) pairs.
         self.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
-        stalenesses = [sched.staleness_of(c) for c in contributions]
         weights = staleness_weights(stalenesses)
         self._gen_update_count += 1
         self._generator_handle.bump()
@@ -803,7 +772,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             self.generator,
             self.factory,
             [c.payload["batch"] for c in contributions],
-            [c.payload["step"].feedback for c in contributions],
+            [c.payload["feedback"] for c in contributions],
             weights=weights,
         )
         self._gen_opt.step(self.generator)
@@ -811,22 +780,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             "generator_update",
             len(contributions) * self.config.batch_size * self.generator.num_parameters,
         )
-        sched.note_applied()
-        update = sched.updates
-        self.history.record_losses(
-            update,
-            float(np.mean([c.payload["step"].gen_loss for c in contributions])),
-            float(np.mean([c.payload["step"].disc_loss for c in contributions])),
-        )
-        self.history.record_staleness(update, max(stalenesses))
-        stats.record_staleness(max(stalenesses))
-        for contribution, staleness in zip(contributions, stalenesses):
-            self.history.record_worker_staleness(contribution.key, staleness)
-
-    def _async_apply(self, ctx: AsyncContext) -> int:
-        """Flush the buffer (one generator update); return the update count."""
-        self._apply_async_update(ctx.sched, ctx.stats)
-        return ctx.sched.updates
 
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:
         """Reselect participants, arm due SWAPs, evaluate, apply crashes.
@@ -858,8 +811,8 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             except SlotLossError:
                 # A gossip partner's slot died mid-swap: the swap is
                 # abandoned for this period (state already pushed to
-                # survivors stands) and the loss policy runs.
-                self._handle_async_losses(sched.updates, sched)
+                # survivors stands); the turn's loss check applies the policy.
+                pass
             ctx.next_swap = ctx.swap_period * (sched.updates // ctx.swap_period + 1)
             ctx.swap_pending = False
 

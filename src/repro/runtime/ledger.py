@@ -267,17 +267,13 @@ class InflightLedger:
                 )
                 read_clock = time.monotonic()
 
-    def lose_slot(self, slot_index: int) -> set:
-        """Answer every frame queued on a quarantined slot :data:`LOST`.
+    def lose_slot(self, slot_index: int) -> None:
+        """Answer every frame queued on a quarantined slot :data:`LOST`, once.
 
-        Their replies will never arrive.  Returns the worker keys of the
-        collector steps among them.
+        Their replies will never arrive.
         """
-        stepping = set()
         for entry in self._queues.pop(slot_index, ()):
-            stepping.add(entry.key)
             entry.deliver(LOST)
-        return stepping
 
     def abandon(self) -> None:
         """Forget every unanswered frame: the pool is closing under them.
@@ -372,8 +368,10 @@ class ResidentCollector(CompletionCollector):
     reply is awaited land in the ready buffer, served by a later
     :meth:`collect_any`.  Faults are routed by the ledger's wait loop:
     fail-stop pools poison (a ``TransportError`` naming the slot and op,
-    and the collector refuses further use); elastic pools turn the dead
-    slot's steps into ``(key, LOST)`` results.
+    and the collector refuses further use); elastic pools answer each step
+    frame that was in flight on the dead slot with exactly one
+    ``(key, LOST)``.  Keys that were installed there but idle get no
+    result: they surface only in ``membership.pending_loss``.
     """
 
     def __init__(self, backend, program: str) -> None:

@@ -343,10 +343,10 @@ class ResidentBackend(ExecutorBackend):
         authoritative again), and the lost keys are queued in
         ``membership.pending_loss`` for the trainer's recovery path.
 
-        Every frame still queued on the slot is answered :data:`LOST`, and an
-        open collector also gets an extra ``(key, LOST)`` result per *idle*
-        key lost with it, so the trainer's recovery path meets them on its
-        normal collection loop.
+        Every frame still queued on the slot is answered :data:`LOST`, once;
+        nothing else is.  A lost key with no frame in flight (an *idle* key)
+        reaches the trainer only through ``membership.pending_loss``, so no
+        made-up answer can alias that key's next dispatch.
         """
         membership = self._elastic()
         if membership is None:
@@ -371,9 +371,7 @@ class ResidentBackend(ExecutorBackend):
             transport.channel(slot_index).close()
         except Exception:
             pass
-        stepping = self._ledger.lose_slot(slot_index)
-        if self._collector is not None and not self._collector._dead:
-            self._collector._ready.extend((key, LOST) for key in lost if key not in stepping)
+        self._ledger.lose_slot(slot_index)
         return lost
 
     def _wire_fault(

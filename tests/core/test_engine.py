@@ -81,15 +81,15 @@ class TestEngineHooksDefaults:
         with pytest.raises(NotImplementedError):
             hooks._async_active(ctx)
         with pytest.raises(NotImplementedError):
-            hooks._async_collect(ctx)
+            hooks._async_fold(ctx, None, None, None)
         with pytest.raises(NotImplementedError):
-            hooks._async_apply(ctx)
+            hooks._async_merge(ctx, [], [])
         with pytest.raises(NotImplementedError):
             hooks._async_generate_unit(ctx)
 
     def test_context_accepts_trainer_specific_state(self):
         # AsyncContext is deliberately not slotted: trainers hang their
-        # per-run extras (FL-GAN round progress, MD-GAN batch store) on it.
+        # per-run extras (FL-GAN round progress) on it.
         from repro.core.async_aggregation import BoundedStalenessScheduler
         from repro.runtime.pipeline import PipelineStats
 
@@ -98,6 +98,7 @@ class TestEngineHooksDefaults:
             stats=PipelineStats(depth=0),
             collector=None,
         )
-        ctx.batch_store = {}
+        ctx.done_iters = {}
+        assert ctx.units == {}
         assert ctx.participants is None
         assert ctx.lookahead == []
