@@ -30,7 +30,7 @@ import pytest
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.datasets import make_mnist_like, partition_iid
 from repro.models import build_architecture
-from repro.runtime import run_mdgan_worker_task
+from repro.runtime import WorkerTask, run_mdgan_worker_task
 
 pytestmark = [
     pytest.mark.slow,  # timing / multi-run benchmark; excluded from the fast lane
@@ -82,11 +82,10 @@ def _process_iteration_bytes(conv_setup) -> int:
     participants = trainer._participating_workers()
     k = min(trainer.num_batches, len(participants))
     batches = trainer._generate_batches(k)
-    trainer._distribute_batches(2, batches, participants)
+    work = trainer._distribute_batches(2, batches, participants)
     total = 0
-    for worker in participants:
-        task = trainer._build_worker_task(worker)
-        assert task is not None
+    for worker, step_input in work:
+        task = WorkerTask(trainer._resident_state(worker), step_input)
         total += len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
         result = run_mdgan_worker_task(task)
         total += len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))

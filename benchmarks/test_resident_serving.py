@@ -194,11 +194,11 @@ def _cold_install_dispatch(conv_setup, shm: bool):
         participants = trainer._participating_workers()
         k = min(trainer.num_batches, len(participants))
         batches = trainer._generate_batches(k)
-        trainer._distribute_batches(1, batches, participants)
+        work = trainer._distribute_batches(1, batches, participants)
         backend = trainer.executor
         backend._ensure_transport()  # fork the slot processes outside the timing
         start = time.perf_counter()
-        live, handle = trainer._dispatch_worker_phase(participants)
+        live, handle = trainer._dispatch_worker_phase(work)
         elapsed = time.perf_counter() - start
         handle.result()
         trainer._merge_worker_phase(1, live, handle)

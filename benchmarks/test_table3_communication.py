@@ -1,7 +1,8 @@
 """Benchmark: regenerate Table III (communication complexities).
 
-Also cross-checks the analytic formulas against traffic measured on the
-emulated cluster — the same code path that produces the Figure 3 results.
+Also cross-checks the analytic formulas against the traffic the trainers
+charge to the cluster's Table III meter — the same code path that produces
+the Figure 3 results.
 """
 
 import pytest

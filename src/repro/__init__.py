@@ -7,8 +7,8 @@ Sericola - IPDPS 2019), including:
 * ``repro.nn`` - the neural-network substrate (layers, losses, optimizers),
 * ``repro.datasets`` - synthetic MNIST/CIFAR10/CelebA-like datasets and
   worker partitioning,
-* ``repro.simulation`` - the emulated cluster (messages, traffic metering,
-  crash injection),
+* ``repro.simulation`` - the emulated cluster's accounting (Table III
+  traffic meter, compute ledgers, liveness, crash injection),
 * ``repro.models`` - the paper's GAN architectures,
 * ``repro.metrics`` - dataset score (MNIST/Inception-style) and FID,
 * ``repro.core`` - standalone, FL-GAN and MD-GAN trainers,

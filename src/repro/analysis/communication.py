@@ -25,7 +25,7 @@ Table III's ``C->W`` rows count a single generated batch per worker while the
 prose of Section IV-D1 counts the two batches actually shipped (``2bd`` per
 worker); :func:`table3_communication` exposes both via the
 ``count_both_generated_batches`` flag (default ``True``, matching what the
-emulated cluster measures).
+trainers charge to the cluster's Table III meter).
 """
 
 from __future__ import annotations

@@ -191,11 +191,11 @@ class EngineHooks:
     def _async_dispatch(self, ctx: AsyncContext) -> None:
         """Refill idle workers / the lookahead store (start of each turn)."""
 
-    def _async_make_unit(self, ctx: AsyncContext, worker: Any) -> Optional[tuple]:
+    def _async_make_unit(self, ctx: AsyncContext, worker: Any) -> tuple:
         """Build one unit for ``worker``: ``(unit, step_input, dispatch_mark)``.
 
-        ``None`` skips the dispatch; a ``None`` mark reads the model as of
-        now.  The default unit is empty (FL-GAN's local iteration).
+        A ``None`` mark reads the model as of now.  The default unit is
+        empty (FL-GAN's local iteration).
         """
         return None, None, None
 
@@ -335,10 +335,7 @@ class ExecutionEngine:
         key = worker.index
         if self._gone(ctx, key):
             return
-        made = trainer._async_make_unit(ctx, worker)
-        if made is None:
-            return
-        unit, step_input, mark = made
+        unit, step_input, mark = trainer._async_make_unit(ctx, worker)
         trainer._dispatch_unit(ctx.collector, worker, step_input)
         ctx.units[key] = unit
         if key not in ctx.sched.tracked_keys():

@@ -27,7 +27,6 @@ from ..datasets.base import ImageDataset
 from ..metrics.evaluator import GeneratorEvaluator
 from ..models.base import GANFactory
 from ..simulation.failures import CrashSchedule
-from ..simulation.network import LinkModel
 from .config import TrainingConfig
 from .mdgan import MDGANTrainer
 
@@ -43,7 +42,6 @@ class AsyncMDGANTrainer(MDGANTrainer):
         shards: Sequence[ImageDataset],
         config: TrainingConfig,
         evaluator: Optional[GeneratorEvaluator] = None,
-        link_model: Optional[LinkModel] = None,
         crash_schedule: Optional[CrashSchedule] = None,
         swap_enabled: bool = True,
     ) -> None:
@@ -52,7 +50,6 @@ class AsyncMDGANTrainer(MDGANTrainer):
             shards,
             config,
             evaluator=evaluator,
-            link_model=link_model,
             crash_schedule=crash_schedule,
             swap_enabled=swap_enabled,
             per_feedback_updates=True,
@@ -70,7 +67,6 @@ class SampledMDGANTrainer(MDGANTrainer):
         config: TrainingConfig,
         participation_fraction: float = 0.5,
         evaluator: Optional[GeneratorEvaluator] = None,
-        link_model: Optional[LinkModel] = None,
         crash_schedule: Optional[CrashSchedule] = None,
         swap_enabled: bool = True,
     ) -> None:
@@ -80,7 +76,6 @@ class SampledMDGANTrainer(MDGANTrainer):
             shards,
             config,
             evaluator=evaluator,
-            link_model=link_model,
             crash_schedule=crash_schedule,
             swap_enabled=swap_enabled,
         )

@@ -32,8 +32,7 @@ from .engine import AsyncContext, EngineHooks, ExecutionEngine
 from .lifecycle import WorkerStateOwner
 from ..runtime.tasks import FLGANResidentState, WorkerTask, run_flgan_local_task
 from ..simulation.cluster import SERVER_NAME, Cluster
-from ..simulation.messages import MessageKind
-from ..simulation.network import LinkModel
+from ..simulation.traffic import MessageKind, payload_nbytes
 from .config import TrainingConfig
 from .gan_ops import GANObjective, draw_generator_input
 from .history import TrainingHistory
@@ -74,7 +73,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         shards: Sequence[ImageDataset],
         config: TrainingConfig,
         evaluator: Optional[GeneratorEvaluator] = None,
-        link_model: Optional[LinkModel] = None,
     ) -> None:
         if not shards:
             raise ValueError("FL-GAN needs at least one worker shard")
@@ -83,7 +81,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.factory = factory
         self.config = config
         self.evaluator = evaluator
-        self.cluster = Cluster(num_workers=len(shards), link_model=link_model)
+        self.cluster = Cluster(num_workers=len(shards))
 
         self._rng = np.random.default_rng(config.seed)
         # Backend ownership state lives on BackendOwner (lazy build, warm
@@ -195,27 +193,19 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 pulled = resident.pull_params(keys)
         gen_vectors, disc_vectors, weights = [], [], []
         for worker in alive:
-            node = self.cluster.workers[worker.index]
             if worker.index in pulled:
-                payload = dict(pulled[worker.index])
+                payload = pulled[worker.index]
             else:
                 payload = {
                     "generator": worker.generator.get_parameters(),
                     "discriminator": worker.discriminator.get_parameters(),
                 }
+            self._charge_upload(iteration, worker, payload)
+            gen_vectors.append(payload["generator"])
+            disc_vectors.append(payload["discriminator"])
             # Weight by the sampler's *live* shard size, not the construction-
             # time `worker.dataset` — replace_dataset churn changes the former.
-            node.send(
-                SERVER_NAME,
-                MessageKind.MODEL_UPDATE,
-                payload,
-                iteration,
-                num_samples=len(worker.sampler),
-            )
-        for message in self.cluster.server.receive(MessageKind.MODEL_UPDATE):
-            gen_vectors.append(message.payload["generator"])
-            disc_vectors.append(message.payload["discriminator"])
-            weights.append(float(message.metadata.get("num_samples", 1.0)))
+            weights.append(float(len(worker.sampler)))
         if not gen_vectors:
             return
         avg_gen = weighted_average_parameters(gen_vectors, weights)
@@ -224,6 +214,16 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.server_discriminator.set_parameters(avg_disc)
         self._broadcast_average(iteration, alive, avg_gen, avg_disc, resident)
         self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+
+    def _charge_upload(self, iteration: int, worker: FLGANWorkerState, payload) -> None:
+        """Charge one worker's GAN upload as a ``MODEL_UPDATE`` message."""
+        self.cluster.meter.charge(
+            MessageKind.MODEL_UPDATE,
+            self.cluster.workers[worker.index].name,
+            SERVER_NAME,
+            payload_nbytes(payload),
+            iteration,
+        )
 
     def _broadcast_average(
         self,
@@ -235,32 +235,27 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     ) -> None:
         """Broadcast the averaged model to ``workers`` and write it into each.
 
-        Installed residents receive it through ``pool.push_params`` (the
-        backend at a synchronous round, the open collector mid-flight);
-        every other worker's own objects are set directly.
+        Each hand-over is charged as one ``MODEL_BROADCAST`` message.
+        Installed residents receive the model through ``pool.push_params``
+        (the backend at a synchronous round, the open collector
+        mid-flight); every other worker's own objects are set directly.
         """
         resident = self._active_resident()
+        nbytes = payload_nbytes([avg_gen, avg_disc])
         push_map: Dict[int, Dict[str, np.ndarray]] = {}
         for worker in workers:
-            node = self.cluster.workers[worker.index]
-            self.cluster.server.send(
-                node.name,
+            self.cluster.meter.charge(
                 MessageKind.MODEL_BROADCAST,
-                {"generator": avg_gen, "discriminator": avg_disc},
+                SERVER_NAME,
+                self.cluster.workers[worker.index].name,
+                nbytes,
                 iteration,
             )
-            broadcast = node.receive(MessageKind.MODEL_BROADCAST)
-            if not broadcast:
-                continue
-            payload = broadcast[-1].payload
             if resident is not None and resident.installed(worker.index):
-                push_map[worker.index] = {
-                    "generator": payload["generator"],
-                    "discriminator": payload["discriminator"],
-                }
+                push_map[worker.index] = {"generator": avg_gen, "discriminator": avg_disc}
             else:
-                worker.generator.set_parameters(payload["generator"])
-                worker.discriminator.set_parameters(payload["discriminator"])
+                worker.generator.set_parameters(avg_gen)
+                worker.discriminator.set_parameters(avg_disc)
         if push_map:
             pool.push_params(push_map)
 
@@ -354,15 +349,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             # The worker's slot died at its round boundary: the round's
             # contribution is lost with it (the turn's loss check discards it).
             return None
-        # Metered upload through the simulated network; the contribution
-        # carries the authoritative vectors (drained at flush time).
-        self.cluster.workers[key].send(
-            SERVER_NAME,
-            MessageKind.MODEL_UPDATE,
-            payload,
-            ctx.sched.updates,
-            num_samples=len(worker.sampler),
-        )
+        self._charge_upload(ctx.sched.updates, worker, payload)
         ctx.round_losses[key] = ([], [])
         return {
             "generator": payload["generator"],
@@ -382,8 +369,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         FedAvg exactly.  Contributors receive the merged model and start
         their next round against the new merge count.
         """
-        # Uploads were metered at round boundaries; drain the mailbox copy.
-        self.cluster.server.receive(MessageKind.MODEL_UPDATE)
         decay = [1.0 / (1.0 + float(s)) for s in stalenesses]
         contrib_keys = {c.key for c in contributions}
         outside_mass = sum(

@@ -20,17 +20,18 @@ Every ``E`` local epochs the workers swap their discriminator parameters in
 a gossip fashion (the ``SWAP`` procedure), which combats the overfitting of a
 discriminator to its local shard.
 
-The implementation routes every communication through the emulated network
-so byte-level traffic is measured, and supports the paper's fail-stop crash
-experiments plus two extensions discussed in Section VII: per-feedback
-(asynchronous-style) generator updates and partial worker participation.
+The trainer hands every payload to its destination directly and charges it
+to the cluster's Table III meter at that point, so byte-level traffic is
+measured; it supports the paper's fail-stop crash experiments plus two
+extensions discussed in Section VII: per-feedback (asynchronous-style)
+generator updates and partial worker participation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,13 +57,11 @@ from ..runtime.tasks import (
     MDGANResidentState,
     MDGANStepInput,
     MDGANStepResult,
-    WorkerTask,
     run_mdgan_worker_task,
 )
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.failures import CrashSchedule
-from ..simulation.messages import MessageKind
-from ..simulation.network import LinkModel
+from ..simulation.traffic import MessageKind, payload_nbytes
 from .async_aggregation import staleness_weights
 from .config import TrainingConfig, resolve_num_batches
 from .gan_ops import (
@@ -106,7 +105,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         shards: Sequence[ImageDataset],
         config: TrainingConfig,
         evaluator: Optional[GeneratorEvaluator] = None,
-        link_model: Optional[LinkModel] = None,
         crash_schedule: Optional[CrashSchedule] = None,
         swap_enabled: bool = True,
         per_feedback_updates: bool = False,
@@ -126,11 +124,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.evaluator = evaluator
         self.swap_enabled = swap_enabled
         self.per_feedback_updates = per_feedback_updates
-        self.cluster = Cluster(
-            num_workers=len(shards),
-            link_model=link_model,
-            crash_schedule=crash_schedule,
-        )
+        self.cluster = Cluster(num_workers=len(shards), crash_schedule=crash_schedule)
 
         self._rng = np.random.default_rng(config.seed)
         # Backend ownership state lives on BackendOwner (lazy build, warm
@@ -254,71 +248,83 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self._charge_generation(k)
         return batches
 
+    def _hand_batches(
+        self,
+        iteration: int,
+        worker: MDGANWorkerState,
+        g_batch: GeneratedBatch,
+        d_batch: GeneratedBatch,
+        batch_index_g: int,
+    ) -> MDGANStepInput:
+        """``worker``'s step input, charged as one ``GENERATED_BATCHES`` message."""
+        self.cluster.meter.charge(
+            MessageKind.GENERATED_BATCHES,
+            SERVER_NAME,
+            self.cluster.workers[worker.index].name,
+            payload_nbytes([d_batch.images, g_batch.images]),
+            iteration,
+        )
+        return MDGANStepInput(
+            x_d=d_batch.images,
+            x_g=g_batch.images,
+            labels_d=d_batch.labels,
+            labels_g=g_batch.labels,
+            batch_index_g=batch_index_g,
+        )
+
     def _distribute_batches(
         self, iteration: int, batches: List[GeneratedBatch], participants: List[MDGANWorkerState]
-    ) -> Dict[int, Dict[str, int]]:
-        """Step 1 (cont.): send two batches to every participating worker.
+    ) -> List[Tuple[MDGANWorkerState, MDGANStepInput]]:
+        """Step 1 (cont.): hand two batches to every participating worker.
 
         Uses the paper's round-robin assignment keyed on the *worker index*
         ``n`` — ``X_n^{(g)} = X^{(n mod k)}`` and ``X_n^{(d)} = X^{((n+1) mod
         k)}`` — not on enumeration order over the participant list, so each
         worker's assignment is stable under crashes and partial
-        participation.  Returns the mapping ``worker index -> {"d":
-        batch_index, "g": batch_index}``.
+        participation.  Returns the ``(worker, step_input)`` pairs in
+        participant order.
         """
         k = len(batches)
-        assignment: Dict[int, Dict[str, int]] = {}
-        for worker in participants:
-            g_idx = worker.index % k
-            d_idx = (worker.index + 1) % k
-            assignment[worker.index] = {"g": g_idx, "d": d_idx}
-            node = self.cluster.workers[worker.index]
-            payload = {
-                "X_d": batches[d_idx].images,
-                "X_g": batches[g_idx].images,
-            }
-            metadata = {
-                "labels_d": batches[d_idx].labels,
-                "labels_g": batches[g_idx].labels,
-                "batch_index_g": g_idx,
-                "batch_index_d": d_idx,
-            }
-            self.cluster.server.send(
-                node.name,
-                MessageKind.GENERATED_BATCHES,
-                payload,
-                iteration,
-                **metadata,
+        return [
+            (
+                worker,
+                self._hand_batches(
+                    iteration,
+                    worker,
+                    batches[worker.index % k],
+                    batches[(worker.index + 1) % k],
+                    worker.index % k,
+                ),
             )
-        return assignment
+            for worker in participants
+        ]
 
     def _aggregate_feedback(
-        self,
-        iteration: int,
-        batches: List[GeneratedBatch],
-    ) -> int:
-        """Step 4: collect feedbacks, chain them through the generator, update ``w``."""
-        messages = self.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
-        if not messages:
-            return 0
+        self, batches: List[GeneratedBatch], feedback: List[Tuple[int, np.ndarray]]
+    ) -> None:
+        """Step 4: chain the ``(batch_index, F_n)`` feedbacks through the generator, update ``w``.
+
+        ``feedback`` is in merge order, which fixes the accumulation order.
+        """
+        if not feedback:
+            return
         self._gen_update_count += 1
         # The generator's parameters are about to change: invalidate the
         # per-slot param cache before the next generation dispatch.
         self._generator_handle.bump()
         self.cluster.server.compute.observe_memory(
-            len(messages) * self.config.batch_size * self.factory.object_size
+            len(feedback) * self.config.batch_size * self.factory.object_size
         )
         if self.per_feedback_updates:
             # Section VII-1 style: apply one generator update per feedback as
             # it arrives instead of averaging across workers.
-            for message in messages:
-                batch = batches[message.metadata["batch_index"]]
+            for batch_index, f_n in feedback:
                 self.generator.zero_grad()
                 apply_feedback_to_generator(
                     self.generator,
                     self.factory,
-                    [batch],
-                    [message.payload],
+                    [batches[batch_index]],
+                    [f_n],
                     weights=[1.0],
                 )
                 self._gen_opt.step(self.generator)
@@ -326,17 +332,19 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                     "generator_update",
                     self.config.batch_size * self.generator.num_parameters,
                 )
-            return len(messages)
-        used_batches = [batches[m.metadata["batch_index"]] for m in messages]
-        feedbacks = [m.payload for m in messages]
+            return
         self.generator.zero_grad()
-        apply_feedback_to_generator(self.generator, self.factory, used_batches, feedbacks)
+        apply_feedback_to_generator(
+            self.generator,
+            self.factory,
+            [batches[batch_index] for batch_index, _ in feedback],
+            [f_n for _, f_n in feedback],
+        )
         self._gen_opt.step(self.generator)
         self.cluster.server.compute.charge(
             "generator_update",
-            len(messages) * self.config.batch_size * self.generator.num_parameters,
+            len(feedback) * self.config.batch_size * self.generator.num_parameters,
         )
-        return len(messages)
 
     # -- worker side ---------------------------------------------------------------
     #
@@ -347,43 +355,15 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     # tasks.  How state is installed, adopted, mirrored and reclaimed — and
     # backend ownership — comes from WorkerStateOwner.
 
-    def _step_input(self, worker: MDGANWorkerState) -> Optional[MDGANStepInput]:
-        """Drain the worker's generated-batch mailbox into a step input.
-
-        The latest message wins; ``None`` when nothing was delivered.
-        """
-        received = self.cluster.workers[worker.index].receive(
-            MessageKind.GENERATED_BATCHES
-        )
-        if not received:
-            return None
-        message = received[-1]
-        return MDGANStepInput(
-            x_d=message.payload["X_d"],
-            x_g=message.payload["X_g"],
-            labels_d=message.metadata.get("labels_d"),
-            labels_g=message.metadata.get("labels_g"),
-            batch_index_g=message.metadata.get("batch_index_g", 0),
-        )
-
-    def _build_worker_task(self, worker: MDGANWorkerState) -> Optional[WorkerTask]:
-        """One worker's share as a stateless-backend task (``None``: no batches)."""
-        step_input = self._step_input(worker)
-        if step_input is None:
-            return None
-        return WorkerTask(self._resident_state(worker), step_input)
-
     def _dispatch_worker_phase(
-        self, participants: List[MDGANWorkerState]
+        self, work: List[Tuple[MDGANWorkerState, MDGANStepInput]]
     ) -> tuple[List[MDGANWorkerState], PendingResult]:
         """Dispatch the per-worker phase (Algorithm 1 steps 2-3) asynchronously.
 
-        Drains each participant's mailbox, then hands the work to the
-        backend without blocking.  Returns ``(live_workers, handle)``;
-        ``handle.result()`` yields the results in worker-index order.
+        Hands the ``(worker, step_input)`` pairs to the backend without
+        blocking.  Returns ``(live_workers, handle)``; ``handle.result()``
+        yields the results in worker-index order.
         """
-        inputs = [(worker, self._step_input(worker)) for worker in participants]
-        work = [(worker, step) for worker, step in inputs if step is not None]
         handle = self._start_steps(run_mdgan_worker_task, work)
         return [worker for worker, _ in work], handle
 
@@ -392,10 +372,15 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         iteration: int,
         live_workers: List[MDGANWorkerState],
         handle: PendingResult,
-    ) -> tuple[List[float], List[float]]:
-        """Collect a dispatched worker phase and merge it in worker-index order."""
+    ) -> tuple[List[float], List[float], List[Tuple[int, np.ndarray]]]:
+        """Collect a dispatched worker phase and merge it in worker-index order.
+
+        Returns the losses and the ``(batch_index, F_n)`` feedbacks, in
+        merge order.
+        """
         gen_losses: List[float] = []
         disc_losses: List[float] = []
+        feedback: List[Tuple[int, np.ndarray]] = []
         for worker, result in zip(live_workers, handle.result()):
             if result is LOST:
                 # The worker's slot died with this contribution in flight:
@@ -405,7 +390,8 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             step = self._merge_worker_result(iteration, worker, result)
             gen_losses.append(step.gen_loss)
             disc_losses.append(step.disc_loss)
-        return gen_losses, disc_losses
+            feedback.append((step.batch_index_g, step.feedback))
+        return gen_losses, disc_losses, feedback
 
     def _merge_worker_result(
         self,
@@ -413,16 +399,16 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         worker: MDGANWorkerState,
         result,
     ) -> MDGANStepResult:
-        """Merge phase: adopt worker state/cursors, absorb charges, ship feedback."""
+        """Merge phase: adopt worker state/cursors, absorb charges, charge ``F_n``."""
         step = self._adopt_step(worker, result)
-        node = self.cluster.workers[worker.index]
-        self.cluster.absorb_tape(node.name, step.tape)
-        node.send(
-            SERVER_NAME,
+        name = self.cluster.workers[worker.index].name
+        self.cluster.absorb_tape(name, step.tape)
+        self.cluster.meter.charge(
             MessageKind.ERROR_FEEDBACK,
-            step.feedback,
+            name,
+            SERVER_NAME,
+            payload_nbytes(step.feedback),
             iteration,
-            batch_index=step.batch_index_g,
         )
         return step
 
@@ -437,9 +423,9 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         if len(alive) < 2:
             return
         # Resident workers keep their state in the pool: read the parameter
-        # vectors out (pull), route them through the simulated network as
-        # usual, and write the received vectors back in place (push) — the
-        # optimizer/sampler/RNG state never crosses the IPC boundary.
+        # vectors out (pull) and write the received vectors back in place
+        # (push) — the optimizer/sampler/RNG state never crosses the IPC
+        # boundary.
         resident = self._active_resident()
         pulled: Dict[int, np.ndarray] = {}
         if resident is not None:
@@ -447,34 +433,33 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             if keys:
                 pulled = resident.pull_params(keys)
         permutation = self._rng.permutation(len(alive))
-        parameter_vectors = {}
+        parameter_vectors: Dict[int, np.ndarray] = {}
         for src_pos, dst_pos in enumerate(permutation):
             if src_pos == dst_pos:
                 continue
             src = alive[src_pos]
             dst = alive[dst_pos]
-            src_node = self.cluster.workers[src.index]
             if src.index in pulled:
                 params = pulled[src.index]
             else:
                 params = src.discriminator.get_parameters()
-            delivered = src_node.send(
-                self.cluster.workers[dst.index].name,
+            self.cluster.meter.charge(
                 MessageKind.DISCRIMINATOR_SWAP,
-                params,
+                self.cluster.workers[src.index].name,
+                self.cluster.workers[dst.index].name,
+                payload_nbytes(params),
                 iteration,
             )
-            if delivered:
-                parameter_vectors[dst.index] = params
+            parameter_vectors[dst.index] = params
         push_map: Dict[int, np.ndarray] = {}
         for worker in alive:
-            node = self.cluster.workers[worker.index]
-            messages = node.receive(MessageKind.DISCRIMINATOR_SWAP)
-            if messages:
-                if resident is not None and resident.installed(worker.index):
-                    push_map[worker.index] = messages[-1].payload
-                else:
-                    worker.discriminator.set_parameters(messages[-1].payload)
+            params = parameter_vectors.get(worker.index)
+            if params is None:
+                continue
+            if resident is not None and resident.installed(worker.index):
+                push_map[worker.index] = params
+            else:
+                worker.discriminator.set_parameters(params)
         if push_map:
             resident.push_params(push_map)
         if parameter_vectors:
@@ -504,10 +489,11 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         batches: List[GeneratedBatch],
         gen_losses: List[float],
         disc_losses: List[float],
+        feedback: List[Tuple[int, np.ndarray]],
         staleness: Optional[int] = None,
     ) -> None:
         """Aggregate feedback, record losses (and staleness), swap if due."""
-        self._aggregate_feedback(iteration, batches)
+        self._aggregate_feedback(batches, feedback)
         if gen_losses:
             self.history.record_losses(
                 iteration, float(np.mean(gen_losses)), float(np.mean(disc_losses))
@@ -530,12 +516,10 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             return
         k = min(self.num_batches, len(participants))
         batches = self._generate_batches(k)
-        self._distribute_batches(iteration, batches, participants)
-        live_workers, handle = self._dispatch_worker_phase(participants)
-        gen_losses, disc_losses = self._merge_worker_phase(
-            iteration, live_workers, handle
-        )
-        self._finish_iteration(iteration, batches, gen_losses, disc_losses)
+        work = self._distribute_batches(iteration, batches, participants)
+        live_workers, handle = self._dispatch_worker_phase(work)
+        merged = self._merge_worker_phase(iteration, live_workers, handle)
+        self._finish_iteration(iteration, batches, *merged)
 
     def _generate_batches_fanned(self, k: int) -> tuple[List[GeneratedBatch], bool]:
         """Generate ``k`` batches, fanned across backend slots when possible.
@@ -601,8 +585,8 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         else:
             batches, generated_at_update = entry
             staleness = self._gen_update_count - generated_at_update
-        self._distribute_batches(iteration, batches, participants)
-        live_workers, handle = self._dispatch_worker_phase(participants)
+        work = self._distribute_batches(iteration, batches, participants)
+        live_workers, handle = self._dispatch_worker_phase(work)
         # Overlap window: while the workers compute iteration t, generate
         # batch sets for t+1 .. t+depth.  Noise draws happen here, at
         # dispatch, in exact serial order; resident-side generations are
@@ -627,9 +611,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             lookahead.append((next_target, k_ahead, pending, self._gen_update_count))
             stats.lookahead_generations += 1
         stats.observe_in_flight(1)
-        gen_losses, disc_losses = self._merge_worker_phase(
-            iteration, live_workers, handle
-        )
+        merged = self._merge_worker_phase(iteration, live_workers, handle)
         for target, k_ahead, pending, at_update in lookahead:
             if isinstance(pending, PendingGeneration):
                 batches_ahead = pending.collect()
@@ -639,9 +621,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 batches_ahead = pending
             queue.put(target, batches_ahead, at_update)
         stats.record_staleness(staleness)
-        self._finish_iteration(
-            iteration, batches, gen_losses, disc_losses, staleness=staleness
-        )
+        self._finish_iteration(iteration, batches, *merged, staleness=staleness)
 
     # -- asynchronous aggregation (bounded staleness) ---------------------------------
     #
@@ -728,21 +708,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 ctx.stats.immediate_generations += 1
         else:
             batches, mark = entry
-        g_batch, d_batch = batches[0], batches[-1]
-        node = self.cluster.workers[worker.index]
-        self.cluster.server.send(
-            node.name,
-            MessageKind.GENERATED_BATCHES,
-            {"X_d": d_batch.images, "X_g": g_batch.images},
-            sched.updates,
-            labels_d=d_batch.labels,
-            labels_g=g_batch.labels,
-            batch_index_g=0,
-            batch_index_d=len(batches) - 1,
-        )
-        step_input = self._step_input(worker)
-        if step_input is None:
-            return None
+        step_input = self._hand_batches(sched.updates, worker, batches[0], batches[-1], 0)
         return batches, step_input, mark
 
     def _async_fold(self, ctx: AsyncContext, worker: MDGANWorkerState, batches, result):
@@ -757,10 +723,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
 
     def _async_merge(self, ctx: AsyncContext, contributions, stalenesses) -> None:
         """One staleness-weighted generator Adam step over the flushed feedback."""
-        # The feedback messages were routed (and metered) through the
-        # simulated network at merge time; consume them here — the
-        # contributions carry the authoritative (batch, feedback) pairs.
-        self.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
         weights = staleness_weights(stalenesses)
         self._gen_update_count += 1
         self._generator_handle.bump()
@@ -860,15 +822,13 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         Pre-generated batch sets may assume the pre-loss fleet; dropping
         them is sound (the pipelined body regenerates on a queue miss), and
         the resident drain clears frames the quarantined slot will never
-        answer, so the membership boundary meets a quiescent pool.
+        answer, so the membership boundary meets a quiescent pool.  Feedback
+        the abandoned iteration already merged lived in that iteration's
+        call frame and is gone with it.
         """
         queue = getattr(self, "_pipeline_queue", None)
         if queue is not None:
             queue.clear()
-        # Feedback the abandoned iteration already posted indexes *its*
-        # batch set; folded into the next update it would pair with the
-        # wrong batches (or none, once k shrinks with the fleet).
-        self.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
         resident = self._active_resident()
         if resident is not None:
             resident.drain_inflight()

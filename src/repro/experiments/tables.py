@@ -2,8 +2,8 @@
 
 These experiments instantiate the closed-form complexity / communication
 models with the paper's architectures and dataset geometries, and — where a
-measured counterpart exists — cross-check the formulas against byte counts
-metered on the emulated cluster.
+measured counterpart exists — cross-check the formulas against the byte counts
+the trainers charge to the cluster's Table III meter.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Measured-vs-analytic communication cross-check.
 
-Runs a short MD-GAN and FL-GAN training on the emulated cluster and compares
-the bytes metered by the network against the closed-form Table III formulas.
+Runs a short MD-GAN and FL-GAN training and compares the bytes the trainers
+charge to the cluster's Table III meter (one charge wherever a payload is
+handed over) against the closed-form Table III formulas.
 This ties the analytic model (Tables III/IV, Figure 2) to the actual
 implementation: if the algorithm ever shipped different payloads than the
 model assumes, this check would diverge.
@@ -78,7 +79,7 @@ def run_traffic_check(
     result = ExperimentResult(
         name="Traffic cross-check",
         description=(
-            "Measured bytes from the emulated cluster vs the Table III analytic "
+            "Bytes charged to the Table III meter vs the Table III analytic "
             f"formulas ({dataset} / {architecture}, N={scale.num_workers}, "
             f"I={iterations}, b={config.batch_size})."
         ),

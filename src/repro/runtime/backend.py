@@ -6,13 +6,14 @@ steps plus the error feedback) touch only worker-local state, and FL-GAN's
 local epochs are independent between federated rounds.  The trainers in
 ``repro.core`` therefore split each iteration into three phases:
 
-1. **build** (serial) — drain mailboxes and snapshot every participant's
-   task as a self-contained, picklable value;
+1. **build** (serial) — snapshot every participant's task (its state plus
+   the step input the trainer handed it) as a self-contained, picklable
+   value;
 2. **compute** (parallel) — run the pure per-worker function over the tasks
    through an :class:`ExecutorBackend`;
 3. **merge** (serial, worker-index order) — write results back into the
-   trainer, absorb compute charges into the node ledgers and route messages
-   through the simulated network.
+   trainer, absorb compute charges into the node ledgers and charge the
+   returned payloads to the Table III meter.
 
 Because phase 2 is side-effect free and phases 1/3 are serial and ordered,
 every backend produces *bitwise identical* training trajectories: ``thread``

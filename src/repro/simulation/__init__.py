@@ -1,31 +1,27 @@
-"""``repro.simulation`` — emulated distributed-system substrate.
+"""``repro.simulation`` — the emulated cluster's accounting.
 
-Provides the message-passing fabric, traffic accounting, node/cluster
-abstractions and fail-stop crash injection that the MD-GAN / FL-GAN trainers
-run on.  The emulation preserves the interaction ordering of the paper's
-Algorithm 1 while measuring every byte that crosses a link.
+Provides the Table III traffic meter (charged by the trainers wherever a
+payload is handed over), per-node compute ledgers and liveness, fail-stop
+crash schedules, and the link / timeline cost model.  The emulation keeps
+the interaction ordering of the paper's Algorithm 1 while measuring every
+byte that crosses a link.
 """
 
-from .cluster import SERVER_NAME, Cluster, ClusterEvent, worker_name
+from .cluster import SERVER_NAME, Cluster, worker_name
 from .failures import CrashSchedule
-from .messages import Message, MessageKind, payload_nbytes
-from .network import LinkModel, NodeDisconnected, SimulatedNetwork
+from .network import LinkModel
 from .node import ComputeLedger, ComputeTape, Node
 from .timeline import HardwareProfile, IterationTimeline, estimate_iteration_time
-from .traffic import LinkStats, TrafficMeter
+from .traffic import LinkStats, MessageKind, TrafficMeter, payload_nbytes
 
 __all__ = [
     "SERVER_NAME",
     "worker_name",
     "Cluster",
-    "ClusterEvent",
     "CrashSchedule",
-    "Message",
     "MessageKind",
     "payload_nbytes",
     "LinkModel",
-    "NodeDisconnected",
-    "SimulatedNetwork",
     "Node",
     "ComputeLedger",
     "ComputeTape",

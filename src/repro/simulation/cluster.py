@@ -1,23 +1,23 @@
-"""Cluster container: nodes + network + event log.
+"""Cluster record: traffic meter, compute ledgers and liveness.
 
 The cluster mirrors the paper's computation setup (Section III): one central
 server ``C`` and ``N`` workers ``W_1..W_N`` connected through the parameter
 server communication pattern, with MD-GAN adding worker-to-worker links for
-discriminator swaps.  The trainers in ``repro.core`` drive the cluster; this
-module owns membership, liveness, crash application and a structured event
-log used by the experiment reports.
+discriminator swaps.  The trainers in ``repro.core`` move the data
+themselves and charge each hand-over to :attr:`Cluster.meter`; this module
+keeps the meter, one :class:`~repro.simulation.node.ComputeLedger` per
+node, each worker's liveness and the fail-stop crash schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .failures import CrashSchedule
-from .network import LinkModel, SimulatedNetwork
 from .node import Node
+from .traffic import TrafficMeter
 
-__all__ = ["ClusterEvent", "Cluster", "SERVER_NAME", "worker_name"]
+__all__ = ["Cluster", "SERVER_NAME", "worker_name"]
 
 #: Canonical name of the central server node (the paper's ``C``).
 SERVER_NAME = "server"
@@ -28,51 +28,20 @@ def worker_name(index: int) -> str:
     return f"worker-{index}"
 
 
-@dataclass
-class ClusterEvent:
-    """One structured entry of the cluster event log."""
-
-    iteration: int
-    kind: str
-    node: str
-    detail: str = ""
-
-
 class Cluster:
-    """One server plus ``N`` workers on a shared simulated network."""
+    """One server plus ``N`` workers, with one shared Table III meter."""
 
     def __init__(
-        self,
-        num_workers: int,
-        link_model: Optional[LinkModel] = None,
-        crash_schedule: Optional[CrashSchedule] = None,
+        self, num_workers: int, crash_schedule: Optional[CrashSchedule] = None
     ) -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        self.network = SimulatedNetwork(link_model=link_model)
-        self.server = Node(SERVER_NAME, self.network)
-        self.workers: List[Node] = [
-            Node(worker_name(i), self.network) for i in range(num_workers)
-        ]
+        self.meter = TrafficMeter()
+        self.server = Node(SERVER_NAME)
+        self.workers: List[Node] = [Node(worker_name(i)) for i in range(num_workers)]
         self.crash_schedule = crash_schedule or CrashSchedule.none()
-        self.events: List[ClusterEvent] = []
         self._workers_by_name: Dict[str, Node] = {w.name: w for w in self.workers}
 
-    # -- membership ----------------------------------------------------------
-    @property
-    def num_workers(self) -> int:
-        """Total number of workers (including crashed ones)."""
-        return len(self.workers)
-
-    def alive_workers(self) -> List[Node]:
-        """Workers that have not crashed."""
-        return [w for w in self.workers if w.alive]
-
-    def worker(self, name: str) -> Node:
-        """Look up a worker node by name."""
-        return self._workers_by_name[name]
-
-    # -- failures ------------------------------------------------------------
     def apply_crashes(self, iteration: int) -> List[str]:
         """Crash every worker scheduled for ``iteration``; returns their names."""
         crashed = []
@@ -81,10 +50,8 @@ class Cluster:
             if node is not None and node.alive:
                 node.crash()
                 crashed.append(name)
-                self.log(iteration, "crash", name, "fail-stop crash (data share lost)")
         return crashed
 
-    # -- compute accounting ----------------------------------------------------
     def absorb_tape(self, node_name: str, tape) -> None:
         """Fold a detached :class:`~repro.simulation.node.ComputeTape` into a node.
 
@@ -96,22 +63,3 @@ class Cluster:
             self.server.compute.absorb(tape)
         else:
             self._workers_by_name[node_name].compute.absorb(tape)
-
-    # -- logging ---------------------------------------------------------------
-    def log(self, iteration: int, kind: str, node: str, detail: str = "") -> None:
-        """Append a structured event to the cluster log."""
-        self.events.append(ClusterEvent(iteration, kind, node, detail))
-
-    def events_of_kind(self, kind: str) -> List[ClusterEvent]:
-        """All logged events of the given kind."""
-        return [e for e in self.events if e.kind == kind]
-
-    # -- traffic convenience ---------------------------------------------------
-    @property
-    def meter(self):
-        """The network's traffic meter."""
-        return self.network.meter
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        alive = len(self.alive_workers())
-        return f"Cluster(workers={self.num_workers}, alive={alive})"

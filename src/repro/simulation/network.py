@@ -1,35 +1,17 @@
-"""Emulated network connecting the server and the workers.
+"""Link cost model: bytes to transfer time.
 
-The paper runs its experiments as an *emulation*: all workers live on the
-same machine, but the ordering of interactions of Algorithm 1 is preserved.
-This module reproduces that emulation style with two additions:
-
-* every message is routed through a :class:`SimulatedNetwork` so traffic is
-  metered per link and per message kind (feeding Tables III/IV and Fig. 2);
-* an optional :class:`LinkModel` converts bytes to transfer time, so the
-  harness can also report estimated communication time per global iteration
-  for WAN / LAN / edge-device style deployments (the settings motivating the
-  paper).
-
-Delivery is synchronous and loss-free by default; crashed nodes are
-disconnected and silently drop any traffic addressed to them, matching the
-fail-stop model of the Figure 5 experiment.
+The paper runs its experiments as an *emulation* on one machine; a
+:class:`LinkModel` converts the metered bytes of Table III into
+communication time per global iteration for the WAN / LAN / edge-device
+deployments that motivate the paper (see
+:func:`~repro.simulation.timeline.estimate_iteration_time`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
 
-from .messages import Message, MessageKind
-from .traffic import TrafficMeter
-
-__all__ = ["LinkModel", "SimulatedNetwork", "NodeDisconnected"]
-
-
-class NodeDisconnected(RuntimeError):
-    """Raised when a node attempts to communicate after being disconnected."""
+__all__ = ["LinkModel"]
 
 
 @dataclass(frozen=True)
@@ -72,111 +54,3 @@ class LinkModel:
     def edge() -> "LinkModel":
         """10 Mb/s, 100 ms — devices at the edge of the Internet."""
         return LinkModel(10e6 / 8, 0.1, "edge")
-
-
-class SimulatedNetwork:
-    """Synchronous, metered message-passing fabric between named nodes."""
-
-    def __init__(self, link_model: Optional[LinkModel] = None) -> None:
-        self.link_model = link_model
-        self.meter = TrafficMeter()
-        self._mailboxes: Dict[str, Deque[Message]] = defaultdict(deque)
-        self._nodes: Dict[str, bool] = {}
-        #: Estimated cumulative transfer time per recipient (seconds), only
-        #: maintained when a link model is configured.
-        self.transfer_time: Dict[str, float] = defaultdict(float)
-        self.dropped_messages = 0
-
-    # -- membership ----------------------------------------------------------
-    def register(self, node: str) -> None:
-        """Register a node; idempotent."""
-        self._nodes.setdefault(node, True)
-
-    def disconnect(self, node: str) -> None:
-        """Mark a node as crashed/disconnected and drop its pending mail."""
-        if node not in self._nodes:
-            raise KeyError(f"Unknown node {node!r}")
-        self._nodes[node] = False
-        self._mailboxes[node].clear()
-
-    def reconnect(self, node: str) -> None:
-        """Bring a previously disconnected node back into the fabric.
-
-        Its mailbox starts empty — traffic addressed to it while it was
-        down stays dropped (elastic rejoin recovers *state* from the last
-        merged mirror, never the missed messages).
-        """
-        if node not in self._nodes:
-            raise KeyError(f"Unknown node {node!r}")
-        self._nodes[node] = True
-        self._mailboxes[node].clear()
-
-    def is_connected(self, node: str) -> bool:
-        """Whether ``node`` is registered and currently reachable."""
-        return self._nodes.get(node, False)
-
-    def connected_nodes(self) -> List[str]:
-        """Names of all currently reachable nodes."""
-        return [n for n, up in self._nodes.items() if up]
-
-    # -- messaging -----------------------------------------------------------
-    def send(self, message: Message) -> bool:
-        """Route a message; returns ``True`` if it was delivered.
-
-        Messages from a disconnected sender raise (a crashed node cannot
-        act); messages *to* a disconnected recipient are silently dropped,
-        which is how fail-stop crashes manifest to the rest of the system.
-        """
-        if message.sender not in self._nodes:
-            raise KeyError(f"Unknown sender {message.sender!r}")
-        if message.recipient not in self._nodes:
-            raise KeyError(f"Unknown recipient {message.recipient!r}")
-        if not self._nodes[message.sender]:
-            raise NodeDisconnected(
-                f"Sender {message.sender!r} is disconnected and cannot send"
-            )
-        if not self._nodes[message.recipient]:
-            self.dropped_messages += 1
-            return False
-        self.meter.record(message)
-        if self.link_model is not None:
-            self.transfer_time[message.recipient] += self.link_model.transfer_time(
-                message.nbytes
-            )
-        self._mailboxes[message.recipient].append(message)
-        return True
-
-    def receive(
-        self, node: str, kind: Optional[MessageKind] = None
-    ) -> List[Message]:
-        """Drain (and return) all pending messages for ``node``.
-
-        When ``kind`` is given only matching messages are drained; others are
-        left queued.
-        """
-        if node not in self._nodes:
-            raise KeyError(f"Unknown node {node!r}")
-        if not self._nodes[node]:
-            raise NodeDisconnected(f"Node {node!r} is disconnected and cannot receive")
-        mailbox = self._mailboxes[node]
-        if kind is None:
-            out = list(mailbox)
-            mailbox.clear()
-            return out
-        kept: Deque[Message] = deque()
-        out = []
-        while mailbox:
-            msg = mailbox.popleft()
-            (out if msg.kind == kind else kept).append(msg)
-        self._mailboxes[node] = kept
-        return out
-
-    def pending(self, node: str) -> int:
-        """Number of undelivered messages currently queued for ``node``."""
-        return len(self._mailboxes[node])
-
-    def reset_traffic(self) -> None:
-        """Clear traffic statistics (membership and mailboxes are preserved)."""
-        self.meter.reset()
-        self.transfer_time.clear()
-        self.dropped_messages = 0

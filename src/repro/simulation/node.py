@@ -1,19 +1,15 @@
 """Node abstractions for the emulated cluster.
 
-A :class:`Node` is a named participant bound to a :class:`SimulatedNetwork`.
-The concrete server / worker behaviours of the three training algorithms live
-in ``repro.core``; this module only provides the communication plumbing and
-liveness state shared by all of them, plus a tiny compute-cost ledger used by
-the workload analyses (Table II's computation columns).
+A :class:`Node` is a named participant: a liveness flag plus a tiny
+compute-cost ledger used by the workload analyses (Table II's computation
+columns).  The concrete server / worker behaviours of the training
+algorithms live in ``repro.core``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-from .messages import Message, MessageKind
-from .network import SimulatedNetwork
+from typing import Dict, List
 
 __all__ = ["ComputeTape", "ComputeLedger", "Node"]
 
@@ -88,59 +84,22 @@ class ComputeLedger:
         self.by_category.clear()
 
 
+@dataclass
 class Node:
-    """A named participant of the emulated cluster."""
+    """A named participant of the emulated cluster: its ledger and liveness."""
 
-    def __init__(self, name: str, network: SimulatedNetwork) -> None:
-        self.name = name
-        self.network = network
-        self.compute = ComputeLedger()
-        network.register(name)
-
-    # -- liveness ------------------------------------------------------------
-    @property
-    def alive(self) -> bool:
-        """Whether this node is still connected to the network."""
-        return self.network.is_connected(self.name)
+    name: str
+    compute: ComputeLedger = field(default_factory=ComputeLedger)
+    alive: bool = True
 
     def crash(self) -> None:
-        """Fail-stop crash: disconnect from the network permanently."""
-        if self.alive:
-            self.network.disconnect(self.name)
+        """Fail-stop crash: the node stops taking part (idempotent)."""
+        self.alive = False
 
     def rejoin(self) -> None:
-        """Reconnect a crashed node (elastic membership revival).
+        """Bring a crashed node back (elastic membership revival).
 
-        The node comes back with an empty mailbox; its training state is the
-        revival path's problem (restored from the last merged mirror).
+        Its training state is the revival path's problem (restored from the
+        last merged mirror).
         """
-        if not self.alive:
-            self.network.reconnect(self.name)
-
-    # -- messaging -----------------------------------------------------------
-    def send(
-        self,
-        recipient: str,
-        kind: MessageKind,
-        payload: Any = None,
-        iteration: Optional[int] = None,
-        **metadata: Any,
-    ) -> bool:
-        """Send a message to ``recipient``; returns ``True`` if delivered."""
-        message = Message(
-            sender=self.name,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            iteration=iteration,
-            metadata=dict(metadata),
-        )
-        return self.network.send(message)
-
-    def receive(self, kind: Optional[MessageKind] = None) -> List[Message]:
-        """Drain pending messages addressed to this node."""
-        return self.network.receive(self.name, kind=kind)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "alive" if self.alive else "crashed"
-        return f"{self.__class__.__name__}(name={self.name!r}, {state})"
+        self.alive = True

@@ -1,21 +1,65 @@
-"""Traffic accounting for the emulated network.
+"""Table III traffic accounting.
 
-``TrafficMeter`` aggregates the bytes and message counts carried by every
-(sender, recipient, message-kind) combination.  The experiment harness uses
-it to regenerate the measured counterparts of Table III (communication
-complexities), Table IV (CIFAR10 example costs) and Figure 2 (maximum ingress
-traffic per iteration).
+Every communication of the training algorithms is charged to a
+:class:`TrafficMeter` at the point where its payload is handed over, as
+``(kind, sender, recipient, nbytes, iteration)``.  The meter aggregates the
+bytes and message counts per (sender, recipient, kind) link; the experiment
+harness uses it to regenerate the measured counterparts of Table III
+(communication complexities), Table IV (CIFAR10 example costs) and Figure 2
+(maximum ingress traffic per iteration).
+
+Byte sizes follow the paper's conventions: one transmitted scalar (model
+parameter, image feature, or error-feedback feature) is a 32-bit float.
 """
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .messages import Message, MessageKind
+import numpy as np
 
-__all__ = ["LinkStats", "TrafficMeter"]
+from ..nn.serialize import FLOAT_BYTES
+
+__all__ = ["MessageKind", "payload_nbytes", "LinkStats", "TrafficMeter"]
+
+
+class MessageKind(enum.Enum):
+    """Classification of communications, matching the rows of Table III."""
+
+    #: Server -> worker: generated batches X^(d), X^(g)   (MD-GAN)
+    GENERATED_BATCHES = "generated_batches"
+    #: Worker -> server: error feedback F_n                (MD-GAN)
+    ERROR_FEEDBACK = "error_feedback"
+    #: Worker -> worker: discriminator parameters swap     (MD-GAN)
+    DISCRIMINATOR_SWAP = "discriminator_swap"
+    #: Server -> worker: global model parameters           (FL-GAN)
+    MODEL_BROADCAST = "model_broadcast"
+    #: Worker -> server: locally updated model parameters  (FL-GAN)
+    MODEL_UPDATE = "model_update"
+
+
+def payload_nbytes(payload: Any) -> int:
+    """Number of bytes needed to transmit ``payload`` as 32-bit floats.
+
+    Arrays count ``4 * size`` bytes; containers are summed recursively;
+    non-array scalars count one float.  ``None`` counts zero.
+    """
+    if payload is None:
+        return 0
+    if isinstance(payload, np.ndarray):
+        return int(payload.size) * FLOAT_BYTES
+    if isinstance(payload, (list, tuple, set)):
+        return sum(payload_nbytes(p) for p in payload)
+    if isinstance(payload, dict):
+        return sum(payload_nbytes(v) for v in payload.values())
+    if isinstance(payload, (int, float, np.integer, np.floating, bool)):
+        return FLOAT_BYTES
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    raise TypeError(f"Cannot size payload of type {type(payload)!r}")
 
 
 @dataclass
@@ -45,16 +89,20 @@ class TrafficMeter:
         default_factory=lambda: defaultdict(lambda: defaultdict(int))
     )
 
-    def record(self, message: Message) -> None:
-        """Account for one delivered message."""
-        key = (message.sender, message.recipient, message.kind)
-        self.links[key].record(message.nbytes)
-        self.ingress[message.recipient] += message.nbytes
-        self.egress[message.sender] += message.nbytes
-        if message.iteration is not None:
-            self.ingress_by_iteration[message.iteration][message.recipient] += (
-                message.nbytes
-            )
+    def charge(
+        self,
+        kind: MessageKind,
+        sender: str,
+        recipient: str,
+        nbytes: int,
+        iteration: Optional[int] = None,
+    ) -> None:
+        """Account for one communication of ``nbytes`` from ``sender`` to ``recipient``."""
+        self.links[(sender, recipient, kind)].record(nbytes)
+        self.ingress[recipient] += nbytes
+        self.egress[sender] += nbytes
+        if iteration is not None:
+            self.ingress_by_iteration[iteration][recipient] += nbytes
 
     # -- queries -------------------------------------------------------------
     def total_bytes(self, kind: Optional[MessageKind] = None) -> int:
@@ -72,20 +120,6 @@ class TrafficMeter:
             for (_, _, k), stats in self.links.items()
             if kind is None or k == kind
         )
-
-    def bytes_by_kind(self) -> Dict[MessageKind, int]:
-        """Total bytes per message kind."""
-        out: Dict[MessageKind, int] = defaultdict(int)
-        for (_, _, kind), stats in self.links.items():
-            out[kind] += stats.bytes
-        return dict(out)
-
-    def messages_by_kind(self) -> Dict[MessageKind, int]:
-        """Message counts per message kind."""
-        out: Dict[MessageKind, int] = defaultdict(int)
-        for (_, _, kind), stats in self.links.items():
-            out[kind] += stats.messages
-        return dict(out)
 
     def node_ingress(self, node: str, kind: Optional[MessageKind] = None) -> int:
         """Bytes received by ``node``, optionally restricted to one kind."""
@@ -133,10 +167,3 @@ class TrafficMeter:
                 }
             )
         return rows
-
-    def reset(self) -> None:
-        """Clear all accumulated statistics."""
-        self.links.clear()
-        self.ingress.clear()
-        self.egress.clear()
-        self.ingress_by_iteration.clear()

@@ -192,3 +192,28 @@ def test_losses_recorded_every_iteration(ring_shards, toy_factory, tiny_config):
     history = trainer.train()
     assert len(history.iterations) == tiny_config.iterations
     assert all(np.isfinite(history.generator_loss))
+
+
+@pytest.mark.parametrize("aggregation", ["sync", "async"])
+def test_model_transfer_bytes_match_rounds_closed_form(
+    ring_shards, toy_factory, aggregation
+):
+    # Table III, FL-GAN column: every round moves each contributor's full
+    # GAN up and the average back down, (|θ_G| + |θ_D|) floats each way.
+    config = TrainingConfig(
+        iterations=12, batch_size=10, epochs_per_swap=0.2, seed=4,
+        aggregation=aggregation, max_staleness=2,
+    )
+    trainer = FLGANTrainer(toy_factory, ring_shards, config)
+    history = trainer.train()
+    rounds = history.events_of_kind("federated_round")
+    assert len(rounds) >= 2
+    model_floats = (
+        trainer.server_generator.num_parameters
+        + trainer.server_discriminator.num_parameters
+    )
+    expected = sum(r["workers"] for r in rounds) * model_floats * 4
+    meter = trainer.cluster.meter
+    assert meter.total_bytes(MessageKind.MODEL_UPDATE) == expected
+    assert meter.total_bytes(MessageKind.MODEL_BROADCAST) == expected
+    assert meter.node_egress(SERVER_NAME) == expected

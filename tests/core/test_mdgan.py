@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import MDGANTrainer, TrainingConfig
+from repro.core import AsyncMDGANTrainer, MDGANTrainer, TrainingConfig
 from repro.nn.serialize import FLOAT_BYTES
 from repro.simulation import CrashSchedule, MessageKind, SERVER_NAME, worker_name
 
@@ -91,6 +91,28 @@ class TestTrainingLoop:
         assert images.shape == (5,) + toy_factory.image_shape
 
 
+def _assignment(work, batches):
+    """``worker index -> {"g": batch index, "d": batch index}`` from step inputs."""
+    index_of = {id(batch.images): j for j, batch in enumerate(batches)}
+    return {
+        worker.index: {"g": step.batch_index_g, "d": index_of[id(step.x_d)]}
+        for worker, step in work
+    }
+
+
+def _batch_bytes(meter, d, b=8):
+    """Assert the per-message closed forms; return the message counts.
+
+    Every ``GENERATED_BATCHES`` message carries ``X_d`` and ``X_g`` (2bd
+    floats) and every ``ERROR_FEEDBACK`` message one ``F_n`` (bd floats).
+    """
+    batches = meter.total_messages(MessageKind.GENERATED_BATCHES)
+    feedbacks = meter.total_messages(MessageKind.ERROR_FEEDBACK)
+    assert meter.total_bytes(MessageKind.GENERATED_BATCHES) == batches * 2 * b * d * FLOAT_BYTES
+    assert meter.total_bytes(MessageKind.ERROR_FEEDBACK) == feedbacks * b * d * FLOAT_BYTES
+    return batches, feedbacks
+
+
 class TestCommunicationPattern:
     def test_each_worker_receives_two_batches_per_iteration(
         self, ring_shards, toy_factory
@@ -110,6 +132,52 @@ class TestCommunicationPattern:
         expected = 3 * len(ring_shards) * 8 * d * FLOAT_BYTES
         assert meter.total_bytes(MessageKind.ERROR_FEEDBACK) == expected
         assert meter.node_ingress(SERVER_NAME, MessageKind.ERROR_FEEDBACK) == expected
+
+    @pytest.mark.parametrize("case", ["pipeline_depth_1", "crash_schedule", "async_trainer"])
+    def test_batch_and_feedback_bytes_closed_form(self, ring_shards, toy_factory, case):
+        # One GENERATED_BATCHES / ERROR_FEEDBACK pair per participating
+        # worker per iteration: lookahead generation moves no batch, a
+        # crashed worker is never charged again, and per-feedback updates
+        # change only the server's arithmetic.
+        config = TrainingConfig(
+            iterations=6, batch_size=8, seed=3,
+            pipeline_depth=1 if case == "pipeline_depth_1" else 0,
+        )
+        schedule = CrashSchedule({2: [worker_name(0)], 4: [worker_name(1)]})
+        if case == "crash_schedule":
+            trainer = MDGANTrainer(toy_factory, ring_shards, config, crash_schedule=schedule)
+        else:
+            cls = AsyncMDGANTrainer if case == "async_trainer" else MDGANTrainer
+            trainer = cls(toy_factory, ring_shards, config)
+        trainer.train()
+        n = len(ring_shards)
+        crashed = case == "crash_schedule"
+        units = sum(n - crashed * ((t >= 2) + (t >= 4)) for t in range(1, 7))
+        assert _batch_bytes(trainer.cluster.meter, toy_factory.object_size) == (units, units)
+
+    def test_async_aggregation_charges_one_pair_per_folded_unit(
+        self, ring_shards, toy_factory
+    ):
+        trainer = make_trainer(
+            toy_factory, ring_shards, iterations=4, aggregation="async", max_staleness=2
+        )
+        trainer.train()
+        batches, feedbacks = _batch_bytes(trainer.cluster.meter, toy_factory.object_size)
+        # Units still in flight at the end are answered but never folded.
+        assert 0 < feedbacks <= batches
+
+    def test_swap_bytes_match_exchanged_discriminators(self, ring_shards, toy_factory):
+        trainer = make_trainer(toy_factory, ring_shards, iterations=10, batch_size=50)
+        history = trainer.train()
+        swaps = history.events_of_kind("swap")
+        assert swaps
+        theta_d = trainer.workers[0].discriminator.num_parameters
+        exchanged = sum(e["exchanged"] for e in swaps)
+        meter = trainer.cluster.meter
+        assert meter.total_messages(MessageKind.DISCRIMINATOR_SWAP) == exchanged
+        assert meter.total_bytes(MessageKind.DISCRIMINATOR_SWAP) == (
+            exchanged * theta_d * FLOAT_BYTES
+        )
 
     def test_generated_batch_memory_charged_at_object_size(
         self, ring_shards, toy_factory
@@ -136,7 +204,7 @@ class TestCommunicationPattern:
     def test_assignment_uses_round_robin(self, ring_shards, toy_factory):
         trainer = make_trainer(toy_factory, ring_shards, num_batches=2, iterations=1)
         batches = trainer._generate_batches(2)
-        assignment = trainer._distribute_batches(1, batches, trainer.workers)
+        assignment = _assignment(trainer._distribute_batches(1, batches, trainer.workers), batches)
         for worker in trainer.workers:
             assert assignment[worker.index]["g"] == worker.index % 2
             assert assignment[worker.index]["d"] == (worker.index + 1) % 2
@@ -150,13 +218,53 @@ class TestCommunicationPattern:
         trainer = make_trainer(toy_factory, ring_shards, num_batches=2, iterations=1)
         batches = trainer._generate_batches(2)
         subset = [trainer.workers[1], trainer.workers[3]]
-        assignment = trainer._distribute_batches(1, batches, subset)
-        full = trainer._distribute_batches(2, batches, trainer.workers)
+        assignment = _assignment(trainer._distribute_batches(1, batches, subset), batches)
+        full = _assignment(trainer._distribute_batches(2, batches, trainer.workers), batches)
         assert set(assignment) == {1, 3}
         for index in (1, 3):
             assert assignment[index] == full[index]
             assert assignment[index]["g"] == index % 2
             assert assignment[index]["d"] == (index + 1) % 2
+
+    def test_distribute_batches_charges_one_message_per_handed_step_input(
+        self, ring_shards, toy_factory
+    ):
+        trainer = make_trainer(toy_factory, ring_shards, num_batches=2, iterations=1)
+        batches = trainer._generate_batches(2)
+        subset = [trainer.workers[1], trainer.workers[3]]
+        work = trainer._distribute_batches(5, batches, subset)
+        meter = trainer.cluster.meter
+        per_message = 2 * 8 * toy_factory.object_size * FLOAT_BYTES
+        assert [w.index for w, _ in work] == [1, 3]
+        assert meter.total_messages(MessageKind.GENERATED_BATCHES) == len(subset)
+        assert meter.node_egress(SERVER_NAME) == len(subset) * per_message
+        for worker in trainer.workers:
+            expected = per_message if worker.index in (1, 3) else 0
+            name = worker_name(worker.index)
+            assert meter.node_ingress(name, MessageKind.GENERATED_BATCHES) == expected
+            assert meter.ingress_by_iteration[5].get(name, 0) == expected
+
+    def test_merge_worker_result_charges_feedback_to_the_server(
+        self, ring_shards, toy_factory
+    ):
+        from repro.runtime import WorkerTask, run_mdgan_worker_task
+
+        trainer = make_trainer(toy_factory, ring_shards, iterations=1)
+        batches = trainer._generate_batches(trainer.num_batches)
+        worker, step_input = trainer._distribute_batches(1, batches, trainer.workers[2:3])[0]
+        (result,) = trainer.executor.map_ordered(
+            run_mdgan_worker_task, [WorkerTask(trainer._resident_state(worker), step_input)]
+        )
+        meter = trainer.cluster.meter
+        assert meter.total_messages(MessageKind.ERROR_FEEDBACK) == 0
+        step = trainer._merge_worker_result(1, worker, result)
+        expected = 8 * toy_factory.object_size * FLOAT_BYTES
+        assert step.feedback.size * FLOAT_BYTES == expected
+        assert meter.summary_rows()[0] == {
+            "sender": worker_name(2), "recipient": SERVER_NAME,
+            "kind": "error_feedback", "messages": 1, "bytes": expected,
+        }
+        assert meter.ingress_by_iteration[1][SERVER_NAME] == expected
 
 
 class TestFeedbackAggregation:
@@ -183,31 +291,28 @@ class TestFeedbackAggregation:
         participants = trainer._participating_workers()
         k = min(trainer.num_batches, len(participants))
         batches = trainer._generate_batches(k)
-        trainer._distribute_batches(1, batches, participants)
+        work = trainer._distribute_batches(1, batches, participants)
         # Run steps 2-3 through the backend protocol (build -> compute ->
         # merge), the same path train_iteration uses.
-        from repro.runtime import run_mdgan_worker_task
+        from repro.core.gan_ops import apply_feedback_to_generator
+        from repro.runtime import WorkerTask, run_mdgan_worker_task
 
-        tasks = [trainer._build_worker_task(worker) for worker in participants]
-        results = trainer.executor.map_ordered(
-            run_mdgan_worker_task, [t for t in tasks if t is not None]
-        )
+        tasks = [WorkerTask(trainer._resident_state(w), step) for w, step in work]
+        results = trainer.executor.map_ordered(run_mdgan_worker_task, tasks)
+        feedback = []
         for worker, result in zip(participants, results):
-            trainer._merge_worker_result(1, worker, result)
-        messages = trainer.cluster.server.receive(MessageKind.ERROR_FEEDBACK)
-        assert len(messages) == len(participants)
+            step = trainer._merge_worker_result(1, worker, result)
+            feedback.append((step.batch_index_g, step.feedback))
+        assert len(feedback) == len(participants)
 
         individual = []
-        for message in messages:
-            batch = batches[message.metadata["batch_index"]]
+        for batch_index, f_n in feedback:
             trainer.generator.zero_grad()
-            from repro.core.gan_ops import apply_feedback_to_generator
-
             apply_feedback_to_generator(
                 trainer.generator,
                 trainer.factory,
-                [batch],
-                [message.payload],
+                [batches[batch_index]],
+                [f_n],
                 weights=[1.0],
             )
             individual.append(trainer.generator.get_gradients().astype(np.float64))
@@ -216,8 +321,8 @@ class TestFeedbackAggregation:
         apply_feedback_to_generator(
             trainer.generator,
             trainer.factory,
-            [batches[m.metadata["batch_index"]] for m in messages],
-            [m.payload for m in messages],
+            [batches[i] for i, _ in feedback],
+            [f_n for _, f_n in feedback],
         )
         averaged = trainer.generator.get_gradients().astype(np.float64)
         np.testing.assert_allclose(
@@ -236,6 +341,29 @@ class TestSwap:
             float(w.discriminator.get_parameters().sum()) for w in trainer.workers
         )
         np.testing.assert_allclose(before, after)
+
+    def test_swap_charges_each_vector_on_its_worker_to_worker_link(
+        self, ring_shards, toy_factory
+    ):
+        trainer = make_trainer(toy_factory, ring_shards, iterations=1)
+        by_name = {worker_name(w.index): w for w in trainer.workers}
+        before = {name: w.discriminator.get_parameters() for name, w in by_name.items()}
+        trainer._swap_discriminators(iteration=1)
+        rows = trainer.cluster.meter.summary_rows()
+        assert rows
+        theta_d = trainer.workers[0].discriminator.num_parameters
+        recipients = [row["recipient"] for row in rows]
+        assert len(set(recipients)) == len(recipients)
+        for row in rows:
+            assert row["kind"] == "discriminator_swap"
+            assert row["sender"] != row["recipient"]
+            assert SERVER_NAME not in (row["sender"], row["recipient"])
+            assert (row["messages"], row["bytes"]) == (1, theta_d * FLOAT_BYTES)
+            # The charged vector is the one the recipient now holds.
+            np.testing.assert_array_equal(
+                by_name[row["recipient"]].discriminator.get_parameters(),
+                before[row["sender"]],
+            )
 
     def test_swap_events_logged_at_expected_period(self, ring_shards, toy_factory):
         trainer = make_trainer(toy_factory, ring_shards, iterations=10, batch_size=50)

@@ -1,15 +1,14 @@
 """Unit tests for nodes, the cluster container and crash schedules."""
 
-import numpy as np
 import pytest
 
 from repro.simulation import (
     Cluster,
     ComputeLedger,
+    ComputeTape,
     CrashSchedule,
     MessageKind,
     Node,
-    SimulatedNetwork,
     SERVER_NAME,
     worker_name,
 )
@@ -43,24 +42,21 @@ class TestComputeLedger:
 
 
 class TestNode:
-    def test_send_receive_roundtrip(self):
-        net = SimulatedNetwork()
-        a = Node("a", net)
-        b = Node("b", net)
-        assert a.send("b", MessageKind.CONTROL, np.zeros(2), iteration=3, tag="hello")
-        messages = b.receive()
-        assert len(messages) == 1
-        assert messages[0].metadata["tag"] == "hello"
-        assert messages[0].iteration == 3
-
-    def test_crash_disconnects(self):
-        net = SimulatedNetwork()
-        a = Node("a", net)
-        Node("b", net)
+    def test_crash_and_rejoin(self):
+        a = Node("a")
+        assert a.alive
         a.crash()
         assert not a.alive
         # Crashing twice is harmless.
         a.crash()
+        assert not a.alive
+        a.rejoin()
+        assert a.alive
+
+    def test_nodes_own_separate_ledgers(self):
+        a, b = Node("a"), Node("b")
+        a.compute.charge("x", 3.0)
+        assert b.compute.flops == 0.0
 
 
 class TestCrashSchedule:
@@ -97,10 +93,9 @@ class TestCrashSchedule:
 class TestCluster:
     def test_membership(self):
         cluster = Cluster(num_workers=3)
-        assert cluster.num_workers == 3
-        assert len(cluster.alive_workers()) == 3
+        assert [w.name for w in cluster.workers] == [worker_name(i) for i in range(3)]
+        assert all(w.alive for w in cluster.workers)
         assert cluster.server.name == SERVER_NAME
-        assert cluster.worker(worker_name(1)).name == worker_name(1)
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -112,20 +107,37 @@ class TestCluster:
         assert cluster.apply_crashes(4) == []
         crashed = cluster.apply_crashes(5)
         assert set(crashed) == {worker_name(0), worker_name(2)}
-        assert len(cluster.alive_workers()) == 1
+        assert [w.alive for w in cluster.workers] == [False, True, False]
         # Applying again at the same iteration is a no-op (already crashed).
         assert cluster.apply_crashes(5) == []
 
-    def test_event_log(self):
-        cluster = Cluster(num_workers=2)
-        cluster.log(1, "swap", worker_name(0), "sent parameters")
-        cluster.log(2, "crash", worker_name(1))
-        assert len(cluster.events_of_kind("swap")) == 1
-        assert cluster.events_of_kind("crash")[0].iteration == 2
+    def test_rejoined_worker_is_crashed_again_by_a_later_entry(self):
+        schedule = CrashSchedule({2: [worker_name(1)], 6: [worker_name(1)]})
+        cluster = Cluster(num_workers=2, crash_schedule=schedule)
+        assert cluster.apply_crashes(2) == [worker_name(1)]
+        cluster.workers[1].rejoin()
+        assert cluster.workers[1].alive
+        assert cluster.apply_crashes(6) == [worker_name(1)]
+        assert [w.alive for w in cluster.workers] == [True, False]
 
-    def test_worker_server_communication_metered(self):
+    def test_unknown_crash_victims_are_ignored(self):
+        cluster = Cluster(num_workers=2, crash_schedule=CrashSchedule({1: ["ghost"]}))
+        assert cluster.apply_crashes(1) == []
+
+    def test_absorb_tape_routes_to_the_named_ledger(self):
         cluster = Cluster(num_workers=2)
-        cluster.server.send(
-            worker_name(0), MessageKind.GENERATED_BATCHES, np.zeros(8), iteration=1
-        )
+        tape = ComputeTape()
+        tape.charge("disc", 5.0)
+        tape.observe_memory(7)
+        cluster.absorb_tape(worker_name(1), tape)
+        cluster.absorb_tape(SERVER_NAME, tape)
+        assert cluster.workers[1].compute.by_category == {"disc": 5.0}
+        assert cluster.workers[1].compute.peak_memory_floats == 7
+        assert cluster.workers[0].compute.flops == 0.0
+        assert cluster.server.compute.flops == 5.0
+
+    def test_meter_is_charged_directly(self):
+        cluster = Cluster(num_workers=2)
+        cluster.meter.charge(MessageKind.GENERATED_BATCHES, SERVER_NAME, worker_name(0), 32, 1)
         assert cluster.meter.node_egress(SERVER_NAME) == 32
+        assert cluster.meter.node_ingress(worker_name(0)) == 32

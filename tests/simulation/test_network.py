@@ -1,23 +1,8 @@
-"""Unit tests for the simulated network, link model and traffic meter."""
+"""Unit tests for the link cost model."""
 
-import numpy as np
 import pytest
 
-from repro.simulation import (
-    LinkModel,
-    Message,
-    MessageKind,
-    NodeDisconnected,
-    SimulatedNetwork,
-    TrafficMeter,
-)
-
-
-def make_net(*nodes, link_model=None):
-    net = SimulatedNetwork(link_model=link_model)
-    for node in nodes:
-        net.register(node)
-    return net
+from repro.simulation import LinkModel
 
 
 class TestLinkModel:
@@ -54,99 +39,3 @@ class TestLinkModel:
         for preset in (LinkModel.datacenter(), LinkModel.wan(), LinkModel.edge()):
             assert preset.bandwidth_bytes_per_s > 0
             assert preset.latency_s >= 0
-
-
-class TestRouting:
-    def test_send_and_receive(self):
-        net = make_net("a", "b")
-        msg = Message("a", "b", MessageKind.CONTROL, np.zeros(3))
-        assert net.send(msg)
-        received = net.receive("b")
-        assert len(received) == 1 and received[0] is msg
-        assert net.receive("b") == []
-
-    def test_receive_filters_by_kind(self):
-        net = make_net("a", "b")
-        net.send(Message("a", "b", MessageKind.CONTROL))
-        net.send(Message("a", "b", MessageKind.ERROR_FEEDBACK, np.zeros(2)))
-        feedback = net.receive("b", kind=MessageKind.ERROR_FEEDBACK)
-        assert len(feedback) == 1
-        assert net.pending("b") == 1  # the control message remains queued
-
-    def test_unknown_nodes_raise(self):
-        net = make_net("a")
-        with pytest.raises(KeyError):
-            net.send(Message("a", "ghost", MessageKind.CONTROL))
-        with pytest.raises(KeyError):
-            net.receive("ghost")
-
-    def test_transfer_time_tracked_with_link_model(self):
-        net = make_net("a", "b", link_model=LinkModel(100.0, 1.0))
-        net.send(Message("a", "b", MessageKind.CONTROL, np.zeros(25)))  # 100 bytes
-        assert net.transfer_time["b"] == pytest.approx(2.0)
-
-
-class TestDisconnection:
-    def test_messages_to_crashed_node_are_dropped(self):
-        net = make_net("a", "b")
-        net.disconnect("b")
-        delivered = net.send(Message("a", "b", MessageKind.CONTROL))
-        assert not delivered
-        assert net.dropped_messages == 1
-
-    def test_crashed_node_cannot_send_or_receive(self):
-        net = make_net("a", "b")
-        net.disconnect("a")
-        with pytest.raises(NodeDisconnected):
-            net.send(Message("a", "b", MessageKind.CONTROL))
-        with pytest.raises(NodeDisconnected):
-            net.receive("a")
-
-    def test_pending_mail_cleared_on_disconnect(self):
-        net = make_net("a", "b")
-        net.send(Message("a", "b", MessageKind.CONTROL))
-        net.disconnect("b")
-        assert net.pending("b") == 0
-
-    def test_connected_nodes_listing(self):
-        net = make_net("a", "b", "c")
-        net.disconnect("b")
-        assert sorted(net.connected_nodes()) == ["a", "c"]
-
-
-class TestTrafficMeter:
-    def test_per_kind_and_per_node_accounting(self):
-        net = make_net("server", "w0", "w1")
-        net.send(Message("server", "w0", MessageKind.GENERATED_BATCHES, np.zeros(10), iteration=1))
-        net.send(Message("server", "w1", MessageKind.GENERATED_BATCHES, np.zeros(10), iteration=1))
-        net.send(Message("w0", "server", MessageKind.ERROR_FEEDBACK, np.zeros(5), iteration=1))
-        meter = net.meter
-        assert meter.total_messages() == 3
-        assert meter.total_bytes(MessageKind.GENERATED_BATCHES) == 80
-        assert meter.total_bytes(MessageKind.ERROR_FEEDBACK) == 20
-        assert meter.node_ingress("server") == 20
-        assert meter.node_egress("server") == 80
-        assert meter.node_ingress("w0", MessageKind.GENERATED_BATCHES) == 40
-
-    def test_ingress_by_iteration_and_max(self):
-        meter = TrafficMeter()
-        meter.record(Message("s", "w0", MessageKind.GENERATED_BATCHES, np.zeros(10), iteration=1))
-        meter.record(Message("s", "w0", MessageKind.GENERATED_BATCHES, np.zeros(30), iteration=2))
-        assert meter.max_ingress_per_iteration(["w0"]) == 120
-
-    def test_summary_rows_and_reset(self):
-        net = make_net("a", "b")
-        net.send(Message("a", "b", MessageKind.CONTROL, np.zeros(1)))
-        rows = net.meter.summary_rows()
-        assert rows and rows[0]["sender"] == "a"
-        net.reset_traffic()
-        assert net.meter.total_messages() == 0
-        assert net.transfer_time == {}
-
-    def test_bytes_by_kind_dict(self):
-        meter = TrafficMeter()
-        meter.record(Message("a", "b", MessageKind.MODEL_UPDATE, np.zeros(2)))
-        meter.record(Message("a", "b", MessageKind.MODEL_UPDATE, np.zeros(3)))
-        by_kind = meter.bytes_by_kind()
-        assert by_kind[MessageKind.MODEL_UPDATE] == 20
-        assert meter.messages_by_kind()[MessageKind.MODEL_UPDATE] == 2
