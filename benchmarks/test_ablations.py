@@ -5,7 +5,9 @@ the text (Sections IV-B4 and IV-C1) plus the Section VII extensions:
 
 * the number of generated batches ``k`` (data diversity vs server workload),
 * the discriminator swap period ``E`` (overfitting mitigation vs W<->W traffic),
-* per-feedback generator updates and partial worker participation.
+* asynchronous aggregation (``aggregation="async"``, bound ``N - 1``) and
+  partial worker participation (``participation_fraction``), both
+  ``TrainingConfig`` modes.
 """
 
 import numpy as np

@@ -4,13 +4,12 @@
 * :class:`FLGANTrainer` — federated learning adapted to GANs (FL-GAN).
 * :class:`MDGANTrainer` — the MD-GAN algorithm (single server-side generator,
   per-worker discriminators, error-feedback aggregation, discriminator
-  swapping).
-* :class:`AsyncMDGANTrainer`, :class:`SampledMDGANTrainer` — Section VII
-  extensions.
+  swapping).  The Section VII perspectives are modes of its
+  :class:`TrainingConfig`: ``aggregation="async"`` for the asynchronous
+  setting and ``participation_fraction`` for sampling workers.
 """
 
 from .config import OptimizerConfig, TrainingConfig, resolve_num_batches
-from .extensions import AsyncMDGANTrainer, SampledMDGANTrainer
 from .flgan import FLGANTrainer, FLGANWorkerState
 from .gan_ops import (
     GANObjective,
@@ -42,6 +41,4 @@ __all__ = [
     "FLGANWorkerState",
     "MDGANTrainer",
     "MDGANWorkerState",
-    "AsyncMDGANTrainer",
-    "SampledMDGANTrainer",
 ]

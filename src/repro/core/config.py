@@ -107,7 +107,8 @@ class TrainingConfig:
     transport: Optional[str] = None
     #: ``"HOST:PORT"`` the tcp transport should listen on for externally
     #: started worker hosts; ``None`` (with ``transport="tcp"``) binds
-    #: loopback and spawns local workers.  Ignored by ``pipe``.
+    #: loopback and spawns local workers.  Rejected unless the transport
+    #: is ``"tcp"``.
     transport_address: Optional[str] = None
     #: Pipelined execution depth (:mod:`repro.runtime.pipeline`).  ``0`` (the
     #: default) keeps the strictly phase-serial schedule — bitwise identical
@@ -204,10 +205,10 @@ class TrainingConfig:
                     f"{self.transport!r}"
                 )
         if self.transport_address is not None:
-            from ..runtime.transport import parse_address
+            from ..runtime.transport import TRANSPORT_DEFAULT, parse_address
 
             parse_address(self.transport_address)  # raises ValueError if malformed
-            if self.transport == "pipe":
+            if (self.transport or TRANSPORT_DEFAULT) != "tcp":
                 raise ValueError(
                     "transport_address is only meaningful with transport='tcp'"
                 )

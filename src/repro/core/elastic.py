@@ -147,7 +147,9 @@ class ElasticMembershipMixin:
             self._rebalance_shards(iteration)
         self._membership_snapshot()
         self._sync_membership_events(iteration)
-        self._check_min_workers(membership)
+        # The floor guards evictions; a scheduled (Fig. 5) crash is no eviction.
+        if lost and membership.policy.on_slot_loss == "degrade":
+            self._check_min_workers(membership)
 
     # -- pipeline composition hooks ------------------------------------------------
     def _pipeline_idle(self) -> bool:

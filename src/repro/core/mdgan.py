@@ -22,9 +22,10 @@ discriminator to its local shard.
 
 The trainer hands every payload to its destination directly and charges it
 to the cluster's Table III meter at that point, so byte-level traffic is
-measured; it supports the paper's fail-stop crash experiments plus two
-extensions discussed in Section VII: per-feedback (asynchronous-style)
-generator updates and partial worker participation.
+measured; it supports the paper's fail-stop crash experiments.  The two
+Section VII perspectives are :class:`TrainingConfig` modes, not trainer
+variants: the asynchronous setting is ``aggregation="async"`` and sampling a
+fraction of workers per iteration is ``participation_fraction``.
 """
 
 from __future__ import annotations
@@ -106,24 +107,14 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         config: TrainingConfig,
         evaluator: Optional[GeneratorEvaluator] = None,
         crash_schedule: Optional[CrashSchedule] = None,
-        swap_enabled: bool = True,
-        per_feedback_updates: bool = False,
     ) -> None:
         if not shards:
             raise ValueError("MD-GAN needs at least one worker shard")
-        if per_feedback_updates and config.aggregation == "async":
-            raise ValueError(
-                "per_feedback_updates (the Section VII per-feedback variant) "
-                "and aggregation='async' are distinct server disciplines; "
-                "enable at most one"
-            )
         # Convert shards once so an explicit precision opt-in reaches the data.
         shards = [shard.astype(config.dtype) for shard in shards]
         self.factory = factory
         self.config = config
         self.evaluator = evaluator
-        self.swap_enabled = swap_enabled
-        self.per_feedback_updates = per_feedback_updates
         self.cluster = Cluster(num_workers=len(shards), crash_schedule=crash_schedule)
 
         self._rng = np.random.default_rng(config.seed)
@@ -182,8 +173,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 "num_workers": len(shards),
                 "num_batches_k": self.num_batches,
                 "epochs_per_swap": config.epochs_per_swap,
-                "swap_enabled": swap_enabled,
-                "per_feedback_updates": per_feedback_updates,
                 "participation_fraction": config.participation_fraction,
                 "architecture": factory.name,
                 "pipeline_depth": config.pipeline_depth,
@@ -196,7 +185,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     @property
     def swap_period(self) -> int:
         """Iterations between swaps: ``m E / b`` (Algorithm 1, line 11)."""
-        if math.isinf(self.config.epochs_per_swap) or not self.swap_enabled:
+        if math.isinf(self.config.epochs_per_swap):
             return 0
         m = min(len(w.dataset) for w in self.workers)
         return max(1, int(round(m * self.config.epochs_per_swap / self.config.batch_size)))
@@ -315,24 +304,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.cluster.server.compute.observe_memory(
             len(feedback) * self.config.batch_size * self.factory.object_size
         )
-        if self.per_feedback_updates:
-            # Section VII-1 style: apply one generator update per feedback as
-            # it arrives instead of averaging across workers.
-            for batch_index, f_n in feedback:
-                self.generator.zero_grad()
-                apply_feedback_to_generator(
-                    self.generator,
-                    self.factory,
-                    [batches[batch_index]],
-                    [f_n],
-                    weights=[1.0],
-                )
-                self._gen_opt.step(self.generator)
-                self.cluster.server.compute.charge(
-                    "generator_update",
-                    self.config.batch_size * self.generator.num_parameters,
-                )
-            return
         self.generator.zero_grad()
         apply_feedback_to_generator(
             self.generator,

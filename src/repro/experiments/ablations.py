@@ -7,22 +7,23 @@ The paper motivates two design knobs without dedicating a figure to each:
   ``k in {1, floor(log N), N}``;
 * the swap period ``E`` (Section IV-C1: discriminator overfitting) —
   :func:`run_ablation_swap` sweeps ``E in {1, 5, infinity}``;
-* the Section VII extensions (asynchronous per-feedback updates, partial
-  worker participation) — :func:`run_ablation_extensions` compares them to
-  the synchronous full-participation baseline.
+* the Section VII perspectives (the asynchronous setting as
+  ``aggregation="async"`` with bound ``N - 1``, partial worker participation
+  as ``participation_fraction``) — :func:`run_ablation_extensions` compares
+  them to the synchronous full-participation baseline.
+
+Every runner forwards ``**runtime`` (any :class:`TrainingConfig` execution
+field: ``backend``, ``max_workers``, ``transport``, ``pipeline_depth``,
+``on_slot_loss``, ...) verbatim into the config it builds; the swept field
+of each ablation is applied after it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..core import (
-    AsyncMDGANTrainer,
-    MDGANTrainer,
-    SampledMDGANTrainer,
-    TrainingConfig,
-)
+from ..core import MDGANTrainer, TrainingConfig
 from .common import (
     ExperimentResult,
     ExperimentScale,
@@ -36,26 +37,7 @@ from .common import (
 __all__ = ["run_ablation_k", "run_ablation_swap", "run_ablation_extensions"]
 
 
-def _runtime_overrides(
-    backend: str,
-    max_workers: Optional[int],
-    shm_install: Optional[bool],
-    transport: Optional[str],
-    transport_address: Optional[str],
-    pipeline_depth: int,
-) -> dict:
-    """Bundle the shared runtime keywords for :func:`_base_config`."""
-    return dict(
-        backend=backend,
-        max_workers=max_workers,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
-        pipeline_depth=pipeline_depth,
-    )
-
-
-def _base_config(scale: ExperimentScale, **backend_overrides) -> TrainingConfig:
+def _base_config(scale: ExperimentScale, **runtime) -> TrainingConfig:
     return TrainingConfig(
         iterations=scale.iterations,
         batch_size=scale.batch_size_small,
@@ -63,7 +45,7 @@ def _base_config(scale: ExperimentScale, **backend_overrides) -> TrainingConfig:
         eval_every=scale.iterations,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
-        **backend_overrides,
+        **runtime,
     )
 
 
@@ -72,23 +54,13 @@ def run_ablation_k(
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
     k_values: Sequence[int] | None = None,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
     """Sweep the number of generated batches ``k`` (data-diversity trade-off).
 
-    The ``backend``/... keywords select the :mod:`repro.runtime` execution
-    settings (bitwise-neutral; wall-clock only), as in
-    :func:`~repro.experiments.run_fig5`.
+    ``num_batches`` is set per row, after ``runtime``.
     """
     scale = get_scale(scale)
-    overrides = _runtime_overrides(
-        backend, max_workers, shm_install, transport, transport_address, pipeline_depth
-    )
     train, test = prepare_dataset(dataset, scale)
     evaluator = prepare_evaluator(train, test, scale)
     factory = prepare_factory(architecture, train, scale)
@@ -108,7 +80,7 @@ def run_ablation_k(
         ),
     )
     for k in k_values:
-        config = _base_config(scale, **overrides).with_overrides(num_batches=int(k))
+        config = _base_config(scale, **runtime).with_overrides(num_batches=int(k))
         with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
             history = trainer.train()
         final = history.final_evaluation
@@ -131,18 +103,13 @@ def run_ablation_swap(
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
     epochs_values: Sequence[float] = (1.0, 5.0, math.inf),
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
-    """Sweep the swap period ``E`` (discriminator overfitting mitigation)."""
+    """Sweep the swap period ``E`` (discriminator overfitting mitigation).
+
+    ``epochs_per_swap`` is set per row, after ``runtime``.
+    """
     scale = get_scale(scale)
-    overrides = _runtime_overrides(
-        backend, max_workers, shm_install, transport, transport_address, pipeline_depth
-    )
     train, test = prepare_dataset(dataset, scale)
     evaluator = prepare_evaluator(train, test, scale)
     factory = prepare_factory(architecture, train, scale)
@@ -157,13 +124,8 @@ def run_ablation_swap(
         ),
     )
     for epochs in epochs_values:
-        swap_enabled = not math.isinf(epochs)
-        config = _base_config(scale, **overrides).with_overrides(
-            epochs_per_swap=epochs if swap_enabled else math.inf
-        )
-        with MDGANTrainer(
-            factory, shards, config, evaluator=evaluator, swap_enabled=swap_enabled
-        ) as trainer:
+        config = _base_config(scale, **runtime).with_overrides(epochs_per_swap=epochs)
+        with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
             history = trainer.train()
         final = history.final_evaluation
         result.add_row(
@@ -185,44 +147,40 @@ def run_ablation_extensions(
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
     participation_fraction: float = 0.5,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
-    """Compare the Section VII extensions against the reference MD-GAN."""
+    """Compare the Section VII perspectives against the reference MD-GAN.
+
+    Each variant is a config mode: ``md-gan-async`` sets
+    ``aggregation="async", max_staleness=N - 1`` and
+    ``md-gan-sampled-{p}`` sets ``participation_fraction=p``, both after
+    ``runtime``.
+    """
     scale = get_scale(scale)
-    overrides = _runtime_overrides(
-        backend, max_workers, shm_install, transport, transport_address, pipeline_depth
-    )
     train, test = prepare_dataset(dataset, scale)
     evaluator = prepare_evaluator(train, test, scale)
     factory = prepare_factory(architecture, train, scale)
     shards = prepare_shards(train, scale.num_workers, scale.seed)
-    config = _base_config(scale, **overrides)
+    config = _base_config(scale, **runtime)
 
     result = ExperimentResult(
         name="Ablation: Section VII extensions",
         description=(
-            f"Reference MD-GAN vs per-feedback updates and partial participation "
+            f"Reference MD-GAN vs asynchronous aggregation and partial participation "
             f"on {dataset} / {architecture} (N={scale.num_workers}, scale={scale.name})."
         ),
     )
     variants = {
-        "md-gan": MDGANTrainer(factory, shards, config, evaluator=evaluator),
-        "md-gan-async": AsyncMDGANTrainer(factory, shards, config, evaluator=evaluator),
-        f"md-gan-sampled-{participation_fraction}": SampledMDGANTrainer(
-            factory,
-            shards,
-            config,
-            participation_fraction=participation_fraction,
-            evaluator=evaluator,
+        "md-gan": config,
+        "md-gan-async": config.with_overrides(
+            aggregation="async", max_staleness=scale.num_workers - 1
+        ),
+        f"md-gan-sampled-{participation_fraction}": config.with_overrides(
+            participation_fraction=participation_fraction
         ),
     }
-    for name, trainer in variants.items():
-        with trainer:
+    for name, variant in variants.items():
+        with MDGANTrainer(factory, shards, variant, evaluator=evaluator) as trainer:
             history = trainer.train()
         final = history.final_evaluation
         result.add_row(

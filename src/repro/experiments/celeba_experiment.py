@@ -42,8 +42,13 @@ __all__ = ["run_fig6"]
 def run_fig6(
     scale: ExperimentScale | str = "smoke",
     num_workers: int = 5,
+    **runtime,
 ) -> ExperimentResult:
-    """Reproduce Figure 6: CelebA-like validation of the three competitors."""
+    """Reproduce Figure 6: CelebA-like validation of the three competitors.
+
+    ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
+    into every competitor's config, as in :func:`~repro.experiments.run_fig5`.
+    """
     scale = get_scale(scale)
     train, test = prepare_dataset("celeba", scale)
     evaluator = prepare_evaluator(train, test, scale)
@@ -72,6 +77,7 @@ def run_fig6(
         eval_every=scale.eval_every,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
+        **runtime,
     )
 
     histories: Dict[str, TrainingHistory] = {}

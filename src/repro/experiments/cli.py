@@ -8,22 +8,31 @@ Usage::
                                             [--architecture mnist-mlp|...]
                                             [--json PATH] [--csv PATH]
                                             [--markdown PATH] [--chart]
+                                            [runtime flags]
 
 where ``<artefact>`` is one of ``table2``, ``table3``, ``table4``, ``fig2``,
 ``fig3``, ``fig4``, ``fig5``, ``fig6``, ``ablation-k``, ``ablation-swap``,
 ``ablation-extensions``, ``ablation-noniid``, ``traffic-check``,
 ``serve-bench``, ``staleness-sweep`` or ``all``.
+
+The runtime flags (``--backend``, ``--max-workers``, ``--transport``,
+``--pipeline-depth``, ``--on-slot-loss``, ...) are
+:class:`~repro.core.TrainingConfig` fields.  Only the flags given are
+collected, validated once by ``TrainingConfig(**runtime)`` and handed to
+every training artefact, whose runner passes them straight into the configs
+it builds.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import Callable, Dict, List, Optional
 
 from .ablations import run_ablation_extensions, run_ablation_k, run_ablation_swap
 from .celeba_experiment import run_fig6
+from ..core.config import TrainingConfig
+from ..nn.precision import precision_scope
 from .common import ExperimentResult
 from .convergence import run_fig3
 from .fault_tolerance import run_fig5
@@ -60,7 +69,8 @@ ARTIFACTS: Dict[str, Callable[..., ExperimentResult]] = {
     "timing": run_timing_estimate,
 }
 
-#: artefacts whose runners take (dataset, architecture, scale) keyword arguments.
+#: artefacts whose runners take (dataset, architecture, scale) keyword
+#: arguments plus the runtime.
 _TRAINING_ARTIFACTS = {
     "fig3",
     "fig4",
@@ -73,7 +83,7 @@ _TRAINING_ARTIFACTS = {
     "serve-bench",
     "staleness-sweep",
 }
-#: artefacts that take only a scale.
+#: artefacts that take only a scale plus the runtime.
 _SCALE_ONLY_ARTIFACTS = {"fig6"}
 
 
@@ -90,9 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float32", "float64"),
         help="floating-point policy for all models (float32 is the fast default)",
     )
-    parser.add_argument(
+    # Defaults live in TrainingConfig: a flag the user did not give is absent
+    # from the parsed namespace.
+    runtime = parser.add_argument_group(
+        "runtime",
+        "TrainingConfig execution fields, handed to every training artefact "
+        "(traffic-check's resident section and serve-bench's rows pin their "
+        "own backend)",
+        argument_default=argparse.SUPPRESS,
+    )
+    runtime.add_argument(
         "--backend",
-        default="serial",
         choices=BACKENDS,
         help=(
             "execution backend for the per-worker training phase; results are "
@@ -101,17 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
             "process and ships only per-iteration deltas)"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--max-workers",
         type=int,
-        default=None,
         metavar="N",
-        help="pool size for the thread/process backends (default: cores - 1)",
+        help=(
+            "pool size for the thread/process backends and number of slots "
+            "of the resident pool (default: cores - 1)"
+        ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--shm-install",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help=(
             "ship resident-pool install payloads (dataset shards, large "
             "weight tensors) via POSIX shared memory instead of the pool "
@@ -120,9 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
             "identical either way)"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--transport",
-        default="pipe",
         choices=TRANSPORTS,
         help=(
             "transport carrying the resident pool's wire protocol: 'pipe' "
@@ -132,9 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend resident; results are bitwise identical either way"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--transport-address",
-        default=None,
         metavar="HOST:PORT",
         help=(
             "with --transport tcp: listen on HOST:PORT and wait for "
@@ -142,10 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
             "loopback and spawn local workers)"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--pipeline-depth",
         type=int,
-        default=0,
         metavar="D",
         help=(
             "pipelined execution depth (0 = synchronous, the default): the "
@@ -155,9 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
             "MD-GAN (FL-GAN pipelining stays bitwise identical)"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--on-slot-loss",
-        default="fail_stop",
         choices=("fail_stop", "degrade", "wait"),
         help=(
             "resident-pool policy when a slot dies mid-run: 'fail_stop' "
@@ -166,23 +181,21 @@ def build_parser() -> argparse.ArgumentParser:
             "crash-style and redistribute their shards across survivors; "
             "late joiners revive them), or 'wait' (block up to the rejoin "
             "timeout for replacement capacity and reassign the lost workers "
-            "there); only meaningful with --backend resident"
+            "there); requires --backend resident"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--min-workers",
         type=int,
-        default=1,
         metavar="N",
         help=(
             "fail the run when elastic degradation leaves fewer than N live "
             "workers (only meaningful with --on-slot-loss degrade/wait)"
         ),
     )
-    parser.add_argument(
+    runtime.add_argument(
         "--rejoin-backoff",
         type=float,
-        default=0.25,
         metavar="SECONDS",
         help=(
             "elastic membership: delay between reconnect/replacement "
@@ -202,71 +215,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _backend_kwargs(runner: Callable, args: argparse.Namespace) -> Dict[str, object]:
-    """Backend/pipeline selection kwargs, for runners whose sweeps support them.
-
-    Backend tuning flags travel *explicitly* — from the parsed arguments into
-    the runner signature and from there into ``TrainingConfig`` — instead of
-    mutating process-wide defaults, so concurrent runs in one process cannot
-    observe each other's settings.
-    """
-    accepted = inspect.signature(runner).parameters
-    kwargs: Dict[str, object] = {}
-    # Resident tuning flags travel independently of --backend: some runners
-    # (traffic-check, serve-bench) drive a resident pool regardless of the
-    # backend selection and still honour the transport/shm choice.
-    for flag in ("max_workers", "shm_install", "transport", "transport_address"):
-        if flag in accepted:
-            kwargs[flag] = getattr(args, flag)
-    # Elastic membership flags follow the same explicit path; runners that do
-    # not take them keep the fail-stop default, and passing a non-default
-    # policy to such a runner warns instead of silently dropping it.
-    for flag, default in (
-        ("on_slot_loss", "fail_stop"),
-        ("min_workers", 1),
-        ("rejoin_backoff", 0.25),
-    ):
-        value = getattr(args, flag)
-        if flag in accepted:
-            kwargs[flag] = value
-        elif value != default:
-            print(
-                f"note: {runner.__name__} does not take --{flag.replace('_', '-')}; "
-                "running fail-stop",
-                file=sys.stderr,
-            )
-    if "backend" in accepted:
-        kwargs["backend"] = args.backend
-    elif args.backend != "serial":
-        print(
-            f"note: {runner.__name__} does not take --backend; running serial",
-            file=sys.stderr,
-        )
-    if "pipeline_depth" in accepted:
-        kwargs["pipeline_depth"] = args.pipeline_depth
-    elif args.pipeline_depth:
-        print(
-            f"note: {runner.__name__} does not take --pipeline-depth; "
-            "running synchronously",
-            file=sys.stderr,
-        )
-    return kwargs
+def _runtime(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Dict[str, object]:
+    """The runtime flags the user gave, as ``TrainingConfig`` field values."""
+    group = next(g for g in parser._action_groups if g.title == "runtime")
+    return {a.dest: getattr(args, a.dest) for a in group._group_actions if hasattr(args, a.dest)}
 
 
-def _run_one(name: str, args: argparse.Namespace) -> ExperimentResult:
+def _run_one(name: str, args: argparse.Namespace, runtime: Dict[str, object]) -> ExperimentResult:
     runner = ARTIFACTS[name]
-    # Resolved for every artifact class so a dropped --backend always warns.
-    backend_kwargs = _backend_kwargs(runner, args)
     if name in _TRAINING_ARTIFACTS:
         return runner(
             dataset=args.dataset,
             architecture=args.architecture,
             scale=args.scale,
-            **backend_kwargs,
+            **runtime,
         )
     if name in _SCALE_ONLY_ARTIFACTS:
-        return runner(scale=args.scale, **backend_kwargs)
-    return runner(**backend_kwargs)
+        return runner(scale=args.scale, **runtime)
+    return runner()
 
 
 def _emit(result: ExperimentResult, args: argparse.Namespace) -> None:
@@ -290,28 +256,19 @@ def _emit(result: ExperimentResult, args: argparse.Namespace) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    from ..nn.precision import set_default_precision
-
-    set_default_precision(args.precision)
-    if args.transport_address is not None and args.transport != "tcp":
-        print("error: --transport-address requires --transport tcp", file=sys.stderr)
-        return 2
-    if args.on_slot_loss != "fail_stop" and args.backend != "resident":
-        print(
-            "error: --on-slot-loss degrade/wait requires --backend resident "
-            "(see repro.core.engine.CAPABILITY_MATRIX)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.min_workers < 1:
-        print("error: --min-workers must be >= 1", file=sys.stderr)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    runtime = _runtime(parser, args)
+    try:
+        TrainingConfig(**runtime)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     names = sorted(ARTIFACTS) if args.artefact == "all" else [args.artefact]
-    for name in names:
-        result = _run_one(name, args)
-        _emit(result, args)
-        print()
+    with precision_scope(args.precision):
+        for name in names:
+            _emit(_run_one(name, args, runtime), args)
+            print()
     return 0
 
 

@@ -229,9 +229,6 @@ def prepare_factory(
         kwargs["width_factor"] = scale.width_factor
     if architecture == "mnist-mlp":
         kwargs["width_factor"] = max(scale.width_factor, 0.25)
-    if architecture == "toy-ring":
-        kwargs.pop("num_classes", None)
-        kwargs["num_classes"] = dataset.num_classes
     kwargs.update(overrides)
     return build_architecture(architecture, **kwargs)
 

@@ -88,7 +88,7 @@ def _run_competitor(
     shards,
     evaluator,
     scale: ExperimentScale,
-    backend_overrides: Optional[Dict] = None,
+    runtime: Dict,
 ) -> TrainingHistory:
     config = TrainingConfig(
         iterations=scale.iterations,
@@ -99,7 +99,7 @@ def _run_competitor(
         eval_every=scale.eval_every,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
-        **(backend_overrides or {}),
+        **runtime,
     )
     kind = spec["kind"]
     if kind == "standalone":
@@ -123,12 +123,7 @@ def run_fig3(
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
     competitors: Optional[List[str]] = None,
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
     """Reproduce one dataset/architecture cell of Figure 3.
 
@@ -140,12 +135,12 @@ def run_fig3(
         Scale preset name or explicit :class:`ExperimentScale`.
     competitors:
         Optional subset of competitor names to run (default: all six).
-    backend, max_workers, shm_install, transport, transport_address, pipeline_depth:
-        :mod:`repro.runtime` execution settings, threaded into every
-        competitor's :class:`~repro.core.TrainingConfig` (same pattern as
-        :func:`~repro.experiments.run_fig5`).  All backends produce
-        bitwise-identical seeded runs, so the figure's numbers never depend
-        on these knobs; they only change wall-clock time.
+    runtime:
+        :class:`~repro.core.TrainingConfig` execution fields (``backend``,
+        ``max_workers``, ``transport``, ``pipeline_depth``, ``on_slot_loss``,
+        ...), passed verbatim into every competitor's config.  All backends
+        produce bitwise-identical seeded runs, so the figure's numbers never
+        depend on the backend; it only changes wall-clock time.
     """
     scale = get_scale(scale)
     train, test = prepare_dataset(dataset, scale)
@@ -159,15 +154,6 @@ def run_fig3(
         if unknown:
             raise ValueError(f"Unknown competitors {sorted(unknown)}; known {sorted(specs)}")
         specs = {name: specs[name] for name in competitors}
-    backend_overrides = dict(
-        backend=backend,
-        max_workers=max_workers,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
-        pipeline_depth=pipeline_depth,
-    )
-
     result = ExperimentResult(
         name="Figure 3",
         description=(
@@ -178,7 +164,7 @@ def run_fig3(
     histories: Dict[str, TrainingHistory] = {}
     for name, spec in specs.items():
         history = _run_competitor(
-            name, spec, factory, train, shards, evaluator, scale, backend_overrides
+            name, spec, factory, train, shards, evaluator, scale, runtime
         )
         histories[name] = history
         for evaluation in history.evaluations:

@@ -10,7 +10,7 @@ standalone baseline with two batch sizes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core import MDGANTrainer, StandaloneGANTrainer, TrainingConfig, TrainingHistory
 from ..simulation import CrashSchedule, worker_name
@@ -31,20 +31,14 @@ def run_fig5(
     dataset: str = "mnist",
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
     """Reproduce Figure 5: scores vs iterations with a rolling crash schedule.
 
-    ``backend``/``max_workers`` select the :mod:`repro.runtime` execution
-    backend (``shm_install``/``transport``/``transport_address`` tune the
-    resident one, threaded explicitly through the config); crash handling is
-    backend-independent (crashes apply at iteration boundaries, before the
-    per-worker fan-out).
+    ``runtime`` (any :class:`TrainingConfig` execution field: ``backend``,
+    ``max_workers``, ``transport``, ``on_slot_loss``, ...) goes verbatim
+    into every competitor's config; crash handling is backend-independent
+    (crashes apply at iteration boundaries, before the per-worker fan-out).
     ``pipeline_depth > 0`` runs the MD-GAN competitors under the pipelined
     schedule, so this figure doubles as the staleness-vs-convergence probe:
     each history records the realised per-iteration batch staleness
@@ -67,12 +61,7 @@ def run_fig5(
         eval_every=scale.eval_every,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
-        backend=backend,
-        max_workers=max_workers,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
-        pipeline_depth=pipeline_depth,
+        **runtime,
     )
     crash_schedule = CrashSchedule.uniform(
         [worker_name(i) for i in range(scale.num_workers)], scale.iterations

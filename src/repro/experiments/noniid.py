@@ -13,7 +13,7 @@ discussion of the swap motivates but never measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -51,18 +51,12 @@ def run_ablation_noniid(
     scale: ExperimentScale | str = "smoke",
     schemes: Sequence[str] = ("iid", "dirichlet", "label-skew"),
     algorithms: Sequence[str] = ("md-gan", "fl-gan"),
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
     """Compare MD-GAN and FL-GAN under increasingly skewed data partitions.
 
-    The ``backend``/... keywords select the :mod:`repro.runtime` execution
-    settings (bitwise-neutral; wall-clock only), as in
-    :func:`~repro.experiments.run_fig5`.
+    ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
+    into the config, as in :func:`~repro.experiments.run_fig5`.
     """
     scale = get_scale(scale)
     train, test = prepare_dataset(dataset, scale)
@@ -75,12 +69,7 @@ def run_ablation_noniid(
         eval_every=scale.iterations,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
-        backend=backend,
-        max_workers=max_workers,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
-        pipeline_depth=pipeline_depth,
+        **runtime,
     )
 
     result = ExperimentResult(

@@ -48,25 +48,15 @@ def run_fig4(
     worker_counts: Optional[Sequence[int]] = None,
     modes: Sequence[str] = ("constant_worker", "constant_server"),
     swap_settings: Sequence[bool] = (True, False),
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
-    pipeline_depth: int = 0,
+    **runtime,
 ) -> ExperimentResult:
     """Reproduce Figure 4: final MD-GAN scores as a function of ``N``.
 
-    ``backend`` selects the :mod:`repro.runtime` execution backend for the
-    per-worker phase — results are bitwise identical across backends, but
-    ``thread``/``process`` let the large-``N`` points of the sweep use the
-    host's cores instead of running every worker sequentially.
-    ``shm_install``/``transport``/``transport_address`` tune the resident
-    backend and are threaded explicitly into each sweep point's
-    :class:`TrainingConfig` (no process-global defaults are touched).
-    ``pipeline_depth > 0`` additionally overlaps the server's batch
-    generation with worker compute (bounded staleness, recorded per
-    iteration in each history).
+    ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
+    into each sweep point's config.  Results are bitwise identical across
+    backends, but ``backend="thread"``/``"process"`` let the large-``N``
+    points use the host's cores instead of running every worker
+    sequentially.  A disabled swap is ``epochs_per_swap=math.inf``.
     """
     scale = get_scale(scale)
     if worker_counts is None:
@@ -106,20 +96,9 @@ def run_fig4(
                     eval_every=scale.iterations,
                     eval_sample_size=scale.eval_sample_size,
                     seed=scale.seed,
-                    backend=backend,
-                    max_workers=max_workers,
-                    shm_install=shm_install,
-                    transport=transport,
-                    transport_address=transport_address,
-                    pipeline_depth=pipeline_depth,
+                    **runtime,
                 )
-                with MDGANTrainer(
-                    factory,
-                    shards,
-                    config,
-                    evaluator=evaluator,
-                    swap_enabled=swap,
-                ) as trainer:
+                with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
                     history = trainer.train()
                 final = history.final_evaluation
                 result.add_row(

@@ -25,7 +25,7 @@ runs this at smoke scale and lands the rows in the
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,13 +84,20 @@ def run_serve_bench(
     dataset: str = "mnist",
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
     transports: Sequence[str] = ("pipe", "tcp"),
     num_clients: int = 4,
     requests_per_client: int = 8,
+    **runtime,
 ) -> ExperimentResult:
-    """Benchmark ``GeneratorService`` under concurrent load on both transports."""
+    """Benchmark ``GeneratorService`` under concurrent load on both transports.
+
+    ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
+    into the base config; the pool has ``min(4, N)`` slots unless
+    ``max_workers`` is given.  Every row then pins ``backend`` after it
+    (``"resident"`` per transport in ``transports``, which also pins
+    ``transport``, and ``"serial"`` with ``on_slot_loss="fail_stop"`` for
+    the inline reference).
+    """
     scale = get_scale(scale)
     train, _ = prepare_dataset(dataset, scale)
     factory = prepare_factory(architecture, train, scale)
@@ -105,30 +112,24 @@ def run_serve_bench(
         ),
     )
 
-    base = TrainingConfig(
-        batch_size=scale.batch_size_small,
-        seed=scale.seed,
-        max_workers=max_workers or min(4, scale.num_workers),
-        shm_install=shm_install,
-    )
-    for transport in transports:
-        row = _bench_service(
-            factory,
-            base.with_overrides(backend="resident", transport=transport),
-            label=f"resident/{transport}",
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
+    base = TrainingConfig(batch_size=scale.batch_size_small, seed=scale.seed, **runtime)
+    base = base.with_overrides(max_workers=base.max_workers or min(4, scale.num_workers))
+    configs = {
+        f"resident/{transport}": base.with_overrides(backend="resident", transport=transport)
+        for transport in transports
+    }
+    # The inline reference has no pool slots to lose.
+    configs["serial-inline"] = base.with_overrides(backend="serial", on_slot_loss="fail_stop")
+    for label, config in configs.items():
+        result.add_row(
+            **_bench_service(
+                factory,
+                config,
+                label=label,
+                num_clients=num_clients,
+                requests_per_client=requests_per_client,
+            )
         )
-        result.add_row(**row)
-    result.add_row(
-        **_bench_service(
-            factory,
-            base.with_overrides(backend="serial"),
-            label="serial-inline",
-            num_clients=num_clients,
-            requests_per_client=requests_per_client,
-        )
-    )
     result.add_note(
         "steady_param_bytes counts generator parameter bytes shipped after "
         "warm-up: the versioned param cache keeps it at 0 for an unchanged "

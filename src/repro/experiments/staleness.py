@@ -23,7 +23,7 @@ Figure 5 captures.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..core import MDGANTrainer, TrainingConfig, TrainingHistory
 from .common import (
@@ -46,11 +46,7 @@ def run_staleness_sweep(
     depths: Sequence[int] = (1, 2, 3, 4),
     staleness_bounds: Sequence[int] = (1, 2, 3, 4),
     composed: Sequence[Tuple[int, int]] = ((1, 1), (2, 2)),
-    backend: str = "serial",
-    max_workers: Optional[int] = None,
-    shm_install: Optional[bool] = None,
-    transport: Optional[str] = None,
-    transport_address: Optional[str] = None,
+    **runtime,
 ) -> ExperimentResult:
     """Sweep pipeline depths and async staleness bounds on one MD-GAN cell.
 
@@ -60,9 +56,12 @@ def run_staleness_sweep(
     bound; composed rows carry the bound in ``parameter`` and the lookahead
     window in ``depth``), the realised staleness aggregates from the
     history's overlap summary, the final score/FID and the measured
-    wall-clock seconds.  The ``backend``/...
-    keywords select the :mod:`repro.runtime` execution settings as in
-    :func:`~repro.experiments.run_fig5`; note async rows are only
+    wall-clock seconds.  ``runtime`` (any :class:`TrainingConfig`
+    execution field) goes verbatim into the base config, as in
+    :func:`~repro.experiments.run_fig5`.  The sweep then pins its own
+    fields after it: ``pipeline_depth`` (0 unless the row sweeps a depth, so
+    a runtime ``pipeline_depth`` is overridden) and, on async rows,
+    ``aggregation`` and ``max_staleness``.  Async rows are only
     *concurrent* (and therefore only interesting) on the parallel backends.
     """
     scale = get_scale(scale)
@@ -78,12 +77,8 @@ def run_staleness_sweep(
         eval_every=scale.eval_every,
         eval_sample_size=scale.eval_sample_size,
         seed=scale.seed,
-        backend=backend,
-        max_workers=max_workers,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
-    )
+        **runtime,
+    ).with_overrides(pipeline_depth=0)
 
     runs = [("sync", 0, 0, base)]
     for depth in depths:
@@ -121,7 +116,7 @@ def run_staleness_sweep(
             f"async (bound 1-{max(staleness_bounds) if staleness_bounds else 0}) "
             f"and composed async+pipelined ({len(tuple(composed))} bound/depth "
             f"pairs) schedules on {dataset} / {architecture} "
-            f"(N={scale.num_workers}, backend={backend}, scale={scale.name})."
+            f"(N={scale.num_workers}, backend={base.backend}, scale={scale.name})."
         ),
     )
     histories: Dict[str, TrainingHistory] = {}

@@ -39,16 +39,15 @@ def run_traffic_check(
     dataset: str = "mnist",
     architecture: str = "mnist-mlp",
     scale: ExperimentScale | str = "smoke",
-    shm_install: bool | None = None,
-    transport: str | None = None,
-    transport_address: str | None = None,
+    **runtime,
 ) -> ExperimentResult:
     """Compare measured per-iteration traffic to the analytic formulas.
 
-    ``shm_install``/``transport``/``transport_address`` tune the resident
-    cross-check section and are threaded explicitly into its
-    :class:`TrainingConfig` — ``transport="tcp"`` makes the per-op rows
-    measure real socket traffic.
+    ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
+    into the config of every run; the Table III bytes do not depend on it.
+    The resident cross-check section then pins ``backend="resident"`` after
+    it (with ``min(4, N)`` slots unless ``max_workers`` is given), so
+    ``transport="tcp"`` makes the per-op rows measure real socket traffic.
     """
     scale = get_scale(scale)
     train, _ = prepare_dataset(dataset, scale)
@@ -61,6 +60,7 @@ def run_traffic_check(
         epochs_per_swap=1.0,
         eval_every=0,
         seed=scale.seed,
+        **runtime,
     )
 
     counts = factory.parameter_counts()
@@ -178,11 +178,8 @@ def run_traffic_check(
     resident_iterations = min(iterations, 5)
     resident_config = config.with_overrides(
         backend="resident",
-        max_workers=min(4, scale.num_workers),
+        max_workers=config.max_workers or min(4, scale.num_workers),
         iterations=resident_iterations,
-        shm_install=shm_install,
-        transport=transport,
-        transport_address=transport_address,
     )
     with MDGANTrainer(factory, shards, resident_config) as resident:
         resident.train_iteration(1)  # cold iteration: install payloads ship

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
 from repro.core.async_aggregation import BoundedStalenessScheduler, staleness_weights
-from repro.core.extensions import AsyncMDGANTrainer
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.simulation import CrashSchedule, worker_name
@@ -183,11 +182,6 @@ class TestAsyncConfigValidation:
         # in-flight units through the scheduler instead.
         config = TrainingConfig(aggregation="async", participation_fraction=0.5)
         assert config.participation_fraction == 0.5
-
-    def test_async_excludes_per_feedback_updates(self, small_shards_and_factory):
-        shards, factory = small_shards_and_factory
-        with pytest.raises(ValueError, match="per-feedback"):
-            AsyncMDGANTrainer(factory, shards, _config())
 
     def test_sync_default_unchanged(self):
         config = TrainingConfig()

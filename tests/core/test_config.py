@@ -52,6 +52,16 @@ class TestTrainingConfig:
         assert TrainingConfig().pipeline_depth == 0
         assert TrainingConfig(pipeline_depth=3).pipeline_depth == 3
 
+    @pytest.mark.parametrize("transport", [None, "pipe"])
+    def test_transport_address_requires_tcp(self, transport):
+        # ``None`` resolves to the pipe transport, which would drop the
+        # address; only an explicit ``"tcp"`` listens on it.
+        address = "10.0.0.5:7000"
+        with pytest.raises(ValueError, match="transport='tcp'"):
+            TrainingConfig(backend="resident", transport=transport, transport_address=address)
+        config = TrainingConfig(backend="resident", transport="tcp", transport_address=address)
+        assert config.transport_address == address
+
     def test_build_backend_follows_config(self):
         from repro.runtime import SerialBackend, ThreadBackend
 

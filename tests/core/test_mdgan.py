@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import AsyncMDGANTrainer, MDGANTrainer, TrainingConfig
+from repro.core import MDGANTrainer, TrainingConfig
 from repro.nn.serialize import FLOAT_BYTES
 from repro.simulation import CrashSchedule, MessageKind, SERVER_NAME, worker_name
 
@@ -133,12 +133,11 @@ class TestCommunicationPattern:
         assert meter.total_bytes(MessageKind.ERROR_FEEDBACK) == expected
         assert meter.node_ingress(SERVER_NAME, MessageKind.ERROR_FEEDBACK) == expected
 
-    @pytest.mark.parametrize("case", ["pipeline_depth_1", "crash_schedule", "async_trainer"])
+    @pytest.mark.parametrize("case", ["pipeline_depth_1", "crash_schedule"])
     def test_batch_and_feedback_bytes_closed_form(self, ring_shards, toy_factory, case):
         # One GENERATED_BATCHES / ERROR_FEEDBACK pair per participating
-        # worker per iteration: lookahead generation moves no batch, a
-        # crashed worker is never charged again, and per-feedback updates
-        # change only the server's arithmetic.
+        # worker per iteration: lookahead generation moves no batch, and a
+        # crashed worker is never charged again.
         config = TrainingConfig(
             iterations=6, batch_size=8, seed=3,
             pipeline_depth=1 if case == "pipeline_depth_1" else 0,
@@ -147,8 +146,7 @@ class TestCommunicationPattern:
         if case == "crash_schedule":
             trainer = MDGANTrainer(toy_factory, ring_shards, config, crash_schedule=schedule)
         else:
-            cls = AsyncMDGANTrainer if case == "async_trainer" else MDGANTrainer
-            trainer = cls(toy_factory, ring_shards, config)
+            trainer = MDGANTrainer(toy_factory, ring_shards, config)
         trainer.train()
         n = len(ring_shards)
         crashed = case == "crash_schedule"
@@ -274,15 +272,12 @@ class TestFeedbackAggregation:
         # All worker feedbacks are averaged into a single Adam step.
         assert trainer._gen_opt.iterations == 1
 
-    def test_per_feedback_path_applies_one_step_per_feedback(
-        self, ring_shards, toy_factory
+    def test_sync_trainer_applies_one_update_per_iteration(
+        self, ring_shards, toy_factory, tiny_config
     ):
-        config = TrainingConfig(iterations=1, batch_size=8, seed=21)
-        trainer = MDGANTrainer(
-            toy_factory, ring_shards, config, per_feedback_updates=True
-        )
-        trainer.train_iteration(1)
-        assert trainer._gen_opt.iterations == len(ring_shards)
+        trainer = MDGANTrainer(toy_factory, ring_shards, tiny_config)
+        trainer.train()
+        assert trainer._gen_opt.iterations == tiny_config.iterations
 
     def test_averaged_gradient_is_mean_of_individual_feedback_gradients(
         self, ring_shards, toy_factory
@@ -379,8 +374,8 @@ class TestSwap:
         assert len(history.events_of_kind("swap")) <= expected_swaps
 
     def test_no_swaps_when_disabled(self, ring_shards, toy_factory):
-        config = TrainingConfig(iterations=10, batch_size=50, epochs_per_swap=1.0)
-        trainer = MDGANTrainer(toy_factory, ring_shards, config, swap_enabled=False)
+        config = TrainingConfig(iterations=10, batch_size=50, epochs_per_swap=math.inf)
+        trainer = MDGANTrainer(toy_factory, ring_shards, config)
         trainer.train()
         assert trainer.cluster.meter.total_messages(MessageKind.DISCRIMINATOR_SWAP) == 0
 
@@ -432,3 +427,21 @@ class TestParticipation:
             partial.cluster.meter.total_bytes(MessageKind.GENERATED_BATCHES)
             < full.cluster.meter.total_bytes(MessageKind.GENERATED_BATCHES)
         )
+
+    def test_sampled_trainer_limits_participants(self, ring_shards, toy_factory):
+        config = TrainingConfig(iterations=8, batch_size=8, seed=5, participation_fraction=0.5)
+        trainer = MDGANTrainer(toy_factory, ring_shards, config)
+        trainer.train()
+        assert trainer.config.participation_fraction == 0.5
+        # With 4 workers and fraction 0.5, each iteration ships batches to 2 workers.
+        per_iteration_messages = (
+            trainer.cluster.meter.total_messages(MessageKind.GENERATED_BATCHES) / 8
+        )
+        assert per_iteration_messages == 2
+
+    def test_sampled_trainer_still_trains_generator(self, ring_shards, toy_factory):
+        config = TrainingConfig(iterations=5, batch_size=8, seed=5, participation_fraction=0.5)
+        trainer = MDGANTrainer(toy_factory, ring_shards, config)
+        before = trainer.generator.get_parameters()
+        trainer.train()
+        assert not np.array_equal(before, trainer.generator.get_parameters())

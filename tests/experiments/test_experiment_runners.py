@@ -135,6 +135,31 @@ class TestTrainingRunners:
         b = threaded.extras["histories"]["md-gan-k1"]["generator_loss"]
         assert a == b
 
+    def test_fig3_forwards_the_elastic_runtime_to_the_trainer(self, monkeypatch):
+        # Every TrainingConfig field reaches the trainer, not just the six
+        # backend keywords the runners used to name.
+        import repro.experiments.convergence as convergence
+
+        policies = []
+
+        class Recording(convergence.MDGANTrainer):
+            def train(self, *args, **kwargs):
+                history = super().train(*args, **kwargs)
+                policies.append(self.executor.membership_policy)
+                return history
+
+        monkeypatch.setattr(convergence, "MDGANTrainer", Recording)
+        result = run_fig3(
+            scale=MICRO,
+            competitors=["md-gan-k1"],
+            backend="resident",
+            max_workers=2,
+            on_slot_loss="degrade",
+        )
+        assert [policy.on_slot_loss for policy in policies] == ["degrade"]
+        # An elastic pool reports its (here empty: no slot was lost) counters.
+        assert result.extras["histories"]["md-gan-k1"]["membership"] == {}
+
     def test_staleness_sweep_rows_and_bound(self):
         result = run_staleness_sweep(
             scale=MICRO,

@@ -149,43 +149,78 @@ class TestCLI:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig4", "--backend", "gpu"])
 
-    def test_backend_kwargs_dispatch(self):
-        from repro.experiments.cli import _backend_kwargs
-        from repro.experiments.scalability import run_fig4
-        from repro.experiments.tables import run_table2
+    def test_runtime_holds_only_the_flags_given(self):
+        from repro.experiments.cli import _runtime
 
-        args = build_parser().parse_args(["fig4", "--backend", "process"])
-        assert _backend_kwargs(run_fig4, args) == {
-            "backend": "process",
-            "max_workers": None,
-            "shm_install": True,
-            "transport": "pipe",
-            "transport_address": None,
-            "pipeline_depth": 0,
-        }
-        # Runners without a backend sweep fall back to serial with a note.
-        assert _backend_kwargs(run_table2, args) == {}
-
-    def test_pipeline_depth_kwargs_dispatch(self):
-        from repro.experiments.cli import _backend_kwargs
-        from repro.experiments.fault_tolerance import run_fig5
-        from repro.experiments.tables import run_table2
-
-        args = build_parser().parse_args(
-            ["fig5", "--backend", "resident", "--pipeline-depth", "2"]
+        parser = build_parser()
+        assert _runtime(parser, parser.parse_args(["fig4"])) == {}
+        args = parser.parse_args(["fig4", "--backend", "process"])
+        assert _runtime(parser, args) == {"backend": "process"}
+        args = parser.parse_args(
+            ["fig5", "--backend", "resident", "--pipeline-depth", "2", "--no-shm-install"]
         )
-        assert _backend_kwargs(run_fig5, args) == {
+        assert _runtime(parser, args) == {
             "backend": "resident",
-            "max_workers": None,
-            "shm_install": True,
-            "transport": "pipe",
-            "transport_address": None,
             "pipeline_depth": 2,
+            "shm_install": False,
         }
-        # Runners without a pipeline knob fall back to synchronous with a note.
-        assert _backend_kwargs(run_table2, args) == {}
 
     def test_parser_accepts_pipeline_depth(self):
         args = build_parser().parse_args(["fig4", "--pipeline-depth", "3"])
         assert args.pipeline_depth == 3
-        assert build_parser().parse_args(["fig4"]).pipeline_depth == 0
+        # The default lives in TrainingConfig, not in the parser.
+        assert not hasattr(build_parser().parse_args(["fig4"]), "pipeline_depth")
+
+    @staticmethod
+    def _stub(monkeypatch, name):
+        calls = []
+
+        def runner(**kwargs):
+            calls.append(kwargs)
+            return ExperimentResult(name="stub", description="")
+
+        monkeypatch.setitem(ARTIFACTS, name, runner)
+        return calls
+
+    def test_main_hands_the_runtime_to_a_training_artefact(self, monkeypatch, capsys):
+        calls = self._stub(monkeypatch, "fig5")
+        argv = ["fig5", "--backend", "resident", "--on-slot-loss", "degrade", "--min-workers", "3"]
+        assert main(argv) == 0
+        assert calls == [
+            dict(
+                dataset="mnist",
+                architecture="mnist-mlp",
+                scale="smoke",
+                backend="resident",
+                on_slot_loss="degrade",
+                min_workers=3,
+            )
+        ]
+        assert capsys.readouterr().err == ""
+
+    def test_main_hands_no_runtime_to_an_analytic_artefact(self, monkeypatch):
+        calls = self._stub(monkeypatch, "table2")
+        assert main(["table2", "--backend", "thread"]) == 0
+        assert calls == [{}]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--transport-address", "10.0.0.5:7000"],
+            ["--transport", "pipe", "--transport-address", "10.0.0.5:7000"],
+            ["--on-slot-loss", "degrade"],
+            ["--min-workers", "0"],
+        ],
+    )
+    def test_main_rejects_an_invalid_runtime_before_running(self, monkeypatch, capsys, flags):
+        calls = self._stub(monkeypatch, "fig5")
+        assert main(["fig5", *flags]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_main_restores_the_default_precision(self):
+        from repro.nn.precision import get_default_precision
+
+        before = get_default_precision()
+        assert main(["table2", "--precision", "float64"]) == 0
+        assert get_default_precision() == before

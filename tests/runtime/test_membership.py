@@ -46,6 +46,7 @@ from repro.runtime import (
 from repro.runtime.resident import ResidentProgram, register_program, serve_slot
 from repro.runtime.transport import LocalPipeTransport, TcpTransport
 from repro.runtime.worker_host import run_worker
+from repro.simulation import CrashSchedule, worker_name
 
 pytestmark = pytest.mark.chaos
 
@@ -516,6 +517,17 @@ class TestDegradePolicyEdges:
                 trainer._elastic_iteration(2, trainer.train_iteration)
         finally:
             trainer.close_backend()
+
+    def test_scheduled_crashes_do_not_trip_min_workers(self, ring_setup4):
+        # The floor guards evictions only: Fig. 5's crash schedule may take
+        # the fleet below it on an elastic pool that never loses a slot.
+        shards, factory = ring_setup4
+        config = _config(transport="pipe", on_slot_loss="degrade", min_workers=3)
+        schedule = CrashSchedule({2: [worker_name(0)], 3: [worker_name(1)]})
+        with MDGANTrainer(factory, shards, config, crash_schedule=schedule) as trainer:
+            history = trainer.train()
+        assert history.iterations[-1] == config.iterations
+        assert len(trainer._alive_workers()) == 2
 
     def test_wait_policy_reassigns_without_eviction(self, ring_setup4):
         # Trainer half of "wait": the lost workers never crash; the boundary

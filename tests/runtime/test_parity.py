@@ -3,8 +3,7 @@
 The execution backends only change *where* the per-worker phase runs, never
 the numerics: results merge in worker-index order and the task runners touch
 no shared state.  These tests pin that guarantee for MD-GAN and FL-GAN —
-including under fail-stop crashes, partial participation and the Section VII
-extension trainers — by comparing full loss trajectories, final parameters,
+including under fail-stop crashes and partial participation — by comparing full loss trajectories, final parameters,
 metered traffic and compute ledgers against the serial reference.
 """
 
@@ -13,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    AsyncMDGANTrainer,
-    FLGANTrainer,
-    MDGANTrainer,
-    SampledMDGANTrainer,
-    TrainingConfig,
-)
+from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.simulation import CrashSchedule
@@ -115,25 +108,13 @@ class TestMDGANParity:
         # The schedule actually crashed workers, so the scenario is exercised.
         assert [e["kind"] for e in reference["events"]].count("crash") == 2
 
-    def test_async_variant_parity(self, small_shards_and_factory):
-        shards, factory = small_shards_and_factory
-        reference = _mdgan_signature(
-            AsyncMDGANTrainer(factory, shards, _config("serial"))
-        )
-        got = _mdgan_signature(AsyncMDGANTrainer(factory, shards, _config("thread")))
-        _assert_signatures_equal(got, reference)
-
     def test_sampled_variant_parity(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
         reference = _mdgan_signature(
-            SampledMDGANTrainer(
-                factory, shards, _config("serial"), participation_fraction=0.5
-            )
+            MDGANTrainer(factory, shards, _config("serial", participation_fraction=0.5))
         )
         got = _mdgan_signature(
-            SampledMDGANTrainer(
-                factory, shards, _config("thread"), participation_fraction=0.5
-            )
+            MDGANTrainer(factory, shards, _config("thread", participation_fraction=0.5))
         )
         _assert_signatures_equal(got, reference)
 
