@@ -72,8 +72,6 @@ class TrainingConfig:
     #: Fraction of workers participating in each MD-GAN iteration
     #: (Section VII-4 extension; 1.0 reproduces the paper's algorithm).
     participation_fraction: float = 1.0
-    #: Record traffic/compute statistics in the history (cheap, on by default).
-    record_traffic: bool = True
     #: Floating-point policy for models/optimizers: ``"float32"`` (fast path,
     #: matches the 32-bit wire format), ``"float64"`` (numerics opt-in), or
     #: ``None`` to follow the process-wide default from
@@ -169,7 +167,7 @@ class TrainingConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.disc_steps < 1:
             raise ValueError(f"disc_steps must be >= 1, got {self.disc_steps}")
-        if self.epochs_per_swap <= 0 and not math.isinf(self.epochs_per_swap):
+        if not self.epochs_per_swap > 0:
             raise ValueError(
                 "epochs_per_swap must be positive (use math.inf to disable swaps)"
             )
@@ -225,19 +223,7 @@ class TrainingConfig:
             raise ValueError(
                 f"max_staleness must be >= 0, got {self.max_staleness}"
             )
-        from ..runtime.membership import ON_SLOT_LOSS_POLICIES
-
-        if self.on_slot_loss not in ON_SLOT_LOSS_POLICIES:
-            raise ValueError(
-                f"on_slot_loss must be one of {ON_SLOT_LOSS_POLICIES}, got "
-                f"{self.on_slot_loss!r}"
-            )
-        if self.min_workers < 1:
-            raise ValueError(f"min_workers must be >= 1, got {self.min_workers}")
-        if self.rejoin_backoff <= 0:
-            raise ValueError(f"rejoin_backoff must be > 0, got {self.rejoin_backoff}")
-        if self.rejoin_timeout <= 0:
-            raise ValueError(f"rejoin_timeout must be > 0, got {self.rejoin_timeout}")
+        self._membership_policy()  # validates the elastic fields
         # Mode composition (aggregation x pipeline x membership x
         # participation) is validated against the execution engine's
         # capability matrix — the single source of truth for which
@@ -253,6 +239,16 @@ class TrainingConfig:
 
         return resolve_dtype(self.precision)
 
+    def _membership_policy(self):
+        from ..runtime.membership import MembershipPolicy
+
+        return MembershipPolicy(
+            on_slot_loss=self.on_slot_loss,
+            min_workers=self.min_workers,
+            rejoin_backoff=self.rejoin_backoff,
+            rejoin_timeout=self.rejoin_timeout,
+        )
+
     def membership_policy(self):
         """The resolved :class:`repro.runtime.membership.MembershipPolicy`.
 
@@ -262,14 +258,7 @@ class TrainingConfig:
         """
         if self.on_slot_loss == "fail_stop":
             return None
-        from ..runtime.membership import MembershipPolicy
-
-        return MembershipPolicy(
-            on_slot_loss=self.on_slot_loss,
-            min_workers=self.min_workers,
-            rejoin_backoff=self.rejoin_backoff,
-            rejoin_timeout=self.rejoin_timeout,
-        )
+        return self._membership_policy()
 
     def build_backend(self):
         """Instantiate the configured :class:`repro.runtime.ExecutorBackend`.

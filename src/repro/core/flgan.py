@@ -543,8 +543,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
 
     def _record_run_summaries(self) -> None:
         """Fold the run's traffic meters into the history (both loops)."""
-        if not self.config.record_traffic:
-            return
         meter = self.cluster.meter
         self.history.traffic = {
             "total_bytes": float(meter.total_bytes()),

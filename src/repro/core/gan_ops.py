@@ -149,7 +149,7 @@ def draw_generator_input(
 
     Noise is drawn in float64 by the caller's RNG and cast once to the
     generator's policy dtype, so the stored batch replays without per-step
-    upcasts.  Every generation path (inline, fan-out, resident) draws here,
+    upcasts.  Every generation path (inline, resident, serving) draws here,
     in batch order, which is what keeps them on one RNG stream.
     """
     noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))

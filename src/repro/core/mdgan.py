@@ -47,7 +47,6 @@ from ..runtime.pipeline import (
     GeneratorHandle,
     PendingGeneration,
     PipelineStats,
-    fan_out_generation,
     start_resident_generation,
 )
 from .elastic import ElasticMembershipMixin
@@ -145,6 +144,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         #: bumped on every parameter update, so repeat generation dispatches
         #: against an unchanged generator ship zero parameter bytes.
         self._generator_handle = GeneratorHandle(version=0)
+        self._reset_pipeline()
 
         # Worker-side discriminators.
         self.workers: List[MDGANWorkerState] = []
@@ -210,7 +210,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         """Record the server's cost model for generating ``k`` batches.
 
         Section IV-B3: generating a batch costs O(b |w|) ops and the stored
-        batches occupy b*d floats each.  Shared by the serial and fanned-out
+        batches occupy b*d floats each.  Shared by the inline and resident
         generation paths so their ledgers can never drift apart.
         """
         for _ in range(k):
@@ -481,118 +481,85 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         The per-worker phase fans out through the execution backend and
         merges in participant (= worker-index) order, so seeded runs are
         bitwise identical across serial/thread/process/resident.
+
+        With ``pipeline_depth > 0`` the iteration consumes the batch set
+        pre-generated for it (recording the realised staleness; a queue miss
+        generates on the spot) and, **while the workers compute**, generates
+        the batch sets of the next ``depth`` iterations — on the pool slots
+        on ``resident``, inline elsewhere.  Noise draws happen at dispatch,
+        in exact serial order, and resident-side generations are collected
+        after the merge, which never touches the generator, so every
+        backend yields the same trajectory at a fixed depth.
         """
         participants = self._begin_iteration(iteration)
         if not participants:
             return
         k = min(self.num_batches, len(participants))
-        batches = self._generate_batches(k)
-        work = self._distribute_batches(iteration, batches, participants)
-        live_workers, handle = self._dispatch_worker_phase(work)
-        merged = self._merge_worker_phase(iteration, live_workers, handle)
-        self._finish_iteration(iteration, batches, *merged)
-
-    def _generate_batches_fanned(self, k: int) -> tuple[List[GeneratedBatch], bool]:
-        """Generate ``k`` batches, fanned across backend slots when possible.
-
-        Bitwise identical to :meth:`_generate_batches`.  Resident backends
-        run the forwards on their pool slots, ``thread``/``process`` use the
-        map-based fan-out, the serial loop is the fallback.  Returns
-        ``(batches, fanned)``.
-        """
-        pending = start_resident_generation(
-            self.executor,
-            self.generator,
-            self.factory,
-            self.config.batch_size,
-            k,
-            self._rng,
-            handle=self._generator_handle,
-        )
-        if pending is not None:
-            batches = pending.collect()
-            self._charge_generation(k)
-            return batches, True
-        batches = fan_out_generation(
-            self.executor,
-            self.generator,
-            self.factory,
-            self.config.batch_size,
-            k,
-            self._rng,
-        )
-        if batches is None:
-            return self._generate_batches(k), False
-        # Same cost model as the serial path: the work still happens on the
-        # (simulated) server, wherever the host ran it.
-        self._charge_generation(k)
-        return batches, True
-
-    def _train_iteration_pipelined(
-        self, iteration: int, queue: BatchAheadQueue, stats: PipelineStats
-    ) -> None:
-        """One global iteration under the pipelined schedule (depth > 0).
-
-        Identical to :meth:`train_iteration` except for *when* batches are
-        generated: the iteration consumes the batch set pre-generated for
-        it (recording the realised staleness) and fills the lookahead queue
-        **while the workers compute** — resident backends run those
-        forwards on their pool slots, others fan out or run inline.  On a
-        queue miss the batches are generated on the spot.  All paths are
-        bitwise identical.
-        """
-        cfg = self.config
-        participants = self._begin_iteration(iteration)
-        if not participants:
-            return
-        entry = queue.pop(iteration)
-        if entry is None:
-            k = min(self.num_batches, len(participants))
-            batches, fanned = self._generate_batches_fanned(k)
-            staleness = 0
-            stats.immediate_generations += 1
-            if fanned:
-                stats.fanout_generations += 1
+        queue = self._pipeline_queue
+        if queue is None:
+            batches, staleness = self._generate_batches(k), None
         else:
-            batches, generated_at_update = entry
-            staleness = self._gen_update_count - generated_at_update
+            batches, staleness = self._take_batches(iteration, k)
         work = self._distribute_batches(iteration, batches, participants)
         live_workers, handle = self._dispatch_worker_phase(work)
-        # Overlap window: while the workers compute iteration t, generate
-        # batch sets for t+1 .. t+depth.  Noise draws happen here, at
-        # dispatch, in exact serial order; resident-side generations are
-        # collected after the merge, which never touches the generator, so
-        # the trajectory is bitwise identical to the inline schedule.
+        lookahead = None if queue is None else self._start_lookahead(iteration)
+        merged = self._merge_worker_phase(iteration, live_workers, handle)
+        if lookahead is not None:
+            self._finish_lookahead(lookahead, staleness)
+        self._finish_iteration(iteration, batches, *merged, staleness=staleness)
+
+    def _take_batches(self, iteration: int, k: int) -> Tuple[List[GeneratedBatch], int]:
+        """This iteration's pre-generated batch set and its staleness (depth > 0).
+
+        Staleness is the number of generator updates the set missed; a queue
+        miss (cold start, a skipped or drained iteration) generates inline,
+        with staleness 0.
+        """
+        entry = self._pipeline_queue.pop(iteration)
+        if entry is None:
+            self._pipeline_stats.immediate_generations += 1
+            return self._generate_batches(k), 0
+        batches, generated_at_update = entry
+        return batches, self._gen_update_count - generated_at_update
+
+    def _start_lookahead(self, iteration: int) -> List[tuple]:
+        """Start generating the batch sets of ``iteration + 1 .. + depth``.
+
+        Returns ``(target, k, batches_or_pending, generated_at_update)``
+        entries for :meth:`_finish_lookahead`.
+        """
+        queue, stats = self._pipeline_queue, self._pipeline_stats
         lookahead: List[tuple] = []
         next_target = max(queue.last_target, iteration)
-        while len(queue) + len(lookahead) < stats.depth and next_target < cfg.iterations:
+        while len(queue) + len(lookahead) < stats.depth and next_target < self.config.iterations:
             next_target += 1
-            k_ahead = min(self.num_batches, max(1, len(self._alive_workers())))
+            k = min(self.num_batches, max(1, len(self._alive_workers())))
             pending = start_resident_generation(
                 self.executor,
                 self.generator,
                 self.factory,
-                cfg.batch_size,
-                k_ahead,
+                self.config.batch_size,
+                k,
                 self._rng,
                 handle=self._generator_handle,
             )
             if pending is None:
-                pending = self._generate_batches(k_ahead)
-            lookahead.append((next_target, k_ahead, pending, self._gen_update_count))
+                pending = self._generate_batches(k)
+            lookahead.append((next_target, k, pending, self._gen_update_count))
             stats.lookahead_generations += 1
         stats.observe_in_flight(1)
-        merged = self._merge_worker_phase(iteration, live_workers, handle)
-        for target, k_ahead, pending, at_update in lookahead:
+        return lookahead
+
+    def _finish_lookahead(self, lookahead: List[tuple], staleness: int) -> None:
+        """Collect resident-side generations, queue every set, record staleness."""
+        stats = self._pipeline_stats
+        for target, k, pending, at_update in lookahead:
             if isinstance(pending, PendingGeneration):
-                batches_ahead = pending.collect()
-                self._charge_generation(k_ahead)
+                pending = pending.collect()
+                self._charge_generation(k)
                 stats.resident_generations += 1
-            else:
-                batches_ahead = pending
-            queue.put(target, batches_ahead, at_update)
+            self._pipeline_queue.put(target, pending, at_update)
         stats.record_staleness(staleness)
-        self._finish_iteration(iteration, batches, *merged, staleness=staleness)
 
     # -- asynchronous aggregation (bounded staleness) ---------------------------------
     #
@@ -764,20 +731,16 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         """
         return ExecutionEngine(self).run()
 
+    def _reset_pipeline(self) -> None:
+        """Fresh lookahead queue and overlap counters (``None`` at depth 0)."""
+        depth = self.config.pipeline_depth
+        self._pipeline_queue = BatchAheadQueue() if depth else None
+        self._pipeline_stats = PipelineStats(depth=depth) if depth else None
+
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The depth-0 or pipelined per-iteration body (both elastic-wrapped)."""
-        cfg = self.config
-        if cfg.pipeline_depth > 0:
-            queue = BatchAheadQueue()
-            stats = PipelineStats(depth=cfg.pipeline_depth)
-            engine.stats = stats
-            self._pipeline_queue = queue
-
-            def pipelined(iteration: int) -> None:
-                self._train_iteration_pipelined(iteration, queue, stats)
-
-            return lambda iteration: self._elastic_iteration(iteration, pipelined)
-        self._pipeline_queue = None
+        """The per-iteration body (elastic-wrapped), over a fresh pipeline."""
+        self._reset_pipeline()
+        engine.stats = self._pipeline_stats
         return lambda iteration: self._elastic_iteration(iteration, self.train_iteration)
 
     def _sync_should_continue(self, iteration: int) -> bool:
@@ -797,17 +760,14 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         the abandoned iteration already merged lived in that iteration's
         call frame and is gone with it.
         """
-        queue = getattr(self, "_pipeline_queue", None)
-        if queue is not None:
-            queue.clear()
+        if self._pipeline_queue is not None:
+            self._pipeline_queue.clear()
         resident = self._active_resident()
         if resident is not None:
             resident.drain_inflight()
 
     def _record_run_summaries(self) -> None:
         """Fold the run's traffic/compute meters into the history (both loops)."""
-        if not self.config.record_traffic:
-            return
         meter = self.cluster.meter
         self.history.traffic = {
             "total_bytes": float(meter.total_bytes()),

@@ -38,7 +38,6 @@ from .pipeline import (
     PendingGeneration,
     PipelineStats,
     can_generate_resident,
-    fan_out_generation,
     start_resident_generation,
 )
 from .membership import (
@@ -108,7 +107,6 @@ __all__ = [
     "InflightWindow",
     "PipelineStats",
     "PendingGeneration",
-    "fan_out_generation",
     "start_resident_generation",
     "can_generate_resident",
     "Transport",

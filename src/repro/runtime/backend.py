@@ -277,12 +277,6 @@ class ExecutorBackend(ABC):
     #: Human-readable backend name (one of :data:`BACKENDS`).
     name: str = "abstract"
 
-    #: Whether :meth:`submit_ordered` runs tasks concurrently with the
-    #: caller's own thread.  ``False`` means submit executes eagerly inline
-    #: (identical numerics, no overlap) — the pipelined mode consults this
-    #: to decide whether fan-out/overlap can actually pay off.
-    concurrent: bool = False
-
     @abstractmethod
     def map_ordered(self, fn: Callable[[T], R], tasks: Sequence[T]) -> List[R]:
         """Apply ``fn`` to every task and return the results in task order."""
@@ -331,8 +325,6 @@ class SerialBackend(ExecutorBackend):
 
 class _PooledBackend(ExecutorBackend):
     """Shared lifecycle for the pool-based backends (lazy pool, reusable)."""
-
-    concurrent = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:

@@ -114,11 +114,12 @@ class MembershipPolicy:
                 f"on_slot_loss must be one of {ON_SLOT_LOSS_POLICIES}, "
                 f"got {self.on_slot_loss!r}"
             )
-        if self.min_workers < 1:
+        # Written as ``not value > bound`` so NaN is rejected too.
+        if not self.min_workers >= 1:
             raise ValueError(f"min_workers must be >= 1, got {self.min_workers}")
-        if self.rejoin_backoff <= 0:
+        if not self.rejoin_backoff > 0:
             raise ValueError(f"rejoin_backoff must be > 0, got {self.rejoin_backoff}")
-        if self.rejoin_timeout <= 0:
+        if not self.rejoin_timeout > 0:
             raise ValueError(f"rejoin_timeout must be > 0, got {self.rejoin_timeout}")
 
     @property

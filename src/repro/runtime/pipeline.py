@@ -20,15 +20,12 @@ server runs ahead of the workers by up to ``d`` iterations:
   staleness is recorded in :class:`~repro.core.history.TrainingHistory` so
   convergence-vs-staleness trade-offs (the paper's Section VII-1 asynchronous
   setting) can be quantified;
-* when the queue misses (cold start, post-crash), the immediate generation is
-  fanned out across the backend's slots via :func:`fan_out_generation`, which
-  is **bitwise identical** to the serial loop (see below).  Backends with a
-  concurrent map (``thread``/``process``) fan out through ``map_ordered``;
-  the ``resident`` backend routes both its immediate *and* its lookahead
-  generation through the pool's dedicated generation op
-  (:func:`start_resident_generation`, same bitwise contract, asynchronous),
-  so on ``--backend resident`` lookahead generation leaves the trainer
-  thread entirely; ``serial`` falls back to the inline loop.
+* when the queue misses (cold start, post-crash), the iteration generates
+  its batch set inline, on the spot.  The ``resident`` backend runs its
+  lookahead generation on the pool's dedicated generation op
+  (:func:`start_resident_generation`, asynchronous), so on ``--backend
+  resident`` lookahead generation leaves the trainer thread entirely; the
+  other backends generate the lookahead inline while their workers compute.
 
 ``pipeline_depth = 0`` (the default) keeps the synchronous schedule and is
 bitwise identical to all four execution backends' historical behaviour; any
@@ -41,33 +38,31 @@ rounds leave the server model untouched, so pipelining there only overlaps
 the trainer's merge/bookkeeping with the pool's compute (resident backend;
 see :class:`InflightWindow`) and preserves bitwise parity at **every** depth.
 
-Generation fan-out
-------------------
+Resident generation
+-------------------
 
-``fan_out_generation`` parallelises the server's ``k``-batch generation
-(`MDGANTrainer._generate_batches`) across backend slots while reproducing the
-serial loop bit for bit:
+:func:`start_resident_generation` runs the server's ``k``-batch generation
+(``MDGANTrainer._generate_batches``) on resident pool slots while
+reproducing the serial loop bit for bit:
 
 * all noise/label draws happen first, on the caller's RNG, in the exact order
   the serial loop would make them (forward passes consume no server RNG);
-* each batch's forward pass runs on a **deep copy** of the generator, so the
-  concurrent passes cannot race on layer activation caches;
+* each batch's forward pass runs on a slot's **copy** of the generator;
 * :class:`~repro.nn.layers.BatchNorm` normalises by *batch* statistics in
   training mode, so the generated images are independent of the running
-  statistics; the per-batch means/variances are captured by the tasks and
-  folded into the caller's generator serially, in batch order, using the
+  statistics; the per-batch means/variances come back with the images and
+  are folded into the caller's generator serially, in batch order, using the
   layer's own update expression — reproducing the serial running-stat
   trajectory exactly.
 
 Generators containing layers whose forward pass consumes a private RNG
-(:class:`~repro.nn.layers.Dropout`) cannot be fanned out exactly; for those
-(and for non-concurrent backends, or ``k < 2``) ``fan_out_generation``
-returns ``None`` and the caller falls back to the serial loop.
+(:class:`~repro.nn.layers.Dropout`) cannot be reproduced on copies; for those
+(and for non-resident backends) :func:`start_resident_generation` returns
+``None`` and the caller generates inline.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -75,13 +70,11 @@ import numpy as np
 
 from ..core.gan_ops import GeneratedBatch, draw_generator_input
 from ..nn.layers import BatchNorm, Dropout
-from .backend import CompletedResult, ExecutorBackend
 
 __all__ = [
     "BatchAheadQueue",
     "PipelineStats",
     "InflightWindow",
-    "fan_out_generation",
     "GeneratorHandle",
     "PendingGeneration",
     "start_resident_generation",
@@ -183,8 +176,6 @@ class PipelineStats:
     #: Batch sets generated on demand at the top of their own iteration
     #: (cold start, or the queue was invalidated/missed).
     immediate_generations: int = 0
-    #: Immediate generations that were fanned out across backend slots.
-    fanout_generations: int = 0
     #: Lookahead batch sets whose forward passes ran inside resident pool
     #: slots (off the trainer thread) via :func:`start_resident_generation`.
     resident_generations: int = 0
@@ -214,7 +205,6 @@ class PipelineStats:
             "pipeline_depth": float(self.depth),
             "lookahead_generations": float(self.lookahead_generations),
             "immediate_generations": float(self.immediate_generations),
-            "fanout_generations": float(self.fanout_generations),
             "resident_generations": float(self.resident_generations),
             "max_in_flight": float(self.max_in_flight),
             "mean_staleness": float(np.mean(values)) if values else 0.0,
@@ -257,15 +247,7 @@ class InflightWindow:
             yield self._entries.pop(0)
 
 
-# -- generation fan-out ------------------------------------------------------------
-
-
-@dataclass
-class _GenerationTask:
-    """One batch's forward pass on a private generator copy (picklable)."""
-
-    generator: Any
-    g_input: np.ndarray
+# -- resident-side generation ------------------------------------------------------
 
 
 def _batchnorm_stats(model, x: np.ndarray) -> Tuple[np.ndarray, List]:
@@ -286,11 +268,6 @@ def _batchnorm_stats(model, x: np.ndarray) -> Tuple[np.ndarray, List]:
     return model.boundary(out), stats
 
 
-def _run_generation_task(task: _GenerationTask) -> Tuple[np.ndarray, List]:
-    """Backend task: forward one batch on the copy, return images + BN stats."""
-    return _batchnorm_stats(task.generator, task.g_input)
-
-
 def _fold_batchnorm_stats(generator, stats_per_batch: List[List]) -> None:
     """Replay the per-batch BatchNorm running-stat updates in batch order."""
     bn_layers = [layer for layer in generator.layers if isinstance(layer, BatchNorm)]
@@ -300,55 +277,11 @@ def _fold_batchnorm_stats(generator, stats_per_batch: List[List]) -> None:
             layer.running_var = layer.momentum * layer.running_var + (1.0 - layer.momentum) * var
 
 
-def can_fan_out(backend: ExecutorBackend, generator, k: int) -> bool:
-    """Whether :func:`fan_out_generation` can run exactly for this setup."""
-    if k < 2 or not getattr(backend, "concurrent", False):
-        return False
-    if not getattr(generator, "built", False):
-        return False
-    # Dropout draws masks from a layer-private RNG whose advancement depends
-    # on execution order; copies cannot reproduce the serial stream.
-    return not any(isinstance(layer, Dropout) for layer in generator.layers)
-
-
-def fan_out_generation(
-    backend: ExecutorBackend,
-    generator,
-    factory,
-    batch_size: int,
-    k: int,
-    rng: np.random.Generator,
-) -> Optional[List[GeneratedBatch]]:
-    """Generate ``k`` batches through the backend, bitwise-equal to the serial loop.
-
-    Draws all noise/labels from ``rng`` first (same order as ``k`` serial
-    :func:`~repro.core.gan_ops.sample_generator_images` calls), forwards each
-    batch on a deep copy of ``generator`` via ``backend.map_ordered``, then
-    folds the captured BatchNorm statistics back into ``generator`` in batch
-    order.  Returns ``None`` when exact fan-out is not possible (see
-    :func:`can_fan_out`); the caller then uses the serial path.
-    """
-    if not can_fan_out(backend, generator, k):
-        return None
-    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(k)]
-    tasks = [_GenerationTask(copy.deepcopy(generator), g_input) for _, _, g_input in drawn]
-    handle = CompletedResult(backend.map_ordered(_run_generation_task, tasks))
-    return PendingGeneration(handle, generator, drawn).collect()
-
-
-# -- resident-side generation ------------------------------------------------------
-#
-# The resident pool's slots only speak the resident protocol, so the map-based
-# fan-out above cannot reach them.  ``start_resident_generation`` uses the
-# pool's dedicated generation op instead (a generator copy installed once per
-# slot, current parameters shipped only when the handle's version says the
-# slot copy is stale, per-batch forwards on the slots) while reproducing
-# ``fan_out_generation``'s bitwise contract exactly:
-# serial noise draws on the caller's RNG, forwards on generator copies, and
-# BatchNorm batch statistics folded back into the caller's generator in batch
-# order at collect time.  Unlike the map fan-out it is *asynchronous* — the
-# returned handle lets the pipelined MD-GAN loop keep lookahead generation in
-# flight while it merges worker results — which is what finally moves
+# The resident pool's dedicated generation op installs a generator copy once
+# per slot and ships current parameters only when the handle's version says
+# the slot copy is stale.  ``start_resident_generation`` is asynchronous — the
+# returned handle lets the pipelined MD-GAN iteration keep lookahead
+# generation in flight while it merges worker results, which is what moves
 # lookahead generation off the trainer thread on ``--backend resident``.
 
 #: Well-known resident key under which the server generator is installed
@@ -389,9 +322,9 @@ class GeneratorHandle:
 def can_generate_resident(backend, generator, k: int) -> bool:
     """Whether :func:`start_resident_generation` can run exactly for this setup.
 
-    Mirrors :func:`can_fan_out` except that a single batch (``k == 1``)
-    still qualifies — even one forward pass is worth moving off the trainer
-    thread when it can overlap the merge/aggregation work.
+    A single batch (``k == 1``) qualifies — even one forward pass is worth
+    moving off the trainer thread when it can overlap the merge/aggregation
+    work.
     """
     if k < 1 or not getattr(backend, "supports_resident_generation", False):
         return False
@@ -450,7 +383,7 @@ def start_resident_generation(
     returns a :class:`PendingGeneration` whose ``collect()`` yields batches
     bitwise identical to the serial loop.  Returns ``None`` when exact
     resident generation is not possible (see :func:`can_generate_resident`);
-    the caller then falls back to the inline/fan-out paths.
+    the caller then generates inline.
 
     ``handle`` identifies the generator on the pool slots.  A *versioned*
     handle (one whose owner bumps it on every parameter update, as

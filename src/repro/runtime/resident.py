@@ -696,8 +696,7 @@ class ResidentBackend(ExecutorBackend):
         batchnorm_stats)`` exactly as
         :func:`repro.runtime.pipeline._batchnorm_stats` produces them; the
         caller folds the statistics back in batch order to reproduce the
-        serial running-stat trajectory bitwise (same contract as
-        ``fan_out_generation``).
+        serial running-stat trajectory bitwise.
 
         Returns a :class:`PendingSteps` handle whose ``result()`` yields the
         per-batch replies in batch order; it participates in the same

@@ -92,8 +92,7 @@ def serve_slot(channel) -> None:
                 if params is not None:
                     generator.set_parameters(params)
                 # Lazy import: keeps module import light and cycle-free (the
-                # helper lives next to the fan-out path whose bitwise
-                # contract resident-side generation shares).
+                # helper lives next to the owner-side BatchNorm fold).
                 from .pipeline import _batchnorm_stats
 
                 reply = ("ok", [_batchnorm_stats(generator, g_input) for g_input in g_inputs])

@@ -18,9 +18,9 @@ exposes that same machinery to callers outside the training loop:
   caller supplies a ``seed``, making the request order-independent),
   forwards run on slot-resident generator copies, and BatchNorm batch
   statistics fold back into the service's generator in dispatch order.
-  Samples are bit-for-bit what a serial loop — or
-  :func:`~repro.runtime.pipeline.fan_out_generation` — would produce from
-  the same draws.
+  Samples are bit-for-bit what a serial
+  :func:`~repro.core.gan_ops.sample_generator_images` loop would produce
+  from the same draws.
 * **Param cache** — the service's :class:`~repro.runtime.pipeline.
   GeneratorHandle` is versioned: repeat requests against an unchanged
   generator ship **zero parameter bytes** (the slot copies are already
@@ -33,9 +33,10 @@ exposes that same machinery to callers outside the training loop:
   never silently re-run.
 
 Non-resident backends (``serial``/``thread``/``process``, or generators the
-resident op cannot reproduce exactly, e.g. with Dropout) degrade to the
-same coalesced loop through ``backend.map_ordered`` — identical results,
-just without the resident param cache.
+resident op cannot reproduce exactly, e.g. with Dropout) run the same
+coalesced batches inline on the dispatcher thread, each on a private copy
+of the generator — identical results, without the pool's slots or its
+param cache.
 
 Lifecycle is the shared :class:`~repro.core.lifecycle.BackendOwner`
 contract: the service lazily builds the backend from its config, or serves
@@ -61,9 +62,8 @@ from ..core.lifecycle import BackendOwner
 from ..models.base import generator_input
 from ..runtime.pipeline import (
     GeneratorHandle,
+    _batchnorm_stats,
     _fold_batchnorm_stats,
-    _GenerationTask,
-    _run_generation_task,
     can_generate_resident,
 )
 from .stats import ServingStats
@@ -350,10 +350,11 @@ class GeneratorService(BackendOwner):
 
         The resident path ships the inputs to the pool slots (zero param
         bytes when the slot copies are current); every other backend — and
-        generators the resident op cannot reproduce exactly — runs the same
-        per-batch tasks through ``map_ordered`` on deep copies.  Both paths
-        fold the captured BatchNorm statistics back in dispatch order, so
-        the service generator's running stats follow the serial trajectory.
+        generators the resident op cannot reproduce exactly — forwards each
+        batch inline on its own deep copy, so no batch sees another's
+        Dropout RNG advance.  Both paths fold the captured BatchNorm
+        statistics back in dispatch order, so the service generator's
+        running stats follow the serial trajectory.
         """
         backend = self.executor
         # Snapshot parameters together with the handle version under the
@@ -368,17 +369,13 @@ class GeneratorService(BackendOwner):
                     self.generator.get_parameters(),
                     g_inputs,
                 )
-                tasks = None
             else:
                 pending = None
-                tasks = [
-                    _GenerationTask(copy.deepcopy(self.generator), g_input)
-                    for g_input in g_inputs
-                ]
+                copies = [copy.deepcopy(self.generator) for _ in g_inputs]
         if pending is not None:
             outputs = pending.result()
         else:
-            outputs = backend.map_ordered(_run_generation_task, tasks)
+            outputs = [_batchnorm_stats(gen, g_input) for gen, g_input in zip(copies, g_inputs)]
         _fold_batchnorm_stats(self.generator, [stats for _, stats in outputs])
         return outputs
 

@@ -42,11 +42,22 @@ class TestTrainingConfig:
             dict(backend="gpu"),
             dict(max_workers=0),
             dict(pipeline_depth=-1),
+            dict(epochs_per_swap=math.nan),
+            dict(epochs_per_swap=-math.inf),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rejoin_backoff", "rejoin_timeout"])
+    def test_nan_elastic_timing_rejected_under_any_policy(self, field):
+        # Validated by the one MembershipPolicy construction, fail-stop
+        # included, so NaN never reaches time.sleep mid-run.
+        for policy in ("fail_stop", "degrade"):
+            backend = "serial" if policy == "fail_stop" else "resident"
+            with pytest.raises(ValueError, match=f"{field} must be > 0, got nan"):
+                TrainingConfig(on_slot_loss=policy, backend=backend, **{field: math.nan})
 
     def test_pipeline_depth_defaults_to_synchronous(self):
         assert TrainingConfig().pipeline_depth == 0

@@ -210,6 +210,7 @@ class TestCLI:
             ["--transport", "pipe", "--transport-address", "10.0.0.5:7000"],
             ["--on-slot-loss", "degrade"],
             ["--min-workers", "0"],
+            ["--rejoin-backoff", "nan"],
         ],
     )
     def test_main_rejects_an_invalid_runtime_before_running(self, monkeypatch, capsys, flags):

@@ -1,7 +1,7 @@
 """Tests for the pipelined execution mode (repro.runtime.pipeline).
 
-Covers the building blocks (lookahead queue, in-flight window, generation
-fan-out, async dispatch handles) and the end-to-end semantics: depth 0 stays
+Covers the building blocks (lookahead queue, in-flight window, resident
+generation, async dispatch handles) and the end-to-end semantics: depth 0 stays
 bitwise identical to the synchronous schedule, a fixed positive depth is
 deterministic across backends, staleness is recorded per iteration, and
 FL-GAN pipelining preserves bitwise parity at every depth.
@@ -28,10 +28,8 @@ from repro.runtime import (
     ResidentBackend,
     can_generate_resident,
     create_backend,
-    fan_out_generation,
     start_resident_generation,
 )
-from repro.runtime.pipeline import can_fan_out
 from repro.runtime.tasks import MDGANResidentState
 from repro.simulation import CrashSchedule
 
@@ -257,87 +255,6 @@ def _flgan_items2():
     return [(worker.index, lambda: trainer._resident_state(worker), None)]
 
 
-# -- generation fan-out ------------------------------------------------------------
-
-
-class TestGenerationFanOut:
-    @pytest.fixture(scope="class")
-    def conv_generator(self):
-        """A BatchNorm-bearing conv generator plus its factory."""
-        train, _ = make_mnist_like(n_train=64, n_test=16, image_size=16, seed=7)
-        factory = build_architecture(
-            "mnist-cnn",
-            image_shape=train.spec.shape,
-            num_classes=train.num_classes,
-            width_factor=0.5,
-            use_minibatch_discrimination=False,
-        )
-        generator = factory.make_generator(np.random.default_rng(5))
-        assert any(isinstance(layer, BatchNorm) for layer in generator.layers)
-        # Warm the BN running stats so the fold-back has non-trivial state.
-        sample_generator_images(generator, factory, 16, np.random.default_rng(1))
-        return generator, factory
-
-    @pytest.mark.parametrize("backend_name", ("thread", "process"))
-    def test_bitwise_identical_to_serial_loop(self, backend_name, conv_generator):
-        generator, factory = conv_generator
-        gen_serial = copy.deepcopy(generator)
-        gen_fanned = copy.deepcopy(generator)
-        rng_serial = np.random.default_rng(42)
-        rng_fanned = np.random.default_rng(42)
-        k, batch = 5, 16
-        serial = [
-            sample_generator_images(gen_serial, factory, batch, rng_serial, batch_index=j)
-            for j in range(k)
-        ]
-        backend = create_backend(backend_name, 2)
-        try:
-            fanned = fan_out_generation(backend, gen_fanned, factory, batch, k, rng_fanned)
-        finally:
-            backend.close()
-        assert fanned is not None
-        for ref, got in zip(serial, fanned):
-            assert np.array_equal(ref.images, got.images)
-            assert np.array_equal(ref.noise, got.noise)
-            assert ref.batch_index == got.batch_index
-            if ref.labels is None:
-                assert got.labels is None
-            else:
-                assert np.array_equal(ref.labels, got.labels)
-        for layer_ref, layer_got in zip(gen_serial.layers, gen_fanned.layers):
-            if isinstance(layer_ref, BatchNorm):
-                assert np.array_equal(layer_ref.running_mean, layer_got.running_mean)
-                assert np.array_equal(layer_ref.running_var, layer_got.running_var)
-        assert rng_serial.bit_generator.state == rng_fanned.bit_generator.state
-
-    def test_declined_for_serial_backend_and_small_k(self, conv_generator):
-        generator, factory = conv_generator
-        serial = create_backend("serial")
-        assert not can_fan_out(serial, generator, 8)
-        thread = create_backend("thread", 2)
-        try:
-            assert not can_fan_out(thread, generator, 1)
-            assert can_fan_out(thread, generator, 2)
-        finally:
-            thread.close()
-
-    def test_declined_for_dropout_generators(self, conv_generator):
-        generator, factory = conv_generator
-        generator = copy.deepcopy(generator)
-        generator.layers.append(Dropout(0.3))
-        thread = create_backend("thread", 2)
-        try:
-            assert not can_fan_out(thread, generator, 4)
-            assert (
-                fan_out_generation(
-                    thread, generator, factory, 8, 4, np.random.default_rng(0)
-                )
-                is None
-            )
-        finally:
-            thread.close()
-
-
 # -- resident-side generation ------------------------------------------------------
 
 
@@ -480,6 +397,30 @@ class TestPipelinedMDGAN:
             ref_trainer.generator.get_parameters(),
         )
 
+    def test_train_iteration_is_the_pipelined_body(self, ring_setup):
+        # Driving the public per-iteration body by hand runs the same
+        # schedule train() does, staleness column included.
+        shards, factory = ring_setup
+        config = _config("serial", pipeline_depth=1)
+        ref_trainer, ref = _mdgan_run(factory, shards, config)
+        trainer = MDGANTrainer(factory, shards, config)
+        for iteration in range(1, config.iterations + 1):
+            trainer.train_iteration(iteration)
+        got = trainer.history
+        assert got.staleness == ref.staleness == [0, 1, 1, 1, 1, 1]
+        assert got.iterations == ref.iterations
+        assert got.generator_loss == ref.generator_loss
+        assert got.discriminator_loss == ref.discriminator_loss
+        assert got.events == ref.events
+        assert np.array_equal(
+            trainer.generator.get_parameters(), ref_trainer.generator.get_parameters()
+        )
+        for worker, ref_worker in zip(trainer.workers, ref_trainer.workers):
+            assert np.array_equal(
+                worker.discriminator.get_parameters(),
+                ref_worker.discriminator.get_parameters(),
+            )
+
     def test_depth_changes_trajectory_vs_sync(self, ring_setup):
         # Not an accident of the toy setup: stale batches really do feed the
         # workers, so the trajectory must differ from the synchronous one.
@@ -513,22 +454,20 @@ class TestPipelinedMDGAN:
                 ref_trainer.generator.get_parameters(),
             )
 
-    def test_cold_start_generation_fans_out_on_concurrent_backends(self, ring_setup):
+    def test_cold_start_generates_inline_and_lookahead_runs_on_slots(self, ring_setup):
         shards, factory = ring_setup
-        # k = 4 >= 2 and the toy generator is fan-out-safe (no Dropout), so
-        # the thread backend's cold-start generation goes through the fanned
-        # path; the resident backend routes it through its own pool slots
-        # (the dedicated generation op) and counts as fanned out too.
+        # The cold-start miss generates inline on every backend; only the
+        # resident backend moves the lookahead generation onto its pool
+        # slots (the dedicated generation op).
         _, threaded = _mdgan_run(
             factory, shards, _config("thread", pipeline_depth=1, num_batches=4)
         )
-        assert threaded.overlap["fanout_generations"] == 1.0
+        assert threaded.overlap["immediate_generations"] == 1.0
         assert threaded.overlap["resident_generations"] == 0.0
         _, resident = _mdgan_run(
             factory, shards, _config("resident", pipeline_depth=1, num_batches=4)
         )
-        assert resident.overlap["fanout_generations"] == 1.0
-        # ...and its lookahead generations all ran off the trainer thread.
+        assert resident.overlap["immediate_generations"] == 1.0
         assert (
             resident.overlap["resident_generations"]
             == resident.overlap["lookahead_generations"]

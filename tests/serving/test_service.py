@@ -1,11 +1,12 @@
 """Tests for :class:`repro.serving.GeneratorService` (the request path).
 
-Pins the serving contracts: concurrent requests are bitwise identical to
-``fan_out_generation`` from the same draws; the versioned param cache ships
-zero bytes for an unchanged generator and exactly one re-ship per slot after
-``update_generator()``; a killed slot fail-stops every request of the
-in-flight group and the service refuses traffic afterwards; and
-``from_trainer()`` serves off a trainer's warm pool without owning it.
+Pins the serving contracts: concurrent requests are bitwise identical to a
+serial ``sample_generator_images`` loop on the same draws, and BatchNorm
+running statistics end up the same on every backend; the versioned param
+cache ships zero bytes for an unchanged generator and exactly one re-ship
+per slot after ``update_generator()``; a killed slot fail-stops every
+request of the in-flight group and the service refuses traffic afterwards;
+and ``from_trainer()`` serves off a trainer's warm pool without owning it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import numpy as np
 import pytest
 
 from repro.core import MDGANTrainer, TrainingConfig
-from repro.runtime import TransportError, create_backend, fan_out_generation
+from repro.core.gan_ops import sample_generator_images
+from repro.datasets import make_mnist_like
+from repro.models import build_architecture
+from repro.nn.layers import BatchNorm
+from repro.runtime import TransportError
 from repro.serving import GeneratorService, ServiceClosed
 
 
@@ -28,7 +33,7 @@ def _config(**overrides) -> TrainingConfig:
 
 
 def _draw_requests(factory, dtype, batch_size, k, seed):
-    """Replicate ``fan_out_generation``'s draw order: per batch, noise then labels."""
+    """Replicate ``sample_generator_images``' draw order: per batch, noise then labels."""
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(k):
@@ -44,20 +49,18 @@ def _draw_requests(factory, dtype, batch_size, k, seed):
 
 
 class TestBitwiseContract:
-    def test_concurrent_requests_match_fan_out(self, ring_setup):
+    def test_concurrent_requests_match_serial_loop(self, ring_setup):
         # N client threads racing submit() must produce, per request, exactly
-        # the batch a serial fan_out_generation produces from the same draws.
+        # the batch a serial sample_generator_images loop produces from the
+        # same draws.
         _, factory = ring_setup
         k, batch_size = 6, 8
         reference = factory.make_generator(np.random.default_rng(0))
-        backend = create_backend("thread", max_workers=2)
-        try:
-            expected = fan_out_generation(
-                backend, reference, factory, batch_size, k, np.random.default_rng(123)
-            )
-        finally:
-            backend.close()
-        assert expected is not None
+        rng = np.random.default_rng(123)
+        expected = [
+            sample_generator_images(reference, factory, batch_size, rng, batch_index=j)
+            for j in range(k)
+        ]
 
         served = factory.make_generator(np.random.default_rng(0))
         draws = _draw_requests(factory, served.dtype, batch_size, k, seed=123)
@@ -92,6 +95,44 @@ class TestBitwiseContract:
         assert np.array_equal(first.images, again.images)
         assert np.array_equal(first.images, reference.images)
         assert first.latency_seconds > 0.0
+
+    def test_batchnorm_running_stats_match_across_backends(self):
+        # Served batches normalise by batch statistics; the running
+        # statistics they leave behind on the service generator must follow
+        # the same trajectory whether the forwards ran inline or on slots.
+        train, _ = make_mnist_like(n_train=32, n_test=8, image_size=16, seed=7)
+        factory = build_architecture(
+            "mnist-cnn",
+            image_shape=train.spec.shape,
+            num_classes=train.num_classes,
+            width_factor=0.25,
+            use_minibatch_discrimination=False,
+        )
+        generator = factory.make_generator(np.random.default_rng(0))
+        assert any(isinstance(layer, BatchNorm) for layer in generator.layers)
+        k, batch_size = 3, 4
+        draws = _draw_requests(factory, generator.dtype, batch_size, k, seed=9)
+        served = {}
+        for backend in ("serial", "thread", "resident"):
+            config = _config(backend=backend, batch_size=batch_size)
+            with GeneratorService(copy.deepcopy(generator), factory, config) as service:
+                images = [
+                    service.serve(noise=noise, labels=labels).images for noise, labels in draws
+                ]
+                served[backend] = (images, service.generator)
+        ref_images, ref_generator = served["serial"]
+        ref_layers = [layer for layer in ref_generator.layers if isinstance(layer, BatchNorm)]
+        for backend in ("thread", "resident"):
+            images, got_generator = served[backend]
+            for got, ref in zip(images, ref_images):
+                assert np.array_equal(got, ref)
+            got_layers = [layer for layer in got_generator.layers if isinstance(layer, BatchNorm)]
+            for got, ref in zip(got_layers, ref_layers):
+                assert np.array_equal(got.running_mean, ref.running_mean)
+                assert np.array_equal(got.running_var, ref.running_var)
+        # The folds really moved the statistics away from their initial state.
+        initial = [layer for layer in generator.layers if isinstance(layer, BatchNorm)]
+        assert not np.array_equal(initial[0].running_mean, ref_layers[0].running_mean)
 
 
 class TestParamCache:
