@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-__all__ = ["OptimizerConfig", "TrainingConfig", "resolve_num_batches"]
+__all__ = ["OptimizerConfig", "TrainingConfig", "paper_num_batches", "resolve_num_batches"]
 
 
 @dataclass(frozen=True)
@@ -289,16 +289,21 @@ class TrainingConfig:
         return replace(self, **kwargs)
 
 
+def paper_num_batches(num_workers: int) -> int:
+    """The paper's default ``k = max(1, floor(log N))``."""
+    return max(1, int(math.floor(math.log(num_workers))) if num_workers > 1 else 1)
+
+
 def resolve_num_batches(config: TrainingConfig, num_workers: int) -> int:
     """Resolve the paper's ``k`` parameter for a given worker count.
 
-    ``None`` selects the paper's default ``max(1, floor(log N))``; explicit
-    values are clamped to ``[1, N]`` (the paper requires ``k <= N``).
+    ``None`` selects :func:`paper_num_batches`; explicit values are clamped
+    to ``[1, N]`` (the paper requires ``k <= N``).
     """
     if num_workers <= 0:
         raise ValueError(f"num_workers must be positive, got {num_workers}")
     if config.num_batches is None:
-        k = max(1, int(math.floor(math.log(num_workers))) if num_workers > 1 else 1)
+        k = paper_num_batches(num_workers)
     else:
         k = config.num_batches
     return max(1, min(k, num_workers))

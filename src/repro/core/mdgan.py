@@ -312,6 +312,9 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             [f_n for _, f_n in feedback],
         )
         self._gen_opt.step(self.generator)
+        # The code replays the generator forward over every fed-back batch
+        # and then runs a backward, but this charge models only ``len·b·|w|``
+        # (ROADMAP 17(b)): the replayed forward is not charged.
         self.cluster.server.compute.charge(
             "generator_update",
             len(feedback) * self.config.batch_size * self.generator.num_parameters,

@@ -14,9 +14,11 @@ Figure 6                     :func:`run_fig6`
 k ablation (Section IV-B4)   :func:`run_ablation_k`
 swap ablation (Section IV-C) :func:`run_ablation_swap`
 Section VII extensions       :func:`run_ablation_extensions`
+non-i.i.d. ablation          :func:`run_ablation_noniid`
 traffic cross-check          :func:`run_traffic_check`
 serving benchmark            :func:`run_serve_bench`
 staleness sweep              :func:`run_staleness_sweep`
+wall-clock timing estimate   :func:`run_timing_estimate`
 ===========================  ====================================
 """
 
@@ -34,7 +36,7 @@ from .common import (
     format_table,
     get_scale,
 )
-from .convergence import FIG3_CELLS, fig3_competitors, run_fig3
+from .convergence import fig3_competitors, run_fig3
 from .fault_tolerance import run_fig5
 from .scalability import run_fig4
 from .serve_bench import run_serve_bench
@@ -77,7 +79,6 @@ __all__ = [
     "run_serve_bench",
     "run_staleness_sweep",
     "run_timing_estimate",
-    "FIG3_CELLS",
     "fig3_competitors",
     "save_json",
     "save_csv",

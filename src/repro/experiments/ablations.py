@@ -23,30 +23,19 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..core import MDGANTrainer, TrainingConfig
+from ..core.config import paper_num_batches
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    base_config,
+    final_scores,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
-    prepare_shards,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_ablation_k", "run_ablation_swap", "run_ablation_extensions"]
-
-
-def _base_config(scale: ExperimentScale, **runtime) -> TrainingConfig:
-    return TrainingConfig(
-        iterations=scale.iterations,
-        batch_size=scale.batch_size_small,
-        epochs_per_swap=1.0,
-        eval_every=scale.iterations,
-        eval_sample_size=scale.eval_sample_size,
-        seed=scale.seed,
-        **runtime,
-    )
 
 
 def run_ablation_k(
@@ -61,16 +50,11 @@ def run_ablation_k(
     ``num_batches`` is set per row, after ``runtime``.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
     if k_values is None:
-        k_log = max(
-            1,
-            int(math.floor(math.log(scale.num_workers))) if scale.num_workers > 1 else 1,
-        )
-        k_values = sorted({1, k_log, scale.num_workers})
+        k_values = sorted({1, paper_num_batches(scale.num_workers), scale.num_workers})
+    cells = [Cell(f"k{int(k)}", "md-gan", {"num_batches": int(k)}) for k in k_values]
+    setup = prepare(dataset, architecture, scale)
+    runs = run_grid(setup, base_config(scale, eval_every=scale.iterations, **runtime), cells)
 
     result = ExperimentResult(
         name="Ablation: k",
@@ -79,15 +63,10 @@ def run_ablation_k(
             f"on {dataset} / {architecture} (N={scale.num_workers}, scale={scale.name})."
         ),
     )
-    for k in k_values:
-        config = _base_config(scale, **runtime).with_overrides(num_batches=int(k))
-        with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
-            history = trainer.train()
-        final = history.final_evaluation
+    for cell, history, _ in runs:
         result.add_row(
-            k=int(k),
-            score=final.score if final else float("nan"),
-            fid=final.fid if final else float("nan"),
+            k=cell.overrides["num_batches"],
+            **final_scores(history),
             server_egress_bytes=history.traffic.get("server_egress_bytes", 0.0),
             server_flops=history.compute.get("server_flops", 0.0),
         )
@@ -110,10 +89,9 @@ def run_ablation_swap(
     ``epochs_per_swap`` is set per row, after ``runtime``.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
+    cells = [Cell(f"E{e}", "md-gan", {"epochs_per_swap": e}) for e in epochs_values]
+    setup = prepare(dataset, architecture, scale)
+    runs = run_grid(setup, base_config(scale, eval_every=scale.iterations, **runtime), cells)
 
     result = ExperimentResult(
         name="Ablation: swap period E",
@@ -123,16 +101,12 @@ def run_ablation_swap(
             "E=inf disables swapping."
         ),
     )
-    for epochs in epochs_values:
-        config = _base_config(scale, **runtime).with_overrides(epochs_per_swap=epochs)
-        with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
-            history = trainer.train()
-        final = history.final_evaluation
+    for cell, history, _ in runs:
+        epochs = cell.overrides["epochs_per_swap"]
         result.add_row(
             epochs_per_swap=("inf" if math.isinf(epochs) else epochs),
             swaps=len(history.events_of_kind("swap")),
-            score=final.score if final else float("nan"),
-            fid=final.fid if final else float("nan"),
+            **final_scores(history),
             swap_bytes=history.traffic.get("swap_bytes", 0.0),
         )
     result.add_note(
@@ -157,11 +131,21 @@ def run_ablation_extensions(
     ``runtime``.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
-    config = _base_config(scale, **runtime)
+    cells = [
+        Cell("md-gan", "md-gan"),
+        Cell(
+            "md-gan-async",
+            "md-gan",
+            {"aggregation": "async", "max_staleness": scale.num_workers - 1},
+        ),
+        Cell(
+            f"md-gan-sampled-{participation_fraction}",
+            "md-gan",
+            {"participation_fraction": participation_fraction},
+        ),
+    ]
+    setup = prepare(dataset, architecture, scale)
+    runs = run_grid(setup, base_config(scale, eval_every=scale.iterations, **runtime), cells)
 
     result = ExperimentResult(
         name="Ablation: Section VII extensions",
@@ -170,23 +154,10 @@ def run_ablation_extensions(
             f"on {dataset} / {architecture} (N={scale.num_workers}, scale={scale.name})."
         ),
     )
-    variants = {
-        "md-gan": config,
-        "md-gan-async": config.with_overrides(
-            aggregation="async", max_staleness=scale.num_workers - 1
-        ),
-        f"md-gan-sampled-{participation_fraction}": config.with_overrides(
-            participation_fraction=participation_fraction
-        ),
-    }
-    for name, variant in variants.items():
-        with MDGANTrainer(factory, shards, variant, evaluator=evaluator) as trainer:
-            history = trainer.train()
-        final = history.final_evaluation
+    for cell, history, _ in runs:
         result.add_row(
-            variant=name,
-            score=final.score if final else float("nan"),
-            fid=final.fid if final else float("nan"),
+            variant=cell.name,
+            **final_scores(history),
             total_bytes=history.traffic.get("total_bytes", 0.0),
         )
     return result

@@ -16,24 +16,16 @@ size and batch sizes through the experiment scale.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..core import (
-    FLGANTrainer,
-    MDGANTrainer,
-    OptimizerConfig,
-    StandaloneGANTrainer,
-    TrainingConfig,
-    TrainingHistory,
-)
+from ..core import OptimizerConfig
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    add_curves,
+    base_config,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
-    prepare_shards,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_fig6"]
@@ -50,11 +42,10 @@ def run_fig6(
     into every competitor's config, as in :func:`~repro.experiments.run_fig5`.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset("celeba", scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory("celeba-cnn", train, scale)
-    num_workers = min(num_workers, max(1, len(train) // 2))
-    shards = prepare_shards(train, num_workers, scale.seed)
+    setup = prepare("celeba", "celeba-cnn", scale)
+    # N is capped by the loaded train set, so the shards follow the load.
+    num_workers = min(num_workers, max(1, len(setup.train) // 2))
+    shards = setup.iid_shards(num_workers)
 
     # Batch sizes follow the paper's ratio: MD-GAN uses b / N so that one
     # generator update consumes the same number of images as the baselines.
@@ -66,38 +57,16 @@ def run_fig6(
         discriminator_opt=OptimizerConfig(learning_rate=2e-3 / 10, beta1=0.5, beta2=0.999),
     )
     mdgan_opts = dict(
+        batch_size=mdgan_batch,
         generator_opt=OptimizerConfig(learning_rate=1e-3 / 10, beta1=0.0, beta2=0.9),
         discriminator_opt=OptimizerConfig(learning_rate=4e-3 / 10, beta1=0.0, beta2=0.9),
     )
-
-    base = TrainingConfig(
-        iterations=scale.iterations,
-        batch_size=standalone_batch,
-        epochs_per_swap=1.0,
-        eval_every=scale.eval_every,
-        eval_sample_size=scale.eval_sample_size,
-        seed=scale.seed,
-        **runtime,
-    )
-
-    histories: Dict[str, TrainingHistory] = {}
-    with StandaloneGANTrainer(
-        factory, train, base.with_overrides(**standalone_opts), evaluator=evaluator
-    ) as standalone:
-        histories["standalone"] = standalone.train()
-
-    with FLGANTrainer(
-        factory, shards, base.with_overrides(**standalone_opts), evaluator=evaluator
-    ) as flgan:
-        histories[f"fl-gan-N{num_workers}"] = flgan.train()
-
-    with MDGANTrainer(
-        factory,
-        shards,
-        base.with_overrides(batch_size=mdgan_batch, **mdgan_opts),
-        evaluator=evaluator,
-    ) as mdgan:
-        histories[f"md-gan-N{num_workers}"] = mdgan.train()
+    cells = [
+        Cell("standalone", "standalone", standalone_opts),
+        Cell(f"fl-gan-N{num_workers}", "fl-gan", standalone_opts, shards),
+        Cell(f"md-gan-N{num_workers}", "md-gan", mdgan_opts, shards),
+    ]
+    runs = run_grid(setup, base_config(scale, batch_size=standalone_batch, **runtime), cells)
 
     result = ExperimentResult(
         name="Figure 6",
@@ -107,22 +76,12 @@ def run_fig6(
             f"b={standalone_batch}, MD-GAN b={mdgan_batch})."
         ),
     )
-    for name, history in histories.items():
-        for evaluation in history.evaluations:
-            result.add_row(
-                competitor=name,
-                iteration=evaluation.iteration,
-                score=evaluation.score,
-                fid=evaluation.fid,
-            )
-    finals = {
-        name: h.final_evaluation for name, h in histories.items() if h.final_evaluation
-    }
+    add_curves(result, runs)
+    finals = [(cell.name, h.final_evaluation) for cell, h, _ in runs if h.final_evaluation]
     if finals:
-        ordering = sorted(finals.items(), key=lambda item: -item[1].score)
+        ordering = sorted(finals, key=lambda item: -item[1].score)
         result.add_note(
             "final score ordering: "
             + ", ".join(f"{name} ({ev.score:.3f})" for name, ev in ordering)
         )
-    result.extras["histories"] = {k: h.as_dict() for k, h in histories.items()}
     return result

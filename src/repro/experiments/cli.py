@@ -13,7 +13,7 @@ Usage::
 where ``<artefact>`` is one of ``table2``, ``table3``, ``table4``, ``fig2``,
 ``fig3``, ``fig4``, ``fig5``, ``fig6``, ``ablation-k``, ``ablation-swap``,
 ``ablation-extensions``, ``ablation-noniid``, ``traffic-check``,
-``serve-bench``, ``staleness-sweep`` or ``all``.
+``serve-bench``, ``staleness-sweep``, ``timing`` or ``all``.
 
 The runtime flags (``--backend``, ``--max-workers``, ``--transport``,
 ``--pipeline-depth``, ``--on-slot-loss``, ...) are
@@ -49,7 +49,7 @@ from .traffic_check import run_traffic_check
 
 __all__ = ["main", "ARTIFACTS"]
 
-#: artefact name -> (runner, accepts dataset/architecture kwargs)
+#: artefact name -> runner
 ARTIFACTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table2": run_table2,
     "table3": run_table3,

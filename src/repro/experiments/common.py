@@ -15,15 +15,29 @@ Three scale presets are provided:
 * ``PAPER`` — the paper's dataset sizes, image geometry and iteration counts
   (50,000 iterations, 28x28/32x32 images, full-width architectures).  Only
   practical with substantial CPU time; provided for completeness.
+
+Every training runner is one grid: :func:`prepare` loads the shared inputs,
+the runner lists its competitors as cells (:class:`Cell`) over one
+:func:`base_config`, :func:`run_grid` trains them, and the runner projects
+the histories into rows (:func:`final_scores`, :func:`add_curves`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence
+import time
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import (
+    FLGANTrainer,
+    MDGANTrainer,
+    StandaloneGANTrainer,
+    TrainingConfig,
+    TrainingHistory,
+)
 from ..datasets import ImageDataset, load_dataset, partition_iid
 from ..metrics import GeneratorEvaluator
 from ..models import build_architecture
@@ -38,10 +52,14 @@ __all__ = [
     "get_scale",
     "ExperimentResult",
     "format_table",
-    "prepare_dataset",
-    "prepare_evaluator",
-    "prepare_factory",
-    "prepare_shards",
+    "TRAINERS",
+    "Cell",
+    "Setup",
+    "prepare",
+    "base_config",
+    "run_grid",
+    "final_scores",
+    "add_curves",
 ]
 
 
@@ -62,10 +80,6 @@ class ExperimentScale:
     classifier_epochs: int
     eval_sample_size: int
     seed: int = 0
-
-    def scaled(self, **overrides) -> "ExperimentScale":
-        """Return a copy with some fields overridden."""
-        return replace(self, **overrides)
 
 
 SMOKE = ExperimentScale(
@@ -146,10 +160,6 @@ class ExperimentResult:
         """Append a free-text note shown below the table."""
         self.notes.append(note)
 
-    def column(self, key: str) -> List[object]:
-        """Extract one column across all rows (missing values become None)."""
-        return [row.get(key) for row in self.rows]
-
     def to_text(self) -> str:
         """Render the result as a plain-text report table."""
         lines = [f"== {self.name} ==", self.description, ""]
@@ -188,54 +198,149 @@ def format_table(headers: Sequence[str], rows: Sequence[Dict[str, object]]) -> s
 
 
 # ---------------------------------------------------------------------------
-# experiment building blocks
+# the experiment grid
 # ---------------------------------------------------------------------------
 
-def prepare_dataset(
-    dataset: str, scale: ExperimentScale
-) -> tuple[ImageDataset, ImageDataset]:
-    """Load the train/test pair of a dataset at the given scale."""
-    return load_dataset(
-        dataset,
-        n_train=scale.n_train,
-        n_test=scale.n_test,
-        image_size=scale.image_size,
-        seed=scale.seed,
+#: Algorithm name -> trainer class.  Every trainer is built as
+#: ``cls(factory, data, config, evaluator=..., **trainer_kwargs)``.
+TRAINERS = {"md-gan": MDGANTrainer, "fl-gan": FLGANTrainer, "standalone": StandaloneGANTrainer}
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One competitor of a grid: an algorithm and how it departs from the base.
+
+    ``overrides`` are :class:`~repro.core.TrainingConfig` fields applied on
+    top of the grid's config; ``shards`` replaces the setup's i.i.d. shards
+    (ignored by ``standalone``, which trains on the full train set);
+    ``trainer_kwargs`` go to the trainer's constructor (e.g. Figure 5's
+    ``crash_schedule``).
+    """
+
+    name: str
+    algorithm: str
+    overrides: Mapping[str, object] = field(default_factory=dict)
+    shards: Optional[Sequence[ImageDataset]] = None
+    trainer_kwargs: Mapping[str, object] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Setup:
+    """The inputs every cell of a grid shares."""
+
+    scale: ExperimentScale
+    train: ImageDataset
+    factory: GANFactory
+    evaluator: Optional[GeneratorEvaluator] = None
+
+    def iid_shards(self, num_workers: int) -> List[ImageDataset]:
+        """Partition the train set i.i.d. over the workers (paper Section III-a)."""
+        rng = np.random.default_rng(self.scale.seed + 11)
+        return partition_iid(self.train, num_workers, rng)
+
+    @cached_property
+    def shards(self) -> List[ImageDataset]:
+        """The default worker shards: i.i.d. over ``scale.num_workers``."""
+        return self.iid_shards(self.scale.num_workers)
+
+
+def prepare(
+    dataset: str, architecture: str, scale: ExperimentScale, evaluate: bool = True
+) -> Setup:
+    """Load ``dataset`` at ``scale`` and size ``architecture`` for it.
+
+    ``evaluate`` also trains the frozen score classifier behind the
+    evaluator; runners that read no score skip it.
+    """
+    train, test = load_dataset(
+        dataset, scale.n_train, scale.n_test, image_size=scale.image_size, seed=scale.seed
     )
-
-
-def prepare_evaluator(
-    train: ImageDataset, test: ImageDataset, scale: ExperimentScale
-) -> GeneratorEvaluator:
-    """Train the frozen score classifier and wrap it in an evaluator."""
-    return GeneratorEvaluator.from_datasets(
-        train,
-        test,
-        sample_size=scale.eval_sample_size,
-        classifier_epochs=scale.classifier_epochs,
-        seed=scale.seed + 97,
-    )
-
-
-def prepare_factory(
-    architecture: str, dataset: ImageDataset, scale: ExperimentScale, **overrides
-) -> GANFactory:
-    """Build a GAN architecture sized for the dataset at the given scale."""
-    kwargs = dict(
-        image_shape=dataset.spec.shape,
-        num_classes=dataset.num_classes,
-    )
-    if architecture != "mnist-mlp" and architecture != "toy-ring":
-        kwargs["width_factor"] = scale.width_factor
+    evaluator = None
+    if evaluate:
+        evaluator = GeneratorEvaluator.from_datasets(
+            train, test, scale.eval_sample_size, scale.classifier_epochs, seed=scale.seed + 97
+        )
+    kwargs = dict(image_shape=train.spec.shape, num_classes=train.num_classes)
     if architecture == "mnist-mlp":
         kwargs["width_factor"] = max(scale.width_factor, 0.25)
-    kwargs.update(overrides)
-    return build_architecture(architecture, **kwargs)
+    elif architecture != "toy-ring":
+        kwargs["width_factor"] = scale.width_factor
+    factory = build_architecture(architecture, **kwargs)
+    return Setup(scale, train, factory, evaluator)
 
 
-def prepare_shards(
-    train: ImageDataset, num_workers: int, seed: int
-) -> List[ImageDataset]:
-    """Partition the training set i.i.d. over the workers (paper Section III-a)."""
-    rng = np.random.default_rng(seed + 11)
-    return partition_iid(train, num_workers, rng)
+def base_config(scale: ExperimentScale, **fields) -> TrainingConfig:
+    """The runners' shared config at ``scale``; ``fields`` override it."""
+    defaults = dict(
+        iterations=scale.iterations,
+        batch_size=scale.batch_size_small,
+        epochs_per_swap=1.0,
+        eval_every=scale.eval_every,
+        eval_sample_size=scale.eval_sample_size,
+        seed=scale.seed,
+    )
+    return TrainingConfig(**{**defaults, **fields})
+
+
+def run_grid(
+    setup: Setup, config: TrainingConfig, cells: Sequence[Cell]
+) -> List[Tuple[Cell, TrainingHistory, float]]:
+    """Train every cell on ``setup``; return ``(cell, history, wall seconds)``.
+
+    Every cell's algorithm, data and config are resolved (and so validated)
+    before the first cell trains: a bad sweep point fails in seconds, not
+    after the earlier points have trained.  Cells then train in order, each
+    trainer closed on exit.
+    """
+    plan = []
+    for cell in cells:
+        if cell.algorithm not in TRAINERS:
+            raise ValueError(
+                f"Unknown algorithm {cell.algorithm!r} in cell {cell.name!r}; "
+                f"known {sorted(TRAINERS)}"
+            )
+        if cell.algorithm == "standalone":
+            data = setup.train
+        else:
+            data = setup.shards if cell.shards is None else cell.shards
+            if not data:
+                raise ValueError(f"Cell {cell.name!r} has no worker shards")
+        plan.append((cell, data, config.with_overrides(**cell.overrides)))
+    runs = []
+    for cell, data, cell_config in plan:
+        started = time.perf_counter()
+        trainer = TRAINERS[cell.algorithm](
+            setup.factory, data, cell_config, evaluator=setup.evaluator, **cell.trainer_kwargs
+        )
+        with trainer:
+            history = trainer.train()
+        runs.append((cell, history, time.perf_counter() - started))
+    return runs
+
+
+def final_scores(history: TrainingHistory) -> Dict[str, float]:
+    """The final evaluation's score and FID (NaN when the run has none)."""
+    final = history.final_evaluation
+    return {
+        "score": final.score if final else float("nan"),
+        "fid": final.fid if final else float("nan"),
+    }
+
+
+def add_curves(result: ExperimentResult, runs, *extra: str) -> None:
+    """Add one row per evaluation of every run and keep the histories.
+
+    Rows are ``competitor, iteration, score, fid`` plus the ``extra``
+    evaluation fields; ``result.extras["histories"]`` maps cell names to
+    the exported histories.
+    """
+    for cell, history, _ in runs:
+        for evaluation in history.evaluations:
+            result.add_row(
+                competitor=cell.name,
+                iteration=evaluation.iteration,
+                score=evaluation.score,
+                fid=evaluation.fid,
+                **{name: getattr(evaluation, name) for name in extra},
+            )
+    result.extras["histories"] = {cell.name: h.as_dict() for cell, h, _ in runs}

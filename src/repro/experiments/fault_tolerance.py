@@ -9,19 +9,17 @@ standalone baseline with two batch sizes.
 
 from __future__ import annotations
 
-import math
-from typing import Dict
-
-from ..core import MDGANTrainer, StandaloneGANTrainer, TrainingConfig, TrainingHistory
+from ..core.config import paper_num_batches
 from ..simulation import CrashSchedule, worker_name
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    add_curves,
+    base_config,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
-    prepare_shards,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_fig5"]
@@ -45,42 +43,21 @@ def run_fig5(
     alongside the scores.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
-
-    k_log = max(
-        1, int(math.floor(math.log(scale.num_workers))) if scale.num_workers > 1 else 1
-    )
-    base_config = TrainingConfig(
-        iterations=scale.iterations,
-        batch_size=scale.batch_size_small,
-        num_batches=k_log,
-        epochs_per_swap=1.0,
-        eval_every=scale.eval_every,
-        eval_sample_size=scale.eval_sample_size,
-        seed=scale.seed,
-        **runtime,
-    )
     crash_schedule = CrashSchedule.uniform(
         [worker_name(i) for i in range(scale.num_workers)], scale.iterations
     )
-
-    histories: Dict[str, TrainingHistory] = {}
-
-    with MDGANTrainer(
-        factory, shards, base_config, evaluator=evaluator, crash_schedule=crash_schedule
-    ) as trainer:
-        histories["md-gan-crashes"] = trainer.train()
-
-    with MDGANTrainer(factory, shards, base_config, evaluator=evaluator) as trainer:
-        histories["md-gan-no-crash"] = trainer.train()
-
-    for batch_size in (scale.batch_size_small, scale.batch_size_large):
-        config = base_config.with_overrides(batch_size=batch_size, num_batches=None)
-        with StandaloneGANTrainer(factory, train, config, evaluator=evaluator) as standalone:
-            histories[f"standalone-b{batch_size}"] = standalone.train()
+    standalone = [
+        Cell(f"standalone-b{b}", "standalone", {"batch_size": b, "num_batches": None})
+        for b in (scale.batch_size_small, scale.batch_size_large)
+    ]
+    cells = [
+        Cell("md-gan-crashes", "md-gan", trainer_kwargs={"crash_schedule": crash_schedule}),
+        Cell("md-gan-no-crash", "md-gan"),
+        *standalone,
+    ]
+    setup = prepare(dataset, architecture, scale)
+    config = base_config(scale, num_batches=paper_num_batches(scale.num_workers), **runtime)
+    runs = run_grid(setup, config, cells)
 
     result = ExperimentResult(
         name="Figure 5",
@@ -90,18 +67,10 @@ def run_fig5(
             f"scale={scale.name})."
         ),
     )
-    for name, history in histories.items():
-        for evaluation in history.evaluations:
-            result.add_row(
-                competitor=name,
-                iteration=evaluation.iteration,
-                score=evaluation.score,
-                fid=evaluation.fid,
-            )
-    crash_events = histories["md-gan-crashes"].events_of_kind("crash")
+    add_curves(result, runs)
+    crash_events = runs[0][1].events_of_kind("crash")
     result.add_note(
         f"{len(crash_events)} workers crashed during the MD-GAN run "
         f"(schedule: one crash every {scale.iterations // scale.num_workers} iterations)"
     )
-    result.extras["histories"] = {k: h.as_dict() for k, h in histories.items()}
     return result

@@ -13,19 +13,20 @@ discussion of the swap motivates but never measures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core import FLGANTrainer, MDGANTrainer, TrainingConfig
 from ..datasets import ImageDataset, partition_by_label, partition_dirichlet, partition_iid
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    base_config,
+    final_scores,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_ablation_noniid"]
@@ -59,18 +60,21 @@ def run_ablation_noniid(
     into the config, as in :func:`~repro.experiments.run_fig5`.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    config = TrainingConfig(
-        iterations=scale.iterations,
-        batch_size=scale.batch_size_small,
-        epochs_per_swap=1.0,
-        eval_every=scale.iterations,
-        eval_sample_size=scale.eval_sample_size,
-        seed=scale.seed,
-        **runtime,
-    )
+    setup = prepare(dataset, architecture, scale)
+    points, cells = [], []
+    for scheme in schemes:
+        shards = _make_shards(setup.train, scheme, scale.num_workers, scale.seed)
+        # Drop empty shards that pathological splits may produce.
+        shards = [s for s in shards if len(s) > 0]
+        stats = dict(
+            num_shards=len(shards),
+            min_classes_per_shard=int(min((s.class_counts() > 0).sum() for s in shards)),
+        )
+        for algorithm in ("md-gan", "fl-gan"):
+            if algorithm in algorithms:
+                points.append(dict(scheme=scheme, algorithm=algorithm, **stats))
+                cells.append(Cell(f"{scheme}-{algorithm}", algorithm, shards=shards))
+    runs = run_grid(setup, base_config(scale, eval_every=scale.iterations, **runtime), cells)
 
     result = ExperimentResult(
         name="Ablation: non-i.i.d. shards",
@@ -80,29 +84,8 @@ def run_ablation_noniid(
             f"(N={scale.num_workers}, scale={scale.name})."
         ),
     )
-    for scheme in schemes:
-        shards = _make_shards(train, scheme, scale.num_workers, scale.seed)
-        # Drop empty shards that pathological splits may produce.
-        shards = [s for s in shards if len(s) > 0]
-        trainers: Dict[str, object] = {}
-        if "md-gan" in algorithms:
-            trainers["md-gan"] = MDGANTrainer(factory, shards, config, evaluator=evaluator)
-        if "fl-gan" in algorithms:
-            trainers["fl-gan"] = FLGANTrainer(factory, shards, config, evaluator=evaluator)
-        for name, trainer in trainers.items():
-            with trainer:
-                history = trainer.train()
-            final = history.final_evaluation
-            result.add_row(
-                scheme=scheme,
-                algorithm=name,
-                num_shards=len(shards),
-                min_classes_per_shard=int(
-                    min((s.class_counts() > 0).sum() for s in shards)
-                ),
-                score=final.score if final else float("nan"),
-                fid=final.fid if final else float("nan"),
-            )
+    for point, (_, history, _) in zip(points, runs):
+        result.add_row(**point, **final_scores(history))
     result.add_note(
         "The paper assumes i.i.d. shards; this ablation measures the degradation "
         "under label skew and the extent to which discriminator swapping "

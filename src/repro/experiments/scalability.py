@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..core import MDGANTrainer, TrainingConfig
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    base_config,
+    final_scores,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
-    prepare_shards,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_fig4"]
@@ -68,9 +68,31 @@ def run_fig4(
             worker_counts = (1, 2, scale.num_workers, scale.num_workers * 2)
     reference_workers = max(1, min(worker_counts, key=lambda n: abs(n - scale.num_workers)))
 
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
+    setup = prepare(dataset, architecture, scale)
+    points, cells = [], []
+    for num_workers in worker_counts:
+        if num_workers > len(setup.train):
+            continue
+        shards = setup.iid_shards(num_workers)
+        for mode in modes:
+            batch_size = _batch_size_for_mode(
+                mode, scale.batch_size_small, num_workers, reference_workers
+            )
+            for swap in swap_settings:
+                points.append(
+                    dict(
+                        num_workers=num_workers,
+                        mode=mode,
+                        swap=swap,
+                        batch_size=batch_size,
+                        local_shard_size=len(shards[0]),
+                    )
+                )
+                overrides = dict(
+                    batch_size=batch_size, epochs_per_swap=1.0 if swap else math.inf
+                )
+                cells.append(Cell(f"N{num_workers}-{mode}-swap{swap}", "md-gan", overrides, shards))
+    runs = run_grid(setup, base_config(scale, eval_every=scale.iterations, **runtime), cells)
 
     result = ExperimentResult(
         name="Figure 4",
@@ -80,36 +102,8 @@ def run_fig4(
             "worker vs constant server workload."
         ),
     )
-    for num_workers in worker_counts:
-        if num_workers > len(train):
-            continue
-        shards = prepare_shards(train, num_workers, scale.seed)
-        for mode in modes:
-            batch_size = _batch_size_for_mode(
-                mode, scale.batch_size_small, num_workers, reference_workers
-            )
-            for swap in swap_settings:
-                config = TrainingConfig(
-                    iterations=scale.iterations,
-                    batch_size=batch_size,
-                    epochs_per_swap=1.0 if swap else math.inf,
-                    eval_every=scale.iterations,
-                    eval_sample_size=scale.eval_sample_size,
-                    seed=scale.seed,
-                    **runtime,
-                )
-                with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
-                    history = trainer.train()
-                final = history.final_evaluation
-                result.add_row(
-                    num_workers=num_workers,
-                    mode=mode,
-                    swap=swap,
-                    batch_size=batch_size,
-                    local_shard_size=len(shards[0]),
-                    score=final.score if final else float("nan"),
-                    fid=final.fid if final else float("nan"),
-                )
+    for point, (_, history, _) in zip(points, runs):
+        result.add_row(**point, **final_scores(history))
     result.add_note(
         "constant_worker keeps b fixed as N grows (higher server load); "
         "constant_server shrinks b ~ 1/N to keep the server workload flat."

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.config import TrainingConfig
 from ..serving import GeneratorService
-from .common import ExperimentResult, ExperimentScale, get_scale, prepare_dataset, prepare_factory
+from .common import ExperimentResult, ExperimentScale, base_config, get_scale, prepare
 
 __all__ = ["run_serve_bench"]
 
@@ -99,8 +99,7 @@ def run_serve_bench(
     the inline reference).
     """
     scale = get_scale(scale)
-    train, _ = prepare_dataset(dataset, scale)
-    factory = prepare_factory(architecture, train, scale)
+    factory = prepare(dataset, architecture, scale, evaluate=False).factory
 
     result = ExperimentResult(
         name="Serving benchmark",
@@ -112,7 +111,7 @@ def run_serve_bench(
         ),
     )
 
-    base = TrainingConfig(batch_size=scale.batch_size_small, seed=scale.seed, **runtime)
+    base = base_config(scale, **runtime)
     base = base.with_overrides(max_workers=base.max_workers or min(4, scale.num_workers))
     configs = {
         f"resident/{transport}": base.with_overrides(backend="resident", transport=transport)

@@ -22,18 +22,17 @@ Figure 5 captures.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from ..core import MDGANTrainer, TrainingConfig, TrainingHistory
 from .common import (
+    Cell,
     ExperimentResult,
     ExperimentScale,
+    base_config,
+    final_scores,
     get_scale,
-    prepare_dataset,
-    prepare_evaluator,
-    prepare_factory,
-    prepare_shards,
+    prepare,
+    run_grid,
 )
 
 __all__ = ["run_staleness_sweep"]
@@ -65,48 +64,20 @@ def run_staleness_sweep(
     *concurrent* (and therefore only interesting) on the parallel backends.
     """
     scale = get_scale(scale)
-    train, test = prepare_dataset(dataset, scale)
-    evaluator = prepare_evaluator(train, test, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
-
-    base = TrainingConfig(
-        iterations=scale.iterations,
-        batch_size=scale.batch_size_small,
-        epochs_per_swap=1.0,
-        eval_every=scale.eval_every,
-        eval_sample_size=scale.eval_sample_size,
-        seed=scale.seed,
-        **runtime,
-    ).with_overrides(pipeline_depth=0)
-
-    runs = [("sync", 0, 0, base)]
-    for depth in depths:
-        runs.append(
-            ("pipelined", int(depth), int(depth), base.with_overrides(pipeline_depth=int(depth)))
-        )
-    for bound in staleness_bounds:
-        runs.append(
-            (
-                "async",
-                int(bound),
-                0,
-                base.with_overrides(aggregation="async", max_staleness=int(bound)),
-            )
-        )
-    for bound, depth in composed:
-        runs.append(
-            (
-                "async+pipelined",
-                int(bound),
-                int(depth),
-                base.with_overrides(
-                    aggregation="async",
-                    max_staleness=int(bound),
-                    pipeline_depth=int(depth),
-                ),
-            )
-        )
+    base = base_config(scale, **runtime).with_overrides(pipeline_depth=0)
+    # (mode, parameter, depth, cell) per run.
+    points = [("sync", 0, 0, Cell("sync", "md-gan"))]
+    for d in map(int, depths):
+        points.append(("pipelined", d, d, Cell(f"depth-{d}", "md-gan", {"pipeline_depth": d})))
+    for b in map(int, staleness_bounds):
+        overrides = {"aggregation": "async", "max_staleness": b}
+        points.append(("async", b, 0, Cell(f"bound-{b}", "md-gan", overrides)))
+    for b, d in composed:
+        b, d = int(b), int(d)
+        overrides = {"aggregation": "async", "max_staleness": b, "pipeline_depth": d}
+        points.append(("async+pipelined", b, d, Cell(f"bound-{b}-depth-{d}", "md-gan", overrides)))
+    setup = prepare(dataset, architecture, scale)
+    runs = run_grid(setup, base, [point[3] for point in points])
 
     result = ExperimentResult(
         name="Staleness sweep",
@@ -119,27 +90,13 @@ def run_staleness_sweep(
             f"(N={scale.num_workers}, backend={base.backend}, scale={scale.name})."
         ),
     )
-    histories: Dict[str, TrainingHistory] = {}
-    for mode, param, depth, config in runs:
-        label = {
-            "sync": "sync",
-            "pipelined": f"depth-{param}",
-            "async": f"bound-{param}",
-            "async+pipelined": f"bound-{param}-depth-{depth}",
-        }[mode]
-        started = time.perf_counter()
-        with MDGANTrainer(factory, shards, config, evaluator=evaluator) as trainer:
-            history = trainer.train()
-        wall_seconds = time.perf_counter() - started
-        histories[label] = history
-        final = history.final_evaluation
+    for (mode, param, depth, cell), (_, history, wall_seconds) in zip(points, runs):
         overlap = history.overlap
         result.add_row(
             mode=mode,
             parameter=param,
             depth=depth,
-            score=final.score if final else float("nan"),
-            fid=final.fid if final else float("nan"),
+            **final_scores(history),
             mean_staleness=overlap.get("mean_staleness", 0.0),
             max_staleness=overlap.get("max_staleness", 0.0),
             p95_staleness=overlap.get("p95_staleness", 0.0),
@@ -151,7 +108,7 @@ def run_staleness_sweep(
         if mode in ("async", "async+pipelined") and history.max_worker_staleness() > param:
             raise AssertionError(
                 f"bounded-staleness contract violated: {history.max_worker_staleness()} "
-                f"> {param} in run {label}"
+                f"> {param} in run {cell.name}"
             )
     result.add_note(
         "Both schedules bound the recorded staleness by their parameter; "
@@ -160,5 +117,5 @@ def run_staleness_sweep(
         "the per-contribution bound while pre-generating up to `depth` batch "
         "sets (lookahead_generations column)."
     )
-    result.extras["histories"] = {name: h.as_dict() for name, h in histories.items()}
+    result.extras["histories"] = {cell.name: h.as_dict() for cell, h, _ in runs}
     return result

@@ -8,7 +8,6 @@ the trainers charge to the cluster's Table III meter.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from ..analysis import (
     table4_costs,
     worker_reduction_factor,
 )
+from ..core.config import paper_num_batches
 from ..datasets import CIFAR10_SPEC, MNIST_SPEC
 from ..models import build_cifar10_cnn_gan, build_mnist_cnn_gan, build_mnist_mlp_gan
 from .common import ExperimentResult
@@ -73,7 +73,7 @@ def _complexity_inputs(
 ) -> ComplexityInputs:
     spec = MNIST_SPEC if architecture.startswith("mnist") else CIFAR10_SPEC
     total = spec.train_size
-    k = num_batches or max(1, int(math.floor(math.log(num_workers))) if num_workers > 1 else 1)
+    k = num_batches or paper_num_batches(num_workers)
     return ComplexityInputs(
         generator_params=params["generator"],
         discriminator_params=params["discriminator"],

@@ -20,17 +20,10 @@ from __future__ import annotations
 import math
 
 from ..analysis import CommunicationInputs, table3_communication
-from ..core import FLGANTrainer, MDGANTrainer, TrainingConfig
+from ..core import FLGANTrainer, MDGANTrainer
 from ..nn.serialize import FLOAT_BYTES
 from ..simulation import LinkModel, MessageKind
-from .common import (
-    ExperimentResult,
-    ExperimentScale,
-    get_scale,
-    prepare_dataset,
-    prepare_factory,
-    prepare_shards,
-)
+from .common import ExperimentResult, ExperimentScale, base_config, get_scale, prepare
 
 __all__ = ["run_traffic_check"]
 
@@ -50,18 +43,10 @@ def run_traffic_check(
     ``transport="tcp"`` makes the per-op rows measure real socket traffic.
     """
     scale = get_scale(scale)
-    train, _ = prepare_dataset(dataset, scale)
-    factory = prepare_factory(architecture, train, scale)
-    shards = prepare_shards(train, scale.num_workers, scale.seed)
+    setup = prepare(dataset, architecture, scale, evaluate=False)
+    factory, shards = setup.factory, setup.shards
     iterations = max(10, min(50, scale.iterations))
-    config = TrainingConfig(
-        iterations=iterations,
-        batch_size=scale.batch_size_small,
-        epochs_per_swap=1.0,
-        eval_every=0,
-        seed=scale.seed,
-        **runtime,
-    )
+    config = base_config(scale, iterations=iterations, eval_every=0, **runtime)
 
     counts = factory.parameter_counts()
     inputs = CommunicationInputs(

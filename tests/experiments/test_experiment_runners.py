@@ -138,17 +138,17 @@ class TestTrainingRunners:
     def test_fig3_forwards_the_elastic_runtime_to_the_trainer(self, monkeypatch):
         # Every TrainingConfig field reaches the trainer, not just the six
         # backend keywords the runners used to name.
-        import repro.experiments.convergence as convergence
+        from repro.experiments import common
 
         policies = []
 
-        class Recording(convergence.MDGANTrainer):
+        class Recording(common.TRAINERS["md-gan"]):
             def train(self, *args, **kwargs):
                 history = super().train(*args, **kwargs)
                 policies.append(self.executor.membership_policy)
                 return history
 
-        monkeypatch.setattr(convergence, "MDGANTrainer", Recording)
+        monkeypatch.setitem(common.TRAINERS, "md-gan", Recording)
         result = run_fig3(
             scale=MICRO,
             competitors=["md-gan-k1"],
