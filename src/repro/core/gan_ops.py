@@ -11,7 +11,7 @@ loss mathematics (Section II of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,16 +37,17 @@ __all__ = [
 class GeneratedBatch:
     """A batch of generated images together with its generation inputs.
 
-    ``noise``/``labels`` are kept so that the owner of the generator can
-    replay the forward pass when turning error feedback into parameter
-    gradients (MD-GAN server) or so that conditional losses know the intended
-    classes (ACGAN).
+    ``snapshot`` is the generator as the forward that made ``images`` left it
+    (:meth:`~repro.nn.model.Sequential.snapshot`), valid only until the
+    generator's parameters change; without it (stale, or made on a pool
+    slot) the owner replays the forward from ``noise``/``labels``.
     """
 
     images: np.ndarray
     noise: np.ndarray
     labels: Optional[np.ndarray]
     batch_index: int = 0
+    snapshot: Optional[Sequential] = field(default=None, repr=False)
 
 
 class GANObjective:
@@ -166,10 +167,11 @@ def sample_generator_images(
     batch_index: int = 0,
     training: bool = True,
 ) -> GeneratedBatch:
-    """Draw noise (and labels if conditional) and run the generator forward."""
+    """Draw noise (and labels if conditional), run the generator forward, snapshot if training."""
     noise, labels, g_input = draw_generator_input(generator, factory, batch_size, rng)
     images = generator.forward(g_input, training=training)
-    return GeneratedBatch(images=images, noise=noise, labels=labels, batch_index=batch_index)
+    snapshot = generator.snapshot() if training else None
+    return GeneratedBatch(images, noise, labels, batch_index, snapshot)
 
 
 def discriminator_update(
@@ -232,11 +234,12 @@ def apply_feedback_to_generator(
 ) -> None:
     """Turn error feedbacks into generator parameter gradients (server side).
 
-    For every generated batch that received feedback, the generator forward
-    pass is replayed on the stored noise and the (weighted) feedback is
-    backpropagated; gradients accumulate across batches.  Weights default to
-    ``1 / len(feedbacks)``, matching the paper's averaging of worker
-    feedbacks (Section IV-B2).
+    Each (weighted) feedback is backpropagated through its batch's snapshot,
+    or through a replay of its forward on the stored noise when it has none;
+    gradients accumulate in order.  A snapshot's BatchNorm statistics are
+    folded in, so running stats take one update per feedback either way.
+    Weights default to ``1 / len(feedbacks)``, the paper's averaging of
+    worker feedbacks (Section IV-B2).
 
     The caller is responsible for calling ``generator.zero_grad()`` before
     and for applying the optimizer step afterwards.
@@ -257,11 +260,12 @@ def apply_feedback_to_generator(
                 f"Feedback shape {feedback.shape} does not match generated "
                 f"batch shape {batch.images.shape}"
             )
-        g_input = generator_input(batch.noise, batch.labels, factory.num_classes)
-        generator.forward(g_input, training=True)
-        generator.backward(
-            np.asarray(feedback, dtype=generator.dtype) * weight, input_grad=False
-        )
+        forward = batch.snapshot or generator
+        if batch.snapshot is None:
+            generator.forward(generator_input(batch.noise, batch.labels, factory.num_classes))
+        else:
+            generator.fold_batch_stats(forward.batch_stats())
+        forward.backward(np.asarray(feedback, dtype=generator.dtype) * weight, input_grad=False)
 
 
 def generator_update(

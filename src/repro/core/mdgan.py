@@ -12,9 +12,10 @@ iteration implements the four steps of Algorithm 1:
 3. every worker computes the error feedback
    ``F_n = dB~(X_n^{(g)}) / dx`` — the gradient of the generator objective
    with respect to the generated images — and ships it to the server;
-4. the server chains all feedbacks through the generator (replaying the
-   forward pass on the stored noise), averages them and applies one Adam
-   step.
+4. the server chains every feedback back through the forward pass that
+   generated its batch (kept since step 1; a batch generated before the
+   latest generator update, or on a pool slot, is re-run on its stored
+   noise), averages them and applies one Adam step.
 
 Every ``E`` local epochs the workers swap their discriminator parameters in
 a gossip fashion (the ``SWAP`` procedure), which combats the overfitting of a
@@ -31,7 +32,7 @@ fraction of workers per iteration is ``participation_fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -289,35 +290,29 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         ]
 
     def _aggregate_feedback(
-        self, batches: List[GeneratedBatch], feedback: List[Tuple[int, np.ndarray]]
+        self, batches: List[GeneratedBatch], feedbacks: List[np.ndarray], weights=None
     ) -> None:
-        """Step 4: chain the ``(batch_index, F_n)`` feedbacks through the generator, update ``w``.
+        """Step 4: chain each ``F_n`` through its batch's forward, in order; update ``w``.
 
-        ``feedback`` is in merge order, which fixes the accumulation order.
+        Both schedules drop the snapshot of a batch with staleness > 0 (the
+        generator moved since it was made), so only that batch is replayed.
         """
-        if not feedback:
-            return
         self._gen_update_count += 1
         # The generator's parameters are about to change: invalidate the
         # per-slot param cache before the next generation dispatch.
         self._generator_handle.bump()
         self.cluster.server.compute.observe_memory(
-            len(feedback) * self.config.batch_size * self.factory.object_size
+            len(batches) * self.config.batch_size * self.factory.object_size
         )
         self.generator.zero_grad()
-        apply_feedback_to_generator(
-            self.generator,
-            self.factory,
-            [batches[batch_index] for batch_index, _ in feedback],
-            [f_n for _, f_n in feedback],
-        )
+        apply_feedback_to_generator(self.generator, self.factory, batches, feedbacks, weights)
         self._gen_opt.step(self.generator)
-        # The code replays the generator forward over every fed-back batch
-        # and then runs a backward, but this charge models only ``len·b·|w|``
-        # (ROADMAP 17(b)): the replayed forward is not charged.
+        # One backward per feedback, ``len·b·|w|``: a fresh batch reuses the
+        # forward charged as ``batch_generation``; only a stale batch's
+        # replayed forward goes uncharged.
         self.cluster.server.compute.charge(
             "generator_update",
-            len(feedback) * self.config.batch_size * self.generator.num_parameters,
+            len(batches) * self.config.batch_size * self.generator.num_parameters,
         )
 
     # -- worker side ---------------------------------------------------------------
@@ -467,7 +462,9 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         staleness: Optional[int] = None,
     ) -> None:
         """Aggregate feedback, record losses (and staleness), swap if due."""
-        self._aggregate_feedback(batches, feedback)
+        if feedback:
+            # Merge order fixes the accumulation order.
+            self._aggregate_feedback([batches[j] for j, _ in feedback], [f for _, f in feedback])
         if gen_losses:
             self.history.record_losses(
                 iteration, float(np.mean(gen_losses)), float(np.mean(disc_losses))
@@ -514,16 +511,20 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     def _take_batches(self, iteration: int, k: int) -> Tuple[List[GeneratedBatch], int]:
         """This iteration's pre-generated batch set and its staleness (depth > 0).
 
-        Staleness is the number of generator updates the set missed; a queue
-        miss (cold start, a skipped or drained iteration) generates inline,
-        with staleness 0.
+        Staleness is the number of generator updates the set missed; a stale
+        set's snapshots are dropped, so its feedback replays the forward.  A
+        queue miss (cold start, a skipped or drained iteration) generates
+        inline, with staleness 0.
         """
         entry = self._pipeline_queue.pop(iteration)
         if entry is None:
             self._pipeline_stats.immediate_generations += 1
             return self._generate_batches(k), 0
         batches, generated_at_update = entry
-        return batches, self._gen_update_count - generated_at_update
+        staleness = self._gen_update_count - generated_at_update
+        if staleness:
+            batches = [replace(batch, snapshot=None) for batch in batches]
+        return batches, staleness
 
     def _start_lookahead(self, iteration: int) -> List[tuple]:
         """Start generating the batch sets of ``iteration + 1 .. + depth``.
@@ -663,25 +664,14 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         }
 
     def _async_merge(self, ctx: AsyncContext, contributions, stalenesses) -> None:
-        """One staleness-weighted generator Adam step over the flushed feedback."""
-        weights = staleness_weights(stalenesses)
-        self._gen_update_count += 1
-        self._generator_handle.bump()
-        self.cluster.server.compute.observe_memory(
-            len(contributions) * self.config.batch_size * self.factory.object_size
-        )
-        self.generator.zero_grad()
-        apply_feedback_to_generator(
-            self.generator,
-            self.factory,
-            [c.payload["batch"] for c in contributions],
+        """One staleness-weighted generator Adam step; staleness-0 batches keep their snapshot."""
+        self._aggregate_feedback(
+            [
+                replace(c.payload["batch"], snapshot=None) if staleness else c.payload["batch"]
+                for c, staleness in zip(contributions, stalenesses)
+            ],
             [c.payload["feedback"] for c in contributions],
-            weights=weights,
-        )
-        self._gen_opt.step(self.generator)
-        self.cluster.server.compute.charge(
-            "generator_update",
-            len(contributions) * self.config.batch_size * self.generator.num_parameters,
+            staleness_weights(stalenesses),
         )
 
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:

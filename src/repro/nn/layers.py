@@ -59,6 +59,12 @@ class Layer:
     arrays.  Parameter arrays are never replaced after :meth:`build` — they
     are updated in place — so optimizers may key their state on the arrays'
     owning ``(layer, name)`` pair.
+
+    Backward caches are only ever *rebound*: ``forward`` assigns fresh arrays
+    to its cache attributes and never writes into an array an earlier call
+    cached, and ``backward`` never writes into a cache.  So a shallow copy
+    taken after ``forward(a)`` (:meth:`~repro.nn.model.Sequential.snapshot`)
+    still backpropagates ``a`` bitwise after any later ``forward(b)``.
     """
 
     def __init__(self, name: Optional[str] = None) -> None:
@@ -331,7 +337,9 @@ class BatchNorm(Layer):
 
     Works on ``(N, C)`` dense activations and ``(N, C, H, W)`` images.  Uses
     exponential moving averages of mean/variance at evaluation time, as in
-    Keras.
+    Keras.  Every training forward keeps its batch ``(mean, var)`` in
+    ``batch_stats`` and folds it into the averages with :meth:`fold`, so a
+    copy that ran the forward elsewhere hands back the statistics to fold.
     """
 
     def __init__(
@@ -345,6 +353,7 @@ class BatchNorm(Layer):
         self.eps = float(eps)
         self.running_mean: Optional[np.ndarray] = None
         self.running_var: Optional[np.ndarray] = None
+        self.batch_stats: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         channels = int(input_shape[0])
@@ -366,8 +375,8 @@ class BatchNorm(Layer):
         if training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            self.batch_stats = (mean, var)
+            self.fold(mean, var)
         else:
             mean = self.running_mean
             var = self.running_var
@@ -378,6 +387,11 @@ class BatchNorm(Layer):
         return self.params["gamma"].reshape(bshape) * self._xhat + self.params[
             "beta"
         ].reshape(bshape)
+
+    def fold(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Move the running statistics one momentum step toward a batch's ``(mean, var)``."""
+        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
 
     def backward(
         self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True

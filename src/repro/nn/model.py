@@ -24,11 +24,12 @@ value that crossed a pipe bitwise equal to one handed over in-process.
 
 from __future__ import annotations
 
+import copy
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .layers import Layer
+from .layers import BatchNorm, Layer
 from .precision import PrecisionLike, as_dtype, resolve_dtype
 
 __all__ = ["Sequential"]
@@ -117,6 +118,32 @@ class Sequential:
             else:
                 grad = layer.backward(grad)
         return self.boundary(grad) if input_grad else None
+
+    def snapshot(self) -> "Sequential":
+        """This model frozen as its last forward left it, to backpropagate that forward later.
+
+        Layers are shallow copies holding every backward cache by reference
+        (forward only rebinds caches, see :class:`~repro.nn.layers.Layer`) and
+        the very same ``params`` / ``grads`` dicts, so ``snapshot.backward``
+        accumulates into this model's gradients — exact until its parameters change.
+        """
+        frozen = copy.copy(self)
+        # Bare ``__dict__`` copies: ``copy.copy`` costs ~5x more per layer and,
+        # through ``__getstate__``, would drop kept caches (``Conv2D._col``).
+        frozen.layers = [object.__new__(type(layer)) for layer in self.layers]
+        for clone, layer in zip(frozen.layers, self.layers):
+            clone.__dict__.update(layer.__dict__)
+        return frozen
+
+    def batch_stats(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Every BatchNorm's ``(mean, var)`` from its last training forward, in layer order."""
+        return [layer.batch_stats for layer in self.layers if isinstance(layer, BatchNorm)]
+
+    def fold_batch_stats(self, stats: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
+        """Fold one forward's :meth:`batch_stats` into this model's running statistics."""
+        norms = [layer for layer in self.layers if isinstance(layer, BatchNorm)]
+        for layer, (mean, var) in zip(norms, stats):
+            layer.fold(mean, var)
 
     def boundary(self, x: np.ndarray) -> np.ndarray:
         """``x`` as every value enters and leaves this model: C-contiguous, in its dtype."""
@@ -208,8 +235,6 @@ class Sequential:
         repo layers follow it) the convention is that constructor arguments
         are stored verbatim as attributes.
         """
-        import copy
-
         new_layers = []
         for layer in self.layers:
             clone = copy.copy(layer)

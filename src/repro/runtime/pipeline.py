@@ -49,11 +49,10 @@ reproducing the serial loop bit for bit:
   the serial loop would make them (forward passes consume no server RNG);
 * each batch's forward pass runs on a slot's **copy** of the generator;
 * :class:`~repro.nn.layers.BatchNorm` normalises by *batch* statistics in
-  training mode, so the generated images are independent of the running
-  statistics; the per-batch means/variances come back with the images and
-  are folded into the caller's generator serially, in batch order, using the
-  layer's own update expression — reproducing the serial running-stat
-  trajectory exactly.
+  training mode, so the images do not depend on the running statistics;
+  each batch's ``batch_stats()`` come back with its images and are folded
+  into the caller's generator in batch order (``BatchNorm.fold``);
+* the batches carry no snapshot (it never travels), so feedback replays them.
 
 Generators containing layers whose forward pass consumes a private RNG
 (:class:`~repro.nn.layers.Dropout`) cannot be reproduced on copies; for those
@@ -69,7 +68,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.gan_ops import GeneratedBatch, draw_generator_input
-from ..nn.layers import BatchNorm, Dropout
+from ..nn.layers import Dropout
 
 __all__ = [
     "BatchAheadQueue",
@@ -250,33 +249,6 @@ class InflightWindow:
 # -- resident-side generation ------------------------------------------------------
 
 
-def _batchnorm_stats(model, x: np.ndarray) -> Tuple[np.ndarray, List]:
-    """Forward ``x`` through ``model`` capturing each BatchNorm's batch stats.
-
-    Returns ``(output, [(mean, var), ...])`` with one entry per
-    :class:`BatchNorm` layer in layer order.  The mean/var are computed with
-    the exact expressions the layer itself uses, on the exact same inputs, so
-    folding them back reproduces the serial running-stat updates bitwise.
-    """
-    stats: List[Tuple[np.ndarray, np.ndarray]] = []
-    out = model.boundary(x)
-    for layer in model.layers:
-        if isinstance(layer, BatchNorm):
-            axes = layer._reduce_axes(out.ndim)
-            stats.append((out.mean(axis=axes), out.var(axis=axes)))
-        out = layer.forward(out, training=True)
-    return model.boundary(out), stats
-
-
-def _fold_batchnorm_stats(generator, stats_per_batch: List[List]) -> None:
-    """Replay the per-batch BatchNorm running-stat updates in batch order."""
-    bn_layers = [layer for layer in generator.layers if isinstance(layer, BatchNorm)]
-    for stats in stats_per_batch:
-        for layer, (mean, var) in zip(bn_layers, stats):
-            layer.running_mean = layer.momentum * layer.running_mean + (1.0 - layer.momentum) * mean
-            layer.running_var = layer.momentum * layer.running_var + (1.0 - layer.momentum) * var
-
-
 # The resident pool's dedicated generation op installs a generator copy once
 # per slot and ships current parameters only when the handle's version says
 # the slot copy is stale.  ``start_resident_generation`` is asynchronous — the
@@ -338,14 +310,10 @@ def can_generate_resident(backend, generator, k: int) -> bool:
 class PendingGeneration:
     """In-flight resident k-batch generation; ``collect()`` finishes it.
 
-    Wraps the backend's :class:`~repro.runtime.resident.PendingSteps` handle
-    together with the trainer-side halves of the bitwise contract: the noise
-    and labels (drawn serially at dispatch, on the caller's RNG) and the
-    deferred BatchNorm fold.  ``collect()`` receives the per-batch
-    ``(images, batchnorm_stats)`` replies, folds the statistics into the
-    caller's generator in batch order, and returns the finished
-    :class:`~repro.core.gan_ops.GeneratedBatch` list — bit-for-bit what the
-    serial loop would have produced.
+    Keeps the trainer-side halves of the bitwise contract next to the
+    backend's :class:`~repro.runtime.resident.PendingSteps` handle: the noise
+    and labels drawn serially at dispatch, and the BatchNorm fold that
+    ``collect()`` applies in batch order.
     """
 
     def __init__(self, handle, generator, drawn) -> None:
@@ -357,7 +325,8 @@ class PendingGeneration:
     def collect(self) -> List[GeneratedBatch]:
         """Receive the slot replies, fold BatchNorm stats, build the batches."""
         outputs = self._handle.result()
-        _fold_batchnorm_stats(self._generator, [stats for _, stats in outputs])
+        for _, stats in outputs:
+            self._generator.fold_batch_stats(stats)
         return [
             GeneratedBatch(images=images, noise=noise, labels=labels, batch_index=j)
             for j, ((images, _), (noise, labels, _)) in enumerate(zip(outputs, self._drawn))

@@ -693,10 +693,8 @@ class ResidentBackend(ExecutorBackend):
         therefore ships **zero parameter bytes** per repeat request (pinned
         by :attr:`param_bytes_sent`); an unversioned handle re-ships every
         time, which is always safe.  Each batch's reply is ``(images,
-        batchnorm_stats)`` exactly as
-        :func:`repro.runtime.pipeline._batchnorm_stats` produces them; the
-        caller folds the statistics back in batch order to reproduce the
-        serial running-stat trajectory bitwise.
+        generator.batch_stats())``; the caller folds the statistics back in
+        batch order to reproduce the serial running-stat trajectory bitwise.
 
         Returns a :class:`PendingSteps` handle whose ``result()`` yields the
         per-batch replies in batch order; it participates in the same

@@ -91,11 +91,11 @@ def serve_slot(channel) -> None:
                 generator = entry[0]
                 if params is not None:
                     generator.set_parameters(params)
-                # Lazy import: keeps module import light and cycle-free (the
-                # helper lives next to the owner-side BatchNorm fold).
-                from .pipeline import _batchnorm_stats
-
-                reply = ("ok", [_batchnorm_stats(generator, g_input) for g_input in g_inputs])
+                out = []
+                for g_input in g_inputs:
+                    images = generator.forward(g_input, training=True)
+                    out.append((images, generator.batch_stats()))
+                reply = ("ok", out)
             elif op == "pull_params":
                 out = {}
                 for key in payload:

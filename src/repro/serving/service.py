@@ -60,12 +60,7 @@ from ..core.config import TrainingConfig
 from ..core.gan_ops import draw_generator_input
 from ..core.lifecycle import BackendOwner
 from ..models.base import generator_input
-from ..runtime.pipeline import (
-    GeneratorHandle,
-    _batchnorm_stats,
-    _fold_batchnorm_stats,
-    can_generate_resident,
-)
+from ..runtime.pipeline import GeneratorHandle, can_generate_resident
 from .stats import ServingStats
 
 __all__ = ["GeneratorService", "ServedBatch", "ServiceClosed", "PendingSamples"]
@@ -375,8 +370,12 @@ class GeneratorService(BackendOwner):
         if pending is not None:
             outputs = pending.result()
         else:
-            outputs = [_batchnorm_stats(gen, g_input) for gen, g_input in zip(copies, g_inputs)]
-        _fold_batchnorm_stats(self.generator, [stats for _, stats in outputs])
+            outputs = [
+                (gen.forward(g_input, training=True), gen.batch_stats())
+                for gen, g_input in zip(copies, g_inputs)
+            ]
+        for _, stats in outputs:
+            self.generator.fold_batch_stats(stats)
         return outputs
 
     def _fail(self, in_flight: List[_Request], exc: BaseException) -> None:

@@ -7,19 +7,24 @@ discriminator-then-generator on one machine.  This is the mathematical core
 of MD-GAN (Section IV-B2).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.core.mdgan as mdgan
 from repro.core import (
     GANObjective,
+    MDGANTrainer,
+    TrainingConfig,
     apply_feedback_to_generator,
     discriminator_update,
     generator_feedback,
     sample_generator_images,
 )
-from repro.models import build_toy_gan
+from repro.models import build_mnist_cnn_gan, build_toy_gan
 from repro.models.base import generator_input
-from repro.nn import Adam, precision_scope
+from repro.nn import Adam, BatchNorm, precision_scope
 
 
 @pytest.fixture()
@@ -266,3 +271,134 @@ class TestSplitUpdateEquivalence:
             )
         # Empty call is a no-op.
         apply_feedback_to_generator(generator, factory, [], [])
+
+
+class TestSnapshotFeedback:
+    """Feedback through a batch's snapshot equals the replay, bit for bit.
+
+    The reference strips every snapshot, forcing the replay.  The generator
+    has BatchNorm, so the running statistics (one training forward's update
+    per feedback entry, in feedback order) are compared too.
+    """
+
+    @staticmethod
+    def _pair():
+        factory = build_mnist_cnn_gan(
+            image_shape=(1, 8, 8),
+            latent_dim=6,
+            num_classes=3,
+            width_factor=0.25,
+            use_minibatch_discrimination=False,
+        )
+        return factory, [factory.make_generator(np.random.default_rng(0)) for _ in range(2)]
+
+    @staticmethod
+    def _generate(generator, factory, k, seed):
+        rng = np.random.default_rng(seed)
+        return [sample_generator_images(generator, factory, 4, rng, j) for j in range(k)]
+
+    @staticmethod
+    def _replayed(batches):
+        return [replace(batch, snapshot=None) for batch in batches]
+
+    @staticmethod
+    def _apply(generator, factory, batches, order, seed):
+        rng = np.random.default_rng(seed)
+        feedbacks = [rng.normal(size=batches[j].images.shape) for j in order]
+        generator.zero_grad()
+        apply_feedback_to_generator(generator, factory, [batches[j] for j in order], feedbacks)
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert np.array_equal(got.get_gradients(), want.get_gradients())
+        norms = [(a, b) for a, b in zip(got.layers, want.layers) if isinstance(a, BatchNorm)]
+        assert norms
+        for a, b in norms:
+            assert np.array_equal(a.running_mean, b.running_mean)
+            assert np.array_equal(a.running_var, b.running_var)
+
+    @pytest.mark.parametrize(
+        "k, order",
+        [(3, [0, 1, 2]), (2, [0, 1, 0, 1, 1])],
+        ids=["k-fresh-batches", "fed-back-twice"],
+    )
+    def test_fresh_snapshots_equal_the_replay(self, k, order):
+        factory, (generator, reference) = self._pair()
+        batches = self._generate(generator, factory, k, seed=1)
+        assert all(batch.snapshot is not None for batch in batches)
+        ref_batches = self._replayed(self._generate(reference, factory, k, seed=1))
+        self._apply(generator, factory, batches, order, seed=2)
+        self._apply(reference, factory, ref_batches, order, seed=2)
+        self._assert_same(generator, reference)
+
+    def test_mixed_fresh_and_stale_batches_equal_the_replay(self):
+        factory, (generator, reference) = self._pair()
+        old = self._generate(generator, factory, 2, seed=1)
+        ref_old = self._replayed(self._generate(reference, factory, 2, seed=1))
+        # One generator update makes the first set stale: its owner drops
+        # the snapshots, as the trainer does for staleness > 0.
+        for model, batches in ((generator, old), (reference, ref_old)):
+            self._apply(model, factory, batches, [0, 1], seed=3)
+            Adam().step(model)
+        old = self._replayed(old)
+        new = self._generate(generator, factory, 2, seed=4)
+        ref_new = self._replayed(self._generate(reference, factory, 2, seed=4))
+        order = [0, 2, 1, 3, 2]
+        self._apply(generator, factory, old + new, order, seed=5)
+        self._apply(reference, factory, ref_old + ref_new, order, seed=5)
+        self._assert_same(generator, reference)
+
+    def test_evaluation_batches_carry_no_snapshot(self):
+        factory, (generator, _) = self._pair()
+        rng = np.random.default_rng(0)
+        assert sample_generator_images(generator, factory, 4, rng, training=False).snapshot is None
+
+
+class TestTrainerReplaysStaleBatches:
+    """The trainer keeps a batch's snapshot only at staleness 0."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        used = []
+        real = mdgan.apply_feedback_to_generator
+
+        def spy(generator, factory, batches, feedbacks, weights=None):
+            used.append([batch.snapshot is not None for batch in batches])
+            return real(generator, factory, batches, feedbacks, weights)
+
+        monkeypatch.setattr(mdgan, "apply_feedback_to_generator", spy)
+        return used
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_sync_replays_exactly_the_stale_sets(
+        self, monkeypatch, toy_factory, ring_shards, depth
+    ):
+        used = self._spy(monkeypatch)
+        config = TrainingConfig(iterations=5, batch_size=8, seed=21, pipeline_depth=depth)
+        history = MDGANTrainer(toy_factory, ring_shards, config).train()
+        staleness = history.staleness or [0] * len(used)
+        assert len(used) == len(staleness) == 5
+        assert used == [[s == 0] * len(flags) for s, flags in zip(staleness, used)]
+        if depth:
+            assert staleness[0] == 0 and set(staleness[1:]) == {1}
+
+    def test_async_replays_exactly_the_stale_contributions(
+        self, monkeypatch, toy_factory, ring_shards
+    ):
+        used = self._spy(monkeypatch)
+        config = TrainingConfig(
+            iterations=6, batch_size=8, seed=11, aggregation="async", max_staleness=2
+        )
+        trainer = MDGANTrainer(toy_factory, ring_shards, config)
+        seen = []
+        merge = trainer._async_merge
+
+        def recording_merge(ctx, contributions, stalenesses):
+            seen.append([s == 0 for s in stalenesses])
+            return merge(ctx, contributions, stalenesses)
+
+        trainer._async_merge = recording_merge
+        trainer.train()
+        assert used == seen
+        flags = [flag for update in seen for flag in update]
+        assert True in flags and False in flags
