@@ -1,6 +1,6 @@
-"""Benchmark: the persistent resident serving layer (warm reuse + shm install).
+"""Benchmark: the persistent resident serving layer (warm reuse + resident generation).
 
-Validates the two serving-layer promises added on top of the resident
+Validates the serving-layer promises added on top of the resident
 backend, on the 8-worker conv model with deliberately large shards (install
 cost must be shard-dominated for the comparison to mean anything):
 
@@ -9,14 +9,12 @@ cost must be shard-dominated for the comparison to mean anything):
   still match) and its per-train pipe traffic must be a small fraction of
   the cold install cost.  The end-of-train refresh goes through the
   light-weight mirror op, so it must not re-ship shard bytes either.
-* **Shared-memory install** — with ``shm_install`` the initial shard/model
-  arrays travel through ``multiprocessing.shared_memory`` segments instead
-  of the pool pipes: the install's pipe bytes collapse and the trainer-side
-  dispatch (pickle + transfer) gets faster than the pickled install.
+* **Resident generation** — depth-1 lookahead generation on the pool slots
+  beats generating inline on the trainer thread.
 
 Timing uses best-of-N interleaved ``perf_counter`` runs, as in
 ``test_resident_backend.py``; byte figures come from the backend's own
-meters (``ipc_bytes_sent``/``shm_bytes_sent``/``install_count``).  Results
+meters (``ipc_bytes_sent``/``install_count``).  Results
 are attached to ``benchmark.extra_info`` so they land in the CI slow lane's
 ``BENCH_<run>_<sha>.json`` artifact.
 """
@@ -40,9 +38,8 @@ pytestmark = [
 
 _NUM_WORKERS = 8
 _BATCH_SIZE = 16
-# 16384 x (1, 16, 16) float32 = 16 MB total -> 2 MB per worker shard, well
-# above the shm spill threshold and large enough that install transport
-# dominates the cold/warm and shm/pickle comparisons.
+# 16384 x (1, 16, 16) float32 = 16 MB total -> 2 MB per worker shard, large
+# enough that install transport dominates the cold/warm comparison.
 _N_TRAIN = 16384
 
 
@@ -61,9 +58,7 @@ def conv_setup():
     return factory, shards
 
 
-def _build_trainer(
-    conv_setup, shm_install=None, iterations: int = 2, pipeline_depth: int = 0
-) -> MDGANTrainer:
+def _build_trainer(conv_setup, iterations: int = 2, pipeline_depth: int = 0) -> MDGANTrainer:
     factory, shards = conv_setup
     config = TrainingConfig(
         iterations=iterations,
@@ -72,7 +67,6 @@ def _build_trainer(
         seed=11,
         backend="resident",
         max_workers=_NUM_WORKERS,
-        shm_install=shm_install,
         pipeline_depth=pipeline_depth,
     )
     return MDGANTrainer(factory, shards, config)
@@ -93,7 +87,7 @@ def test_warm_reuse_second_train_installs_nothing(conv_setup, benchmark):
         benchmark.pedantic(trainer.train, rounds=rounds, iterations=1)
 
         # Warm re-entry: the state epochs still match, so not a single
-        # install payload (pipe or shm) is shipped again.
+        # install payload is shipped again.
         assert backend.install_count == cold_installs
         assert backend.shm_bytes_sent == cold_shm
         warm_pipe_per_train = (
@@ -178,70 +172,4 @@ def test_resident_lookahead_beats_inline_generation(conv_setup, benchmark):
         f"depth-1 pipelined md-gan at {_NUM_WORKERS} workers, k={_NUM_WORKERS}: "
         f"inline generation {best[False]:.3f}s, resident-side {best[True]:.3f}s "
         f"({speedup:.2f}x)"
-    )
-
-
-def _cold_install_dispatch(conv_setup, shm: bool):
-    """Time the install-bearing first dispatch of an 8-worker step batch.
-
-    The dispatch is where the trainer-side install cost lives (supplier
-    snapshot + pickle/spill + pipe write); the subsequent compute is
-    identical in both configurations, so it is collected but not timed.
-    Returns ``(dispatch_seconds, pipe_bytes, shm_bytes)``.
-    """
-    trainer = _build_trainer(conv_setup, shm_install=shm, iterations=1)
-    try:
-        participants = trainer._participating_workers()
-        k = min(trainer.num_batches, len(participants))
-        batches = trainer._generate_batches(k)
-        work = trainer._distribute_batches(1, batches, participants)
-        backend = trainer.executor
-        backend._ensure_transport()  # fork the slot processes outside the timing
-        start = time.perf_counter()
-        live, handle = trainer._dispatch_worker_phase(work)
-        elapsed = time.perf_counter() - start
-        handle.result()
-        trainer._merge_worker_phase(1, live, handle)
-        return elapsed, backend.ipc_bytes_sent, backend.shm_bytes_sent
-    finally:
-        trainer.close()
-
-
-def test_shm_install_beats_pickled_install(conv_setup, benchmark):
-    # Interleaved best-of-N so a background load spike cannot bias one side.
-    best = {False: float("inf"), True: float("inf")}
-    bytes_seen = {}
-    for _ in range(3):
-        for shm in (False, True):
-            elapsed, pipe, shm_bytes = _cold_install_dispatch(conv_setup, shm)
-            best[shm] = min(best[shm], elapsed)
-            bytes_seen[shm] = (pipe, shm_bytes)
-    plain_pipe, plain_shm = bytes_seen[False]
-    shm_pipe, shm_shm = bytes_seen[True]
-    # Hard pin: the shard/model bytes left the pipes entirely.
-    assert plain_shm == 0
-    assert shm_shm > 0
-    assert shm_pipe * 2 <= plain_pipe, (
-        f"shm install still shipped {shm_pipe / 1e6:.2f} MB through the pipes "
-        f"vs {plain_pipe / 1e6:.2f} MB pickled; expected >= 2x off-pipe"
-    )
-    # Wall clock: spilling to shared memory (one memcpy per array) beats
-    # pickling the same bytes through the pipes.
-    assert best[True] < best[False], (
-        f"shm install dispatch took {best[True] * 1e3:.1f} ms vs pickled "
-        f"{best[False] * 1e3:.1f} ms"
-    )
-    benchmark.pedantic(
-        _cold_install_dispatch, args=(conv_setup, True), rounds=1, iterations=1
-    )
-    benchmark.extra_info["pickled_dispatch_ms"] = round(best[False] * 1e3, 2)
-    benchmark.extra_info["shm_dispatch_ms"] = round(best[True] * 1e3, 2)
-    benchmark.extra_info["pickled_pipe_mb"] = round(plain_pipe / 1e6, 3)
-    benchmark.extra_info["shm_pipe_mb"] = round(shm_pipe / 1e6, 3)
-    benchmark.extra_info["shm_mb"] = round(shm_shm / 1e6, 3)
-    print(
-        f"cold install dispatch at {_NUM_WORKERS} workers: pickled "
-        f"{best[False] * 1e3:.1f} ms ({plain_pipe / 1e6:.2f} MB on pipes), shm "
-        f"{best[True] * 1e3:.1f} ms ({shm_pipe / 1e6:.2f} MB on pipes + "
-        f"{shm_shm / 1e6:.2f} MB in shm)"
     )

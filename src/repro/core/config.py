@@ -86,15 +86,6 @@ class TrainingConfig:
     backend: str = "serial"
     #: Pool size for the parallel backends (``None`` = cores - 1).
     max_workers: Optional[int] = None
-    #: Ship resident-pool install payloads (dataset shards, large weight
-    #: tensors) through ``multiprocessing.shared_memory`` instead of the
-    #: pool pipes, so install cost stops scaling with shard bytes.  ``None``
-    #: (the default) means on (unless the platform or transport lacks shared
-    #: memory); ``True``/``False`` force it for this run — the CLI's
-    #: ``--shm-install``/``--no-shm-install`` flags thread into this field.
-    #: Ignored by non-resident backends.  Bitwise-neutral either way — the
-    #: transport moves the same bytes.
-    shm_install: Optional[bool] = None
     #: Transport carrying the resident pool's wire protocol: ``"pipe"``
     #: (local child processes over ``multiprocessing`` pipes), ``"tcp"``
     #: (length-prefixed frames over one socket per slot — loopback workers,
@@ -190,10 +181,6 @@ class TrainingConfig:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
-        if self.shm_install is not None and not isinstance(self.shm_install, bool):
-            raise ValueError(
-                f"shm_install must be True, False or None, got {self.shm_install!r}"
-            )
         if self.transport is not None:
             from ..runtime.transport import TRANSPORTS
 
@@ -263,18 +250,15 @@ class TrainingConfig:
     def build_backend(self):
         """Instantiate the configured :class:`repro.runtime.ExecutorBackend`.
 
-        Explicit ``shm_install`` / ``transport`` / ``transport_address``
-        settings are forwarded to backends that understand them (the resident
-        backend, or any third-party backend exposing the attributes) by
-        assignment after construction, so the factory signature of other
-        backends never has to change; backends without the attributes ignore
-        the settings.
+        Explicit ``transport`` / ``transport_address`` settings are forwarded
+        to backends that understand them (the resident backend, or any
+        third-party backend exposing the attributes) by assignment after
+        construction, so the factory signature of other backends never has
+        to change; backends without the attributes ignore the settings.
         """
         from ..runtime.backend import create_backend
 
         backend = create_backend(self.backend, self.max_workers)
-        if self.shm_install is not None and hasattr(backend, "shm_install"):
-            backend.shm_install = self.shm_install
         if self.transport is not None and hasattr(backend, "transport"):
             backend.transport = self.transport
         if self.transport_address is not None and hasattr(backend, "transport_address"):

@@ -41,9 +41,8 @@ def close_quietly(backend: ExecutorBackend) -> None:
     The canonical quiet-close used by :class:`BackendOwner` as its
     garbage-collection / interpreter-exit finalizer: backends outlive
     individual ``train()``/``serve()`` calls, so an owner dropped without an
-    explicit ``close()`` still releases its pool processes and shared-memory
-    segments — and a shutdown-time failure must never surface as a spurious
-    error.
+    explicit ``close()`` still releases its pool processes and sockets — and
+    a shutdown-time failure must never surface as a spurious error.
     """
     try:
         backend.close()

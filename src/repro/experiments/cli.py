@@ -129,17 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     runtime.add_argument(
-        "--shm-install",
-        action=argparse.BooleanOptionalAction,
-        help=(
-            "ship resident-pool install payloads (dataset shards, large "
-            "weight tensors) via POSIX shared memory instead of the pool "
-            "pipes (--no-shm-install falls back to plain pickling; only "
-            "meaningful with --backend resident; results are bitwise "
-            "identical either way)"
-        ),
-    )
-    runtime.add_argument(
         "--transport",
         choices=TRANSPORTS,
         help=(

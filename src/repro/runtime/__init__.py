@@ -13,7 +13,9 @@ The resident pool's wire protocol is transport-agnostic
 (:mod:`repro.runtime.transport`): ``transport="pipe"`` keeps the local
 process pool, ``transport="tcp"`` serves the same protocol over sockets —
 loopback, or real worker machines running
-``python -m repro.runtime.worker_host --connect HOST:PORT``.
+``python -m repro.runtime.worker_host --connect HOST:PORT``.  Either way a
+worker's install (its state, dataset shard included) is pickled inside the
+first ``run`` frame that needs it; there is no side channel.
 """
 
 from .backend import (

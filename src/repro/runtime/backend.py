@@ -409,7 +409,7 @@ def create_backend(
     and ignored for ``serial`` so call sites can thread the setting through
     unconditionally.  Extra keyword ``options`` are forwarded to the factory
     verbatim — the resident backend accepts ``transport=``/
-    ``transport_address=`` (and the shm/timeout knobs) this way; a backend
+    ``transport_address=`` (and the timeout knobs) this way; a backend
     whose factory does not take an option rejects it with a ``TypeError``
     rather than silently dropping it.
     """

@@ -45,10 +45,9 @@ pickle (which preserves float bits and object-graph sharing), and results
 merge in worker-index order exactly like every other backend.
 
 This module is the **owner side** of the pool only.  The slot serving loop
-(:mod:`repro.runtime.slot`), the program registry
-(:mod:`repro.runtime.programs`) and the shared-memory install codec
-(:mod:`repro.runtime.install_codec`) are sibling modules whose public names
-are re-exported here; the bytes move over one
+(:mod:`repro.runtime.slot`) and the program registry
+(:mod:`repro.runtime.programs`) are sibling modules whose public names are
+re-exported here; the bytes move over one
 :class:`~repro.runtime.transport.SlotChannel` per slot (``"pipe"`` child
 processes by default, ``"tcp"`` sockets to loopback workers or to
 ``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).
@@ -70,15 +69,14 @@ actually crossed the transport (broken down per protocol op in
 :attr:`ResidentBackend.op_bytes_sent` / :attr:`ResidentBackend.op_bytes_received`,
 with wall-clock write/read times in :attr:`ResidentBackend.op_transfer_seconds`
 so the ``LinkModel`` cost model can be checked against measured traffic),
-:attr:`ResidentBackend.shm_bytes_sent` counts the bytes that travelled
-through shared-memory segments instead, and
 :attr:`ResidentBackend.install_count` counts shipped install payloads (the
-warm-reuse benchmark asserts a second ``train()`` ships none).
+warm-reuse benchmark asserts a second ``train()`` ships none).  An install is
+the payload object itself, pickled inside the ``run`` / ``generate`` frame
+that first needs it, so its bytes are metered under that op like any other.
 """
 
 from __future__ import annotations
 
-import io
 import pickle
 import zlib
 from collections import defaultdict
@@ -87,14 +85,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from .backend import ExecutorBackend, default_max_workers, register_backend
-from .install_codec import (
-    DEFAULT_SHM_MIN_BYTES,
-    SHM_INSTALL_DEFAULT,
-    _InstallPickler,
-    _release_segments,
-    _shared_memory,
-    _ShmInstall,
-)
 from .ledger import InflightLedger, PendingSteps, ResidentCollector
 from .membership import LOST, MembershipPolicy, PoolMembership, SlotLossError
 from .programs import ResidentProgram, get_program, register_program
@@ -158,8 +148,6 @@ class ResidentBackend(ExecutorBackend):
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        shm_install: Optional[bool] = None,
-        shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES,
         transport: Optional[Union[str, Transport]] = None,
         transport_address: Optional[str] = None,
         connect_timeout: float = 30.0,
@@ -174,14 +162,6 @@ class ResidentBackend(ExecutorBackend):
         #: runs zero elastic code: any wire fault poisons the pool exactly as
         #: before the membership layer existed.
         self.membership_policy = membership_policy
-        #: Ship install payloads via shared memory?  ``None`` means
-        #: :data:`~repro.runtime.install_codec.SHM_INSTALL_DEFAULT` (on);
-        #: platforms without ``multiprocessing.shared_memory`` — and
-        #: transports whose endpoints don't share a kernel (``tcp``) — fall
-        #: back to pickling.
-        self.shm_install = shm_install
-        #: Arrays at or above this many bytes are spilled to shared memory.
-        self.shm_min_bytes = shm_min_bytes
         #: Transport carrying the slot channels: a name (``"pipe"``/
         #: ``"tcp"``), a pre-built :class:`~repro.runtime.transport.Transport`
         #: instance (tests inject fault wrappers this way), or ``None`` for
@@ -209,9 +189,6 @@ class ResidentBackend(ExecutorBackend):
         #: parameter payload at all (the slot copy is already bit-identical);
         #: unversioned handles never populate this and re-ship every time.
         self._generator_versions: Dict[Tuple[Any, int], int] = {}
-        #: Shared-memory segments owned by this backend, keyed by the install
-        #: they carried; released on re-install, reclaim and close.
-        self._shm_segments: Dict[Any, List] = {}
         #: Set when a pool operation failed; the resident state is then lost
         #: and every later protocol call refuses to run (fail-stop).
         self._broken_reason: Optional[str] = None
@@ -226,8 +203,7 @@ class ResidentBackend(ExecutorBackend):
         self.op_bytes_sent: Dict[str, int] = defaultdict(int)
         self.op_bytes_received: Dict[str, int] = defaultdict(int)
         self.op_transfer_seconds: Dict[str, float] = defaultdict(float)
-        #: Bytes that travelled through shared-memory segments instead of the
-        #: slot channels (one segment copy per spilled array).
+        #: Always 0 (installs ride the slot channels); the perf harness reads it.
         self.shm_bytes_sent = 0
         #: Number of install payloads shipped (worker state or generator
         #: copies); a warm re-entry ships none.
@@ -360,7 +336,6 @@ class ResidentBackend(ExecutorBackend):
         for key in lost:
             self._installed.pop(key, None)
             self.invalidate(key)
-            self._release_shm(("state", key))
             membership.pending_loss.add(key)
         for slots in self._generator_slots.values():
             slots.discard(slot_index)
@@ -473,11 +448,6 @@ class ResidentBackend(ExecutorBackend):
                     pass
             transport.close()
             self._transport = None
-        # Segments are unlinked only after the slot processes are gone, so a
-        # queued install message can never race its own backing store.
-        for segments in self._shm_segments.values():
-            _release_segments(segments)
-        self._shm_segments.clear()
         self._installed.clear()
         self._generator_slots.clear()
         self._generator_versions.clear()
@@ -536,52 +506,6 @@ class ResidentBackend(ExecutorBackend):
                 "which interleave safely) first"
             )
 
-    # -- shared-memory install encoding ----------------------------------------
-    def _shm_active(self) -> bool:
-        """Whether installs should (and can) use shared-memory transport.
-
-        Requires the platform to have ``multiprocessing.shared_memory`` *and*
-        the pool's transport to keep both endpoints on one kernel
-        (``supports_shm`` — pipes yes, sockets no); otherwise installs ride
-        the slot channels as plain pickled bytes.
-        """
-        if _shared_memory is None:
-            return False
-        if not self._ensure_transport().supports_shm:
-            return False
-        return SHM_INSTALL_DEFAULT if self.shm_install is None else bool(self.shm_install)
-
-    def _release_shm(self, segment_key) -> None:
-        """Unlink the segments backing one install (no-op when absent)."""
-        _release_segments(self._shm_segments.pop(segment_key, ()))
-
-    def _encode_install(self, segment_key, payload):
-        """Encode one install payload, spilling its large arrays to shm.
-
-        Returns the payload unchanged when shared memory is disabled or
-        unavailable, or when spilling fails (e.g. ``/dev/shm`` exhausted) —
-        installs must never fail just because the fast path did.  Fresh
-        segments replace (and release) any previous ones recorded under
-        ``segment_key``; by the time any later op touches this resident the
-        new install has superseded the old views, and Linux keeps existing
-        child mappings valid after an unlink.
-        """
-        self.install_count += 1
-        if not self._shm_active():
-            return payload
-        segments: List = []
-        try:
-            buffer = io.BytesIO()
-            _InstallPickler(buffer, segments, self.shm_min_bytes).dump(payload)
-        except Exception:  # pragma: no cover - spill failure falls back
-            _release_segments(segments)
-            return payload
-        self._release_shm(segment_key)
-        if segments:
-            self._shm_segments[segment_key] = segments
-            self.shm_bytes_sent += sum(segment.size for segment in segments)
-        return _ShmInstall(buffer.getvalue())
-
     # -- invalidation protocol --------------------------------------------------
     def installed(self, key) -> bool:
         """Whether the pool holds a *current* resident copy for ``key``."""
@@ -627,7 +551,7 @@ class ResidentBackend(ExecutorBackend):
         if self._installed.get(key) != epoch:
             install = state_supplier()
             if install is not None:
-                install = self._encode_install(("state", key), install)
+                self.install_count += 1
         return (key, program, epoch, install, payload)
 
     def _post_run(self, slot_index: int, items: List[tuple], **entry_fields):
@@ -713,10 +637,8 @@ class ResidentBackend(ExecutorBackend):
         for slot_index, positions in per_slot.items():
             install = None
             if slot_index not in installed_slots:
-                install = self._encode_install(
-                    ("generator", key, slot_index),
-                    generator_supplier(),
-                )
+                install = generator_supplier()
+                self.install_count += 1
             # Param-cache: skip the parameter payload when this slot's copy
             # already holds exactly this version's bits.  Sends are FIFO per
             # slot, so "last version shipped" is also "version the copy will
@@ -886,7 +808,6 @@ class ResidentBackend(ExecutorBackend):
         for key in keys:
             self._installed.pop(key, None)
             self.invalidate(key)
-            self._release_shm(("state", key))
         if slot_loss is not None:
             raise slot_loss
         return merged

@@ -2,17 +2,16 @@
 
 :func:`serve_slot` runs in pool processes (the pipe transport's children)
 and in remote worker hosts (:mod:`repro.runtime.worker_host`).  It knows the
-op table, the program registry and the install codec — and nothing of the
-owner-side backend, so a worker host imports it without importing the pool.
+op table and the program registry — and nothing of the owner-side
+backend, so a worker host imports it without importing the pool.
 """
 
 from __future__ import annotations
 
 import pickle
 import traceback
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from .install_codec import _ATTACHED_SHM, _decode_install, _try_detach_shm
 from .programs import get_program
 
 __all__ = ["serve_slot"]
@@ -26,28 +25,22 @@ def serve_slot(channel) -> None:
     ``multiprocessing`` pipe for the local pool, a framed TCP connection for
     :mod:`repro.runtime.worker_host`.
 
-    Residents are stored as ``key -> [program_name, epoch, state,
-    shm_names]``; generator copies for resident-side generation live in a
-    separate ``key -> [generator, shm_names]`` map (they carry no epoch — the
-    caller ships current parameters with every request).  The ``shm_names``
-    record which shared-memory mappings each install brought in, so replacing
-    or dropping a resident detaches them instead of pinning unlinked tmpfs
-    pages for the pool's lifetime (over TCP installs never carry shm, so the
-    sets are simply empty).  Every reply is ``("ok", payload)`` or
-    ``("err", traceback_text)``; the server re-raises errors, so a failure in
-    worker code surfaces in the trainer with the slot traceback attached.
+    Residents are stored as ``key -> [program_name, epoch, state]``;
+    generator copies for resident-side generation live in a separate
+    ``key -> generator`` map (they carry no epoch — the caller ships current
+    parameters with every request).  An install is the state object itself,
+    unpickled with the frame that carries it.  Every reply is ``("ok",
+    payload)`` or ``("err", traceback_text)``; the server re-raises errors, so
+    a failure in worker code surfaces in the trainer with the slot traceback
+    attached.
     """
     residents: Dict[Any, list] = {}
-    generators: Dict[Any, list] = {}
-    pending_detach: List[str] = []
+    generators: Dict[Any, Any] = {}
     while True:
         try:
             raw = channel.recv_bytes()
         except (EOFError, OSError):
             break
-        # Retry mappings whose arrays were still referenced last time (the
-        # dropping request's own reply holds the state until it is sent).
-        pending_detach = _try_detach_shm(pending_detach)
         op, payload = pickle.loads(raw)
         if op == "close":
             break
@@ -56,11 +49,7 @@ def serve_slot(channel) -> None:
                 out = []
                 for key, program_name, epoch, install, step_payload in payload:
                     if install is not None:
-                        state, shm_names = _decode_install(install)
-                        replaced = residents.get(key)
-                        if replaced is not None:
-                            pending_detach.extend(replaced[3])
-                        residents[key] = [program_name, epoch, state, shm_names]
+                        residents[key] = [program_name, epoch, install]
                     entry = residents.get(key)
                     if entry is None:
                         raise RuntimeError(
@@ -78,17 +67,12 @@ def serve_slot(channel) -> None:
             elif op == "generate":
                 key, install, params, g_inputs = payload
                 if install is not None:
-                    generator, shm_names = _decode_install(install)
-                    replaced = generators.get(key)
-                    if replaced is not None:
-                        pending_detach.extend(replaced[1])
-                    generators[key] = [generator, shm_names]
-                entry = generators.get(key)
-                if entry is None:
+                    generators[key] = install
+                generator = generators.get(key)
+                if generator is None:
                     raise RuntimeError(
                         f"no resident generator {key!r} and no install payload shipped"
                     )
-                generator = entry[0]
                 if params is not None:
                     generator.set_parameters(params)
                 out = []
@@ -112,9 +96,7 @@ def serve_slot(channel) -> None:
                 if op == "pull_state":
                     # Reclaim is "mirror, then drop".
                     for key in payload:
-                        dropped = residents.pop(key, None)
-                        if dropped is not None:
-                            pending_detach.extend(dropped[3])
+                        residents.pop(key, None)
             elif op == "push_params":
                 for key, params in payload.items():
                     entry = residents[key]
@@ -128,13 +110,3 @@ def serve_slot(channel) -> None:
             channel.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
         except (BrokenPipeError, OSError):
             break
-    # Drop residents first so no array view still exports the shm buffers,
-    # then detach; the parent owns (and unlinks) the segments themselves.
-    residents.clear()
-    generators.clear()
-    for segment in _ATTACHED_SHM.values():
-        try:
-            segment.close()
-        except Exception:  # pragma: no cover - lingering exports at exit
-            pass
-    _ATTACHED_SHM.clear()

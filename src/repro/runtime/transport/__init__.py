@@ -8,8 +8,7 @@ never cares what moves the bytes.  This package supplies the channels:
 
 ``pipe``
     :class:`LocalPipeTransport` — daemon child processes over
-    ``multiprocessing`` pipes; today's local pool, bitwise unchanged, with
-    shared-memory install spill available.
+    ``multiprocessing`` pipes; today's local pool, bitwise unchanged.
 ``tcp``
     :class:`TcpTransport` — length-prefixed frames over one TCP connection
     per slot, either spawning loopback workers itself or accepting

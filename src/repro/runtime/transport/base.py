@@ -140,11 +140,6 @@ class Transport(ABC):
 
     #: Transport name (one of :data:`TRANSPORTS`).
     name: str = "abstract"
-    #: Whether install payloads may ride shared-memory segments.  Only
-    #: meaningful when both endpoints share a machine (and kernel): the pipe
-    #: transport says yes, sockets say no and installs fall back to riding
-    #: the channel itself.
-    supports_shm: bool = False
     #: Whether slots can be added after :meth:`open` (elastic membership):
     #: :meth:`open_slot` builds replacement capacity on demand and
     #: :meth:`poll_joiner` admits externally initiated late joiners.

@@ -203,7 +203,6 @@ class ChaosTransport(Transport):
         self.inner = inner
         self.schedule = schedule if schedule is not None else ChaosSchedule()
         self.name = f"chaos+{inner.name}"
-        self.supports_shm = inner.supports_shm
         self.supports_join = inner.supports_join
 
     @property

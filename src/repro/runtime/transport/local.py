@@ -29,13 +29,10 @@ class LocalPipeTransport(Transport):
 
     ``slot_main`` is the child's serving loop, called with the child end of
     the pipe; :func:`repro.runtime.resident.serve_slot` in production, a
-    stub in transport tests.  Shared-memory installs are supported — both
-    endpoints share a kernel, so segment names shipped over the pipe resolve
-    on the other side.
+    stub in transport tests.
     """
 
     name = "pipe"
-    supports_shm = True
     supports_join = True
 
     def __init__(

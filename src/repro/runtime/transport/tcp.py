@@ -25,9 +25,8 @@ no residents by construction, so the server's install tracking starts empty
 and the first ``run`` op ships full state, exactly as for a fresh local
 pool.
 
-Shared-memory installs are disabled over TCP (``supports_shm = False``) —
-segment names are meaningless across kernels — so install payloads ride the
-socket inside the ``run`` message like any other bytes.
+Install payloads ride the socket inside the ``run`` / ``generate`` message
+like any other bytes — the one install path every transport shares.
 
 Two modes:
 
@@ -266,7 +265,6 @@ class TcpTransport(Transport):
     """
 
     name = "tcp"
-    supports_shm = False
     supports_join = True
 
     def __init__(

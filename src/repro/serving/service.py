@@ -127,7 +127,7 @@ class GeneratorService(BackendOwner):
         dimension / conditioning (used to draw request noise).
     config:
         A :class:`~repro.core.config.TrainingConfig`; supplies the backend
-        selection (``backend``/``max_workers``/``shm_install``/``transport``/
+        selection (``backend``/``max_workers``/``transport``/
         ``transport_address``), the default per-request ``batch_size`` and
         the service RNG ``seed``.  Defaults to a resident-backend config.
     max_coalesce:
@@ -203,23 +203,40 @@ class GeneratorService(BackendOwner):
         ``default_rng(seed)`` when ``seed`` is given (making the request's
         samples independent of arrival order).  Callers may also pass
         explicit ``noise`` (and ``labels`` for conditional factories)
-        instead.
+        instead; a malformed one raises :class:`ValueError` here, to this
+        caller only, before anything is drawn or enqueued.
         """
         batch_size = int(self.config.batch_size if batch_size is None else batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        factory = self.factory
+        if noise is not None:
+            noise = np.asarray(noise)
+            if noise.ndim != 2 or len(noise) < 1 or noise.shape[1] != factory.latent_dim:
+                raise ValueError(
+                    f"noise must have shape (n >= 1, {factory.latent_dim}), got {noise.shape}"
+                )
+            batch_size = len(noise)
+        if labels is not None:
+            if not factory.conditional:
+                raise ValueError("labels given, but the factory is not conditional")
+            labels = np.asarray(labels)
+            if labels.shape != (batch_size,):
+                raise ValueError(f"labels must have shape ({batch_size},), got {labels.shape}")
+            if labels.min() < 0 or labels.max() >= factory.num_classes:
+                raise ValueError(f"labels must lie in [0, {factory.num_classes})")
         request_rng = np.random.default_rng(seed) if seed is not None else None
         now = time.perf_counter()
         with self._lock:
             self._check_open()
             rng = request_rng if request_rng is not None else self._rng
             if noise is None:
-                noise = rng.normal(0.0, 1.0, size=(batch_size, self.factory.latent_dim))
-            noise = np.asarray(noise).astype(self.generator.dtype, copy=False)
-            if self.factory.conditional and labels is None:
-                labels = rng.integers(0, self.factory.num_classes, size=len(noise))
+                noise = rng.normal(0.0, 1.0, size=(batch_size, factory.latent_dim))
+            noise = noise.astype(self.generator.dtype, copy=False)
+            if factory.conditional and labels is None:
+                labels = rng.integers(0, factory.num_classes, size=batch_size)
             request = _Request(
-                g_input=generator_input(noise, labels, self.factory.num_classes),
+                g_input=generator_input(noise, labels, factory.num_classes),
                 noise=noise,
                 labels=labels,
                 enqueued_at=now,

@@ -157,12 +157,12 @@ class TestCLI:
         args = parser.parse_args(["fig4", "--backend", "process"])
         assert _runtime(parser, args) == {"backend": "process"}
         args = parser.parse_args(
-            ["fig5", "--backend", "resident", "--pipeline-depth", "2", "--no-shm-install"]
+            ["fig5", "--backend", "resident", "--pipeline-depth", "2", "--transport", "tcp"]
         )
         assert _runtime(parser, args) == {
             "backend": "resident",
             "pipeline_depth": 2,
-            "shm_install": False,
+            "transport": "tcp",
         }
 
     def test_parser_accepts_pipeline_depth(self):

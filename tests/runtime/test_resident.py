@@ -5,7 +5,7 @@ these tests pin the resident-specific machinery — state installs once and
 then only deltas cross the IPC boundary, the state-epoch counter invalidates
 stale residents, sync returns authority to the trainer, child-side failures
 surface with their traceback, the pool survives (and is exactly reused
-across) consecutive ``train()`` calls, installs can ride shared memory, and
+across) consecutive ``train()`` calls, installs ride the slot channel, and
 slot affinity is reproducible across interpreter runs.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,75 +649,36 @@ class TestCleanupErrorMasking:
         assert trainer._backend is None
 
 
-class TestSharedMemoryInstall:
-    def _run(self, shards, factory, shm: bool):
-        config = _config("resident").with_overrides(shm_install=shm)
+def _psm_segments() -> set:
+    """Names of the POSIX shared-memory segments currently on this machine."""
+    root = Path("/dev/shm")
+    return {p.name for p in root.glob("psm_*")} if root.is_dir() else set()
+
+
+class TestInstallsRideTheSlotChannel:
+    """An install is the payload object itself, inside the frame that needs it."""
+
+    def test_cold_pipe_pool_installs_inside_run_frames(self):
+        # Shards of a few hundred KiB each: an install that bypassed its
+        # frame would be missing from the meter or show up in /dev/shm.
+        train, _ = make_gaussian_ring(n_train=1200, n_test=40, image_size=16, seed=7)
+        factory = build_toy_gan(
+            image_shape=train.spec.shape,
+            num_classes=train.num_classes,
+            latent_dim=8,
+            hidden=16,
+        )
+        shards = partition_iid(train, 4, np.random.default_rng(3))
+        shard_bytes = sum(shard.images.nbytes for shard in shards)
+        before = _psm_segments()
+        config = _config("resident", iterations=2, transport="pipe")
         with MDGANTrainer(factory, shards, config) as trainer:
-            if shm:
-                # Force even the toy arrays through shared memory so the
-                # transport is genuinely exercised at test scale.
-                trainer.executor.shm_min_bytes = 1
             trainer.train()
             backend = trainer._backend
-            meters = (
-                backend.ipc_bytes_sent,
-                backend.shm_bytes_sent,
-                backend.install_count,
-            )
-        return trainer, meters
-
-    def test_shm_install_is_bitwise_neutral_and_off_pipe(
-        self, small_shards_and_factory
-    ):
-        shards, factory = small_shards_and_factory
-        plain, (plain_pipe, plain_shm, plain_installs) = self._run(
-            shards, factory, shm=False
-        )
-        shm, (shm_pipe, shm_shm, shm_installs) = self._run(shards, factory, shm=True)
-        # Same installs, same numerics — but the shard/model bytes moved off
-        # the pipes and through shared memory.
-        assert plain_shm == 0
-        assert shm_shm > 0
-        assert shm_installs == plain_installs
-        assert shm_pipe < plain_pipe
-        assert plain.history.generator_loss == shm.history.generator_loss
-        assert np.array_equal(
-            plain.generator.get_parameters(), shm.generator.get_parameters()
-        )
-        for p_worker, s_worker in zip(plain.workers, shm.workers):
-            assert np.array_equal(
-                p_worker.discriminator.get_parameters(),
-                s_worker.discriminator.get_parameters(),
-            )
-
-    def test_segments_are_unlinked_on_close(self, small_shards_and_factory):
-        from multiprocessing import shared_memory
-
-        shards, factory = small_shards_and_factory
-        config = _config("resident").with_overrides(shm_install=True)
-        trainer = MDGANTrainer(factory, shards, config)
-        trainer.executor.shm_min_bytes = 1
-        trainer.train_iteration(1)
-        backend = trainer._backend
-        names = [
-            segment.name
-            for segments in backend._shm_segments.values()
-            for segment in segments
-        ]
-        assert names, "expected shm-backed installs"
-        trainer.close()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_disabled_shm_ships_plain_payloads(self, small_shards_and_factory):
-        shards, factory = small_shards_and_factory
-        config = _config("resident").with_overrides(shm_install=False)
-        with MDGANTrainer(factory, shards, config) as trainer:
-            trainer.train_iteration(1)
-            backend = trainer._backend
+            assert _psm_segments() == before
+            assert backend.op_bytes_sent["run"] >= shard_bytes
+            assert backend.install_count == len(shards)
             assert backend.shm_bytes_sent == 0
-            assert not backend._shm_segments
 
 
 class TestStableSlotAffinity:

@@ -5,8 +5,9 @@ serial ``sample_generator_images`` loop on the same draws, and BatchNorm
 running statistics end up the same on every backend; the versioned param
 cache ships zero bytes for an unchanged generator and exactly one re-ship
 per slot after ``update_generator()``; a killed slot fail-stops every
-request of the in-flight group and the service refuses traffic afterwards;
-and ``from_trainer()`` serves off a trainer's warm pool without owning it.
+request of the in-flight group and the service refuses traffic afterwards,
+while a malformed request fails only its own caller; and ``from_trainer()``
+serves off a trainer's warm pool without owning it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.core.gan_ops import sample_generator_images
 from repro.datasets import make_mnist_like
-from repro.models import build_architecture
+from repro.models import build_architecture, build_toy_gan
 from repro.nn.layers import BatchNorm
 from repro.runtime import TransportError
 from repro.serving import GeneratorService, ServiceClosed
@@ -249,6 +250,54 @@ class TestLifecycle:
         with GeneratorService(generator, factory, _config(backend="serial")) as service:
             with pytest.raises(ValueError, match="batch_size"):
                 service.submit(batch_size=0)
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("backend", ["serial", "resident"])
+    def test_malformed_request_fails_only_its_caller(self, ring_setup, backend):
+        # A bad request raises ValueError to its caller before anything is
+        # drawn or enqueued: the service keeps serving, and its seeded
+        # samples equal those of a service that never saw the bad request.
+        _, factory = ring_setup
+        generator = factory.make_generator(np.random.default_rng(0))
+        latent = factory.latent_dim
+        bad_requests = [
+            dict(noise=np.zeros((4, latent + 3))),
+            dict(noise=np.zeros(latent)),
+            dict(noise=np.zeros((0, latent))),
+            dict(labels=np.zeros(3, dtype=np.int64)),
+            dict(labels=np.zeros((8, 1), dtype=np.int64)),
+            dict(labels=np.full(8, factory.num_classes)),
+            dict(noise=np.zeros((2, latent)), labels=np.array([0, -1])),
+        ]
+        config = _config(backend=backend)
+        with GeneratorService(copy.deepcopy(generator), factory, config) as service:
+            for bad in bad_requests:
+                with pytest.raises(ValueError):
+                    service.serve(**bad)
+            served = [service.serve(), service.serve(seed=5)]
+            assert service.stats.summary()["failures"] == 0
+        with GeneratorService(copy.deepcopy(generator), factory, config) as clean:
+            reference = [clean.serve(), clean.serve(seed=5)]
+        for batch, expected in zip(served, reference):
+            assert np.array_equal(batch.noise, expected.noise)
+            assert np.array_equal(batch.labels, expected.labels)
+            assert np.array_equal(batch.images, expected.images)
+
+    def test_labels_rejected_for_unconditional_factory(self):
+        train, _ = make_mnist_like(n_train=32, n_test=8, image_size=8, seed=1)
+        factory = build_toy_gan(
+            image_shape=train.spec.shape,
+            num_classes=train.num_classes,
+            latent_dim=4,
+            hidden=8,
+            conditional=False,
+        )
+        generator = factory.make_generator(np.random.default_rng(0))
+        with GeneratorService(generator, factory, _config(backend="serial")) as service:
+            with pytest.raises(ValueError, match="not conditional"):
+                service.serve(labels=np.zeros(8, dtype=np.int64))
+            assert service.serve(seed=1).images.shape[0] == 8
 
 
 class TestStats:
