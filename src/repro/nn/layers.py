@@ -56,9 +56,9 @@ class Layer:
 
     Parameters live in ``self.params`` and their gradients in ``self.grads``;
     both are dictionaries keyed by parameter name with identically shaped
-    arrays.  Parameter arrays are never replaced after :meth:`build` — they
-    are updated in place — so optimizers may key their state on the arrays'
-    owning ``(layer, name)`` pair.
+    arrays.  Inside a built :class:`~repro.nn.model.Sequential` they are views
+    of the model's flat ``params_flat`` / ``grads_flat`` vectors, so layers
+    only ever update them in place, never rebind them.
 
     Backward caches are only ever *rebound*: ``forward`` assigns fresh arrays
     to its cache attributes and never writes into an array an earlier call
@@ -106,11 +106,8 @@ class Layer:
     # -- utilities ---------------------------------------------------------
     def zero_grad(self) -> None:
         """Reset all parameter gradients to zero."""
-        for key, value in self.params.items():
-            if key not in self.grads or self.grads[key].shape != value.shape:
-                self.grads[key] = np.zeros_like(value)
-            else:
-                self.grads[key].fill(0.0)
+        for grad in self.grads.values():
+            grad.fill(0.0)
 
     def add_param(
         self,

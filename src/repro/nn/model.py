@@ -1,4 +1,4 @@
-"""Sequential model container with flat parameter (de)serialisation.
+"""Sequential model container whose parameters live in one flat vector.
 
 The container provides the three capabilities the distributed algorithms rely
 on:
@@ -6,9 +6,12 @@ on:
 * ``forward`` / ``backward`` where the backward pass **returns the gradient
   with respect to the model input** (MD-GAN's error feedback, and the chain
   through the generator on the server);
-* in-place flat parameter get/set (``get_parameters`` / ``set_parameters``)
-  used by FL-GAN's federated averaging and by MD-GAN's discriminator swaps —
-  these model exactly what travels over the network;
+* flat parameter get/set (``get_parameters`` / ``set_parameters``) used by
+  FL-GAN's federated averaging and by MD-GAN's discriminator swaps — these
+  model exactly what travels over the network.  A built model owns the
+  contiguous ``params_flat`` / ``grads_flat`` and every layer's ``params`` /
+  ``grads`` are views into them, so each whole-model operation is one vector
+  operation and pickles carry each vector once;
 * parameter-count reporting used by the analytic complexity models.
 
 All parameters, activations and gradients live in the model's ``dtype``,
@@ -25,12 +28,13 @@ value that crossed a pipe bitwise equal to one handed over in-process.
 from __future__ import annotations
 
 import copy
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .layers import BatchNorm, Layer
-from .precision import PrecisionLike, as_dtype, resolve_dtype
+from .precision import PrecisionLike, resolve_dtype
 
 __all__ = ["Sequential"]
 
@@ -52,6 +56,9 @@ class Sequential:
         self.built = False
         self.input_shape: Optional[Tuple[int, ...]] = None
         self.output_shape: Optional[Tuple[int, ...]] = None
+        #: Parameters and gradients in :meth:`named_parameters` order; view shapes.
+        self.params_flat = self.grads_flat = np.zeros(0, dtype=self.dtype)
+        self.param_shapes: Tuple[Tuple[int, ...], ...] = ()
         if input_shape is not None:
             self.build(input_shape, rng or np.random.default_rng(0))
 
@@ -65,7 +72,37 @@ class Sequential:
             layer.build(shape, rng)
             shape = layer.output_shape
         self.output_shape = shape
+        params = [p for _, p in self.named_parameters()]
+        self.param_shapes = tuple(p.shape for p in params)
+        self.params_flat = np.concatenate([np.zeros(0, self.dtype), *(p.ravel() for p in params)])
+        self.grads_flat = np.zeros_like(self.params_flat)
+        self._bind_views()
         self.built = True
+
+    def _bind_views(self) -> None:
+        """Rebind every layer's ``params`` / ``grads`` to views of the flat vectors."""
+        slots = [(layer, name) for layer in self.layers for name in sorted(layer.params)]
+        offset = 0
+        for (layer, name), shape in zip(slots, self.param_shapes, strict=True):
+            end = offset + math.prod(shape)
+            layer.params[name] = self.params_flat[offset:end].reshape(shape)
+            layer.grads[name] = self.grads_flat[offset:end].reshape(shape)
+            offset = end
+
+    def __getstate__(self) -> dict:
+        # Each vector travels once: layers keep only their parameter names.
+        state = self.__dict__.copy()
+        if self.built:
+            state["layers"] = [_bare_copy(layer) for layer in self.layers]
+            for clone in state["layers"]:
+                clone.params = dict.fromkeys(clone.params)
+                clone.grads = {}
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.built:
+            self._bind_views()
 
     def _require_built(self) -> None:
         if not self.built:
@@ -127,12 +164,10 @@ class Sequential:
         the very same ``params`` / ``grads`` dicts, so ``snapshot.backward``
         accumulates into this model's gradients — exact until its parameters change.
         """
-        frozen = copy.copy(self)
         # Bare ``__dict__`` copies: ``copy.copy`` costs ~5x more per layer and,
-        # through ``__getstate__``, would drop kept caches (``Conv2D._col``).
-        frozen.layers = [object.__new__(type(layer)) for layer in self.layers]
-        for clone, layer in zip(frozen.layers, self.layers):
-            clone.__dict__.update(layer.__dict__)
+        # through ``__getstate__``, would drop kept caches and parameter views.
+        frozen = _bare_copy(self)
+        frozen.layers = [_bare_copy(layer) for layer in self.layers]
         return frozen
 
     def batch_stats(self) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -151,8 +186,7 @@ class Sequential:
 
     def zero_grad(self) -> None:
         """Reset gradients of every layer."""
-        for layer in self.layers:
-            layer.zero_grad()
+        self.grads_flat.fill(0.0)
 
     # -- parameter access ---------------------------------------------------
     def named_parameters(self) -> Iterator[Tuple[str, np.ndarray]]:
@@ -161,69 +195,37 @@ class Sequential:
             for pname in sorted(layer.params):
                 yield f"{idx}.{layer.name}.{pname}", layer.params[pname]
 
-    def named_parameters_and_grads(
-        self,
-    ) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
-        """Yield ``(key, parameter, gradient)`` triples."""
-        for idx, layer in enumerate(self.layers):
-            for pname in sorted(layer.params):
-                yield (
-                    f"{idx}.{layer.name}.{pname}",
-                    layer.params[pname],
-                    layer.grads[pname],
-                )
-
     @property
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
-        return int(sum(p.size for _, p in self.named_parameters()))
+        return int(self.params_flat.size)
 
     def get_parameters(self) -> np.ndarray:
-        """Return all parameters concatenated into one flat policy-dtype vector."""
+        """Return a copy of all parameters as one flat policy-dtype vector."""
         self._require_built()
-        parts = [p.ravel() for _, p in self.named_parameters()]
-        if not parts:
-            return np.zeros(0, dtype=self.dtype)
-        return np.concatenate(parts)
+        return self.params_flat.copy()
 
     def set_parameters(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector, writing arrays in place."""
-        self._require_built()
-        flat = as_dtype(flat, self.dtype).ravel()
-        expected = self.num_parameters
-        if flat.size != expected:
-            raise ValueError(
-                f"Parameter vector has {flat.size} values; model "
-                f"{self.name!r} expects {expected}"
-            )
-        offset = 0
-        for _, param in self.named_parameters():
-            size = param.size
-            param[...] = flat[offset : offset + size].reshape(param.shape)
-            offset += size
+        """Load parameters from a flat vector, writing them in place."""
+        self._write(self.params_flat, flat, "Parameter")
 
     def get_gradients(self) -> np.ndarray:
-        """Return all gradients concatenated into one flat vector."""
+        """Return a copy of all gradients as one flat vector."""
         self._require_built()
-        parts = [g.ravel() for _, _, g in self.named_parameters_and_grads()]
-        if not parts:
-            return np.zeros(0, dtype=self.dtype)
-        return np.concatenate(parts)
+        return self.grads_flat.copy()
 
     def set_gradients(self, flat: np.ndarray) -> None:
         """Load gradients from a flat vector (used by gradient aggregation)."""
+        self._write(self.grads_flat, flat, "Gradient")
+
+    def _write(self, buffer: np.ndarray, flat: np.ndarray, what: str) -> None:
         self._require_built()
-        flat = as_dtype(flat, self.dtype).ravel()
-        if flat.size != self.num_parameters:
+        if np.size(flat) != buffer.size:
             raise ValueError(
-                f"Gradient vector has {flat.size} values; model expects "
-                f"{self.num_parameters}"
+                f"{what} vector has {np.size(flat)} values; model "
+                f"{self.name!r} expects {buffer.size}"
             )
-        offset = 0
-        for _, _, grad in self.named_parameters_and_grads():
-            size = grad.size
-            grad[...] = flat[offset : offset + size].reshape(grad.shape)
-            offset += size
+        buffer[...] = np.ravel(flat)
 
     # -- structural helpers --------------------------------------------------
     def clone_architecture(self) -> "Sequential":
@@ -265,3 +267,10 @@ class Sequential:
             f"Sequential(name={self.name!r}, layers={len(self.layers)}, "
             f"{status}, params={self.num_parameters if self.built else '?'})"
         )
+
+
+def _bare_copy(obj):
+    """A new ``type(obj)`` sharing ``obj``'s attribute values, without ``__getstate__``."""
+    clone = object.__new__(type(obj))
+    clone.__dict__.update(obj.__dict__)
+    return clone

@@ -66,8 +66,11 @@ def weighted_average_parameters(
     weights = np.asarray(list(weights), dtype=np.float64)
     if len(vectors) != weights.size:
         raise ValueError(f"Got {len(vectors)} vectors but {weights.size} weights")
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("Weights must be non-negative and sum to a positive value")
+    bad = np.flatnonzero(~np.isfinite(weights) | (weights < 0))
+    if bad.size:
+        raise ValueError(f"Weight {bad[0]} is {weights[bad[0]]}; weights must be finite and >= 0")
+    if weights.sum() <= 0:
+        raise ValueError("Weights must sum to a positive value")
     weights = weights / weights.sum()
     flat = [np.asarray(v).ravel() for v in vectors]
     out_dtype = np.result_type(np.float32, *flat)

@@ -370,7 +370,7 @@ def start_resident_generation(
     pending = backend.start_generation(
         handle,
         lambda: generator,
-        generator.get_parameters(),
+        generator.get_parameters,
         [g_input for _, _, g_input in drawn],
     )
     return PendingGeneration(pending, generator, drawn)

@@ -601,7 +601,7 @@ class ResidentBackend(ExecutorBackend):
         self,
         handle,
         generator_supplier: Callable[[], Any],
-        params,
+        params_supplier: Callable[[], np.ndarray],
         g_inputs: Sequence[np.ndarray],
     ) -> PendingSteps:
         """Dispatch per-batch generator forward passes across the pool slots.
@@ -611,12 +611,13 @@ class ResidentBackend(ExecutorBackend):
         (round-robin) against that slot's resident copy of the
         generator: ``generator_supplier()`` is shipped (once per slot, on
         first use or after a pool restart) as the structural install, and
-        ``params`` — the current flat parameter vector — is written into the
-        copy whenever the slot's cached handle version does not prove the
-        copy current.  With a *versioned* handle an unchanged generator
-        therefore ships **zero parameter bytes** per repeat request (pinned
-        by :attr:`param_bytes_sent`); an unversioned handle re-ships every
-        time, which is always safe.  Each batch's reply is ``(images,
+        ``params_supplier()`` — a copy of the current flat parameter vector,
+        called at most once per dispatch — is written into the copy whenever
+        the slot's cached handle version does not prove the copy current.
+        With a *versioned* handle an unchanged generator therefore copies and
+        ships **zero parameter bytes** per repeat request (pinned by
+        :attr:`param_bytes_sent`); an unversioned handle re-ships every time,
+        which is always safe.  Each batch's reply is ``(images,
         generator.batch_stats())``; the caller folds the statistics back in
         batch order to reproduce the serial running-stat trajectory bitwise.
 
@@ -634,6 +635,7 @@ class ResidentBackend(ExecutorBackend):
         for position in range(len(g_inputs)):
             per_slot[slots[position % len(slots)]].append(position)
         installed_slots = self._generator_slots.setdefault(key, set())
+        params = None
         for slot_index, positions in per_slot.items():
             install = None
             if slot_index not in installed_slots:
@@ -646,9 +648,10 @@ class ResidentBackend(ExecutorBackend):
             # queued: the serving dispatcher posts under its queue lock and
             # the pipelined trainer mid-iteration, and an inline write there
             # costs serve_mlp_pool_pipe ~5% of its request rate.
-            slot_params = params
-            if version is not None and self._generator_versions.get((key, slot_index)) == version:
-                slot_params = None
+            stale = version is None or self._generator_versions.get((key, slot_index)) != version
+            if stale and params is None:
+                params = params_supplier()
+            slot_params = params if stale else None
             entry = self._ledger.post(
                 slot_index,
                 "generate",

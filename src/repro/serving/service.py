@@ -23,7 +23,7 @@ exposes that same machinery to callers outside the training loop:
   from the same draws.
 * **Param cache** — the service's :class:`~repro.runtime.pipeline.
   GeneratorHandle` is versioned: repeat requests against an unchanged
-  generator ship **zero parameter bytes** (the slot copies are already
+  generator copy and ship **zero parameter bytes** (the slot copies are
   current); :meth:`~GeneratorService.update_generator` installs new weights
   and bumps the version, so exactly one re-ship per slot follows.
 * **Fail-stop** — a transport failure (killed slot, broken socket) poisons
@@ -369,16 +369,16 @@ class GeneratorService(BackendOwner):
         running stats follow the serial trajectory.
         """
         backend = self.executor
-        # Snapshot parameters together with the handle version under the
-        # queue lock: an update_generator() landing mid-dispatch must not
-        # pair the *new* version with the *old* parameter vector in the
-        # backend's param cache (which would silently serve stale weights).
+        # Pair the handle version with the parameter copy under the queue
+        # lock: an update_generator() landing mid-dispatch must not pair the
+        # *new* version with the *old* parameter vector in the backend's
+        # param cache (which would silently serve stale weights).
         with self._lock:
             if can_generate_resident(backend, self.generator, len(g_inputs)):
                 pending = backend.start_generation(
                     GeneratorHandle(key=self.handle.key, version=self.handle.version),
                     lambda: self.generator,
-                    self.generator.get_parameters(),
+                    self.generator.get_parameters,
                     g_inputs,
                 )
             else:

@@ -432,8 +432,8 @@ class TestNothingTravels:
         with_columns = self._sizes(model, optimizer)
         for layer in convs:
             del layer._col
-        assert optimizer._scratch
-        optimizer._scratch = {}
+        assert optimizer._scratch is not None
+        optimizer._scratch = None
         assert self._sizes(model, optimizer) == with_columns
 
         # And in absolute terms: a trained model outweighs a fresh one by the
@@ -448,7 +448,7 @@ class TestNothingTravels:
         for x, target in batches[:2]:
             _train_step(model, optimizer, x, target)
         model2, optimizer2 = pickle.loads(pickle.dumps((model, optimizer)))
-        assert optimizer2._scratch == {}
+        assert optimizer2._scratch is None
         for x, target in batches[2:]:
             _train_step(model, optimizer, x, target)
             _train_step(model2, optimizer2, x, target)

@@ -1,5 +1,8 @@
 """Unit tests for the Sequential container and parameter serialisation."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -18,12 +21,63 @@ from repro.nn import (
     vector_bytes,
     weighted_average_parameters,
 )
+from repro.runtime.programs import ResidentProgram, register_program
+from repro.runtime.resident import ResidentBackend
 
 
 def small_model(rng, out=3):
     return Sequential(
         [Dense(8), ReLU(), Dense(out)], input_shape=(5,), rng=rng, name="small"
     )
+
+
+def _write_through_flat(state, values):
+    """Resident step: write ``values`` through ``params_flat``, return what the layers see."""
+    model = state["model"]
+    model.params_flat[...] = values
+    return _layer_arrays(model, "params")
+
+
+# Registered at import time, before any pool forks, so slot processes inherit it.
+register_program(
+    ResidentProgram(
+        name="flat-views",
+        step=_write_through_flat,
+        pull_params=lambda state: state["model"].get_parameters(),
+        push_params=lambda state, params: state["model"].set_parameters(params),
+        mirror=lambda state: state["model"],
+    )
+)
+
+
+def _layer_arrays(model, attr):
+    """Every layer's ``params`` or ``grads`` arrays, raveled in parameter order."""
+    arrays = [
+        getattr(layer, attr)[name] for layer in model.layers for name in sorted(layer.params)
+    ]
+    return np.concatenate([array.ravel() for array in arrays])
+
+
+def _assert_views_bound(model):
+    """Writes through ``params_flat`` / ``grads_flat`` are what every layer sees."""
+    for buffer, attr in ((model.params_flat, "params"), (model.grads_flat, "grads")):
+        values = np.arange(buffer.size, dtype=buffer.dtype)
+        buffer[...] = values
+        np.testing.assert_array_equal(_layer_arrays(model, attr), values)
+
+
+def _assert_no_shared_memory(a, b):
+    for x in (a.params_flat, a.grads_flat):
+        for y in (b.params_flat, b.grads_flat):
+            assert not np.shares_memory(x, y)
+
+
+def _trained_model(rng):
+    """A small model holding non-zero gradients from one backward pass."""
+    model = small_model(rng)
+    out = model.forward(rng.normal(size=(4, 5)))
+    model.backward(np.ones_like(out))
+    return model
 
 
 class TestBuildAndShapes:
@@ -91,6 +145,71 @@ class TestParameterVector:
         a = small_model(np.random.default_rng(42))
         b = small_model(np.random.default_rng(42))
         np.testing.assert_array_equal(a.get_parameters(), b.get_parameters())
+
+
+class TestFlatBuffers:
+    def test_layer_arrays_are_views_of_two_vectors(self, rng):
+        model = _trained_model(rng)
+        np.testing.assert_array_equal(model.get_parameters(), _layer_arrays(model, "params"))
+        np.testing.assert_array_equal(model.get_gradients(), _layer_arrays(model, "grads"))
+        assert model.param_shapes == tuple(p.shape for _, p in model.named_parameters())
+        assert not np.shares_memory(model.get_parameters(), model.params_flat)
+        model.zero_grad()
+        assert not _layer_arrays(model, "grads").any()
+        _assert_views_bound(model)
+
+    def test_pickle_carries_each_vector_once(self):
+        model = Sequential([Dense(64)], input_shape=(32,), rng=np.random.default_rng(0))
+        buffers = model.params_flat.nbytes + model.grads_flat.nbytes
+        assert len(pickle.dumps(model)) < 1.25 * buffers
+
+    @pytest.mark.parametrize("path", ["pickle", "deepcopy"])
+    def test_views_survive_in_process_copies(self, rng, path):
+        model = _trained_model(rng)
+        params, grads = model.get_parameters(), model.get_gradients()
+        clone = pickle.loads(pickle.dumps(model)) if path == "pickle" else copy.deepcopy(model)
+        np.testing.assert_array_equal(clone.params_flat, params)
+        np.testing.assert_array_equal(clone.grads_flat, grads)
+        _assert_no_shared_memory(clone, model)
+        _assert_views_bound(clone)
+        np.testing.assert_array_equal(model.get_parameters(), params)
+        np.testing.assert_array_equal(model.get_gradients(), grads)
+
+    def test_views_survive_a_resident_install_and_mirror(self, rng):
+        model = _trained_model(rng)
+        params = model.get_parameters()
+        values = np.arange(params.size, dtype=params.dtype)
+        backend = ResidentBackend(max_workers=1, transport="pipe")
+        try:
+            (seen,) = backend.run_steps("flat-views", [(0, lambda: {"model": model}, values)])
+            np.testing.assert_array_equal(seen, values)  # the installed copy's views
+            mirrored = backend.pull_mirror([0])[0]
+        finally:
+            backend.close()
+        np.testing.assert_array_equal(mirrored.params_flat, values)
+        np.testing.assert_array_equal(mirrored.grads_flat, model.grads_flat)
+        _assert_no_shared_memory(mirrored, model)
+        _assert_views_bound(mirrored)
+        np.testing.assert_array_equal(model.get_parameters(), params)
+
+    def test_snapshot_shares_the_buffers_and_leaves_the_master_bound(self, rng):
+        model = small_model(rng)
+        x = rng.normal(size=(4, 5))
+        out = model.forward(x)
+        frozen = model.snapshot()
+        assert frozen.params_flat is model.params_flat
+        assert frozen.grads_flat is model.grads_flat
+        model.forward(rng.normal(size=(4, 5)))
+        model.zero_grad()
+        frozen.backward(np.ones_like(out))
+        accumulated = model.get_gradients()
+        assert accumulated.any()
+        model.zero_grad()
+        model.forward(x)
+        model.backward(np.ones_like(out))
+        np.testing.assert_array_equal(model.grads_flat, accumulated)
+        _assert_views_bound(model)
+        np.testing.assert_array_equal(_layer_arrays(frozen, "params"), model.params_flat)
 
 
 class TestBackward:
@@ -223,7 +342,7 @@ class TestBackward:
             model.zero_grad()
             out = model.forward(arrange(x))
             grad_in = model.backward(arrange(grad))
-            return out, grad_in, [g.copy() for _, _, g in model.named_parameters_and_grads()]
+            return out, grad_in, model.get_gradients()
 
         batch = 5
         cases = [
@@ -240,9 +359,8 @@ class TestBackward:
                 assert result[0].flags.c_contiguous and result[1].flags.c_contiguous
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])
-            assert len(got[2]) == len(expected[2]) > 0
-            for g_got, g_expected in zip(got[2], expected[2]):
-                np.testing.assert_array_equal(g_got, g_expected)
+            assert got[2].size > 0
+            np.testing.assert_array_equal(got[2], expected[2])
 
     def test_predict_uses_eval_mode(self, rng):
         from repro.nn import Dropout
@@ -298,6 +416,15 @@ class TestSerializeHelpers:
             weighted_average_parameters([np.zeros(2)], [1.0, 2.0])
         with pytest.raises(ValueError):
             weighted_average_parameters([np.zeros(2), np.ones(2)], [0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_weighted_average_rejects_non_finite_and_negative_weights(self, bad):
+        # A NaN or infinite weight used to return an all-NaN vector, which
+        # FedAvg then wrote into both server models.
+        with pytest.raises(ValueError, match="Weight 0 is"):
+            weighted_average_parameters([np.ones(3), np.zeros(3)], [bad, 1.0])
+        with pytest.raises(ValueError, match="Weight 1 is"):
+            weighted_average_parameters([np.ones(3), np.zeros(3)], [1.0, bad])
 
     def test_copy_parameters(self, rng):
         a = small_model(rng)

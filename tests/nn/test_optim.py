@@ -12,6 +12,18 @@ def quadratic_model(rng, dim=4):
     return model
 
 
+def rewired_model(rng, wiring):
+    """A model the 4-input quadratic model's optimizer state must not fit, and its data.
+
+    ``"size"`` has one more parameter; ``"shape"`` has the same 4 parameters
+    laid out as a 2x2 weight, so only the recorded shapes can tell it apart.
+    """
+    dim, units = {"size": (5, 1), "shape": (2, 2)}[wiring]
+    model = Sequential([Dense(units, use_bias=False)], input_shape=(dim,), rng=rng)
+    x = rng.normal(size=(8, dim))
+    return model, x, rng.normal(size=(8, units))
+
+
 def quadratic_step(model, x, y):
     """Set gradients of 0.5 * ||x w - y||^2 on the model."""
     pred = model.forward(x)
@@ -62,22 +74,23 @@ class TestSGD:
         opt = SGD(learning_rate=0.01, momentum=0.9)
         quadratic_step(model, x, y)
         opt.step(model)
-        assert opt._velocity
+        assert opt._velocity is not None
         opt.reset()
-        assert not opt._velocity and opt.iterations == 0
+        assert opt._velocity is None and opt.iterations == 0
 
-    def test_raises_on_state_shape_mismatch(self, rng):
-        # Applying the same optimizer to a differently-shaped model under
-        # matching parameter keys indicates a wiring bug (e.g. a swap against
-        # the wrong architecture) and must not silently reset the momenta.
+    @pytest.mark.parametrize("wiring", ["size", "shape"])
+    def test_raises_on_state_shape_mismatch(self, rng, wiring):
+        # Applying the same optimizer to a differently-shaped model indicates
+        # a wiring bug (e.g. a swap against the wrong architecture) and must
+        # not silently reset the momenta, even when the sizes agree.
         opt = SGD(learning_rate=0.01, momentum=0.9)
         model = quadratic_model(np.random.default_rng(0), dim=4)
         x = rng.normal(size=(8, 4))
         y = rng.normal(size=(8, 1))
         quadratic_step(model, x, y)
         opt.step(model)
-        other = quadratic_model(np.random.default_rng(1), dim=5)
-        quadratic_step(other, rng.normal(size=(8, 5)), y)
+        other, x_other, y_other = rewired_model(np.random.default_rng(1), wiring)
+        quadratic_step(other, x_other, y_other)
         with pytest.raises(ValueError, match="SGD state .* shape"):
             opt.step(other)
         # reset() is the documented way to reuse the optimizer.
@@ -110,34 +123,36 @@ class TestAdam:
         after = model.get_parameters()
         np.testing.assert_allclose(np.abs(after - before), 0.1, rtol=1e-5)
 
-    def test_raises_on_state_shape_mismatch(self, rng):
+    @pytest.mark.parametrize("wiring", ["size", "shape"])
+    def test_raises_on_state_shape_mismatch(self, rng, wiring):
         # Silent moment resets after a bad discriminator swap masked wiring
-        # bugs; a shape change under a known key must now raise.
+        # bugs; a shape change must raise, even at an unchanged size.
         opt = Adam(learning_rate=0.01)
         model = quadratic_model(np.random.default_rng(0), dim=4)
         x = rng.normal(size=(8, 4))
         y = rng.normal(size=(8, 1))
         quadratic_step(model, x, y)
         opt.step(model)
-        other = quadratic_model(np.random.default_rng(1), dim=5)
-        quadratic_step(other, rng.normal(size=(8, 5)), y)
+        other, x_other, y_other = rewired_model(np.random.default_rng(1), wiring)
+        quadratic_step(other, x_other, y_other)
         with pytest.raises(ValueError, match="Adam state .* shape"):
             opt.step(other)
         opt.reset()
         opt.step(other)
 
     def test_state_tracks_parameters_across_set_parameters(self, rng):
-        # set_parameters writes in place, so Adam's per-key state stays valid.
+        # set_parameters writes in place, so Adam's state stays valid.
         model = quadratic_model(rng)
         x = rng.normal(size=(16, 4))
         y = rng.normal(size=(16, 1))
         opt = Adam(learning_rate=0.01)
         quadratic_step(model, x, y)
         opt.step(model)
+        moments = opt._m
         model.set_parameters(model.get_parameters() * 0.5)
         quadratic_step(model, x, y)
-        opt.step(model)  # must not raise and must keep one state per key
-        assert len(opt._m) == 1
+        opt.step(model)  # must not raise and must keep its state
+        assert opt._m is moments
 
     def test_invalid_betas(self):
         with pytest.raises(ValueError):
@@ -208,11 +223,11 @@ class TestInPlaceUpdates:
         ):
             quadratic_step(model, x, y)
             opt.step(model)
-            before = [id(array) for state in states(opt) for array in state.values()]
-            assert before
+            assert all(array is not None for array in states(opt))
+            before = [id(array) for array in states(opt)]
             grads_before = model.get_gradients()
             opt.step(model)
-            assert before == [id(array) for state in states(opt) for array in state.values()]
+            assert before == [id(array) for array in states(opt)]
             # The step reads the gradients; it never uses them as workspace.
             np.testing.assert_array_equal(model.get_gradients(), grads_before)
 
@@ -224,12 +239,12 @@ class TestInPlaceUpdates:
         opt = Adam()
         quadratic_step(model, rng.normal(size=(8, 4)), rng.normal(size=(8, 1)))
         opt.step(model)
-        assert opt._scratch
+        assert opt._scratch is not None
         for clone in (pickle.loads(pickle.dumps(opt)), copy.deepcopy(opt)):
-            assert clone._scratch == {}
+            assert clone._scratch is None
             assert clone.iterations == 1
-            np.testing.assert_array_equal(clone._m["0.Dense.W"], opt._m["0.Dense.W"])
-            assert clone._m["0.Dense.W"] is not opt._m["0.Dense.W"]
+            np.testing.assert_array_equal(clone._m, opt._m)
+            assert not np.shares_memory(clone._m, opt._m)
             clone.step(model)  # rebuilt on demand
 
 

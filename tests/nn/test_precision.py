@@ -106,9 +106,9 @@ class TestModelDtypePreservation:
     def test_parameters_and_grads_built_in_policy_dtype(self, dtype):
         model = _stack(dtype)
         assert model.dtype == np.dtype(dtype)
-        for _, param, grad in model.named_parameters_and_grads():
-            assert param.dtype == np.dtype(dtype)
-            assert grad.dtype == np.dtype(dtype)
+        for layer in model.layers:
+            for array in (*layer.params.values(), *layer.grads.values()):
+                assert array.dtype == np.dtype(dtype)
 
     def test_forward_backward_stay_in_policy_dtype(self, dtype):
         model = _stack(dtype)
@@ -117,8 +117,9 @@ class TestModelDtypePreservation:
         assert out.dtype == np.dtype(dtype)
         grad_in = model.backward(np.ones_like(out))
         assert grad_in.dtype == np.dtype(dtype)
-        for _, _, grad in model.named_parameters_and_grads():
-            assert grad.dtype == np.dtype(dtype)
+        for layer in model.layers:
+            for grad in layer.grads.values():
+                assert grad.dtype == np.dtype(dtype)
 
     def test_parameter_roundtrip_preserves_dtype(self, dtype):
         model = _stack(dtype)
@@ -137,8 +138,7 @@ class TestModelDtypePreservation:
         model.zero_grad()
         model.backward(np.ones_like(out))
         opt.step(model)
-        assert all(m.dtype == np.dtype(dtype) for m in opt._m.values())
-        assert all(v.dtype == np.dtype(dtype) for v in opt._v.values())
+        assert opt._m.dtype == opt._v.dtype == np.dtype(dtype)
         for _, param in model.named_parameters():
             assert param.dtype == np.dtype(dtype)
 

@@ -360,7 +360,7 @@ class TestOneLedger:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.2})
             generated = backend.start_generation(
-                GeneratorHandle(), lambda: generator, generator.get_parameters(), [g_input]
+                GeneratorHandle(), lambda: generator, generator.get_parameters, [g_input]
             )
             batch = backend.start_steps("collect-echo", [(1, _fresh_state, "fifo")])
             assert [entry.op for entry in backend._ledger.entries()] == ["run", "generate", "run"]
@@ -390,7 +390,7 @@ class TestOneLedger:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, "step")
             generated = backend.start_generation(
-                GeneratorHandle(), lambda: generator, generator.get_parameters(), [g_input]
+                GeneratorHandle(), lambda: generator, generator.get_parameters, [g_input]
             )
             batch = backend.start_steps("collect-echo", [(1, _fresh_state, {"sleep": 0.2})])
             with pytest.raises(RuntimeError, match="dispatch order"):

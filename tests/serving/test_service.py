@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core import MDGANTrainer, TrainingConfig
-from repro.core.gan_ops import sample_generator_images
+from repro.core.gan_ops import draw_generator_input, sample_generator_images
 from repro.datasets import make_mnist_like
 from repro.models import build_architecture, build_toy_gan
+from repro.nn import Sequential
 from repro.nn.layers import BatchNorm
 from repro.runtime import TransportError
 from repro.serving import GeneratorService, ServiceClosed
@@ -167,6 +168,38 @@ class TestParamCache:
             with reference_service:
                 reference = reference_service.serve(seed=123)
             assert np.array_equal(served.images, reference.images)
+
+
+    def test_parameter_vector_is_copied_only_for_a_stale_slot(self, ring_setup, monkeypatch):
+        # The parameter vector is a supplier: a warm dispatch copies nothing,
+        # and the first dispatch after an update copies it exactly once for
+        # every slot it re-ships to.
+        _, factory = ring_setup
+        generator = factory.make_generator(np.random.default_rng(0))
+        with GeneratorService(generator, factory, _config()) as service:
+            service.warmup()
+            get_parameters = Sequential.get_parameters
+            copies = []
+
+            def counted(model):
+                copies.append(model)
+                return get_parameters(model)
+
+            monkeypatch.setattr(Sequential, "get_parameters", counted)
+            for i in range(5):
+                service.serve(seed=i)
+            assert copies == []
+
+            params = get_parameters(service.generator)
+            service.update_generator((params * 0.5).astype(params.dtype))
+            reference = copy.deepcopy(service.generator)
+            rng = np.random.default_rng(5)
+            g_inputs = [draw_generator_input(reference, factory, 4, rng)[2] for _ in range(2)]
+            # One two-batch dispatch: batch j runs on slot j.
+            outputs = service._generate(g_inputs)
+            assert copies == [service.generator]
+            for (images, _), g_input in zip(outputs, g_inputs):
+                assert np.array_equal(images, reference.forward(g_input, training=True))
 
 
 class TestFailStop:
