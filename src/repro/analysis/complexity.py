@@ -81,9 +81,10 @@ class ComplexityInputs:
             "iterations",
             "local_dataset_size",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs_per_round <= 0:
+        # ``not x > 0`` also rejects NaN; ``E = inf`` (never average) stays valid.
+        if not self.epochs_per_round > 0:
             raise ValueError("epochs_per_round must be positive")
         if self.num_batches > self.num_workers:
             raise ValueError("num_batches (k) must satisfy k <= N")

@@ -170,8 +170,23 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         return WorkerTask(self._resident_state(worker))
 
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:
-        """Merge phase: adopt the round-tripped state, or just the cursors."""
+        """Merge phase: adopt the round-tripped state (or cursors), charge the step.
+
+        Table II's FL-GAN worker cost in MD-GAN's categories: each of the
+        ``L`` discriminator steps generates a batch (``b·|w|``) and trains on
+        it (``2·b·|θ|``); the generator update generates a batch, takes the
+        discriminator's input gradient (``2·b·|θ|``) and backpropagates it
+        (``b·|w|``), holding the full GAN.
+        """
         step = self._adopt_step(worker, result)
+        ledger = self.cluster.workers[worker.index].compute
+        b, steps = self.config.batch_size, self.config.disc_steps
+        w, theta = worker.generator.num_parameters, worker.discriminator.num_parameters
+        ledger.charge("batch_generation", (steps + 1) * b * w)
+        ledger.charge("discriminator_training", steps * 2 * b * theta)
+        ledger.charge("feedback", 2 * b * theta)
+        ledger.charge("generator_update", b * w)
+        ledger.observe_memory(w + theta)
         return step.gen_loss, step.disc_loss
 
     def _federated_round(self, iteration: int) -> None:
@@ -208,12 +223,20 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             weights.append(float(len(worker.sampler)))
         if not gen_vectors:
             return
+        avg_gen, avg_disc = self._fedavg(gen_vectors, disc_vectors, weights)
+        self._broadcast_average(iteration, alive, avg_gen, avg_disc, resident)
+        self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+
+    def _fedavg(self, gen_vectors, disc_vectors, weights) -> tuple:
+        """Average ``n`` GANs into the server's, charged ``n·(|w|+|θ|)``."""
         avg_gen = weighted_average_parameters(gen_vectors, weights)
         avg_disc = weighted_average_parameters(disc_vectors, weights)
         self.server_generator.set_parameters(avg_gen)
         self.server_discriminator.set_parameters(avg_disc)
-        self._broadcast_average(iteration, alive, avg_gen, avg_disc, resident)
-        self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+        self.cluster.server.compute.charge(
+            "fedavg", len(gen_vectors) * (avg_gen.size + avg_disc.size)
+        )
+        return avg_gen, avg_disc
 
     def _charge_upload(self, iteration: int, worker: FLGANWorkerState, payload) -> None:
         """Charge one worker's GAN upload as a ``MODEL_UPDATE`` message."""
@@ -387,10 +410,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             gen_vectors.append(contribution.payload["generator"])
             disc_vectors.append(contribution.payload["discriminator"])
             weights.append(contribution.payload["num_samples"] * d)
-        avg_gen = weighted_average_parameters(gen_vectors, weights)
-        avg_disc = weighted_average_parameters(disc_vectors, weights)
-        self.server_generator.set_parameters(avg_gen)
-        self.server_discriminator.set_parameters(avg_disc)
+        avg_gen, avg_disc = self._fedavg(gen_vectors, disc_vectors, weights)
         update = ctx.sched.updates
         self.history.record_event(
             update, "federated_round", workers=len(contributions)
@@ -542,7 +562,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             resident.drain_inflight()
 
     def _record_run_summaries(self) -> None:
-        """Fold the run's traffic meters into the history (both loops)."""
+        """Fold the run's traffic/compute meters into the history (both loops)."""
         meter = self.cluster.meter
         self.history.traffic = {
             "total_bytes": float(meter.total_bytes()),
@@ -550,3 +570,4 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             "server_egress_bytes": float(meter.node_egress(SERVER_NAME)),
             "rounds": float(len(self.history.events_of_kind("federated_round"))),
         }
+        self.history.compute = self.cluster.compute_summary()

@@ -131,7 +131,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             "objective": self._objective,
             "disc_steps": config.disc_steps,
             "batch_size": config.batch_size,
-            "latent_dim": factory.latent_dim,
         }
 
         # Server-side generator (the only generator in the system).
@@ -145,6 +144,9 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         #: bumped on every parameter update, so repeat generation dispatches
         #: against an unchanged generator ship zero parameter bytes.
         self._generator_handle = GeneratorHandle(version=0)
+        #: Each in-flight participant's ``X_n^{(g)}``, recorded at the hand-over
+        #: and taken back at the merge, which pairs the worker's ``F_n`` with it.
+        self._handed_g: Dict[int, GeneratedBatch] = {}
         self._reset_pipeline()
 
         # Worker-side discriminators.
@@ -244,7 +246,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         worker: MDGANWorkerState,
         g_batch: GeneratedBatch,
         d_batch: GeneratedBatch,
-        batch_index_g: int,
     ) -> MDGANStepInput:
         """``worker``'s step input, charged as one ``GENERATED_BATCHES`` message."""
         self.cluster.meter.charge(
@@ -259,7 +260,6 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             x_g=g_batch.images,
             labels_d=d_batch.labels,
             labels_g=g_batch.labels,
-            batch_index_g=batch_index_g,
         )
 
     def _distribute_batches(
@@ -271,23 +271,16 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         ``n`` — ``X_n^{(g)} = X^{(n mod k)}`` and ``X_n^{(d)} = X^{((n+1) mod
         k)}`` — not on enumeration order over the participant list, so each
         worker's assignment is stable under crashes and partial
-        participation.  Returns the ``(worker, step_input)`` pairs in
-        participant order.
+        participation.  Records each ``X_n^{(g)}`` for the merge and returns
+        the ``(worker, step_input)`` pairs in participant order.
         """
         k = len(batches)
-        return [
-            (
-                worker,
-                self._hand_batches(
-                    iteration,
-                    worker,
-                    batches[worker.index % k],
-                    batches[(worker.index + 1) % k],
-                    worker.index % k,
-                ),
-            )
-            for worker in participants
-        ]
+        work = []
+        for worker in participants:
+            g_batch = self._handed_g[worker.index] = batches[worker.index % k]
+            d_batch = batches[(worker.index + 1) % k]
+            work.append((worker, self._hand_batches(iteration, worker, g_batch, d_batch)))
+        return work
 
     def _aggregate_feedback(
         self, batches: List[GeneratedBatch], feedbacks: List[np.ndarray], weights=None
@@ -341,16 +334,17 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         iteration: int,
         live_workers: List[MDGANWorkerState],
         handle: PendingResult,
-    ) -> tuple[List[float], List[float], List[Tuple[int, np.ndarray]]]:
+    ) -> tuple[List[float], List[float], List[Tuple[GeneratedBatch, np.ndarray]]]:
         """Collect a dispatched worker phase and merge it in worker-index order.
 
-        Returns the losses and the ``(batch_index, F_n)`` feedbacks, in
-        merge order.
+        Returns the losses and the ``(X_n^{(g)}, F_n)`` feedbacks, in merge
+        order.
         """
         gen_losses: List[float] = []
         disc_losses: List[float] = []
-        feedback: List[Tuple[int, np.ndarray]] = []
+        feedback: List[Tuple[GeneratedBatch, np.ndarray]] = []
         for worker, result in zip(live_workers, handle.result()):
+            g_batch = self._handed_g.pop(worker.index)
             if result is LOST:
                 # The worker's slot died with this contribution in flight:
                 # elastic membership discards it (crash semantics) and the
@@ -359,7 +353,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             step = self._merge_worker_result(iteration, worker, result)
             gen_losses.append(step.gen_loss)
             disc_losses.append(step.disc_loss)
-            feedback.append((step.batch_index_g, step.feedback))
+            feedback.append((g_batch, step.feedback))
         return gen_losses, disc_losses, feedback
 
     def _merge_worker_result(
@@ -368,13 +362,21 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         worker: MDGANWorkerState,
         result,
     ) -> MDGANStepResult:
-        """Merge phase: adopt worker state/cursors, absorb charges, charge ``F_n``."""
+        """Merge phase: adopt worker state/cursors, charge the step and ``F_n``.
+
+        Table II's worker cost (Section IV-B3): ``2·b·|θ|`` for each of the
+        ``L`` discriminator steps and for the feedback, holding ``|θ|``.
+        """
         step = self._adopt_step(worker, result)
-        name = self.cluster.workers[worker.index].name
-        self.cluster.absorb_tape(name, step.tape)
+        node = self.cluster.workers[worker.index]
+        theta = worker.discriminator.num_parameters
+        cost = 2 * self.config.batch_size * theta
+        node.compute.charge("discriminator_training", self.config.disc_steps * cost)
+        node.compute.charge("feedback", cost)
+        node.compute.observe_memory(theta)
         self.cluster.meter.charge(
             MessageKind.ERROR_FEEDBACK,
-            name,
+            node.name,
             SERVER_NAME,
             payload_nbytes(step.feedback),
             iteration,
@@ -455,16 +457,15 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     def _finish_iteration(
         self,
         iteration: int,
-        batches: List[GeneratedBatch],
         gen_losses: List[float],
         disc_losses: List[float],
-        feedback: List[Tuple[int, np.ndarray]],
+        feedback: List[Tuple[GeneratedBatch, np.ndarray]],
         staleness: Optional[int] = None,
     ) -> None:
         """Aggregate feedback, record losses (and staleness), swap if due."""
         if feedback:
             # Merge order fixes the accumulation order.
-            self._aggregate_feedback([batches[j] for j, _ in feedback], [f for _, f in feedback])
+            self._aggregate_feedback([b for b, _ in feedback], [f for _, f in feedback])
         if gen_losses:
             self.history.record_losses(
                 iteration, float(np.mean(gen_losses)), float(np.mean(disc_losses))
@@ -506,7 +507,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         merged = self._merge_worker_phase(iteration, live_workers, handle)
         if lookahead is not None:
             self._finish_lookahead(lookahead, staleness)
-        self._finish_iteration(iteration, batches, *merged, staleness=staleness)
+        self._finish_iteration(iteration, *merged, staleness=staleness)
 
     def _take_batches(self, iteration: int, k: int) -> Tuple[List[GeneratedBatch], int]:
         """This iteration's pre-generated batch set and its staleness (depth > 0).
@@ -650,7 +651,7 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 ctx.stats.immediate_generations += 1
         else:
             batches, mark = entry
-        step_input = self._hand_batches(sched.updates, worker, batches[0], batches[-1], 0)
+        step_input = self._hand_batches(sched.updates, worker, batches[0], batches[-1])
         return batches, step_input, mark
 
     def _async_fold(self, ctx: AsyncContext, worker: MDGANWorkerState, batches, result):
@@ -774,9 +775,4 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 meter.total_bytes(MessageKind.GENERATED_BATCHES)
             ),
         }
-        self.history.compute = {
-            "server_flops": float(self.cluster.server.compute.flops),
-            "mean_worker_flops": float(
-                np.mean([self.cluster.workers[w.index].compute.flops for w in self.workers])
-            ),
-        }
+        self.history.compute = self.cluster.compute_summary()

@@ -12,8 +12,8 @@ local epochs are independent between federated rounds.  The trainers in
 2. **compute** (parallel) — run the pure per-worker function over the tasks
    through an :class:`ExecutorBackend`;
 3. **merge** (serial, worker-index order) — write results back into the
-   trainer, absorb compute charges into the node ledgers and charge the
-   returned payloads to the Table III meter.
+   trainer, charge each merged step's compute to its node ledger and charge
+   the returned payloads to the Table III meter.
 
 Because phase 2 is side-effect free and phases 1/3 are serial and ordered,
 every backend produces *bitwise identical* training trajectories: ``thread``

@@ -12,8 +12,8 @@ pool process holds the full state of the workers assigned to it (sticky
 assignment is reproducible across interpreter runs) across iterations, so the
 trainer ships only the per-iteration *inputs* (generated batches for MD-GAN,
 nothing at all for FL-GAN local epochs) and receives only the per-iteration
-*outputs* (losses, error feedback, compute tapes and the RNG/sampler cursors
-that keep the trainer's accounting exact).
+*outputs* (losses, error feedback and the RNG/sampler cursors that keep the
+trainer's accounting exact).
 
 Because trainers sometimes mutate worker state outside the pool (the SWAP
 gossip, FedAvg broadcasts, crash handling, ``replace_dataset``), the protocol

@@ -11,7 +11,8 @@ generated batches.  This module states exactly that, once per algorithm:
   adoption are all derived from that one tuple;
 * a **step input** (``MDGANStepInput``; FL-GAN local iterations need none);
 * a **step result** (``MDGANStepResult`` / ``FLGANStepResult``) carrying only
-  losses, feedback, compute tapes and the RNG/sampler cursors;
+  what the worker computed: losses, feedback and the RNG/sampler cursors
+  (the owner charges the step's Table II compute at the merge);
 * one **step function** ``step(state, step_input) -> result``
   (:func:`mdgan_step` / :func:`flgan_step`) that mutates the state in place.
 
@@ -32,7 +33,7 @@ pickle preserves that sharing because both travel in the same state object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -47,7 +48,6 @@ from ..core.gan_ops import (
 )
 from ..datasets.sampler import EpochSampler
 from ..nn.model import Sequential
-from ..simulation.node import ComputeTape
 from .programs import ResidentProgram, register_program
 
 __all__ = [
@@ -121,7 +121,6 @@ class MDGANResidentState:
     objective: GANObjective
     disc_steps: int
     batch_size: int
-    latent_dim: int
 
 
 @dataclass
@@ -132,7 +131,6 @@ class MDGANStepInput:
     x_g: np.ndarray
     labels_d: Optional[np.ndarray]
     labels_g: Optional[np.ndarray]
-    batch_index_g: int
 
 
 @dataclass
@@ -143,24 +141,20 @@ class MDGANStepResult:
     its local accounting exact while the heavyweight state stays resident.
     """
 
-    worker_index: int
     disc_loss: float
     gen_loss: float
     feedback: np.ndarray
-    batch_index_g: int
     samples_drawn: int
     epochs_completed: int
     rng_state: Dict[str, Any]
-    tape: ComputeTape = field(default_factory=ComputeTape)
 
 
 def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResult:
     """``L`` discriminator steps plus the error feedback ``F_n``.
 
-    Mutates ``state`` in place and touches nothing else: compute costs are
-    recorded on a private tape returned with the result.
+    Mutates ``state`` in place and touches nothing else; the owner charges
+    the step's compute when it merges the result.
     """
-    tape = ComputeTape()
     disc_loss = 0.0
     for _ in range(state.disc_steps):
         real_images, real_labels = state.sampler.next_batch()
@@ -173,30 +167,17 @@ def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResu
             step.x_d,
             step.labels_d,
         )
-        tape.charge(
-            "discriminator_training",
-            2 * state.batch_size * state.discriminator.num_parameters,
-        )
 
-    gen_batch = GeneratedBatch(
-        images=step.x_g,
-        noise=np.zeros((step.x_g.shape[0], state.latent_dim), dtype=step.x_g.dtype),
-        labels=step.labels_g,
-        batch_index=step.batch_index_g,
-    )
+    # Only the owner holds X_n^(g)'s noise; the feedback needs images and labels.
+    gen_batch = GeneratedBatch(images=step.x_g, noise=None, labels=step.labels_g)
     gen_loss, feedback = generator_feedback(state.discriminator, state.objective, gen_batch)
-    tape.charge("feedback", 2 * state.batch_size * state.discriminator.num_parameters)
-    tape.observe_memory(state.discriminator.num_parameters)
     return MDGANStepResult(
-        worker_index=state.worker_index,
         disc_loss=disc_loss,
         gen_loss=gen_loss,
         feedback=feedback,
-        batch_index_g=step.batch_index_g,
         samples_drawn=state.sampler.samples_drawn,
         epochs_completed=state.sampler.epochs_completed,
         rng_state=state.rng.bit_generator.state,
-        tape=tape,
     )
 
 
@@ -244,7 +225,6 @@ class FLGANStepResult:
     evolves entirely inside the worker state.
     """
 
-    worker_index: int
     gen_loss: float
     disc_loss: float
     samples_drawn: int
@@ -282,7 +262,6 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
         state.rng,
     )
     return FLGANStepResult(
-        worker_index=state.worker_index,
         gen_loss=gen_loss,
         disc_loss=disc_loss,
         samples_drawn=state.sampler.samples_drawn,

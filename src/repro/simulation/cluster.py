@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .failures import CrashSchedule
 from .node import Node
 from .traffic import TrafficMeter
@@ -52,14 +54,9 @@ class Cluster:
                 crashed.append(name)
         return crashed
 
-    def absorb_tape(self, node_name: str, tape) -> None:
-        """Fold a detached :class:`~repro.simulation.node.ComputeTape` into a node.
-
-        Execution backends (:mod:`repro.runtime`) hand worker compute charges
-        back as tapes; the trainers absorb them here, serially and in
-        worker-index order, so ledgers never get mutated concurrently.
-        """
-        if node_name == SERVER_NAME:
-            self.server.compute.absorb(tape)
-        else:
-            self._workers_by_name[node_name].compute.absorb(tape)
+    def compute_summary(self) -> Dict[str, float]:
+        """``history.compute``: the server's flops and the mean worker's."""
+        return {
+            "server_flops": float(self.server.compute.flops),
+            "mean_worker_flops": float(np.mean([w.compute.flops for w in self.workers])),
+        }

@@ -26,12 +26,13 @@ class LinkModel:
     name: str = "link"
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
+        # ``not x > 0`` also rejects NaN; infinite bandwidth is a free link.
+        if not self.bandwidth_bytes_per_s > 0:
             raise ValueError(
                 "bandwidth_bytes_per_s must be positive, got "
                 f"{self.bandwidth_bytes_per_s}"
             )
-        if self.latency_s < 0:
+        if not self.latency_s >= 0:
             raise ValueError(f"latency_s must be non-negative, got {self.latency_s}")
 
     def transfer_time(self, nbytes: int) -> float:

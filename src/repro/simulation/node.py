@@ -3,42 +3,16 @@
 A :class:`Node` is a named participant: a liveness flag plus a tiny
 compute-cost ledger used by the workload analyses (Table II's computation
 columns).  The concrete server / worker behaviours of the training
-algorithms live in ``repro.core``.
+algorithms live in ``repro.core``; only the trainers charge the ledgers,
+on the owner's thread, so worker code never touches one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
-__all__ = ["ComputeTape", "ComputeLedger", "Node"]
-
-
-@dataclass
-class ComputeTape:
-    """A detached, picklable recording of compute charges.
-
-    Parallel execution backends (:mod:`repro.runtime`) run the per-worker
-    phase of an iteration off the main thread or in another process, where
-    mutating a shared :class:`ComputeLedger` would race (threads) or be lost
-    (processes).  Worker tasks therefore record their charges on a private
-    tape with the same ``charge``/``observe_memory`` interface, and the
-    trainer absorbs the tapes into the real node ledgers serially, in
-    worker-index order, during the merge phase.
-    """
-
-    charges: List[tuple] = field(default_factory=list)
-    peak_memory_floats: float = 0.0
-
-    def charge(self, category: str, flops: float) -> None:
-        """Record ``flops`` operations under ``category``."""
-        if flops < 0:
-            raise ValueError(f"flops must be non-negative, got {flops}")
-        self.charges.append((category, flops))
-
-    def observe_memory(self, floats: float) -> None:
-        """Record a transient memory requirement (keeps the running peak)."""
-        self.peak_memory_floats = max(self.peak_memory_floats, float(floats))
+__all__ = ["ComputeLedger", "Node"]
 
 
 @dataclass
@@ -66,17 +40,6 @@ class ComputeLedger:
     def observe_memory(self, floats: float) -> None:
         """Record a transient memory requirement (keeps the running peak)."""
         self.peak_memory_floats = max(self.peak_memory_floats, float(floats))
-
-    def absorb(self, tape: "ComputeTape") -> None:
-        """Fold a worker task's :class:`ComputeTape` into this ledger.
-
-        Charges replay in recording order, so absorbing tapes serially in
-        worker-index order reproduces the exact ledger state of a serial run.
-        """
-        for category, flops in tape.charges:
-            self.charge(category, flops)
-        if tape.peak_memory_floats:
-            self.observe_memory(tape.peak_memory_floats)
 
     def reset(self) -> None:
         self.flops = 0.0

@@ -40,7 +40,7 @@ class HardwareProfile:
     worker_flops_per_s: float = 5e11
 
     def __post_init__(self) -> None:
-        if self.server_flops_per_s <= 0 or self.worker_flops_per_s <= 0:
+        if not (self.server_flops_per_s > 0 and self.worker_flops_per_s > 0):
             raise ValueError("Throughputs must be positive")
 
     @staticmethod

@@ -1,5 +1,7 @@
 """Tests for the Table II computation/memory complexity model."""
 
+import math
+
 import pytest
 
 from repro.analysis import ComplexityInputs, table2_complexities, worker_reduction_factor
@@ -25,6 +27,11 @@ class TestValidation:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             ComplexityInputs(0, 1, 1, 1, 1, 1, 1, 1)
+
+    def test_rejects_nan_epochs_per_round_but_accepts_infinity(self):
+        with pytest.raises(ValueError, match="epochs_per_round"):
+            ComplexityInputs(1, 1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.nan)
+        assert ComplexityInputs(1, 1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.inf)
 
     def test_rejects_k_greater_than_n(self):
         with pytest.raises(ValueError, match="k <= N"):

@@ -95,7 +95,7 @@ def _assignment(work, batches):
     """``worker index -> {"g": batch index, "d": batch index}`` from step inputs."""
     index_of = {id(batch.images): j for j, batch in enumerate(batches)}
     return {
-        worker.index: {"g": step.batch_index_g, "d": index_of[id(step.x_d)]}
+        worker.index: {"g": index_of[id(step.x_g)], "d": index_of[id(step.x_d)]}
         for worker, step in work
     }
 
@@ -294,10 +294,11 @@ class TestFeedbackAggregation:
 
         tasks = [WorkerTask(trainer._resident_state(w), step) for w, step in work]
         results = trainer.executor.map_ordered(run_mdgan_worker_task, tasks)
+        index_of = {id(batch.images): j for j, batch in enumerate(batches)}
         feedback = []
-        for worker, result in zip(participants, results):
+        for (worker, handed), result in zip(work, results):
             step = trainer._merge_worker_result(1, worker, result)
-            feedback.append((step.batch_index_g, step.feedback))
+            feedback.append((index_of[id(handed.x_g)], step.feedback))
         assert len(feedback) == len(participants)
 
         individual = []

@@ -5,7 +5,6 @@ import pytest
 from repro.simulation import (
     Cluster,
     ComputeLedger,
-    ComputeTape,
     CrashSchedule,
     MessageKind,
     Node,
@@ -123,18 +122,6 @@ class TestCluster:
     def test_unknown_crash_victims_are_ignored(self):
         cluster = Cluster(num_workers=2, crash_schedule=CrashSchedule({1: ["ghost"]}))
         assert cluster.apply_crashes(1) == []
-
-    def test_absorb_tape_routes_to_the_named_ledger(self):
-        cluster = Cluster(num_workers=2)
-        tape = ComputeTape()
-        tape.charge("disc", 5.0)
-        tape.observe_memory(7)
-        cluster.absorb_tape(worker_name(1), tape)
-        cluster.absorb_tape(SERVER_NAME, tape)
-        assert cluster.workers[1].compute.by_category == {"disc": 5.0}
-        assert cluster.workers[1].compute.peak_memory_floats == 7
-        assert cluster.workers[0].compute.flops == 0.0
-        assert cluster.server.compute.flops == 5.0
 
     def test_meter_is_charged_directly(self):
         cluster = Cluster(num_workers=2)

@@ -1,5 +1,7 @@
 """Unit tests for the link cost model."""
 
+import math
+
 import pytest
 
 from repro.simulation import LinkModel
@@ -30,10 +32,18 @@ class TestLinkModel:
             LinkModel(bandwidth_bytes_per_s=0.0)
         with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
             LinkModel(bandwidth_bytes_per_s=-125.0)
+        # NaN compares false both ways, so a ``<= 0`` check would let it in.
+        with pytest.raises(ValueError, match="bandwidth_bytes_per_s"):
+            LinkModel(bandwidth_bytes_per_s=math.nan)
 
     def test_negative_latency_rejected_at_construction(self):
         with pytest.raises(ValueError, match="latency_s"):
             LinkModel(bandwidth_bytes_per_s=1000.0, latency_s=-0.1)
+        with pytest.raises(ValueError, match="latency_s"):
+            LinkModel(bandwidth_bytes_per_s=1e6, latency_s=math.nan)
+
+    def test_infinite_bandwidth_is_a_free_link(self):
+        assert LinkModel(math.inf, latency_s=0.1).transfer_time(100) == 0.1
 
     def test_presets_pass_validation(self):
         for preset in (LinkModel.datacenter(), LinkModel.wan(), LinkModel.edge()):

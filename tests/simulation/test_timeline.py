@@ -1,5 +1,7 @@
 """Tests for the iteration wall-clock estimator."""
 
+import math
+
 import pytest
 
 from repro.simulation import (
@@ -24,6 +26,9 @@ class TestHardwareProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             HardwareProfile(server_flops_per_s=0)
+        for profile in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                HardwareProfile(*profile)
 
 
 class TestEstimator:
