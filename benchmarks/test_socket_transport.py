@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import CommunicationInputs, table3_communication
+from repro.analysis import CostInputs, table3_communication
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.datasets import make_mnist_like, partition_iid
 from repro.models import build_architecture
@@ -102,7 +102,7 @@ def test_socket_bytes_match_cost_model(mlp_setup, benchmark):
     factory, shards = mlp_setup
     counts = factory.parameter_counts()
     analytic = table3_communication(
-        CommunicationInputs(
+        CostInputs(
             generator_params=counts["generator"],
             discriminator_params=counts["discriminator"],
             object_size=factory.object_size,
@@ -110,7 +110,6 @@ def test_socket_bytes_match_cost_model(mlp_setup, benchmark):
             num_workers=_NUM_WORKERS,
             iterations=_ITERATIONS,
             local_dataset_size=len(shards[0]),
-            epochs_per_round=1.0,
         )
     )
     model_sent = analytic["server_to_worker_at_server"]["md-gan"] * FLOAT_BYTES

@@ -20,14 +20,12 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis import (
-    CommunicationInputs,
     crossover_batch_size,
     ingress_traffic_per_iteration,
     ingress_traffic_sweep,
     table4_costs,
 )
-from repro.experiments import format_table, paper_architecture_params
-from repro.datasets import CIFAR10_SPEC, MNIST_SPEC
+from repro.experiments import cost_inputs, format_table, paper_architecture_params
 from repro.simulation import LinkModel
 
 
@@ -46,20 +44,11 @@ def parse_args() -> argparse.Namespace:
 def main() -> None:
     args = parse_args()
     params = paper_architecture_params()[args.architecture]
-    spec = MNIST_SPEC if args.architecture.startswith("mnist") else CIFAR10_SPEC
-    inputs = CommunicationInputs(
-        generator_params=params["generator"],
-        discriminator_params=params["discriminator"],
-        object_size=spec.object_size,
-        batch_size=args.batch_size,
-        num_workers=args.workers,
-        iterations=50_000,
-        local_dataset_size=spec.train_size // args.workers,
-    )
+    inputs = cost_inputs(args.architecture, params, args.batch_size, args.workers)
 
     print(f"architecture: {args.architecture}  "
           f"(|w|={params['generator']:,}, |theta|={params['discriminator']:,}, "
-          f"d={spec.object_size} floats)")
+          f"d={inputs.object_size} floats)")
     print(f"N={args.workers} workers, b={args.batch_size}\n")
 
     print("Per-communication costs (MB), paper Table IV layout:")

@@ -14,7 +14,7 @@ Sericola - IPDPS 2019), including:
 * ``repro.core`` - standalone, FL-GAN and MD-GAN trainers,
 * ``repro.runtime`` - execution backends (serial/thread/process) for the
   per-worker training phase,
-* ``repro.analysis`` - analytic complexity and communication models
+* ``repro.analysis`` - the paper's cost model, stated once
   (Tables II-IV, Figure 2),
 * ``repro.experiments`` - runners regenerating every table and figure.
 """

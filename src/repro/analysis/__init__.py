@@ -1,34 +1,10 @@
-"""``repro.analysis`` — analytic complexity and communication models.
+"""``repro.analysis`` — the paper's cost model, stated once.
 
-Implements the closed-form expressions behind the paper's Table II
-(computation / memory), Table III (communication complexity), Table IV
+:mod:`repro.analysis.cost` holds Table I's inputs, the per-phase operation
+counts the trainers charge to their compute ledgers, and the closed forms
+behind Table II (computation / memory), Table III (communication), Table IV
 (instantiated CIFAR10 costs) and Figure 2 (ingress traffic vs batch size).
 """
 
-from .communication import (
-    MEGABYTE,
-    CommunicationInputs,
-    crossover_batch_size,
-    ingress_traffic_per_iteration,
-    ingress_traffic_sweep,
-    table3_communication,
-    table4_costs,
-)
-from .complexity import (
-    ComplexityInputs,
-    table2_complexities,
-    worker_reduction_factor,
-)
-
-__all__ = [
-    "ComplexityInputs",
-    "table2_complexities",
-    "worker_reduction_factor",
-    "CommunicationInputs",
-    "table3_communication",
-    "table4_costs",
-    "ingress_traffic_per_iteration",
-    "ingress_traffic_sweep",
-    "crossover_batch_size",
-    "MEGABYTE",
-]
+from .cost import *  # noqa: F401,F403
+from .cost import __all__  # noqa: F401

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.cost import fedavg_ops, flgan_local_iteration_ops
 from ..datasets.base import ImageDataset
 from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
@@ -172,20 +173,14 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:
         """Merge phase: adopt the round-tripped state (or cursors), charge the step.
 
-        Table II's FL-GAN worker cost in MD-GAN's categories: each of the
-        ``L`` discriminator steps generates a batch (``b·|w|``) and trains on
-        it (``2·b·|θ|``); the generator update generates a batch, takes the
-        discriminator's input gradient (``2·b·|θ|``) and backpropagates it
-        (``b·|w|``), holding the full GAN.
+        The step is charged in MD-GAN's categories, holding the full GAN.
         """
         step = self._adopt_step(worker, result)
         ledger = self.cluster.workers[worker.index].compute
-        b, steps = self.config.batch_size, self.config.disc_steps
         w, theta = worker.generator.num_parameters, worker.discriminator.num_parameters
-        ledger.charge("batch_generation", (steps + 1) * b * w)
-        ledger.charge("discriminator_training", steps * 2 * b * theta)
-        ledger.charge("feedback", 2 * b * theta)
-        ledger.charge("generator_update", b * w)
+        ledger.charge_all(
+            flgan_local_iteration_ops(self.config.batch_size, w, theta, self.config.disc_steps)
+        )
         ledger.observe_memory(w + theta)
         return step.gen_loss, step.disc_loss
 
@@ -228,13 +223,13 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
 
     def _fedavg(self, gen_vectors, disc_vectors, weights) -> tuple:
-        """Average ``n`` GANs into the server's, charged ``n·(|w|+|θ|)``."""
+        """Average ``n`` GANs into the server's, and charge the server for it."""
         avg_gen = weighted_average_parameters(gen_vectors, weights)
         avg_disc = weighted_average_parameters(disc_vectors, weights)
         self.server_generator.set_parameters(avg_gen)
         self.server_discriminator.set_parameters(avg_disc)
-        self.cluster.server.compute.charge(
-            "fedavg", len(gen_vectors) * (avg_gen.size + avg_disc.size)
+        self.cluster.server.compute.charge_all(
+            fedavg_ops(len(gen_vectors), avg_gen.size, avg_disc.size)
         )
         return avg_gen, avg_disc
 

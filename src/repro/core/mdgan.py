@@ -37,6 +37,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.cost import (
+    mdgan_generation_ops,
+    mdgan_generator_update_ops,
+    mdgan_worker_step_ops,
+)
 from ..datasets.base import ImageDataset
 from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
@@ -210,19 +215,15 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
 
     # -- server side --------------------------------------------------------------
     def _charge_generation(self, k: int) -> None:
-        """Record the server's cost model for generating ``k`` batches.
+        """Charge the server for generating ``k`` batches, holding ``k·b·d`` floats.
 
-        Section IV-B3: generating a batch costs O(b |w|) ops and the stored
-        batches occupy b*d floats each.  Shared by the inline and resident
-        generation paths so their ledgers can never drift apart.
+        Shared by the inline and resident generation paths so their ledgers
+        can never drift apart.
         """
-        for _ in range(k):
-            self.cluster.server.compute.charge(
-                "batch_generation", self.config.batch_size * self.generator.num_parameters
-            )
-        self.cluster.server.compute.observe_memory(
-            k * self.config.batch_size * self.factory.object_size
-        )
+        b = self.config.batch_size
+        server = self.cluster.server.compute
+        server.charge_all(mdgan_generation_ops(k, b, self.generator.num_parameters))
+        server.observe_memory(k * b * self.factory.object_size)
 
     def _generate_batches(self, k: int) -> List[GeneratedBatch]:
         """Step 1: the server generates ``k`` batches of size ``b``."""
@@ -300,12 +301,10 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self.generator.zero_grad()
         apply_feedback_to_generator(self.generator, self.factory, batches, feedbacks, weights)
         self._gen_opt.step(self.generator)
-        # One backward per feedback, ``len·b·|w|``: a fresh batch reuses the
-        # forward charged as ``batch_generation``; only a stale batch's
-        # replayed forward goes uncharged.
-        self.cluster.server.compute.charge(
-            "generator_update",
-            len(batches) * self.config.batch_size * self.generator.num_parameters,
+        self.cluster.server.compute.charge_all(
+            mdgan_generator_update_ops(
+                len(batches), self.config.batch_size, self.generator.num_parameters
+            )
         )
 
     # -- worker side ---------------------------------------------------------------
@@ -362,17 +361,13 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         worker: MDGANWorkerState,
         result,
     ) -> MDGANStepResult:
-        """Merge phase: adopt worker state/cursors, charge the step and ``F_n``.
-
-        Table II's worker cost (Section IV-B3): ``2·b·|θ|`` for each of the
-        ``L`` discriminator steps and for the feedback, holding ``|θ|``.
-        """
+        """Merge phase: adopt worker state/cursors, charge the step and ``F_n``."""
         step = self._adopt_step(worker, result)
         node = self.cluster.workers[worker.index]
         theta = worker.discriminator.num_parameters
-        cost = 2 * self.config.batch_size * theta
-        node.compute.charge("discriminator_training", self.config.disc_steps * cost)
-        node.compute.charge("feedback", cost)
+        node.compute.charge_all(
+            mdgan_worker_step_ops(self.config.batch_size, theta, self.config.disc_steps)
+        )
         node.compute.observe_memory(theta)
         self.cluster.meter.charge(
             MessageKind.ERROR_FEEDBACK,

@@ -43,6 +43,7 @@ from .serve_bench import run_serve_bench
 from .staleness import run_staleness_sweep
 from .tables import (
     PAPER_PARAM_COUNTS,
+    cost_inputs,
     paper_architecture_params,
     run_fig2,
     run_table2,
@@ -63,6 +64,7 @@ __all__ = [
     "SCALES",
     "PAPER_PARAM_COUNTS",
     "paper_architecture_params",
+    "cost_inputs",
     "run_table2",
     "run_table3",
     "run_table4",

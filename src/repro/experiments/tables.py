@@ -13,8 +13,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..analysis import (
-    CommunicationInputs,
-    ComplexityInputs,
+    CostInputs,
     crossover_batch_size,
     ingress_traffic_sweep,
     table2_complexities,
@@ -29,6 +28,7 @@ from .common import ExperimentResult
 
 __all__ = [
     "paper_architecture_params",
+    "cost_inputs",
     "run_table2",
     "run_table3",
     "run_table4",
@@ -63,27 +63,30 @@ def paper_architecture_params(use_paper_counts: bool = True) -> Dict[str, Dict[s
     return {name: builder().parameter_counts() for name, builder in builders.items()}
 
 
-def _complexity_inputs(
+def cost_inputs(
     architecture: str,
     params: Dict[str, int],
     batch_size: int,
     num_workers: int,
-    iterations: int,
-    num_batches: Optional[int] = None,
-) -> ComplexityInputs:
+    iterations: int = 50_000,
+    **symbols,
+) -> CostInputs:
+    """Table I's symbols for ``architecture`` on its dataset, split over ``N`` workers.
+
+    ``k`` defaults to the paper's ``⌊log N⌋``; ``symbols`` sets ``k``, ``L``
+    or ``E``.
+    """
     spec = MNIST_SPEC if architecture.startswith("mnist") else CIFAR10_SPEC
-    total = spec.train_size
-    k = num_batches or paper_num_batches(num_workers)
-    return ComplexityInputs(
+    symbols.setdefault("num_batches", paper_num_batches(num_workers))
+    return CostInputs(
         generator_params=params["generator"],
         discriminator_params=params["discriminator"],
         object_size=spec.object_size,
         batch_size=batch_size,
         num_workers=num_workers,
-        num_batches=k,
         iterations=iterations,
-        local_dataset_size=total // num_workers,
-        epochs_per_round=1.0,
+        local_dataset_size=spec.train_size // num_workers,
+        **symbols,
     )
 
 
@@ -103,9 +106,7 @@ def run_table2(
         ),
     )
     for architecture, params in paper_architecture_params(use_paper_counts).items():
-        inputs = _complexity_inputs(
-            architecture, params, batch_size, num_workers, iterations
-        )
+        inputs = cost_inputs(architecture, params, batch_size, num_workers, iterations)
         table = table2_complexities(inputs)
         reduction = worker_reduction_factor(inputs)
         for quantity, values in table.items():
@@ -124,26 +125,6 @@ def run_table2(
     return result
 
 
-def _communication_inputs(
-    architecture: str,
-    params: Dict[str, int],
-    batch_size: int,
-    num_workers: int,
-    iterations: int,
-) -> CommunicationInputs:
-    spec = MNIST_SPEC if architecture.startswith("mnist") else CIFAR10_SPEC
-    return CommunicationInputs(
-        generator_params=params["generator"],
-        discriminator_params=params["discriminator"],
-        object_size=spec.object_size,
-        batch_size=batch_size,
-        num_workers=num_workers,
-        iterations=iterations,
-        local_dataset_size=spec.train_size // num_workers,
-        epochs_per_round=1.0,
-    )
-
-
 def run_table3(
     batch_size: int = 10,
     num_workers: int = 10,
@@ -160,9 +141,7 @@ def run_table3(
         ),
     )
     for architecture, params in paper_architecture_params(use_paper_counts).items():
-        inputs = _communication_inputs(
-            architecture, params, batch_size, num_workers, iterations
-        )
+        inputs = cost_inputs(architecture, params, batch_size, num_workers, iterations)
         table = table3_communication(inputs)
         for row, values in table.items():
             result.add_row(
@@ -190,9 +169,7 @@ def run_table4(
     )
     params = paper_architecture_params(use_paper_counts)["cifar10-cnn"]
     for batch_size in batch_sizes:
-        inputs = _communication_inputs(
-            "cifar10-cnn", params, batch_size, num_workers, iterations
-        )
+        inputs = cost_inputs("cifar10-cnn", params, batch_size, num_workers, iterations)
         costs = table4_costs(inputs)
         for row, values in costs.items():
             result.add_row(
@@ -228,9 +205,7 @@ def run_fig2(
     )
     params = paper_architecture_params(use_paper_counts)
     for architecture in ("mnist-mlp", "cifar10-cnn"):
-        inputs = _communication_inputs(
-            architecture, params[architecture], 10, num_workers, 50_000
-        )
+        inputs = cost_inputs(architecture, params[architecture], 10, num_workers, 50_000)
         for row in ingress_traffic_sweep(inputs, batch_sizes):
             result.add_row(architecture=architecture, **row)
         crossover = crossover_batch_size(inputs)

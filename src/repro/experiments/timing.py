@@ -7,16 +7,17 @@ to futurework").  This experiment fills that gap with the estimator of
 three deployment profiles the paper motivates (datacenter, geo-distributed
 WAN, edge devices), it breaks one MD-GAN and one FL-GAN iteration into
 compute and communication phases and reports where the bottleneck sits.
+Compute is priced with the operation counts the trainers charge to their
+compute ledgers (:mod:`repro.analysis.cost`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from ..datasets import CIFAR10_SPEC, MNIST_SPEC
 from ..simulation import HardwareProfile, LinkModel, estimate_iteration_time
 from .common import ExperimentResult
-from .tables import paper_architecture_params
+from .tables import cost_inputs, paper_architecture_params
 
 __all__ = ["run_timing_estimate"]
 
@@ -53,20 +54,15 @@ def run_timing_estimate(
             raise ValueError(
                 f"Unknown architecture {architecture!r}; known {sorted(params)}"
             )
-        spec = MNIST_SPEC if architecture.startswith("mnist") else CIFAR10_SPEC
-        counts = params[architecture]
+        inputs = cost_inputs(
+            architecture, params[architecture], batch_size, num_workers, disc_steps=disc_steps
+        )
         for scenario in scenarios:
             link, hardware = _SCENARIOS[scenario]
             for algorithm in ("md-gan", "fl-gan"):
                 timeline = estimate_iteration_time(
                     algorithm,
-                    generator_params=counts["generator"],
-                    discriminator_params=counts["discriminator"],
-                    object_size=spec.object_size,
-                    batch_size=batch_size,
-                    num_workers=num_workers,
-                    num_batches=2,
-                    disc_steps=disc_steps,
+                    inputs,
                     swap_this_iteration=(algorithm == "fl-gan"),
                     hardware=hardware,
                     link=link,

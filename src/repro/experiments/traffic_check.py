@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from ..analysis import CommunicationInputs, table3_communication
+from ..analysis import CostInputs, table3_communication
 from ..core import FLGANTrainer, MDGANTrainer
 from ..nn.serialize import FLOAT_BYTES
 from ..simulation import LinkModel, MessageKind
@@ -49,17 +49,17 @@ def run_traffic_check(
     config = base_config(scale, iterations=iterations, eval_every=0, **runtime)
 
     counts = factory.parameter_counts()
-    inputs = CommunicationInputs(
-        generator_params=counts["generator"],
-        discriminator_params=counts["discriminator"],
-        object_size=factory.object_size,
-        batch_size=config.batch_size,
-        num_workers=scale.num_workers,
-        iterations=iterations,
-        local_dataset_size=len(shards[0]),
-        epochs_per_round=1.0,
+    table3 = table3_communication(
+        CostInputs(
+            generator_params=counts["generator"],
+            discriminator_params=counts["discriminator"],
+            object_size=factory.object_size,
+            batch_size=config.batch_size,
+            num_workers=scale.num_workers,
+            iterations=iterations,
+            local_dataset_size=len(shards[0]),
+        )
     )
-    analytic = table3_communication(inputs)
 
     result = ExperimentResult(
         name="Traffic cross-check",
@@ -70,56 +70,49 @@ def run_traffic_check(
         ),
     )
 
+    def add(algorithm: str, quantity: str, measured, analytic, ratio: bool = True) -> None:
+        result.add_row(
+            algorithm=algorithm,
+            quantity=quantity,
+            measured=float(measured),
+            analytic=float(analytic),
+            ratio=measured / analytic if ratio and analytic else float("nan"),
+        )
+
+    def table3_bytes(row: str, algorithm: str) -> float:
+        return table3[row][algorithm] * FLOAT_BYTES
+
     # --- MD-GAN ---------------------------------------------------------------
     with MDGANTrainer(factory, shards, config) as mdgan:
         mdgan.train()
     meter = mdgan.cluster.meter
-    measured_c_to_w = meter.total_bytes(MessageKind.GENERATED_BATCHES)
-    measured_w_to_c = meter.total_bytes(MessageKind.ERROR_FEEDBACK)
-    measured_swap = meter.total_bytes(MessageKind.DISCRIMINATOR_SWAP)
-    expected_c_to_w = (
-        analytic["server_to_worker_at_server"]["md-gan"] * iterations * FLOAT_BYTES
-    )
-    expected_w_to_c = (
-        analytic["worker_to_server_at_server"]["md-gan"] * iterations * FLOAT_BYTES
-    )
     swap_rounds = math.floor(iterations / max(1, mdgan.swap_period))
-    result.add_row(
-        algorithm="md-gan",
-        quantity="server->workers bytes",
-        measured=float(measured_c_to_w),
-        analytic=float(expected_c_to_w),
-        ratio=measured_c_to_w / expected_c_to_w if expected_c_to_w else float("nan"),
+    add(
+        "md-gan",
+        "server->workers bytes",
+        meter.total_bytes(MessageKind.GENERATED_BATCHES),
+        table3_bytes("server_to_worker_at_server", "md-gan") * iterations,
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity="workers->server bytes",
-        measured=float(measured_w_to_c),
-        analytic=float(expected_w_to_c),
-        ratio=measured_w_to_c / expected_w_to_c if expected_w_to_c else float("nan"),
+    add(
+        "md-gan",
+        "workers->server bytes",
+        meter.total_bytes(MessageKind.ERROR_FEEDBACK),
+        table3_bytes("worker_to_server_at_server", "md-gan") * iterations,
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity="worker<->worker swap rounds",
-        measured=float(len(mdgan.history.events_of_kind("swap"))),
-        analytic=float(swap_rounds),
-        ratio=(
-            len(mdgan.history.events_of_kind("swap")) / swap_rounds
-            if swap_rounds
-            else float("nan")
-        ),
+    add(
+        "md-gan",
+        "worker<->worker swap rounds",
+        len(mdgan.history.events_of_kind("swap")),
+        swap_rounds,
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity="swap bytes upper bound",
-        measured=float(measured_swap),
-        analytic=float(
-            swap_rounds
-            * scale.num_workers
-            * counts["discriminator"]
-            * FLOAT_BYTES
-        ),
-        ratio=float("nan"),
+    add(
+        "md-gan",
+        "swap bytes upper bound",
+        meter.total_bytes(MessageKind.DISCRIMINATOR_SWAP),
+        swap_rounds
+        * scale.num_workers
+        * table3_bytes("worker_to_worker_at_worker", "md-gan"),
+        ratio=False,
     )
 
     # --- FL-GAN ---------------------------------------------------------------
@@ -127,30 +120,13 @@ def run_traffic_check(
         flgan.train()
     meter = flgan.cluster.meter
     rounds = len(flgan.history.events_of_kind("federated_round"))
-    measured_updates = meter.total_bytes(MessageKind.MODEL_UPDATE)
-    measured_broadcast = meter.total_bytes(MessageKind.MODEL_BROADCAST)
-    expected_per_round = analytic["worker_to_server_at_server"]["fl-gan"] * FLOAT_BYTES
-    result.add_row(
-        algorithm="fl-gan",
-        quantity="workers->server bytes",
-        measured=float(measured_updates),
-        analytic=float(expected_per_round * rounds),
-        ratio=(
-            measured_updates / (expected_per_round * rounds)
-            if rounds
-            else float("nan")
-        ),
-    )
-    result.add_row(
-        algorithm="fl-gan",
-        quantity="server->workers bytes",
-        measured=float(measured_broadcast),
-        analytic=float(expected_per_round * rounds),
-        ratio=(
-            measured_broadcast / (expected_per_round * rounds)
-            if rounds
-            else float("nan")
-        ),
+    expected = table3_bytes("worker_to_server_at_server", "fl-gan") * rounds
+    add("fl-gan", "workers->server bytes", meter.total_bytes(MessageKind.MODEL_UPDATE), expected)
+    add(
+        "fl-gan",
+        "server->workers bytes",
+        meter.total_bytes(MessageKind.MODEL_BROADCAST),
+        expected,
     )
     # --- resident transport: measured per-op bytes vs the cost model ----------
     # Re-run a few MD-GAN iterations through the resident pool and read the
@@ -183,32 +159,27 @@ def run_traffic_check(
             1, warm_iters
         )
         transport_name = getattr(backend._transport, "name", "pipe")
-    model_sent = analytic["server_to_worker_at_server"]["md-gan"] * FLOAT_BYTES
-    model_received = analytic["worker_to_server_at_server"]["md-gan"] * FLOAT_BYTES
     link = LinkModel.datacenter()
     modeled_seconds = link.transfer_time(int(run_sent)) + link.transfer_time(
         int(run_received)
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity=f"resident 'run' op bytes/iter sent ({transport_name})",
-        measured=float(run_sent),
-        analytic=float(model_sent),
-        ratio=run_sent / model_sent if model_sent else float("nan"),
+    add(
+        "md-gan",
+        f"resident 'run' op bytes/iter sent ({transport_name})",
+        run_sent,
+        table3_bytes("server_to_worker_at_server", "md-gan"),
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity=f"resident 'run' op bytes/iter received ({transport_name})",
-        measured=float(run_received),
-        analytic=float(model_received),
-        ratio=run_received / model_received if model_received else float("nan"),
+    add(
+        "md-gan",
+        f"resident 'run' op bytes/iter received ({transport_name})",
+        run_received,
+        table3_bytes("worker_to_server_at_server", "md-gan"),
     )
-    result.add_row(
-        algorithm="md-gan",
-        quantity=f"resident 'run' op transfer s/iter vs {link.name} LinkModel",
-        measured=float(run_seconds),
-        analytic=float(modeled_seconds),
-        ratio=run_seconds / modeled_seconds if modeled_seconds else float("nan"),
+    add(
+        "md-gan",
+        f"resident 'run' op transfer s/iter vs {link.name} LinkModel",
+        run_seconds,
+        modeled_seconds,
     )
 
     result.add_note(

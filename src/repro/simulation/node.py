@@ -17,13 +17,11 @@ __all__ = ["ComputeLedger", "Node"]
 
 @dataclass
 class ComputeLedger:
-    """Accumulates abstract floating-point-operation and memory estimates.
+    """Accumulates abstract operation counts and a peak memory estimate.
 
-    The trainers charge costs to this ledger using the paper's own cost
-    model: generating one object costs ``O(|w|)`` operations, one
-    discriminator feed-forward costs ``D_op`` operations, etc.  The measured
-    totals are compared against Table II's asymptotic expressions in the
-    benchmark harness.
+    The trainers charge each merged phase the operation counts of
+    :mod:`repro.analysis.cost`, by category, so a run's totals read Table
+    II's computation rows with the model's constants kept.
     """
 
     flops: float = 0.0
@@ -36,6 +34,11 @@ class ComputeLedger:
             raise ValueError(f"flops must be non-negative, got {flops}")
         self.flops += flops
         self.by_category[category] = self.by_category.get(category, 0.0) + flops
+
+    def charge_all(self, ops: Dict[str, float]) -> None:
+        """Charge a phase's ``{category: operations}``, in its order."""
+        for category, flops in ops.items():
+            self.charge(category, flops)
 
     def observe_memory(self, floats: float) -> None:
         """Record a transient memory requirement (keeps the running peak)."""

@@ -2,20 +2,13 @@
 
 The paper leaves "raw timing performances of learning tasks" to future work
 because its emulation shares one machine between all workers.  This module
-provides the missing estimator: it combines
-
-* the compute cost model of Section IV-B3/IV-C2 (operations proportional to
-  the parameter counts, charged to each node's
-  :class:`~repro.simulation.node.ComputeLedger` during training), and
-* a :class:`~repro.simulation.network.LinkModel` (bandwidth + latency), with
-  the per-message byte counts produced by the traffic meter,
-
-to estimate the duration of one global iteration — and of a full training
-run — for a given hardware profile (device throughput in FLOP/s) and network
-profile (datacenter / WAN / edge).  Workers run in parallel, so the compute
-part of an iteration is bounded by the *slowest* worker plus the server;
-communication phases are modelled as the maximum transfer over the parallel
-links plus the serialised server-side aggregation.
+provides the missing estimator.  It restates no cost: it divides the
+per-phase operation counts the trainers charge to their compute ledgers by a
+:class:`HardwareProfile` (device throughput in FLOP/s), and Table III's
+per-worker byte counts by a :class:`~repro.simulation.network.LinkModel`
+(bandwidth + latency), both read from :mod:`repro.analysis.cost`.  Workers
+run in parallel, so an iteration's worker compute is one worker's step, and
+each communication phase lasts one worker link's transfer.
 """
 
 from __future__ import annotations
@@ -23,6 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..analysis.cost import (
+    CostInputs,
+    fedavg_ops,
+    flgan_local_iteration_ops,
+    mdgan_generation_ops,
+    mdgan_generator_update_ops,
+    mdgan_worker_step_ops,
+    table3_communication,
+)
+from ..nn.serialize import FLOAT_BYTES
 from .network import LinkModel
 
 __all__ = ["HardwareProfile", "IterationTimeline", "estimate_iteration_time"]
@@ -91,77 +94,51 @@ class IterationTimeline:
 
 def estimate_iteration_time(
     algorithm: str,
-    generator_params: int,
-    discriminator_params: int,
-    object_size: int,
-    batch_size: int,
-    num_workers: int,
-    num_batches: int = 1,
-    disc_steps: int = 1,
+    inputs: CostInputs,
     swap_this_iteration: bool = False,
     hardware: Optional[HardwareProfile] = None,
     link: Optional[LinkModel] = None,
-    float_bytes: int = 4,
 ) -> IterationTimeline:
     """Estimate the duration of one global iteration of MD-GAN or FL-GAN.
 
-    For MD-GAN an iteration is: server generates ``k`` batches, ships two per
-    worker, workers run ``L`` discriminator steps and one feedback pass in
-    parallel, feedbacks return, the server chains them through the generator.
-    For FL-GAN an "iteration" is one local iteration on every worker (model
-    transfers are charged on the iterations where a round completes — pass
-    ``swap_this_iteration=True`` for those and the model size is used for the
-    up/down links instead of image batches).
-
-    The cost constants follow the paper: one forward pass over one object
-    costs ``~|params|`` operations, a backward pass twice that.
+    For MD-GAN an iteration is: the server generates ``k`` batches and ships
+    two to every worker, the workers take their step in parallel, the
+    feedbacks return and the server backpropagates all ``N`` of them.  For
+    FL-GAN it is one local iteration on every worker; on a round boundary
+    (``swap_this_iteration=True``) full models travel both ways and the
+    server averages them.  ``swap_this_iteration`` also charges an MD-GAN
+    SWAP.  Operations are the ledgers' per-phase counts and bytes are Table
+    III's per-worker rows, both from :mod:`repro.analysis.cost`.
     """
     if algorithm not in ("md-gan", "fl-gan"):
         raise ValueError(f"algorithm must be 'md-gan' or 'fl-gan', got {algorithm!r}")
-    if min(generator_params, discriminator_params, object_size, batch_size, num_workers) <= 0:
-        raise ValueError("All model/batch/worker quantities must be positive")
     hardware = hardware or HardwareProfile()
     link = link or LinkModel.wan()
+    b, n = inputs.batch_size, inputs.num_workers
+    w, theta = inputs.generator_params, inputs.discriminator_params
+    rows = table3_communication(inputs)
+    moves_data = algorithm == "md-gan" or swap_this_iteration
 
-    w, theta = float(generator_params), float(discriminator_params)
-    b, n, k, steps = float(batch_size), float(num_workers), float(num_batches), float(disc_steps)
-    forward, backward = 1.0, 2.0
+    def link_s(row: str, sent: bool) -> float:
+        # Links to the N workers operate in parallel: the phase lasts one
+        # worker's transfer (the paper's per-worker ingress accounting).
+        nbytes = rows[row][algorithm] * FLOAT_BYTES if sent else 0.0
+        return link.transfer_time(int(nbytes)) if nbytes else 0.0
 
     if algorithm == "md-gan":
-        # Server: generate k batches (forward only), later backprop the
-        # feedbacks of every worker through the generator.
-        generate_ops = k * b * w * forward
-        update_ops = n * b * w * (forward + backward)
-        # Worker (parallel): L discriminator steps on 2b images + one
-        # feedback pass (forward + backward w.r.t. the input) on b images.
-        worker_ops = steps * 2.0 * b * theta * (forward + backward) + b * theta * (
-            forward + backward
-        )
-        downlink_bytes = 2.0 * b * object_size * float_bytes
-        uplink_bytes = b * object_size * float_bytes
-        swap_bytes = theta * float_bytes if swap_this_iteration else 0.0
+        generate_ops = sum(mdgan_generation_ops(inputs.num_batches, b, w).values())
+        update_ops = sum(mdgan_generator_update_ops(n, b, w).values())
+        worker_ops = sum(mdgan_worker_step_ops(b, theta, inputs.disc_steps).values())
     else:
-        # FL-GAN: every worker trains a full local GAN; the server only acts
-        # at round boundaries, when full models travel both ways.
-        generate_ops = 0.0
-        update_ops = 0.0
-        worker_ops = steps * 2.0 * b * theta * (forward + backward) + b * (w + theta) * (
-            forward + backward
-        )
-        round_bytes = (w + theta) * float_bytes if swap_this_iteration else 0.0
-        downlink_bytes = round_bytes
-        uplink_bytes = round_bytes
-        swap_bytes = 0.0
+        generate_ops = 0
+        update_ops = sum(fedavg_ops(n, w, theta).values()) if swap_this_iteration else 0
+        worker_ops = sum(flgan_local_iteration_ops(b, w, theta, inputs.disc_steps).values())
 
-    timeline = IterationTimeline(
+    return IterationTimeline(
         server_generate_s=generate_ops / hardware.server_flops_per_s,
-        # Links to the N workers operate in parallel: the phase lasts one
-        # worker's transfer (the server NIC is modelled per-link, as in the
-        # paper's per-worker ingress accounting).
-        downlink_s=link.transfer_time(int(downlink_bytes)) if downlink_bytes else 0.0,
+        downlink_s=link_s("server_to_worker_at_worker", moves_data),
         worker_compute_s=worker_ops / hardware.worker_flops_per_s,
-        uplink_s=link.transfer_time(int(uplink_bytes)) if uplink_bytes else 0.0,
+        uplink_s=link_s("worker_to_server_at_worker", moves_data),
         server_update_s=update_ops / hardware.server_flops_per_s,
-        swap_s=link.transfer_time(int(swap_bytes)) if swap_bytes else 0.0,
+        swap_s=link_s("worker_to_worker_at_worker", swap_this_iteration),
     )
-    return timeline

@@ -1,10 +1,12 @@
 """Tests for the Table III/IV and Figure 2 communication model."""
 
+import math
+
 import pytest
 
 from repro.analysis import (
     MEGABYTE,
-    CommunicationInputs,
+    CostInputs,
     crossover_batch_size,
     ingress_traffic_per_iteration,
     ingress_traffic_sweep,
@@ -16,7 +18,7 @@ from repro.analysis import (
 @pytest.fixture()
 def cifar_inputs():
     """The paper's Table IV setting: CIFAR10 CNN, N=10, I=50,000."""
-    return CommunicationInputs(
+    return CostInputs(
         generator_params=628_110,
         discriminator_params=100_203,
         object_size=3_072,
@@ -26,6 +28,14 @@ def cifar_inputs():
         local_dataset_size=5_000,
         epochs_per_round=1.0,
     )
+
+
+class TestInputs:
+    def test_rejects_nan_symbols(self):
+        with pytest.raises(ValueError, match="generator_params"):
+            CostInputs(math.nan, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="epochs_per_round"):
+            CostInputs(1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.nan)
 
 
 class TestTable3:
@@ -52,13 +62,6 @@ class TestTable3:
             50_000 * 10 / 5_000
         )
 
-    def test_single_batch_accounting_option(self, cifar_inputs):
-        both = table3_communication(cifar_inputs, count_both_generated_batches=True)
-        single = table3_communication(cifar_inputs, count_both_generated_batches=False)
-        assert both["server_to_worker_at_worker"]["md-gan"] == 2 * (
-            single["server_to_worker_at_worker"]["md-gan"]
-        )
-
 
 class TestTable4:
     def test_matches_paper_mdgan_costs(self, cifar_inputs):
@@ -68,7 +71,7 @@ class TestTable4:
         assert costs["server_to_worker_at_worker"]["md-gan"] == pytest.approx(0.234, abs=0.01)
 
     def test_b100_scales_mdgan_costs_tenfold(self, cifar_inputs):
-        b100 = CommunicationInputs(
+        b100 = CostInputs(
             generator_params=cifar_inputs.generator_params,
             discriminator_params=cifar_inputs.discriminator_params,
             object_size=cifar_inputs.object_size,
@@ -105,7 +108,7 @@ class TestFigure2:
         assert growth == pytest.approx(10.0)
 
     def test_crossover_in_the_hundreds_for_paper_gans(self, cifar_inputs):
-        mnist_inputs = CommunicationInputs(
+        mnist_inputs = CostInputs(
             generator_params=716_560,
             discriminator_params=670_219,
             object_size=784,
@@ -119,7 +122,7 @@ class TestFigure2:
         # Below the crossover MD-GAN is cheaper per communication at a worker.
         b = int(crossover_batch_size(cifar_inputs) / 2)
         traffic = ingress_traffic_per_iteration(
-            CommunicationInputs(
+            CostInputs(
                 generator_params=cifar_inputs.generator_params,
                 discriminator_params=cifar_inputs.discriminator_params,
                 object_size=cifar_inputs.object_size,

@@ -1,24 +1,35 @@
-"""Tests for the Table II computation/memory complexity model."""
+"""Tests for the Table II computation/memory complexity model and its inputs."""
 
 import math
 
 import pytest
 
-from repro.analysis import ComplexityInputs, table2_complexities, worker_reduction_factor
+from repro.analysis import CostInputs, table2_complexities, worker_reduction_factor
+
+
+_SYMBOLS = (
+    "generator_params",
+    "discriminator_params",
+    "object_size",
+    "batch_size",
+    "num_workers",
+    "iterations",
+    "local_dataset_size",
+)
 
 
 @pytest.fixture()
 def paper_mlp_inputs():
     """MNIST MLP instantiation used throughout the paper's tables."""
-    return ComplexityInputs(
+    return CostInputs(
         generator_params=716_560,
         discriminator_params=670_219,
         object_size=784,
         batch_size=10,
         num_workers=10,
-        num_batches=2,
         iterations=50_000,
         local_dataset_size=6_000,
+        num_batches=2,
         epochs_per_round=1.0,
     )
 
@@ -26,16 +37,26 @@ def paper_mlp_inputs():
 class TestValidation:
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
-            ComplexityInputs(0, 1, 1, 1, 1, 1, 1, 1)
+            CostInputs(0, 1, 1, 1, 1, 1, 1)
 
     def test_rejects_nan_epochs_per_round_but_accepts_infinity(self):
         with pytest.raises(ValueError, match="epochs_per_round"):
-            ComplexityInputs(1, 1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.nan)
-        assert ComplexityInputs(1, 1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.inf)
+            CostInputs(1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.nan)
+        assert CostInputs(1, 1, 1, 1, 1, 1, 1, epochs_per_round=math.inf)
 
     def test_rejects_k_greater_than_n(self):
         with pytest.raises(ValueError, match="k <= N"):
-            ComplexityInputs(10, 10, 10, 1, 2, 5, 1, 1)
+            CostInputs(10, 10, 10, 1, 2, 1, 1, num_batches=5)
+        with pytest.raises(ValueError, match="k <= N"):
+            CostInputs(1, 1, 1, 1, 10, 1, 1, num_batches=50)
+
+    @pytest.mark.parametrize("field", _SYMBOLS + ("num_batches", "disc_steps"))
+    @pytest.mark.parametrize("value", [math.nan, 0, -2])
+    def test_rejects_nan_and_nonpositive_symbols(self, field, value):
+        kwargs = dict.fromkeys(_SYMBOLS, 1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CostInputs(**kwargs)
 
 
 class TestFormulas:

@@ -4,18 +4,26 @@ The trainers charge Table II's costs when they merge a worker's step, from
 ``L``, ``b``, ``|w|`` and ``|θ|`` alone.  These tests pin the resulting
 ledgers to closed forms, and tie them to the Table III meter: a worker is
 charged for exactly the steps whose ``ERROR_FEEDBACK`` message the meter
-holds, so a lost or discarded unit charges nothing on either book.
+holds, so a lost or discarded unit charges nothing on either book.  The
+iteration-time estimator prices the same operation counts.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis import CostInputs
 from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
 from repro.runtime import ChaosTransport, ResidentBackend
 from repro.runtime.resident import serve_slot
 from repro.runtime.transport import LocalPipeTransport
-from repro.simulation import SERVER_NAME, CrashSchedule, MessageKind
+from repro.simulation import (
+    SERVER_NAME,
+    CrashSchedule,
+    HardwareProfile,
+    MessageKind,
+    estimate_iteration_time,
+)
 
 L, B = 2, 8
 
@@ -121,3 +129,33 @@ class TestFLGANWorkerLedger:
             2 * (L + 1) * B * theta
         )
         assert ratio == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "algorithm, trainer_cls", [("md-gan", MDGANTrainer), ("fl-gan", FLGANTrainer)]
+)
+def test_estimator_prices_what_the_ledger_charges(
+    algorithm, trainer_cls, ring_shards, toy_factory
+):
+    config = _config(num_batches=2)
+    with trainer_cls(toy_factory, ring_shards, config) as trainer:
+        history = trainer.train()
+    counts = toy_factory.parameter_counts()
+    inputs = CostInputs(
+        generator_params=counts["generator"],
+        discriminator_params=counts["discriminator"],
+        object_size=toy_factory.object_size,
+        batch_size=B,
+        num_workers=len(ring_shards),
+        iterations=config.iterations,
+        local_dataset_size=len(ring_shards[0]),
+        num_batches=2,
+        disc_steps=L,
+    )
+    # At one operation per second, a phase's seconds are its operations.
+    timeline = estimate_iteration_time(algorithm, inputs, hardware=HardwareProfile(1.0, 1.0))
+    per_iteration = {k: v / config.iterations for k, v in history.compute.items()}
+    assert timeline.worker_compute_s == per_iteration["mean_worker_flops"]
+    if algorithm == "md-gan":
+        server_s = timeline.server_generate_s + timeline.server_update_s
+        assert server_s == per_iteration["server_flops"]

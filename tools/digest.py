@@ -1,0 +1,342 @@
+#!/usr/bin/env python3
+"""Bitwise digest of seeded runs, for parent-vs-change comparisons.
+
+Runs a fixed, named list of small seeded configurations and records one
+SHA-256 per (config, field): losses, events, staleness, traffic, the
+compute ledgers (every node's flops, ``by_category`` in key order and
+peak), every model's flat parameters, BatchNorm running statistics,
+optimizer state vectors, the resident pool's per-op byte meters, served
+samples, and every column of the analytic runners' rows (Tables II-IV,
+Figure 2, the timing estimate).  Two digests of trees that compute the same
+bits are equal; ``--compare`` names each (config, field) that is not.
+
+Usage::
+
+    python tools/digest.py --out change.json
+    python tools/digest.py --src /path/to/parent/src --out parent.json
+    python tools/digest.py --compare parent.json change.json
+
+``--src`` selects the ``repro`` package to digest (default: this checkout's
+``src``), so one copy of the tool digests any tree.  ``--configs`` runs a
+subset.  BLAS runs single-threaded unless the environment says otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+ITERATIONS = 10
+BATCH_SIZE = 8
+
+
+def canonical(value) -> bytes:
+    """A byte encoding that differs whenever two values differ bitwise."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        head = f"nd:{value.dtype.str}:{value.shape}:".encode()
+        return head + np.ascontiguousarray(value).tobytes()
+    if isinstance(value, np.generic):
+        return canonical(np.asarray(value))
+    if isinstance(value, float):
+        return f"f:{value.hex()}".encode()
+    if isinstance(value, dict):
+        items = (canonical(k) + b"=" + canonical(v) for k, v in value.items())
+        return b"{" + b",".join(items) + b"}"
+    if isinstance(value, (list, tuple)):
+        return b"[" + b",".join(canonical(v) for v in value) + b"]"
+    return f"{type(value).__name__}:{value!r}".encode()
+
+
+def sha(value) -> str:
+    return hashlib.sha256(canonical(value)).hexdigest()
+
+
+# -- what a run leaves behind ---------------------------------------------------
+
+
+def _models_and_optimizers(trainer):
+    models, optimizers = {}, {}
+    if hasattr(trainer, "server_generator"):  # FL-GAN
+        models.update(server_generator=trainer.server_generator)
+        models["server_discriminator"] = trainer.server_discriminator
+        for worker in trainer.workers:
+            models[f"w{worker.index}.generator"] = worker.generator
+            optimizers[f"w{worker.index}.gen_opt"] = worker.gen_opt
+    else:  # MD-GAN
+        models["generator"] = trainer.generator
+        optimizers["generator_opt"] = getattr(trainer, "_gen_opt", None)
+    for worker in trainer.workers:
+        models[f"w{worker.index}.discriminator"] = worker.discriminator
+        optimizers[f"w{worker.index}.disc_opt"] = worker.disc_opt
+    return models, optimizers
+
+
+def _optimizer_state(opt):
+    if opt is None:
+        return None
+    names = getattr(opt, "_state_names", ())
+    return [opt.iterations] + [getattr(opt, name, None) for name in names]
+
+
+def _batchnorm_stats(model):
+    return [
+        (layer.running_mean, layer.running_var)
+        for layer in model.layers
+        if hasattr(layer, "running_mean")
+    ]
+
+
+def trainer_fields(trainer, history) -> dict:
+    models, optimizers = _models_and_optimizers(trainer)
+    nodes = [trainer.cluster.server, *trainer.cluster.workers]
+    fields = {
+        "losses": (history.iterations, history.generator_loss, history.discriminator_loss),
+        "events": history.events,
+        "staleness": (history.staleness, history.worker_staleness),
+        "traffic": (
+            history.traffic,
+            {str(key): (s.messages, s.bytes) for key, s in trainer.cluster.meter.links.items()},
+        ),
+        "compute": (
+            history.compute,
+            [
+                (n.name, n.compute.flops, n.compute.by_category, n.compute.peak_memory_floats)
+                for n in nodes
+            ],
+        ),
+        "params": {name: model.get_parameters() for name, model in models.items()},
+        "batchnorm": {name: _batchnorm_stats(model) for name, model in models.items()},
+        "optimizer": {name: _optimizer_state(opt) for name, opt in optimizers.items()},
+    }
+    executor = getattr(trainer, "executor", None)
+    for meter in ("op_bytes_sent", "op_bytes_received"):
+        for op, nbytes in sorted(getattr(executor, meter, {}).items()):
+            fields[f"{meter}[{op}]"] = nbytes
+    return fields
+
+
+# -- the configurations -----------------------------------------------------------
+
+
+def _toy():
+    import numpy as np
+
+    from repro.datasets import make_gaussian_ring, partition_iid
+    from repro.models import build_toy_gan
+
+    train, _ = make_gaussian_ring(n_train=160, n_test=40, image_size=8, seed=7)
+    factory = build_toy_gan(
+        image_shape=train.spec.shape, num_classes=train.num_classes, latent_dim=8, hidden=16
+    )
+    return factory, partition_iid(train, 4, np.random.default_rng(3))
+
+
+def _cnn():
+    import numpy as np
+
+    from repro.datasets import make_mnist_like, partition_iid
+    from repro.models import build_mnist_cnn_gan
+
+    train, _ = make_mnist_like(n_train=256, n_test=40, image_size=16, seed=7)
+    factory = build_mnist_cnn_gan(
+        image_shape=train.spec.shape,
+        num_classes=train.num_classes,
+        width_factor=0.25,
+        use_minibatch_discrimination=False,
+    )
+    return factory, partition_iid(train, 4, np.random.default_rng(3))
+
+
+def _config(backend="serial", **overrides):
+    from repro.core import TrainingConfig
+
+    if backend == "resident-tcp":
+        backend, overrides["transport"] = "resident", "tcp"
+    options = dict(
+        iterations=ITERATIONS,
+        batch_size=BATCH_SIZE,
+        num_batches=2,
+        disc_steps=2,
+        seed=11,
+        backend=backend,
+        max_workers=2,
+    )
+    options.update(overrides)
+    return TrainingConfig(**options)
+
+
+def _train(trainer_cls, data, config, **kwargs) -> dict:
+    factory, shards = data
+    with trainer_cls(factory, shards, config, **kwargs) as trainer:
+        return trainer_fields(trainer, trainer.train())
+
+
+def _mdgan(data, backend="serial", **overrides):
+    def run():
+        from repro.core import MDGANTrainer
+
+        return _train(MDGANTrainer, data(), _config(backend, **overrides))
+
+    return run
+
+
+def _flgan(backend):
+    def run():
+        from repro.core import FLGANTrainer
+
+        return _train(FLGANTrainer, _toy(), _config(backend, epochs_per_swap=0.5))
+
+    return run
+
+
+def _mdgan_crash():
+    from repro.core import MDGANTrainer
+    from repro.simulation import CrashSchedule
+
+    crashes = CrashSchedule({3: ["worker-1"]})
+    return _train(MDGANTrainer, _toy(), _config(), crash_schedule=crashes)
+
+
+def _mdgan_degrade_kill():
+    """Elastic ``degrade``: slot 1 dies while iteration 2 is in flight."""
+    from repro.core import MDGANTrainer
+    from repro.runtime import ChaosTransport, ResidentBackend, serve_slot
+    from repro.runtime.transport import LocalPipeTransport
+
+    factory, shards = _toy()
+    config = _config("resident", on_slot_loss="degrade", rejoin_backoff=0.05)
+    trainer = MDGANTrainer(factory, shards, config)
+    transport = ChaosTransport(LocalPipeTransport(serve_slot))
+    backend = ResidentBackend(
+        max_workers=2, transport=transport, membership_policy=config.membership_policy()
+    )
+    trainer.adopt_backend(backend, owned=True)
+    merge = trainer._merge_worker_phase
+
+    def merge_under_kill(iteration, live_workers, handle):
+        if iteration == 2:
+            transport.kill_slot(1)
+        return merge(iteration, live_workers, handle)
+
+    trainer._merge_worker_phase = merge_under_kill
+    with trainer:
+        return trainer_fields(trainer, trainer.train())
+
+
+def _service():
+    import numpy as np
+
+    from repro.serving import GeneratorService
+
+    factory, _ = _cnn()
+    generator = factory.make_generator(np.random.default_rng(5))
+    with GeneratorService(generator, factory, _config("resident")) as service:
+        service.warmup()
+        samples = [service.serve(seed=seed).images for seed in range(4)]
+        samples += [service.serve(batch_size=3).images for _ in range(2)]
+    return {"samples": samples, "batchnorm": _batchnorm_stats(service.generator)}
+
+
+def _rows(runner_name):
+    """One field per column of a runner's rows, plus its notes."""
+
+    def run():
+        import repro.experiments as experiments
+
+        result = getattr(experiments, runner_name)()
+        columns = dict.fromkeys(key for row in result.rows for key in row)
+        fields = {key: [row.get(key) for row in result.rows] for key in columns}
+        return {**fields, "notes": result.notes}
+
+    return run
+
+
+CONFIGS = {
+    "mdgan-serial": _mdgan(_toy),
+    "mdgan-thread": _mdgan(_toy, "thread"),
+    "mdgan-process": _mdgan(_toy, "process"),
+    "mdgan-resident-pipe": _mdgan(_toy, "resident"),
+    "mdgan-resident-tcp": _mdgan(_toy, "resident-tcp"),
+    "mdgan-depth1": _mdgan(_toy, pipeline_depth=1),
+    "mdgan-participation0.5": _mdgan(_toy, participation_fraction=0.5),
+    "mdgan-crash": _mdgan_crash,
+    "mdgan-async-serial": _mdgan(_toy, aggregation="async"),
+    "mdgan-degrade-kill": _mdgan_degrade_kill,
+    "cnn-k2-serial": _mdgan(_cnn, precision="float32"),
+    "cnn-k2-resident": _mdgan(_cnn, "resident", precision="float32"),
+    "cnn-k2-depth1": _mdgan(_cnn, precision="float32", pipeline_depth=1),
+    "flgan-serial": _flgan("serial"),
+    "flgan-resident": _flgan("resident"),
+    "service-samples": _service,
+    "run_table2": _rows("run_table2"),
+    "run_table3": _rows("run_table3"),
+    "run_table4": _rows("run_table4"),
+    "run_fig2": _rows("run_fig2"),
+    "run_timing_estimate": _rows("run_timing_estimate"),
+}
+
+
+def digest(names) -> dict:
+    out = {}
+    for name in names:
+        start = time.perf_counter()
+        try:
+            fields = {field: sha(value) for field, value in CONFIGS[name]().items()}
+        except Exception as exc:  # an older tree may lack a config's API
+            fields = {"error": f"{type(exc).__name__}: {exc}"}
+        out[name] = fields
+        print(f"{name}: {len(fields)} fields, {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return out
+
+
+def compare(a_path: str, b_path: str) -> int:
+    """Print each differing (config, field); return the number of them."""
+    a, b = (json.loads(Path(p).read_text())["digest"] for p in (a_path, b_path))
+    differing = 0
+    for config in [*a, *(c for c in b if c not in a)]:
+        fa, fb = a.get(config), b.get(config)
+        if fa is None or fb is None:
+            print(f"{config}: only in {a_path if fb is None else b_path}")
+            differing += 1
+            continue
+        for field in sorted(set(fa) | set(fb)):
+            if fa.get(field) != fb.get(field):
+                print(f"{config} {field}: differs")
+                differing += 1
+    print(f"{differing} differing (config, field) pairs" if differing else "equal")
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
+    parser.add_argument("--out", help="write the digest JSON here (default: stdout)")
+    parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS))
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare) else 0
+    sys.path.insert(0, args.src)
+    start = time.perf_counter()
+    payload = {"src": args.src, "digest": digest(args.configs)}
+    print(f"total {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    text = json.dumps(payload, indent=1, sort_keys=False)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
