@@ -1,88 +1,90 @@
-"""Elastic-membership trainer mixin: evict, wait, revive, rebalance.
+"""Elastic membership, trainer side: the controller a trainer *has*.
 
 The backend half of elastic membership lives in
 :mod:`repro.runtime.membership` / :mod:`repro.runtime.resident`: dead slots
 are quarantined instead of poisoning the pool, and the worker keys whose
 resident state died with a slot are queued in ``membership.pending_loss``.
-This module is the *trainer* half, shared by
-:class:`~repro.core.mdgan.MDGANTrainer` and
-:class:`~repro.core.flgan.FLGANTrainer`:
+:class:`MembershipController` is the *trainer* half.  A trainer holds one in
+``trainer.elastic`` when ``on_slot_loss != "fail_stop"`` and ``None``
+otherwise, so fail-stop runs execute no code from this module.
 
-* consume pending losses at the iteration/round boundary and apply the
-  configured policy — ``degrade`` evicts the lost workers like crashes (and
-  redistributes their shards across survivors), ``wait`` blocks for
-  replacement capacity and reassigns the lost workers onto it;
-* admit late joiners between iterations, reviving evicted workers from
-  their last merged mirror;
-* keep per-boundary mirrors so a reassigned/revived worker restarts from
-  the last *merged* state (un-merged contributions are discarded, exactly
-  like a crash);
-* surface every transition as ``membership_*`` / ``slot_loss`` events in
-  ``TrainingHistory`` plus the counter summary next to the meters.
+:class:`~repro.core.engine.ExecutionEngine` is its only caller.  The
+synchronous schedule runs :meth:`MembershipController.boundary` after every
+iteration; the asynchronous schedule runs it behind a drain barrier whenever
+a loss is pending.  One boundary, in this order:
 
-Under the default fail-stop policy :meth:`_membership` returns ``None`` and
-every hook below is a no-op-before-first-branch, so fail-stop runs stay
-bitwise identical to the pre-membership trainers.
-
-Host-class contract: ``self.workers`` (objects with ``index`` / ``dataset``
-/ ``sampler``), ``self.cluster.workers[i]`` nodes (``alive`` / ``crash()``
-/ ``rejoin()``), ``self.config``, ``self.history`` and the
-:class:`~repro.core.lifecycle.WorkerStateOwner` methods
-(``_active_resident()``, ``_alive_workers()``,
-``sync_worker_state(workers, reclaim)``,
-``_restore_worker_from_mirror(worker, mirror)``).
+* take the pending losses and apply the policy — ``degrade`` evicts the
+  lost workers like crashes, ``wait`` blocks for replacement capacity and
+  reassigns them onto it, restored from their last boundary mirror;
+* admit late joiners; a join revives every evicted worker from its mirror;
+* rebalance: evicted workers' founding shards are redistributed across the
+  survivors;
+* refresh the mirrors (what a reassigned/revived worker restarts from —
+  un-merged contributions are discarded, exactly like a crash);
+* publish the pool's new events into ``TrainingHistory``;
+* fail the run if ``degrade`` left fewer than ``min_workers`` alive.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..datasets.base import ImageDataset
-from ..runtime.membership import PoolMembership, SlotLossError
+from ..runtime.membership import MembershipPolicy, PoolMembership
+from ..runtime.tasks import restore_mirror
 from ..runtime.transport import TransportError
 
-__all__ = ["ElasticMembershipMixin"]
+__all__ = ["MembershipController"]
 
 
-class ElasticMembershipMixin:
-    """Trainer-side elastic membership (see module docstring)."""
+class MembershipController:
+    """Trainer-side elastic membership state and its one boundary (see module docstring)."""
 
-    #: Construction-time shard per worker index, captured lazily at the
-    #: first elastic boundary; rebalance targets are always recomputed from
-    #: these, so repeated rebalances are idempotent.
-    _founding_shards: Optional[Dict[int, ImageDataset]] = None
-    #: Extra founding shards currently folded into each worker's dataset
-    #: (worker index -> tuple of evicted worker indices, sorted).
-    _shard_extras: Optional[Dict[int, Tuple[int, ...]]] = None
-    #: Membership events already mirrored into the history.
-    _membership_events_seen: int = 0
-    #: Set when evictions/revivals changed the live fleet; cleared by the
-    #: next boundary rebalance.
-    _rebalance_pending: bool = False
+    def __init__(self, trainer: Any, policy: MembershipPolicy) -> None:
+        self.trainer = trainer
+        self.policy = policy
+        #: Construction-time shard per worker index; rebalance targets are
+        #: always recomputed from these, so repeated rebalances are idempotent.
+        self.founding: Dict[int, ImageDataset] = {w.index: w.dataset for w in trainer.workers}
+        #: Founding shards currently folded into each worker's dataset
+        #: (worker index -> tuple of evicted worker indices, sorted).
+        self.extras: Dict[int, Tuple[int, ...]] = {w.index: () for w in trainer.workers}
+        #: Worker keys evicted by ``degrade`` (revivable by a later join).
+        self.evicted: Set[Any] = set()
+        #: Last boundary mirror per worker key.
+        self.mirrors: Dict[Any, Any] = {}
+        #: Set when evictions/revivals changed the live fleet; cleared by the
+        #: next rebalance.
+        self.rebalance_pending = False
+        #: The pool membership whose events are published, and how many of
+        #: them already are (one cursor per pool).
+        self._pool: Optional[PoolMembership] = None
+        self._published = 0
 
-    # -- plumbing ----------------------------------------------------------------
-    def _membership(self) -> Optional[PoolMembership]:
-        """The pool's live membership state, or ``None`` (fail-stop / no pool)."""
-        resident = self._active_resident()
-        if resident is None and self.config.membership_policy() is not None:
-            # The backend is built lazily; force it so an elastic config is
-            # elastic from iteration 1, not from the first dispatch.
-            if getattr(self.executor, "supports_resident", False):
-                resident = self._active_resident()
-        if resident is None:
-            return None
-        return resident.membership
+    # -- the pool ----------------------------------------------------------------
+    def _membership(self) -> PoolMembership:
+        """The current pool's membership state, noticing a rebuilt pool."""
+        membership = self.trainer.executor.membership
+        if membership is not self._pool:
+            # A rebuilt pool installs from the objects its predecessor's
+            # close reclaimed, so only evicted workers keep their mirror.
+            self._pool, self._published = membership, 0
+            self.mirrors = {key: m for key, m in self.mirrors.items() if key in self.evicted}
+        return membership
 
-    def _sync_membership_events(self, iteration: int) -> None:
-        """Mirror newly recorded backend membership events into the history."""
+    @property
+    def pending_loss(self) -> Set[Any]:
+        """Worker keys whose resident state died with a slot, not yet handled."""
+        return self._membership().pending_loss
+
+    def publish(self, iteration: int) -> None:
+        """Record the pool's unpublished events in the history and count them."""
         membership = self._membership()
-        if membership is None:
-            return
-        events = membership.events
-        for event in events[self._membership_events_seen :]:
+        history = self.trainer.history
+        for event in membership.events[self._published :]:
             kind = event.kind if event.kind == "slot_loss" else f"membership_{event.kind}"
             details: Dict[str, Any] = {}
             if event.slot is not None:
@@ -91,186 +93,97 @@ class ElasticMembershipMixin:
                 details["worker"] = event.worker
             if event.detail:
                 details["detail"] = event.detail
-            self.history.record_event(iteration, kind, **details)
-        self._membership_events_seen = len(events)
-        resident = self._active_resident()
-        if resident is not None:
-            self.history.membership = resident.membership_counters()
+            history.record_event(iteration, kind, **details)
+            history.membership[event.kind] = history.membership.get(event.kind, 0) + 1
+        self._published = len(membership.events)
 
-    # -- the per-iteration wrapper -----------------------------------------------
-    def _elastic_iteration(self, iteration: int, body) -> None:
-        """Run one synchronous iteration with membership recovery around it.
+    # -- the boundary --------------------------------------------------------------
+    def boundary(self, iteration: int) -> List[Any]:
+        """Run the membership boundary against a quiescent pool.
 
-        Fail-stop (or non-resident) runs call ``body`` directly and return —
-        zero elastic code on that path.  Elastic runs additionally absorb a
-        mid-iteration :class:`SlotLossError` (the un-merged remainder of the
-        iteration is discarded, like a crash) and then run the boundary
-        pipeline: apply the loss policy, admit joiners / revive, rebalance
-        shards, refresh mirrors.
-
-        Pipelined bodies compose through two hooks: a loss (raised or
-        pending) first drains the in-flight window via
-        :meth:`_drain_pipeline_for_membership`, and the boundary pipeline
-        only runs when :meth:`_pipeline_idle` reports a quiescent pool —
-        its mirror/rebalance operations require no in-flight work.
+        Returns the worker keys that left or re-entered the fleet here (the
+        lost ones, then any revived ones).
         """
-        if self._membership() is None:
-            body(iteration)
-            return
-        try:
-            body(iteration)
-        except SlotLossError as exc:
-            self.history.record_event(
-                iteration,
-                "membership_iteration_loss",
-                slot=exc.slot_index,
-                detail=str(exc),
-            )
-            self._drain_pipeline_for_membership()
-        if self._membership().pending_loss and not self._pipeline_idle():
-            self._drain_pipeline_for_membership()
-        if self._pipeline_idle():
-            self._membership_boundary(iteration)
-
-    def _membership_boundary(self, iteration: int) -> None:
-        """The aggregation-boundary membership pipeline (sync loops only)."""
         membership = self._membership()
-        if membership is None:
-            return
         lost = membership.take_pending_loss()
-        if lost:
-            self._apply_loss_policy(iteration, lost)
-        joined = self._admit_joiners(iteration)
-        if joined and membership.evicted:
-            self._revive_evicted(iteration, joined[-1])
-        if self._rebalance_pending:
-            self._rebalance_shards(iteration)
-        self._membership_snapshot()
-        self._sync_membership_events(iteration)
+        degrade = self.policy.on_slot_loss == "degrade"
+        if lost and not degrade:
+            self._wait_for_replacement(membership, lost)
+        for key in lost if degrade else ():
+            node = self.trainer.cluster.workers[key]
+            if node.alive:
+                node.crash()
+            self.evicted.add(key)
+            membership.record("evict", worker=key, detail="slot loss")
+            self.rebalance_pending = True
+        joined = self.admit_joiners()
+        revived = sorted(self.evicted, key=repr) if joined else []
+        for key in revived:
+            self.trainer.cluster.workers[key].rejoin()
+            self._restore(key)
+            self.evicted.discard(key)
+            membership.record("revive", slot=joined[-1], worker=key)
+            self.rebalance_pending = True
+        if self.rebalance_pending:
+            self._rebalance(membership)
+        self._snapshot()
+        self.publish(iteration)
         # The floor guards evictions; a scheduled (Fig. 5) crash is no eviction.
-        if lost and membership.policy.on_slot_loss == "degrade":
-            self._check_min_workers(membership)
+        if lost and degrade:
+            alive = len(self.trainer._alive_workers())
+            if alive < self.policy.min_workers:
+                raise TransportError(
+                    f"elastic pool degraded to {alive} live worker(s), below "
+                    f"min_workers={self.policy.min_workers}"
+                )
+        return lost + revived
 
-    # -- pipeline composition hooks ------------------------------------------------
-    def _pipeline_idle(self) -> bool:
-        """Whether no pipelined work is in flight (boundary ops need this)."""
-        return True
+    def admit_joiners(self) -> List[int]:
+        """Admit every late joiner currently waiting; return their slot indices."""
+        pool = self.trainer.executor
+        joined: List[int] = []
+        slot = pool.admit_joiner(timeout=0.0)
+        while slot is not None:
+            joined.append(slot)
+            slot = pool.admit_joiner(timeout=0.0)
+        return joined
 
-    def _drain_pipeline_for_membership(self) -> None:
-        """Flush/discard the in-flight lookahead window before a remap.
+    def _restore(self, key: Any) -> None:
+        """Set worker ``key``'s objects to its last boundary mirror, if any."""
+        mirror = self.mirrors.get(key)
+        if mirror is not None:
+            restore_mirror(self.trainer.workers[key], mirror)
 
-        Default is a no-op (depth-0 bodies are always drained at the
-        boundary); pipelined trainers override it to merge or discard their
-        window so the membership pipeline meets a quiescent pool.
+    def _wait_for_replacement(self, membership: PoolMembership, lost: List[Any]) -> None:
+        """``wait``: block for replacement capacity, then reassign the lost workers.
+
+        The lost workers stay alive, restored from their last mirror (or kept
+        as the trainer's current objects when no boundary has passed yet —
+        either way everything since the last merge is gone, exactly the
+        crash-discard semantics); the next dispatch reinstalls them on a
+        surviving slot.  Raises :class:`TransportError` when no capacity
+        appears within ``rejoin_timeout``.
         """
-
-    # -- loss policies -----------------------------------------------------------
-    def _apply_loss_policy(self, iteration: int, lost_keys: List[Any]) -> None:
-        """Dispatch one batch of lost workers to the configured policy."""
-        membership = self._membership()
-        if membership.policy.on_slot_loss == "wait":
-            self._wait_for_replacement(iteration, lost_keys)
-        else:  # degrade
-            for key in lost_keys:
-                self._evict_worker(iteration, key, detail="slot loss")
-
-    def _evict_worker(self, iteration: int, key: Any, detail: str = "") -> None:
-        """Evict one worker crash-style (revivable by a later joiner)."""
-        membership = self._membership()
-        node = self.cluster.workers[key]
-        if node.alive:
-            node.crash()
-        membership.evicted.add(key)
-        membership.record("evict", worker=key, detail=detail)
-        self._rebalance_pending = True
-
-    def _check_min_workers(self, membership: PoolMembership) -> None:
-        """Escalate to a run failure when the fleet shrank below the floor."""
-        floor = membership.policy.min_workers
-        alive = len(self._alive_workers())
-        if alive < floor:
-            raise TransportError(
-                f"elastic pool degraded to {alive} live worker(s), below "
-                f"min_workers={floor}"
-            )
-
-    def _wait_for_replacement(self, iteration: int, lost_keys: List[Any]) -> None:
-        """``wait`` policy: block for replacement capacity, then reassign.
-
-        Shared by the synchronous boundary and the async drain-barrier heal.
-
-        The lost workers stay alive; once a replacement/joiner slot exists
-        their state is restored from the last merged mirror (or kept as the
-        trainer's current objects when no boundary has passed yet — both are
-        exactly the crash-discard semantics: everything since the last merge
-        is gone) and the next dispatch reinstalls them on a surviving slot.
-        """
-        membership = self._membership()
-        slot = self._block_for_replacement(lost_keys)
-        for key in lost_keys:
-            mirror = membership.mirrors.get(key)
-            if mirror is not None:
-                self._restore_worker_from_mirror(self.workers[key], mirror)
-            membership.record("reassign", slot=slot, worker=key, detail="wait-policy heal")
-
-    def _block_for_replacement(self, lost_keys: List[Any]) -> int:
-        """Block until a joiner/replacement slot exists; return its index.
-
-        Raises :class:`TransportError` when no capacity appears within
-        ``rejoin_timeout``.
-        """
-        membership = self._membership()
-        resident = self._active_resident()
-        policy = membership.policy
-        deadline = time.monotonic() + policy.rejoin_timeout
+        pool = self.trainer.executor
+        deadline = time.monotonic() + self.policy.rejoin_timeout
         slot = None
         while slot is None:
-            slot = resident.admit_joiner(timeout=policy.rejoin_backoff)
+            slot = pool.admit_joiner(timeout=self.policy.rejoin_backoff)
             if slot is None:
-                slot = resident.open_replacement_slot()
+                slot = pool.open_replacement_slot()
             if slot is None:
                 if time.monotonic() >= deadline:
                     raise TransportError(
                         f"on_slot_loss='wait': no replacement capacity within "
-                        f"rejoin_timeout={policy.rejoin_timeout}s for lost "
-                        f"workers {lost_keys!r}"
+                        f"rejoin_timeout={self.policy.rejoin_timeout}s for lost "
+                        f"workers {lost!r}"
                     )
-                time.sleep(policy.rejoin_backoff)
-        return slot
+                time.sleep(self.policy.rejoin_backoff)
+        for key in lost:
+            self._restore(key)
+            membership.record("reassign", slot=slot, worker=key, detail="wait-policy heal")
 
-    # -- joins and revivals --------------------------------------------------------
-    def _admit_joiners(self, iteration: int) -> List[int]:
-        """Admit every late joiner currently waiting; return their slot indices."""
-        resident = self._active_resident()
-        joined: List[int] = []
-        while True:
-            slot = resident.admit_joiner(timeout=0.0)
-            if slot is None:
-                return joined
-            joined.append(slot)
-
-    def _revive_evicted(self, iteration: int, slot_index: int) -> None:
-        """Bring evicted workers back after a join, from their last mirror."""
-        membership = self._membership()
-        for key in sorted(membership.evicted, key=repr):
-            worker = self.workers[key]
-            self.cluster.workers[key].rejoin()
-            mirror = membership.mirrors.get(key)
-            if mirror is not None:
-                self._restore_worker_from_mirror(worker, mirror)
-            membership.evicted.discard(key)
-            membership.record("revive", slot=slot_index, worker=key)
-        self._rebalance_pending = True
-
-    # -- shard rebalancing ---------------------------------------------------------
-    def _founding(self) -> Dict[int, ImageDataset]:
-        """Construction-time shards, captured on first elastic use."""
-        if self._founding_shards is None:
-            self._founding_shards = {w.index: w.dataset for w in self.workers}
-            self._shard_extras = {w.index: () for w in self.workers}
-        return self._founding_shards
-
-    def _rebalance_shards(self, iteration: int) -> None:
+    def _rebalance(self, membership: PoolMembership) -> None:
         """Redistribute evicted workers' founding shards across survivors.
 
         Targets are recomputed from the founding shards and the *current*
@@ -281,32 +194,21 @@ class ElasticMembershipMixin:
         follow ``len(worker.sampler)`` automatically), and reinstalled on
         their next dispatch.
         """
-        membership = self._membership()
-        founding = self._founding()
-        alive = sorted(w.index for w in self._alive_workers())
-        if not alive:
-            self._rebalance_pending = False
-            return
-        dead = sorted(membership.evicted, key=repr)
+        alive = sorted(w.index for w in self.trainer._alive_workers())
         targets: Dict[int, List[int]] = {index: [] for index in alive}
-        for position, evicted_key in enumerate(dead):
+        for position, evicted_key in enumerate(sorted(self.evicted, key=repr) if alive else ()):
             targets[alive[position % len(alive)]].append(evicted_key)
         moved = 0
-        for worker in self.workers:
+        for worker in self.trainer.workers:
             index = worker.index
-            if index not in targets:
+            extras = tuple(targets.get(index, ()))
+            if index not in targets or self.extras[index] == extras:
                 continue
-            extras = tuple(targets[index])
-            if self._shard_extras.get(index, ()) == extras:
-                continue
-            base = founding[index]
+            base = self.founding[index]
+            dataset = base
             if extras:
-                images = np.concatenate(
-                    [base.images] + [founding[d].images for d in extras]
-                )
-                labels = np.concatenate(
-                    [base.labels] + [founding[d].labels for d in extras]
-                )
+                images = np.concatenate([base.images] + [self.founding[d].images for d in extras])
+                labels = np.concatenate([base.labels] + [self.founding[d].labels for d in extras])
                 dataset = ImageDataset(
                     images=images,
                     labels=labels,
@@ -314,31 +216,20 @@ class ElasticMembershipMixin:
                     name=f"{base.name}+{len(extras)}shard",
                     dtype=base.dtype,
                 )
-            else:
-                dataset = base
             # Reclaim first: the pool copy (if any) is dropped and the epoch
             # bumped, so the mutated sampler/dataset reinstall cleanly.
-            self.sync_worker_state([worker])
+            self.trainer.sync_worker_state([worker])
             worker.dataset = dataset
             worker.sampler.replace_dataset(dataset)
-            self._shard_extras[index] = extras
+            self.extras[index] = extras
             moved += 1
         if moved:
             membership.record("rebalance", detail=f"{moved} worker shard(s) changed")
-        self._rebalance_pending = False
+        self.rebalance_pending = False
 
-    # -- boundary mirrors ------------------------------------------------------------
-    def _membership_snapshot(self) -> None:
-        """Refresh the per-worker boundary mirrors (the revival/reassign source)."""
-        membership = self._membership()
-        resident = self._active_resident()
-        keys = [
-            w.index for w in self._alive_workers() if resident.installed(w.index)
-        ]
-        if not keys:
-            return
-        membership.mirrors.update(resident.pull_mirror(keys))
-
-    # -- async-loop hooks --------------------------------------------------------------
-    def _async_resume_healed(self, lost_keys: List[Any], ctx) -> None:
-        """Resume healed workers; default relies on the engine's idle refill."""
+    def _snapshot(self) -> None:
+        """Refresh the mirrors of every alive, installed worker."""
+        pool = self.trainer.executor
+        keys = [w.index for w in self.trainer._alive_workers() if pool.installed(w.index)]
+        if keys:
+            self.mirrors.update(pool.pull_mirror(keys))

@@ -18,10 +18,13 @@ and expresses the modes as composable policies on it:
   the barrier "opens" (a flush is applied) whenever contributions are
   buffered and one more update cannot push any in-flight unit past the
   staleness bound;
-* **elastic** is a membership hook at the dispatch/merge boundaries: slot
-  losses drain whatever window is in flight, then the
-  :class:`~repro.core.elastic.ElasticMembershipMixin` boundary pipeline
-  (evict/wait, admit, revive, rebalance) runs against a quiescent pool.
+* **elastic** is one membership boundary, owned by the trainer's
+  :class:`~repro.core.elastic.MembershipController` and called only from
+  here: after every synchronous iteration (a slot loss first drains the
+  lookahead window through the trainer's pipeline hooks), and behind a
+  drain barrier of the asynchronous schedule whenever a loss is pending.
+  Either way the boundary (evict/wait, admit, revive, rebalance, mirror,
+  publish) runs against a quiescent pool.
 
 The engine is deliberately thin: trainer-specific bodies (what a unit *is*,
 how it merges) stay on the trainers as hook methods, declared with inert
@@ -43,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..runtime.membership import LOST
+from ..runtime.membership import LOST, SlotLossError
 from ..runtime.pipeline import PipelineStats
 from .async_aggregation import BoundedStalenessScheduler
 
@@ -78,8 +81,9 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
         "async x participation_fraction < 1: units from deselected workers "
         "are discarded through the scheduler, the same accounting as the "
         "synchronous schedule's final-round discard",
-        "async x on_slot_loss in (degrade, wait): the engine's drain "
-        "barrier provides the blocking boundary the wait-policy heal needs",
+        "async x on_slot_loss in (degrade, wait): a pending loss drains "
+        "the collector, then the synchronous schedule's membership "
+        "boundary runs against the quiescent pool",
         "elastic (degrade/wait) x pipeline_depth > 0: the in-flight window "
         "drains before any membership remap touches the pool",
     ),
@@ -125,7 +129,7 @@ class AsyncContext:
 
     The engine owns the common fields (scheduler, stats, collector, the
     outstanding units, the lookahead store, swap bookkeeping, the
-    participation set, the heal queue); trainers may attach extra per-run
+    participation set); trainers may attach extra per-run
     state (FL-GAN keeps its round progress here) — the dataclass is
     intentionally not slotted.
     """
@@ -141,8 +145,6 @@ class AsyncContext:
     #: Worker key -> its one dispatched, unanswered unit (see
     #: :meth:`ExecutionEngine.dispatch`).
     units: Dict[Any, Any] = field(default_factory=dict)
-    #: Worker keys lost under the ``wait`` policy, awaiting the heal.
-    heal: Set[Any] = field(default_factory=set)
     #: Pre-generated units waiting for dispatch: ``(unit, dispatch_mark)``.
     lookahead: List[Tuple[Any, int]] = field(default_factory=list)
     #: Worker keys selected for the current participation window, or
@@ -165,6 +167,9 @@ class EngineHooks:
 
     #: Program name handed to ``backend.open_collector`` for async runs.
     _async_program: str = ""
+    #: The trainer's :class:`~repro.core.elastic.MembershipController`, or
+    #: ``None`` under fail-stop.
+    elastic: Any = None
 
     # -- synchronous schedule ----------------------------------------------------
     def _sync_schedule(self, engine: "ExecutionEngine") -> Callable[[int], None]:
@@ -179,6 +184,18 @@ class EngineHooks:
     def _sync_should_continue(self, iteration: int) -> bool:
         """Pre-iteration continue check (e.g. the all-crashed early exit)."""
         return True
+
+    def _pipeline_idle(self) -> bool:
+        """Whether no pipelined work is in flight (the membership boundary needs this)."""
+        return True
+
+    def _drain_pipeline_for_membership(self) -> None:
+        """Flush/discard the in-flight lookahead window after a slot loss.
+
+        Default is a no-op (depth-0 bodies are always drained at the
+        boundary); pipelined trainers override it so the membership
+        boundary meets a quiescent pool.
+        """
 
     # -- asynchronous schedule ---------------------------------------------------
     def _async_begin(self, ctx: AsyncContext) -> None:
@@ -212,6 +229,12 @@ class EngineHooks:
 
     def _async_barrier(self, ctx: AsyncContext) -> None:
         """Work that runs only behind a drained barrier (e.g. MD-GAN SWAP)."""
+
+    def _async_resume_healed(self, keys: list, ctx: AsyncContext) -> None:
+        """Resume workers that left or re-entered the fleet at a membership boundary.
+
+        The default relies on the engine's idle refill.
+        """
 
     def _async_generate_unit(self, ctx: AsyncContext) -> Any:
         """Produce one pre-generatable unit for the lookahead store."""
@@ -261,20 +284,18 @@ class ExecutionEngine:
         trainer = self.trainer
         cfg = trainer.config
         step = trainer._sync_schedule(self)
+        iteration = 0
         try:
             for iteration in range(1, cfg.iterations + 1):
                 if not trainer._sync_should_continue(iteration):
                     break
-                step(iteration)
+                self.sync_iteration(iteration, step)
                 self._evaluate_if_due(iteration)
         except BaseException:
             trainer._cleanup_after_failure()
             raise
         else:
-            # Mirror the final resident state into the trainer's worker
-            # objects without reclaiming authority: the pool stays warm for
-            # the next train() call on this trainer.
-            trainer.sync_worker_state(reclaim=False)
+            self._close_run(iteration)
         finally:
             # Recorded on every exit path (completion, early break,
             # exception) so early exits keep their overlap summary.
@@ -283,10 +304,48 @@ class ExecutionEngine:
         trainer._record_run_summaries()
         return trainer.history
 
+    def sync_iteration(self, iteration: int, body: Callable[[int], None]) -> None:
+        """Run one synchronous iteration, then (elastic runs) the membership boundary.
+
+        Fail-stop runs call ``body`` and return.  Elastic runs absorb a
+        mid-iteration :class:`SlotLossError` (the un-merged remainder of the
+        iteration is discarded, like a crash), drain the trainer's in-flight
+        window when a loss is pending, and run the boundary once the
+        trainer reports a quiescent pool.
+        """
+        trainer = self.trainer
+        elastic = trainer.elastic
+        if elastic is None:
+            body(iteration)
+            return
+        try:
+            body(iteration)
+        except SlotLossError as exc:
+            trainer.history.record_event(
+                iteration, "membership_iteration_loss", slot=exc.slot_index, detail=str(exc)
+            )
+            trainer._drain_pipeline_for_membership()
+        if elastic.pending_loss and not trainer._pipeline_idle():
+            trainer._drain_pipeline_for_membership()
+        if trainer._pipeline_idle():
+            elastic.boundary(iteration)
+
+    def _close_run(self, iteration: int) -> None:
+        """Mirror the final resident state into the trainer's objects, then publish.
+
+        Authority is not reclaimed: the pool stays warm for the next
+        ``train()`` call.  Membership events are published after the pull,
+        so a slot lost during it is in the history too.
+        """
+        self.trainer.sync_worker_state(reclaim=False)
+        if self.trainer.elastic is not None:
+            self.trainer.elastic.publish(iteration)
+
     # -- the asynchronous schedule (staleness-gated barrier) ---------------------
     def _run_async(self) -> Any:
-        """Event-driven loop: dispatch, collect, heal, flush when the gate opens."""
+        """Event-driven loop: dispatch, collect, flush when the gate opens, heal."""
         trainer = self.trainer
+        elastic = trainer.elastic
         cfg = trainer.config
         sched = BoundedStalenessScheduler(cfg.max_staleness)
         stats = PipelineStats(depth=cfg.pipeline_depth)
@@ -300,12 +359,11 @@ class ExecutionEngine:
                 stats.observe_in_flight(collector.outstanding)
                 if collector.outstanding:
                     self._collect(ctx)
-                if ctx.heal:
-                    self._drain_and_heal(ctx)
                 if sched.buffered and sched.gate_open:
                     self._apply(ctx)
                 trainer._async_barrier(ctx)
-                self._consume_losses(ctx)
+                if elastic is not None and elastic.pending_loss:
+                    self._drain_barrier(ctx)
             # Straggler units past the end of training are answered and
             # discarded (never merged, never charged).
             while collector.outstanding:
@@ -315,8 +373,7 @@ class ExecutionEngine:
             trainer._cleanup_after_failure()
             raise
         else:
-            trainer._sync_membership_events(sched.updates)
-            trainer.sync_worker_state(reclaim=False)
+            self._close_run(sched.updates)
         finally:
             trainer.history.overlap = stats.as_overlap_dict()
         trainer._async_finish(ctx)
@@ -351,10 +408,9 @@ class ExecutionEngine:
     def _gone(self, ctx: AsyncContext, key: Any) -> bool:
         """Whether ``key``'s worker crashed, was evicted, or lost its slot."""
         trainer = self.trainer
-        if key in ctx.heal or not trainer.cluster.workers[key].alive:
+        if not trainer.cluster.workers[key].alive:
             return True
-        membership = trainer._membership()
-        return membership is not None and key in membership.pending_loss
+        return trainer.elastic is not None and key in trainer.elastic.pending_loss
 
     def _collect(self, ctx: AsyncContext) -> None:
         """Block for one answer and settle its unit: discard, fold, or buffer.
@@ -399,64 +455,28 @@ class ExecutionEngine:
         ctx.stats.record_staleness(max(stalenesses))
         for contribution, staleness in zip(contributions, stalenesses):
             history.record_worker_staleness(contribution.key, staleness)
-        # Waiting joiners are admitted as extra capacity (no revival).
-        if trainer._membership() is not None and trainer._admit_joiners(update):
-            trainer._sync_membership_events(update)
+        # Waiting joiners are admitted as extra capacity; evicted workers
+        # are revived only at a membership boundary.
+        if trainer.elastic is not None and trainer.elastic.admit_joiners():
+            trainer.elastic.publish(update)
         trainer._async_after_update(ctx, update)
 
-    def _consume_losses(self, ctx: AsyncContext) -> None:
-        """Apply the loss policy to the slot losses whose units are all answered.
-
-        The async loop's one consumer of ``membership.pending_loss``.  A lost
-        key with a unit still outstanding stays pending until that unit's
-        answer (its ``LOST``, or a reply read before the slot died) has been
-        collected, so no answer outlives its key's loss handling.
-        ``degrade`` evicts the lost workers like crashes; ``wait`` queues
-        them in ``ctx.heal`` for the drain-barrier heal, because mid-loop the
-        collector still owns the channel streams.
-        """
-        trainer = self.trainer
-        membership = trainer._membership()
-        if membership is None:
-            return
-        lost = sorted(membership.pending_loss.difference(ctx.units), key=repr)
-        if not lost:
-            return
-        membership.pending_loss.difference_update(lost)
-        update = ctx.sched.updates
-        wait = membership.policy.on_slot_loss == "wait"
-        for key in lost:
-            ctx.sched.discard(key)
-            if wait:
-                ctx.heal.add(key)
-            else:
-                trainer._evict_worker(update, key, detail="slot loss (async)")
-        trainer._sync_membership_events(update)
-        if not wait:
-            trainer._check_min_workers(membership)
-
-    def _drain_and_heal(self, ctx: AsyncContext) -> None:
-        """The wait-policy drain barrier: answer every outstanding unit, then heal.
+    def _drain_barrier(self, ctx: AsyncContext) -> None:
+        """Answer every outstanding unit, then run the membership boundary.
 
         Survivors buffer their contributions (or advance to their round
-        boundary) and every ``LOST`` for the dead slot is consumed; losses
-        found on the way join the heal.  Only against that drained collector
-        does the membership heal run: block for capacity, restore (async
-        runs keep no mid-run mirrors, so usually the trainer's current
-        objects — the crash-discard semantics), then resume through the
-        trainer.  Healed workers re-enter with a fresh dispatch mark, so
-        ``max_worker_staleness() <= max_staleness`` stays pinned.
+        boundary) and every ``LOST`` is consumed, so the boundary meets a
+        quiescent pool.  The keys it lost or revived are dropped from the
+        scheduler and handed to the trainer to resume; they re-enter with a
+        fresh dispatch mark, so ``max_worker_staleness() <= max_staleness``
+        stays pinned.
         """
-        trainer = self.trainer
         while ctx.collector.outstanding:
             self._collect(ctx)
-        self._consume_losses(ctx)
-        lost = sorted(ctx.heal, key=repr)
-        ctx.heal.clear()
-        update = ctx.sched.updates
-        trainer._wait_for_replacement(update, lost)
-        trainer._sync_membership_events(update)
-        trainer._async_resume_healed(lost, ctx)
+        keys = self.trainer.elastic.boundary(ctx.sched.updates)
+        for key in keys:
+            ctx.sched.discard(key)
+        self.trainer._async_resume_healed(keys, ctx)
 
     # -- the lookahead store (async x pipelined) ---------------------------------
     def refill_lookahead(self, ctx: AsyncContext) -> None:
@@ -498,22 +518,20 @@ class ExecutionEngine:
     def dispatch_idle(self, ctx: AsyncContext) -> None:
         """Dispatch one unit to every idle, alive, participating worker.
 
-        Skipped entirely while a SWAP drains the barrier, and while a
-        wait-policy heal is pending — lost workers must come back through
-        the heal, not land on a survivor's slot.  It stops at the first
-        pending slot loss (a failed send here is one) until the turn's loss
-        check has applied the policy.  A worker is idle when the scheduler
+        Skipped entirely while a SWAP drains the barrier.  It stops at the
+        first pending slot loss (a failed send here is one): lost workers
+        come back through the membership boundary, not by landing on a
+        survivor's slot.  A worker is idle when the scheduler
         neither tracks it in flight nor holds its buffered contribution
         (buffered workers wait for the flush — that is the gate's
         blocking-dispatch back-pressure).
         """
         trainer = self.trainer
-        if ctx.swap_pending or ctx.heal:
+        if ctx.swap_pending:
             return
-        membership = trainer._membership()
         tracked = ctx.sched.tracked_keys()
         for worker in trainer._alive_workers():
-            if membership is not None and membership.pending_loss:
+            if trainer.elastic is not None and trainer.elastic.pending_loss:
                 return
             if worker.index in tracked:
                 continue

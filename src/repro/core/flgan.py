@@ -28,10 +28,10 @@ from ..nn.model import Sequential
 from ..nn.serialize import weighted_average_parameters
 from ..runtime.membership import LOST, SlotLossError
 from ..runtime.pipeline import InflightWindow, PipelineStats
-from .elastic import ElasticMembershipMixin
+from .elastic import MembershipController
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
 from .lifecycle import WorkerStateOwner
-from ..runtime.tasks import FLGANResidentState, WorkerTask, run_flgan_local_task
+from ..runtime.tasks import FLGANResidentState, run_flgan_local_task
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.traffic import MessageKind, payload_nbytes
 from .config import TrainingConfig
@@ -57,7 +57,7 @@ class FLGANWorkerState:
     rng: np.random.Generator
 
 
-class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
+class FLGANTrainer(EngineHooks, WorkerStateOwner):
     """Federated-averaging GAN trainer over ``N`` emulated workers.
 
     The trainer owns its execution backend and its workers' state (see
@@ -143,6 +143,9 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 "max_staleness": config.max_staleness,
             },
         )
+        policy = config.membership_policy()
+        #: Trainer-side elastic membership; ``None`` under fail-stop.
+        self.elastic = None if policy is None else MembershipController(self, policy)
 
     # -- helpers -----------------------------------------------------------------
     @property
@@ -165,10 +168,6 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
     # install the full local GAN once per round era and only losses plus
     # RNG/sampler cursors come back.  How state is installed, adopted,
     # mirrored and reclaimed comes from WorkerStateOwner.
-
-    def _build_local_task(self, worker: FLGANWorkerState) -> WorkerTask:
-        """One local GAN iteration as a stateless-backend task."""
-        return WorkerTask(self._resident_state(worker))
 
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:
         """Merge phase: adopt the round-tripped state (or cursors), charge the step.
@@ -438,8 +437,8 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             ctx.engine.dispatch(ctx, worker)
 
     def _async_active(self, ctx: AsyncContext) -> bool:
-        """Run until nothing is in flight, buffered, or awaiting a heal."""
-        return bool(ctx.collector.outstanding or ctx.sched.buffered or ctx.heal)
+        """Run until nothing is in flight or buffered."""
+        return bool(ctx.collector.outstanding or ctx.sched.buffered)
 
     def _async_after_update(self, ctx: AsyncContext, update: int) -> None:
         """Record the evaluation cadence on the merge-count axis."""
@@ -449,15 +448,18 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 self.evaluator.evaluate(self.sample_images, update)
             )
 
-    def _async_resume_healed(self, lost_keys, ctx: AsyncContext) -> None:
-        """Restart healed workers' rounds from the current server model.
+    def _async_resume_healed(self, keys, ctx: AsyncContext) -> None:
+        """Restart healed or revived workers' rounds from the current server model.
 
         The lost round's progress is gone with the slot (crash-discard
         semantics); re-seeding from the server model is exactly a fresh
         federated broadcast, and the fresh round-start dispatch mark
-        re-pins the healed worker's staleness to the bound.
+        re-pins the healed worker's staleness to the bound.  Evicted
+        workers stay out.
         """
-        for key in lost_keys:
+        for key in keys:
+            if not self.cluster.workers[key].alive:
+                continue
             worker = self.workers[key]
             worker.generator.set_parameters(self.server_generator.get_parameters())
             worker.discriminator.set_parameters(
@@ -522,7 +524,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             self._federated_round(iteration)
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The per-iteration body (elastic-wrapped) over this run's window.
+        """The per-iteration body over this run's window.
 
         Only a resident backend can keep iterations in flight; on the others
         ``pipeline_depth`` is recorded but the window stays at depth 0.
@@ -532,11 +534,7 @@ class FLGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
             engine.stats = PipelineStats(depth=depth)
         resident = getattr(self.executor, "supports_resident", False)
         self._pipeline_window = InflightWindow(depth if resident else 0)
-        body = partial(self._sync_iteration, stats=engine.stats)
-        # Elastic membership (when configured) absorbs slot losses inside
-        # the wrapper and runs its boundary pipeline after the iteration;
-        # fail-stop runs call the body directly.
-        return lambda iteration: self._elastic_iteration(iteration, body)
+        return partial(self._sync_iteration, stats=engine.stats)
 
     def _pipeline_idle(self) -> bool:
         """Quiescent only when the in-flight window has fully drained."""

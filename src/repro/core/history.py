@@ -49,11 +49,10 @@ class TrainingHistory:
     #: empty for synchronous runs.  See
     #: :meth:`repro.runtime.pipeline.PipelineStats.as_overlap_dict`.
     overlap: Dict[str, float] = field(default_factory=dict)
-    #: Membership-event counters from an elastic resident pool (slot losses,
-    #: joins, reassignments, reconnect attempts; see
-    #: :meth:`repro.runtime.resident.ResidentBackend.membership_counters`).
-    #: Empty under the default fail-stop discipline.  The individual events
-    #: (``membership_*`` / ``slot_loss`` kinds) land in :attr:`events`.
+    #: Membership-event counts by pool event kind (slot losses, joins,
+    #: evictions, reassignments, ...): exactly the ``membership_*`` /
+    #: ``slot_loss`` events recorded in :attr:`events`, over every pool the
+    #: trainer used.  Empty under the default fail-stop discipline.
     membership: Dict[str, int] = field(default_factory=dict)
 
     # -- recording -------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime.backend import ExecutorBackend
 from ..runtime.resident import ResidentBackend
-from ..runtime.tasks import WorkerTask
+from ..runtime.tasks import WorkerTask, restore_mirror
 
 __all__ = ["BackendOwner", "WorkerStateOwner", "close_quietly"]
 
@@ -184,8 +184,8 @@ class WorkerStateOwner(BackendOwner):
     (:mod:`repro.runtime.tasks`; its ``STATE_FIELDS`` tuple names the
     stateful fields a worker object and the state object share) and the
     static per-run context in ``_step_context``; everything that moves
-    worker state — install payload, stateless task, result adoption, mirror
-    restore, sync — is derived from those here, once for both trainers.
+    worker state — install payload, stateless task, result adoption, sync —
+    is derived from those here, once for both trainers.
     Host contract: ``self.workers`` (objects with ``index`` and the state
     fields), ``self.cluster.workers[i]`` nodes, and the engine hooks'
     ``_async_program`` / ``_async_worker_fn(worker)``.
@@ -274,19 +274,4 @@ class WorkerStateOwner(BackendOwner):
         for worker in targets:
             mirror = mirrors.get(worker.index)
             if mirror is not None:
-                self._restore_worker_from_mirror(worker, mirror)
-
-    def _restore_worker_from_mirror(self, worker: Any, mirror: Dict[str, Any]) -> None:
-        """Set a worker's objects to a mirror payload (sync, elastic heal/revival).
-
-        The inverse of :func:`repro.runtime.tasks.mirror_payload`: the
-        sampler position is restored in full (incl. the mid-epoch shuffle
-        order), so a later re-install resumes exactly where the pool left off.
-        """
-        for name, value in mirror.items():
-            if name == "rng_state":
-                worker.rng.bit_generator.state = value
-            elif name == "sampler_cursor":
-                worker.sampler.restore_cursor_state(value)
-            else:
-                setattr(worker, name, value)
+                restore_mirror(worker, mirror)

@@ -55,7 +55,7 @@ from ..runtime.pipeline import (
     PipelineStats,
     start_resident_generation,
 )
-from .elastic import ElasticMembershipMixin
+from .elastic import MembershipController
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
 from .lifecycle import WorkerStateOwner
 from ..runtime.membership import LOST, SlotLossError
@@ -94,7 +94,7 @@ class MDGANWorkerState:
     rng: np.random.Generator
 
 
-class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
+class MDGANTrainer(EngineHooks, WorkerStateOwner):
     """MD-GAN trainer: one server-side generator versus ``N`` worker discriminators.
 
     The trainer owns its execution backend and its workers' state (see
@@ -188,6 +188,9 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
                 "max_staleness": config.max_staleness,
             },
         )
+        policy = config.membership_policy()
+        #: Trainer-side elastic membership; ``None`` under fail-stop.
+        self.elastic = None if policy is None else MembershipController(self, policy)
 
     # -- helpers -----------------------------------------------------------------
     @property
@@ -727,10 +730,10 @@ class MDGANTrainer(ElasticMembershipMixin, EngineHooks, WorkerStateOwner):
         self._pipeline_stats = PipelineStats(depth=depth) if depth else None
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The per-iteration body (elastic-wrapped), over a fresh pipeline."""
+        """The per-iteration body, over a fresh pipeline."""
         self._reset_pipeline()
         engine.stats = self._pipeline_stats
-        return lambda iteration: self._elastic_iteration(iteration, self.train_iteration)
+        return self.train_iteration
 
     def _sync_should_continue(self, iteration: int) -> bool:
         """Stop (and record) once every worker has crashed."""

@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "fail the run when elastic degradation leaves fewer than N live "
-            "workers (only meaningful with --on-slot-loss degrade/wait)"
+            "workers (enforced for --on-slot-loss degrade only)"
         ),
     )
     runtime.add_argument(

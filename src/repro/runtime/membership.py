@@ -8,11 +8,11 @@ any wire fault poisons the whole pool.  This module holds everything the
   ``TrainingConfig``: what to do when a slot dies (``on_slot_loss``), how far
   the pool may shrink (``min_workers``) and how eagerly lost capacity is
   re-sought (``rejoin_backoff`` / ``rejoin_timeout``).
-* :class:`PoolMembership` — mutable membership state shared between the
-  backend (which quarantines dead slots and remaps keys) and the trainer
-  (which evicts/revives workers and rebalances shards): quarantined slots,
-  the key→slot assignment overlay, boundary mirrors, pending losses and the
-  event/counter log surfaced through ``TrainingHistory`` and the meters.
+* :class:`PoolMembership` — the membership state the backend writes as it
+  quarantines dead slots and remaps keys: quarantined slots, the key→slot
+  assignment overlay, pending losses and the event/counter log surfaced
+  through ``TrainingHistory`` and the meters.  The trainer side (evictions,
+  mirrors, shard rebalancing) is :mod:`repro.core.elastic`.
 * :class:`SlotLossError` — the *recoverable* sibling of
   :class:`~repro.runtime.transport.TransportError`: raised instead of
   poisoning when a slot dies under an elastic policy, carrying the worker
@@ -145,14 +145,14 @@ class MembershipEvent:
 
 @dataclass
 class PoolMembership:
-    """Mutable membership state shared by the backend and the trainer.
+    """Mutable membership state of one pool, written by the backend.
 
-    The backend side mutates :attr:`quarantined` / :attr:`assignments` /
-    :attr:`pending_loss` when a wire fault is survivable; the trainer side
-    consumes :attr:`pending_loss`, maintains :attr:`evicted` /
-    :attr:`mirrors` and drives shard rebalancing.  Everything observable
-    funnels through :meth:`record`, which feeds both the event list (surfaced
-    in ``TrainingHistory``) and the counters (surfaced next to the transport
+    The backend mutates :attr:`quarantined` / :attr:`assignments` /
+    :attr:`pending_loss` when a wire fault is survivable; the trainer's
+    :class:`~repro.core.elastic.MembershipController` consumes
+    :attr:`pending_loss`.  Everything observable funnels through
+    :meth:`record`, which feeds both the event list (surfaced in
+    ``TrainingHistory``) and the counters (surfaced next to the transport
     meters).
     """
 
@@ -166,11 +166,6 @@ class PoolMembership:
     #: Worker keys whose resident state died with a slot, not yet handled by
     #: the trainer's recovery path.
     pending_loss: Set[Any] = field(default_factory=set)
-    #: Worker keys currently evicted by the ``degrade`` policy (revivable).
-    evicted: Set[Any] = field(default_factory=set)
-    #: Last merged mirror payload per worker key (refreshed at aggregation
-    #: boundaries; what a reassigned/revived worker restarts from).
-    mirrors: Dict[Any, Any] = field(default_factory=dict)
     #: Ordered log of membership transitions.
     events: List[MembershipEvent] = field(default_factory=list)
     #: Event counts by kind (``slot_loss``, ``join``, ``evict``, ...).

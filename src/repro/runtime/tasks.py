@@ -60,6 +60,7 @@ __all__ = [
     "mdgan_step",
     "flgan_step",
     "mirror_payload",
+    "restore_mirror",
     "run_mdgan_worker_task",
     "run_flgan_local_task",
 ]
@@ -95,6 +96,21 @@ def mirror_payload(state) -> Dict[str, Any]:
     payload["rng_state"] = state.rng.bit_generator.state
     payload["sampler_cursor"] = state.sampler.cursor_state()
     return payload
+
+
+def restore_mirror(worker, mirror: Dict[str, Any]) -> None:
+    """Set a worker's objects to a :func:`mirror_payload` (its inverse).
+
+    The sampler position is restored in full (incl. the mid-epoch shuffle
+    order), so a later re-install resumes exactly where the pool left off.
+    """
+    for name, value in mirror.items():
+        if name == "rng_state":
+            worker.rng.bit_generator.state = value
+        elif name == "sampler_cursor":
+            worker.sampler.restore_cursor_state(value)
+        else:
+            setattr(worker, name, value)
 
 
 # -- MD-GAN: Algorithm 1 steps 2-3 ------------------------------------------------

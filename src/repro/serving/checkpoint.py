@@ -14,7 +14,8 @@ process restart:
 * **Trainer checkpoints** capture everything a mid-run
   :class:`~repro.core.mdgan.MDGANTrainer` needs to continue training
   bitwise-exactly: the generator and its optimizer, the generator-update
-  counter, the server RNG state, and per worker the discriminator, its
+  counter, the server RNG state, and per worker its
+  :func:`~repro.runtime.tasks.mirror_payload`: the discriminator, its
   optimizer, the worker RNG state and the **full**
   :meth:`~repro.datasets.sampler.EpochSampler.cursor_state` (mid-epoch
   shuffle order included).  Resident worker state is synced back into the
@@ -33,6 +34,8 @@ import copy
 import pickle
 from pathlib import Path
 from typing import Any, Dict, Union
+
+from ..runtime.tasks import mirror_payload, restore_mirror
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -128,12 +131,7 @@ def trainer_checkpoint(trainer) -> Dict[str, Any]:
         "gen_update_count": trainer._gen_update_count,
         "server_rng_state": copy.deepcopy(trainer._rng.bit_generator.state),
         "workers": [
-            {
-                "discriminator": copy.deepcopy(worker.discriminator),
-                "disc_opt": copy.deepcopy(worker.disc_opt),
-                "rng_state": copy.deepcopy(worker.rng.bit_generator.state),
-                "sampler_cursor": copy.deepcopy(worker.sampler.cursor_state()),
-            }
+            copy.deepcopy(mirror_payload(trainer._resident_state(worker)))
             for worker in trainer.workers
         ],
     }
@@ -167,10 +165,7 @@ def restore_trainer(trainer, checkpoint: Dict[str, Any]) -> None:
     trainer._generator_handle.bump()
     trainer._rng.bit_generator.state = copy.deepcopy(state["server_rng_state"])
     for worker, saved in zip(trainer.workers, state["workers"]):
-        worker.discriminator = copy.deepcopy(saved["discriminator"])
-        worker.disc_opt = copy.deepcopy(saved["disc_opt"])
-        worker.rng.bit_generator.state = copy.deepcopy(saved["rng_state"])
-        worker.sampler.restore_cursor_state(copy.deepcopy(saved["sampler_cursor"]))
+        restore_mirror(worker, copy.deepcopy(saved))
 
 
 # -- file form ----------------------------------------------------------------------

@@ -47,10 +47,10 @@ def test_fanout_path_matches_resident_path(ring_shards, toy_factory, tiny_config
     # The full-snapshot fan-out (serial/thread/process tasks) and the
     # resident delta protocol execute the same compute core; one local
     # iteration must stay in bitwise lockstep between the two.
-    from repro.runtime import run_flgan_local_task
+    from repro.runtime import WorkerTask, run_flgan_local_task
 
     fanned = FLGANTrainer(toy_factory, ring_shards, tiny_config)
-    tasks = [fanned._build_local_task(worker) for worker in fanned.workers]
+    tasks = [WorkerTask(fanned._resident_state(worker)) for worker in fanned.workers]
     results = fanned.executor.map_ordered(run_flgan_local_task, tasks)
     losses = [
         fanned._merge_local_result(worker, result)

@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core import FLGANTrainer, MDGANTrainer, TrainingConfig
+from repro.core.engine import ExecutionEngine
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.runtime import (
@@ -351,6 +352,20 @@ def ring_setup4():
     return shards, factory
 
 
+@pytest.fixture(scope="module")
+def ring_setup6():
+    """A larger ring split into 6 shards of 40 (two workers per slot on 3 slots)."""
+    train, _ = make_gaussian_ring(n_train=240, n_test=40, image_size=8, seed=7)
+    factory = build_toy_gan(
+        image_shape=train.spec.shape,
+        num_classes=train.num_classes,
+        latent_dim=8,
+        hidden=16,
+    )
+    shards = partition_iid(train, 6, np.random.default_rng(3))
+    return shards, factory
+
+
 def _config(**overrides) -> TrainingConfig:
     base = dict(iterations=6, batch_size=8, seed=11, backend="resident", max_workers=2)
     base.update(overrides)
@@ -391,12 +406,12 @@ class TestDegradeTcp:
             backend, transport = _adopt_chaos_tcp(trainer, config)
             assert trainer.iterations_per_round == 3  # rounds at 3 and 6
             for iteration in (1, 2, 3):
-                trainer._elastic_iteration(iteration, trainer._sync_iteration)
+                ExecutionEngine(trainer).sync_iteration(iteration, trainer._sync_iteration)
             # Worker 1 is alone on slot 1 (founding hash placement); killing
             # that slot evicts exactly one worker and leaves two survivors.
             transport.kill_slot(1)
             for iteration in (4, 5, 6):
-                trainer._elastic_iteration(iteration, trainer._sync_iteration)
+                ExecutionEngine(trainer).sync_iteration(iteration, trainer._sync_iteration)
 
             history = trainer.history
             assert history.events_of_kind("slot_loss")
@@ -457,11 +472,11 @@ class TestDegradeTcp:
         try:
             backend, transport = _adopt_chaos_tcp(trainer, config)
             for iteration in (1, 2):
-                trainer._elastic_iteration(iteration, trainer._sync_iteration)
+                ExecutionEngine(trainer).sync_iteration(iteration, trainer._sync_iteration)
             transport.kill_slot(1)
-            trainer._elastic_iteration(3, trainer._sync_iteration)
+            ExecutionEngine(trainer).sync_iteration(3, trainer._sync_iteration)
             assert not trainer.cluster.workers[1].alive  # evicted
-            assert backend.membership.evicted == {1}
+            assert trainer.elastic.evicted == {1}
 
             # The elastic pool kept its listener open; dial in a late joiner
             # and wait (bounded) for its connection to reach the backlog.
@@ -477,20 +492,20 @@ class TestDegradeTcp:
             assert ready, "late joiner never reached the listener"
 
             # One boundary admits + revives + rebalances ...
-            trainer._elastic_iteration(4, trainer._sync_iteration)
+            ExecutionEngine(trainer).sync_iteration(4, trainer._sync_iteration)
             history = trainer.history
             joins = [e for e in history.events_of_kind("membership_join")]
             assert joins and joins[0]["iteration"] == 4
             revives = history.events_of_kind("membership_revive")
             assert [e["worker"] for e in revives] == [1]
             assert trainer.cluster.workers[1].alive
-            assert backend.membership.evicted == set()
+            assert trainer.elastic.evicted == set()
             # ... and the shards are back to their founding layout.
             for worker, shard in zip(trainer.workers, shards):
                 assert len(worker.sampler) == len(shard)
             # The revived worker contributes from the very next iteration.
             drawn_before = trainer.workers[1].sampler.samples_drawn
-            trainer._elastic_iteration(5, trainer._sync_iteration)
+            ExecutionEngine(trainer).sync_iteration(5, trainer._sync_iteration)
             assert trainer.workers[1].sampler.samples_drawn > drawn_before
             assert history.membership["join"] >= 1
             assert history.membership["revive"] >= 1
@@ -507,14 +522,14 @@ class TestDegradePolicyEdges:
         config = _config(transport="pipe", on_slot_loss="degrade", min_workers=4)
         trainer = MDGANTrainer(factory, shards, config)
         try:
-            trainer._elastic_iteration(1, trainer.train_iteration)
+            ExecutionEngine(trainer).sync_iteration(1, trainer.train_iteration)
             victim = trainer._backend._transport._processes[0]
             victim.kill()
             victim.join()
             # The boundary evicts slot 0's workers, leaving 2 of 4 alive —
             # below the configured floor: the run fails loudly, not quietly.
             with pytest.raises(TransportError, match="min_workers=4"):
-                trainer._elastic_iteration(2, trainer.train_iteration)
+                ExecutionEngine(trainer).sync_iteration(2, trainer.train_iteration)
         finally:
             trainer.close_backend()
 
@@ -543,12 +558,12 @@ class TestDegradePolicyEdges:
         )
         trainer = MDGANTrainer(factory, shards, config)
         try:
-            trainer._elastic_iteration(1, trainer.train_iteration)
+            ExecutionEngine(trainer).sync_iteration(1, trainer.train_iteration)
             victim = trainer._backend._transport._processes[0]
             victim.kill()
             victim.join()
-            trainer._elastic_iteration(2, trainer.train_iteration)
-            trainer._elastic_iteration(3, trainer.train_iteration)
+            ExecutionEngine(trainer).sync_iteration(2, trainer.train_iteration)
+            ExecutionEngine(trainer).sync_iteration(3, trainer.train_iteration)
             history = trainer.history
             assert all(node.alive for node in trainer.cluster.workers)
             assert not history.events_of_kind("membership_evict")
@@ -557,6 +572,40 @@ class TestDegradePolicyEdges:
             assert history.membership["join"] >= 1
             assert history.membership["slot_loss"] == 1
             assert 3 in history.iterations  # the healed fleet kept training
+        finally:
+            trainer.close_backend()
+
+    def test_rebuilt_pool_events_reach_the_history(self, ring_setup6):
+        # Every pool the trainer used contributes its membership events:
+        # a pool rebuilt after close() starts a fresh event list, and the
+        # workers its predecessor evicted stay evicted (their shards stay
+        # with the survivors).
+        shards, factory = ring_setup6
+        assert [len(s) for s in shards] == [40] * 6
+        config = _config(transport="pipe", max_workers=3, iterations=2, on_slot_loss="degrade")
+        trainer = MDGANTrainer(factory, shards, config)
+        try:
+            for victim in (2, 1):
+                trainer.train_iteration(1)
+                process = trainer._backend._transport._processes[victim]
+                process.kill()
+                process.join()
+                history = trainer.train()
+                trainer.close()
+            assert len(history.events_of_kind("slot_loss")) == 2
+            evicted = [e["worker"] for e in history.events_of_kind("membership_evict")]
+            assert sorted(evicted) == [1, 2, 4, 5]
+            recorded = {
+                kind: len(history.events_of_kind(f"membership_{kind}"))
+                for kind in history.membership
+                if kind != "slot_loss"
+            }
+            recorded["slot_loss"] = len(history.events_of_kind("slot_loss"))
+            assert history.membership == recorded
+            assert recorded["slot_loss"] == 2 and recorded["evict"] == 4
+            alive = trainer._alive_workers()
+            assert sorted(w.index for w in alive) == [0, 3]
+            assert sum(len(w.sampler) for w in alive) == 240
         finally:
             trainer.close_backend()
 
@@ -596,9 +645,47 @@ class TestAsyncElastic:
         finally:
             trainer.close_backend()
 
+    def test_async_degrade_redistributes_evicted_shards(self, ring_setup6):
+        # Under async "degrade" the pending loss drains the collector and
+        # runs the same boundary as a synchronous iteration: the evicted
+        # workers' shards move to survivors, so no sample leaves the run.
+        shards, factory = ring_setup6
+        config = _config(
+            iterations=12,
+            epochs_per_swap=0.4,
+            aggregation="async",
+            max_staleness=2,
+            max_workers=3,
+            on_slot_loss="degrade",
+        )
+        trainer = MDGANTrainer(factory, shards, config)
+        schedule = ChaosSchedule((ChaosAction(slot=2, frame_index=5, kind="disconnect"),))
+        try:
+            transport = ChaosTransport(LocalPipeTransport(serve_slot), schedule=schedule)
+            backend = ResidentBackend(
+                max_workers=3,
+                transport=transport,
+                membership_policy=config.membership_policy(),
+            )
+            trainer.adopt_backend(backend, owned=True)
+            history = trainer.train()
+            assert len(schedule) == 0  # the scripted disconnect fired
+            assert history.membership["evict"] >= 1
+            assert history.events_of_kind("membership_rebalance")
+            alive = trainer._alive_workers()
+            assert len(alive) < len(shards)
+            assert sum(len(w.sampler) for w in alive) == 240
+            assert history.max_worker_staleness() <= config.max_staleness
+            assert np.isfinite(history.generator_loss).all()
+        finally:
+            if transport.started:
+                transport.kill_slot(2)
+            trainer.close_backend()
+
     def test_async_late_joiner_admitted_as_capacity(self, ring_setup3):
-        # Async loops have no revival boundary; a late joiner is still
-        # admitted (extra capacity, counted) and the staleness bound holds.
+        # With no slot loss the async loop never enters its drain barrier,
+        # so a late joiner is admitted at a flush as extra capacity (counted;
+        # there is no evicted worker to revive) and the staleness bound holds.
         shards, factory = ring_setup3
         config = _config(
             epochs_per_swap=0.4,
