@@ -5,8 +5,9 @@ Builds a :class:`repro.serving.GeneratorService` on the resident backend and
 walks its contracts end to end:
 
 * **concurrent clients** — N threads issue seeded requests against the
-  shared pool; the dispatcher coalesces them into k-batch dispatches, and
-  a seeded request returns the same bits no matter the arrival order;
+  shared pool; the dispatcher keeps a group in flight on every idle slot
+  (coalescing what queues while every slot is busy), and a seeded request
+  returns the same bits no matter the arrival order or the slot;
 * **the versioned param cache** — after ``warmup()`` the byte meter shows
   zero generator parameter bytes shipped per request; ``update_generator``
   bumps the handle version and re-ships exactly once per slot;

@@ -138,6 +138,12 @@ class MembershipController:
                 )
         return lost + revived
 
+    def absorb_close_loss(self) -> None:
+        """Publish a slot lost under ``close()``; restore its workers from their mirrors."""
+        for key in self._membership().take_pending_loss():
+            self._restore(key)
+        self.publish((self.trainer.history.iterations or [0])[-1])
+
     def admit_joiners(self) -> List[int]:
         """Admit every late joiner currently waiting; return their slot indices."""
         pool = self.trainer.executor

@@ -29,6 +29,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime.backend import ExecutorBackend
+from ..runtime.membership import SlotLossError
 from ..runtime.resident import ResidentBackend
 from ..runtime.tasks import WorkerTask, restore_mirror
 
@@ -127,10 +128,15 @@ class BackendOwner:
 
         After ``close()`` the trainer's own worker objects hold the final
         state and the trainer remains usable — a later ``train()`` lazily
-        builds a fresh backend and re-installs from those objects.
+        builds a fresh backend and re-installs from those objects (an elastic
+        trainer absorbs a slot lost during the reclaim).
         """
         try:
             self.sync_worker_state()
+        except SlotLossError:
+            if getattr(self, "elastic", None) is None:
+                raise
+            self.elastic.absorb_close_loss()
         finally:
             self.close_backend()
 
@@ -270,8 +276,14 @@ class WorkerStateOwner(BackendOwner):
             return
         targets = list(self.workers) if workers is None else list(workers)
         pull = resident.pull_state if reclaim else resident.pull_mirror
-        mirrors = pull([worker.index for worker in targets])
-        for worker in targets:
-            mirror = mirrors.get(worker.index)
-            if mirror is not None:
-                restore_mirror(worker, mirror)
+        mirrors = {}
+        try:
+            mirrors = pull([worker.index for worker in targets])
+        except SlotLossError as loss:
+            mirrors = loss.replies  # restored (below) before the loss surfaces
+            raise
+        finally:
+            for worker in targets:
+                mirror = mirrors.get(worker.index)
+                if mirror is not None:
+                    restore_mirror(worker, mirror)

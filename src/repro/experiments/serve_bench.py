@@ -6,8 +6,8 @@ under concurrent load, on both resident transports:
 
 * ``N`` client threads each issue a stream of one-batch generation
   requests (per-request seeds, so samples are independent of arrival
-  order); the service coalesces the queue into resident k-batch dispatches
-  across the pool slots.
+  order); the service keeps a coalesced k-batch dispatch in flight on
+  every idle pool slot, starting at the least-loaded one.
 * Per transport (``pipe`` and ``tcp``) the run reports throughput
   (samples/s, requests/s), latency percentiles (p50/p95/p99), the mean
   coalescing factor, and the parameter bytes shipped — which the versioned

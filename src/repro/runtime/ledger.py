@@ -113,6 +113,10 @@ class InflightLedger:
             if owner is None or entry.owner is owner
         ]
 
+    def depth(self, slot_index: int) -> int:
+        """Frames in flight on one slot."""
+        return len(self._queues.get(slot_index, ()))
+
     def _fault(self, slot: int, op, message: str, reason: str, cause=None) -> None:
         """Route one wire fault through the pool: raise it when fail-stop.
 
@@ -192,7 +196,11 @@ class InflightLedger:
         entry.deliver(payload)
 
     def wait(
-        self, entries: Sequence[_Entry], first: bool = False, timeout: Optional[float] = None
+        self,
+        entries: Sequence[_Entry],
+        first: bool = False,
+        timeout: Optional[float] = None,
+        wake=None,
     ) -> None:
         """Deliver replies until all (or, with ``first``, any) of ``entries`` are answered.
 
@@ -203,6 +211,7 @@ class InflightLedger:
         a caller ``timeout`` (``TimeoutError``; back-pressure, the pool
         stays healthy) and the transport's ``read_timeout`` (a dropped
         frame; the clock restarts whenever a reply lands or a slot is lost).
+        A readable ``wake`` connection ends the wait early, raising nothing.
         """
         pool = self._pool
         settled = any if first else all
@@ -216,14 +225,17 @@ class InflightLedger:
             pause = _HEARTBEAT
             if caller_deadline is not None:
                 pause = min(pause, max(caller_deadline - time.monotonic(), 0.0))
+            waitables = list(channels) if wake is None else [*channels, wake]
             try:
-                ready = connection.wait(list(channels), pause)
+                ready = connection.wait(waitables, pause)
             except (OSError, ValueError):
                 # A closed channel has no descriptor to wait on; reading it
                 # raises the error the routing below expects.
                 ready = [channel for channel in channels if _closed(channel)]
                 if not ready:
                     raise
+            if wake in ready:
+                return
             for channel in ready:
                 slot = channels[channel]
                 try:
@@ -313,6 +325,12 @@ class PendingSteps:
     def done(self) -> bool:
         """Whether the replies were already collected."""
         return self._values is not None
+
+    def wait(self, wake=None) -> bool:
+        """Read replies until this batch is answered or ``wake`` fires; return whether it is."""
+        if not self._dead:
+            self._backend._ledger.wait([entry for entry, _ in self._frames], wake=wake)
+        return self._dead or all(entry.done for entry, _ in self._frames)
 
     def result(self) -> List[Any]:
         """Collect the slot replies (in dispatch order) and return the results.

@@ -77,6 +77,8 @@ class SlotLossError(TransportError):
         super().__init__(message, slot_index=slot_index, op=op)
         #: Worker keys whose resident state lived on the dead slot.
         self.lost_keys = list(lost_keys or ())
+        #: Replies of the slots that did answer (``pull_state``'s survivors).
+        self.replies: Dict[Any, Any] = {}
 
 
 @dataclass(frozen=True)

@@ -348,7 +348,7 @@ def start_resident_generation(
     :func:`~repro.core.gan_ops.sample_generator_images` calls), ships the
     generator inputs to the pool via
     :meth:`~repro.runtime.resident.ResidentBackend.start_generation` (batch
-    ``j`` on slot ``j mod pool size``, current parameters attached), and
+    ``j`` on the ``j``-th slot from the least loaded, parameters attached), and
     returns a :class:`PendingGeneration` whose ``collect()`` yields batches
     bitwise identical to the serial loop.  Returns ``None`` when exact
     resident generation is not possible (see :func:`can_generate_resident`);

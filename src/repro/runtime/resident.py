@@ -308,6 +308,10 @@ class ResidentBackend(ExecutorBackend):
         """Number of slots still in service."""
         return len(self._alive_slots())
 
+    def idle_slot_count(self) -> int:
+        """Number of slots in service with no frame in flight."""
+        return sum(not self._ledger.depth(slot) for slot in self._alive_slots())
+
     def quarantine_slot(self, slot_index: int, reason: str = "") -> List[Any]:
         """Remove one dead slot from service; return the worker keys lost with it.
 
@@ -608,7 +612,8 @@ class ResidentBackend(ExecutorBackend):
 
         ``handle`` is a :class:`~repro.runtime.pipeline.GeneratorHandle`
         naming the generator.  Batch ``j`` runs on the ``j``-th alive slot
-        (round-robin) against that slot's resident copy of the
+        counted from the least-loaded one (the lowest on a tie: slot ``j`` of
+        an idle pool), on that slot's resident copy of the
         generator: ``generator_supplier()`` is shipped (once per slot, on
         first use or after a pool restart) as the structural install, and
         ``params_supplier()`` — a copy of the current flat parameter vector,
@@ -630,7 +635,9 @@ class ResidentBackend(ExecutorBackend):
         if not len(g_inputs):
             return pending
         self._check_usable()
-        slots = self._alive_slots()
+        alive = self._alive_slots()
+        first = min(range(len(alive)), key=lambda index: self._ledger.depth(alive[index]))
+        slots = alive[first:] + alive[:first]
         per_slot: Dict[int, List[int]] = defaultdict(list)
         for position in range(len(g_inputs)):
             per_slot[slots[position % len(slots)]].append(position)
@@ -642,12 +649,10 @@ class ResidentBackend(ExecutorBackend):
                 install = generator_supplier()
                 self.install_count += 1
             # Param-cache: skip the parameter payload when this slot's copy
-            # already holds exactly this version's bits.  Sends are FIFO per
-            # slot, so "last version shipped" is also "version the copy will
-            # hold by the time this request executes".  The frame is always
-            # queued: the serving dispatcher posts under its queue lock and
-            # the pipelined trainer mid-iteration, and an inline write there
-            # costs serve_mlp_pool_pipe ~5% of its request rate.
+            # already holds this version's bits (sends are FIFO per slot).
+            # Always queued: the serving dispatcher posts under its queue
+            # lock, the pipelined trainer mid-iteration; inline writes cost
+            # serve_mlp_pool_pipe ~5% of its request rate.
             stale = version is None or self._generator_versions.get((key, slot_index)) != version
             if stale and params is None:
                 params = params_supplier()
@@ -802,7 +807,8 @@ class ResidentBackend(ExecutorBackend):
         Replies exactly like :meth:`pull_mirror`; the slots then forget the
         residents and the epochs are bumped, so stale copies can never be
         stepped again and the next participation re-installs from the
-        trainer's (now current) objects.
+        trainer's (now current) objects.  A lost slot raises, with the
+        survivors' mirrors in the error's ``replies``.
         """
         keys, merged, slot_loss = self._pull_mirrors("pull_state", keys)
         # Applied even on the loss path: slots that answered did drop their
@@ -812,6 +818,7 @@ class ResidentBackend(ExecutorBackend):
             self._installed.pop(key, None)
             self.invalidate(key)
         if slot_loss is not None:
+            slot_loss.replies = merged
             raise slot_loss
         return merged
 

@@ -6,9 +6,9 @@ that, inside ``train()``.  This package turns the same warm pool into a
 request-facing service:
 
 * :class:`GeneratorService` — queued, coalesced, latency-accounted
-  ``serve()``/``submit()`` on any execution backend, with the resident
-  backend's versioned param cache (an unchanged generator ships zero
-  parameter bytes per request) and fail-stop error broadcast.
+  ``serve()``/``submit()`` on any execution backend (on the pool: a group
+  in flight on every idle slot), with the versioned param cache (an
+  unchanged generator ships zero parameter bytes) and fail-stop broadcast.
 * :mod:`repro.serving.stats` — the latency/throughput accounting behind the
   ``serve-bench`` experiment (p50/p95/p99, samples/s, coalescing factor).
 * :mod:`repro.serving.checkpoint` — serialise service and mid-run trainer

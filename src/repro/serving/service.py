@@ -7,10 +7,10 @@ exposes that same machinery to callers outside the training loop:
 
 * **Request path** — callers :meth:`~GeneratorService.serve` (blocking) or
   :meth:`~GeneratorService.submit` (async handle) one batch of samples per
-  request.  Requests enter a FIFO queue; a single dispatcher thread drains
-  the queue and **coalesces** the waiting requests into one resident
-  k-batch dispatch (batch ``j`` on slot ``j mod pool size``), so concurrent
-  callers share the pool's slots instead of serialising behind each other.
+  request.  Requests enter a FIFO queue; one dispatcher thread keeps a
+  group in flight on every idle pool slot, **coalescing** the waiting
+  requests into one resident k-batch dispatch from the least-loaded slot,
+  so concurrent callers share the pool's slots instead of serialising.
 * **Bitwise contract** — the dispatch reuses
   :meth:`~repro.runtime.resident.ResidentBackend.start_generation`'s
   contract exactly: noise/labels are drawn serially at *enqueue* time (in
@@ -27,7 +27,7 @@ exposes that same machinery to callers outside the training loop:
   current); :meth:`~GeneratorService.update_generator` installs new weights
   and bumps the version, so exactly one re-ship per slot follows.
 * **Fail-stop** — a transport failure (killed slot, broken socket) poisons
-  the pool; the dispatcher broadcasts the error to every in-flight *and*
+  the pool; the dispatcher broadcasts the error to every posted *and*
   queued request and the service refuses further requests, mirroring the
   resident backend's own fail-stop discipline.  Lost requests are reported,
   never silently re-run.
@@ -48,11 +48,12 @@ pool running).
 from __future__ import annotations
 
 import copy
+import multiprocessing
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
 import numpy as np
 
@@ -85,8 +86,8 @@ class ServedBatch:
 
 
 @dataclass
-class _Request:
-    """Internal queue entry: pre-drawn inputs plus a completion event."""
+class PendingSamples:
+    """A submitted request's pre-drawn inputs, and its handle: ``result()`` blocks for it."""
 
     g_input: np.ndarray
     noise: np.ndarray
@@ -96,21 +97,14 @@ class _Request:
     batch: Optional[ServedBatch] = None
     error: Optional[BaseException] = None
 
-
-class PendingSamples:
-    """Async handle for one submitted request; ``result()`` blocks for it."""
-
-    def __init__(self, request: _Request) -> None:
-        self._request = request
-
     def result(self, timeout: Optional[float] = None) -> ServedBatch:
         """Wait for the request's batch; re-raises the service's failure."""
-        if not self._request.done.wait(timeout):
+        if not self.done.wait(timeout):
             raise TimeoutError("generation request did not complete in time")
-        if self._request.error is not None:
-            raise self._request.error
-        assert self._request.batch is not None
-        return self._request.batch
+        if self.error is not None:
+            raise self.error
+        assert self.batch is not None
+        return self.batch
 
 
 class GeneratorService(BackendOwner):
@@ -158,9 +152,13 @@ class GeneratorService(BackendOwner):
         self.stats = ServingStats()
         self._rng = np.random.default_rng(self.config.seed)
         self._lock = threading.Lock()
-        self._queue: Deque[_Request] = deque()
+        self._queue: Deque[PendingSamples] = deque()
         self._work = threading.Condition(self._lock)
         self._dispatcher: Optional[threading.Thread] = None
+        #: Whether the dispatcher is blocked on the wire: :meth:`_enqueue` then
+        #: writes one byte to the wake pipe and clears it (one byte per wait).
+        self._blocked = False
+        self._wake_rx, self._wake_tx = multiprocessing.Pipe(duplex=False)
         self._closed = False
         self._failure: Optional[BaseException] = None
 
@@ -235,17 +233,15 @@ class GeneratorService(BackendOwner):
             noise = noise.astype(self.generator.dtype, copy=False)
             if factory.conditional and labels is None:
                 labels = rng.integers(0, factory.num_classes, size=batch_size)
-            request = _Request(
+            request = PendingSamples(
                 g_input=generator_input(noise, labels, factory.num_classes),
                 noise=noise,
                 labels=labels,
                 enqueued_at=now,
             )
-            self._queue.append(request)
-            self._ensure_dispatcher()
-            self._work.notify_all()
+            self._enqueue([request])
         self.stats.record_enqueue(now)
-        return PendingSamples(request)
+        return request
 
     def serve(
         self,
@@ -261,38 +257,34 @@ class GeneratorService(BackendOwner):
             batch_size=batch_size, seed=seed, noise=noise, labels=labels
         ).result(timeout)
 
-    def warmup(self, num_batches: Optional[int] = None) -> None:
+    def warmup(self, num_batches: Optional[int] = None) -> List[ServedBatch]:
         """Prime every pool slot with one coalesced dispatch (blocking).
 
         Enqueues ``num_batches`` single-sample requests (default: the
         backend's pool size) *atomically under the queue lock*, so the
         dispatcher picks them up as one k-batch group whose batches land on
-        slots ``0 .. k-1`` — installing the generator structure and filling
-        the versioned param cache on every slot in one deterministic step.
-        After a warm-up, requests against an unchanged generator ship zero
-        parameter bytes no matter which slot serves them.  Call it before
-        opening the service to traffic (a busy queue would split the group).
+        slots ``0 .. k-1`` of the idle pool, installing the generator and
+        filling the versioned param cache on every slot in one step; it
+        returns their batches.  After a warm-up, an unchanged generator ships
+        zero parameter bytes no matter which slot serves a request.  Call it
+        before opening the service to traffic (a busy queue splits the group).
         """
         backend = self.executor
         if num_batches is None:
             num_batches = int(getattr(backend, "max_workers", None) or 1)
         num_batches = min(max(1, num_batches), self.max_coalesce)
         now = time.perf_counter()
-        requests: List[_Request] = []
+        requests: List[PendingSamples] = []
         with self._lock:
             self._check_open()
             for _ in range(num_batches):
                 noise, labels, g_input = draw_generator_input(
                     self.generator, self.factory, 1, self._rng
                 )
-                request = _Request(g_input=g_input, noise=noise, labels=labels, enqueued_at=now)
-                requests.append(request)
-                self._queue.append(request)
-            self._ensure_dispatcher()
-            self._work.notify_all()
+                requests.append(PendingSamples(g_input, noise, labels, enqueued_at=now))
+            self._enqueue(requests)
         self.stats.record_enqueue(now)
-        for request in requests:
-            PendingSamples(request).result()
+        return [request.result() for request in requests]
 
     def update_generator(self, parameters: np.ndarray) -> None:
         """Install new generator weights and invalidate the slot param cache.
@@ -308,12 +300,18 @@ class GeneratorService(BackendOwner):
             self.handle.bump()
 
     # -- dispatcher --------------------------------------------------------------
-    def _ensure_dispatcher(self) -> None:
+    def _enqueue(self, requests: List[PendingSamples]) -> None:
+        """Queue requests and wake the dispatcher (starting it if needed); call under the lock."""
+        self._queue.extend(requests)
         if self._dispatcher is None or not self._dispatcher.is_alive():
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="generator-service", daemon=True
             )
             self._dispatcher.start()
+        self._work.notify_all()
+        if self._blocked:
+            self._blocked = False
+            self._wake_tx.send_bytes(b"\0")
 
     def _check_open(self) -> None:
         if self._failure is not None:
@@ -324,78 +322,82 @@ class GeneratorService(BackendOwner):
         if self._closed:
             raise ServiceClosed("generator service is closed")
 
-    def _take_requests(self) -> List[_Request]:
-        """Block until work or shutdown; pop up to ``max_coalesce`` requests."""
-        with self._work:
-            while not self._queue and not self._closed:
-                self._work.wait()
-            taken: List[_Request] = []
-            while self._queue and len(taken) < self.max_coalesce:
-                taken.append(self._queue.popleft())
-            return taken
-
     def _dispatch_loop(self) -> None:
-        while True:
-            requests = self._take_requests()
-            if not requests:
-                return  # closed with an empty queue
-            try:
-                outputs = self._generate([r.g_input for r in requests])
-            except BaseException as exc:  # fail-stop: broadcast, then refuse
-                self._fail(requests, exc)
-                return
-            now = time.perf_counter()
-            self.stats.record_dispatch(len(requests))
-            for request, (images, _) in zip(requests, outputs):
-                latency = now - request.enqueued_at
-                request.batch = ServedBatch(
-                    images=images,
-                    noise=request.noise,
-                    labels=request.labels,
-                    latency_seconds=latency,
-                )
-                self.stats.record_request(latency, len(images), now)
-                request.done.set()
+        """Post queued requests to idle slots; answer posted groups in dispatch order.
 
-    def _generate(self, g_inputs: List[np.ndarray]) -> List[Any]:
-        """Run the coalesced forward passes; returns ``(images, bn_stats)`` pairs.
-
-        The resident path ships the inputs to the pool slots (zero param
-        bytes when the slot copies are current); every other backend — and
-        generators the resident op cannot reproduce exactly — forwards each
-        batch inline on its own deep copy, so no batch sees another's
-        Dropout RNG advance.  Both paths fold the captured BatchNorm
-        statistics back in dispatch order, so the service generator's
-        running stats follow the serial trajectory.
+        While a slot is idle, up to ``max_coalesce`` queued requests become
+        one ``start_generation`` group; otherwise the loop blocks on the
+        oldest group until it is answered or :meth:`_enqueue` wakes it.
+        Without the pool (or with Dropout) each batch runs inline on its own
+        deep copy, so no batch sees another's Dropout RNG advance.
         """
         backend = self.executor
-        # Pair the handle version with the parameter copy under the queue
-        # lock: an update_generator() landing mid-dispatch must not pair the
-        # *new* version with the *old* parameter vector in the backend's
-        # param cache (which would silently serve stale weights).
-        with self._lock:
-            if can_generate_resident(backend, self.generator, len(g_inputs)):
-                pending = backend.start_generation(
-                    GeneratorHandle(key=self.handle.key, version=self.handle.version),
-                    lambda: self.generator,
-                    self.generator.get_parameters,
-                    g_inputs,
-                )
-            else:
-                pending = None
-                copies = [copy.deepcopy(self.generator) for _ in g_inputs]
-        if pending is not None:
-            outputs = pending.result()
-        else:
-            outputs = [
-                (gen.forward(g_input, training=True), gen.batch_stats())
-                for gen, g_input in zip(copies, g_inputs)
-            ]
+        pipelined = can_generate_resident(backend, self.generator, 1)
+        posted: Deque[Tuple[List[PendingSamples], Any]] = deque()
+        taken: List[PendingSamples] = []
+        try:
+            while True:
+                with self._work:
+                    while not (self._queue or posted or self._closed):
+                        self._work.wait()
+                    if not (self._queue or posted):
+                        return  # closed, with nothing queued or in flight
+                    if self._queue and (not posted or backend.idle_slot_count()):
+                        for _ in range(min(len(self._queue), self.max_coalesce)):
+                            taken.append(self._queue.popleft())
+                        g_inputs = [request.g_input for request in taken]
+                        if pipelined:
+                            # Under the queue lock, so that update_generator()
+                            # cannot pair the new version with old parameters.
+                            pending = backend.start_generation(
+                                GeneratorHandle(key=self.handle.key, version=self.handle.version),
+                                lambda: self.generator,
+                                self.generator.get_parameters,
+                                g_inputs,
+                            )
+                            posted.append((taken, pending))
+                            taken = []
+                            continue
+                        copies = [copy.deepcopy(self.generator) for _ in taken]
+                    self._blocked = pipelined
+                if not pipelined:
+                    outputs = [
+                        (gen.forward(g_input, training=True), gen.batch_stats())
+                        for gen, g_input in zip(copies, g_inputs)
+                    ]
+                    self._deliver(taken, outputs)
+                    taken = []
+                    continue
+                requests, pending = posted[0]
+                answered = pending.wait(wake=self._wake_rx)
+                with self._lock:
+                    woken, self._blocked = not self._blocked, False
+                if woken:
+                    self._wake_rx.recv_bytes()
+                if answered:
+                    self._deliver(requests, pending.result())
+                    posted.popleft()
+        except BaseException as exc:  # fail-stop: broadcast, then refuse
+            self._fail(taken + [request for group, _ in posted for request in group], exc)
+
+    def _deliver(self, requests: List[PendingSamples], outputs: List[Any]) -> None:
+        """Fold one group's BatchNorm statistics, then answer its requests."""
         for _, stats in outputs:
             self.generator.fold_batch_stats(stats)
-        return outputs
+        now = time.perf_counter()
+        self.stats.record_dispatch(len(requests))
+        for request, (images, _) in zip(requests, outputs):
+            latency = now - request.enqueued_at
+            request.batch = ServedBatch(
+                images=images,
+                noise=request.noise,
+                labels=request.labels,
+                latency_seconds=latency,
+            )
+            self.stats.record_request(latency, len(images), now)
+            request.done.set()
 
-    def _fail(self, in_flight: List[_Request], exc: BaseException) -> None:
+    def _fail(self, in_flight: List[PendingSamples], exc: BaseException) -> None:
         """Broadcast ``exc`` to in-flight and queued requests; refuse new ones."""
         with self._lock:
             self._failure = exc
@@ -408,12 +410,14 @@ class GeneratorService(BackendOwner):
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
-        """Drain nothing, refuse everything: fail queued requests and shut down.
+        """Answer what is in flight, refuse what is queued, and shut down.
 
         Queued-but-undispatched requests complete with :class:`ServiceClosed`
-        (they were never sent to the pool); the dispatcher thread exits; the
-        backend is released per the :class:`~repro.core.lifecycle.
-        BackendOwner` contract (an adopted, unowned pool is left running).
+        (they were never sent to the pool); groups already posted are
+        collected and answered, then the dispatcher thread exits and the
+        wake pipe is closed; the backend is released per the
+        :class:`~repro.core.lifecycle.BackendOwner` contract (an adopted,
+        unowned pool is left running).
         """
         with self._lock:
             self._closed = True
@@ -424,9 +428,10 @@ class GeneratorService(BackendOwner):
             request.error = ServiceClosed("generator service closed before dispatch")
             request.done.set()
         dispatcher = self._dispatcher
-        if dispatcher is not None and dispatcher.is_alive():
-            if dispatcher is not threading.current_thread():
-                dispatcher.join(timeout=30.0)
+        if dispatcher is not None and dispatcher is not threading.current_thread():
+            dispatcher.join(timeout=30.0)
+        self._wake_rx.close()
+        self._wake_tx.close()
         super().close()
 
     def __enter__(self) -> "GeneratorService":

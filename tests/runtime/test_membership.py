@@ -575,6 +575,43 @@ class TestDegradePolicyEdges:
         finally:
             trainer.close_backend()
 
+    def test_close_absorbs_a_slot_lost_while_idle(self, ring_setup4):
+        # A slot that dies while the pool is idle surfaces in close()'s
+        # reclaim.  Under "degrade" close() must not raise: the survivors
+        # (workers 0 and 2, on slot 0) keep the iterations they ran since
+        # the last boundary, the lost workers (1 and 3) restart from their
+        # last boundary mirror, and the loss reaches the history.
+        shards, factory = ring_setup4
+        config = _config(transport="pipe", on_slot_loss="degrade", iterations=3)
+
+        def run(kill: bool):
+            trainer = MDGANTrainer(factory, shards, config)
+            try:
+                trainer.train()
+                at_boundary = {w.index: w.discriminator.get_parameters() for w in trainer.workers}
+                for iteration in (4, 5, 6):
+                    trainer.train_iteration(iteration)
+                if kill:
+                    victim = trainer._backend._transport._processes[1]
+                    victim.kill()
+                    victim.join()
+                trainer.close()
+            finally:
+                trainer.close_backend()
+            final = {w.index: w.discriminator.get_parameters() for w in trainer.workers}
+            return trainer, at_boundary, final
+
+        _, _, reference = run(kill=False)
+        trainer, at_boundary, final = run(kill=True)
+        assert len(trainer.history.events_of_kind("slot_loss")) == 1
+        assert trainer.history.membership["slot_loss"] == 1
+        for index in (0, 2):
+            assert np.array_equal(final[index], reference[index])
+            assert not np.array_equal(final[index], at_boundary[index])
+        for index in (1, 3):
+            assert np.array_equal(final[index], at_boundary[index])
+        assert not trainer.elastic.pending_loss
+
     def test_rebuilt_pool_events_reach_the_history(self, ring_setup6):
         # Every pool the trainer used contributes its membership events:
         # a pool rebuilt after close() starts a fresh event list, and the

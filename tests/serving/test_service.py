@@ -4,27 +4,35 @@ Pins the serving contracts: concurrent requests are bitwise identical to a
 serial ``sample_generator_images`` loop on the same draws, and BatchNorm
 running statistics end up the same on every backend; the versioned param
 cache ships zero bytes for an unchanged generator and exactly one re-ship
-per slot after ``update_generator()``; a killed slot fail-stops every
-request of the in-flight group and the service refuses traffic afterwards,
-while a malformed request fails only its own caller; and ``from_trainer()``
-serves off a trainer's warm pool without owning it.
+per slot after ``update_generator()``; the dispatcher keeps a group in
+flight on every idle slot, so concurrent clients use both slots of a 2-slot
+pool; a killed slot fail-stops every posted and queued request and the
+service refuses traffic afterwards, while a malformed request fails only its
+own caller; and ``from_trainer()`` serves off a trainer's warm pool without
+owning it.
 """
 
 from __future__ import annotations
 
 import copy
+import os
+import signal
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core import MDGANTrainer, TrainingConfig
-from repro.core.gan_ops import draw_generator_input, sample_generator_images
+from repro.core.gan_ops import sample_generator_images
 from repro.datasets import make_mnist_like
 from repro.models import build_architecture, build_toy_gan
+from repro.models.base import generator_input
 from repro.nn import Sequential
 from repro.nn.layers import BatchNorm
-from repro.runtime import TransportError
+from repro.runtime import ChaosTransport, ResidentBackend, TransportError, create_transport
+from repro.runtime.ledger import InflightLedger
 from repro.serving import GeneratorService, ServiceClosed
 
 
@@ -32,6 +40,25 @@ def _config(**overrides) -> TrainingConfig:
     base = dict(batch_size=8, seed=11, backend="resident", max_workers=2)
     base.update(overrides)
     return TrainingConfig(**base)
+
+
+def _wait_for(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+def _cnn_factory():
+    """A small ``mnist-cnn`` GAN: its generator has BatchNorm layers."""
+    train, _ = make_mnist_like(n_train=32, n_test=8, image_size=16, seed=7)
+    return build_architecture(
+        "mnist-cnn",
+        image_shape=train.spec.shape,
+        num_classes=train.num_classes,
+        width_factor=0.25,
+        use_minibatch_discrimination=False,
+    )
 
 
 def _draw_requests(factory, dtype, batch_size, k, seed):
@@ -102,14 +129,7 @@ class TestBitwiseContract:
         # Served batches normalise by batch statistics; the running
         # statistics they leave behind on the service generator must follow
         # the same trajectory whether the forwards ran inline or on slots.
-        train, _ = make_mnist_like(n_train=32, n_test=8, image_size=16, seed=7)
-        factory = build_architecture(
-            "mnist-cnn",
-            image_shape=train.spec.shape,
-            num_classes=train.num_classes,
-            width_factor=0.25,
-            use_minibatch_discrimination=False,
-        )
+        factory = _cnn_factory()
         generator = factory.make_generator(np.random.default_rng(0))
         assert any(isinstance(layer, BatchNorm) for layer in generator.layers)
         k, batch_size = 3, 4
@@ -193,13 +213,111 @@ class TestParamCache:
             params = get_parameters(service.generator)
             service.update_generator((params * 0.5).astype(params.dtype))
             reference = copy.deepcopy(service.generator)
-            rng = np.random.default_rng(5)
-            g_inputs = [draw_generator_input(reference, factory, 4, rng)[2] for _ in range(2)]
-            # One two-batch dispatch: batch j runs on slot j.
-            outputs = service._generate(g_inputs)
+            # One two-batch dispatch on the idle pool: batch j runs on slot j.
+            batches = service.warmup(2)
             assert copies == [service.generator]
-            for (images, _), g_input in zip(outputs, g_inputs):
-                assert np.array_equal(images, reference.forward(g_input, training=True))
+            for batch in batches:
+                g_input = generator_input(batch.noise, batch.labels, factory.num_classes)
+                assert np.array_equal(batch.images, reference.forward(g_input, training=True))
+
+
+def _count_generate_posts(monkeypatch):
+    """Record, per ``generate`` frame posted, its slot and the other groups' frames in flight."""
+    posted = []
+    post = InflightLedger.post
+
+    def counted(ledger, slot_index, op, *args, **kwargs):
+        if op == "generate":
+            others = [e for e in ledger.entries() if e.owner is not kwargs.get("owner")]
+            posted.append((slot_index, len(others)))
+        return post(ledger, slot_index, op, *args, **kwargs)
+
+    monkeypatch.setattr(InflightLedger, "post", counted)
+    return posted
+
+
+class TestPipelinedDispatch:
+    def test_two_clients_spread_over_both_slots(self, monkeypatch):
+        # Concurrent callers share the pool's slots: each group goes on the
+        # least-loaded slot, so neither slot idles while the other serves.
+        # (A generator with some compute, so that the two clients' requests
+        # overlap; an idle pool puts every request on slot 0.)
+        factory = _cnn_factory()
+        generator = factory.make_generator(np.random.default_rng(0))
+        with GeneratorService(generator, factory, _config(batch_size=16)) as service:
+            service.warmup()
+            posted = _count_generate_posts(monkeypatch)
+
+            def client(first_seed):
+                return [service.serve(seed=first_seed + i, timeout=30) for i in range(60)]
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(client, seed) for seed in (0, 1000)]
+                for future in futures:
+                    future.result(timeout=120)
+            assert service.stats.summary()["failures"] == 0
+        slots = [slot for slot, _ in posted]
+        assert len(slots) >= 60
+        for slot in (0, 1):
+            assert slots.count(slot) >= 0.25 * len(slots), slots
+
+    def test_submitted_requests_pipeline_in_arrival_order(self, monkeypatch):
+        # One thread submits k requests before collecting any: single-request
+        # groups go out while earlier ones are still in flight, and images
+        # and BatchNorm running statistics still follow the serial trajectory.
+        factory = _cnn_factory()
+        generator = factory.make_generator(np.random.default_rng(0))
+        draws = _draw_requests(factory, generator.dtype, 4, 6, seed=9)
+        served = {}
+        for backend in ("serial", "resident"):
+            config = _config(backend=backend, batch_size=4)
+            service = GeneratorService(copy.deepcopy(generator), factory, config, max_coalesce=1)
+            with service:
+                if backend == "resident":
+                    posted = _count_generate_posts(monkeypatch)
+                pending = [service.submit(noise=noise, labels=labels) for noise, labels in draws]
+                images = [handle.result(timeout=60).images for handle in pending]
+            layers = [layer for layer in service.generator.layers if isinstance(layer, BatchNorm)]
+            served[backend] = (images, layers)
+        assert max(in_flight for _, in_flight in posted) >= 1, posted
+        for got, ref in zip(served["resident"][0], served["serial"][0]):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(served["resident"][1], served["serial"][1]):
+            assert np.array_equal(got.running_mean, ref.running_mean)
+            assert np.array_equal(got.running_var, ref.running_var)
+
+    def test_many_clients_under_fast_thread_switching(self, ring_setup, monkeypatch):
+        # 8 client threads on a 2-slot pool with the interpreter switching
+        # threads every 10 us: groups overlap on the wire, every seeded
+        # request is answered bitwise as the serial-inline service answers
+        # it, and close() ends the dispatcher.
+        _, factory = ring_setup
+        posted = _count_generate_posts(monkeypatch)
+        generator = factory.make_generator(np.random.default_rng(0))
+        seeds = [[100 * client + i for i in range(6)] for client in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service = GeneratorService(copy.deepcopy(generator), factory, _config())
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [
+                        pool.submit(lambda ss: [service.serve(seed=s, timeout=60) for s in ss], ss)
+                        for ss in seeds
+                    ]
+                    batches = [future.result(timeout=120) for future in futures]
+                assert service.stats.summary()["failures"] == 0
+                assert max(in_flight for _, in_flight in posted) >= 1
+            finally:
+                service.close()
+            assert not service._dispatcher.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        serial = GeneratorService(copy.deepcopy(generator), factory, _config(backend="serial"))
+        with serial:
+            for client_seeds, client_batches in zip(seeds, batches):
+                for seed, batch in zip(client_seeds, client_batches):
+                    assert np.array_equal(batch.images, serial.serve(seed=seed).images)
 
 
 class TestFailStop:
@@ -228,6 +346,45 @@ class TestFailStop:
             with pytest.raises(ServiceClosed, match="fail-stopped"):
                 service.serve(seed=1)
         finally:
+            service.close()
+
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_killed_slot_fails_every_posted_and_queued_request(self, ring_setup, transport):
+        # Two single-request groups in flight on different slots and a third
+        # request queued behind them: killing one slot fails all three with
+        # the TransportError naming it, and later requests are refused.
+        _, factory = ring_setup
+        generator = factory.make_generator(np.random.default_rng(0))
+        chaos = ChaosTransport(create_transport(transport))
+        service = GeneratorService(generator, factory, _config(batch_size=4))
+        service.adopt_backend(ResidentBackend(2, transport=chaos), owned=True)
+        processes = []
+        try:
+            service.warmup()
+            ledger = service.executor._ledger
+            processes = list(chaos.inner._processes)
+            for process in processes:  # hold every reply back
+                os.kill(process.pid, signal.SIGSTOP)
+            first = service.submit(seed=1)
+            _wait_for(lambda: ledger.depth(0) == 1)
+            second = service.submit(seed=2)
+            _wait_for(lambda: ledger.depth(1) == 1)
+            third = service.submit(seed=3)  # no idle slot: it stays queued
+            chaos.kill_slot(0)
+            for process in processes:
+                os.kill(process.pid, signal.SIGCONT)
+            for pending in (first, second, third):
+                with pytest.raises(TransportError) as excinfo:
+                    pending.result(timeout=30)
+                assert excinfo.value.slot_index == 0
+            assert service.stats.summary()["failures"] == 3
+            with pytest.raises(ServiceClosed, match="fail-stopped"):
+                service.serve(seed=4)
+        finally:
+            for process in processes:
+                if process.is_alive():
+                    os.kill(process.pid, signal.SIGCONT)
             service.close()
 
 
