@@ -100,9 +100,8 @@ class GANObjective:
         """Real-data term of the discriminator loss (the paper's A-tilde).
 
         The discriminator loss is additive over the real and generated
-        batches, so the two terms can be backpropagated independently —
-        which is what the trainers do (one forward/backward per batch, so
-        layer activation caches always match the gradient being pushed).
+        batches, so each term is computed on its own batch's outputs — one
+        segment each of :func:`discriminator_update`'s pass.
         """
         from ..nn.losses import bce_with_logits, softmax_cross_entropy
 
@@ -166,12 +165,29 @@ def sample_generator_images(
     rng: np.random.Generator,
     batch_index: int = 0,
     training: bool = True,
-) -> GeneratedBatch:
-    """Draw noise (and labels if conditional), run the generator forward, snapshot if training."""
-    noise, labels, g_input = draw_generator_input(generator, factory, batch_size, rng)
-    images = generator.forward(g_input, training=training)
-    snapshot = generator.snapshot() if training else None
-    return GeneratedBatch(images, noise, labels, batch_index, snapshot)
+    count: Optional[int] = None,
+):
+    """Draw noise (and labels if conditional), run the generator forward, snapshot if training.
+
+    With ``count``, returns that many batches (indices from ``batch_index``)
+    drawn in batch order and generated by one forward of ``count`` segments:
+    bitwise ``count`` calls, each batch's snapshot backpropagating its own
+    segment.
+    """
+    k = count or 1
+    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(k)]
+    g_input = np.concatenate([g for _, _, g in drawn]) if k > 1 else drawn[0][2]
+    images = generator.forward(g_input, training=training, segments=(batch_size,) * k)
+    batches = []
+    for j, (noise, labels, _) in enumerate(drawn):
+        start, stop = j * batch_size, (j + 1) * batch_size
+        snapshot = None
+        if training:
+            snapshot = generator.snapshot((j, start, stop) if k > 1 else None)
+        batches.append(
+            GeneratedBatch(images[start:stop], noise, labels, batch_index + j, snapshot)
+        )
+    return batches if count else batches[0]
 
 
 def discriminator_update(
@@ -186,21 +202,24 @@ def discriminator_update(
     """One discriminator learning step (paper Section II-1).
 
     The discriminator loss is the sum of a real-batch term (A-tilde) and a
-    generated-batch term (B-tilde), so each term is forwarded and
-    backpropagated in its own pass — gradients accumulate across the two
-    passes and a single optimizer step is applied.  Nobody reads the gradient
-    with respect to the images here, so neither pass computes it.  Returns
-    the total loss.
+    generated-batch term (B-tilde), each on its own batch, so the two
+    batches go through one pass as two segments, ``[real, fake]`` — bitwise
+    a pass per batch, real first: every layer accumulates the real batch's
+    gradient, then the generated one's — and a single optimizer step is
+    applied.  Nobody reads the gradient with respect to the images here, so
+    the pass does not compute it.  Returns the total loss.
     """
     discriminator.zero_grad()
-    real_outputs = discriminator.forward(real_images, training=True)
-    loss_real, grad_real = objective.discriminator_real_term(real_outputs, real_labels)
-    discriminator.backward(grad_real, input_grad=False)
-
-    fake_outputs = discriminator.forward(fake_images, training=True)
-    loss_fake, grad_fake = objective.discriminator_fake_term(fake_outputs, fake_labels)
-    discriminator.backward(grad_fake, input_grad=False)
-
+    n = len(real_images)
+    segments = (n, len(fake_images))
+    outputs = discriminator.forward(
+        np.concatenate([real_images, fake_images]), training=True, segments=segments
+    )
+    loss_real, grad_real = objective.discriminator_real_term(outputs[:n], real_labels)
+    loss_fake, grad_fake = objective.discriminator_fake_term(outputs[n:], fake_labels)
+    discriminator.backward(
+        np.concatenate([grad_real, grad_fake]), input_grad=False, segments=segments
+    )
     optimizer.step(discriminator)
     return float(loss_real + loss_fake)
 

@@ -229,18 +229,10 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         server.observe_memory(k * b * self.factory.object_size)
 
     def _generate_batches(self, k: int) -> List[GeneratedBatch]:
-        """Step 1: the server generates ``k`` batches of size ``b``."""
-        batches = []
-        for j in range(k):
-            batches.append(
-                sample_generator_images(
-                    self.generator,
-                    self.factory,
-                    self.config.batch_size,
-                    self._rng,
-                    batch_index=j,
-                )
-            )
+        """Step 1: the server generates ``k`` batches of size ``b`` (one ``k``-segment forward)."""
+        batches = sample_generator_images(
+            self.generator, self.factory, self.config.batch_size, self._rng, count=k
+        )
         self._charge_generation(k)
         return batches
 

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import initializers as init
 from . import tensor_ops
-from .layers import Layer
+from .layers import Layer, Segments, _window_sum, segment_rows
 from .tensor_ops import (
     conv2d_forward,
     conv2d_input_grad,
     conv2d_weight_grad,
     conv_output_size,
     conv_transpose_output_size,
+    weight_matrix,
 )
 
 __all__ = ["Conv2D", "Conv2DTranspose", "MaxPool2D", "AvgPool2D", "same_padding"]
@@ -48,6 +49,11 @@ class Conv2D(Layer):
     #: of ``_x`` and rebuilt by every forward, so it never travels: pickles
     #: and copies leave it out and fall back to this default.
     _col: Optional[np.ndarray] = None
+    #: ``weight_matrix(W)``, kept from forward for the input-gradient GEMM
+    #: (the parameters do not change in between); travels like ``_col``.
+    _w: Optional[np.ndarray] = None
+    segmented_forward = True
+    _row_caches = ("_x",)
 
     def __init__(
         self,
@@ -75,7 +81,13 @@ class Conv2D(Layer):
     def __getstate__(self) -> Dict[str, object]:
         state = self.__dict__.copy()
         state.pop("_col", None)
+        state.pop("_w", None)
         return state
+
+    def restrict(self, segment: int, start: int, stop: int) -> None:
+        super().restrict(segment, start, stop)
+        if self._col is not None:
+            self._col = self._col[..., start:stop]
 
     def compute_output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         _, h, w = input_shape
@@ -95,36 +107,48 @@ class Conv2D(Layer):
             self.add_param("b", (self.filters,), rng, init.zeros)
         super().build(input_shape, rng)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Segments = None
+    ) -> np.ndarray:
         del training
         self._x = x
         k = self.kernel_size
         # Through the module, like the primitives do: the name the perf
         # harness rebinds.
         self._col = tensor_ops.im2col(x, k, k, self.stride, self.padding)
-        out = conv2d_forward(x, self.params["W"], self.stride, self.padding, col=self._col)
+        self._w = weight_matrix(self.params["W"])
+        out = conv2d_forward(
+            x, self.params["W"], self.stride, self.padding, self._col, self._w, segments
+        )
         if self.use_bias:
             out += self.params["b"].reshape(1, -1, 1, 1)
         return out
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         if param_grads:
-            # ``_col`` is None on a copy of a layer that has run forward;
-            # the primitive then lowers ``_x`` itself.
-            self.grads["W"] += conv2d_weight_grad(
-                self._x,
-                grad_out,
-                (self.kernel_size, self.kernel_size),
-                self.stride,
-                self.padding,
-                col=self._col,
-            )
-            if self.use_bias:
-                self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
+            for start, stop in segments or ((0, len(grad_out)),):
+                grad = segment_rows(grad_out, start, stop)
+                # ``_col`` is None on a copy of a layer that has run forward;
+                # the primitive then lowers ``_x`` itself.
+                self.grads["W"] += conv2d_weight_grad(
+                    self._x[start:stop],
+                    grad,
+                    (self.kernel_size, self.kernel_size),
+                    self.stride,
+                    self.padding,
+                    col=None if self._col is None else self._col[..., start:stop],
+                )
+                if self.use_bias:
+                    self.grads["b"] += grad.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
         return conv2d_input_grad(
@@ -133,6 +157,8 @@ class Conv2D(Layer):
             self._x.shape[2:],
             self.stride,
             self.padding,
+            matrix=self._w,
+            segments=segments,
         )
 
 
@@ -170,6 +196,9 @@ class Conv2DTranspose(Layer):
         self.kernel_initializer = kernel_initializer
         self._x: Optional[np.ndarray] = None
 
+    segmented_forward = True
+    _row_caches = ("_x",)
+
     def compute_output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         _, h, w = input_shape
         out_h = conv_transpose_output_size(
@@ -194,23 +223,26 @@ class Conv2DTranspose(Layer):
             self.add_param("b", (self.filters,), rng, init.zeros)
         super().build(input_shape, rng)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Segments = None
+    ) -> np.ndarray:
         del training
         self._x = x
         out_shape = self.compute_output_shape(x.shape[1:])
         out = conv2d_input_grad(
-            x,
-            self.params["W"],
-            out_shape[1:],
-            self.stride,
-            self.padding,
+            x, self.params["W"], out_shape[1:], self.stride, self.padding, segments=segments
         )
         if self.use_bias:
             out += self.params["b"].reshape(1, -1, 1, 1)
         return out
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -218,20 +250,30 @@ class Conv2DTranspose(Layer):
         # Both halves lower the same tensor: the virtual convolution's input.
         col = tensor_ops.im2col(grad_out, k, k, self.stride, self.padding)
         if param_grads:
-            # Duality: weight gradient of the transpose is the weight gradient
-            # of the virtual convolution with (input=grad_out, output-grad=x).
-            self.grads["W"] += conv2d_weight_grad(
-                grad_out, self._x, (k, k), self.stride, self.padding, col=col
-            )
-            if self.use_bias:
-                self.grads["b"] += grad_out.sum(axis=(0, 2, 3))
+            for start, stop in segments or ((0, len(grad_out)),):
+                grad = segment_rows(grad_out, start, stop)
+                # Duality: weight gradient of the transpose is the weight gradient
+                # of the virtual convolution with (input=grad_out, output-grad=x).
+                self.grads["W"] += conv2d_weight_grad(
+                    grad,
+                    segment_rows(self._x, start, stop),
+                    (k, k),
+                    self.stride,
+                    self.padding,
+                    col=col[..., start:stop],
+                )
+                if self.use_bias:
+                    self.grads["b"] += grad.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        return conv2d_forward(grad_out, self.params["W"], self.stride, self.padding, col=col)
+        weight = self.params["W"]
+        return conv2d_forward(grad_out, weight, self.stride, self.padding, col, segments=segments)
 
 
 class MaxPool2D(Layer):
     """Max pooling with a square window and matching stride."""
+
+    _row_caches = ("_mask",)
 
     def __init__(self, pool_size: int = 2, name: Optional[str] = None) -> None:
         super().__init__(name)
@@ -263,7 +305,7 @@ class MaxPool2D(Layer):
         # If several entries tie for the max, split the gradient evenly.
         counts = self._mask.sum(axis=(3, 5), keepdims=True)
         grad = grad / counts
-        return grad.reshape(self._in_shape)
+        return grad.reshape(grad_out.shape[:1] + self._in_shape[1:])
 
 
 class AvgPool2D(Layer):
@@ -286,10 +328,9 @@ class AvgPool2D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
-        n, c, h, w = x.shape
         p = self.pool_size
         self._in_shape = x.shape
-        return x.reshape(n, c, h // p, p, w // p, p).mean(axis=(3, 5))
+        return _window_sum(x, p) / (p * p)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         p = self.pool_size
@@ -305,4 +346,4 @@ class AvgPool2D(Layer):
                 p,
             ),
         )
-        return grad.reshape(self._in_shape)
+        return grad.reshape(grad_out.shape[:1] + self._in_shape[1:])

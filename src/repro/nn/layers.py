@@ -17,6 +17,11 @@ Returning input gradients is what lets MD-GAN's workers produce the error
 feedback :math:`F_n = \\partial \\tilde B / \\partial x` without holding a
 generator, and lets the server chain that feedback through the generator.
 
+**Segments.**  One pass may carry several batches of the same model in a row
+(``segments``, passed to ``segmented_forward`` layers and to every backward
+with parameters): whatever reduces over samples does so per segment, in
+segment order, on the layout a separate pass would hold (:func:`segment_rows`).
+
 Parameters, caches and outputs all live in the layer's ``dtype``, which is
 assigned by the owning :class:`~repro.nn.model.Sequential` (or resolved from
 the process-wide policy in :mod:`repro.nn.precision` when a layer is built
@@ -26,7 +31,8 @@ dtype — no hidden float64 upcasts on the hot path.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from . import initializers as init
 from .precision import resolve_dtype
 
 __all__ = [
+    "segment_rows",
     "Layer",
     "Dense",
     "Flatten",
@@ -51,6 +58,47 @@ __all__ = [
 ]
 
 
+#: ``(start, stop)`` sample ranges of the batches one pass carries; ``None`` is one.
+Segments = Optional[Sequence[Tuple[int, int]]]
+
+
+def segment_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of ``x`` laid out as a pass over those rows alone holds them.
+
+    Reductions sum in memory order, so only that layout gives a separate
+    pass's bits.  Sample-outermost rows are a view; batch-innermost ones
+    (:mod:`repro.nn.tensor_ops`) are copied with every stride, gaps included,
+    rescaled to the segment's sample count.
+    """
+    rows = x[start:stop]
+    n, count, item = len(x), stop - start, x.itemsize
+    if count == n or x.strides[0] != item:
+        return rows
+    inner = [s for s, size in zip(x.strides[1:], x.shape[1:]) if size > 1]
+    if any(s % (n * item) for s in inner):
+        return rows
+    inner = tuple(s // n * count for s in x.strides[1:])
+    extent = count + sum((size - 1) * s for size, s in zip(rows.shape[1:], inner)) // item
+    # A lone sample gets a C-order sample stride, as NumPy gives it: a GEMM reads it.
+    strides = (item if count > 1 else extent * item,) + inner
+    out = np.ndarray(rows.shape, x.dtype, np.empty(extent, x.dtype), strides=strides)
+    out[...] = rows
+    return out
+
+
+def stack_segments(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-segment results, in segment order, as one batch laid out as the longest is."""
+    if len(parts) == 1:
+        return parts[0]
+    like = max(parts, key=len)
+    out = np.empty_like(like, shape=(sum(map(len, parts)),) + like.shape[1:])
+    start = 0
+    for part in parts:
+        out[start : start + len(part)] = part
+        start += len(part)
+    return out
+
+
 class Layer:
     """Base class for all layers.
 
@@ -66,6 +114,11 @@ class Layer:
     taken after ``forward(a)`` (:meth:`~repro.nn.model.Sequential.snapshot`)
     still backpropagates ``a`` bitwise after any later ``forward(b)``.
     """
+
+    #: Whether ``forward`` reduces over samples, and so takes ``segments``.
+    segmented_forward = False
+    #: Backward caches with one row per sample, cut by :meth:`restrict`.
+    _row_caches: Tuple[str, ...] = ()
 
     def __init__(self, name: Optional[str] = None) -> None:
         self.name = name or self.__class__.__name__
@@ -103,6 +156,17 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def restrict(self, segment: int, start: int, stop: int) -> None:
+        """Keep only segment ``segment`` (samples ``start:stop``) of the last forward's caches.
+
+        Called on a :meth:`~repro.nn.model.Sequential.snapshot` copy, which then
+        backpropagates that segment alone, bitwise as a forward over it would.
+        """
+        for name in self._row_caches:
+            value = getattr(self, name, None)
+            if value is not None:
+                setattr(self, name, segment_rows(value, start, stop))
+
     # -- utilities ---------------------------------------------------------
     def zero_grad(self) -> None:
         """Reset all parameter gradients to zero."""
@@ -133,7 +197,10 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W + b``."""
+    """Fully connected layer ``y = x @ W + b``, one GEMM per segment."""
+
+    segmented_forward = True
+    _row_caches = ("_x",)
 
     def __init__(
         self,
@@ -162,26 +229,43 @@ class Dense(Layer):
             self.add_param("b", (self.units,), rng, init.zeros)
         super().build(input_shape, rng)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Segments = None
+    ) -> np.ndarray:
         del training
         self._x = x
-        out = x @ self.params["W"]
+        # A GEMM per segment: a row's bits can depend on how many rows share the
+        # call (OpenBLAS picks its small-matrix kernel by size).
+        weight = self.params["W"]
+        out = stack_segments(
+            [segment_rows(x, a, b) @ weight for a, b in segments or ((0, len(x)),)]
+        )
         if self.use_bias:
             out += self.params["b"]
         return out
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         if param_grads:
-            self.grads["W"] += self._x.T @ grad_out
-            if self.use_bias:
-                self.grads["b"] += grad_out.sum(axis=0)
+            for start, stop in segments or ((0, len(grad_out)),):
+                grad = segment_rows(grad_out, start, stop)
+                self.grads["W"] += segment_rows(self._x, start, stop).T @ grad
+                if self.use_bias:
+                    self.grads["b"] += grad.sum(axis=0)
         if not input_grad:
             return None
-        return grad_out @ self.params["W"].T
+        weight = self.params["W"]
+        return stack_segments(
+            [segment_rows(grad_out, a, b) @ weight.T for a, b in segments or ((0, len(grad_out)),)]
+        )
 
 
 class Flatten(Layer):
@@ -196,7 +280,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(grad_out.shape[:1] + self._shape[1:])
 
 
 class Reshape(Layer):
@@ -220,7 +304,7 @@ class Reshape(Layer):
         return x.reshape((x.shape[0],) + self.target_shape)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(grad_out.shape[:1] + self._shape[1:])
 
 
 class Dropout(Layer):
@@ -233,6 +317,9 @@ class Dropout(Layer):
         self.rate = float(rate)
         self._mask: Optional[np.ndarray] = None
         self._rng = np.random.default_rng(0)
+
+    #: One draw per element, in C order: a segmented pass draws the separate passes' stream.
+    _row_caches = ("_mask",)
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         # Keep a dedicated stream so dropout masks do not perturb the
@@ -259,6 +346,8 @@ class Dropout(Layer):
 class ReLU(Layer):
     """Rectified linear unit."""
 
+    _row_caches = ("_mask",)
+
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._mask = x > 0
@@ -269,23 +358,52 @@ class ReLU(Layer):
 
 
 class LeakyReLU(Layer):
-    """Leaky rectified linear unit with negative slope ``alpha``."""
+    """Leaky rectified linear unit with negative slope ``alpha`` in ``[0, 1]``.
+
+    Both passes multiply by a slope of 1 or ``alpha`` built with ufuncs: there
+    ``(1 - alpha) + alpha`` rounds to 1, so they are bitwise ``np.where``'s.
+    """
+
+    #: The last forward's slope; pickles leave it out and rebuild it from ``_mask``.
+    _slope: Optional[np.ndarray] = None
+    _row_caches = ("_mask", "_slope")
 
     def __init__(self, alpha: float = 0.2, name: Optional[str] = None) -> None:
         super().__init__(name)
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"LeakyReLU alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_slope", None)
+        return state
+
+    def _leak(self, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        # On the scalar type, and first in each product: the output carries
+        # NumPy's canonical dtype object, as ``np.where``'s did (pickle memoizes it).
+        slope = mask.astype(dtype.type)
+        slope *= 1.0 - self.alpha
+        slope += self.alpha
+        return slope
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        self._slope = self._leak(self._mask, x.dtype)
+        return self._slope * x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad_out, self.alpha * grad_out)
+        slope = self._slope
+        if slope is None:
+            slope = self._leak(self._mask, grad_out.dtype)
+        return slope * grad_out
 
 
 class Sigmoid(Layer):
     """Logistic sigmoid activation."""
+
+    _row_caches = ("_out",)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
@@ -304,6 +422,8 @@ class Sigmoid(Layer):
 class Tanh(Layer):
     """Hyperbolic tangent activation (generator output nonlinearity)."""
 
+    _row_caches = ("_out",)
+
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._out = np.tanh(x)
@@ -315,6 +435,8 @@ class Tanh(Layer):
 
 class Softmax(Layer):
     """Softmax over the last axis."""
+
+    _row_caches = ("_out",)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
@@ -334,10 +456,14 @@ class BatchNorm(Layer):
 
     Works on ``(N, C)`` dense activations and ``(N, C, H, W)`` images.  Uses
     exponential moving averages of mean/variance at evaluation time, as in
-    Keras.  Every training forward keeps its batch ``(mean, var)`` in
-    ``batch_stats`` and folds it into the averages with :meth:`fold`, so a
-    copy that ran the forward elsewhere hands back the statistics to fold.
+    Keras.  Every training forward normalises each segment by its own
+    ``(mean, var)``, keeps them in ``segment_stats`` and folds them into the
+    averages in segment order with :meth:`fold`, so a copy that ran the
+    forward elsewhere hands back the statistics to fold.
     """
+
+    segmented_forward = True
+    _row_caches = ("_xhat",)
 
     def __init__(
         self,
@@ -350,7 +476,8 @@ class BatchNorm(Layer):
         self.eps = float(eps)
         self.running_mean: Optional[np.ndarray] = None
         self.running_var: Optional[np.ndarray] = None
-        self.batch_stats: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Per segment of the last training forward, its ``(mean, var)``.
+        self.segment_stats: list = []
 
     def build(self, input_shape: Tuple[int, ...], rng: np.random.Generator) -> None:
         channels = int(input_shape[0])
@@ -366,24 +493,37 @@ class BatchNorm(Layer):
     def _bshape(self, ndim: int) -> Tuple[int, ...]:
         return (1, -1) + (1,) * (ndim - 2)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Segments = None
+    ) -> np.ndarray:
         axes = self._reduce_axes(x.ndim)
         bshape = self._bshape(x.ndim)
+        self._xhat = np.empty_like(x)
+        self._stds = []
+        stats = []
+        for start, stop in segments or ((0, len(x)),):
+            if training:
+                rows = segment_rows(x, start, stop)
+                mean, var = rows.mean(axis=axes), rows.var(axis=axes)
+                stats.append((mean, var))
+                self.fold(mean, var)
+            else:
+                mean, var = self.running_mean, self.running_var
+            std = np.sqrt(var + self.eps).reshape(bshape)
+            xhat = np.subtract(x[start:stop], mean.reshape(bshape), out=self._xhat[start:stop])
+            xhat /= std
+            self._stds.append(std)
         if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.batch_stats = (mean, var)
-            self.fold(mean, var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        self._std = np.sqrt(var + self.eps).reshape(bshape)
-        self._xhat = (x - mean.reshape(bshape)) / self._std
-        self._m = x.size // x.shape[1]
+            self.segment_stats = stats
         self._training = training
         return self.params["gamma"].reshape(bshape) * self._xhat + self.params[
             "beta"
         ].reshape(bshape)
+
+    def restrict(self, segment: int, start: int, stop: int) -> None:
+        super().restrict(segment, start, stop)
+        self._stds = self._stds[segment : segment + 1]
+        self.segment_stats = self.segment_stats[segment : segment + 1]
 
     def fold(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Move the running statistics one momentum step toward a batch's ``(mean, var)``."""
@@ -391,27 +531,51 @@ class BatchNorm(Layer):
         self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
         axes = self._reduce_axes(grad_out.ndim)
         bshape = self._bshape(grad_out.ndim)
-        if param_grads:
-            self.grads["gamma"] += (grad_out * self._xhat).sum(axis=axes)
-            self.grads["beta"] += grad_out.sum(axis=axes)
+        segments = segments or ((0, len(grad_out)),)
+        for start, stop in segments if param_grads else ():
+            xhat = self._xhat[start:stop]
+            self.grads["gamma"] += (grad_out[start:stop] * xhat).sum(axis=axes)
+            self.grads["beta"] += segment_rows(grad_out, start, stop).sum(axis=axes)
         if not input_grad:
             return None
-        gamma = self.params["gamma"].reshape(bshape)
-        dxhat = grad_out * gamma
-        if not self._training:
-            return dxhat / self._std
-        m = float(self._m)
-        sum_dxhat = dxhat.sum(axis=axes).reshape(bshape)
-        sum_dxhat_xhat = (dxhat * self._xhat).sum(axis=axes).reshape(bshape)
-        return (dxhat - sum_dxhat / m - self._xhat * sum_dxhat_xhat / m) / self._std
+        dxhat = grad_out * self.params["gamma"].reshape(bshape)
+        grads_in = []
+        for (start, stop), std in zip(segments, self._stds, strict=True):
+            grad = dxhat[start:stop]
+            if self._training:
+                xhat = self._xhat[start:stop]
+                m = float(grad.size // grad.shape[1])
+                sum_dxhat = segment_rows(dxhat, start, stop).sum(axis=axes).reshape(bshape)
+                sum_dxhat_xhat = (grad * xhat).sum(axis=axes).reshape(bshape)
+                grad = grad - sum_dxhat / m - xhat * sum_dxhat_xhat / m
+            grads_in.append(grad / std)
+        return stack_segments(grads_in)
+
+
+def _per_sample_sum(x: np.ndarray) -> np.ndarray:
+    """Each sample's sum, shaped to broadcast: in C order, whatever the layout or batch size."""
+    sums = np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
+    return sums.reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+def _window_sum(x: np.ndarray, f: int) -> np.ndarray:
+    """Sum of every ``f x f`` spatial window, window by window: bits independent of layout."""
+    return functools.reduce(np.add, (x[:, :, i::f, j::f] for i in range(f) for j in range(f)))
 
 
 class LayerNorm(Layer):
     """Layer normalisation over all per-sample axes."""
+
+    _row_caches = ("_xhat", "_std")
 
     def __init__(self, eps: float = 1e-5, name: Optional[str] = None) -> None:
         super().__init__(name)
@@ -424,27 +588,32 @@ class LayerNorm(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
-        axes = tuple(range(1, x.ndim))
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+        self._m = x[0].size
+        mean = _per_sample_sum(x) / self._m
+        var = _per_sample_sum(np.square(x - mean)) / self._m
         self._std = np.sqrt(var + self.eps)
         self._xhat = (x - mean) / self._std
-        self._m = x[0].size
         return self.params["gamma"] * self._xhat + self.params["beta"]
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
-        axes = tuple(range(1, grad_out.ndim))
         if param_grads:
-            self.grads["gamma"] += (grad_out * self._xhat).sum(axis=0)
-            self.grads["beta"] += grad_out.sum(axis=0)
+            for start, stop in segments or ((0, len(grad_out)),):
+                xhat = self._xhat[start:stop]
+                self.grads["gamma"] += (grad_out[start:stop] * xhat).sum(axis=0)
+                self.grads["beta"] += segment_rows(grad_out, start, stop).sum(axis=0)
         if not input_grad:
             return None
         dxhat = grad_out * self.params["gamma"]
         m = float(self._m)
-        sum_dxhat = dxhat.sum(axis=axes, keepdims=True)
-        sum_dxhat_xhat = (dxhat * self._xhat).sum(axis=axes, keepdims=True)
+        sum_dxhat = _per_sample_sum(dxhat)
+        sum_dxhat_xhat = _per_sample_sum(dxhat * self._xhat)
         return (dxhat - sum_dxhat / m - self._xhat * sum_dxhat_xhat / m) / self._std
 
 
@@ -466,9 +635,7 @@ class UpSampling2D(Layer):
         return x.repeat(self.factor, axis=2).repeat(self.factor, axis=3)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        n, c, h, w = grad_out.shape
-        f = self.factor
-        return grad_out.reshape(n, c, h // f, f, w // f, f).sum(axis=(3, 5))
+        return _window_sum(grad_out, self.factor)
 
 
 class GaussianNoise(Layer):

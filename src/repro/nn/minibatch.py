@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import initializers as init
-from .layers import Layer
+from .layers import Layer, Segments, segment_rows, stack_segments
 
 __all__ = ["MinibatchDiscrimination"]
 
@@ -29,7 +29,12 @@ class MinibatchDiscrimination(Layer):
         features per sample.
     kernel_dim:
         Dimensionality ``C`` of each kernel's projection space.
+
+    In a segmented pass each sample is compared only to its own segment's.
     """
+
+    segmented_forward = True
+    _row_caches = ("_x",)
 
     def __init__(
         self,
@@ -61,45 +66,61 @@ class MinibatchDiscrimination(Layer):
         )
         super().build(input_shape, rng)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Segments = None
+    ) -> np.ndarray:
         del training
-        n = x.shape[0]
         b, c = self.num_kernels, self.kernel_dim
         self._x = x
-        m = (x @ self.params["T"]).reshape(n, b, c)
-        self._m = m
-        # diffs[i, j, b, c] = M_i - M_j
-        diffs = m[:, None, :, :] - m[None, :, :, :]
-        self._sign = np.sign(diffs)
-        l1 = np.abs(diffs).sum(axis=-1)
-        self._k = np.exp(-l1)
-        # o_i[b] = sum_{j != i} exp(-||M_i - M_j||_1); the j = i term is
-        # exp(0) = 1 and is removed.
-        o = self._k.sum(axis=1) - 1.0
-        return np.concatenate([x, o], axis=1)
+        # Per segment, projection included: a GEMM row is not bitwise
+        # independent of the row count at every shape.
+        self._pairs, closeness = [], []
+        for start, stop in segments or ((0, len(x)),):
+            ms = (segment_rows(x, start, stop) @ self.params["T"]).reshape(stop - start, b, c)
+            # diffs[i, j, b, c] = M_i - M_j
+            diffs = ms[:, None, :, :] - ms[None, :, :, :]
+            sign = np.sign(diffs)
+            k = np.exp(-np.abs(diffs).sum(axis=-1))
+            self._pairs.append((sign, k))
+            # o_i[b] = sum_{j != i} exp(-||M_i - M_j||_1); the j = i term is
+            # exp(0) = 1 and is removed.
+            closeness.append(k.sum(axis=1) - 1.0)
+        return np.concatenate([x, stack_segments(closeness)], axis=1)
+
+    def restrict(self, segment: int, start: int, stop: int) -> None:
+        super().restrict(segment, start, stop)
+        self._pairs = [self._pairs[segment]]
 
     def backward(
-        self, grad_out: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_out: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Segments = None,
     ) -> Optional[np.ndarray]:
-        n = grad_out.shape[0]
         features = self._x.shape[1]
-        dx_direct = grad_out[:, :features]
-        do = grad_out[:, features:]
+        grads_in = []
+        for (start, stop), (sign, k) in zip(
+            segments or ((0, len(grad_out)),), self._pairs, strict=True
+        ):
+            n = stop - start
+            do = grad_out[start:stop, features:]
+            # dK[i, j, b]: o_i[b] sums K[i, j, b] over j (excluding j = i).
+            dk = np.repeat(do[:, None, :], n, axis=1)
+            idx = np.arange(n)
+            dk[idx, idx, :] = 0.0
 
-        # dK[i, j, b]: o_i[b] sums K[i, j, b] over j (excluding j = i).
-        dk = np.repeat(do[:, None, :], n, axis=1)
-        idx = np.arange(n)
-        dk[idx, idx, :] = 0.0
-
-        dl1 = -self._k * dk
-        ddiffs = self._sign * dl1[..., None]
-        # M_i appears positively in diffs[i, :, ...] and negatively in
-        # diffs[:, i, ...].
-        dm = ddiffs.sum(axis=1) - ddiffs.sum(axis=0)
-
-        dm_flat = dm.reshape(n, -1)
-        if param_grads:
-            self.grads["T"] += self._x.T @ dm_flat
+            dl1 = -k * dk
+            ddiffs = sign * dl1[..., None]
+            # M_i appears positively in diffs[i, :, ...] and negatively in
+            # diffs[:, i, ...].
+            dm_flat = (ddiffs.sum(axis=1) - ddiffs.sum(axis=0)).reshape(n, -1)
+            if param_grads:
+                self.grads["T"] += segment_rows(self._x, start, stop).T @ dm_flat
+            if input_grad:
+                dx_direct = grad_out[start:stop, :features]
+                grads_in.append(dx_direct + dm_flat @ self.params["T"].T)
         if not input_grad:
             return None
-        return dx_direct + dm_flat @ self.params["T"].T
+        return stack_segments(grads_in)

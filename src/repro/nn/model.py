@@ -28,6 +28,7 @@ value that crossed a pipe bitwise equal to one handed over in-process.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -109,12 +110,26 @@ class Sequential:
             raise RuntimeError(f"Model {self.name!r} must be built before use; call build()")
 
     # -- computation -------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        """Run the forward pass, caching intermediates for backward."""
+    def forward(
+        self, x: np.ndarray, training: bool = True, segments: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """Run the forward pass, caching intermediates for backward.
+
+        ``segments`` — sample counts summing to ``len(x)`` — makes this one
+        pass over several batches in a row: every output row, and every
+        BatchNorm statistic (folded in segment order), is bitwise what
+        separate forwards over the segments, in order, would give.  Random
+        layers draw once, in C order, which is the separate draws' stream.
+        ``None`` is one segment.
+        """
         self._require_built()
         out = self.boundary(x)
+        bounds = None if segments is None else _bounds(segments, len(out))
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            if layer.segmented_forward:
+                out = layer.forward(out, training=training, segments=bounds)
+            else:
+                out = layer.forward(out, training=training)
         return self.boundary(out)
 
     def __call__(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -125,12 +140,19 @@ class Sequential:
         return self.forward(x, training=False)
 
     def backward(
-        self, grad_output: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
+        self,
+        grad_output: np.ndarray,
+        *,
+        param_grads: bool = True,
+        input_grad: bool = True,
+        segments: Optional[Sequence[int]] = None,
     ) -> Optional[np.ndarray]:
         """Backpropagate ``grad_output`` and return the input gradient.
 
         Parameter gradients are *accumulated* into each layer's ``grads``;
-        call :meth:`zero_grad` before starting a fresh accumulation.
+        call :meth:`zero_grad` before starting a fresh accumulation.  Pass
+        the forward's ``segments``: each layer then adds each segment's
+        gradient, computed as a separate backward would, in segment order.
 
         ``param_grads=False`` is the input-gradient-only pass (MD-GAN's error
         feedback): ``grads`` is left untouched and the returned gradient is
@@ -141,6 +163,7 @@ class Sequential:
         """
         self._require_built()
         grad = self.boundary(grad_output)
+        bounds = None if segments is None else _bounds(segments, len(grad))
         layers = self.layers
         first = 0
         if not input_grad:
@@ -150,29 +173,40 @@ class Sequential:
             layer = layers[index]
             if layer.params:
                 grad = layer.backward(
-                    grad, param_grads=param_grads, input_grad=input_grad or index > first
+                    grad,
+                    param_grads=param_grads,
+                    input_grad=input_grad or index > first,
+                    segments=bounds,
                 )
             else:
                 grad = layer.backward(grad)
         return self.boundary(grad) if input_grad else None
 
-    def snapshot(self) -> "Sequential":
+    def snapshot(self, segment: Optional[Tuple[int, int, int]] = None) -> "Sequential":
         """This model frozen as its last forward left it, to backpropagate that forward later.
 
         Layers are shallow copies holding every backward cache by reference
         (forward only rebinds caches, see :class:`~repro.nn.layers.Layer`) and
         the very same ``params`` / ``grads`` dicts, so ``snapshot.backward``
         accumulates into this model's gradients — exact until its parameters change.
+        ``segment=(index, start, stop)`` keeps only that segment of a segmented
+        forward: the copy backpropagates it, and reports its :meth:`batch_stats`,
+        as a forward over those rows alone would.
         """
         # Bare ``__dict__`` copies: ``copy.copy`` costs ~5x more per layer and,
         # through ``__getstate__``, would drop kept caches and parameter views.
         frozen = _bare_copy(self)
         frozen.layers = [_bare_copy(layer) for layer in self.layers]
+        if segment is not None:
+            for layer in frozen.layers:
+                layer.restrict(*segment)
         return frozen
 
-    def batch_stats(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Every BatchNorm's ``(mean, var)`` from its last training forward, in layer order."""
-        return [layer.batch_stats for layer in self.layers if isinstance(layer, BatchNorm)]
+    def batch_stats(self, segment: int = 0) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Every BatchNorm's ``(mean, var)`` of segment ``segment`` of its last training forward."""
+        return [
+            layer.segment_stats[segment] for layer in self.layers if isinstance(layer, BatchNorm)
+        ]
 
     def fold_batch_stats(self, stats: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
         """Fold one forward's :meth:`batch_stats` into this model's running statistics."""
@@ -267,6 +301,14 @@ class Sequential:
             f"Sequential(name={self.name!r}, layers={len(self.layers)}, "
             f"{status}, params={self.num_parameters if self.built else '?'})"
         )
+
+
+def _bounds(segments: Optional[Sequence[int]], n: int) -> Tuple[Tuple[int, int], ...]:
+    """``(start, stop)`` rows of each segment."""
+    ends = list(itertools.accumulate(segments))
+    if not ends or min(segments) < 1 or ends[-1] != n:
+        raise ValueError(f"segments {tuple(segments)} do not split a batch of {n} samples")
+    return tuple(zip([0, *ends[:-1]], ends))
 
 
 def _bare_copy(obj):

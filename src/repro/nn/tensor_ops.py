@@ -19,9 +19,10 @@ batch, whose result *is* the output's ``(C_out, out_h, out_w, N)`` memory
 GEMM as a free reshape.  Every gather and per-offset add runs over contiguous
 runs of ``N`` (``out_w*N`` at stride 1), not along ``out_w``, which is 2-8
 elements on a small discriminator's late layers.  Weights ``(C_out, C_in, kh,
-kw)`` are permuted to ``(C_out, kh, kw, C_in)`` per call, a copy the size of
-the weight.  The layout stays inside :mod:`repro.nn`: a
-:class:`~repro.nn.model.Sequential` hands C-contiguous arrays in and out.
+kw)`` are permuted to ``(C_out, kh, kw, C_in)`` (:func:`weight_matrix`), a
+copy the size of the weight, per call unless the caller passes it in.  The
+layout stays inside :mod:`repro.nn`: a :class:`~repro.nn.model.Sequential`
+hands C-contiguous arrays in and out.
 
 **Scratch.**  :func:`im2col` writes the input into the interior of a
 zero-bordered ``(C, Hp, Wp, N)`` buffer (the one copy that normalises any
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -57,6 +58,7 @@ __all__ = [
     "conv2d_forward",
     "conv2d_input_grad",
     "conv2d_weight_grad",
+    "weight_matrix",
 ]
 
 #: Plans kept per thread.  A trainer thread touches one plan per distinct
@@ -191,9 +193,55 @@ def col2im(
 # unpickled into a pool slot, changes how pickle memoizes every reply.
 
 
-def _weight_matrix(weight: np.ndarray) -> np.ndarray:
+def weight_matrix(weight: np.ndarray) -> np.ndarray:
     """``(C_out, C_in, kh, kw)`` weights as the ``(C_out, kh*kw*C_in)`` GEMM operand."""
     return weight.transpose(0, 2, 3, 1).reshape(weight.shape[0], -1)
+
+
+#: Per GEMM geometry, whether one GEMM over every segment's columns gives each
+#: column the bits of a GEMM over its segment alone (see :func:`dot_segments`).
+_FUSED_EXACT: Dict[tuple, bool] = {}
+
+
+def dot_segments(a: np.ndarray, b: np.ndarray, n: int, segments=None) -> np.ndarray:
+    """``np.dot(a, b)`` for ``(P, n)``-ordered columns, bitwise a GEMM per segment of ``n``.
+
+    BLAS may pick its kernel by size (OpenBLAS: a small-matrix kernel), and
+    then a column's bits depend on how many columns share the call.  So one
+    GEMM serves every segment only where it gave the per-segment GEMMs' bits
+    on random operands of this geometry, checked once per process; elsewhere
+    each segment's columns, gathered as a separate pass lowers them, get a
+    GEMM of their own.
+    """
+    if not segments or len(segments) == 1:
+        return np.dot(a, b)
+    key = (a.shape, a.strides, b.shape, n, tuple(stop - start for start, stop in segments))
+    exact = _FUSED_EXACT.get(key)
+    if exact is None:
+        probes = (_fused_is_exact(a, b, n, segments, seed) for seed in range(8))
+        exact = _FUSED_EXACT[key] = all(probes)
+    return np.dot(a, b) if exact else _dot_each(a, b, n, segments)
+
+
+def _fused_is_exact(a: np.ndarray, b: np.ndarray, n: int, segments, seed: int) -> bool:
+    # Operands of this geometry and layout; two kernels may agree on one draw
+    # (a 2-term dot product rounds alike about a quarter of the time), so the
+    # caller asks several.
+    rng = np.random.default_rng(seed)
+    probe_a = np.empty_like(a)
+    probe_a[...] = rng.standard_normal(a.shape)
+    probe_b = rng.standard_normal(b.shape).astype(b.dtype)
+    return np.dot(probe_a, probe_b).tobytes() == _dot_each(probe_a, probe_b, n, segments).tobytes()
+
+
+def _dot_each(a: np.ndarray, b: np.ndarray, n: int, segments) -> np.ndarray:
+    m, k = a.shape[0], b.shape[0]
+    columns = b.reshape(k, -1, n)
+    out = np.empty((m, columns.shape[1], n), dtype=np.result_type(a, b))
+    for start, stop in segments:
+        rows = np.dot(a, np.ascontiguousarray(columns[:, :, start:stop]).reshape(k, -1))
+        out[:, :, start:stop] = rows.reshape(m, -1, stop - start)
+    return out.reshape(m, -1)
 
 
 def _channel_major(grad_out: np.ndarray) -> np.ndarray:
@@ -215,13 +263,16 @@ def conv2d_forward(
     stride: int = 1,
     pad: int = 0,
     col: Optional[np.ndarray] = None,
+    matrix: Optional[np.ndarray] = None,
+    segments=None,
 ) -> np.ndarray:
     """Cross-correlation of ``x`` with ``weight``.
 
     ``x`` has shape ``(N, C_in, H, W)``; ``weight`` has shape
     ``(C_out, C_in, kh, kw)``.  Returns ``(N, C_out, out_h, out_w)``, a view of
     the GEMM's batch-innermost result.  ``col`` is ``im2col(x, kh, kw, stride,
-    pad)`` when the caller already holds it.
+    pad)`` and ``matrix`` is ``weight_matrix(weight)`` when the caller already
+    holds them; ``segments`` (sample ranges) go to :func:`dot_segments`.
     """
     n = x.shape[0]
     c_out, c_in, kh, kw = weight.shape
@@ -235,7 +286,9 @@ def conv2d_forward(
     elif col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n):
         raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
     out_h, out_w = col.shape[3:5]
-    out = np.dot(_weight_matrix(weight), col.reshape(kh * kw * c_in, -1))
+    if matrix is None:
+        matrix = weight_matrix(weight)
+    out = dot_segments(matrix, col.reshape(kh * kw * c_in, -1), n, segments)
     return out.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2)
 
 
@@ -245,12 +298,16 @@ def conv2d_input_grad(
     input_hw: Tuple[int, int],
     stride: int = 1,
     pad: int = 0,
+    matrix: Optional[np.ndarray] = None,
+    segments=None,
 ) -> np.ndarray:
     """Gradient of a convolution w.r.t. its input (a.k.a. transposed conv).
 
     ``grad_out`` has shape ``(N, C_out, out_h, out_w)``; the result has shape
     ``(N, C_in, *input_hw)``.  ``input_hw`` must be a size the convolution
-    maps to ``grad_out``'s spatial size.
+    maps to ``grad_out``'s spatial size.  ``matrix`` is
+    ``weight_matrix(weight)`` when the caller already holds it; ``segments``
+    go to :func:`dot_segments`.
     """
     n, c_out, out_h, out_w = grad_out.shape
     c_out_w, c_in, kh, kw = weight.shape
@@ -260,7 +317,9 @@ def conv2d_input_grad(
     expected = _output_hw(h, w, kh, kw, stride, pad)
     if expected != (out_h, out_w):
         raise _geometry_error((h, w), (kh, kw), stride, pad, expected, (out_h, out_w))
-    col = np.dot(_weight_matrix(weight).T, _channel_major(grad_out))
+    if matrix is None:
+        matrix = weight_matrix(weight)
+    col = dot_segments(matrix.T, _channel_major(grad_out), n, segments)
     col = col.reshape(kh, kw, c_in, out_h, out_w, n)
     return col2im(col, (n, c_in, h, w), kh, kw, stride, pad)
 
@@ -288,5 +347,7 @@ def conv2d_weight_grad(
     got = grad_out.shape[:1] + grad_out.shape[2:]
     if col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n) or expected != got:
         raise _geometry_error((n,) + x.shape[2:], kernel_hw, stride, pad, expected, got)
-    dw = np.dot(_channel_major(grad_out), col.reshape(kh * kw * c_in, -1).T)
+    # Contiguous as an ``im2col`` of its own: a one-sample slice reshapes to a view.
+    col = np.ascontiguousarray(col).reshape(kh * kw * c_in, -1)
+    dw = np.dot(_channel_major(grad_out), col.T)
     return dw.reshape(c_out, kh, kw, c_in).transpose(0, 3, 1, 2)

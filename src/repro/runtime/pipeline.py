@@ -47,10 +47,11 @@ reproducing the serial loop bit for bit:
 
 * all noise/label draws happen first, on the caller's RNG, in the exact order
   the serial loop would make them (forward passes consume no server RNG);
-* each batch's forward pass runs on a slot's **copy** of the generator;
+* each batch's forward pass runs on a slot's **copy** of the generator, as
+  one segment of the pass over all the batches that slot was given;
 * :class:`~repro.nn.layers.BatchNorm` normalises by *batch* statistics in
   training mode, so the images do not depend on the running statistics;
-  each batch's ``batch_stats()`` come back with its images and are folded
+  each batch's ``batch_stats(j)`` come back with its images and are folded
   into the caller's generator in batch order (``BatchNorm.fold``);
 * the batches carry no snapshot (it never travels), so feedback replays them.
 

@@ -608,7 +608,7 @@ class ResidentBackend(ExecutorBackend):
         params_supplier: Callable[[], np.ndarray],
         g_inputs: Sequence[np.ndarray],
     ) -> PendingSteps:
-        """Dispatch per-batch generator forward passes across the pool slots.
+        """Dispatch generator forward passes across the pool slots.
 
         ``handle`` is a :class:`~repro.runtime.pipeline.GeneratorHandle`
         naming the generator.  Batch ``j`` runs on the ``j``-th alive slot
@@ -622,9 +622,11 @@ class ResidentBackend(ExecutorBackend):
         With a *versioned* handle an unchanged generator therefore copies and
         ships **zero parameter bytes** per repeat request (pinned by
         :attr:`param_bytes_sent`); an unversioned handle re-ships every time,
-        which is always safe.  Each batch's reply is ``(images,
-        generator.batch_stats())``; the caller folds the statistics back in
-        batch order to reproduce the serial running-stat trajectory bitwise.
+        which is always safe.  A slot runs the batches it is given as one
+        segmented forward (a segment per batch) and replies ``(images,
+        generator.batch_stats(j))`` per batch; the caller folds the statistics
+        back in batch order to reproduce the serial running-stat trajectory
+        bitwise.
 
         Returns a :class:`PendingSteps` handle whose ``result()`` yields the
         per-batch replies in batch order; it participates in the same

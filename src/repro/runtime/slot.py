@@ -12,6 +12,8 @@ import pickle
 import traceback
 from typing import Any, Dict
 
+import numpy as np
+
 from .programs import get_program
 
 __all__ = ["serve_slot"]
@@ -75,10 +77,13 @@ def serve_slot(channel) -> None:
                     )
                 if params is not None:
                     generator.set_parameters(params)
-                out = []
-                for g_input in g_inputs:
-                    images = generator.forward(g_input, training=True)
-                    out.append((images, generator.batch_stats()))
+                # One pass, a segment per batch: bitwise a forward per batch.
+                sizes = [len(g_input) for g_input in g_inputs]
+                images = generator.forward(np.concatenate(g_inputs), training=True, segments=sizes)
+                out, start = [], 0
+                for j, size in enumerate(sizes):
+                    out.append((images[start : start + size], generator.batch_stats(j)))
+                    start += size
                 reply = ("ok", out)
             elif op == "pull_params":
                 out = {}

@@ -15,7 +15,10 @@ Usage::
     python tools/digest.py --out change.json
     python tools/digest.py --src /path/to/parent/src --out parent.json
     python tools/digest.py --compare parent.json change.json
+    python tools/digest.py --compare parent.json change.json --expect tools/digest_expected.txt
 
+``--compare`` exits non-zero on any difference; with ``--expect FILE`` only
+on a difference FILE does not list (or a listed pair that no longer differs).
 ``--src`` selects the ``repro`` package to digest (default: this checkout's
 ``src``), so one copy of the tool digests any tree.  ``--configs`` runs a
 subset.  BLAS runs single-threaded unless the environment says otherwise.
@@ -141,7 +144,7 @@ def _toy():
     return factory, partition_iid(train, 4, np.random.default_rng(3))
 
 
-def _cnn():
+def _cnn(minibatch_discrimination=False):
     import numpy as np
 
     from repro.datasets import make_mnist_like, partition_iid
@@ -152,9 +155,14 @@ def _cnn():
         image_shape=train.spec.shape,
         num_classes=train.num_classes,
         width_factor=0.25,
-        use_minibatch_discrimination=False,
+        use_minibatch_discrimination=minibatch_discrimination,
     )
     return factory, partition_iid(train, 4, np.random.default_rng(3))
+
+
+def _cnn_mbd():
+    """The paper's mnist-cnn discriminator (Dropout, minibatch discrimination), width 1/4."""
+    return _cnn(minibatch_discrimination=True)
 
 
 def _config(backend="serial", **overrides):
@@ -190,11 +198,12 @@ def _mdgan(data, backend="serial", **overrides):
     return run
 
 
-def _flgan(backend):
+def _flgan(backend, data=_toy, **overrides):
     def run():
         from repro.core import FLGANTrainer
 
-        return _train(FLGANTrainer, _toy(), _config(backend, epochs_per_swap=0.5))
+        config = _config(backend, epochs_per_swap=0.5, **overrides)
+        return _train(FLGANTrainer, data(), config)
 
     return run
 
@@ -275,8 +284,10 @@ CONFIGS = {
     "cnn-k2-serial": _mdgan(_cnn, precision="float32"),
     "cnn-k2-resident": _mdgan(_cnn, "resident", precision="float32"),
     "cnn-k2-depth1": _mdgan(_cnn, precision="float32", pipeline_depth=1),
+    "cnn-mbd-serial": _mdgan(_cnn_mbd, precision="float32"),
     "flgan-serial": _flgan("serial"),
     "flgan-resident": _flgan("resident"),
+    "flgan-cnn-serial": _flgan("serial", _cnn, precision="float32"),
     "service-samples": _service,
     "run_table2": _rows("run_table2"),
     "run_table3": _rows("run_table3"),
@@ -299,22 +310,44 @@ def digest(names) -> dict:
     return out
 
 
-def compare(a_path: str, b_path: str) -> int:
-    """Print each differing (config, field); return the number of them."""
+def read_expected(path: str) -> set:
+    """The ``(config, field)`` pairs a change moves on purpose: one ``config field`` a line.
+
+    Blank lines and ``#`` comments are skipped; a config that only one side
+    has is listed by its name alone.
+    """
+    pairs = set()
+    for line in Path(path).read_text().splitlines():
+        words = line.split("#", 1)[0].split(maxsplit=1)
+        if words:
+            pairs.add((words[0], words[1] if len(words) > 1 else ""))
+    return pairs
+
+
+def compare(a_path: str, b_path: str, expected: frozenset = frozenset()) -> int:
+    """Print each differing (config, field); return how many are not ``expected``.
+
+    An ``expected`` pair that does not differ counts too: the list is stale.
+    """
     a, b = (json.loads(Path(p).read_text())["digest"] for p in (a_path, b_path))
-    differing = 0
+    differing, unexpected = set(), 0
     for config in [*a, *(c for c in b if c not in a)]:
         fa, fb = a.get(config), b.get(config)
         if fa is None or fb is None:
-            print(f"{config}: only in {a_path if fb is None else b_path}")
-            differing += 1
-            continue
-        for field in sorted(set(fa) | set(fb)):
-            if fa.get(field) != fb.get(field):
-                print(f"{config} {field}: differs")
-                differing += 1
-    print(f"{differing} differing (config, field) pairs" if differing else "equal")
-    return differing
+            pairs = {(config, ""): f"only in {a_path if fb is None else b_path}"}
+        else:
+            fields = sorted(set(fa) | set(fb))
+            pairs = {(config, f): "differs" for f in fields if fa.get(f) != fb.get(f)}
+        for (name, field), what in pairs.items():
+            note = " (expected)" if (name, field) in expected else ""
+            print(f"{name}{' ' + field if field else ''}: {what}{note}")
+            unexpected += not note
+        differing.update(pairs)
+    for name, field in sorted(expected - differing):
+        print(f"{name}{' ' + field if field else ''}: expected to differ, but equal")
+        unexpected += 1
+    print(f"{len(differing)} differing (config, field) pairs" if differing else "equal")
+    return unexpected
 
 
 def main(argv=None) -> int:
@@ -323,9 +356,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the digest JSON here (default: stdout)")
     parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS), default=list(CONFIGS))
     parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"))
+    parser.add_argument(
+        "--expect", metavar="FILE", help="with --compare: the pairs allowed to differ"
+    )
     args = parser.parse_args(argv)
     if args.compare:
-        return 1 if compare(*args.compare) else 0
+        expected = read_expected(args.expect) if args.expect else set()
+        return 1 if compare(*args.compare, frozenset(expected)) else 0
     sys.path.insert(0, args.src)
     start = time.perf_counter()
     payload = {"src": args.src, "digest": digest(args.configs)}
