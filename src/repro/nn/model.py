@@ -303,7 +303,7 @@ class Sequential:
         )
 
 
-def _bounds(segments: Optional[Sequence[int]], n: int) -> Tuple[Tuple[int, int], ...]:
+def _bounds(segments: Sequence[int], n: int) -> Tuple[Tuple[int, int], ...]:
     """``(start, stop)`` rows of each segment."""
     ends = list(itertools.accumulate(segments))
     if not ends or min(segments) < 1 or ends[-1] != n:

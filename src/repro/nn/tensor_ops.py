@@ -215,22 +215,24 @@ def dot_segments(a: np.ndarray, b: np.ndarray, n: int, segments=None) -> np.ndar
     """
     if not segments or len(segments) == 1:
         return np.dot(a, b)
-    key = (a.shape, a.strides, b.shape, n, tuple(stop - start for start, stop in segments))
+    sizes = tuple(stop - start for start, stop in segments)
+    key = (a.shape, a.strides, b.shape, n, sizes)
     exact = _FUSED_EXACT.get(key)
     if exact is None:
-        probes = (_fused_is_exact(a, b, n, segments, seed) for seed in range(8))
+        # Two kernels can round one output alike by chance (a 2-term dot
+        # product does about a quarter of the time): small outputs get more draws.
+        draws = 2 if a.shape[0] * (b.shape[1] // n) * min(sizes) >= 4096 else 12
+        probes = (_fused_is_exact(a, b, n, segments, seed) for seed in range(draws))
         exact = _FUSED_EXACT[key] = all(probes)
     return np.dot(a, b) if exact else _dot_each(a, b, n, segments)
 
 
 def _fused_is_exact(a: np.ndarray, b: np.ndarray, n: int, segments, seed: int) -> bool:
-    # Operands of this geometry and layout; two kernels may agree on one draw
-    # (a 2-term dot product rounds alike about a quarter of the time), so the
-    # caller asks several.
+    """Whether random operands of this geometry and layout give the same bits both ways."""
     rng = np.random.default_rng(seed)
     probe_a = np.empty_like(a)
-    probe_a[...] = rng.standard_normal(a.shape)
-    probe_b = rng.standard_normal(b.shape).astype(b.dtype)
+    probe_a[...] = rng.random(a.shape, dtype=a.dtype)
+    probe_b = rng.random(b.shape, dtype=b.dtype)
     return np.dot(probe_a, probe_b).tobytes() == _dot_each(probe_a, probe_b, n, segments).tobytes()
 
 

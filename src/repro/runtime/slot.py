@@ -79,7 +79,8 @@ def serve_slot(channel) -> None:
                     generator.set_parameters(params)
                 # One pass, a segment per batch: bitwise a forward per batch.
                 sizes = [len(g_input) for g_input in g_inputs]
-                images = generator.forward(np.concatenate(g_inputs), training=True, segments=sizes)
+                g_input = g_inputs[0] if len(sizes) == 1 else np.concatenate(g_inputs)
+                images = generator.forward(g_input, training=True, segments=sizes)
                 out, start = [], 0
                 for j, size in enumerate(sizes):
                     out.append((images[start : start + size], generator.batch_stats(j)))

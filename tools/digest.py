@@ -318,7 +318,7 @@ def read_expected(path: str) -> set:
     """
     pairs = set()
     for line in Path(path).read_text().splitlines():
-        words = line.split("#", 1)[0].split(maxsplit=1)
+        words = line.split("#", 1)[0].split()
         if words:
             pairs.add((words[0], words[1] if len(words) > 1 else ""))
     return pairs
