@@ -70,12 +70,12 @@ def segment_rows(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     (:mod:`repro.nn.tensor_ops`) are copied with every stride, gaps included,
     rescaled to the segment's sample count.
     """
-    rows = x[start:stop]
     n, count, item = len(x), stop - start, x.itemsize
-    if count == n or x.strides[0] != item:
-        return rows
-    inner = [s for s, size in zip(x.strides[1:], x.shape[1:]) if size > 1]
-    if any(s % (n * item) for s in inner):
+    if count == n:
+        return x
+    rows = x[start:stop]
+    per_sample = [s for s, size in zip(x.strides[1:], x.shape[1:]) if size > 1]
+    if x.strides[0] != item or any(s % (n * item) for s in per_sample):
         return rows
     inner = tuple(s // n * count for s in x.strides[1:])
     extent = count + sum((size - 1) * s for size, s in zip(rows.shape[1:], inner)) // item
