@@ -147,7 +147,7 @@ def test_cnn_discriminator_step(benchmark):
     optimizer = Adam()
     real = rng.uniform(-1, 1, size=(16, 1, 16, 16))
     labels = rng.integers(0, 10, size=16)
-    fake = sample_generator_images(generator, factory, 16, rng)
+    [fake] = sample_generator_images(generator, factory, 16, rng)
 
     def step():
         return discriminator_update(
@@ -164,7 +164,7 @@ def test_error_feedback_computation(benchmark):
     generator = factory.make_generator(rng)
     discriminator = factory.make_discriminator(rng)
     objective = GANObjective(factory)
-    batch = sample_generator_images(generator, factory, 16, rng)
+    [batch] = sample_generator_images(generator, factory, 16, rng)
 
     def feedback():
         return generator_feedback(discriminator, objective, batch)

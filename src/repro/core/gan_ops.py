@@ -12,7 +12,7 @@ loss mathematics (Section II of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,29 +165,27 @@ def sample_generator_images(
     rng: np.random.Generator,
     batch_index: int = 0,
     training: bool = True,
-    count: Optional[int] = None,
-):
+    count: int = 1,
+) -> List[GeneratedBatch]:
     """Draw noise (and labels if conditional), run the generator forward, snapshot if training.
 
-    With ``count``, returns that many batches (indices from ``batch_index``)
-    drawn in batch order and generated by one forward of ``count`` segments:
-    bitwise ``count`` calls, each batch's snapshot backpropagating its own
-    segment.
+    Returns ``count`` batches (indices from ``batch_index``), drawn in batch
+    order and generated by one forward of ``count`` segments: bitwise
+    ``count`` single-batch calls, each batch's snapshot backpropagating its
+    own segment.
     """
-    k = count or 1
-    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(k)]
-    g_input = np.concatenate([g for _, _, g in drawn]) if k > 1 else drawn[0][2]
-    images = generator.forward(g_input, training=training, segments=(batch_size,) * k)
+    drawn = [draw_generator_input(generator, factory, batch_size, rng) for _ in range(count)]
+    images = generator.forward(
+        np.concatenate([g for _, _, g in drawn]), training=training, segments=(batch_size,) * count
+    )
     batches = []
     for j, (noise, labels, _) in enumerate(drawn):
         start, stop = j * batch_size, (j + 1) * batch_size
-        snapshot = None
-        if training:
-            snapshot = generator.snapshot((j, start, stop) if k > 1 else None)
+        snapshot = generator.snapshot((j, start, stop)) if training else None
         batches.append(
             GeneratedBatch(images[start:stop], noise, labels, batch_index + j, snapshot)
         )
-    return batches if count else batches[0]
+    return batches
 
 
 def discriminator_update(
@@ -303,7 +301,7 @@ def generator_update(
     the generator — which keeps the mathematics identical across all three
     algorithms.
     """
-    generated = sample_generator_images(generator, factory, batch_size, rng)
+    [generated] = sample_generator_images(generator, factory, batch_size, rng)
     loss, feedback = generator_feedback(discriminator, objective, generated)
     generator.zero_grad()
     apply_feedback_to_generator(generator, factory, [generated], [feedback])

@@ -81,7 +81,7 @@ class StandaloneGANTrainer:
         disc_loss = 0.0
         for _ in range(cfg.disc_steps):
             real_images, real_labels = self._sampler.next_batch()
-            generated = sample_generator_images(
+            [generated] = sample_generator_images(
                 self.generator, self.factory, cfg.batch_size, self._rng
             )
             disc_loss = discriminator_update(

@@ -364,9 +364,7 @@ class LeakyReLU(Layer):
     ``(1 - alpha) + alpha`` rounds to 1, so they are bitwise ``np.where``'s.
     """
 
-    #: The last forward's slope; pickles leave it out and rebuild it from ``_mask``.
-    _slope: Optional[np.ndarray] = None
-    _row_caches = ("_mask", "_slope")
+    _row_caches = ("_mask",)
 
     def __init__(self, alpha: float = 0.2, name: Optional[str] = None) -> None:
         super().__init__(name)
@@ -374,15 +372,10 @@ class LeakyReLU(Layer):
             raise ValueError(f"LeakyReLU alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = self.__dict__.copy()
-        state.pop("_slope", None)
-        return state
-
-    def _leak(self, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    def _leak(self, dtype: np.dtype) -> np.ndarray:
         # On the scalar type, and first in each product: the output carries
         # NumPy's canonical dtype object, as ``np.where``'s did (pickle memoizes it).
-        slope = mask.astype(dtype.type)
+        slope = self._mask.astype(dtype.type)
         slope *= 1.0 - self.alpha
         slope += self.alpha
         return slope
@@ -390,14 +383,10 @@ class LeakyReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._mask = x > 0
-        self._slope = self._leak(self._mask, x.dtype)
-        return self._slope * x
+        return self._leak(x.dtype) * x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        slope = self._slope
-        if slope is None:
-            slope = self._leak(self._mask, grad_out.dtype)
-        return slope * grad_out
+        return self._leak(grad_out.dtype) * grad_out
 
 
 class Sigmoid(Layer):
@@ -568,8 +557,12 @@ def _per_sample_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _window_sum(x: np.ndarray, f: int) -> np.ndarray:
-    """Sum of every ``f x f`` spatial window, window by window: bits independent of layout."""
-    return functools.reduce(np.add, (x[:, :, i::f, j::f] for i in range(f) for j in range(f)))
+    """Sum of every ``f x f`` spatial window, row by row: bits independent of layout.
+
+    On C-contiguous input more than one window wide, the order of NumPy's axis sum.
+    """
+    rows = (functools.reduce(np.add, (x[:, :, i::f, j::f] for j in range(f))) for i in range(f))
+    return functools.reduce(np.add, rows)
 
 
 class LayerNorm(Layer):

@@ -258,7 +258,7 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
     disc_loss = 0.0
     for _ in range(state.disc_steps):
         real_images, real_labels = state.sampler.next_batch()
-        generated = sample_generator_images(state.generator, factory, state.batch_size, state.rng)
+        [generated] = sample_generator_images(state.generator, factory, state.batch_size, state.rng)
         disc_loss = discriminator_update(
             state.discriminator,
             state.objective,

@@ -39,7 +39,7 @@ def setup(rng):
 class TestSampling:
     def test_sample_generator_images_shapes(self, setup, rng):
         factory, generator, _, _ = setup
-        batch = sample_generator_images(generator, factory, 6, rng)
+        [batch] = sample_generator_images(generator, factory, 6, rng)
         assert batch.images.shape == (6,) + factory.image_shape
         assert batch.noise.shape == (6, factory.latent_dim)
         assert batch.labels.shape == (6,)
@@ -47,14 +47,14 @@ class TestSampling:
     def test_unconditional_sampling_has_no_labels(self, rng):
         factory = build_toy_gan(conditional=False)
         generator = factory.make_generator(rng)
-        batch = sample_generator_images(generator, factory, 4, rng)
+        [batch] = sample_generator_images(generator, factory, 4, rng)
         assert batch.labels is None
 
 
 class TestObjective:
     def test_real_and_fake_terms_sum_to_joint_loss(self, setup, rng):
         factory, generator, discriminator, objective = setup
-        batch = sample_generator_images(generator, factory, 8, rng)
+        [batch] = sample_generator_images(generator, factory, 8, rng)
         real_images = rng.uniform(-1, 1, size=(8,) + factory.image_shape)
         real_labels = rng.integers(0, factory.num_classes, size=8)
         real_out = discriminator.forward(real_images, training=False)
@@ -80,7 +80,7 @@ class TestDiscriminatorUpdate:
         optimizer = Adam(learning_rate=5e-3)
         real_images = rng.uniform(-1, 1, size=(16,) + factory.image_shape)
         real_labels = rng.integers(0, factory.num_classes, size=16)
-        batch = sample_generator_images(generator, factory, 16, rng)
+        [batch] = sample_generator_images(generator, factory, 16, rng)
         losses = []
         for _ in range(30):
             losses.append(
@@ -101,7 +101,7 @@ class TestDiscriminatorUpdate:
         optimizer = Adam(learning_rate=1e-3)
         real_images = rng.uniform(-1, 1, size=(4,) + factory.image_shape)
         real_labels = rng.integers(0, factory.num_classes, size=4)
-        batch = sample_generator_images(generator, factory, 4, rng)
+        [batch] = sample_generator_images(generator, factory, 4, rng)
         before = discriminator.get_parameters()
         discriminator_update(
             discriminator, objective, optimizer, real_images, real_labels,
@@ -118,7 +118,7 @@ class TestFeedback:
         with precision_scope("float64"):
             generator = factory.make_generator(rng)
             discriminator = factory.make_discriminator(rng)
-        batch = sample_generator_images(generator, factory, 3, rng)
+        [batch] = sample_generator_images(generator, factory, 3, rng)
         loss, feedback = generator_feedback(discriminator, objective, batch)
         assert feedback.shape == batch.images.shape
 
@@ -139,7 +139,7 @@ class TestFeedback:
 
     def test_feedback_does_not_touch_discriminator_parameters(self, setup, rng):
         factory, generator, discriminator, objective = setup
-        batch = sample_generator_images(generator, factory, 4, rng)
+        [batch] = sample_generator_images(generator, factory, 4, rng)
         before = discriminator.get_parameters()
         generator_feedback(discriminator, objective, batch)
         np.testing.assert_array_equal(before, discriminator.get_parameters())
@@ -165,7 +165,7 @@ class TestInputGradientOnlyFeedback:
         import copy
 
         factory, generator, discriminator, objective = cnn
-        batch = sample_generator_images(generator, factory, 8, rng)
+        [batch] = sample_generator_images(generator, factory, 8, rng)
         # Leave stale gradients behind, as a discriminator update does.
         real = rng.uniform(-1, 1, size=(8,) + factory.image_shape)
         labels = rng.integers(0, factory.num_classes, size=8)
@@ -190,7 +190,7 @@ class TestInputGradientOnlyFeedback:
         import copy
 
         factory, generator, discriminator, objective = cnn
-        batch = sample_generator_images(generator, factory, 8, rng)
+        [batch] = sample_generator_images(generator, factory, 8, rng)
         real = rng.uniform(-1, 1, size=(8,) + factory.image_shape)
         labels = rng.integers(0, factory.num_classes, size=8)
 
@@ -218,7 +218,7 @@ class TestSplitUpdateEquivalence:
     def test_single_worker_feedback_equals_direct_backprop(self, setup, rng):
         """Server-side chaining of F_n reproduces end-to-end generator gradients."""
         factory, generator, discriminator, objective = setup
-        batch = sample_generator_images(generator, factory, 6, rng)
+        [batch] = sample_generator_images(generator, factory, 6, rng)
 
         # Split update: worker computes feedback, server replays and chains.
         _, feedback = generator_feedback(discriminator, objective, batch)
@@ -241,7 +241,7 @@ class TestSplitUpdateEquivalence:
 
     def test_multiple_feedbacks_are_averaged(self, setup, rng):
         factory, generator, discriminator, objective = setup
-        batch = sample_generator_images(generator, factory, 5, rng)
+        [batch] = sample_generator_images(generator, factory, 5, rng)
         _, feedback = generator_feedback(discriminator, objective, batch)
 
         generator.zero_grad()
@@ -257,7 +257,7 @@ class TestSplitUpdateEquivalence:
 
     def test_validation_errors(self, setup, rng):
         factory, generator, discriminator, objective = setup
-        batch = sample_generator_images(generator, factory, 4, rng)
+        [batch] = sample_generator_images(generator, factory, 4, rng)
         _, feedback = generator_feedback(discriminator, objective, batch)
         with pytest.raises(ValueError, match="batches but"):
             apply_feedback_to_generator(generator, factory, [batch], [])
@@ -295,7 +295,7 @@ class TestSnapshotFeedback:
     @staticmethod
     def _generate(generator, factory, k, seed):
         rng = np.random.default_rng(seed)
-        return [sample_generator_images(generator, factory, 4, rng, j) for j in range(k)]
+        return [sample_generator_images(generator, factory, 4, rng, j)[0] for j in range(k)]
 
     @staticmethod
     def _replayed(batches):
@@ -351,7 +351,8 @@ class TestSnapshotFeedback:
     def test_evaluation_batches_carry_no_snapshot(self):
         factory, (generator, _) = self._pair()
         rng = np.random.default_rng(0)
-        assert sample_generator_images(generator, factory, 4, rng, training=False).snapshot is None
+        [batch] = sample_generator_images(generator, factory, 4, rng, training=False)
+        assert batch.snapshot is None
 
 
 class TestTrainerReplaysStaleBatches:

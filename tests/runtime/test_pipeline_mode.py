@@ -283,7 +283,7 @@ class TestResidentGeneration:
         rng_resident = np.random.default_rng(42)
         k, batch = 5, 16
         serial = [
-            sample_generator_images(gen_serial, factory, batch, rng_serial, batch_index=j)
+            sample_generator_images(gen_serial, factory, batch, rng_serial, batch_index=j)[0]
             for j in range(k)
         ]
         backend = ResidentBackend(max_workers=2)

@@ -87,7 +87,7 @@ class TestBitwiseContract:
         reference = factory.make_generator(np.random.default_rng(0))
         rng = np.random.default_rng(123)
         expected = [
-            sample_generator_images(reference, factory, batch_size, rng, batch_index=j)
+            sample_generator_images(reference, factory, batch_size, rng, batch_index=j)[0]
             for j in range(k)
         ]
 
