@@ -2,8 +2,8 @@
 
 Validates the two promises of the ``repro.runtime`` subsystem:
 
-* seeded training is **bitwise identical** across ``serial``, ``thread`` and
-  ``process`` backends (checked here end-to-end on the conv architecture;
+* seeded training is **bitwise identical** across the ``serial``, ``thread``
+  and ``resident`` backends (checked here end-to-end on the conv architecture;
   the fine-grained parity matrix lives in ``tests/runtime/test_parity.py``);
 * on a multi-core host, fanning the 8-worker MD-GAN per-iteration phase out
   through the thread backend is at least 1.5x faster than running the same
@@ -81,7 +81,7 @@ def test_all_backends_bitwise_identical_on_conv_model(conv_setup):
     _, ref_history, _ = runs["serial"]
     ref_params = runs["serial"][0].generator.get_parameters()
     assert np.all(np.isfinite(ref_history.generator_loss))
-    for backend in ("thread", "process"):
+    for backend in ("thread", "resident"):
         trainer, history, _ = runs[backend]
         assert history.generator_loss == ref_history.generator_loss, backend
         assert history.discriminator_loss == ref_history.discriminator_loss, backend
@@ -93,7 +93,7 @@ def test_all_backends_bitwise_identical_on_conv_model(conv_setup):
     reason="speedup needs a multi-core host (>= 4 cores)",
 )
 def test_thread_backend_speedup_at_8_workers(conv_setup):
-    # Warm both paths once (pool spin-up, allocator), then interleave the
+    # Warm both paths once (slot spin-up, allocator), then interleave the
     # measurements so a load spike cannot bias one backend; take best-of-N.
     _timed_run(conv_setup, "serial")
     _timed_run(conv_setup, "thread")

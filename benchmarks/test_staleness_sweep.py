@@ -11,9 +11,10 @@ Two artefacts:
 * **Straggler win** — with one worker slowed >= 2x, the async schedule must
   beat the synchronous one on wall clock: sync pays the straggler's delay
   every iteration, async only when the staleness gate forces a wait.  The
-  slowdown is injected by wrapping ``run_mdgan_worker_task`` for worker 0,
-  which both the sync ``submit_ordered`` path and the async completion-order
-  path resolve at call time, so the handicap is identical across schedules.
+  slowdown is injected by re-registering the ``mdgan`` resident program with
+  a step that sleeps for worker 0; the ``thread`` backend's slots look the
+  program up per step in this process's registry on both the sync and the
+  async path, so the handicap is identical across schedules.
 
 Timing uses best-of-N interleaved ``perf_counter`` runs, as in
 ``test_pipeline.py`` / ``test_parallel_backend.py``.
@@ -24,17 +25,18 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import record_rows
 
-import repro.core.mdgan as mdgan_module
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.datasets import make_gaussian_ring, partition_iid
 from repro.experiments import run_staleness_sweep
 from repro.models import build_toy_gan
+from repro.runtime import programs
 
 pytestmark = [
     pytest.mark.slow,  # timing / multi-run benchmark; excluded from the fast lane
@@ -65,23 +67,22 @@ def ring_setup():
 def _straggling_worker_zero(seconds: float):
     """Slow worker 0's step function on every schedule.
 
-    Both the synchronous ``submit_ordered`` dispatch and the async
-    ``_async_worker_fn`` seam resolve ``run_mdgan_worker_task`` from the
-    trainer module's globals at call time, so one patch handicaps the same
-    worker identically under either discipline.
+    The ``thread`` backend's slots resolve the ``mdgan`` program from this
+    process's registry at every step, under either discipline, so one
+    re-registration handicaps the same worker identically.
     """
-    original = mdgan_module.run_mdgan_worker_task
+    original = programs.get_program("mdgan")
 
-    def slow(task):
-        if task.worker_index == 0:
+    def slow(state, step_input):
+        if state.worker_index == 0:
             time.sleep(seconds)
-        return original(task)
+        return original.step(state, step_input)
 
-    mdgan_module.run_mdgan_worker_task = slow
+    programs.register_program(replace(original, step=slow))
     try:
         yield
     finally:
-        mdgan_module.run_mdgan_worker_task = original
+        programs.register_program(original)
 
 
 def _timed_run(ring_setup, aggregation: str):
@@ -157,7 +158,7 @@ def test_straggler_history_invariants(ring_setup):
 )
 def test_async_beats_sync_with_straggler(ring_setup):
     with _straggling_worker_zero(_STRAGGLER_SLEEP):
-        # Warm both paths (thread pool spin-up), then interleave best-of-N
+        # Warm both paths (slot thread spin-up), then interleave best-of-N
         # so a background load spike cannot bias one schedule.
         _timed_run(ring_setup, "sync")
         _timed_run(ring_setup, "async")

@@ -45,7 +45,7 @@ def parse_args() -> argparse.Namespace:
         "--max-workers",
         type=int,
         default=None,
-        help="pool size for the thread/process backends (default: cores - 1)",
+        help="slots of the thread/resident pool (default: cores - 1)",
     )
     return parser.parse_args()
 

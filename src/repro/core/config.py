@@ -78,13 +78,14 @@ class TrainingConfig:
     #: :mod:`repro.nn.precision`.
     precision: Optional[str] = None
     #: Execution backend for the per-worker phase of each global iteration:
-    #: ``"serial"`` (reference), ``"thread"``, ``"process"`` or
-    #: ``"resident"`` (persistent pool holding worker state across
-    #: iterations; see :mod:`repro.runtime`).  All backends produce
-    #: bitwise-identical seeded runs; the parallel ones only change
-    #: wall-clock time.
+    #: ``"serial"`` (reference: steps the workers' own objects inline),
+    #: ``"thread"`` or ``"resident"`` (a persistent pool holding worker
+    #: state across iterations, its slots threads of this process or child
+    #: processes / worker hosts respectively; see :mod:`repro.runtime`).
+    #: All backends produce bitwise-identical seeded runs; the pooled ones
+    #: only change wall-clock time.
     backend: str = "serial"
-    #: Pool size for the parallel backends (``None`` = cores - 1).
+    #: Slots of the ``thread``/``resident`` pool (``None`` = cores - 1).
     max_workers: Optional[int] = None
     #: Transport carrying the resident pool's wire protocol: ``"pipe"``
     #: (local child processes over ``multiprocessing`` pipes), ``"tcp"``
@@ -92,7 +93,7 @@ class TrainingConfig:
     #: or real machines running ``python -m repro.runtime.worker_host``), or
     #: ``None`` for the default (``pipe``) — the CLI's ``--transport`` flag
     #: threads into this field.  Bitwise-neutral: seeded runs are identical
-    #: over either transport.  Ignored by non-resident backends.
+    #: over either transport.  Ignored by ``serial`` and ``thread``.
     transport: Optional[str] = None
     #: ``"HOST:PORT"`` the tcp transport should listen on for externally
     #: started worker hosts; ``None`` (with ``transport="tcp"``) binds
@@ -138,8 +139,8 @@ class TrainingConfig:
     #: workers from the last merged mirror.  ``"wait"`` quarantines the slot
     #: but keeps its workers: the run blocks at the loss boundary until
     #: replacement capacity is respawned/admitted (up to
-    #: ``rejoin_timeout``), then reassigns the lost workers there.  Ignored
-    #: by non-resident backends.
+    #: ``rejoin_timeout``), then reassigns the lost workers there.  Requires
+    #: ``backend="resident"``.
     on_slot_loss: str = "fail_stop"
     #: Elastic floor: an eviction that would leave fewer than this many live
     #: workers escalates to a run failure instead.  Only meaningful with
@@ -250,22 +251,19 @@ class TrainingConfig:
     def build_backend(self):
         """Instantiate the configured :class:`repro.runtime.ExecutorBackend`.
 
-        Explicit ``transport`` / ``transport_address`` settings are forwarded
-        to backends that understand them (the resident backend, or any
-        third-party backend exposing the attributes) by assignment after
-        construction, so the factory signature of other backends never has
-        to change; backends without the attributes ignore the settings.
+        The ``transport`` / ``transport_address`` / membership settings are
+        forwarded to the ``resident`` backend only, by assignment after
+        construction; ``thread`` keeps its in-process slots whatever they say.
         """
         from ..runtime.backend import create_backend
 
         backend = create_backend(self.backend, self.max_workers)
-        if self.transport is not None and hasattr(backend, "transport"):
-            backend.transport = self.transport
-        if self.transport_address is not None and hasattr(backend, "transport_address"):
-            backend.transport_address = self.transport_address
-        policy = self.membership_policy()
-        if policy is not None and hasattr(backend, "membership_policy"):
-            backend.membership_policy = policy
+        if self.backend == "resident":
+            if self.transport is not None:
+                backend.transport = self.transport
+            if self.transport_address is not None:
+                backend.transport_address = self.transport_address
+            backend.membership_policy = self.membership_policy()
         return backend
 
     def with_overrides(self, **kwargs) -> "TrainingConfig":

@@ -70,7 +70,7 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
         "pipeline_depth": "0 (synchronous barrier) or a positive lookahead window",
         "on_slot_loss": ("fail_stop", "degrade", "wait"),
         "participation_fraction": "(0, 1]",
-        "backend": ("serial", "thread", "process", "resident"),
+        "backend": ("serial", "thread", "resident"),
     },
     "supported": (
         "sync x any pipeline_depth x any membership policy x any participation",
@@ -89,9 +89,9 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
     ),
     "unsupported": {
         "elastic x non-resident backend": (
-            "only the resident pool has slots to lose and a membership "
-            "layer to heal them; on_slot_loss != 'fail_stop' requires "
-            "backend='resident'"
+            "only the resident pool's slot processes and worker hosts can "
+            "be lost and healed (thread slots live and die with the owner "
+            "process); on_slot_loss != 'fail_stop' requires backend='resident'"
         ),
     },
 }

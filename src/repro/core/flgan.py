@@ -88,7 +88,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         # Backend ownership state lives on BackendOwner (lazy build, warm
         # across train() calls, released by close()/context-manager exit).
         # Built on the factory's picklable spec so worker tasks (which carry
-        # the objective) survive the process backend's pickle round-trip.
+        # the objective) survive the install's pickle round-trip.
         self._objective = GANObjective(
             factory.spec(),
             non_saturating=config.non_saturating,
@@ -191,7 +191,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         would bias the global model toward small shards.  Resident workers
         exchange only flat parameter vectors with the pool (pull before the
         upload, push after the broadcast); optimizer, sampler and RNG state
-        never leave their pool process.
+        never leave their pool slot.
         """
         resident = self._active_resident()
         alive = self._alive_workers()
@@ -316,18 +316,14 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
     _async_program = "flgan"
 
     def _async_worker_fn(self, worker: FLGANWorkerState):
-        """The pure per-unit function dispatched for ``worker`` (stateless backends).
-
-        A dedicated seam so benchmarks/tests can inject per-worker slowdowns
-        (straggler experiments) without touching the scheduler.
-        """
+        """The per-unit function ``serial`` dispatches for ``worker``."""
         return run_flgan_local_task
 
     def _pull_async_params(self, worker: FLGANWorkerState, collector) -> Dict[str, np.ndarray]:
         """Snapshot a worker's flat parameter vectors at its round boundary.
 
         Resident workers answer through the collector's mid-flight
-        ``pull_params`` (the GAN lives in the pool); stateless workers are
+        ``pull_params`` (the GAN lives in the pool); ``serial`` workers are
         read directly — their just-merged objects are current.
         """
         if getattr(self.executor, "supports_resident", False):
@@ -485,11 +481,11 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         The schedule is driven by
         :class:`repro.core.engine.ExecutionEngine`.  Local iterations merge
         in worker-index order, so seeded runs are bitwise identical across
-        serial/thread/process/resident — including ``pipeline_depth > 0``
-        on the ``resident`` backend, where the in-flight window drains
-        before every federated round / evaluation (FL-GAN pipelining
-        introduces no staleness); non-resident backends fall back to the
-        synchronous schedule.  On success the pool stays warm for re-entry;
+        serial/thread/resident — including ``pipeline_depth > 0`` on the
+        ``thread`` and ``resident`` backends, where the in-flight window
+        drains before every federated round / evaluation (FL-GAN pipelining
+        introduces no staleness); ``serial`` falls back to the synchronous
+        schedule.  On success the pool stays warm for re-entry;
         on failure cleanup is best-effort; :meth:`close` releases the
         backend.
         """

@@ -16,10 +16,9 @@ on lifecycle semantics.
 Subclasses provide ``self.config`` (a :class:`~repro.core.config.
 TrainingConfig`).  Owners holding worker state *inside* the pool — the two
 trainers — derive from :class:`WorkerStateOwner`, which states once how that
-state is installed, adopted from a stateless backend's round trip, mirrored
-and reclaimed; the :class:`BackendOwner` default ``sync_worker_state`` is a
-no-op for owners (like the serving layer) whose authoritative state lives on
-the caller side.
+state is installed, stepped, mirrored and reclaimed; the
+:class:`BackendOwner` default ``sync_worker_state`` is a no-op for owners
+(like the serving layer) whose authoritative state lives on the caller side.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ class WorkerStateOwner(BackendOwner):
     (:mod:`repro.runtime.tasks`; its ``STATE_FIELDS`` tuple names the
     stateful fields a worker object and the state object share) and the
     static per-run context in ``_step_context``; everything that moves
-    worker state — install payload, stateless task, result adoption, sync —
+    worker state — install payload, serial task, result adoption, sync —
     is derived from those here, once for both trainers.
     Host contract: ``self.workers`` (objects with ``index`` and the state
     fields), ``self.cluster.workers[i]`` nodes, and the engine hooks'
@@ -209,7 +208,7 @@ class WorkerStateOwner(BackendOwner):
         return [w for w in self.workers if self.cluster.workers[w.index].alive]
 
     def _resident_state(self, worker: Any):
-        """The worker as a state object: install payload and stateless task state."""
+        """The worker as a state object: install payload and serial task state."""
         stateful = {name: getattr(worker, name) for name in self._state_type.STATE_FIELDS}
         return self._state_type(worker_index=worker.index, **stateful, **self._step_context)
 
@@ -217,9 +216,9 @@ class WorkerStateOwner(BackendOwner):
         """Dispatch one step per ``(worker, step_input)`` without blocking.
 
         Resident backends get the step input only (the install supplier runs
-        when the pool holds no current copy); stateless backends map
-        ``worker_fn`` over full :class:`WorkerTask` pairs.  Returns a handle
-        whose ``result()`` yields the results in ``work`` order.
+        when the pool holds no current copy); ``serial`` maps ``worker_fn``
+        over :class:`WorkerTask` pairs on the workers' own objects.  Returns
+        a handle whose ``result()`` yields the results in ``work`` order.
         """
         backend = self.executor
         if getattr(backend, "supports_resident", False):
@@ -240,22 +239,15 @@ class WorkerStateOwner(BackendOwner):
             collector.dispatch(worker.index, self._async_worker_fn(worker), task)
 
     def _adopt_step(self, worker: Any, result):
-        """Fold one step back into ``worker``; return the bare step result.
+        """Fold one step's RNG/sampler cursors back into ``worker``; return the result.
 
-        A stateless backend returns ``(state, step_result)``: the state's
-        objects replace the worker's (a no-op under ``serial``/``thread``,
-        the pickle round-tripped copies under ``process``).  A resident step
-        returns the step result alone and only the RNG/sampler cursors fold
-        back — the state stayed in the pool.
+        A resident step leaves the state in the pool, so only the cursors
+        fold back.  A ``serial`` step ran on the worker's own objects, so the
+        fold rewrites the values they already hold.
         """
-        if isinstance(result, tuple):
-            state, result = result
-            for name in state.STATE_FIELDS:
-                setattr(worker, name, getattr(state, name))
-        else:
-            worker.rng.bit_generator.state = result.rng_state
-            worker.sampler.samples_drawn = result.samples_drawn
-            worker.sampler.epochs_completed = result.epochs_completed
+        worker.rng.bit_generator.state = result.rng_state
+        worker.sampler.samples_drawn = result.samples_drawn
+        worker.sampler.epochs_completed = result.epochs_completed
         return result
 
     def sync_worker_state(
@@ -263,7 +255,7 @@ class WorkerStateOwner(BackendOwner):
     ) -> None:
         """Pull resident worker state back into the trainer's own objects.
 
-        No-op for stateless backends.  Either way the pool replies with each
+        No-op on ``serial``.  Either way the pool replies with each
         worker's mirror payload (models, optimizer moments, RNG state, full
         sampler cursor — the immutable shard never re-crosses the wire).
         With ``reclaim`` (the default) the pool then drops its copies and the

@@ -126,7 +126,7 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         # Backend ownership state lives on BackendOwner (lazy build, warm
         # across train() calls, released by close()/context-manager exit).
         # Built on the factory's picklable spec so worker tasks (which carry
-        # the objective) survive the process backend's pickle round-trip.
+        # the objective) survive the install's pickle round-trip.
         self._objective = GANObjective(
             factory.spec(),
             non_saturating=config.non_saturating,
@@ -307,9 +307,9 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
     # Steps 2-3 are ``repro.runtime.tasks.mdgan_step`` on every backend,
     # merged in worker-index order, so any backend yields bitwise-identical
     # trajectories.  Resident backends install worker state once and ship
-    # only the step input; stateless ones map the step over (state, input)
-    # tasks.  How state is installed, adopted, mirrored and reclaimed — and
-    # backend ownership — comes from WorkerStateOwner.
+    # only the step input; serial maps the step over (state, input) tasks on
+    # the workers' own objects.  How state is installed, adopted, mirrored
+    # and reclaimed — and backend ownership — comes from WorkerStateOwner.
 
     def _dispatch_worker_phase(
         self, work: List[Tuple[MDGANWorkerState, MDGANStepInput]]
@@ -471,7 +471,7 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
 
         The per-worker phase fans out through the execution backend and
         merges in participant (= worker-index) order, so seeded runs are
-        bitwise identical across serial/thread/process/resident.
+        bitwise identical across serial/thread/resident.
 
         With ``pipeline_depth > 0`` the iteration consumes the batch set
         pre-generated for it (recording the realised staleness; a queue miss
@@ -569,11 +569,7 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
     _async_program = "mdgan"
 
     def _async_worker_fn(self, worker: MDGANWorkerState):
-        """The pure per-unit function dispatched for ``worker`` (stateless backends).
-
-        A dedicated seam so benchmarks/tests can inject per-worker slowdowns
-        (straggler experiments) without touching the scheduler.
-        """
+        """The per-unit function ``serial`` dispatches for ``worker``."""
         return run_mdgan_worker_task
 
     def _async_participants(self) -> Optional[set]:

@@ -3,7 +3,9 @@
 The standalone GAN has access to the whole dataset ``B`` and trains on a
 single machine, exactly as in the original GAN formulation: ``L``
 discriminator learning steps followed by one generator learning step per
-iteration, both with the Adam optimizer.
+iteration, both with the Adam optimizer.  That is one FL-GAN worker's local
+iteration, so the trainer runs :func:`~repro.runtime.tasks.flgan_step` on a
+one-worker state.
 """
 
 from __future__ import annotations
@@ -17,14 +19,9 @@ from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
 from ..models.base import GANFactory
 from ..nn.model import Sequential
+from ..runtime.tasks import FLGANResidentState, flgan_step
 from .config import TrainingConfig
-from .gan_ops import (
-    GANObjective,
-    discriminator_update,
-    draw_generator_input,
-    generator_update,
-    sample_generator_images,
-)
+from .gan_ops import GANObjective, draw_generator_input
 from .history import TrainingHistory
 
 __all__ = ["StandaloneGANTrainer"]
@@ -57,6 +54,19 @@ class StandaloneGANTrainer:
             label_smoothing=config.label_smoothing,
         )
         self._sampler = EpochSampler(self.dataset, config.batch_size, self._rng)
+        # The same objects as above, by reference: the step mutates them.
+        self._state = FLGANResidentState(
+            worker_index=0,
+            generator=self.generator,
+            discriminator=self.discriminator,
+            gen_opt=self._gen_opt,
+            disc_opt=self._disc_opt,
+            sampler=self._sampler,
+            rng=self._rng,
+            objective=self._objective,
+            disc_steps=config.disc_steps,
+            batch_size=config.batch_size,
+        )
         self.history = TrainingHistory(
             algorithm="standalone",
             config={
@@ -77,32 +87,8 @@ class StandaloneGANTrainer:
     # -- training ---------------------------------------------------------------
     def train_iteration(self, iteration: int) -> None:
         """Run one global iteration (L discriminator steps + 1 generator step)."""
-        cfg = self.config
-        disc_loss = 0.0
-        for _ in range(cfg.disc_steps):
-            real_images, real_labels = self._sampler.next_batch()
-            [generated] = sample_generator_images(
-                self.generator, self.factory, cfg.batch_size, self._rng
-            )
-            disc_loss = discriminator_update(
-                self.discriminator,
-                self._objective,
-                self._disc_opt,
-                real_images,
-                real_labels if self.factory.conditional else None,
-                generated.images,
-                generated.labels,
-            )
-        gen_loss = generator_update(
-            self.generator,
-            self.discriminator,
-            self.factory,
-            self._objective,
-            self._gen_opt,
-            cfg.batch_size,
-            self._rng,
-        )
-        self.history.record_losses(iteration, gen_loss, disc_loss)
+        step = flgan_step(self._state)
+        self.history.record_losses(iteration, step.gen_loss, step.disc_loss)
 
     def train(self) -> TrainingHistory:
         """Train for ``config.iterations`` iterations and return the history."""

@@ -114,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         help=(
             "execution backend for the per-worker training phase; results are "
-            "bitwise identical across backends (thread/process/resident only "
-            "change wall-clock time; resident keeps worker state in its pool "
-            "process and ships only per-iteration deltas)"
+            "bitwise identical across backends (thread/resident only change "
+            "wall-clock time; both keep worker state in a pool slot and ship "
+            "only per-iteration deltas: thread's slots are threads of this "
+            "process, resident's are child processes or worker hosts)"
         ),
     )
     runtime.add_argument(
@@ -124,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help=(
-            "pool size for the thread/process backends and number of slots "
-            "of the resident pool (default: cores - 1)"
+            "number of slots of the thread/resident pool (default: cores - 1)"
         ),
     )
     runtime.add_argument(

@@ -2,12 +2,13 @@
 
 Workers within one global iteration are independent by construction
 (Algorithm 1 steps 2-3), so the trainers fan their per-worker work out
-through an :class:`ExecutorBackend`: ``serial`` (reference), ``thread``
-(NumPy kernels release the GIL), ``process`` (pickle round-trip, full
-isolation) or ``resident`` (persistent pool holding worker state across
-iterations; only per-iteration deltas cross the IPC boundary).  All backends
-are bitwise-deterministic: results merge in worker-index order and the task
-runners touch no shared state.
+through an :class:`ExecutorBackend`: ``serial`` (reference; steps the
+workers' own objects inline) or the one resident protocol, which holds
+worker state in pool slots across iterations so only per-iteration deltas
+cross to a slot — ``thread`` (slots are threads of this process; NumPy
+kernels release the GIL) or ``resident`` (slots are child processes or
+worker hosts).  All backends are bitwise-deterministic: results merge in
+worker-index order and the step functions touch no shared state.
 
 The resident pool's wire protocol is transport-agnostic
 (:mod:`repro.runtime.transport`): ``transport="pipe"`` keeps the local
@@ -24,11 +25,8 @@ from .backend import (
     CompletionCollector,
     EagerCollector,
     ExecutorBackend,
-    FuturesCollector,
     PendingResult,
-    ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     create_backend,
     default_max_workers,
     register_backend,
@@ -96,12 +94,9 @@ __all__ = [
     "CompletedResult",
     "CompletionCollector",
     "EagerCollector",
-    "FuturesCollector",
     "ResidentCollector",
     "PendingSteps",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "ResidentBackend",
     "ResidentProgram",
     "BatchAheadQueue",

@@ -9,7 +9,7 @@ provides the building blocks for the opt-in **pipelined** mode
 server runs ahead of the workers by up to ``d`` iterations:
 
 * while the workers compute iteration ``t`` (dispatched asynchronously
-  through :meth:`~repro.runtime.backend.ExecutorBackend.submit_ordered` or
+  through :meth:`~repro.runtime.backend.SerialBackend.submit_ordered` or
   :meth:`~repro.runtime.resident.ResidentBackend.start_steps`), the server
   pre-generates the batches for iterations ``t+1 .. t+d`` into a
   :class:`BatchAheadQueue`;
@@ -21,11 +21,11 @@ server runs ahead of the workers by up to ``d`` iterations:
   convergence-vs-staleness trade-offs (the paper's Section VII-1 asynchronous
   setting) can be quantified;
 * when the queue misses (cold start, post-crash), the iteration generates
-  its batch set inline, on the spot.  The ``resident`` backend runs its
-  lookahead generation on the pool's dedicated generation op
-  (:func:`start_resident_generation`, asynchronous), so on ``--backend
-  resident`` lookahead generation leaves the trainer thread entirely; the
-  other backends generate the lookahead inline while their workers compute.
+  its batch set inline, on the spot.  The ``thread`` and ``resident``
+  backends run their lookahead generation on the pool's dedicated
+  generation op (:func:`start_resident_generation`, asynchronous), so there
+  lookahead generation leaves the trainer thread entirely; ``serial``
+  generates the lookahead inline.
 
 ``pipeline_depth = 0`` (the default) keeps the synchronous schedule and is
 bitwise identical to all four execution backends' historical behaviour; any
@@ -57,7 +57,7 @@ reproducing the serial loop bit for bit:
 
 Generators containing layers whose forward pass consumes a private RNG
 (:class:`~repro.nn.layers.Dropout`) cannot be reproduced on copies; for those
-(and for non-resident backends) :func:`start_resident_generation` returns
+(and for ``serial``) :func:`start_resident_generation` returns
 ``None`` and the caller generates inline.
 """
 
@@ -166,7 +166,7 @@ class PipelineStats:
 
     Summarised into ``TrainingHistory.overlap`` at the end of training so
     experiment reports can tell a genuinely overlapped run from one that
-    degenerated to the synchronous schedule (e.g. depth 0, or a non-resident
+    degenerated to the synchronous schedule (e.g. depth 0, or a ``serial``
     FL-GAN run).
     """
 
@@ -255,7 +255,7 @@ class InflightWindow:
 # the slot copy is stale.  ``start_resident_generation`` is asynchronous — the
 # returned handle lets the pipelined MD-GAN iteration keep lookahead
 # generation in flight while it merges worker results, which is what moves
-# lookahead generation off the trainer thread on ``--backend resident``.
+# lookahead generation off the trainer thread on ``thread`` and ``resident``.
 
 #: Well-known resident key under which the server generator is installed
 #: (internal; the public surface is :class:`GeneratorHandle`).

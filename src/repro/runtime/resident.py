@@ -1,13 +1,13 @@
-"""Resident-worker process pool: worker state lives in the pool (delta shipping).
+"""Resident-worker pool: worker state lives in the pool (delta shipping).
 
-The ``process`` backend re-pickles each worker's *entire* state — model(s),
-optimizer moments, sampler (including the dataset shard) and RNG — on every
-global iteration, in both directions.  IPC cost therefore grows with model
-*and shard* size and swamps the parallel speedup the paper's embarrassingly
-parallel per-worker phase should deliver.
+Shipping each worker's *entire* state — model(s), optimizer moments, sampler
+(including the dataset shard) and RNG — to a pool on every global iteration,
+in both directions, makes the IPC cost grow with model *and shard* size and
+swamps the parallel speedup the paper's embarrassingly parallel per-worker
+phase should deliver.
 
-The ``resident`` backend fixes that by making worker state **resident**: each
-pool process holds the full state of the workers assigned to it (sticky
+The resident protocol instead makes worker state **resident**: each pool
+slot holds the full state of the workers assigned to it (sticky
 ``worker index -> slot`` affinity via :func:`stable_key_hash`, so the
 assignment is reproducible across interpreter runs) across iterations, so the
 trainer ships only the per-iteration *inputs* (generated batches for MD-GAN,
@@ -33,7 +33,7 @@ carries an explicit **state-epoch counter** per worker:
   call detects the epoch mismatch and re-installs fresh state from the
   trainer.
 
-Pool processes double-check the epoch of every step they execute and fail
+Pool slots double-check the epoch of every step they execute and fail
 loudly on a mismatch, so any state handed through the protocol can never be
 silently trained on while stale.  (Mutations the protocol is never told
 about — e.g. editing a worker's sampler without first reclaiming it via
@@ -50,7 +50,9 @@ This module is the **owner side** of the pool only.  The slot serving loop
 re-exported here; the bytes move over one
 :class:`~repro.runtime.transport.SlotChannel` per slot (``"pipe"`` child
 processes by default, ``"tcp"`` sockets to loopback workers or to
-``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).
+``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).  The
+``thread`` backend is this same backend over pipes whose slot loops run on
+threads of the owner process.
 
 Every frame this backend writes to a slot — a batched ``run``
 (:meth:`ResidentBackend.start_steps`), a single-key ``run``
@@ -89,7 +91,13 @@ from .ledger import InflightLedger, PendingSteps, ResidentCollector
 from .membership import LOST, MembershipPolicy, PoolMembership, SlotLossError
 from .programs import ResidentProgram, get_program, register_program
 from .slot import serve_slot
-from .transport import TRANSPORT_DEFAULT, Transport, TransportError, create_transport
+from .transport import (
+    TRANSPORT_DEFAULT,
+    LocalPipeTransport,
+    Transport,
+    TransportError,
+    create_transport,
+)
 
 __all__ = [
     "ResidentBackend",
@@ -122,14 +130,11 @@ def stable_key_hash(key) -> int:
 
 
 class ResidentBackend(ExecutorBackend):
-    """Persistent process pool with resident per-worker state.
+    """Persistent pool with resident per-worker state.
 
-    The generic :meth:`map_ordered` contract is honoured (inline, serial) so
-    the backend is a drop-in ``ExecutorBackend``; trainers that recognise
-    :attr:`supports_resident` use the richer protocol below instead.
-
-    The pool is a long-lived serving layer: its owner (normally the trainer
-    that built it) decides when it dies — ``close()`` or the context-manager
+    Trainers recognise :attr:`supports_resident` and drive the protocol
+    below.  The pool is a long-lived serving layer: its owner (normally the
+    trainer that built it) decides when it dies — ``close()`` or the context-manager
     exit — and a ``train()`` call neither owns nor tears it down, so warm
     resident state survives across ``train()`` calls and re-entry ships no
     install payloads as long as the state epochs still match.
@@ -221,11 +226,6 @@ class ResidentBackend(ExecutorBackend):
         #: Live :class:`PoolMembership` state, built lazily on first use when
         #: an elastic :attr:`membership_policy` is set; ``None`` otherwise.
         self._membership: Optional[PoolMembership] = None
-
-    # -- generic ExecutorBackend duty ------------------------------------------
-    def map_ordered(self, fn, tasks):
-        """Inline fallback for callers that use the stateless map contract."""
-        return [fn(task) for task in tasks]
 
     # -- pool lifecycle ---------------------------------------------------------
     def _ensure_transport(self) -> Transport:
@@ -528,7 +528,7 @@ class ResidentBackend(ExecutorBackend):
         """Open a :class:`ResidentCollector` for as-completed step collection.
 
         ``program`` names the registered :class:`ResidentProgram` every
-        dispatched step runs (mandatory here, unlike the stateless backends).
+        dispatched step runs (mandatory here, unlike on ``serial``).
         Only one collector is live at a time; reopening detaches a previous
         (fully collected) one.
         """
@@ -825,6 +825,14 @@ class ResidentBackend(ExecutorBackend):
         return merged
 
 
+def _thread_backend(max_workers: Optional[int] = None) -> ResidentBackend:
+    """``thread``: the resident protocol with every slot a thread of this process."""
+    backend = ResidentBackend(max_workers, transport=LocalPipeTransport(serve_slot, threads=True))
+    backend.name = "thread"
+    return backend
+
+
+register_backend("thread", _thread_backend)
 register_backend(
     "resident",
     lambda max_workers=None, **options: ResidentBackend(max_workers, **options),

@@ -16,16 +16,14 @@ generated batches.  This module states exactly that, once per algorithm:
 * one **step function** ``step(state, step_input) -> result``
   (:func:`mdgan_step` / :func:`flgan_step`) that mutates the state in place.
 
-The ``resident`` backend (:mod:`repro.runtime.resident`) installs the state
-into a pool process once and registers the step function as its program, so
-only inputs and results cross the wire.  The stateless
-``serial``/``thread``/``process`` backends map a one-argument adapter
-(:func:`run_mdgan_worker_task` / :func:`run_flgan_local_task`) over
-:class:`WorkerTask` pairs; the adapter returns the state next to the step
-result, so under ``process`` the pickle round-tripped copies replace the
-trainer's objects in the merge, while under ``serial``/``thread`` that
-re-assignment is a no-op.  Every backend therefore runs the *same* step
-function and produces bitwise identical seeded trajectories.
+The ``thread`` and ``resident`` backends (:mod:`repro.runtime.resident`)
+install the state into a pool slot once and register the step function as
+its program, so only inputs and results cross the wire.  The ``serial``
+backend maps a one-argument adapter (:func:`run_mdgan_worker_task` /
+:func:`run_flgan_local_task`) over :class:`WorkerTask` pairs whose state
+holds the trainer's own worker objects, so the step mutates them in place.
+Every backend therefore runs the *same* step function and produces bitwise
+identical seeded trajectories.
 
 The sampler and the worker RNG share one :class:`numpy.random.Generator`;
 pickle preserves that sharing because both travel in the same state object.
@@ -67,7 +65,7 @@ __all__ = [
 
 
 class WorkerTask(NamedTuple):
-    """The stateless backends' one-argument form of ``step(state, step_input)``."""
+    """The ``serial`` backend's one-argument form of ``step(state, step_input)``."""
 
     state: Any
     step_input: Any = None
@@ -197,10 +195,9 @@ def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResu
     )
 
 
-def run_mdgan_worker_task(task: WorkerTask) -> Tuple[MDGANResidentState, MDGANStepResult]:
-    """Stateless-backend adapter: run :func:`mdgan_step`, return the state with it."""
-    state, step_input = task
-    return state, mdgan_step(state, step_input)
+def run_mdgan_worker_task(task: WorkerTask) -> MDGANStepResult:
+    """The ``serial`` backend's adapter: :func:`mdgan_step` on the task's state."""
+    return mdgan_step(*task)
 
 
 # -- FL-GAN: one local iteration of the full GAN ----------------------------------
@@ -286,10 +283,9 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
     )
 
 
-def run_flgan_local_task(task: WorkerTask) -> Tuple[FLGANResidentState, FLGANStepResult]:
-    """Stateless-backend adapter: run :func:`flgan_step`, return the state with it."""
-    state, step_input = task
-    return state, flgan_step(state, step_input)
+def run_flgan_local_task(task: WorkerTask) -> FLGANStepResult:
+    """The ``serial`` backend's adapter: :func:`flgan_step` on the task's state."""
+    return flgan_step(*task)
 
 
 # -- resident program registration -------------------------------------------------

@@ -1,13 +1,13 @@
-"""Local pipe transport: the pre-refactor resident pool, verbatim.
+"""Local pipe transport: slots as child processes, or as threads of this process.
 
-One daemon child process per slot, connected over a duplex
-``multiprocessing.Pipe``.  The parent-side ``Connection`` objects are handed
-out as the slot channels directly — ``Connection`` implements the
-:class:`~repro.runtime.transport.base.SlotChannel` contract structurally
-(``send_bytes``/``recv_bytes``/``poll``/``close`` with the same framing and
-error semantics) — so the bytes on the wire, the process topology and the
-failure modes are bit-for-bit those of the pipe-welded backend this package
-was split out of.
+One slot per duplex ``multiprocessing.Pipe``.  The parent-side
+``Connection`` objects are handed out as the slot channels directly —
+``Connection`` implements the :class:`~repro.runtime.transport.base.SlotChannel`
+contract structurally (``send_bytes``/``recv_bytes``/``poll``/``close`` with
+the same framing and error semantics).  By default each slot loop runs in a
+daemon child process; with ``threads=True`` it runs on a daemon thread of
+the owner process instead (the ``thread`` backend), over the same pipes and
+the same bytes.
 
 The serving-loop target is *injected* (``slot_main``) rather than imported:
 the protocol layer lives in :mod:`repro.runtime.resident`, which imports this
@@ -17,6 +17,7 @@ module, and the transport must not import it back.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 from typing import Callable, List, Optional
 
 from .base import Transport, register_transport
@@ -24,12 +25,21 @@ from .base import Transport, register_transport
 __all__ = ["LocalPipeTransport"]
 
 
-class LocalPipeTransport(Transport):
-    """Pool slots as local child processes over ``multiprocessing`` pipes.
+def _serve_then_close(slot_main: Callable, conn) -> None:
+    """A slot thread's body: serve until EOF or ``close``, then release the pipe end."""
+    try:
+        slot_main(conn)
+    finally:
+        conn.close()
 
-    ``slot_main`` is the child's serving loop, called with the child end of
+
+class LocalPipeTransport(Transport):
+    """Pool slots as local child processes (or threads) over ``multiprocessing`` pipes.
+
+    ``slot_main`` is the slot's serving loop, called with the slot end of
     the pipe; :func:`repro.runtime.resident.serve_slot` in production, a
-    stub in transport tests.
+    stub in transport tests.  ``threads=True`` runs it on a thread of this
+    process instead of a child process.
     """
 
     name = "pipe"
@@ -39,15 +49,30 @@ class LocalPipeTransport(Transport):
         self,
         slot_main: Callable,
         read_timeout: Optional[float] = None,
+        threads: bool = False,
     ) -> None:
         super().__init__(read_timeout=read_timeout)
         self._slot_main = slot_main
+        self.threads = threads
+        #: The slot processes, in slot order (empty with ``threads=True``).
         self._processes: List = []
+        #: The slot threads, in slot order (empty without ``threads=True``).
+        self._threads: List[threading.Thread] = []
 
     def _spawn_slot(self):
-        """Start one slot process; return the parent end of its pipe."""
+        """Start one slot process (or thread); return the parent end of its pipe."""
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        if self.threads:
+            thread = threading.Thread(
+                target=_serve_then_close,
+                args=(self._slot_main, child_conn),
+                name=f"resident-slot-{len(self._threads)}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+            return parent_conn
         process = ctx.Process(target=self._slot_main, args=(child_conn,), daemon=True)
         process.start()
         child_conn.close()
@@ -58,10 +83,15 @@ class LocalPipeTransport(Transport):
         return [self._spawn_slot() for _ in range(num_slots)]
 
     def open_slot(self) -> int:
-        """Respawn replacement capacity: one fresh local slot process."""
+        """Respawn replacement capacity: one fresh local slot."""
         return self._adopt_channel(self._spawn_slot())
 
     def _shutdown(self, channels: List) -> None:
+        # A slot thread ends on the close message or on the EOF the closed
+        # parent ends raise; one still computing is a daemon and is left.
+        for thread in self._threads:
+            thread.join(timeout=5)
+        self._threads = []
         for process in self._processes:
             process.join(timeout=5)
             if process.is_alive():  # pragma: no cover - defensive cleanup

@@ -32,8 +32,8 @@ exposes that same machinery to callers outside the training loop:
   resident backend's own fail-stop discipline.  Lost requests are reported,
   never silently re-run.
 
-Non-resident backends (``serial``/``thread``/``process``, or generators the
-resident op cannot reproduce exactly, e.g. with Dropout) run the same
+The ``serial`` backend (and generators the resident op cannot reproduce
+exactly, e.g. with Dropout) run the same
 coalesced batches inline on the dispatcher thread, each on a private copy
 of the generator — identical results, without the pool's slots or its
 param cache.

@@ -74,11 +74,11 @@ class TestTrainingConfig:
         assert config.transport_address == address
 
     def test_build_backend_follows_config(self):
-        from repro.runtime import SerialBackend, ThreadBackend
+        from repro.runtime import ResidentBackend, SerialBackend
 
         assert isinstance(TrainingConfig().build_backend(), SerialBackend)
-        backend = TrainingConfig(backend="thread", max_workers=3).build_backend()
-        assert isinstance(backend, ThreadBackend)
+        backend = TrainingConfig(backend="resident", max_workers=3).build_backend()
+        assert isinstance(backend, ResidentBackend)
         assert backend.max_workers == 3
         backend.close()
 

@@ -250,9 +250,9 @@ class TestCommunicationPattern:
         trainer = make_trainer(toy_factory, ring_shards, iterations=1)
         batches = trainer._generate_batches(trainer.num_batches)
         worker, step_input = trainer._distribute_batches(1, batches, trainer.workers[2:3])[0]
-        (result,) = trainer.executor.map_ordered(
+        (result,) = trainer.executor.submit_ordered(
             run_mdgan_worker_task, [WorkerTask(trainer._resident_state(worker), step_input)]
-        )
+        ).result()
         meter = trainer.cluster.meter
         assert meter.total_messages(MessageKind.ERROR_FEEDBACK) == 0
         step = trainer._merge_worker_result(1, worker, result)
@@ -293,7 +293,7 @@ class TestFeedbackAggregation:
         from repro.runtime import WorkerTask, run_mdgan_worker_task
 
         tasks = [WorkerTask(trainer._resident_state(w), step) for w, step in work]
-        results = trainer.executor.map_ordered(run_mdgan_worker_task, tasks)
+        results = trainer.executor.submit_ordered(run_mdgan_worker_task, tasks).result()
         index_of = {id(batch.images): j for j, batch in enumerate(batches)}
         feedback = []
         for (worker, handed), result in zip(work, results):

@@ -154,8 +154,8 @@ class TestCLI:
 
         parser = build_parser()
         assert _runtime(parser, parser.parse_args(["fig4"])) == {}
-        args = parser.parse_args(["fig4", "--backend", "process"])
-        assert _runtime(parser, args) == {"backend": "process"}
+        args = parser.parse_args(["fig4", "--backend", "thread"])
+        assert _runtime(parser, args) == {"backend": "thread"}
         args = parser.parse_args(
             ["fig5", "--backend", "resident", "--pipeline-depth", "2", "--transport", "tcp"]
         )

@@ -2,8 +2,8 @@
 
 The ``PendingSteps``/``submit_ordered`` handles collect whole batches in
 dispatch order; the collectors hand back whichever unit finishes next and
-power ``aggregation="async"``.  These tests pin the order semantics of all
-three collector families (eager, futures, resident), the mid-flight parameter
+power ``aggregation="async"``.  These tests pin the order semantics of both
+collector families (eager, resident), the mid-flight parameter
 traffic of the resident one, and — mirroring ``test_transport.py`` — the
 failure contract under fault injection: a killed slot, a dropped frame and a
 truncated frame mid-``collect_any`` must each surface as a
@@ -27,14 +27,12 @@ from repro.runtime import (
     LOST,
     ChaosTransport,
     EagerCollector,
-    FuturesCollector,
     GeneratorHandle,
     MembershipPolicy,
     ResidentBackend,
     ResidentCollector,
     SerialBackend,
     SlotLossError,
-    ThreadBackend,
     TransportError,
 )
 from repro.runtime.resident import ResidentProgram, register_program, serve_slot
@@ -65,15 +63,7 @@ def _fresh_state():
     return {"count": 0}
 
 
-def _sleepy(seconds, value):
-    def fn(task):
-        time.sleep(seconds)
-        return (value, task)
-
-    return fn
-
-
-# -- stateless collectors ----------------------------------------------------------
+# -- eager collector ----------------------------------------------------------
 
 
 class TestEagerCollector:
@@ -112,50 +102,6 @@ class TestEagerCollector:
             collector.drain()
             assert collector.outstanding == 0
             collector.close()
-        finally:
-            backend.close()
-
-
-class TestFuturesCollector:
-    def test_thread_backend_collects_in_completion_order(self):
-        backend = ThreadBackend(max_workers=2)
-        try:
-            collector = backend.open_collector()
-            assert isinstance(collector, FuturesCollector)
-            collector.dispatch("slow", _sleepy(0.5, "s"), None)
-            collector.dispatch("fast", _sleepy(0.0, "f"), None)
-            assert collector.outstanding == 2
-            first_key, first = collector.collect_any()
-            second_key, second = collector.collect_any()
-            assert first_key == "fast" and first == ("f", None)
-            assert second_key == "slow" and second == ("s", None)
-        finally:
-            backend.close()
-
-    def test_timeout_raises_without_losing_work(self):
-        backend = ThreadBackend(max_workers=1)
-        try:
-            collector = backend.open_collector()
-            collector.dispatch(0, _sleepy(0.5, "late"), None)
-            with pytest.raises(TimeoutError):
-                collector.collect_any(timeout=0.05)
-            # The unit is still outstanding and collectable afterwards.
-            assert collector.outstanding == 1
-            assert collector.collect_any() == (0, ("late", None))
-        finally:
-            backend.close()
-
-    def test_worker_exception_propagates_on_collect(self):
-        backend = ThreadBackend(max_workers=1)
-
-        def boom(task):
-            raise ValueError("unit failed")
-
-        try:
-            collector = backend.open_collector()
-            collector.dispatch(7, boom, None)
-            with pytest.raises(ValueError, match="unit failed"):
-                collector.collect_any()
         finally:
             backend.close()
 

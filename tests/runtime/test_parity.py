@@ -21,7 +21,7 @@ from repro.simulation import CrashSchedule
 #: pseudo-backend spec: :func:`_config` maps it to the resident backend with
 #: ``transport="tcp"``, so every parity scenario also pins that seeded runs
 #: over loopback sockets are bitwise identical to pipes and to serial.
-PARALLEL_BACKENDS = ("thread", "process", "resident", "resident-tcp")
+PARALLEL_BACKENDS = ("thread", "resident", "resident-tcp")
 
 
 @pytest.fixture(scope="module")
@@ -352,13 +352,13 @@ class TestComposedModes:
 
 
 class TestBackendStateRoundTrip:
-    @pytest.mark.parametrize("backend", ("process", "resident", "resident-tcp"))
+    @pytest.mark.parametrize("backend", ("thread", "resident", "resident-tcp"))
     def test_backend_advances_parent_rng_and_sampler(
         self, backend, small_shards_and_factory
     ):
-        # The worker RNG and its sampler share one Generator; after a pickle
-        # round-trip (process: per-iteration tasks; resident: the final
-        # state sync) the re-adopted copies must still share it, and their
+        # The worker RNG and its sampler share one Generator; after the
+        # pickle round-trip of the install and the final state sync the
+        # re-adopted copies must still share it, and their
         # state must have advanced exactly as in a serial run.
         shards, factory = small_shards_and_factory
         serial = MDGANTrainer(factory, shards, _config("serial", iterations=2))

@@ -22,7 +22,6 @@ from repro.models import build_architecture, build_toy_gan
 from repro.nn.layers import BatchNorm, Dropout
 from repro.runtime import (
     BatchAheadQueue,
-    CompletedResult,
     InflightWindow,
     PipelineStats,
     ResidentBackend,
@@ -153,35 +152,6 @@ class TestPipelineStats:
         assert payload["max_staleness"] == 0.0
         assert payload["p95_staleness"] == 0.0
         assert payload["iterations"] == 0.0
-
-
-# -- async dispatch handles --------------------------------------------------------
-
-
-class TestSubmitOrdered:
-    @pytest.mark.parametrize("backend_name", ("serial", "thread", "process"))
-    def test_matches_map_ordered(self, backend_name):
-        backend = create_backend(backend_name, 2)
-        try:
-            tasks = list(range(7))
-            handle = backend.submit_ordered(_square, tasks)
-            assert handle.result() == backend.map_ordered(_square, tasks)
-        finally:
-            backend.close()
-
-    def test_single_task_runs_inline(self):
-        backend = create_backend("thread", 2)
-        try:
-            handle = backend.submit_ordered(_square, [3])
-            assert isinstance(handle, CompletedResult)
-            assert handle.done
-            assert handle.result() == [9]
-        finally:
-            backend.close()
-
-
-def _square(x):
-    return x * x
 
 
 class TestResidentPendingSteps:
@@ -328,10 +298,10 @@ class TestResidentGeneration:
 
     def test_declined_for_dropout_and_non_resident_backends(self, conv_generator):
         generator, factory = conv_generator
-        thread = create_backend("thread", 2)
+        serial = create_backend("serial", 2)
         backend = ResidentBackend(max_workers=2)
         try:
-            assert not can_generate_resident(thread, generator, 4)
+            assert not can_generate_resident(serial, generator, 4)
             assert can_generate_resident(backend, generator, 1)
             dropout_gen = copy.deepcopy(generator)
             dropout_gen.layers.append(Dropout(0.3))
@@ -343,7 +313,7 @@ class TestResidentGeneration:
                 is None
             )
         finally:
-            thread.close()
+            serial.close()
             backend.close()
 
 
@@ -379,7 +349,7 @@ class TestPipelinedMDGAN:
         assert history.staleness == [0, 1, 2, 2, 2, 2]
         assert max(history.staleness) <= 2
 
-    @pytest.mark.parametrize("backend", ("thread", "process", "resident"))
+    @pytest.mark.parametrize("backend", ("thread", "resident"))
     def test_fixed_depth_deterministic_across_backends(self, backend, ring_setup):
         shards, factory = ring_setup
         ref_trainer, ref = _mdgan_run(
@@ -457,13 +427,13 @@ class TestPipelinedMDGAN:
     def test_cold_start_generates_inline_and_lookahead_runs_on_slots(self, ring_setup):
         shards, factory = ring_setup
         # The cold-start miss generates inline on every backend; only the
-        # resident backend moves the lookahead generation onto its pool
+        # resident protocol moves the lookahead generation onto its pool
         # slots (the dedicated generation op).
-        _, threaded = _mdgan_run(
-            factory, shards, _config("thread", pipeline_depth=1, num_batches=4)
+        _, inline = _mdgan_run(
+            factory, shards, _config("serial", pipeline_depth=1, num_batches=4)
         )
-        assert threaded.overlap["immediate_generations"] == 1.0
-        assert threaded.overlap["resident_generations"] == 0.0
+        assert inline.overlap["immediate_generations"] == 1.0
+        assert inline.overlap["resident_generations"] == 0.0
         _, resident = _mdgan_run(
             factory, shards, _config("resident", pipeline_depth=1, num_batches=4)
         )
@@ -474,7 +444,7 @@ class TestPipelinedMDGAN:
             > 0
         )
         # Scheduling, not numerics: both backends still agree bitwise.
-        assert threaded.generator_loss == resident.generator_loss
+        assert inline.generator_loss == resident.generator_loss
 
     def test_all_crash_break_still_records_overlap(self, ring_setup):
         # Early-exit path 1: the all_workers_crashed break must not drop the
@@ -583,7 +553,7 @@ class TestPipelinedFLGAN:
     def test_non_resident_depth_falls_back_to_sync(self, ring_setup):
         shards, factory = ring_setup
         trainer = FLGANTrainer(
-            factory, shards, _config("thread", epochs_per_swap=0.4, pipeline_depth=2)
+            factory, shards, _config("serial", epochs_per_swap=0.4, pipeline_depth=2)
         )
         history = trainer.train()
         # Recorded overlap shows the fallback: nothing was ever in flight.

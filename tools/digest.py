@@ -121,7 +121,11 @@ def trainer_fields(trainer, history) -> dict:
         "batchnorm": {name: _batchnorm_stats(model) for name, model in models.items()},
         "optimizer": {name: _optimizer_state(opt) for name, opt in optimizers.items()},
     }
+    # The wire meters of the resident backend only: thread's slots are
+    # in-process, so its bytes never leave the process.
     executor = getattr(trainer, "executor", None)
+    if getattr(executor, "name", None) != "resident":
+        return fields
     for meter in ("op_bytes_sent", "op_bytes_received"):
         for op, nbytes in sorted(getattr(executor, meter, {}).items()):
             fields[f"{meter}[{op}]"] = nbytes
@@ -242,14 +246,29 @@ def _mdgan_degrade_kill():
         return trainer_fields(trainer, trainer.train())
 
 
-def _service():
+def _standalone():
+    from repro.core import StandaloneGANTrainer
+
+    factory, shards = _toy()
+    with StandaloneGANTrainer(factory, shards[0], _config()) as trainer:
+        history = trainer.train()
+    models = {"generator": trainer.generator, "discriminator": trainer.discriminator}
+    return {
+        "losses": (history.iterations, history.generator_loss, history.discriminator_loss),
+        "params": {name: model.get_parameters() for name, model in models.items()},
+        "batchnorm": {name: _batchnorm_stats(model) for name, model in models.items()},
+        "optimizer": [_optimizer_state(trainer._gen_opt), _optimizer_state(trainer._disc_opt)],
+    }
+
+
+def _service(backend="resident"):
     import numpy as np
 
     from repro.serving import GeneratorService
 
     factory, _ = _cnn()
     generator = factory.make_generator(np.random.default_rng(5))
-    with GeneratorService(generator, factory, _config("resident")) as service:
+    with GeneratorService(generator, factory, _config(backend)) as service:
         service.warmup()
         samples = [service.serve(seed=seed).images for seed in range(4)]
         samples += [service.serve(batch_size=3).images for _ in range(2)]
@@ -273,7 +292,6 @@ def _rows(runner_name):
 CONFIGS = {
     "mdgan-serial": _mdgan(_toy),
     "mdgan-thread": _mdgan(_toy, "thread"),
-    "mdgan-process": _mdgan(_toy, "process"),
     "mdgan-resident-pipe": _mdgan(_toy, "resident"),
     "mdgan-resident-tcp": _mdgan(_toy, "resident-tcp"),
     "mdgan-depth1": _mdgan(_toy, pipeline_depth=1),
@@ -284,11 +302,15 @@ CONFIGS = {
     "cnn-k2-serial": _mdgan(_cnn, precision="float32"),
     "cnn-k2-resident": _mdgan(_cnn, "resident", precision="float32"),
     "cnn-k2-depth1": _mdgan(_cnn, precision="float32", pipeline_depth=1),
+    "cnn-k2-depth1-thread": _mdgan(_cnn, "thread", precision="float32", pipeline_depth=1),
     "cnn-mbd-serial": _mdgan(_cnn_mbd, precision="float32"),
     "flgan-serial": _flgan("serial"),
+    "flgan-thread": _flgan("thread"),
     "flgan-resident": _flgan("resident"),
     "flgan-cnn-serial": _flgan("serial", _cnn, precision="float32"),
     "service-samples": _service,
+    "service-thread": lambda: _service("thread"),
+    "standalone": _standalone,
     "run_table2": _rows("run_table2"),
     "run_table3": _rows("run_table3"),
     "run_table4": _rows("run_table4"),
