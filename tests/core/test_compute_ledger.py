@@ -56,7 +56,7 @@ def _assert_mdgan_worker_ledgers(trainer) -> list:
 
 
 class TestMDGANWorkerLedger:
-    @pytest.mark.parametrize("backend", ["serial", "resident"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "resident"])
     def test_closed_form_under_a_crash(self, backend, ring_shards, toy_factory):
         trainer = MDGANTrainer(
             toy_factory,
@@ -98,7 +98,7 @@ class TestMDGANWorkerLedger:
 
 
 class TestFLGANWorkerLedger:
-    @pytest.mark.parametrize("backend", ["serial", "resident"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "resident"])
     def test_closed_form_and_the_factor_of_two(self, backend, ring_shards, toy_factory):
         iterations = 6
         with FLGANTrainer(

@@ -6,7 +6,9 @@ then only deltas cross the IPC boundary, the state-epoch counter invalidates
 stale residents, sync returns authority to the trainer, child-side failures
 surface with their traceback, the pool survives (and is exactly reused
 across) consecutive ``train()`` calls, installs ride the slot channel, and
-slot affinity is reproducible across interpreter runs.
+slot affinity is reproducible across interpreter runs.  The protocol,
+lifecycle and serving tests run on the ``thread`` backend too: the same
+protocol with its slots on threads of this process.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.runtime import (
     MembershipPolicy,
     ResidentBackend,
     SlotLossError,
+    create_backend,
     mirror_payload,
     serve_slot,
     stable_key_hash,
@@ -55,6 +58,18 @@ def _config(backend: str, **overrides) -> TrainingConfig:
     base = dict(iterations=4, batch_size=8, seed=11, backend=backend, max_workers=2)
     base.update(overrides)
     return TrainingConfig(**base)
+
+
+def _pooled_config(transport: str, **overrides) -> TrainingConfig:
+    """``resident`` over ``transport``; ``"thread"`` means the ``thread`` backend.
+
+    The ``thread`` backend is the resident protocol over local pipes with its
+    slots on threads of this process, so every protocol test has it as a
+    third transport.
+    """
+    if transport == "thread":
+        return _config("thread", **overrides)
+    return _config("resident", transport=transport, **overrides)
 
 
 def _assert_same_worker_state(reference, other) -> None:
@@ -179,7 +194,7 @@ class TestSyncAndInvalidation:
         state = trainer._resident_state(trainer.workers[0])
         assert list(mirror_payload(state)) == mirror_keys
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
     @pytest.mark.parametrize("trainer_cls", (MDGANTrainer, FLGANTrainer))
     def test_reclaim_restores_full_state_and_training_continues(
         self, trainer_cls, transport, small_shards_and_factory
@@ -198,9 +213,7 @@ class TestSyncAndInvalidation:
                 trainer._sync_iteration(iteration)
 
         serial = trainer_cls(factory, shards, _config("serial", iterations=8))
-        resident = trainer_cls(
-            factory, shards, _config("resident", iterations=8, transport=transport)
-        )
+        resident = trainer_cls(factory, shards, _pooled_config(transport, iterations=8))
         try:
             for iteration in (1, 2, 3):
                 step(serial, iteration)
@@ -247,7 +260,7 @@ class TestSyncAndInvalidation:
         assert abs(big_reclaim - big_mirror) <= 0.01 * big_mirror
         assert big_reclaim - reclaim < 0.05 * (big_shard_bytes - shard_bytes)
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
     def test_replace_dataset_after_sync_matches_serial(
         self, transport, small_shards_and_factory
     ):
@@ -260,8 +273,8 @@ class TestSyncAndInvalidation:
         shards, factory = small_shards_and_factory
         replacement, _ = make_gaussian_ring(n_train=48, n_test=8, image_size=8, seed=23)
 
-        def run(backend_name, **overrides):
-            trainer = MDGANTrainer(factory, shards, _config(backend_name, **overrides))
+        def run(config):
+            trainer = MDGANTrainer(factory, shards, config)
             for iteration in (1, 2):
                 trainer.train_iteration(iteration)
             trainer.sync_worker_state([trainer.workers[0]])
@@ -272,8 +285,8 @@ class TestSyncAndInvalidation:
             trainer.close_backend()
             return trainer
 
-        serial = run("serial")
-        resident = run("resident", transport=transport)
+        serial = run(_config("serial"))
+        resident = run(_pooled_config(transport))
         for s_worker, r_worker in zip(serial.workers, resident.workers):
             assert np.array_equal(
                 s_worker.discriminator.get_parameters(),
@@ -284,12 +297,12 @@ class TestSyncAndInvalidation:
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
     def test_stale_epoch_is_rejected_by_the_pool(
         self, transport, small_shards_and_factory
     ):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident", transport=transport))
+        trainer = MDGANTrainer(factory, shards, _pooled_config(transport))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -303,13 +316,14 @@ class TestSyncAndInvalidation:
         finally:
             trainer.close_backend()
 
-    def test_pool_failure_poisons_the_backend(self, small_shards_and_factory):
+    @pytest.mark.parametrize("backend", ("resident", "thread"))
+    def test_pool_failure_poisons_the_backend(self, backend, small_shards_and_factory):
         # After any failed request some residents may hold steps the trainer
         # never merged and other slots may have unread replies: the backend
         # must fail stop (pool torn down, later calls refused) instead of
         # desyncing pipes or silently resuming from stale state.
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _config(backend))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -330,25 +344,26 @@ class TestSyncAndInvalidation:
             trainer.close_backend()
 
 
+@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestProtocolErrors:
-    def test_pull_params_requires_installed_state(self):
-        backend = ResidentBackend(max_workers=1)
+    def test_pull_params_requires_installed_state(self, backend):
+        backend = create_backend(backend, max_workers=1)
         with pytest.raises(ValueError, match="pull_params requires"):
             backend.pull_params([0])
         backend.close()
 
-    def test_unknown_program_propagates_child_traceback(self):
-        backend = ResidentBackend(max_workers=1)
+    def test_unknown_program_propagates_child_traceback(self, backend):
+        backend = create_backend(backend, max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="Unknown resident program"):
                 backend.run_steps("no-such-program", [(0, lambda: object(), None)])
         finally:
             backend.close()
 
-    def test_missing_install_is_an_error(self):
+    def test_missing_install_is_an_error(self, backend):
         # A supplier returning None means "no install payload": stepping a
         # never-installed worker must fail loudly, not train on nothing.
-        backend = ResidentBackend(max_workers=1)
+        backend = create_backend(backend, max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="no resident state"):
                 backend.run_steps("mdgan", [(0, lambda: None, None)])
@@ -439,10 +454,11 @@ class TestInflightLedger:
             generated.result()
 
 
+@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestLifecycle:
-    def test_pool_restart_reinstalls_state(self, small_shards_and_factory):
+    def test_pool_restart_reinstalls_state(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _config(backend))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -458,12 +474,13 @@ class TestLifecycle:
             trainer.close_backend()
 
 
+@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestPersistentServing:
     """The pool is a serving layer owned by the trainer, warm across train()s."""
 
-    def test_second_train_reuses_warm_slots(self, small_shards_and_factory):
+    def test_second_train_reuses_warm_slots(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
+        with MDGANTrainer(factory, shards, _config(backend)) as trainer:
             trainer.train()
             backend = trainer._backend
             assert isinstance(backend, ResidentBackend)
@@ -478,7 +495,7 @@ class TestPersistentServing:
             assert backend.ipc_bytes_sent - bytes_after_cold < bytes_after_cold
         assert trainer._backend is None
 
-    def test_sequential_trains_match_serial(self, small_shards_and_factory):
+    def test_sequential_trains_match_serial(self, backend, small_shards_and_factory):
         # Warm reuse is not just cheap, it is exact: two back-to-back
         # train() calls on one trainer stay bitwise identical to the serial
         # reference doing the same thing.
@@ -491,7 +508,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run("resident")
+        resident = run(backend)
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -502,11 +519,11 @@ class TestPersistentServing:
             )
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_train_mirrors_state_without_reclaiming(self, small_shards_and_factory):
+    def test_train_mirrors_state_without_reclaiming(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
         serial = MDGANTrainer(factory, shards, _config("serial"))
         serial.train()
-        with MDGANTrainer(factory, shards, _config("resident")) as resident:
+        with MDGANTrainer(factory, shards, _config(backend)) as resident:
             resident.train()
             backend = resident._backend
             # The trainer's objects hold the final models (mirror) while the
@@ -520,7 +537,7 @@ class TestPersistentServing:
             assert all(backend.installed(w.index) for w in resident.workers)
 
     def test_mutation_between_trains_goes_through_reclaim(
-        self, small_shards_and_factory
+        self, backend, small_shards_and_factory
     ):
         # The documented mutation contract survives the persistent pool:
         # reclaim authority (sync), mutate, train again — bitwise equal to a
@@ -537,7 +554,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run("resident")
+        resident = run(backend)
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -548,7 +565,7 @@ class TestPersistentServing:
             )
 
     def test_close_backend_between_trains_matches_serial(
-        self, small_shards_and_factory
+        self, backend, small_shards_and_factory
     ):
         # Regression: the end-of-train mirror must leave the trainer's
         # objects *complete* (including the sampler's mid-epoch shuffle
@@ -564,7 +581,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run("resident")
+        resident = run(backend)
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -576,9 +593,9 @@ class TestPersistentServing:
             assert s_worker.sampler.samples_drawn == r_worker.sampler.samples_drawn
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_flgan_second_train_reuses_warm_slots(self, small_shards_and_factory):
+    def test_flgan_second_train_reuses_warm_slots(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with FLGANTrainer(factory, shards, _config("resident")) as trainer:
+        with FLGANTrainer(factory, shards, _config(backend)) as trainer:
             trainer.train()
             backend = trainer._backend
             installs_cold = backend.install_count
@@ -586,11 +603,11 @@ class TestPersistentServing:
             assert trainer._backend is backend
             assert backend.install_count == installs_cold
 
-    def test_mirror_payload_carries_no_dataset(self, small_shards_and_factory):
+    def test_mirror_payload_carries_no_dataset(self, backend, small_shards_and_factory):
         # The end-of-train refresh must not re-ship the shard: the mirror op
         # returns exactly the model/optimizer/cursor view, nothing bulkier.
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
+        with MDGANTrainer(factory, shards, _config(backend)) as trainer:
             trainer.train_iteration(1)
             backend = trainer._backend
             mirrors = backend.pull_mirror([w.index for w in trainer.workers])
@@ -605,9 +622,9 @@ class TestPersistentServing:
             # Mirroring kept the pool warm and authoritative.
             assert all(backend.installed(w.index) for w in trainer.workers)
 
-    def test_close_is_idempotent_and_reclaims(self, small_shards_and_factory):
+    def test_close_is_idempotent_and_reclaims(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _config(backend))
         trainer.train_iteration(1)
         trainer.close()
         assert trainer._backend is None
