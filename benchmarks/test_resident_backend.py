@@ -3,7 +3,7 @@
 Validates the IPC promise of the ``resident`` execution backend
 (:mod:`repro.runtime.resident`) on a conv model with a non-trivial shard: a
 stateless process pool (``concurrent.futures.ProcessPoolExecutor`` mapping
-the step over ``WorkerTask`` pairs) re-pickles every worker's full state
+the step over ``(state, step_input)`` pairs) re-pickles every worker's full state
 (discriminator, Adam moments, sampler + dataset shard, RNG) in both
 directions every iteration, while ``resident`` ships only the generated
 batches out and the loss/feedback/cursor delta back.  Steady-state
@@ -25,7 +25,7 @@ import pytest
 from repro.core import MDGANTrainer, TrainingConfig
 from repro.datasets import make_mnist_like, partition_iid
 from repro.models import build_architecture
-from repro.runtime import WorkerTask, run_mdgan_worker_task
+from repro.runtime import mdgan_step
 
 pytestmark = [
     pytest.mark.slow,  # timing / multi-run benchmark; excluded from the fast lane
@@ -81,9 +81,9 @@ def _process_iteration_bytes(conv_setup) -> int:
     work = trainer._distribute_batches(2, batches, participants)
     total = 0
     for worker, step_input in work:
-        task = WorkerTask(trainer._resident_state(worker), step_input)
-        total += len(pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL))
-        reply = (task.state, run_mdgan_worker_task(task))
+        state = trainer._resident_state(worker)
+        total += len(pickle.dumps((state, step_input), protocol=pickle.HIGHEST_PROTOCOL))
+        reply = (state, mdgan_step(state, step_input))
         total += len(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
     trainer.close_backend()
     return total

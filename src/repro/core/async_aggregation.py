@@ -5,7 +5,7 @@ sequence: every global update waits for *all* participants, so one straggler
 stalls the fleet.  Under ``TrainingConfig(aggregation="async")`` both
 trainers instead run an event-driven loop over the runtime's
 completion-order collection API
-(:meth:`repro.runtime.ExecutorBackend.open_collector`): worker contributions
+(:meth:`repro.runtime.ResidentBackend.open_collector`): worker contributions
 arrive in completion order, are *buffered*, and are folded into the model in
 whole-buffer flushes — each flush is one global update.
 

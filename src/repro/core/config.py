@@ -78,10 +78,11 @@ class TrainingConfig:
     #: :mod:`repro.nn.precision`.
     precision: Optional[str] = None
     #: Execution backend for the per-worker phase of each global iteration:
-    #: ``"serial"`` (reference: steps the workers' own objects inline),
-    #: ``"thread"`` or ``"resident"`` (a persistent pool holding worker
-    #: state across iterations, its slots threads of this process or child
-    #: processes / worker hosts respectively; see :mod:`repro.runtime`).
+    #: one resident protocol (a persistent pool holding worker state across
+    #: iterations) whose slots are ``"serial"`` (reference: one inline slot
+    #: whose residents are the workers' own objects), ``"thread"`` (threads
+    #: of this process) or ``"resident"`` (child processes / worker hosts;
+    #: see :mod:`repro.runtime`).
     #: All backends produce bitwise-identical seeded runs; the pooled ones
     #: only change wall-clock time.
     backend: str = "serial"
@@ -114,7 +115,7 @@ class TrainingConfig:
     #: before the generator update / FedAvg merge — bitwise identical across
     #: all backends and pipeline depths.  ``"async"`` takes the merge off the
     #: critical path: worker contributions are collected in completion order
-    #: (:meth:`repro.runtime.ExecutorBackend.open_collector`), buffered, and
+    #: (:meth:`repro.runtime.ResidentBackend.open_collector`), buffered, and
     #: applied with staleness-decayed weights under the bounded-staleness
     #: gate below.  Async runs are *not* bitwise-reproducible on concurrent
     #: backends (completion order is real-time nondeterminism); on the serial
@@ -249,7 +250,7 @@ class TrainingConfig:
         return self._membership_policy()
 
     def build_backend(self):
-        """Instantiate the configured :class:`repro.runtime.ExecutorBackend`.
+        """Instantiate the configured :class:`repro.runtime.ResidentBackend`.
 
         The ``transport`` / ``transport_address`` / membership settings are
         forwarded to the ``resident`` backend only, by assignment after

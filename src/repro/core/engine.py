@@ -88,10 +88,10 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
         "drains before any membership remap touches the pool",
     ),
     "unsupported": {
-        "elastic x non-resident backend": (
+        "elastic x in-process backend": (
             "only the resident pool's slot processes and worker hosts can "
-            "be lost and healed (thread slots live and die with the owner "
-            "process); on_slot_loss != 'fail_stop' requires backend='resident'"
+            "be lost and healed (serial and thread slots live and die with "
+            "the owner); on_slot_loss != 'fail_stop' requires backend='resident'"
         ),
     },
 }
@@ -106,8 +106,8 @@ def check_composition(config: Any) -> None:
     """
     if config.on_slot_loss != "fail_stop" and config.backend != "resident":
         raise ValueError(
-            "unsupported mode composition 'elastic x non-resident backend': "
-            + CAPABILITY_MATRIX["unsupported"]["elastic x non-resident backend"]
+            "unsupported mode composition 'elastic x in-process backend': "
+            + CAPABILITY_MATRIX["unsupported"]["elastic x in-process backend"]
             + " (see repro.core.engine.CAPABILITY_MATRIX)"
         )
 

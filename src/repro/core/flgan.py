@@ -31,7 +31,7 @@ from ..runtime.pipeline import InflightWindow, PipelineStats
 from .elastic import MembershipController
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
 from .lifecycle import WorkerStateOwner
-from ..runtime.tasks import FLGANResidentState, run_flgan_local_task
+from ..runtime.tasks import FLGANResidentState
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.traffic import MessageKind, payload_nbytes
 from .config import TrainingConfig
@@ -99,8 +99,8 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             "disc_steps": config.disc_steps,
             "batch_size": config.batch_size,
         }
-        #: Dispatched-but-unmerged local iterations; deeper than 0 only on a
-        #: resident backend under ``pipeline_depth > 0`` (see _sync_schedule).
+        #: Dispatched-but-unmerged local iterations; deeper than 0 only
+        #: under ``pipeline_depth > 0`` (see _sync_schedule).
         self._pipeline_window = InflightWindow(0)
 
         # The server keeps the reference (averaged) generator/discriminator.
@@ -164,8 +164,8 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
     # -- local epochs ---------------------------------------------------------------
     #
     # A local iteration between federated rounds is
-    # ``repro.runtime.tasks.flgan_step`` on every backend; resident backends
-    # install the full local GAN once per round era and only losses plus
+    # ``repro.runtime.tasks.flgan_step`` on every backend; every backend
+    # installs the full local GAN once per round era and only losses plus
     # RNG/sampler cursors come back.  How state is installed, adopted,
     # mirrored and reclaimed comes from WorkerStateOwner.
 
@@ -188,18 +188,14 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
 
         FedAvg weights every worker's parameters by its shard size
         ``m_n / sum m_n`` — with unequal or non-IID shards an unweighted mean
-        would bias the global model toward small shards.  Resident workers
+        would bias the global model toward small shards.  Installed workers
         exchange only flat parameter vectors with the pool (pull before the
         upload, push after the broadcast); optimizer, sampler and RNG state
         never leave their pool slot.
         """
-        resident = self._active_resident()
+        pool = self.executor
         alive = self._alive_workers()
-        pulled: Dict[int, Dict[str, np.ndarray]] = {}
-        if resident is not None:
-            keys = [w.index for w in alive if resident.installed(w.index)]
-            if keys:
-                pulled = resident.pull_params(keys)
+        pulled = pool.pull_params([w.index for w in alive if pool.installed(w.index)])
         gen_vectors, disc_vectors, weights = [], [], []
         for worker in alive:
             if worker.index in pulled:
@@ -218,7 +214,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         if not gen_vectors:
             return
         avg_gen, avg_disc = self._fedavg(gen_vectors, disc_vectors, weights)
-        self._broadcast_average(iteration, alive, avg_gen, avg_disc, resident)
+        self._broadcast_average(iteration, alive, avg_gen, avg_disc, pool)
         self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
 
     def _fedavg(self, gen_vectors, disc_vectors, weights) -> tuple:
@@ -257,7 +253,6 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         (the backend at a synchronous round, the open collector
         mid-flight); every other worker's own objects are set directly.
         """
-        resident = self._active_resident()
         nbytes = payload_nbytes([avg_gen, avg_disc])
         push_map: Dict[int, Dict[str, np.ndarray]] = {}
         for worker in workers:
@@ -268,7 +263,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
                 nbytes,
                 iteration,
             )
-            if resident is not None and resident.installed(worker.index):
+            if self.executor.installed(worker.index):
                 push_map[worker.index] = {"generator": avg_gen, "discriminator": avg_disc}
             else:
                 worker.generator.set_parameters(avg_gen)
@@ -283,7 +278,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         Returns a handle whose ``result()`` yields per-worker results in
         worker-index order.
         """
-        return self._start_steps(run_flgan_local_task, [(worker, None) for worker in active])
+        return self._start_steps([(worker, None) for worker in active])
 
     def _merge_local_iteration(
         self, iteration: int, active: Sequence[FLGANWorkerState], results
@@ -315,26 +310,6 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
 
     _async_program = "flgan"
 
-    def _async_worker_fn(self, worker: FLGANWorkerState):
-        """The per-unit function ``serial`` dispatches for ``worker``."""
-        return run_flgan_local_task
-
-    def _pull_async_params(self, worker: FLGANWorkerState, collector) -> Dict[str, np.ndarray]:
-        """Snapshot a worker's flat parameter vectors at its round boundary.
-
-        Resident workers answer through the collector's mid-flight
-        ``pull_params`` (the GAN lives in the pool); ``serial`` workers are
-        read directly — their just-merged objects are current.
-        """
-        if getattr(self.executor, "supports_resident", False):
-            pulled = collector.pull_params([worker.index])
-            if worker.index in pulled:
-                return dict(pulled[worker.index])
-        return {
-            "generator": worker.generator.get_parameters(),
-            "discriminator": worker.discriminator.get_parameters(),
-        }
-
     def _async_fold(self, ctx: AsyncContext, worker: FLGANWorkerState, unit, result):
         """Advance the worker's round; at its boundary, upload the GAN.
 
@@ -357,7 +332,9 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
                 ctx.sched.discard(key)
             return None
         try:
-            payload = self._pull_async_params(worker, ctx.collector)
+            # The GAN lives in the pool: snapshot it through the collector's
+            # mid-flight pull.
+            payload = ctx.collector.pull_params([key])[key]
         except SlotLossError:
             # The worker's slot died at its round boundary: the round's
             # contribution is lost with it (the turn's loss check discards it).
@@ -481,11 +458,11 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         The schedule is driven by
         :class:`repro.core.engine.ExecutionEngine`.  Local iterations merge
         in worker-index order, so seeded runs are bitwise identical across
-        serial/thread/resident — including ``pipeline_depth > 0`` on the
-        ``thread`` and ``resident`` backends, where the in-flight window
-        drains before every federated round / evaluation (FL-GAN pipelining
-        introduces no staleness); ``serial`` falls back to the synchronous
-        schedule.  On success the pool stays warm for re-entry;
+        serial/thread/resident — including ``pipeline_depth > 0``, where the
+        in-flight window drains before every federated round / evaluation
+        (FL-GAN pipelining introduces no staleness).  On ``serial`` a window
+        entry is already answered when it is pushed, so the window only
+        defers its merge.  On success the pool stays warm for re-entry;
         on failure cleanup is best-effort; :meth:`close` releases the
         backend.
         """
@@ -520,16 +497,11 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             self._federated_round(iteration)
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The per-iteration body over this run's window.
-
-        Only a resident backend can keep iterations in flight; on the others
-        ``pipeline_depth`` is recorded but the window stays at depth 0.
-        """
+        """The per-iteration body over this run's window of ``pipeline_depth``."""
         depth = self.config.pipeline_depth
         if depth > 0:
             engine.stats = PipelineStats(depth=depth)
-        resident = getattr(self.executor, "supports_resident", False)
-        self._pipeline_window = InflightWindow(depth if resident else 0)
+        self._pipeline_window = InflightWindow(depth)
         return partial(self._sync_iteration, stats=engine.stats)
 
     def _pipeline_idle(self) -> bool:
@@ -546,9 +518,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         """
         for it, act, handle in self._pipeline_window.drain(0):
             self._merge_local_iteration(it, act, handle.result())
-        resident = self._active_resident()
-        if resident is not None:
-            resident.drain_inflight()
+        self.executor.drain_inflight()
 
     def _record_run_summaries(self) -> None:
         """Fold the run's traffic/compute meters into the history (both loops)."""

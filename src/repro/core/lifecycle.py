@@ -27,15 +27,14 @@ import weakref
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..runtime.backend import ExecutorBackend
 from ..runtime.membership import SlotLossError
 from ..runtime.resident import ResidentBackend
-from ..runtime.tasks import WorkerTask, restore_mirror
+from ..runtime.tasks import restore_mirror
 
 __all__ = ["BackendOwner", "WorkerStateOwner", "close_quietly"]
 
 
-def close_quietly(backend: ExecutorBackend) -> None:
+def close_quietly(backend: ResidentBackend) -> None:
     """Close a backend, suppressing any error.
 
     The canonical quiet-close used by :class:`BackendOwner` as its
@@ -51,7 +50,7 @@ def close_quietly(backend: ExecutorBackend) -> None:
 
 
 class BackendOwner:
-    """Mixin owning an :class:`~repro.runtime.backend.ExecutorBackend`.
+    """Mixin owning an execution backend (a :class:`~repro.runtime.resident.ResidentBackend`).
 
     The backend is owner-scoped, not call-scoped: it persists across
     ``train()`` calls (so a warm resident pool serves consecutive runs
@@ -62,7 +61,7 @@ class BackendOwner:
     """
 
     #: Lazily built backend (see :attr:`executor`).
-    _backend: Optional[ExecutorBackend] = None
+    _backend: Optional[ResidentBackend] = None
     #: GC/exit finalizer for :attr:`_backend`; detached on explicit close.
     _backend_finalizer: Optional[weakref.finalize] = None
     #: Does this owner own (and therefore close) :attr:`_backend`?  ``False``
@@ -71,7 +70,7 @@ class BackendOwner:
     _owns_backend: bool = True
 
     @property
-    def executor(self) -> ExecutorBackend:
+    def executor(self) -> ResidentBackend:
         """The configured execution backend, created on first use."""
         if self._backend is None:
             self._backend = self.config.build_backend()
@@ -79,7 +78,7 @@ class BackendOwner:
             self._backend_finalizer = weakref.finalize(self, close_quietly, self._backend)
         return self._backend
 
-    def adopt_backend(self, backend: ExecutorBackend, *, owned: bool = False) -> None:
+    def adopt_backend(self, backend: ResidentBackend, *, owned: bool = False) -> None:
         """Attach an existing backend instead of building one from config.
 
         With ``owned=False`` (the default) the caller keeps responsibility
@@ -156,13 +155,6 @@ class BackendOwner:
         except Exception:
             pass
 
-    def _active_resident(self) -> Optional[ResidentBackend]:
-        """The already-built resident backend, or ``None`` (never builds one)."""
-        backend = self._backend
-        if backend is not None and getattr(backend, "supports_resident", False):
-            return backend
-        return None
-
     def __enter__(self) -> "BackendOwner":
         """Context-manager entry: the trainer scopes its backend's lifetime."""
         return self
@@ -189,11 +181,11 @@ class WorkerStateOwner(BackendOwner):
     (:mod:`repro.runtime.tasks`; its ``STATE_FIELDS`` tuple names the
     stateful fields a worker object and the state object share) and the
     static per-run context in ``_step_context``; everything that moves
-    worker state — install payload, serial task, result adoption, sync —
-    is derived from those here, once for both trainers.
+    worker state — install payload, result adoption, sync — is derived
+    from those here, once for both trainers.
     Host contract: ``self.workers`` (objects with ``index`` and the state
     fields), ``self.cluster.workers[i]`` nodes, and the engine hooks'
-    ``_async_program`` / ``_async_worker_fn(worker)``.
+    ``_async_program``.
     """
 
     #: The algorithm's state dataclass; its resident program is the
@@ -208,41 +200,31 @@ class WorkerStateOwner(BackendOwner):
         return [w for w in self.workers if self.cluster.workers[w.index].alive]
 
     def _resident_state(self, worker: Any):
-        """The worker as a state object: install payload and serial task state."""
+        """The worker as a state object: the install payload, its objects by reference."""
         stateful = {name: getattr(worker, name) for name in self._state_type.STATE_FIELDS}
         return self._state_type(worker_index=worker.index, **stateful, **self._step_context)
 
-    def _start_steps(self, worker_fn, work: Sequence[tuple]):
+    def _start_steps(self, work: Sequence[tuple]):
         """Dispatch one step per ``(worker, step_input)`` without blocking.
 
-        Resident backends get the step input only (the install supplier runs
-        when the pool holds no current copy); ``serial`` maps ``worker_fn``
-        over :class:`WorkerTask` pairs on the workers' own objects.  Returns
-        a handle whose ``result()`` yields the results in ``work`` order.
+        Only the step input travels; the install supplier runs when the pool
+        holds no current copy.  Returns a handle whose ``result()`` yields
+        the results in ``work`` order.
         """
-        backend = self.executor
-        if getattr(backend, "supports_resident", False):
-            return backend.start_steps(
-                self._async_program,
-                [(w.index, partial(self._resident_state, w), step) for w, step in work],
-            )
-        return backend.submit_ordered(
-            worker_fn, [WorkerTask(self._resident_state(w), step) for w, step in work]
+        return self.executor.start_steps(
+            self._async_program,
+            [(w.index, partial(self._resident_state, w), step) for w, step in work],
         )
 
     def _dispatch_unit(self, collector, worker: Any, step_input: Any = None) -> None:
         """Dispatch one step for ``worker`` through an as-completed collector."""
-        if getattr(self.executor, "supports_resident", False):
-            collector.dispatch(worker.index, partial(self._resident_state, worker), step_input)
-        else:
-            task = WorkerTask(self._resident_state(worker), step_input)
-            collector.dispatch(worker.index, self._async_worker_fn(worker), task)
+        collector.dispatch(worker.index, partial(self._resident_state, worker), step_input)
 
     def _adopt_step(self, worker: Any, result):
         """Fold one step's RNG/sampler cursors back into ``worker``; return the result.
 
-        A resident step leaves the state in the pool, so only the cursors
-        fold back.  A ``serial`` step ran on the worker's own objects, so the
+        A step leaves the state in its slot, so only the cursors fold back.
+        On ``serial`` the slot's state is the worker's own objects, so the
         fold rewrites the values they already hold.
         """
         worker.rng.bit_generator.state = result.rng_state
@@ -255,15 +237,17 @@ class WorkerStateOwner(BackendOwner):
     ) -> None:
         """Pull resident worker state back into the trainer's own objects.
 
-        No-op on ``serial``.  Either way the pool replies with each
-        worker's mirror payload (models, optimizer moments, RNG state, full
-        sampler cursor — the immutable shard never re-crosses the wire).
+        The pool replies with each worker's mirror payload (models,
+        optimizer moments, RNG state, full sampler cursor — the immutable
+        shard never re-crosses the wire).
         With ``reclaim`` (the default) the pool then drops its copies and the
         state epochs are bumped: the trainer is authoritative again and may
         mutate worker state freely before training resumes.  With
         ``reclaim=False`` the residents stay warm for the next ``train()``.
+        On ``serial`` the mirror holds the worker's own objects, so the
+        restore changes nothing.  Builds no backend.
         """
-        resident = self._active_resident()
+        resident = self._backend
         if resident is None:
             return
         targets = list(self.workers) if workers is None else list(workers)

@@ -47,7 +47,7 @@ from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
 from ..models.base import GANFactory
 from ..nn.model import Sequential
-from ..runtime.backend import PendingResult
+from ..runtime.ledger import PendingSteps
 from ..runtime.pipeline import (
     BatchAheadQueue,
     GeneratorHandle,
@@ -63,7 +63,7 @@ from ..runtime.tasks import (
     MDGANResidentState,
     MDGANStepInput,
     MDGANStepResult,
-    run_mdgan_worker_task,
+    mdgan_step,
 )
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.failures import CrashSchedule
@@ -80,6 +80,11 @@ from .gan_ops import (
 from .history import TrainingHistory
 
 __all__ = ["MDGANWorkerState", "MDGANTrainer"]
+
+#: Alias of :func:`~repro.runtime.tasks.mdgan_step`, kept importable for
+#: tools that bind the worker step by this name; no code calls it (slots
+#: call the registered program's ``step``).
+run_mdgan_worker_task = mdgan_step
 
 
 @dataclass
@@ -306,28 +311,28 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
     #
     # Steps 2-3 are ``repro.runtime.tasks.mdgan_step`` on every backend,
     # merged in worker-index order, so any backend yields bitwise-identical
-    # trajectories.  Resident backends install worker state once and ship
-    # only the step input; serial maps the step over (state, input) tasks on
-    # the workers' own objects.  How state is installed, adopted, mirrored
-    # and reclaimed — and backend ownership — comes from WorkerStateOwner.
+    # trajectories.  Every backend installs worker state once and ships only
+    # the step input (serial's inline slot installs the workers' own
+    # objects).  How state is installed, adopted, mirrored and reclaimed —
+    # and backend ownership — comes from WorkerStateOwner.
 
     def _dispatch_worker_phase(
         self, work: List[Tuple[MDGANWorkerState, MDGANStepInput]]
-    ) -> tuple[List[MDGANWorkerState], PendingResult]:
+    ) -> tuple[List[MDGANWorkerState], PendingSteps]:
         """Dispatch the per-worker phase (Algorithm 1 steps 2-3) asynchronously.
 
         Hands the ``(worker, step_input)`` pairs to the backend without
         blocking.  Returns ``(live_workers, handle)``; ``handle.result()``
         yields the results in worker-index order.
         """
-        handle = self._start_steps(run_mdgan_worker_task, work)
+        handle = self._start_steps(work)
         return [worker for worker, _ in work], handle
 
     def _merge_worker_phase(
         self,
         iteration: int,
         live_workers: List[MDGANWorkerState],
-        handle: PendingResult,
+        handle: PendingSteps,
     ) -> tuple[List[float], List[float], List[Tuple[GeneratedBatch, np.ndarray]]]:
         """Collect a dispatched worker phase and merge it in worker-index order.
 
@@ -383,16 +388,13 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         alive = self._alive_workers()
         if len(alive) < 2:
             return
-        # Resident workers keep their state in the pool: read the parameter
+        # Installed workers keep their state in the pool: read the parameter
         # vectors out (pull) and write the received vectors back in place
-        # (push) — the optimizer/sampler/RNG state never crosses the IPC
-        # boundary.
-        resident = self._active_resident()
-        pulled: Dict[int, np.ndarray] = {}
-        if resident is not None:
-            keys = [w.index for w in alive if resident.installed(w.index)]
-            if keys:
-                pulled = resident.pull_params(keys)
+        # (push) — the optimizer/sampler/RNG state never crosses to the
+        # owner.  Workers not installed (never stepped, or reclaimed) are
+        # read and written directly.
+        pool = self.executor
+        pulled = pool.pull_params([w.index for w in alive if pool.installed(w.index)])
         permutation = self._rng.permutation(len(alive))
         parameter_vectors: Dict[int, np.ndarray] = {}
         for src_pos, dst_pos in enumerate(permutation):
@@ -417,12 +419,11 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
             params = parameter_vectors.get(worker.index)
             if params is None:
                 continue
-            if resident is not None and resident.installed(worker.index):
+            if pool.installed(worker.index):
                 push_map[worker.index] = params
             else:
                 worker.discriminator.set_parameters(params)
-        if push_map:
-            resident.push_params(push_map)
+        pool.push_params(push_map)
         if parameter_vectors:
             self.history.record_event(iteration, "swap", exchanged=len(parameter_vectors))
 
@@ -477,10 +478,10 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         pre-generated for it (recording the realised staleness; a queue miss
         generates on the spot) and, **while the workers compute**, generates
         the batch sets of the next ``depth`` iterations — on the pool slots
-        on ``resident``, inline elsewhere.  Noise draws happen at dispatch,
-        in exact serial order, and resident-side generations are collected
-        after the merge, which never touches the generator, so every
-        backend yields the same trajectory at a fixed depth.
+        on ``thread``/``resident``, inline on ``serial``.  Noise draws happen
+        at dispatch, in exact serial order, and resident-side generations are
+        collected after the merge, which never touches the generator, so
+        every backend yields the same trajectory at a fixed depth.
         """
         participants = self._begin_iteration(iteration)
         if not participants:
@@ -567,10 +568,6 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
     # end to end.  Only the serial backend is bitwise deterministic.
 
     _async_program = "mdgan"
-
-    def _async_worker_fn(self, worker: MDGANWorkerState):
-        """The per-unit function ``serial`` dispatches for ``worker``."""
-        return run_mdgan_worker_task
 
     def _async_participants(self) -> Optional[set]:
         """The current participation selection (worker keys), or ``None`` for all.
@@ -742,9 +739,7 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         """
         if self._pipeline_queue is not None:
             self._pipeline_queue.clear()
-        resident = self._active_resident()
-        if resident is not None:
-            resident.drain_inflight()
+        self.executor.drain_inflight()
 
     def _record_run_summaries(self) -> None:
         """Fold the run's traffic/compute meters into the history (both loops)."""

@@ -9,7 +9,7 @@ near-identical samples.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -86,6 +86,12 @@ class MinibatchDiscrimination(Layer):
             # exp(0) = 1 and is removed.
             closeness.append(k.sum(axis=1) - 1.0)
         return np.concatenate([x, stack_segments(closeness)], axis=1)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The pairwise terms are a forward cache, like _x: they never travel.
+        state = self.__dict__.copy()
+        state.pop("_pairs", None)
+        return state
 
     def restrict(self, segment: int, start: int, stop: int) -> None:
         super().restrict(segment, start, stop)

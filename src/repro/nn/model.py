@@ -11,7 +11,7 @@ on:
   model exactly what travels over the network.  A built model owns the
   contiguous ``params_flat`` / ``grads_flat`` and every layer's ``params`` /
   ``grads`` are views into them, so each whole-model operation is one vector
-  operation and pickles carry each vector once;
+  operation; pickles carry the parameter vector once and no gradients;
 * parameter-count reporting used by the analytic complexity models.
 
 All parameters, activations and gradients live in the model's ``dtype``,
@@ -91,18 +91,25 @@ class Sequential:
             offset = end
 
     def __getstate__(self) -> dict:
-        # Each vector travels once: layers keep only their parameter names.
+        # A pickle carries what a receiver reads: the parameter vector once
+        # (layers keep only their parameter names), no gradients (every
+        # accumulation starts from zero_grad()) and no per-sample forward
+        # caches (each layer's _row_caches; a backward follows its own forward).
         state = self.__dict__.copy()
         if self.built:
+            del state["grads_flat"]
             state["layers"] = [_bare_copy(layer) for layer in self.layers]
             for clone in state["layers"]:
                 clone.params = dict.fromkeys(clone.params)
                 clone.grads = {}
+                for name in clone._row_caches:
+                    setattr(clone, name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         if self.built:
+            self.grads_flat = np.zeros_like(self.params_flat)
             self._bind_views()
 
     def _require_built(self) -> None:

@@ -2,13 +2,14 @@
 
 Workers within one global iteration are independent by construction
 (Algorithm 1 steps 2-3), so the trainers fan their per-worker work out
-through an :class:`ExecutorBackend`: ``serial`` (reference; steps the
-workers' own objects inline) or the one resident protocol, which holds
+through the one resident protocol (:class:`ResidentBackend`), which holds
 worker state in pool slots across iterations so only per-iteration deltas
-cross to a slot — ``thread`` (slots are threads of this process; NumPy
-kernels release the GIL) or ``resident`` (slots are child processes or
-worker hosts).  All backends are bitwise-deterministic: results merge in
-worker-index order and the step functions touch no shared state.
+cross to a slot.  The backends differ in where the slots live: ``serial``
+(reference; one inline slot whose residents are the workers' own objects),
+``thread`` (slots are threads of this process; NumPy kernels release the
+GIL) or ``resident`` (slots are child processes or worker hosts).  All
+backends are bitwise-deterministic: results merge in worker-index order and
+the step functions touch no shared state.
 
 The resident pool's wire protocol is transport-agnostic
 (:mod:`repro.runtime.transport`): ``transport="pipe"`` keeps the local
@@ -19,18 +20,7 @@ worker's install (its state, dataset shard included) is pickled inside the
 first ``run`` frame that needs it; there is no side channel.
 """
 
-from .backend import (
-    BACKENDS,
-    CompletedResult,
-    CompletionCollector,
-    EagerCollector,
-    ExecutorBackend,
-    PendingResult,
-    SerialBackend,
-    create_backend,
-    default_max_workers,
-    register_backend,
-)
+from .backend import BACKENDS, create_backend, default_max_workers
 from .pipeline import (
     BatchAheadQueue,
     GeneratorHandle,
@@ -78,25 +68,16 @@ from .tasks import (
     MDGANResidentState,
     MDGANStepInput,
     MDGANStepResult,
-    WorkerTask,
     flgan_step,
     mdgan_step,
     mirror_payload,
-    run_flgan_local_task,
-    run_mdgan_worker_task,
 )
 
 __all__ = [
     "BACKENDS",
     "TRANSPORTS",
-    "ExecutorBackend",
-    "PendingResult",
-    "CompletedResult",
-    "CompletionCollector",
-    "EagerCollector",
     "ResidentCollector",
     "PendingSteps",
-    "SerialBackend",
     "ResidentBackend",
     "ResidentProgram",
     "BatchAheadQueue",
@@ -122,7 +103,6 @@ __all__ = [
     "PoolMembership",
     "SlotLossError",
     "create_backend",
-    "register_backend",
     "create_transport",
     "register_transport",
     "register_program",
@@ -130,7 +110,6 @@ __all__ = [
     "serve_slot",
     "default_max_workers",
     "stable_key_hash",
-    "WorkerTask",
     "MDGANResidentState",
     "MDGANStepInput",
     "MDGANStepResult",
@@ -139,6 +118,4 @@ __all__ = [
     "mdgan_step",
     "flgan_step",
     "mirror_payload",
-    "run_mdgan_worker_task",
-    "run_flgan_local_task",
 ]

@@ -24,8 +24,8 @@ from collections import defaultdict, deque
 from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backend import CompletionCollector
 from .membership import LOST, SlotLossError
+from .transport.local import InlineChannel
 
 __all__ = ["InflightLedger", "PendingSteps", "ResidentCollector"]
 
@@ -144,11 +144,19 @@ class InflightLedger:
         must not spend their own time in the write.  A survivable inline
         send failure (elastic pools) answers the entry :data:`LOST` on the
         spot; a fail-stop one poisons and raises.
+
+        An inline slot (``serial``) runs the frame here instead, on the frame
+        objects themselves: the entry is answered before this returns and
+        never queued, and a failing op raises as itself.
         """
         pool = self._pool
         entry = _Entry(slot_index, op, sink, owner, key)
-        queue = self._queues[slot_index]
         transport = pool._ensure_transport()
+        channel = transport.channel(slot_index)
+        if isinstance(channel, InlineChannel):
+            entry.deliver(channel.call(op, payload))
+            return entry
+        queue = self._queues[slot_index]
         data = pickle.dumps((op, payload), protocol=pickle.HIGHEST_PROTOCOL)
         pool.ipc_bytes_sent += len(data)
         pool.op_bytes_sent[op] += len(data)
@@ -157,7 +165,7 @@ class InflightLedger:
         else:
             started = time.perf_counter()
             try:
-                transport.channel(slot_index).send_bytes(data)
+                channel.send_bytes(data)
             except OSError as exc:
                 self._fault(
                     slot_index,
@@ -372,13 +380,17 @@ class PendingSteps:
         return values
 
 
-class ResidentCollector(CompletionCollector):
+class ResidentCollector:
     """Completion-order view of the backend's in-flight ledger.
 
     Each :meth:`dispatch` writes one single-item ``run`` frame for its key's
     slot and :meth:`collect_any` returns whichever step is answered next.
     Per-slot ordering stays FIFO (slot channels are ordered); *across*
-    slots, completion order is whatever the pool produces.
+    slots, completion order is whatever the pool produces.  On ``serial``'s
+    one inline slot each step runs at dispatch, so completion order is
+    dispatch order and async runs are deterministic.  One collector models
+    one in-flight set: trainers open one per run and close it before any
+    whole-pool operation (state mirror, swap) runs.
 
     Boundary ops remain available mid-flight through :meth:`pull_params` /
     :meth:`push_params`: their frame queues on the slot behind any
@@ -408,6 +420,9 @@ class ResidentCollector(CompletionCollector):
         for a boundary reply) but not yet handed to the caller.
         """
         return len(self._backend._ledger.entries(self)) + len(self._ready)
+
+    def __len__(self) -> int:
+        return self.outstanding
 
     def _check_open(self) -> None:
         if self._dead:
@@ -455,6 +470,14 @@ class ResidentCollector(CompletionCollector):
         """Write flat parameter vectors into installed residents mid-flight."""
         self._check_open()
         self._backend._push_params(params_by_key)
+
+    def drain(self) -> int:
+        """Collect and discard every outstanding step; return the count."""
+        discarded = 0
+        while self.outstanding:
+            self.collect_any()
+            discarded += 1
+        return discarded
 
     def close(self) -> None:
         """Drain outstanding work (when the pool is healthy) and detach.

@@ -9,8 +9,8 @@ provides the building blocks for the opt-in **pipelined** mode
 server runs ahead of the workers by up to ``d`` iterations:
 
 * while the workers compute iteration ``t`` (dispatched asynchronously
-  through :meth:`~repro.runtime.backend.SerialBackend.submit_ordered` or
-  :meth:`~repro.runtime.resident.ResidentBackend.start_steps`), the server
+  through :meth:`~repro.runtime.resident.ResidentBackend.start_steps`; on
+  ``serial``'s inline slot it is answered at dispatch), the server
   pre-generates the batches for iterations ``t+1 .. t+d`` into a
   :class:`BatchAheadQueue`;
 * batches consumed from the queue are **stale**: the batch set for iteration
@@ -25,18 +25,18 @@ server runs ahead of the workers by up to ``d`` iterations:
   backends run their lookahead generation on the pool's dedicated
   generation op (:func:`start_resident_generation`, asynchronous), so there
   lookahead generation leaves the trainer thread entirely; ``serial``
-  generates the lookahead inline.
+  declines the generation op and generates the lookahead inline.
 
 ``pipeline_depth = 0`` (the default) keeps the synchronous schedule and is
-bitwise identical to all four execution backends' historical behaviour; any
+bitwise identical to every execution backend's historical behaviour; any
 ``d > 0`` relaxes that parity — deliberately, behind the explicit opt-in —
 while remaining deterministic: for a fixed seed *and* fixed depth, every
 backend still produces the same trajectory.
 
 FL-GAN needs no staleness at all: its local iterations between federated
 rounds leave the server model untouched, so pipelining there only overlaps
-the trainer's merge/bookkeeping with the pool's compute (resident backend;
-see :class:`InflightWindow`) and preserves bitwise parity at **every** depth.
+the trainer's merge/bookkeeping with the pool's compute (see
+:class:`InflightWindow`) and preserves bitwise parity at **every** depth.
 
 Resident generation
 -------------------
@@ -57,8 +57,10 @@ reproducing the serial loop bit for bit:
 
 Generators containing layers whose forward pass consumes a private RNG
 (:class:`~repro.nn.layers.Dropout`) cannot be reproduced on copies; for those
-(and for ``serial``) :func:`start_resident_generation` returns
-``None`` and the caller generates inline.
+(and on ``serial``, whose inline slot declines the op: a slot generation
+ships no forward snapshot, so every generator forward would be replayed)
+:func:`start_resident_generation` returns ``None`` and the caller
+generates inline.
 """
 
 from __future__ import annotations
@@ -166,8 +168,7 @@ class PipelineStats:
 
     Summarised into ``TrainingHistory.overlap`` at the end of training so
     experiment reports can tell a genuinely overlapped run from one that
-    degenerated to the synchronous schedule (e.g. depth 0, or a ``serial``
-    FL-GAN run).
+    degenerated to the synchronous schedule (e.g. depth 0).
     """
 
     depth: int

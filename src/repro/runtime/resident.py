@@ -52,7 +52,10 @@ re-exported here; the bytes move over one
 processes by default, ``"tcp"`` sockets to loopback workers or to
 ``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).  The
 ``thread`` backend is this same backend over pipes whose slot loops run on
-threads of the owner process.
+threads of the owner process; ``serial`` is this same backend over one
+inline slot, whose frame handler runs in the caller on the frame objects
+themselves (no pickle, no copy), so its residents are the trainer's own
+worker objects.
 
 Every frame this backend writes to a slot — a batched ``run``
 (:meth:`ResidentBackend.start_steps`), a single-key ``run``
@@ -86,11 +89,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .backend import ExecutorBackend, default_max_workers, register_backend
+from .backend import default_max_workers
 from .ledger import InflightLedger, PendingSteps, ResidentCollector
 from .membership import LOST, MembershipPolicy, PoolMembership, SlotLossError
 from .programs import ResidentProgram, get_program, register_program
-from .slot import serve_slot
+from .slot import SlotHandler, serve_slot
 from .transport import (
     TRANSPORT_DEFAULT,
     LocalPipeTransport,
@@ -98,6 +101,7 @@ from .transport import (
     TransportError,
     create_transport,
 )
+from .transport.local import InlineTransport
 
 __all__ = [
     "ResidentBackend",
@@ -129,10 +133,10 @@ def stable_key_hash(key) -> int:
     return zlib.crc32(repr(key).encode("utf-8"))
 
 
-class ResidentBackend(ExecutorBackend):
+class ResidentBackend:
     """Persistent pool with resident per-worker state.
 
-    Trainers recognise :attr:`supports_resident` and drive the protocol
+    Every execution backend is one of these; trainers drive the protocol
     below.  The pool is a long-lived serving layer: its owner (normally the
     trainer that built it) decides when it dies — ``close()`` or the context-manager
     exit — and a ``train()`` call neither owns nor tears it down, so warm
@@ -140,11 +144,10 @@ class ResidentBackend(ExecutorBackend):
     install payloads as long as the state epochs still match.
     """
 
+    #: Backend name (one of :data:`~repro.runtime.backend.BACKENDS`).
     name = "resident"
-    #: Capability flag the trainers in :mod:`repro.core` dispatch on
-    #: (``getattr(backend, "supports_resident", False)``); a third-party
-    #: backend that implements this class's protocol methods can set it to
-    #: opt into the resident code paths.
+    #: Always ``True``: every backend is this protocol.  Kept for readers
+    #: that ask whether a backend carries the pool's meters.
     supports_resident = True
     #: Whether :meth:`start_generation` is available (resident-side k-batch
     #: generation); consulted by the pipelined MD-GAN loop.
@@ -456,6 +459,12 @@ class ResidentBackend(ExecutorBackend):
         self._generator_slots.clear()
         self._generator_versions.clear()
 
+    def __enter__(self) -> "ResidentBackend":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- placement --------------------------------------------------------------
     def _slot_for(self, key) -> int:
         membership = self._elastic()
@@ -528,7 +537,7 @@ class ResidentBackend(ExecutorBackend):
         """Open a :class:`ResidentCollector` for as-completed step collection.
 
         ``program`` names the registered :class:`ResidentProgram` every
-        dispatched step runs (mandatory here, unlike on ``serial``).
+        dispatched step runs.
         Only one collector is live at a time; reopening detaches a previous
         (fully collected) one.
         """
@@ -825,15 +834,15 @@ class ResidentBackend(ExecutorBackend):
         return merged
 
 
-def _thread_backend(max_workers: Optional[int] = None) -> ResidentBackend:
-    """``thread``: the resident protocol with every slot a thread of this process."""
-    backend = ResidentBackend(max_workers, transport=LocalPipeTransport(serve_slot, threads=True))
-    backend.name = "thread"
+def in_process_backend(name: str, max_workers: Optional[int] = None) -> ResidentBackend:
+    """``serial`` (one inline slot) or ``thread`` (slots on threads of this process)."""
+    if name == "serial":
+        backend = ResidentBackend(1, transport=InlineTransport(SlotHandler))
+        # A slot generation ships no forward snapshot, so every generator
+        # forward would be replayed: serial generates in the caller instead.
+        backend.supports_resident_generation = False
+    else:
+        transport = LocalPipeTransport(serve_slot, threads=True)
+        backend = ResidentBackend(max_workers, transport=transport)
+    backend.name = name
     return backend
-
-
-register_backend("thread", _thread_backend)
-register_backend(
-    "resident",
-    lambda max_workers=None, **options: ResidentBackend(max_workers, **options),
-)

@@ -16,14 +16,12 @@ generated batches.  This module states exactly that, once per algorithm:
 * one **step function** ``step(state, step_input) -> result``
   (:func:`mdgan_step` / :func:`flgan_step`) that mutates the state in place.
 
-The ``thread`` and ``resident`` backends (:mod:`repro.runtime.resident`)
-install the state into a pool slot once and register the step function as
-its program, so only inputs and results cross the wire.  The ``serial``
-backend maps a one-argument adapter (:func:`run_mdgan_worker_task` /
-:func:`run_flgan_local_task`) over :class:`WorkerTask` pairs whose state
-holds the trainer's own worker objects, so the step mutates them in place.
-Every backend therefore runs the *same* step function and produces bitwise
-identical seeded trajectories.
+Every backend (:mod:`repro.runtime.resident`) installs the state into a
+pool slot once and runs the step function as that slot's program, so only
+inputs and results cross to the slot.  On ``serial``'s inline slot the
+install is the trainer's own worker objects, passed by reference, so the
+step mutates them in place.  Every backend therefore runs the *same* step
+function and produces bitwise identical seeded trajectories.
 
 The sampler and the worker RNG share one :class:`numpy.random.Generator`;
 pickle preserves that sharing because both travel in the same state object.
@@ -32,7 +30,7 @@ pickle preserves that sharing because both travel in the same state object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, NamedTuple, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +47,6 @@ from ..nn.model import Sequential
 from .programs import ResidentProgram, register_program
 
 __all__ = [
-    "WorkerTask",
     "MDGANResidentState",
     "MDGANStepInput",
     "MDGANStepResult",
@@ -59,21 +56,7 @@ __all__ = [
     "flgan_step",
     "mirror_payload",
     "restore_mirror",
-    "run_mdgan_worker_task",
-    "run_flgan_local_task",
 ]
-
-
-class WorkerTask(NamedTuple):
-    """The ``serial`` backend's one-argument form of ``step(state, step_input)``."""
-
-    state: Any
-    step_input: Any = None
-
-    @property
-    def worker_index(self) -> int:
-        """The worker the task belongs to (straggler injection keys on it)."""
-        return self.state.worker_index
 
 
 def mirror_payload(state) -> Dict[str, Any]:
@@ -195,11 +178,6 @@ def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResu
     )
 
 
-def run_mdgan_worker_task(task: WorkerTask) -> MDGANStepResult:
-    """The ``serial`` backend's adapter: :func:`mdgan_step` on the task's state."""
-    return mdgan_step(*task)
-
-
 # -- FL-GAN: one local iteration of the full GAN ----------------------------------
 
 
@@ -281,11 +259,6 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
         epochs_completed=state.sampler.epochs_completed,
         rng_state=state.rng.bit_generator.state,
     )
-
-
-def run_flgan_local_task(task: WorkerTask) -> FLGANStepResult:
-    """The ``serial`` backend's adapter: :func:`flgan_step` on the task's state."""
-    return flgan_step(*task)
 
 
 # -- resident program registration -------------------------------------------------

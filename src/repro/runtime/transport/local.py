@@ -1,4 +1,4 @@
-"""Local pipe transport: slots as child processes, or as threads of this process.
+"""Local transports: slots as child processes, as threads of this process, or inline.
 
 One slot per duplex ``multiprocessing.Pipe``.  The parent-side
 ``Connection`` objects are handed out as the slot channels directly —
@@ -7,7 +7,9 @@ contract structurally (``send_bytes``/``recv_bytes``/``poll``/``close`` with
 the same framing and error semantics).  By default each slot loop runs in a
 daemon child process; with ``threads=True`` it runs on a daemon thread of
 the owner process instead (the ``thread`` backend), over the same pipes and
-the same bytes.
+the same bytes.  :class:`InlineTransport` is the degenerate local case
+(``serial``): one slot whose frame handler runs in the caller, with no pipe
+and no bytes at all.
 
 The serving-loop target is *injected* (``slot_main``) rather than imported:
 the protocol layer lives in :mod:`repro.runtime.resident`, which imports this
@@ -20,9 +22,9 @@ import multiprocessing
 import threading
 from typing import Callable, List, Optional
 
-from .base import Transport, register_transport
+from .base import Transport
 
-__all__ = ["LocalPipeTransport"]
+__all__ = ["InlineChannel", "InlineTransport", "LocalPipeTransport"]
 
 
 def _serve_then_close(slot_main: Callable, conn) -> None:
@@ -98,3 +100,41 @@ class LocalPipeTransport(Transport):
                 process.terminate()
                 process.join(timeout=5)
         self._processes = []
+
+
+class InlineChannel:
+    """An inline slot: its frame handler, called in the caller's thread.
+
+    The ledger hands ``call`` the frame objects themselves at post time,
+    so nothing is pickled or copied, an install is the caller's own state
+    objects, and the reply exists before the post returns.  There are no
+    bytes to read and no descriptor to wait on.
+    """
+
+    def __init__(self, handler: Callable) -> None:
+        #: ``(op, payload) -> reply payload``; a failing op raises as itself.
+        self.call = handler
+
+    def send_bytes(self, data: bytes) -> None:
+        """The backend's close frame: the slot ends with the channel, nothing to send."""
+
+    def close(self) -> None:
+        """Nothing to release; the slot's state goes with the channel."""
+
+
+class InlineTransport(Transport):
+    """Pool slots that run inline in the caller (the ``serial`` backend).
+
+    ``handler_factory`` builds one slot's frame handler;
+    :class:`repro.runtime.slot.SlotHandler` in production.  Starts no thread
+    and no process.
+    """
+
+    name = "inline"
+
+    def __init__(self, handler_factory: Callable[[], Callable]) -> None:
+        super().__init__()
+        self._handler_factory = handler_factory
+
+    def _open_channels(self, num_slots: int) -> List:
+        return [InlineChannel(self._handler_factory()) for _ in range(num_slots)]

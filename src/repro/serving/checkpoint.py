@@ -121,8 +121,9 @@ def trainer_checkpoint(trainer) -> Dict[str, Any]:
     """Snapshot a mid-run MD-GAN trainer for bitwise-exact continuation.
 
     Syncs resident worker state back into the trainer's objects first (a
-    no-op for cold pools and ``serial``), then deep-copies the
-    authoritative state so further training does not mutate the snapshot.
+    no-op for cold pools; on ``serial`` the objects are already current),
+    then deep-copies the authoritative state so further training does not
+    mutate the snapshot.
     """
     trainer.sync_worker_state()
     state = {

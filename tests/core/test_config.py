@@ -74,9 +74,11 @@ class TestTrainingConfig:
         assert config.transport_address == address
 
     def test_build_backend_follows_config(self):
-        from repro.runtime import ResidentBackend, SerialBackend
+        from repro.runtime import ResidentBackend
 
-        assert isinstance(TrainingConfig().build_backend(), SerialBackend)
+        serial = TrainingConfig().build_backend()
+        assert isinstance(serial, ResidentBackend)
+        assert serial.name == "serial" and serial.max_workers == 1
         backend = TrainingConfig(backend="resident", max_workers=3).build_backend()
         assert isinstance(backend, ResidentBackend)
         assert backend.max_workers == 3

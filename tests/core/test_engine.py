@@ -23,7 +23,7 @@ class TestCapabilityMatrix:
             TrainingConfig(backend="serial", on_slot_loss="degrade")
 
     def test_wait_on_thread_backend_rejected(self):
-        with pytest.raises(ValueError, match="elastic x non-resident backend"):
+        with pytest.raises(ValueError, match="elastic x in-process backend"):
             TrainingConfig(backend="thread", on_slot_loss="wait")
 
     def test_lifted_compositions_construct(self):

@@ -44,14 +44,13 @@ def test_workers_start_from_identical_models(ring_shards, toy_factory, tiny_conf
 
 
 def test_fanout_path_matches_resident_path(ring_shards, toy_factory, tiny_config):
-    # The serial fan-out over worker tasks and the
+    # The bare step function on the workers' own objects and the
     # resident delta protocol execute the same compute core; one local
     # iteration must stay in bitwise lockstep between the two.
-    from repro.runtime import WorkerTask, run_flgan_local_task
+    from repro.runtime import flgan_step
 
     fanned = FLGANTrainer(toy_factory, ring_shards, tiny_config)
-    tasks = [WorkerTask(fanned._resident_state(worker)) for worker in fanned.workers]
-    results = fanned.executor.submit_ordered(run_flgan_local_task, tasks).result()
+    results = [flgan_step(fanned._resident_state(worker)) for worker in fanned.workers]
     losses = [
         fanned._merge_local_result(worker, result)
         for worker, result in zip(fanned.workers, results)

@@ -245,14 +245,12 @@ class TestCommunicationPattern:
     def test_merge_worker_result_charges_feedback_to_the_server(
         self, ring_shards, toy_factory
     ):
-        from repro.runtime import WorkerTask, run_mdgan_worker_task
+        from repro.runtime import mdgan_step
 
         trainer = make_trainer(toy_factory, ring_shards, iterations=1)
         batches = trainer._generate_batches(trainer.num_batches)
         worker, step_input = trainer._distribute_batches(1, batches, trainer.workers[2:3])[0]
-        (result,) = trainer.executor.submit_ordered(
-            run_mdgan_worker_task, [WorkerTask(trainer._resident_state(worker), step_input)]
-        ).result()
+        result = mdgan_step(trainer._resident_state(worker), step_input)
         meter = trainer.cluster.meter
         assert meter.total_messages(MessageKind.ERROR_FEEDBACK) == 0
         step = trainer._merge_worker_result(1, worker, result)
@@ -287,13 +285,12 @@ class TestFeedbackAggregation:
         k = min(trainer.num_batches, len(participants))
         batches = trainer._generate_batches(k)
         work = trainer._distribute_batches(1, batches, participants)
-        # Run steps 2-3 through the backend protocol (build -> compute ->
-        # merge), the same path train_iteration uses.
+        # Run steps 2-3 as the bare step function on each worker's own
+        # objects, then merge as train_iteration does.
         from repro.core.gan_ops import apply_feedback_to_generator
-        from repro.runtime import WorkerTask, run_mdgan_worker_task
+        from repro.runtime import mdgan_step
 
-        tasks = [WorkerTask(trainer._resident_state(w), step) for w, step in work]
-        results = trainer.executor.submit_ordered(run_mdgan_worker_task, tasks).result()
+        results = [mdgan_step(trainer._resident_state(w), step) for w, step in work]
         index_of = {id(batch.images): j for j, batch in enumerate(batches)}
         feedback = []
         for (worker, handed), result in zip(work, results):

@@ -10,6 +10,7 @@ from repro.nn import (
     Dense,
     Flatten,
     LeakyReLU,
+    MinibatchDiscrimination,
     ReLU,
     Reshape,
     Sequential,
@@ -28,6 +29,12 @@ from repro.runtime.resident import ResidentBackend
 def small_model(rng, out=3):
     return Sequential(
         [Dense(8), ReLU(), Dense(out)], input_shape=(5,), rng=rng, name="small"
+    )
+
+
+def minibatch_model(rng):
+    return Sequential(
+        [Dense(8), MinibatchDiscrimination(4, 3), Dense(3)], input_shape=(5,), rng=rng
     )
 
 
@@ -163,13 +170,27 @@ class TestFlatBuffers:
         buffers = model.params_flat.nbytes + model.grads_flat.nbytes
         assert len(pickle.dumps(model)) < 1.25 * buffers
 
+    @pytest.mark.parametrize("build", [small_model, minibatch_model], ids=["dense", "minibatch"])
+    def test_pickle_carries_no_gradients_or_forward_caches(self, rng, build):
+        # A trained model pickles to exactly the bytes of an untrained one.
+        model = build(rng)
+        out = model.forward(rng.normal(size=(4, 5)))
+        model.backward(np.ones_like(out))
+        assert model.get_gradients().any() and model.layers[0]._x is not None
+        assert len(pickle.dumps(model)) == len(pickle.dumps(build(rng)))
+        clone = pickle.loads(pickle.dumps(model))
+        assert not clone.grads_flat.any()
+        for layer in clone.layers:
+            assert all(getattr(layer, name) is None for name in layer._row_caches)
+
     @pytest.mark.parametrize("path", ["pickle", "deepcopy"])
     def test_views_survive_in_process_copies(self, rng, path):
         model = _trained_model(rng)
         params, grads = model.get_parameters(), model.get_gradients()
         clone = pickle.loads(pickle.dumps(model)) if path == "pickle" else copy.deepcopy(model)
         np.testing.assert_array_equal(clone.params_flat, params)
-        np.testing.assert_array_equal(clone.grads_flat, grads)
+        # Gradients do not travel: every accumulation starts from zero_grad().
+        np.testing.assert_array_equal(clone.grads_flat, np.zeros_like(grads))
         _assert_no_shared_memory(clone, model)
         _assert_views_bound(clone)
         np.testing.assert_array_equal(model.get_parameters(), params)
@@ -187,7 +208,7 @@ class TestFlatBuffers:
         finally:
             backend.close()
         np.testing.assert_array_equal(mirrored.params_flat, values)
-        np.testing.assert_array_equal(mirrored.grads_flat, model.grads_flat)
+        np.testing.assert_array_equal(mirrored.grads_flat, np.zeros_like(model.grads_flat))
         _assert_no_shared_memory(mirrored, model)
         _assert_views_bound(mirrored)
         np.testing.assert_array_equal(model.get_parameters(), params)

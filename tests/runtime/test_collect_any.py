@@ -1,10 +1,10 @@
 """Completion-order collection API tests (``open_collector`` / ``collect_any``).
 
-The ``PendingSteps``/``submit_ordered`` handles collect whole batches in
-dispatch order; the collectors hand back whichever unit finishes next and
-power ``aggregation="async"``.  These tests pin the order semantics of both
-collector families (eager, resident), the mid-flight parameter
-traffic of the resident one, and — mirroring ``test_transport.py`` — the
+The ``PendingSteps`` handles collect whole batches in dispatch order; the
+collector hands back whichever unit finishes next and powers
+``aggregation="async"``.  These tests pin its order semantics (FIFO on
+``serial``'s inline slot, completion order on pools), its mid-flight
+parameter traffic, and — mirroring ``test_transport.py`` — the
 failure contract under fault injection: a killed slot, a dropped frame and a
 truncated frame mid-``collect_any`` must each surface as a
 :class:`TransportError` naming the slot and the in-flight op, poison the
@@ -28,12 +28,10 @@ from repro.models import build_toy_gan
 from repro.runtime import (
     LOST,
     ChaosTransport,
-    EagerCollector,
     GeneratorHandle,
     MembershipPolicy,
     ResidentBackend,
     ResidentCollector,
-    SerialBackend,
     SlotLossError,
     TransportError,
     create_backend,
@@ -66,43 +64,43 @@ def _fresh_state():
     return {"count": 0}
 
 
-# -- eager collector ----------------------------------------------------------
+# -- serial: one inline slot ----------------------------------------------------
 
 
-class TestEagerCollector:
+class TestSerialCollector:
     def test_serial_backend_collects_fifo(self):
-        backend = SerialBackend()
+        backend = create_backend("serial")
         try:
-            collector = backend.open_collector()
-            assert isinstance(collector, EagerCollector)
+            collector = backend.open_collector("collect-echo")
+            assert isinstance(collector, ResidentCollector)
             for key in (3, 1, 2):
-                collector.dispatch(key, lambda task: task * 10, key)
+                collector.dispatch(key, _fresh_state, key * 10)
             assert collector.outstanding == 3
             assert len(collector) == 3
-            # Eager execution: completion order IS dispatch order — the
+            # Inline execution: completion order IS dispatch order — the
             # deterministic round-robin degenerate case of async mode.
-            assert collector.collect_any() == (3, 30)
-            assert collector.collect_any() == (1, 10)
-            assert collector.collect_any() == (2, 20)
+            assert collector.collect_any() == (3, (1, 30))
+            assert collector.collect_any() == (1, (1, 10))
+            assert collector.collect_any() == (2, (1, 20))
             assert collector.outstanding == 0
         finally:
             backend.close()
 
     def test_collect_on_empty_collector_raises(self):
-        backend = SerialBackend()
+        backend = create_backend("serial")
         try:
-            collector = backend.open_collector()
+            collector = backend.open_collector("collect-echo")
             with pytest.raises(RuntimeError, match="no outstanding"):
                 collector.collect_any()
         finally:
             backend.close()
 
     def test_drain_discards_everything(self):
-        backend = SerialBackend()
+        backend = create_backend("serial")
         try:
-            collector = backend.open_collector()
-            collector.dispatch(0, lambda task: task, "x")
-            collector.drain()
+            collector = backend.open_collector("collect-echo")
+            collector.dispatch(0, _fresh_state, "x")
+            assert collector.drain() == 1
             assert collector.outstanding == 0
             collector.close()
         finally:

@@ -298,6 +298,7 @@ CONFIGS = {
     "mdgan-participation0.5": _mdgan(_toy, participation_fraction=0.5),
     "mdgan-crash": _mdgan_crash,
     "mdgan-async-serial": _mdgan(_toy, aggregation="async"),
+    "mdgan-async-depth1-serial": _mdgan(_toy, aggregation="async", pipeline_depth=1),
     "mdgan-degrade-kill": _mdgan_degrade_kill,
     "cnn-k2-serial": _mdgan(_cnn, precision="float32"),
     "cnn-k2-resident": _mdgan(_cnn, "resident", precision="float32"),
@@ -305,6 +306,8 @@ CONFIGS = {
     "cnn-k2-depth1-thread": _mdgan(_cnn, "thread", precision="float32", pipeline_depth=1),
     "cnn-mbd-serial": _mdgan(_cnn_mbd, precision="float32"),
     "flgan-serial": _flgan("serial"),
+    "flgan-async-serial": _flgan("serial", aggregation="async"),
+    "flgan-depth1-serial": _flgan("serial", pipeline_depth=1),
     "flgan-thread": _flgan("thread"),
     "flgan-resident": _flgan("resident"),
     "flgan-cnn-serial": _flgan("serial", _cnn, precision="float32"),
