@@ -100,7 +100,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             "batch_size": config.batch_size,
         }
         #: Dispatched-but-unmerged local iterations; deeper than 0 only
-        #: under ``pipeline_depth > 0`` (see _sync_schedule).
+        #: under ``pipeline_depth > 0`` on a pool (see _sync_schedule).
         self._pipeline_window = InflightWindow(0)
 
         # The server keeps the reference (averaged) generator/discriminator.
@@ -460,11 +460,10 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         in worker-index order, so seeded runs are bitwise identical across
         serial/thread/resident — including ``pipeline_depth > 0``, where the
         in-flight window drains before every federated round / evaluation
-        (FL-GAN pipelining introduces no staleness).  On ``serial`` a window
-        entry is already answered when it is pushed, so the window only
-        defers its merge.  On success the pool stays warm for re-entry;
-        on failure cleanup is best-effort; :meth:`close` releases the
-        backend.
+        (FL-GAN pipelining introduces no staleness); ``serial`` keeps no
+        window (see :meth:`_sync_schedule`).  On success the pool stays
+        warm for re-entry; on failure cleanup is best-effort;
+        :meth:`close` releases the backend.
         """
         return ExecutionEngine(self).run()
 
@@ -497,11 +496,16 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             self._federated_round(iteration)
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The per-iteration body over this run's window of ``pipeline_depth``."""
+        """The per-iteration body over this run's window of ``pipeline_depth``.
+
+        ``serial``'s inline slot steps the worker's own objects at dispatch,
+        so its window stays at depth 0: nothing overlaps, and a late merge
+        would fold older RNG/sampler cursors back over newer ones.
+        """
         depth = self.config.pipeline_depth
         if depth > 0:
             engine.stats = PipelineStats(depth=depth)
-        self._pipeline_window = InflightWindow(depth)
+        self._pipeline_window = InflightWindow(0 if self.executor.inline else depth)
         return partial(self._sync_iteration, stats=engine.stats)
 
     def _pipeline_idle(self) -> bool:

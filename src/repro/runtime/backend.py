@@ -60,10 +60,18 @@ def create_backend(name: str = "serial", max_workers: Optional[int] = None, **op
     if name not in BACKENDS:
         raise ValueError(f"Unknown backend {name!r}; expected one of {BACKENDS}")
     # Imported here: the pool imports this module.
-    from .resident import ResidentBackend, in_process_backend
+    from .resident import ResidentBackend
+    from .slot import SlotHandler, serve_slot
+    from .transport.local import InlineTransport, LocalPipeTransport
 
     if name == "resident":
         return ResidentBackend(max_workers, **options)
     if options:
         raise TypeError(f"the {name!r} backend takes no options; got {sorted(options)}")
-    return in_process_backend(name, max_workers)
+    if name == "serial":
+        max_workers, transport = 1, InlineTransport(SlotHandler)
+    else:
+        transport = LocalPipeTransport(serve_slot, threads=True)
+    backend = ResidentBackend(max_workers, transport=transport)
+    backend.name = name
+    return backend

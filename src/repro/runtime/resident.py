@@ -93,10 +93,9 @@ from .backend import default_max_workers
 from .ledger import InflightLedger, PendingSteps, ResidentCollector
 from .membership import LOST, MembershipPolicy, PoolMembership, SlotLossError
 from .programs import ResidentProgram, get_program, register_program
-from .slot import SlotHandler, serve_slot
+from .slot import serve_slot
 from .transport import (
     TRANSPORT_DEFAULT,
-    LocalPipeTransport,
     Transport,
     TransportError,
     create_transport,
@@ -149,9 +148,6 @@ class ResidentBackend:
     #: Always ``True``: every backend is this protocol.  Kept for readers
     #: that ask whether a backend carries the pool's meters.
     supports_resident = True
-    #: Whether :meth:`start_generation` is available (resident-side k-batch
-    #: generation); consulted by the pipelined MD-GAN loop.
-    supports_resident_generation = True
 
     def __init__(
         self,
@@ -178,6 +174,12 @@ class ResidentBackend:
         #: ``"HOST:PORT"`` for the ``tcp`` transport's external mode
         #: (``None`` = loopback with spawned workers); ignored by ``pipe``.
         self.transport_address = transport_address
+        #: Whether the slots run in the caller on the frame objects themselves
+        #: (``serial``): each step runs at dispatch, so nothing overlaps.
+        self.inline = isinstance(transport, InlineTransport)
+        #: Whether the pipelined MD-GAN loop uses :meth:`start_generation`.  It
+        #: ships no forward snapshot, so an inline slot would replay each forward.
+        self.supports_resident_generation = not self.inline
         #: Seconds to wait for worker connections when opening a ``tcp`` pool.
         self.connect_timeout = connect_timeout
         #: Max seconds to wait for any single slot reply (``None`` = forever);
@@ -832,17 +834,3 @@ class ResidentBackend:
             slot_loss.replies = merged
             raise slot_loss
         return merged
-
-
-def in_process_backend(name: str, max_workers: Optional[int] = None) -> ResidentBackend:
-    """``serial`` (one inline slot) or ``thread`` (slots on threads of this process)."""
-    if name == "serial":
-        backend = ResidentBackend(1, transport=InlineTransport(SlotHandler))
-        # A slot generation ships no forward snapshot, so every generator
-        # forward would be replayed: serial generates in the caller instead.
-        backend.supports_resident_generation = False
-    else:
-        transport = LocalPipeTransport(serve_slot, threads=True)
-        backend = ResidentBackend(max_workers, transport=transport)
-    backend.name = name
-    return backend

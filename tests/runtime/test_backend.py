@@ -64,6 +64,12 @@ class TestCreateBackend:
         for name in BACKENDS:
             assert create_backend(name).name == name
 
+    def test_only_serial_is_inline(self):
+        for name in BACKENDS:
+            backend = create_backend(name)
+            assert backend.inline == (name == "serial")
+            assert backend.supports_resident_generation == (name != "serial")
+
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="Unknown backend"):
             create_backend("gpu")

@@ -550,21 +550,50 @@ class TestPipelinedFLGAN:
         restored = TrainingHistory.from_dict(trainer.history.as_dict())
         assert restored.overlap == trainer.history.overlap
 
-    def test_serial_depth_opens_its_window_bitwise(self, ring_setup):
+    def test_non_resident_depth_falls_back_to_sync(self, ring_setup):
         shards, factory = ring_setup
         trainer = FLGANTrainer(
             factory, shards, _config("serial", epochs_per_swap=0.4, pipeline_depth=2)
         )
         history = trainer.train()
-        # serial's inline slot answers at dispatch, but the window still
-        # defers the merges, as on the pools.
-        assert history.overlap["max_in_flight"] >= 2
+        # Recorded overlap shows the fallback: nothing was ever in flight.
+        assert history.overlap["max_in_flight"] == 0.0
         ref = FLGANTrainer(
             factory, shards, _config("serial", epochs_per_swap=0.4)
         ).train()
         assert history.generator_loss == ref.generator_loss
-        assert history.events == ref.events
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_serial_depth_matches_sync_with_rounds_longer_than_the_window(
+        self, ring_setup, depth
+    ):
+        # A round of more than depth + 1 iterations keeps older steps in
+        # flight behind newer ones between rounds: on the inline slot a
+        # late merge would rewind the worker's own RNG/sampler cursors.
+        shards, factory = ring_setup
+
+        def run(backend, depth):
+            config = _config(backend, epochs_per_swap=0.8, pipeline_depth=depth)
+            with FLGANTrainer(factory, shards, config) as trainer:
+                history = trainer.train()
+                assert trainer.iterations_per_round > depth + 1
+                return (
+                    history.generator_loss,
+                    history.events,
+                    trainer.server_generator.get_parameters(),
+                    history.overlap.get("max_in_flight"),
+                )
+
+        ref = run("serial", 0)
+        assert any(e["kind"] == "federated_round" for e in ref[1])
+        got = run("serial", depth)
+        assert got[:2] == ref[:2]
+        assert np.array_equal(got[2], ref[2])
+        assert got[3] == 0.0
+        pooled = run("thread", depth)
+        assert pooled[:2] == ref[:2]
+        assert np.array_equal(pooled[2], ref[2])
+        assert pooled[3] >= 2
 
 def test_resident_state_type_still_used():
     """Guard: the resident MD-GAN install payload keeps its public shape."""

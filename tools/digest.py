@@ -206,7 +206,7 @@ def _flgan(backend, data=_toy, **overrides):
     def run():
         from repro.core import FLGANTrainer
 
-        config = _config(backend, epochs_per_swap=0.5, **overrides)
+        config = _config(backend, **{"epochs_per_swap": 0.5, **overrides})
         return _train(FLGANTrainer, data(), config)
 
     return run
@@ -307,7 +307,8 @@ CONFIGS = {
     "cnn-mbd-serial": _mdgan(_cnn_mbd, precision="float32"),
     "flgan-serial": _flgan("serial"),
     "flgan-async-serial": _flgan("serial", aggregation="async"),
-    "flgan-depth1-serial": _flgan("serial", pipeline_depth=1),
+    # Rounds of 4 iterations: a depth-1 window holds steps between rounds.
+    "flgan-depth1-serial": _flgan("serial", epochs_per_swap=0.8, pipeline_depth=1),
     "flgan-thread": _flgan("thread"),
     "flgan-resident": _flgan("resident"),
     "flgan-cnn-serial": _flgan("serial", _cnn, precision="float32"),
