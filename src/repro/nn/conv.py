@@ -38,6 +38,13 @@ def same_padding(kernel_size: int) -> int:
     return kernel_size // 2
 
 
+def _lower(x: np.ndarray, k: int, stride: int, pad: int) -> Optional[np.ndarray]:
+    """``im2col(x)`` for the primitives to share; ``None`` on a small map, which needs none."""
+    small = tensor_ops.small_map(x.shape[2:], (k, k))
+    # Through the module, like the primitives do: the name the perf harness rebinds.
+    return None if small else tensor_ops.im2col(x, k, k, stride, pad)
+
+
 class Conv2D(Layer):
     """2-D convolution (cross-correlation) layer.
 
@@ -113,9 +120,7 @@ class Conv2D(Layer):
         del training
         self._x = x
         k = self.kernel_size
-        # Through the module, like the primitives do: the name the perf
-        # harness rebinds.
-        self._col = tensor_ops.im2col(x, k, k, self.stride, self.padding)
+        self._col = _lower(x, k, self.stride, self.padding)
         self._w = weight_matrix(self.params["W"])
         out = conv2d_forward(
             x, self.params["W"], self.stride, self.padding, self._col, self._w, segments
@@ -248,7 +253,7 @@ class Conv2DTranspose(Layer):
             raise RuntimeError("backward called before forward")
         k = self.kernel_size
         # Both halves lower the same tensor: the virtual convolution's input.
-        col = tensor_ops.im2col(grad_out, k, k, self.stride, self.padding)
+        col = _lower(grad_out, k, self.stride, self.padding)
         if param_grads:
             for start, stop in segments or ((0, len(grad_out)),):
                 grad = segment_rows(grad_out, start, stop)
@@ -260,7 +265,7 @@ class Conv2DTranspose(Layer):
                     (k, k),
                     self.stride,
                     self.padding,
-                    col=col[..., start:stop],
+                    col=None if col is None else col[..., start:stop],
                 )
                 if self.use_bias:
                     self.grads["b"] += grad.sum(axis=(0, 2, 3))

@@ -360,8 +360,9 @@ class ReLU(Layer):
 class LeakyReLU(Layer):
     """Leaky rectified linear unit with negative slope ``alpha`` in ``[0, 1]``.
 
-    Both passes multiply by a slope of 1 or ``alpha`` built with ufuncs: there
-    ``(1 - alpha) + alpha`` rounds to 1, so they are bitwise ``np.where``'s.
+    The forward is ``max(alpha * x, x)`` for ``alpha > 0``; the backward (and
+    the forward at ``alpha = 0``) multiplies by a ufunc-built slope of 1 or
+    ``alpha``, as ``(1 - alpha) + alpha`` rounds to 1: both bitwise ``np.where``'s.
     """
 
     _row_caches = ("_mask",)
@@ -383,7 +384,10 @@ class LeakyReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         del training
         self._mask = x > 0
-        return self._leak(x.dtype) * x
+        if self.alpha == 0.0:
+            return self._leak(x.dtype) * x
+        # The scalar product first, for the canonical dtype object (see ``_leak``).
+        return np.maximum(self.alpha * x, x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self._leak(grad_out.dtype) * grad_out
@@ -440,6 +444,24 @@ class Softmax(Layer):
         return s * (grad_out - dot)
 
 
+def _channel_rows(x: np.ndarray) -> np.ndarray:
+    """``(N, C, ...)`` as contiguous ``(C, ...*N)`` rows: free if batch-innermost."""
+    order = (1,) + tuple(range(2, x.ndim)) + (0,)
+    return np.ascontiguousarray(x.transpose(order)).reshape(x.shape[1], -1)
+
+
+def _from_channel_rows(parts, segments, shape) -> np.ndarray:
+    """Per-segment :func:`_channel_rows` results as one batch-innermost ``(N, C, ...)`` view."""
+    inner = tuple(shape[1:])
+    if len(parts) == 1:
+        whole = parts[0].reshape(inner + (shape[0],))
+    else:
+        whole = np.empty(inner + (shape[0],), dtype=parts[0].dtype)
+        for (start, stop), part in zip(segments, parts):
+            whole[..., start:stop] = part.reshape(inner + (stop - start,))
+    return whole.transpose(whole.ndim - 1, *range(whole.ndim - 1))
+
+
 class BatchNorm(Layer):
     """Batch normalisation over all axes except the channel axis.
 
@@ -449,9 +471,13 @@ class BatchNorm(Layer):
     ``(mean, var)``, keeps them in ``segment_stats`` and folds them into the
     averages in segment order with :meth:`fold`, so a copy that ran the
     forward elsewhere hands back the statistics to fold.
+    Each segment runs on contiguous ``(C, H*W*n)`` rows (:func:`_channel_rows`):
+    statistics are row reductions, and the backward's two, ``sum(g)`` and
+    ``sum(g * xhat)``, are also the ``beta`` and ``gamma`` gradients.
     """
 
     segmented_forward = True
+    #: Per segment, its normalised ``(C, H*W*n)`` rows.
     _row_caches = ("_xhat",)
 
     def __init__(
@@ -476,41 +502,37 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels, dtype=self._resolved_dtype())
         super().build(input_shape, rng)
 
-    def _reduce_axes(self, ndim: int) -> Tuple[int, ...]:
-        return (0,) + tuple(range(2, ndim))
-
-    def _bshape(self, ndim: int) -> Tuple[int, ...]:
-        return (1, -1) + (1,) * (ndim - 2)
-
     def forward(
         self, x: np.ndarray, training: bool = True, segments: Segments = None
     ) -> np.ndarray:
-        axes = self._reduce_axes(x.ndim)
-        bshape = self._bshape(x.ndim)
-        self._xhat = np.empty_like(x)
-        self._stds = []
-        stats = []
-        for start, stop in segments or ((0, len(x)),):
+        segments = segments or ((0, len(x)),)
+        gamma, beta = self.params["gamma"][:, None], self.params["beta"][:, None]
+        self._xhat, self._stds, stats, outs = [], [], [], []
+        for start, stop in segments:
+            rows = _channel_rows(x[start:stop])
             if training:
-                rows = segment_rows(x, start, stop)
-                mean, var = rows.mean(axis=axes), rows.var(axis=axes)
+                mean = rows.sum(axis=1) / rows.shape[1]
+                xhat = rows - mean[:, None]
+                out = np.square(xhat)  # then the output's buffer
+                var = out.sum(axis=1) / rows.shape[1]
                 stats.append((mean, var))
                 self.fold(mean, var)
             else:
-                mean, var = self.running_mean, self.running_var
-            std = np.sqrt(var + self.eps).reshape(bshape)
-            xhat = np.subtract(x[start:stop], mean.reshape(bshape), out=self._xhat[start:stop])
-            xhat /= std
+                xhat, var, out = rows - self.running_mean[:, None], self.running_var, None
+            std = np.sqrt(var + self.eps)
+            xhat /= std[:, None]
+            self._xhat.append(xhat)
             self._stds.append(std)
+            out = np.multiply(gamma, xhat, out=out)
+            out += beta
+            outs.append(out)
         if training:
             self.segment_stats = stats
         self._training = training
-        return self.params["gamma"].reshape(bshape) * self._xhat + self.params[
-            "beta"
-        ].reshape(bshape)
+        return _from_channel_rows(outs, segments, x.shape)
 
     def restrict(self, segment: int, start: int, stop: int) -> None:
-        super().restrict(segment, start, stop)
+        self._xhat = self._xhat[segment : segment + 1]
         self._stds = self._stds[segment : segment + 1]
         self.segment_stats = self.segment_stats[segment : segment + 1]
 
@@ -527,27 +549,29 @@ class BatchNorm(Layer):
         input_grad: bool = True,
         segments: Segments = None,
     ) -> Optional[np.ndarray]:
-        axes = self._reduce_axes(grad_out.ndim)
-        bshape = self._bshape(grad_out.ndim)
         segments = segments or ((0, len(grad_out)),)
-        for start, stop in segments if param_grads else ():
-            xhat = self._xhat[start:stop]
-            self.grads["gamma"] += (grad_out[start:stop] * xhat).sum(axis=axes)
-            self.grads["beta"] += segment_rows(grad_out, start, stop).sum(axis=axes)
-        if not input_grad:
-            return None
-        dxhat = grad_out * self.params["gamma"].reshape(bshape)
         grads_in = []
-        for (start, stop), std in zip(segments, self._stds, strict=True):
-            grad = dxhat[start:stop]
+        for (start, stop), xhat, std in zip(segments, self._xhat, self._stds, strict=True):
+            grad = _channel_rows(grad_out[start:stop])
+            if param_grads or self._training:
+                work = grad * xhat
+                sum_grad, sum_grad_xhat = grad.sum(axis=1), work.sum(axis=1)
+            if param_grads:
+                self.grads["gamma"] += sum_grad_xhat
+                self.grads["beta"] += sum_grad
+            if not input_grad:
+                continue
+            scale = (self.params["gamma"] / std)[:, None]
             if self._training:
-                xhat = self._xhat[start:stop]
-                m = float(grad.size // grad.shape[1])
-                sum_dxhat = segment_rows(dxhat, start, stop).sum(axis=axes).reshape(bshape)
-                sum_dxhat_xhat = (grad * xhat).sum(axis=axes).reshape(bshape)
-                grad = grad - sum_dxhat / m - xhat * sum_dxhat_xhat / m
-            grads_in.append(grad / std)
-        return stack_segments(grads_in)
+                # dx = gamma / std * (g - mean(g) - xhat * mean(g * xhat)), in ``work``.
+                np.multiply(xhat, (sum_grad_xhat / grad.shape[1])[:, None], out=work)
+                work += (sum_grad / grad.shape[1])[:, None]
+                np.subtract(grad, work, out=work)
+                work *= scale
+            else:
+                work = grad * scale
+            grads_in.append(work)
+        return _from_channel_rows(grads_in, segments, grad_out.shape) if input_grad else None
 
 
 def _per_sample_sum(x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,10 @@ are shared between :class:`~repro.nn.conv.Conv2D` and
 :class:`~repro.nn.conv.Conv2DTranspose`, since a transposed convolution is
 exactly the input-gradient of a convolution.
 
+**Small maps** (fewer input pixels than kernel taps, :func:`small_map`) are
+not lowered: the forward and input-gradient GEMMs use the weight unrolled
+over the map's pixels, the weight gradient one GEMM per kernel tap.
+
 **Memory layout.**  The images the primitives return (forward outputs and
 input gradients) are NCHW-shaped views of fresh batch-innermost ``(C, H, W,
 N)`` memory — batch stride = itemsize — that callers index as NCHW; inputs
@@ -43,6 +47,7 @@ to float64.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -59,6 +64,7 @@ __all__ = [
     "conv2d_input_grad",
     "conv2d_weight_grad",
     "weight_matrix",
+    "small_map",
 ]
 
 #: Plans kept per thread.  A trainer thread touches one plan per distinct
@@ -251,6 +257,47 @@ def _channel_major(grad_out: np.ndarray) -> np.ndarray:
     return grad_out.transpose(1, 2, 3, 0).reshape(grad_out.shape[1], -1)
 
 
+def small_map(in_hw: Tuple[int, int], kernel_hw: Tuple[int, int]) -> bool:
+    """Whether a map has fewer pixels than the kernel window: most of im2col's work is padding."""
+    return in_hw[0] * in_hw[1] < kernel_hw[0] * kernel_hw[1]
+
+
+@functools.lru_cache(maxsize=MAX_PLANS)
+def _taps(h: int, w: int, kh: int, kw: int, stride: int, pad: int):
+    """Per ``(output pixel, input pixel)``: the flat kernel tap joining them, if one does."""
+    out_h, out_w = _output_hw(h, w, kh, kw, stride, pad)
+    oy, ox = np.divmod(np.arange(out_h * out_w), out_w)
+    iy, ix = np.divmod(np.arange(h * w), w)
+    i, j = iy - oy[:, None] * stride + pad, ix - ox[:, None] * stride + pad
+    inside = (i >= 0) & (i < kh) & (j >= 0) & (j < kw)
+    taps = np.where(inside, i * kw + j, 0)
+    taps.flags.writeable = inside.flags.writeable = False  # shared by every caller
+    return taps, inside
+
+
+@functools.lru_cache(maxsize=MAX_PLANS)
+def _tap_spans(size: int, out: int, k: int, stride: int, pad: int):
+    """Along one axis, per kernel offset ``t`` that meets the input: ``(t, outputs, inputs)``."""
+    spans = []
+    for t in range(k):
+        lo, hi = max(0, -((t - pad) // stride)), min(out, (size - 1 + pad - t) // stride + 1)
+        if lo < hi:
+            first = lo * stride + t - pad
+            last = first + (hi - lo - 1) * stride
+            spans.append((t, slice(lo, hi), slice(first, last + 1, stride)))
+    return spans
+
+
+def _dense_weight(matrix: np.ndarray, c_in: int, taps, inside) -> np.ndarray:
+    """:func:`weight_matrix` unrolled over a small map: ``(C_out*P_out, P_in*C_in)``."""
+    c_out = matrix.shape[0]
+    # Gathered whole ``C_in`` rows at a time: C_in stays innermost.
+    dense = matrix.reshape(c_out, -1, c_in).take(taps, axis=1)
+    if not inside.all():
+        dense[:, ~inside] = 0
+    return dense.reshape(c_out * taps.shape[0], -1)
+
+
 def _geometry_error(size, kernel, stride: int, pad: int, expected, got) -> ValueError:
     return ValueError(
         f"Inconsistent convolution geometry: size={tuple(size)}, "
@@ -283,14 +330,20 @@ def conv2d_forward(
             f"Channel mismatch: input has {x.shape[1]} channels, "
             f"weight expects {c_in}"
         )
-    if col is None:
-        col = im2col(x, kh, kw, stride, pad)
-    elif col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n):
-        raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
-    out_h, out_w = col.shape[3:5]
     if matrix is None:
         matrix = weight_matrix(weight)
-    out = dot_segments(matrix, col.reshape(kh * kw * c_in, -1), n, segments)
+    if small_map(x.shape[2:], (kh, kw)):
+        out_h, out_w = _output_hw(*x.shape[2:], kh, kw, stride, pad)
+        dense = _dense_weight(matrix, c_in, *_taps(*x.shape[2:], kh, kw, stride, pad))
+        pixels = np.ascontiguousarray(x.transpose(2, 3, 1, 0)).reshape(-1, n)
+        out = dot_segments(dense, pixels, n, segments)
+    else:
+        if col is None:
+            col = im2col(x, kh, kw, stride, pad)
+        elif col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n):
+            raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
+        out_h, out_w = col.shape[3:5]
+        out = dot_segments(matrix, col.reshape(kh * kw * c_in, -1), n, segments)
     return out.reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2)
 
 
@@ -321,6 +374,11 @@ def conv2d_input_grad(
         raise _geometry_error((h, w), (kh, kw), stride, pad, expected, (out_h, out_w))
     if matrix is None:
         matrix = weight_matrix(weight)
+    if small_map((h, w), (kh, kw)):
+        dense = _dense_weight(matrix, c_in, *_taps(h, w, kh, kw, stride, pad))
+        pixels = dot_segments(dense.T, _channel_major(grad_out).reshape(-1, n), n, segments)
+        image = np.ascontiguousarray(pixels.reshape(h, w, c_in, n).transpose(2, 0, 1, 3))
+        return image.transpose(3, 0, 1, 2)
     col = dot_segments(matrix.T, _channel_major(grad_out), n, segments)
     col = col.reshape(kh, kw, c_in, out_h, out_w, n)
     return col2im(col, (n, c_in, h, w), kh, kw, stride, pad)
@@ -343,12 +401,24 @@ def conv2d_weight_grad(
     n, c_in = x.shape[:2]
     c_out = grad_out.shape[1]
     kh, kw = kernel_hw
+    expected = (n,) + _output_hw(*x.shape[2:], kh, kw, stride, pad)
+    got = grad_out.shape[:1] + grad_out.shape[2:]
+    if expected != got:
+        raise _geometry_error((n,) + x.shape[2:], kernel_hw, stride, pad, expected, got)
+    if small_map(x.shape[2:], kernel_hw):
+        # One GEMM per kernel tap over the pixel pairs it joins, written into
+        # place: no multiply-add falls on padding, and nothing is folded.
+        grads, inputs = grad_out.transpose(1, 2, 3, 0), x.transpose(1, 2, 3, 0)
+        dw = np.zeros((kh, kw, c_out, c_in), dtype=np.result_type(x, grad_out))
+        for i, oy, iy in _tap_spans(x.shape[2], expected[1], kh, stride, pad):
+            for j, ox, ix in _tap_spans(x.shape[3], expected[2], kw, stride, pad):
+                rows = grads[:, oy, ox].reshape(c_out, -1)
+                np.dot(rows, inputs[:, iy, ix].reshape(c_in, -1).T, out=dw[i, j])
+        return dw.transpose(2, 3, 0, 1)
     if col is None:
         col = im2col(x, kh, kw, stride, pad)
-    expected = (n,) + col.shape[3:5]
-    got = grad_out.shape[:1] + grad_out.shape[2:]
-    if col.shape[:3] + col.shape[5:] != (kh, kw, c_in, n) or expected != got:
-        raise _geometry_error((n,) + x.shape[2:], kernel_hw, stride, pad, expected, got)
+    elif col.shape != (kh, kw, c_in) + expected[1:] + (n,):
+        raise ValueError(f"Columns of shape {col.shape} were not lowered from this input")
     # Contiguous as an ``im2col`` of its own: a one-sample slice reshapes to a view.
     col = np.ascontiguousarray(col).reshape(kh * kw * c_in, -1)
     dw = np.dot(_channel_major(grad_out), col.T)

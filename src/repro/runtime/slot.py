@@ -12,6 +12,8 @@ with the frame objects themselves.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import pickle
 import traceback
 from typing import Any, Dict
@@ -20,7 +22,7 @@ import numpy as np
 
 from .programs import get_program
 
-__all__ = ["SlotHandler", "serve_slot"]
+__all__ = ["SlotHandler", "serve_slot", "batch_scheduling"]
 
 
 class SlotHandler:
@@ -128,3 +130,10 @@ def serve_slot(channel) -> None:
             channel.send_bytes(pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL))
         except (BrokenPipeError, OSError):
             break
+
+
+def batch_scheduling() -> None:
+    """Put this slot process under ``SCHED_BATCH``, if any: woken, it does not preempt its owner."""
+    if hasattr(os, "SCHED_BATCH"):
+        with contextlib.suppress(OSError):
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))

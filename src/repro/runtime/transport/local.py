@@ -22,13 +22,19 @@ import multiprocessing
 import threading
 from typing import Callable, List, Optional
 
+from ..slot import batch_scheduling
 from .base import Transport
 
 __all__ = ["InlineChannel", "InlineTransport", "LocalPipeTransport"]
 
 
-def _serve_then_close(slot_main: Callable, conn) -> None:
-    """A slot thread's body: serve until EOF or ``close``, then release the pipe end."""
+def _serve_then_close(slot_main: Callable, conn, process: bool = False) -> None:
+    """A slot's body: serve until EOF or ``close``, then release the pipe end.
+
+    A slot process serves under the batch policy; a slot thread keeps its owner's.
+    """
+    if process:
+        batch_scheduling()
     try:
         slot_main(conn)
     finally:
@@ -75,7 +81,8 @@ class LocalPipeTransport(Transport):
             thread.start()
             self._threads.append(thread)
             return parent_conn
-        process = ctx.Process(target=self._slot_main, args=(child_conn,), daemon=True)
+        args = (self._slot_main, child_conn, True)
+        process = ctx.Process(target=_serve_then_close, args=args, daemon=True)
         process.start()
         child_conn.close()
         self._processes.append(process)

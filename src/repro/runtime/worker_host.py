@@ -34,7 +34,7 @@ import sys
 import time
 from typing import Optional, Sequence, Tuple
 
-from .slot import serve_slot
+from .slot import batch_scheduling, serve_slot
 from .transport.tcp import HandshakeRefused, TcpChannel, client_handshake, parse_address
 
 __all__ = ["run_worker", "serve_forever", "main"]
@@ -114,6 +114,7 @@ def run_worker(
                 file=sys.stderr,
                 flush=True,
             )
+        batch_scheduling()
         serve_slot(channel)
     finally:
         channel.close()

@@ -198,6 +198,113 @@ def test_col2im_is_the_adjoint_of_im2col(
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+# -- small maps: one dense GEMM ----------------------------------------------------
+
+#: (kernel, stride, pad, height, width) with fewer input pixels than kernel
+#: taps: 1x1 and 2x2 maps, both strides, kernels 3 and 5, taps the map never
+#: meets, and the rule's boundary from below (2x4 < 3x3, 4x6 < 5x5).
+SMALL_MAPS = [
+    (3, 1, 1, 1, 1),
+    (3, 2, 1, 1, 1),
+    (3, 1, 1, 2, 2),
+    (3, 2, 1, 2, 2),
+    (3, 1, 1, 2, 4),
+    (5, 1, 2, 1, 1),
+    (5, 1, 2, 2, 2),
+    (5, 2, 2, 2, 2),
+    (5, 2, 1, 3, 3),
+    (5, 1, 2, 4, 6),
+]
+#: The boundary from above (as many pixels as taps) and pad 0: im2col's side.
+IM2COL_MAPS = [(3, 1, 1, 3, 3), (3, 1, 0, 3, 3), (5, 1, 2, 5, 5), (5, 2, 0, 5, 5), (3, 2, 0, 4, 4)]
+
+
+@pytest.mark.parametrize("kernel,stride,pad,height,width", SMALL_MAPS + IM2COL_MAPS)
+def test_the_dense_gemm_rule_is_fewer_pixels_than_kernel_taps(
+    kernel, stride, pad, height, width
+):
+    fires = (kernel, stride, pad, height, width) in SMALL_MAPS
+    assert tensor_ops.small_map((height, width), (kernel, kernel)) is fires
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,pad,height,width", SMALL_MAPS)
+def test_small_maps_match_the_float64_reference(
+    layout, dtype, kernel, stride, pad, height, width
+):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + height)
+    tol = TOLERANCE[dtype]
+    arrange = LAYOUTS[layout]
+    for n, c_in, c_out in CHANNELS + [(16, 8, 6)]:
+        x = arrange(rng.normal(size=(n, c_in, height, width)).astype(dtype))
+        weight = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+        out_hw = tuple(conv_output_size(size, kernel, stride, pad) for size in (height, width))
+        grad_out = arrange(rng.normal(size=(n, c_out) + out_hw).astype(dtype))
+        reference = [
+            reference_forward(x, weight, stride, pad),
+            reference_input_grad(grad_out, weight, (height, width), stride, pad),
+            reference_weight_grad(x, grad_out, (kernel, kernel), stride, pad),
+        ]
+        got = [
+            conv2d_forward(x, weight, stride, pad),
+            conv2d_input_grad(grad_out, weight, (height, width), stride, pad),
+            conv2d_weight_grad(x, grad_out, (kernel, kernel), stride, pad),
+        ]
+        for value, want in zip(got, reference, strict=True):
+            assert value.dtype == dtype
+            np.testing.assert_allclose(value, want, **tol)
+        # Images still come back as batch-innermost views of fresh memory.
+        for image in got[:2]:
+            assert image.strides[0] == image.itemsize and image.base is not None
+
+
+def test_small_map_layer_runs_no_im2col_or_col2im(rng, monkeypatch):
+    calls = []
+    for name in ("im2col", "col2im"):
+        monkeypatch.setattr(tensor_ops, name, lambda *args, _name=name: calls.append(_name))
+    model = Sequential(
+        [Conv2D(6, 3, padding=1), Conv2DTranspose(4, 3, padding=1), Flatten(), Dense(1)],
+        input_shape=(5, 2, 2),
+        rng=rng,
+    )
+    x = rng.normal(size=(8, 5, 2, 2)).astype(model.dtype)
+    out = model.forward(x, segments=[3, 5])
+    model.backward(np.ones_like(out), segments=[3, 5])
+    assert calls == []
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,pad,height,width", GEOMETRIES + IM2COL_MAPS)
+def test_im2col_geometries_are_bitwise_the_explicit_lowering(
+    dtype, kernel, stride, pad, height, width
+):
+    rng = np.random.default_rng(kernel + 7 * height)
+    n, c_in, c_out = 3, 2, 4
+    x = batch_innermost(rng.normal(size=(n, c_in, height, width)).astype(dtype))
+    weight = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+    out_h, out_w = (conv_output_size(size, kernel, stride, pad) for size in (height, width))
+    grad_out = batch_innermost(rng.normal(size=(n, c_out, out_h, out_w)).astype(dtype))
+    assert not tensor_ops.small_map((height, width), (kernel, kernel))
+
+    matrix = tensor_ops.weight_matrix(weight)
+    col = im2col(x, kernel, kernel, stride, pad).reshape(matrix.shape[1], -1)
+    grads = grad_out.transpose(1, 2, 3, 0).reshape(c_out, -1)
+    forward = np.dot(matrix, col).reshape(c_out, out_h, out_w, n).transpose(3, 0, 1, 2)
+    cols = np.dot(matrix.T, grads).reshape(kernel, kernel, c_in, out_h, out_w, n)
+    input_grad = col2im(cols, x.shape, kernel, kernel, stride, pad)
+    weight_grad = np.dot(grads, col.T).reshape(c_out, kernel, kernel, c_in).transpose(0, 3, 1, 2)
+
+    got = [
+        conv2d_forward(x, weight, stride, pad),
+        conv2d_input_grad(grad_out, weight, (height, width), stride, pad),
+        conv2d_weight_grad(x, grad_out, (kernel, kernel), stride, pad),
+    ]
+    for value, want in zip(got, [forward, input_grad, weight_grad], strict=True):
+        assert value.shape == want.shape
+        assert np.ascontiguousarray(value).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 class TestGeometryValidation:
     def test_input_grad_rejects_an_input_size_the_gradient_does_not_come_from(self, rng):
         grad_out = rng.normal(size=(2, 3, 4, 4))

@@ -13,6 +13,7 @@ from repro.nn import (
     LeakyReLU,
     ReLU,
     Reshape,
+    Sequential,
     Sigmoid,
     Softmax,
     Tanh,
@@ -192,6 +193,99 @@ class TestBatchNorm:
         grad = layer.backward(rng.normal(size=x.shape))
         assert grad.shape == x.shape
         assert layer.grads["gamma"].shape == (3,)
+
+
+def batchnorm_reference(x, grad, gamma, beta, eps, stats=None):
+    """Float64 BatchNorm over every axis but 1: output, input grad, gamma/beta grads, stats."""
+    x, grad = x.astype(np.float64), grad.astype(np.float64)
+    axes, shape = (0,) + tuple(range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+    mean, var = (x.mean(axis=axes), x.var(axis=axes)) if stats is None else stats
+    std = np.sqrt(np.asarray(var, np.float64) + eps).reshape(shape)
+    xhat = (x - np.asarray(mean, np.float64).reshape(shape)) / std
+    scale = np.asarray(gamma, np.float64).reshape(shape)
+    out = scale * xhat + np.asarray(beta, np.float64).reshape(shape)
+    dxhat = grad * scale
+    if stats is None:
+        dxhat = dxhat - dxhat.mean(axis=axes, keepdims=True)
+        dxhat -= xhat * (grad * scale * xhat).mean(axis=axes, keepdims=True)
+    grads = (grad * xhat).sum(axis=axes), grad.sum(axis=axes)
+    return out, dxhat / std, grads, (mean, var)
+
+
+def batch_innermost(image):
+    """The same NCHW values backed by ``(C, H, W, N)`` memory, as a convolution returns them."""
+    return np.ascontiguousarray(image.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+#: How BatchNorm inputs arrive: a dense layer's rows, C-contiguous images, a conv's memory.
+BATCHNORM_INPUTS = {
+    "dense": ((5,), np.ascontiguousarray),
+    "nchw": ((3, 4, 4), np.ascontiguousarray),
+    "chwn": ((3, 4, 4), batch_innermost),
+}
+
+
+class TestBatchNormAgainstFloat64:
+    TOL = {np.float32: dict(rtol=2e-5, atol=2e-5), np.float64: dict(rtol=1e-12, atol=1e-12)}
+
+    def _layer(self, shape, dtype, rng, momentum=0.8):
+        layer = BatchNorm(momentum=momentum)
+        layer.dtype = np.dtype(dtype)
+        layer.build(shape, rng)
+        layer.params["gamma"][...] = rng.normal(size=shape[:1])
+        layer.params["beta"][...] = rng.normal(size=shape[:1])
+        layer.running_mean[...] = rng.normal(size=shape[:1])
+        layer.running_var[...] = rng.uniform(0.5, 2.0, size=shape[:1])
+        return layer
+
+    @pytest.mark.parametrize("kind", sorted(BATCHNORM_INPUTS))
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pass_and_running_statistics(self, rng, kind, training, dtype):
+        shape, arrange = BATCHNORM_INPUTS[kind]
+        layer = self._layer(shape, dtype, rng)
+        x = arrange(rng.normal(loc=2.0, scale=3.0, size=(7,) + shape).astype(dtype))
+        grad = arrange(rng.normal(size=x.shape).astype(dtype))
+        before = (layer.running_mean.copy(), layer.running_var.copy())
+        gamma, beta = layer.params["gamma"].copy(), layer.params["beta"].copy()
+        out = layer.forward(x, training=training)
+        dx = layer.backward(grad)
+        want = batchnorm_reference(x, grad, gamma, beta, layer.eps, None if training else before)
+        tol = self.TOL[dtype]
+        assert out.dtype == dx.dtype == dtype
+        np.testing.assert_allclose(out, want[0], **tol)
+        np.testing.assert_allclose(dx, want[1], **tol)
+        np.testing.assert_allclose(layer.grads["gamma"], want[2][0], **tol)
+        np.testing.assert_allclose(layer.grads["beta"], want[2][1], **tol)
+        mean, var = want[3]
+        if training:
+            before = tuple(0.8 * r + 0.2 * s for r, s in zip(before, (mean, var)))
+            np.testing.assert_allclose(layer.segment_stats[0][0], mean, **tol)
+            np.testing.assert_allclose(layer.segment_stats[0][1], var, **tol)
+        np.testing.assert_allclose(layer.running_mean, before[0], **tol)
+        np.testing.assert_allclose(layer.running_var, before[1], **tol)
+
+    @pytest.mark.parametrize("kind", sorted(BATCHNORM_INPUTS))
+    @pytest.mark.parametrize("training", [True, False])
+    def test_snapshot_restricted_to_a_segment_is_that_segment_alone(self, rng, kind, training):
+        shape, arrange = BATCHNORM_INPUTS[kind]
+        model = Sequential([BatchNorm()], input_shape=shape, rng=rng)
+        layer = model.layers[0]
+        layer.params["gamma"][...] = rng.normal(size=shape[:1])
+        x = arrange(rng.normal(size=(9,) + shape).astype(model.dtype))
+        grad = rng.normal(size=(5,) + shape).astype(model.dtype)
+        stats = (layer.running_mean.copy(), layer.running_var.copy())
+        model.forward(x, training=training, segments=[4, 5])
+        frozen = model.snapshot((1, 4, 9))
+        dx = frozen.backward(grad)
+        gamma, beta = layer.params["gamma"], layer.params["beta"]
+        stats = None if training else stats
+        want = batchnorm_reference(x[4:9], grad, gamma, beta, layer.eps, stats)
+        np.testing.assert_allclose(dx, want[1], rtol=2e-5, atol=2e-5)
+        if training:
+            ((mean, var),) = frozen.batch_stats()
+            np.testing.assert_allclose(mean, want[3][0], rtol=2e-5, atol=2e-5)
+            np.testing.assert_allclose(var, want[3][1], rtol=2e-5, atol=2e-5)
 
 
 class TestLayerNorm:

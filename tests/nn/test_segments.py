@@ -12,6 +12,7 @@ gradients, BatchNorm statistics and the random streams — and so must a
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -146,6 +147,49 @@ def test_segments_must_split_the_batch():
             model.forward(x, segments=bad)
 
 
+# -- Small maps: the dense-GEMM convolutions segment bitwise -----------------------
+
+
+def small_map_model() -> nn.Sequential:
+    """Convolutions over 2x2 maps, fewer pixels than kernel taps: dense GEMMs both ways."""
+    layers = [
+        nn.Conv2D(4, 3, stride=2, padding=1),  # 4x4 -> 2x2 through im2col
+        nn.LeakyReLU(0.2),
+        nn.Conv2D(6, 3, padding=1),
+        nn.Conv2DTranspose(3, 3, padding=1),
+        nn.BatchNorm(),
+        nn.Flatten(),
+        nn.Dense(2),
+    ]
+    return nn.Sequential(layers, input_shape=(2, 4, 4), rng=np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("sizes", [[3, 5], [1, 16, 2], [16, 16]])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True)])
+def test_small_map_convolutions_segment_bitwise(sizes, training, flags):
+    model = small_map_model()
+    assert nn.tensor_ops.small_map((2, 2), (3, 3))
+    segmented = copy.deepcopy(model)
+    xs, grads = inputs(model, sizes, seed=len(sizes))
+    outs, grads_in = [], []
+    for x, grad in zip(xs, grads):
+        outs.append(model.forward(x, training=training))
+        grads_in.append(model.backward(grad, param_grads=flags[0], input_grad=flags[1]))
+
+    out = segmented.forward(np.concatenate(xs), training=training, segments=sizes)
+    bounds = np.cumsum([0] + sizes)
+    frozen = [segmented.snapshot((j, bounds[j], bounds[j + 1])) for j in range(len(sizes))]
+    grad_in = segmented.backward(
+        np.concatenate(grads), param_grads=flags[0], input_grad=flags[1], segments=sizes
+    )
+    assert same(out, np.concatenate(outs))
+    assert same(grad_in, np.concatenate(grads_in) if flags[1] else None)
+    check_state(model, segmented)
+    for j, (grad, want) in enumerate(zip(grads, grads_in)):
+        assert same(frozen[j].backward(grad, param_grads=False, input_grad=flags[1]), want)
+
+
 # -- LeakyReLU: ufuncs only, bitwise the np.where formula -------------------------
 
 
@@ -162,6 +206,25 @@ def test_leaky_relu_is_bitwise_the_where_formula(alpha, dtype):
     with np.errstate(invalid="ignore"):  # 0 * -inf is NaN on both sides
         assert same(layer.forward(x), np.where(x > 0, x, alpha * x))
         assert same(layer.backward(grad), np.where(x > 0, grad, alpha * grad))
+        if alpha > 0:
+            assert same(layer.forward(x), np.maximum(x, alpha * x))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 0.2, 0.5, 1.0])
+def test_leaky_relu_outputs_carry_the_canonical_dtype_object(alpha):
+    """An unpickled input's dtype object is not NumPy's; outputs must not inherit it.
+
+    Pickle memoizes dtype objects, so an inherited one would change the size
+    of every reply that carries an activation.
+    """
+    dtype = np.dtype(np.float32)
+    x = pickle.loads(pickle.dumps(np.linspace(-2, 2, 40, dtype=dtype)))
+    assert x.dtype is not dtype
+    layer = nn.LeakyReLU(alpha)
+    out, grad = layer.forward(x), layer.backward(x)
+    assert out.dtype is dtype and grad.dtype is dtype
+    canonical = np.where(x > 0, x, alpha * x).astype(dtype)
+    assert len(pickle.dumps([out, x])) == len(pickle.dumps([canonical, x]))
 
 
 @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])

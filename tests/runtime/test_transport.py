@@ -389,6 +389,44 @@ class TestTcpLifecycle:
             transport.close()
 
 
+# -- scheduling policy: slot processes do not preempt their owner ------------------
+
+
+register_program(
+    ResidentProgram(
+        name="transport-policy",
+        step=lambda state, payload: os.sched_getscheduler(0),
+        pull_params=lambda state: dict(state),
+        push_params=lambda state, params: state.update(params),
+    )
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"), reason="no SCHED_BATCH on this platform")
+class TestSlotSchedulingPolicy:
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_slot_processes_run_under_the_batch_policy(self, transport):
+        owner = os.sched_getscheduler(0)
+        inner = LocalPipeTransport(serve_slot) if transport == "pipe" else TcpTransport()
+        backend = ResidentBackend(max_workers=2, transport=inner)
+        try:
+            items = [(0, _fresh_state, None), (1, _fresh_state, None)]
+            assert backend.run_steps("transport-policy", items) == [os.SCHED_BATCH] * 2
+        finally:
+            backend.close()
+        assert os.sched_getscheduler(0) == owner
+
+    def test_slot_threads_keep_their_owners_policy(self):
+        owner = os.sched_getscheduler(0)
+        backend = ResidentBackend(
+            max_workers=1, transport=LocalPipeTransport(serve_slot, threads=True)
+        )
+        try:
+            assert backend.run_steps("transport-policy", [(0, _fresh_state, None)]) == [owner]
+        finally:
+            backend.close()
+
+
 # -- slot death (unified TransportError regression) --------------------------------
 
 
