@@ -2,13 +2,12 @@
 
 Validates the two promises of the ``repro.runtime`` subsystem:
 
-* seeded training is **bitwise identical** across the ``serial``, ``thread``
-  and ``resident`` backends (checked here end-to-end on the conv architecture;
+* seeded training is **bitwise identical** across the ``serial`` and
+  ``resident`` backends (checked here end-to-end on the conv architecture;
   the fine-grained parity matrix lives in ``tests/runtime/test_parity.py``);
 * on a multi-core host, fanning the 8-worker MD-GAN per-iteration phase out
-  through the thread backend is at least 1.5x faster than running the same
-  workers sequentially — the conv forward/backward kernels spend their time
-  in NumPy GEMMs, which release the GIL.
+  to the resident backend's slot processes is at least 1.5x faster than
+  running the same workers sequentially.
 
 The speedup assertion needs real cores: it is skipped when the host exposes
 fewer than four, and reported informationally otherwise.  Timing uses
@@ -69,10 +68,10 @@ def _build_trainer(conv_setup, backend: str) -> MDGANTrainer:
 
 
 def _timed_run(conv_setup, backend: str):
-    trainer = _build_trainer(conv_setup, backend)
-    start = time.perf_counter()
-    history = trainer.train()
-    elapsed = time.perf_counter() - start
+    with _build_trainer(conv_setup, backend) as trainer:
+        start = time.perf_counter()
+        history = trainer.train()
+        elapsed = time.perf_counter() - start
     return trainer, history, elapsed
 
 
@@ -81,39 +80,38 @@ def test_all_backends_bitwise_identical_on_conv_model(conv_setup):
     _, ref_history, _ = runs["serial"]
     ref_params = runs["serial"][0].generator.get_parameters()
     assert np.all(np.isfinite(ref_history.generator_loss))
-    for backend in ("thread", "resident"):
-        trainer, history, _ = runs[backend]
-        assert history.generator_loss == ref_history.generator_loss, backend
-        assert history.discriminator_loss == ref_history.discriminator_loss, backend
-        assert np.array_equal(trainer.generator.get_parameters(), ref_params), backend
+    trainer, history, _ = runs["resident"]
+    assert history.generator_loss == ref_history.generator_loss
+    assert history.discriminator_loss == ref_history.discriminator_loss
+    assert np.array_equal(trainer.generator.get_parameters(), ref_params)
 
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
     reason="speedup needs a multi-core host (>= 4 cores)",
 )
-def test_thread_backend_speedup_at_8_workers(conv_setup):
+def test_resident_backend_speedup_at_8_workers(conv_setup):
     # Warm both paths once (slot spin-up, allocator), then interleave the
     # measurements so a load spike cannot bias one backend; take best-of-N.
     _timed_run(conv_setup, "serial")
-    _timed_run(conv_setup, "thread")
-    best = {"serial": float("inf"), "thread": float("inf")}
+    _timed_run(conv_setup, "resident")
+    best = {"serial": float("inf"), "resident": float("inf")}
     speedup = 0.0
     for attempt_reps in (3, 5):
         for _ in range(attempt_reps):
-            for backend in ("serial", "thread"):
+            for backend in ("serial", "resident"):
                 best[backend] = min(
                     best[backend], _timed_run(conv_setup, backend)[2]
                 )
-        speedup = best["serial"] / best["thread"]
+        speedup = best["serial"] / best["resident"]
         if speedup >= 1.5:
             break
     print(
         f"8-worker md-gan iterations: serial {best['serial']:.2f}s, "
-        f"thread {best['thread']:.2f}s ({speedup:.2f}x, "
+        f"resident {best['resident']:.2f}s ({speedup:.2f}x, "
         f"{os.cpu_count()} cores)"
     )
     assert speedup >= 1.5, (
-        f"thread backend only {speedup:.2f}x faster than serial at "
+        f"resident backend only {speedup:.2f}x faster than serial at "
         f"{_NUM_WORKERS} workers on {os.cpu_count()} cores; expected >= 1.5x"
     )

@@ -12,9 +12,9 @@ Two artefacts:
   beat the synchronous one on wall clock: sync pays the straggler's delay
   every iteration, async only when the staleness gate forces a wait.  The
   slowdown is injected by re-registering the ``mdgan`` resident program with
-  a step that sleeps for worker 0; the ``thread`` backend's slots look the
-  program up per step in this process's registry on both the sync and the
-  async path, so the handicap is identical across schedules.
+  a step that sleeps for worker 0 before the pool opens; the ``resident``
+  backend's pipe slots fork after that and inherit the registry, on both the
+  sync and the async path, so the handicap is identical across schedules.
 
 Timing uses best-of-N interleaved ``perf_counter`` runs, as in
 ``test_pipeline.py`` / ``test_parallel_backend.py``.
@@ -67,9 +67,11 @@ def ring_setup():
 def _straggling_worker_zero(seconds: float):
     """Slow worker 0's step function on every schedule.
 
-    The ``thread`` backend's slots resolve the ``mdgan`` program from this
-    process's registry at every step, under either discipline, so one
-    re-registration handicaps the same worker identically.
+    The ``resident`` backend's pipe slots fork when the trainer opens its
+    pool, inside this context (Linux's default start method on Python
+    3.10-3.13), so they inherit the re-registered ``mdgan`` program under
+    either discipline and one re-registration handicaps the same worker
+    identically.
     """
     original = programs.get_program("mdgan")
 
@@ -91,7 +93,7 @@ def _timed_run(ring_setup, aggregation: str):
         iterations=_ITERATIONS,
         batch_size=8,
         seed=11,
-        backend="thread",
+        backend="resident",
         max_workers=_NUM_WORKERS,
         aggregation=aggregation,
         max_staleness=3,
@@ -109,7 +111,7 @@ def test_staleness_sweep_rows(benchmark, bench_scale):
             dataset="mnist",
             architecture="mnist-mlp",
             scale=bench_scale,
-            backend="thread",
+            backend="resident",
             max_workers=_NUM_WORKERS,
         ),
         rounds=1,
@@ -158,7 +160,7 @@ def test_straggler_history_invariants(ring_setup):
 )
 def test_async_beats_sync_with_straggler(ring_setup):
     with _straggling_worker_zero(_STRAGGLER_SLEEP):
-        # Warm both paths (slot thread spin-up), then interleave best-of-N
+        # Warm both paths (slot process spin-up), then interleave best-of-N
         # so a background load spike cannot bias one schedule.
         _timed_run(ring_setup, "sync")
         _timed_run(ring_setup, "async")

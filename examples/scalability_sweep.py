@@ -9,7 +9,7 @@ constant-server workload.
 Run::
 
     python examples/scalability_sweep.py [--scale smoke|small]
-                                         [--backend serial|thread|process]
+                                         [--backend serial|resident]
 
 The ``--backend`` flag fans the per-worker phase out through the
 ``repro.runtime`` execution backends; the numbers are bitwise identical
@@ -45,7 +45,7 @@ def parse_args() -> argparse.Namespace:
         "--max-workers",
         type=int,
         default=None,
-        help="slots of the thread/resident pool (default: cores - 1)",
+        help="slots of the resident pool (default: cores - 1)",
     )
     return parser.parse_args()
 

@@ -12,7 +12,7 @@ Sericola - IPDPS 2019), including:
 * ``repro.models`` - the paper's GAN architectures,
 * ``repro.metrics`` - dataset score (MNIST/Inception-style) and FID,
 * ``repro.core`` - standalone, FL-GAN and MD-GAN trainers,
-* ``repro.runtime`` - execution backends (serial/thread/resident) for the
+* ``repro.runtime`` - execution backends (serial/resident) for the
   per-worker training phase,
 * ``repro.analysis`` - the paper's cost model, stated once
   (Tables II-IV, Figure 2),

@@ -80,13 +80,12 @@ class TrainingConfig:
     #: Execution backend for the per-worker phase of each global iteration:
     #: one resident protocol (a persistent pool holding worker state across
     #: iterations) whose slots are ``"serial"`` (reference: one inline slot
-    #: whose residents are the workers' own objects), ``"thread"`` (threads
-    #: of this process) or ``"resident"`` (child processes / worker hosts;
-    #: see :mod:`repro.runtime`).
-    #: All backends produce bitwise-identical seeded runs; the pooled ones
-    #: only change wall-clock time.
+    #: whose residents are the workers' own objects) or ``"resident"``
+    #: (child processes / worker hosts; see :mod:`repro.runtime`).
+    #: Both backends produce bitwise-identical seeded runs; the pool only
+    #: changes wall-clock time.
     backend: str = "serial"
-    #: Slots of the ``thread``/``resident`` pool (``None`` = cores - 1).
+    #: Slots of the ``resident`` pool (``None`` = cores - 1).
     max_workers: Optional[int] = None
     #: Transport carrying the resident pool's wire protocol: ``"pipe"``
     #: (local child processes over ``multiprocessing`` pipes), ``"tcp"``
@@ -94,7 +93,7 @@ class TrainingConfig:
     #: or real machines running ``python -m repro.runtime.worker_host``), or
     #: ``None`` for the default (``pipe``) — the CLI's ``--transport`` flag
     #: threads into this field.  Bitwise-neutral: seeded runs are identical
-    #: over either transport.  Ignored by ``serial`` and ``thread``.
+    #: over either transport.  Ignored by ``serial``.
     transport: Optional[str] = None
     #: ``"HOST:PORT"`` the tcp transport should listen on for externally
     #: started worker hosts; ``None`` (with ``transport="tcp"``) binds
@@ -253,19 +252,19 @@ class TrainingConfig:
         """Instantiate the configured :class:`repro.runtime.ResidentBackend`.
 
         The ``transport`` / ``transport_address`` / membership settings are
-        forwarded to the ``resident`` backend only, by assignment after
-        construction; ``thread`` keeps its in-process slots whatever they say.
+        the ``resident`` backend's options; ``serial`` takes none.
         """
         from ..runtime.backend import create_backend
 
-        backend = create_backend(self.backend, self.max_workers)
-        if self.backend == "resident":
-            if self.transport is not None:
-                backend.transport = self.transport
-            if self.transport_address is not None:
-                backend.transport_address = self.transport_address
-            backend.membership_policy = self.membership_policy()
-        return backend
+        if self.backend != "resident":
+            return create_backend(self.backend, self.max_workers)
+        return create_backend(
+            self.backend,
+            self.max_workers,
+            transport=self.transport,
+            transport_address=self.transport_address,
+            membership_policy=self.membership_policy(),
+        )
 
     def with_overrides(self, **kwargs) -> "TrainingConfig":
         """Return a copy with the given fields replaced."""

@@ -70,7 +70,7 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
         "pipeline_depth": "0 (synchronous barrier) or a positive lookahead window",
         "on_slot_loss": ("fail_stop", "degrade", "wait"),
         "participation_fraction": "(0, 1]",
-        "backend": ("serial", "thread", "resident"),
+        "backend": ("serial", "resident"),
     },
     "supported": (
         "sync x any pipeline_depth x any membership policy x any participation",
@@ -90,7 +90,7 @@ CAPABILITY_MATRIX: Dict[str, Any] = {
     "unsupported": {
         "elastic x in-process backend": (
             "only the resident pool's slot processes and worker hosts can "
-            "be lost and healed (serial and thread slots live and die with "
+            "be lost and healed (serial's inline slot lives and dies with "
             "the owner); on_slot_loss != 'fail_stop' requires backend='resident'"
         ),
     },

@@ -3,9 +3,9 @@
 Each worker holds a *complete* GAN (generator plus discriminator) treated as
 one atomic object, and trains it locally on its data shard exactly like the
 standalone baseline.  Every ``E`` local epochs the workers ship both
-parameter sets to the central server, which averages them (FedAvg) and
-broadcasts the result back; all active workers start the next round from the
-same averaged model.
+parameter sets, with any BatchNorm running statistics, to the central
+server, which averages them (FedAvg) and broadcasts the result back; all
+active workers start the next round from the same averaged model.
 
 Evaluation uses the server's averaged generator, as in the paper.
 """
@@ -25,13 +25,13 @@ from ..datasets.sampler import EpochSampler
 from ..metrics.evaluator import GeneratorEvaluator
 from ..models.base import GANFactory
 from ..nn.model import Sequential
-from ..nn.serialize import weighted_average_parameters
+from ..nn.serialize import load_model_state, model_state, weighted_average_parameters
 from ..runtime.membership import LOST, SlotLossError
 from ..runtime.pipeline import InflightWindow, PipelineStats
 from .elastic import MembershipController
 from .engine import AsyncContext, EngineHooks, ExecutionEngine
 from .lifecycle import WorkerStateOwner
-from ..runtime.tasks import FLGANResidentState
+from ..runtime.tasks import FLGANResidentState, flgan_models
 from ..simulation.cluster import SERVER_NAME, Cluster
 from ..simulation.traffic import MessageKind, payload_nbytes
 from .config import TrainingConfig
@@ -186,47 +186,50 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
     def _federated_round(self, iteration: int) -> None:
         """Workers upload their GANs, the server averages and broadcasts.
 
-        FedAvg weights every worker's parameters by its shard size
+        FedAvg weights every worker's model state by its shard size
         ``m_n / sum m_n`` — with unequal or non-IID shards an unweighted mean
         would bias the global model toward small shards.  Installed workers
-        exchange only flat parameter vectors with the pool (pull before the
-        upload, push after the broadcast); optimizer, sampler and RNG state
-        never leave their pool slot.
+        exchange only flat vectors with the pool (pull before the upload,
+        push after the broadcast); optimizer, sampler and RNG state never
+        leave their pool slot.
         """
         pool = self.executor
         alive = self._alive_workers()
         pulled = pool.pull_params([w.index for w in alive if pool.installed(w.index)])
-        gen_vectors, disc_vectors, weights = [], [], []
+        states, weights = [], []
         for worker in alive:
             if worker.index in pulled:
-                payload = pulled[worker.index]
+                state = pulled[worker.index]
             else:
-                payload = {
-                    "generator": worker.generator.get_parameters(),
-                    "discriminator": worker.discriminator.get_parameters(),
-                }
-            self._charge_upload(iteration, worker, payload)
-            gen_vectors.append(payload["generator"])
-            disc_vectors.append(payload["discriminator"])
+                state = model_state(flgan_models(worker))
+            self._charge_upload(iteration, worker, state)
+            states.append(state)
             # Weight by the sampler's *live* shard size, not the construction-
             # time `worker.dataset` — replace_dataset churn changes the former.
             weights.append(float(len(worker.sampler)))
-        if not gen_vectors:
+        if not states:
             return
-        avg_gen, avg_disc = self._fedavg(gen_vectors, disc_vectors, weights)
-        self._broadcast_average(iteration, alive, avg_gen, avg_disc, pool)
-        self.history.record_event(iteration, "federated_round", workers=len(gen_vectors))
+        average = self._fedavg(states, weights)
+        self._broadcast_average(iteration, alive, average, pool)
+        self.history.record_event(iteration, "federated_round", workers=len(states))
 
-    def _fedavg(self, gen_vectors, disc_vectors, weights) -> tuple:
-        """Average ``n`` GANs into the server's, and charge the server for it."""
-        avg_gen = weighted_average_parameters(gen_vectors, weights)
-        avg_disc = weighted_average_parameters(disc_vectors, weights)
-        self.server_generator.set_parameters(avg_gen)
-        self.server_discriminator.set_parameters(avg_disc)
+    def _server_models(self) -> Dict[str, Sequential]:
+        return {"generator": self.server_generator, "discriminator": self.server_discriminator}
+
+    def _fedavg(self, states, weights) -> Dict[str, np.ndarray]:
+        """Average ``n`` GANs' :func:`model_state` into the server's; charge the server.
+
+        BatchNorm running statistics average with the parameters' weights.
+        """
+        average = {
+            key: weighted_average_parameters([state[key] for state in states], weights)
+            for key in states[0]
+        }
+        load_model_state(self._server_models(), average)
         self.cluster.server.compute.charge_all(
-            fedavg_ops(len(gen_vectors), avg_gen.size, avg_disc.size)
+            fedavg_ops(len(states), average["generator"].size, average["discriminator"].size)
         )
-        return avg_gen, avg_disc
+        return average
 
     def _charge_upload(self, iteration: int, worker: FLGANWorkerState, payload) -> None:
         """Charge one worker's GAN upload as a ``MODEL_UPDATE`` message."""
@@ -242,8 +245,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         self,
         iteration: int,
         workers: Sequence[FLGANWorkerState],
-        avg_gen: np.ndarray,
-        avg_disc: np.ndarray,
+        average: Dict[str, np.ndarray],
         pool,
     ) -> None:
         """Broadcast the averaged model to ``workers`` and write it into each.
@@ -253,7 +255,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         (the backend at a synchronous round, the open collector
         mid-flight); every other worker's own objects are set directly.
         """
-        nbytes = payload_nbytes([avg_gen, avg_disc])
+        nbytes = payload_nbytes(average)
         push_map: Dict[int, Dict[str, np.ndarray]] = {}
         for worker in workers:
             self.cluster.meter.charge(
@@ -264,10 +266,9 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
                 iteration,
             )
             if self.executor.installed(worker.index):
-                push_map[worker.index] = {"generator": avg_gen, "discriminator": avg_disc}
+                push_map[worker.index] = dict(average)
             else:
-                worker.generator.set_parameters(avg_gen)
-                worker.discriminator.set_parameters(avg_disc)
+                load_model_state(flgan_models(worker), average)
         if push_map:
             pool.push_params(push_map)
 
@@ -342,8 +343,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         self._charge_upload(ctx.sched.updates, worker, payload)
         ctx.round_losses[key] = ([], [])
         return {
-            "generator": payload["generator"],
-            "discriminator": payload["discriminator"],
+            "state": payload,
             "num_samples": float(len(worker.sampler)),
             "gen_loss": float(np.mean(gen_acc)),
             "disc_loss": float(np.mean(disc_acc)),
@@ -370,14 +370,12 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             c.payload["num_samples"] * (1.0 - d)
             for c, d in zip(contributions, decay)
         )
-        gen_vectors = [self.server_generator.get_parameters()]
-        disc_vectors = [self.server_discriminator.get_parameters()]
+        states = [model_state(self._server_models())]
         weights = [outside_mass + lost_mass]
         for contribution, d in zip(contributions, decay):
-            gen_vectors.append(contribution.payload["generator"])
-            disc_vectors.append(contribution.payload["discriminator"])
+            states.append(contribution.payload["state"])
             weights.append(contribution.payload["num_samples"] * d)
-        avg_gen, avg_disc = self._fedavg(gen_vectors, disc_vectors, weights)
+        average = self._fedavg(states, weights)
         update = ctx.sched.updates
         self.history.record_event(
             update, "federated_round", workers=len(contributions)
@@ -386,7 +384,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             self.workers[c.key] for c in contributions if self.cluster.workers[c.key].alive
         ]
         try:
-            self._broadcast_average(update, receivers, avg_gen, avg_disc, ctx.collector)
+            self._broadcast_average(update, receivers, average, ctx.collector)
         except SlotLossError:
             # A contributor's slot died during the broadcast push: its
             # merged copy is lost (the turn's loss check applies the
@@ -434,10 +432,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             if not self.cluster.workers[key].alive:
                 continue
             worker = self.workers[key]
-            worker.generator.set_parameters(self.server_generator.get_parameters())
-            worker.discriminator.set_parameters(
-                self.server_discriminator.get_parameters()
-            )
+            load_model_state(flgan_models(worker), model_state(self._server_models()))
             ctx.round_losses[key] = ([], [])
             if ctx.done_iters[key] < self.config.iterations:
                 ctx.engine.dispatch(ctx, worker)
@@ -458,7 +453,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         The schedule is driven by
         :class:`repro.core.engine.ExecutionEngine`.  Local iterations merge
         in worker-index order, so seeded runs are bitwise identical across
-        serial/thread/resident — including ``pipeline_depth > 0``, where the
+        serial/resident — including ``pipeline_depth > 0``, where the
         in-flight window drains before every federated round / evaluation
         (FL-GAN pipelining introduces no staleness); ``serial`` keeps no
         window (see :meth:`_sync_schedule`).  On success the pool stays

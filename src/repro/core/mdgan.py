@@ -472,13 +472,13 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
 
         The per-worker phase fans out through the execution backend and
         merges in participant (= worker-index) order, so seeded runs are
-        bitwise identical across serial/thread/resident.
+        bitwise identical across serial/resident.
 
         With ``pipeline_depth > 0`` the iteration consumes the batch set
         pre-generated for it (recording the realised staleness; a queue miss
         generates on the spot) and, **while the workers compute**, generates
         the batch sets of the next ``depth`` iterations — on the pool slots
-        on ``thread``/``resident``, inline on ``serial``.  Noise draws happen
+        on ``resident``, inline on ``serial``.  Noise draws happen
         at dispatch, in exact serial order, and resident-side generations are
         collected after the merge, which never touches the generator, so
         every backend yields the same trajectory at a fixed depth.

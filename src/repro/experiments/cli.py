@@ -114,10 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         help=(
             "execution backend for the per-worker training phase; results are "
-            "bitwise identical across backends (thread/resident only change "
-            "wall-clock time; both keep worker state in a pool slot and ship "
-            "only per-iteration deltas: thread's slots are threads of this "
-            "process, resident's are child processes or worker hosts)"
+            "bitwise identical across backends (resident only changes "
+            "wall-clock time: it keeps worker state in pool slots, child "
+            "processes or worker hosts, and ships only per-iteration deltas)"
         ),
     )
     runtime.add_argument(
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help=(
-            "number of slots of the thread/resident pool (default: cores - 1)"
+            "number of slots of the resident pool (default: cores - 1)"
         ),
     )
     runtime.add_argument(

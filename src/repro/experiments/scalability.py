@@ -54,7 +54,7 @@ def run_fig4(
 
     ``runtime`` (any :class:`TrainingConfig` execution field) goes verbatim
     into each sweep point's config.  Results are bitwise identical across
-    backends, but ``backend="thread"``/``"resident"`` let the large-``N``
+    backends, but ``backend="resident"`` lets the large-``N``
     points use the host's cores instead of running every worker
     sequentially.  A disabled swap is ``epochs_per_swap=math.inf``.
     """

@@ -12,6 +12,8 @@ on:
   contiguous ``params_flat`` / ``grads_flat`` and every layer's ``params`` /
   ``grads`` are views into them, so each whole-model operation is one vector
   operation; pickles carry the parameter vector once and no gradients;
+* flat BatchNorm running statistics (``get_buffers`` / ``set_buffers``),
+  which FL-GAN averages with the parameters;
 * parameter-count reporting used by the analytic complexity models.
 
 All parameters, activations and gradients live in the model's ``dtype``,
@@ -209,17 +211,33 @@ class Sequential:
                 layer.restrict(*segment)
         return frozen
 
+    def _norms(self) -> List[BatchNorm]:
+        return [layer for layer in self.layers if isinstance(layer, BatchNorm)]
+
     def batch_stats(self, segment: int = 0) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Every BatchNorm's ``(mean, var)`` of segment ``segment`` of its last training forward."""
-        return [
-            layer.segment_stats[segment] for layer in self.layers if isinstance(layer, BatchNorm)
-        ]
+        return [layer.segment_stats[segment] for layer in self._norms()]
 
     def fold_batch_stats(self, stats: Sequence[Tuple[np.ndarray, np.ndarray]]) -> None:
         """Fold one forward's :meth:`batch_stats` into this model's running statistics."""
-        norms = [layer for layer in self.layers if isinstance(layer, BatchNorm)]
-        for layer, (mean, var) in zip(norms, stats):
+        for layer, (mean, var) in zip(self._norms(), stats):
             layer.fold(mean, var)
+
+    def get_buffers(self) -> np.ndarray:
+        """Every BatchNorm's running mean, then variance, as one flat vector (empty if none)."""
+        self._require_built()
+        stats = [s for layer in self._norms() for s in (layer.running_mean, layer.running_var)]
+        return np.concatenate([np.zeros(0, self.dtype), *stats])
+
+    def set_buffers(self, flat: np.ndarray) -> None:
+        """Load the running statistics from a :meth:`get_buffers` vector (copied)."""
+        buffers = self.get_buffers()
+        self._write(buffers, flat, "Buffer")
+        offset = 0
+        for layer in self._norms():
+            size = 2 * layer.running_mean.size
+            layer.running_mean, layer.running_var = np.split(buffers[offset : offset + size], 2)
+            offset += size
 
     def boundary(self, x: np.ndarray) -> np.ndarray:
         """``x`` as every value enters and leaves this model: C-contiguous, in its dtype."""

@@ -8,7 +8,7 @@ utilities for federated aggregation.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "average_parameters",
     "weighted_average_parameters",
     "copy_parameters",
+    "model_state",
+    "load_model_state",
 ]
 
 #: Size in bytes of one transmitted scalar.  The paper counts parameters and
@@ -81,3 +83,23 @@ def weighted_average_parameters(
 def copy_parameters(source: Sequential, destination: Sequential) -> None:
     """Copy parameters from one model into another of identical architecture."""
     destination.set_parameters(source.get_parameters())
+
+
+def model_state(models: Dict[str, Sequential]) -> Dict[str, np.ndarray]:
+    """Each model's parameters under its name, and its BatchNorm statistics, if any,
+    under ``"<name>_buffers"``: a model without BatchNorm ships its parameters alone."""
+    state = {}
+    for name, model in models.items():
+        state[name] = model.get_parameters()
+        buffers = model.get_buffers()
+        if buffers.size:
+            state[f"{name}_buffers"] = buffers
+    return state
+
+
+def load_model_state(models: Dict[str, Sequential], state: Dict[str, np.ndarray]) -> None:
+    """Write a :func:`model_state` dict back into ``models``."""
+    for name, model in models.items():
+        model.set_parameters(state[name])
+        if f"{name}_buffers" in state:
+            model.set_buffers(state[f"{name}_buffers"])

@@ -33,11 +33,11 @@ zero-bordered ``(C, Hp, Wp, N)`` buffer (the one copy that normalises any
 caller layout) and gathers the windows from it with one strided copy.  The
 buffer and its window view are a *plan*, cached per
 ``(input shape, dtype, kh, kw, stride, pad)`` in a bounded, **thread-local**
-LRU: concurrent workers of the ``thread`` backend never share one, nothing
-hangs off a layer (so nothing is pickled or deep-copied with a model), and a
-plan is only live inside one :func:`im2col` call.  Everything a primitive
-*returns* is, or is a view of, memory allocated by that call and never
-written again.
+LRU: a serving dispatcher thread running the generator beside the trainer
+never shares one with it, nothing hangs off a layer (so nothing is pickled
+or deep-copied with a model), and a plan is only live inside one
+:func:`im2col` call.  Everything a primitive *returns* is, or is a view of,
+memory allocated by that call and never written again.
 
 Every primitive preserves the dtype of its operands: feed float32 tensors in
 (the default precision policy, see :mod:`repro.nn.precision`) and the im2col

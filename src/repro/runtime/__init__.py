@@ -5,9 +5,8 @@ Workers within one global iteration are independent by construction
 through the one resident protocol (:class:`ResidentBackend`), which holds
 worker state in pool slots across iterations so only per-iteration deltas
 cross to a slot.  The backends differ in where the slots live: ``serial``
-(reference; one inline slot whose residents are the workers' own objects),
-``thread`` (slots are threads of this process; NumPy kernels release the
-GIL) or ``resident`` (slots are child processes or worker hosts).  All
+(reference; one inline slot whose residents are the workers' own objects)
+or ``resident`` (slots are child processes or worker hosts).  All
 backends are bitwise-deterministic: results merge in worker-index order and
 the step functions touch no shared state.
 

@@ -18,11 +18,6 @@ Backends:
     calling thread at dispatch, with the frame objects passed by reference,
     so its resident state *is* the workers' own objects.  No pickle, no
     copy, no thread, no process; reference behaviour.
-``thread``
-    Every pool slot a thread of this process: worker state is installed
-    once into a slot and only per-iteration inputs and outputs cross its
-    pipe.  NumPy releases the GIL inside its kernels, so the
-    conv/matmul-heavy worker steps overlap on multi-core hosts.
 ``resident``
     Every slot a child process (``pipe``) or a worker host over ``tcp``:
     worker state stays resident in its slot across iterations (sticky
@@ -38,7 +33,7 @@ from typing import Optional
 __all__ = ["BACKENDS", "create_backend", "default_max_workers"]
 
 #: Names of the available execution backends, in documentation order.
-BACKENDS = ("serial", "thread", "resident")
+BACKENDS = ("serial", "resident")
 
 
 def default_max_workers() -> int:
@@ -49,29 +44,25 @@ def default_max_workers() -> int:
 def create_backend(name: str = "serial", max_workers: Optional[int] = None, **options):
     """Instantiate an execution backend by name.
 
-    ``max_workers`` bounds the pool size for ``thread``/``resident``
-    (``None`` picks :func:`default_max_workers`); it is accepted and ignored
-    for ``serial``, whose one slot is inline, so call sites can thread the
-    setting through unconditionally.  Extra keyword ``options`` are
-    forwarded to ``resident`` verbatim (``transport=``/
-    ``transport_address=`` and the timeout knobs); ``serial`` and ``thread``
-    take none and reject any with a ``TypeError``.
+    ``max_workers`` bounds the ``resident`` pool size (``None`` picks
+    :func:`default_max_workers`); it is accepted and ignored for ``serial``,
+    whose one slot is inline, so call sites can thread the setting through
+    unconditionally.  Extra keyword ``options`` are forwarded to
+    ``resident`` verbatim (``transport=``/``transport_address=``,
+    ``membership_policy=`` and the timeout knobs); ``serial`` takes none and
+    rejects any with a ``TypeError``.
     """
     if name not in BACKENDS:
         raise ValueError(f"Unknown backend {name!r}; expected one of {BACKENDS}")
     # Imported here: the pool imports this module.
     from .resident import ResidentBackend
-    from .slot import SlotHandler, serve_slot
-    from .transport.local import InlineTransport, LocalPipeTransport
+    from .slot import SlotHandler
+    from .transport.local import InlineTransport
 
     if name == "resident":
         return ResidentBackend(max_workers, **options)
     if options:
         raise TypeError(f"the {name!r} backend takes no options; got {sorted(options)}")
-    if name == "serial":
-        max_workers, transport = 1, InlineTransport(SlotHandler)
-    else:
-        transport = LocalPipeTransport(serve_slot, threads=True)
-    backend = ResidentBackend(max_workers, transport=transport)
+    backend = ResidentBackend(1, transport=InlineTransport(SlotHandler))
     backend.name = name
     return backend

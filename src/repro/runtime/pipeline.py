@@ -21,10 +21,10 @@ server runs ahead of the workers by up to ``d`` iterations:
   convergence-vs-staleness trade-offs (the paper's Section VII-1 asynchronous
   setting) can be quantified;
 * when the queue misses (cold start, post-crash), the iteration generates
-  its batch set inline, on the spot.  The ``thread`` and ``resident``
-  backends run their lookahead generation on the pool's dedicated
-  generation op (:func:`start_resident_generation`, asynchronous), so there
-  lookahead generation leaves the trainer thread entirely; ``serial``
+  its batch set inline, on the spot.  The ``resident`` backend runs its
+  lookahead generation on the pool's dedicated generation op
+  (:func:`start_resident_generation`, asynchronous), so there lookahead
+  generation leaves the trainer thread entirely; ``serial``
   declines the generation op and generates the lookahead inline.
 
 ``pipeline_depth = 0`` (the default) keeps the synchronous schedule and is
@@ -256,7 +256,7 @@ class InflightWindow:
 # the slot copy is stale.  ``start_resident_generation`` is asynchronous — the
 # returned handle lets the pipelined MD-GAN iteration keep lookahead
 # generation in flight while it merges worker results, which is what moves
-# lookahead generation off the trainer thread on ``thread`` and ``resident``.
+# lookahead generation off the trainer thread on ``resident``.
 
 #: Well-known resident key under which the server generator is installed
 #: (internal; the public surface is :class:`GeneratorHandle`).

@@ -50,9 +50,8 @@ This module is the **owner side** of the pool only.  The slot serving loop
 re-exported here; the bytes move over one
 :class:`~repro.runtime.transport.SlotChannel` per slot (``"pipe"`` child
 processes by default, ``"tcp"`` sockets to loopback workers or to
-``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).  The
-``thread`` backend is this same backend over pipes whose slot loops run on
-threads of the owner process; ``serial`` is this same backend over one
+``python -m repro.runtime.worker_host --connect HOST:PORT`` elsewhere).
+``serial`` is this same backend over one
 inline slot, whose frame handler runs in the caller on the frame objects
 themselves (no pickle, no copy), so its residents are the trainer's own
 worker objects.

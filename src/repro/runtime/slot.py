@@ -3,9 +3,8 @@
 :class:`SlotHandler` answers one ``(op, payload)`` frame with its reply
 payload; it knows the op table and the program registry, and nothing of the
 owner-side backend or of bytes.  :func:`serve_slot` is the pickle/byte loop
-around it, run in pool processes (the pipe transport's children), on pool
-threads (``thread``) and in remote worker hosts
-(:mod:`repro.runtime.worker_host`), so a worker host imports it without
+around it, run in pool processes (the pipe transport's children) and in
+remote worker hosts (:mod:`repro.runtime.worker_host`), so a worker host imports it without
 importing the pool.  The inline slot (``serial``) calls a handler directly,
 with the frame objects themselves.
 """

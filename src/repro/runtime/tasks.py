@@ -44,6 +44,7 @@ from ..core.gan_ops import (
 )
 from ..datasets.sampler import EpochSampler
 from ..nn.model import Sequential
+from ..nn.serialize import load_model_state, model_state
 from .programs import ResidentProgram, register_program
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "FLGANStepResult",
     "mdgan_step",
     "flgan_step",
+    "flgan_models",
     "mirror_payload",
     "restore_mirror",
 ]
@@ -263,9 +265,9 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
 
 # -- resident program registration -------------------------------------------------
 #
-# Boundary mutations (SWAP gossip, FedAvg broadcast) touch only model
-# parameters, so pull/push exchange flat vectors and leave optimizer, sampler
-# and RNG state untouched inside the pool.
+# Boundary mutations (SWAP gossip, FedAvg broadcast) touch only the models,
+# so pull/push exchange flat vectors (FL-GAN's carry BatchNorm statistics
+# too) and leave optimizer, sampler and RNG state untouched inside the pool.
 
 
 def _mdgan_pull_params(state: MDGANResidentState) -> np.ndarray:
@@ -276,16 +278,17 @@ def _mdgan_push_params(state: MDGANResidentState, vector: np.ndarray) -> None:
     state.discriminator.set_parameters(vector)
 
 
+def flgan_models(state) -> Dict[str, Sequential]:
+    """The GAN a FedAvg round moves, of a worker or its resident copy."""
+    return {"generator": state.generator, "discriminator": state.discriminator}
+
+
 def _flgan_pull_params(state: FLGANResidentState) -> Dict[str, np.ndarray]:
-    return {
-        "generator": state.generator.get_parameters(),
-        "discriminator": state.discriminator.get_parameters(),
-    }
+    return model_state(flgan_models(state))
 
 
 def _flgan_push_params(state: FLGANResidentState, params: Dict[str, np.ndarray]) -> None:
-    state.generator.set_parameters(params["generator"])
-    state.discriminator.set_parameters(params["discriminator"])
+    load_model_state(flgan_models(state), params)
 
 
 register_program(

@@ -1,13 +1,11 @@
-"""Local transports: slots as child processes, as threads of this process, or inline.
+"""Local transports: slots as child processes, or inline.
 
 One slot per duplex ``multiprocessing.Pipe``.  The parent-side
 ``Connection`` objects are handed out as the slot channels directly —
 ``Connection`` implements the :class:`~repro.runtime.transport.base.SlotChannel`
 contract structurally (``send_bytes``/``recv_bytes``/``poll``/``close`` with
-the same framing and error semantics).  By default each slot loop runs in a
-daemon child process; with ``threads=True`` it runs on a daemon thread of
-the owner process instead (the ``thread`` backend), over the same pipes and
-the same bytes.  :class:`InlineTransport` is the degenerate local case
+the same framing and error semantics).  Each slot loop runs in a daemon
+child process.  :class:`InlineTransport` is the degenerate local case
 (``serial``): one slot whose frame handler runs in the caller, with no pipe
 and no bytes at all.
 
@@ -19,7 +17,6 @@ module, and the transport must not import it back.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 from typing import Callable, List, Optional
 
 from ..slot import batch_scheduling
@@ -28,13 +25,10 @@ from .base import Transport
 __all__ = ["InlineChannel", "InlineTransport", "LocalPipeTransport"]
 
 
-def _serve_then_close(slot_main: Callable, conn, process: bool = False) -> None:
-    """A slot's body: serve until EOF or ``close``, then release the pipe end.
-
-    A slot process serves under the batch policy; a slot thread keeps its owner's.
-    """
-    if process:
-        batch_scheduling()
+def _serve_then_close(slot_main: Callable, conn) -> None:
+    """A slot process's body: serve under the batch policy until EOF or
+    ``close``, then release the pipe end."""
+    batch_scheduling()
     try:
         slot_main(conn)
     finally:
@@ -42,46 +36,27 @@ def _serve_then_close(slot_main: Callable, conn, process: bool = False) -> None:
 
 
 class LocalPipeTransport(Transport):
-    """Pool slots as local child processes (or threads) over ``multiprocessing`` pipes.
+    """Pool slots as local child processes over ``multiprocessing`` pipes.
 
     ``slot_main`` is the slot's serving loop, called with the slot end of
     the pipe; :func:`repro.runtime.resident.serve_slot` in production, a
-    stub in transport tests.  ``threads=True`` runs it on a thread of this
-    process instead of a child process.
+    stub in transport tests.
     """
 
     name = "pipe"
     supports_join = True
 
-    def __init__(
-        self,
-        slot_main: Callable,
-        read_timeout: Optional[float] = None,
-        threads: bool = False,
-    ) -> None:
+    def __init__(self, slot_main: Callable, read_timeout: Optional[float] = None) -> None:
         super().__init__(read_timeout=read_timeout)
         self._slot_main = slot_main
-        self.threads = threads
-        #: The slot processes, in slot order (empty with ``threads=True``).
+        #: The slot processes, in slot order.
         self._processes: List = []
-        #: The slot threads, in slot order (empty without ``threads=True``).
-        self._threads: List[threading.Thread] = []
 
     def _spawn_slot(self):
-        """Start one slot process (or thread); return the parent end of its pipe."""
+        """Start one slot process; return the parent end of its pipe."""
         ctx = multiprocessing.get_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
-        if self.threads:
-            thread = threading.Thread(
-                target=_serve_then_close,
-                args=(self._slot_main, child_conn),
-                name=f"resident-slot-{len(self._threads)}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-            return parent_conn
-        args = (self._slot_main, child_conn, True)
+        args = (self._slot_main, child_conn)
         process = ctx.Process(target=_serve_then_close, args=args, daemon=True)
         process.start()
         child_conn.close()
@@ -96,11 +71,6 @@ class LocalPipeTransport(Transport):
         return self._adopt_channel(self._spawn_slot())
 
     def _shutdown(self, channels: List) -> None:
-        # A slot thread ends on the close message or on the EOF the closed
-        # parent ends raise; one still computing is a daemon and is left.
-        for thread in self._threads:
-            thread.join(timeout=5)
-        self._threads = []
         for process in self._processes:
             process.join(timeout=5)
             if process.is_alive():  # pragma: no cover - defensive cleanup

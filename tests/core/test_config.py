@@ -82,7 +82,16 @@ class TestTrainingConfig:
         backend = TrainingConfig(backend="resident", max_workers=3).build_backend()
         assert isinstance(backend, ResidentBackend)
         assert backend.max_workers == 3
+        assert backend.transport is None and backend.membership_policy is None
         backend.close()
+        tcp = TrainingConfig(
+            backend="resident",
+            transport="tcp",
+            transport_address="127.0.0.1:7000",
+            on_slot_loss="degrade",
+        ).build_backend()
+        assert (tcp.transport, tcp.transport_address) == ("tcp", "127.0.0.1:7000")
+        assert tcp.membership_policy.on_slot_loss == "degrade"
 
     def test_infinite_epochs_allowed(self):
         config = TrainingConfig(epochs_per_swap=math.inf)

@@ -22,9 +22,9 @@ class TestCapabilityMatrix:
         with pytest.raises(ValueError, match="CAPABILITY_MATRIX"):
             TrainingConfig(backend="serial", on_slot_loss="degrade")
 
-    def test_wait_on_thread_backend_rejected(self):
+    def test_wait_on_serial_backend_rejected(self):
         with pytest.raises(ValueError, match="elastic x in-process backend"):
-            TrainingConfig(backend="thread", on_slot_loss="wait")
+            TrainingConfig(backend="serial", on_slot_loss="wait")
 
     def test_lifted_compositions_construct(self):
         # Each of these raised "mutually exclusive" before the engine

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FLGANTrainer, TrainingConfig
+from repro.nn import BatchNorm
 from repro.simulation import MessageKind, SERVER_NAME
 
 
@@ -216,3 +217,58 @@ def test_model_transfer_bytes_match_rounds_closed_form(
     assert meter.total_bytes(MessageKind.MODEL_UPDATE) == expected
     assert meter.total_bytes(MessageKind.MODEL_BROADCAST) == expected
     assert meter.node_egress(SERVER_NAME) == expected
+
+
+def _batchnorm_stats(model):
+    """Every BatchNorm layer's running mean then variance, read off the layers."""
+    norms = [layer for layer in model.layers if isinstance(layer, BatchNorm)]
+    return [stat for layer in norms for stat in (layer.running_mean, layer.running_var)]
+
+
+@pytest.mark.parametrize("backend", ["serial", "resident"])
+def test_fedavg_averages_batchnorm_statistics(backend):
+    # The server evaluates its generator in inference mode, so its BatchNorm
+    # running statistics must be the shard-weighted mean of the workers'
+    # at the round, not the 0 / 1 it was built with.
+    from repro.datasets import make_mnist_like
+    from repro.models import build_mnist_cnn_gan
+    from repro.nn.serialize import weighted_average_parameters
+
+    train, _ = make_mnist_like(n_train=160, n_test=20, image_size=16, seed=7)
+    factory = build_mnist_cnn_gan(
+        image_shape=train.spec.shape, num_classes=train.num_classes, width_factor=0.25
+    )
+    bounds = ((0, 64), (64, 104), (104, 144))
+    shards = [train.subset(np.arange(start, stop)) for start, stop in bounds]
+
+    def run(epochs_per_swap):
+        # Rounds of 0.8 * 40 / 8 = 4 iterations: the only round is the last.
+        config = TrainingConfig(
+            iterations=4,
+            batch_size=8,
+            seed=3,
+            precision="float32",
+            backend=backend,
+            max_workers=2,
+            epochs_per_swap=epochs_per_swap,
+        )
+        with FLGANTrainer(factory, shards, config) as trainer:
+            history = trainer.train()
+        return trainer, history
+
+    # Without the round, the workers end where the round run's stood before it.
+    before, _ = run(math.inf)
+    trainer, history = run(0.8)
+    assert len(history.events_of_kind("federated_round")) == 1
+    weights = [len(shard) for shard in shards]
+    server = trainer.server_generator
+    stats = _batchnorm_stats(server)
+    assert stats
+    for i, got in enumerate(stats):
+        expected = weighted_average_parameters(
+            [_batchnorm_stats(w.generator)[i] for w in before.workers], weights
+        )
+        np.testing.assert_array_equal(got, expected)
+        for worker in trainer.workers:
+            np.testing.assert_array_equal(_batchnorm_stats(worker.generator)[i], got)
+    assert not np.array_equal(stats[0], np.zeros_like(stats[0]))

@@ -125,14 +125,14 @@ class TestTrainingRunners:
         # must accept the runtime kwargs and produce the same numbers (all
         # backends are bitwise-identical for sync runs).
         serial = run_fig3(scale=MICRO, competitors=["md-gan-k1"])
-        threaded = run_fig3(
+        pooled = run_fig3(
             scale=MICRO,
             competitors=["md-gan-k1"],
-            backend="thread",
+            backend="resident",
             max_workers=2,
         )
         a = serial.extras["histories"]["md-gan-k1"]["generator_loss"]
-        b = threaded.extras["histories"]["md-gan-k1"]["generator_loss"]
+        b = pooled.extras["histories"]["md-gan-k1"]["generator_loss"]
         assert a == b
 
     def test_fig3_forwards_the_elastic_runtime_to_the_trainer(self, monkeypatch):
@@ -165,7 +165,7 @@ class TestTrainingRunners:
             scale=MICRO,
             depths=(1,),
             staleness_bounds=(1, 2),
-            backend="thread",
+            backend="resident",
             max_workers=3,
         )
         modes = [(row["mode"], row["parameter"]) for row in result.rows]

@@ -146,9 +146,9 @@ def test_a_bad_sweep_point_fails_before_any_trainer_is_built(built, sweep):
 
 
 def test_base_config_fields_override_the_scale_defaults():
-    config = base_config(TINY, eval_every=TINY.iterations, backend="thread")
+    config = base_config(TINY, eval_every=TINY.iterations, backend="resident")
     assert isinstance(config, TrainingConfig)
     assert config.iterations == TINY.iterations
     assert config.batch_size == TINY.batch_size_small
     assert config.eval_every == TINY.iterations
-    assert config.backend == "thread"
+    assert config.backend == "resident"

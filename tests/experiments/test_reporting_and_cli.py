@@ -140,22 +140,24 @@ class TestCLI:
 
     def test_parser_accepts_backend_selection(self):
         args = build_parser().parse_args(
-            ["fig4", "--backend", "thread", "--max-workers", "2"]
+            ["fig4", "--backend", "resident", "--max-workers", "2"]
         )
-        assert args.backend == "thread"
+        assert args.backend == "resident"
         assert args.max_workers == 2
 
-    def test_parser_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig4", "--backend", "gpu"])
+    def test_parser_rejects_unknown_backend(self, capsys):
+        for name in ("gpu", "thread"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig4", "--backend", name])
+            assert "(choose from 'serial', 'resident')" in capsys.readouterr().err
 
     def test_runtime_holds_only_the_flags_given(self):
         from repro.experiments.cli import _runtime
 
         parser = build_parser()
         assert _runtime(parser, parser.parse_args(["fig4"])) == {}
-        args = parser.parse_args(["fig4", "--backend", "thread"])
-        assert _runtime(parser, args) == {"backend": "thread"}
+        args = parser.parse_args(["fig4", "--backend", "serial"])
+        assert _runtime(parser, args) == {"backend": "serial"}
         args = parser.parse_args(
             ["fig5", "--backend", "resident", "--pipeline-depth", "2", "--transport", "tcp"]
         )
@@ -200,7 +202,7 @@ class TestCLI:
 
     def test_main_hands_no_runtime_to_an_analytic_artefact(self, monkeypatch):
         calls = self._stub(monkeypatch, "table2")
-        assert main(["table2", "--backend", "thread"]) == 0
+        assert main(["table2", "--backend", "resident"]) == 0
         assert calls == [{}]
 
     @pytest.mark.parametrize(

@@ -153,6 +153,23 @@ class TestParameterVector:
         b = small_model(np.random.default_rng(42))
         np.testing.assert_array_equal(a.get_parameters(), b.get_parameters())
 
+    def test_buffers_are_the_batchnorm_statistics(self, rng):
+        from repro.nn import BatchNorm
+
+        assert small_model(rng).get_buffers().size == 0
+        layers = [Dense(4), BatchNorm(), Dense(2), BatchNorm()]
+        model = Sequential(layers, input_shape=(5,), rng=rng)
+        model.forward(rng.normal(size=(6, 5)))
+        norms = model.layers[1], model.layers[3]
+        flat = model.get_buffers()
+        expected = [s for layer in norms for s in (layer.running_mean, layer.running_var)]
+        np.testing.assert_array_equal(flat, np.concatenate(expected))
+        model.set_buffers(np.arange(flat.size))
+        np.testing.assert_array_equal(norms[1].running_var, [10.0, 11.0])
+        assert norms[1].running_var.dtype == model.dtype
+        with pytest.raises(ValueError, match="Buffer vector has 3 values"):
+            model.set_buffers(np.zeros(3))
+
 
 class TestFlatBuffers:
     def test_layer_arrays_are_views_of_two_vectors(self, rng):

@@ -1,14 +1,13 @@
 """Unit tests for the execution backends (repro.runtime.backend).
 
 Every backend is the resident protocol; ``serial`` runs it on one inline
-slot, ``thread`` on slots that are threads of this process.
+slot, ``resident`` on child processes or worker hosts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import sys
 import threading
 import warnings
 
@@ -50,13 +49,9 @@ register_program(
 )
 
 
-def _slot_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("resident-slot")]
-
-
 class TestCreateBackend:
     def test_known_names(self):
-        assert BACKENDS == ("serial", "thread", "resident")
+        assert BACKENDS == ("serial", "resident")
         for name in BACKENDS:
             assert isinstance(create_backend(name), ResidentBackend)
 
@@ -74,24 +69,24 @@ class TestCreateBackend:
         with pytest.raises(ValueError, match="Unknown backend"):
             create_backend("gpu")
 
-    def test_process_is_gone(self):
-        names = r"\('serial', 'thread', 'resident'\)"
-        with pytest.raises(ValueError, match=names):
-            create_backend("process")
-        with pytest.raises(ValueError, match=names):
-            TrainingConfig(backend="process")
+    def test_deleted_backends_are_rejected(self):
+        names = r"\('serial', 'resident'\)"
+        for name in ("process", "thread"):
+            with pytest.raises(ValueError, match=names):
+                create_backend(name)
+            with pytest.raises(ValueError, match=names):
+                TrainingConfig(backend=name)
 
     def test_invalid_max_workers_raises(self):
         with pytest.raises(ValueError, match="max_workers"):
-            create_backend("thread", max_workers=0)
+            create_backend("resident", max_workers=0)
 
     def test_serial_ignores_max_workers(self):
         assert create_backend("serial", max_workers=7).max_workers == 1
 
     def test_in_process_backends_take_no_options(self):
-        for name in ("serial", "thread"):
-            with pytest.raises(TypeError, match="no options"):
-                create_backend(name, transport="tcp")
+        with pytest.raises(TypeError, match="no options"):
+            create_backend("serial", transport="tcp")
 
     def test_default_max_workers_positive(self):
         assert default_max_workers() >= 1
@@ -215,54 +210,6 @@ def ring():
 
 def _config(backend, **overrides):
     return TrainingConfig(iterations=3, batch_size=8, seed=1, backend=backend, **overrides)
-
-
-class TestThreadBackend:
-    """``thread`` is the resident protocol with its slots on threads of this process."""
-
-    def test_run_starts_no_child_process_and_close_joins_slots(self, ring):
-        trainer = MDGANTrainer(*ring, _config("thread", max_workers=2))
-        trainer.train()
-        assert multiprocessing.active_children() == []
-        assert len(_slot_threads()) == 2
-        trainer.close()
-        assert _slot_threads() == []
-
-    def test_more_slots_than_cores_under_fast_switching_match_serial(self, ring):
-        # Four slot threads on every core, switching every 10 us: slots hold
-        # their own unpickled copies, so no interleaving may move a bit.
-        reference = MDGANTrainer(*ring, _config("serial")).train()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with MDGANTrainer(*ring, _config("thread", max_workers=4)) as trainer:
-                got = trainer.train()
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.generator_loss == reference.generator_loss
-        assert got.discriminator_loss == reference.discriminator_loss
-        assert _slot_threads() == []
-
-    def test_transport_settings_stay_on_resident(self):
-        backend = TrainingConfig(backend="thread", transport="tcp").build_backend()
-        try:
-            assert backend.transport.name == "pipe" and backend.transport.threads
-            assert backend.alive_slot_count() >= 1
-            assert multiprocessing.active_children() == []
-        finally:
-            backend.close()
-        resident = TrainingConfig(backend="resident", transport="tcp").build_backend()
-        assert resident.transport == "tcp"
-
-    def test_pool_is_lazy_and_reusable_after_close(self):
-        backend = create_backend("thread", max_workers=2)
-        assert _slot_threads() == []
-        assert backend.alive_slot_count() == 2
-        backend.close()
-        assert _slot_threads() == []
-        assert backend.alive_slot_count() == 2
-        backend.close()
-        assert _slot_threads() == []
 
 
 def test_close_quietly_swallows_close_errors_silently():

@@ -12,8 +12,6 @@ pool fail-stop, and never hang.  On the resident backend both are views of
 one in-flight ledger: ``TestOneLedger`` interleaves every view on one slot,
 and ``TestFaultsThroughBothViews`` runs the same injections through
 ``PendingSteps.result()`` and ``collect_any()``, fail-stop and elastic.
-The collector, ledger and dropped-frame tests also run on the ``thread``
-backend: the same protocol with its slots on threads of this process.
 """
 
 from __future__ import annotations
@@ -119,10 +117,9 @@ def _two_keys_on_distinct_slots(backend):
     raise AssertionError("no distinct-slot key pair found")  # pragma: no cover
 
 
-@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestResidentCollector:
-    def test_completion_order_and_mid_flight_params(self, backend):
-        backend = create_backend(backend, max_workers=2)
+    def test_completion_order_and_mid_flight_params(self):
+        backend = create_backend("resident", max_workers=2)
         try:
             collector = backend.open_collector("collect-echo")
             assert isinstance(collector, ResidentCollector)
@@ -146,16 +143,16 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_open_collector_requires_program_name(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_open_collector_requires_program_name(self):
+        backend = create_backend("resident", max_workers=1)
         try:
             with pytest.raises(ValueError, match="program"):
                 backend.open_collector()
         finally:
             backend.close()
 
-    def test_fifo_and_collector_modes_are_mutually_exclusive(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_fifo_and_collector_modes_are_mutually_exclusive(self):
+        backend = create_backend("resident", max_workers=1)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.0})
@@ -169,8 +166,8 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_duplicate_key_dispatch_is_rejected(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_duplicate_key_dispatch_is_rejected(self):
+        backend = create_backend("resident", max_workers=1)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.2})
@@ -181,8 +178,8 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_explicit_timeout_does_not_poison(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_explicit_timeout_does_not_poison(self):
+        backend = create_backend("resident", max_workers=1)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.5})
@@ -231,14 +228,11 @@ class TestCollectAnyFaultInjection:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("threads", (False, True), ids=("process", "thread"))
-    def test_dropped_pipe_frame_surfaces_as_timeout_not_hang(self, threads):
+    def test_dropped_pipe_frame_surfaces_as_timeout_not_hang(self):
         # A dispatch frame lost on the wire means the slot never replies;
         # the transport's read_timeout must turn the silent wait into a
         # clean TransportError instead of an infinite collect_any.
-        transport = ChaosTransport(
-            LocalPipeTransport(serve_slot, read_timeout=1.0, threads=threads)
-        )
+        transport = ChaosTransport(LocalPipeTransport(serve_slot, read_timeout=1.0))
         backend = ResidentBackend(max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
@@ -290,13 +284,6 @@ class TestCollectAnyFaultInjection:
 # -- one ledger, every view --------------------------------------------------------
 
 
-def _one_slot_backend(transport):
-    """A 1-slot ``resident`` pool over ``transport``; ``"thread"``: the ``thread`` backend."""
-    if transport == "thread":
-        return create_backend("thread", max_workers=1)
-    return ResidentBackend(max_workers=1, transport=transport)
-
-
 def _toy_generation():
     """A tiny generator plus one input batch for ``start_generation``."""
     factory = build_toy_gan(image_shape=(1, 8, 8), num_classes=4, latent_dim=8, hidden=16)
@@ -306,14 +293,14 @@ def _toy_generation():
 
 
 class TestOneLedger:
-    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_views_interleave_on_one_slot_in_fifo_order(self, transport):
         # A collector step, a generate handle, a run handle and a boundary op
         # queued on the SAME slot: the slot answers in that order, and every
         # reply must land with the view that posted its frame — whichever
         # view happens to be waiting when it arrives.
         generator, g_input = _toy_generation()
-        backend = _one_slot_backend(transport)
+        backend = ResidentBackend(max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.2})
@@ -337,13 +324,13 @@ class TestOneLedger:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_waiting_on_a_later_view_first_still_routes_earlier_replies(self, transport):
         # Same queue, but the *generate* handle is collected first: the
         # collector step queued ahead of it lands in the ready buffer, the
         # run handle behind it stays in flight (and still guards boundary ops).
         generator, g_input = _toy_generation()
-        backend = _one_slot_backend(transport)
+        backend = ResidentBackend(max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, "step")

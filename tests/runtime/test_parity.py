@@ -21,7 +21,7 @@ from repro.simulation import CrashSchedule
 #: pseudo-backend spec: :func:`_config` maps it to the resident backend with
 #: ``transport="tcp"``, so every parity scenario also pins that seeded runs
 #: over loopback sockets are bitwise identical to pipes and to serial.
-PARALLEL_BACKENDS = ("thread", "resident", "resident-tcp")
+PARALLEL_BACKENDS = ("resident", "resident-tcp")
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestMDGANParity:
             MDGANTrainer(factory, shards, _config("serial", participation_fraction=0.5))
         )
         got = _mdgan_signature(
-            MDGANTrainer(factory, shards, _config("thread", participation_fraction=0.5))
+            MDGANTrainer(factory, shards, _config("resident", participation_fraction=0.5))
         )
         _assert_signatures_equal(got, reference)
 
@@ -352,7 +352,7 @@ class TestComposedModes:
 
 
 class TestBackendStateRoundTrip:
-    @pytest.mark.parametrize("backend", ("thread", "resident", "resident-tcp"))
+    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_backend_advances_parent_rng_and_sampler(
         self, backend, small_shards_and_factory
     ):

@@ -349,14 +349,13 @@ class TestPipelinedMDGAN:
         assert history.staleness == [0, 1, 2, 2, 2, 2]
         assert max(history.staleness) <= 2
 
-    @pytest.mark.parametrize("backend", ("thread", "resident"))
-    def test_fixed_depth_deterministic_across_backends(self, backend, ring_setup):
+    def test_fixed_depth_deterministic_across_backends(self, ring_setup):
         shards, factory = ring_setup
         ref_trainer, ref = _mdgan_run(
             factory, shards, _config("serial", pipeline_depth=1)
         )
         got_trainer, got = _mdgan_run(
-            factory, shards, _config(backend, pipeline_depth=1)
+            factory, shards, _config("resident", pipeline_depth=1)
         )
         assert got.generator_loss == ref.generator_loss
         assert got.discriminator_loss == ref.discriminator_loss
@@ -413,16 +412,15 @@ class TestPipelinedMDGAN:
         ref_trainer = build("serial")
         ref = ref_trainer.train()
         assert [e["kind"] for e in ref.events].count("crash") == 2
-        for backend in ("thread", "resident"):
-            got_trainer = build(backend)
-            got = got_trainer.train()
-            assert got.generator_loss == ref.generator_loss
-            assert got.staleness == ref.staleness
-            assert got.events == ref.events
-            assert np.array_equal(
-                got_trainer.generator.get_parameters(),
-                ref_trainer.generator.get_parameters(),
-            )
+        got_trainer = build("resident")
+        got = got_trainer.train()
+        assert got.generator_loss == ref.generator_loss
+        assert got.staleness == ref.staleness
+        assert got.events == ref.events
+        assert np.array_equal(
+            got_trainer.generator.get_parameters(),
+            ref_trainer.generator.get_parameters(),
+        )
 
     def test_cold_start_generates_inline_and_lookahead_runs_on_slots(self, ring_setup):
         shards, factory = ring_setup
@@ -590,7 +588,7 @@ class TestPipelinedFLGAN:
         assert got[:2] == ref[:2]
         assert np.array_equal(got[2], ref[2])
         assert got[3] == 0.0
-        pooled = run("thread", depth)
+        pooled = run("resident", depth)
         assert pooled[:2] == ref[:2]
         assert np.array_equal(pooled[2], ref[2])
         assert pooled[3] >= 2

@@ -6,9 +6,7 @@ then only deltas cross the IPC boundary, the state-epoch counter invalidates
 stale residents, sync returns authority to the trainer, child-side failures
 surface with their traceback, the pool survives (and is exactly reused
 across) consecutive ``train()`` calls, installs ride the slot channel, and
-slot affinity is reproducible across interpreter runs.  The protocol,
-lifecycle and serving tests run on the ``thread`` backend too: the same
-protocol with its slots on threads of this process.
+slot affinity is reproducible across interpreter runs.
 """
 
 from __future__ import annotations
@@ -61,14 +59,7 @@ def _config(backend: str, **overrides) -> TrainingConfig:
 
 
 def _pooled_config(transport: str, **overrides) -> TrainingConfig:
-    """``resident`` over ``transport``; ``"thread"`` means the ``thread`` backend.
-
-    The ``thread`` backend is the resident protocol over local pipes with its
-    slots on threads of this process, so every protocol test has it as a
-    third transport.
-    """
-    if transport == "thread":
-        return _config("thread", **overrides)
+    """``resident`` over ``transport``."""
     return _config("resident", transport=transport, **overrides)
 
 
@@ -194,7 +185,7 @@ class TestSyncAndInvalidation:
         state = trainer._resident_state(trainer.workers[0])
         assert list(mirror_payload(state)) == mirror_keys
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     @pytest.mark.parametrize("trainer_cls", (MDGANTrainer, FLGANTrainer))
     def test_reclaim_restores_full_state_and_training_continues(
         self, trainer_cls, transport, small_shards_and_factory
@@ -260,7 +251,7 @@ class TestSyncAndInvalidation:
         assert abs(big_reclaim - big_mirror) <= 0.01 * big_mirror
         assert big_reclaim - reclaim < 0.05 * (big_shard_bytes - shard_bytes)
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_replace_dataset_after_sync_matches_serial(
         self, transport, small_shards_and_factory
     ):
@@ -297,7 +288,7 @@ class TestSyncAndInvalidation:
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
 
-    @pytest.mark.parametrize("transport", ("pipe", "tcp", "thread"))
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_stale_epoch_is_rejected_by_the_pool(
         self, transport, small_shards_and_factory
     ):
@@ -316,14 +307,13 @@ class TestSyncAndInvalidation:
         finally:
             trainer.close_backend()
 
-    @pytest.mark.parametrize("backend", ("resident", "thread"))
-    def test_pool_failure_poisons_the_backend(self, backend, small_shards_and_factory):
+    def test_pool_failure_poisons_the_backend(self, small_shards_and_factory):
         # After any failed request some residents may hold steps the trainer
         # never merged and other slots may have unread replies: the backend
         # must fail stop (pool torn down, later calls refused) instead of
         # desyncing pipes or silently resuming from stale state.
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config(backend))
+        trainer = MDGANTrainer(factory, shards, _config("resident"))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -344,26 +334,25 @@ class TestSyncAndInvalidation:
             trainer.close_backend()
 
 
-@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestProtocolErrors:
-    def test_pull_params_requires_installed_state(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_pull_params_requires_installed_state(self):
+        backend = create_backend("resident", max_workers=1)
         with pytest.raises(ValueError, match="pull_params requires"):
             backend.pull_params([0])
         backend.close()
 
-    def test_unknown_program_propagates_child_traceback(self, backend):
-        backend = create_backend(backend, max_workers=1)
+    def test_unknown_program_propagates_child_traceback(self):
+        backend = create_backend("resident", max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="Unknown resident program"):
                 backend.run_steps("no-such-program", [(0, lambda: object(), None)])
         finally:
             backend.close()
 
-    def test_missing_install_is_an_error(self, backend):
+    def test_missing_install_is_an_error(self):
         # A supplier returning None means "no install payload": stepping a
         # never-installed worker must fail loudly, not train on nothing.
-        backend = create_backend(backend, max_workers=1)
+        backend = create_backend("resident", max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="no resident state"):
                 backend.run_steps("mdgan", [(0, lambda: None, None)])
@@ -454,11 +443,10 @@ class TestInflightLedger:
             generated.result()
 
 
-@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestLifecycle:
-    def test_pool_restart_reinstalls_state(self, backend, small_shards_and_factory):
+    def test_pool_restart_reinstalls_state(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config(backend))
+        trainer = MDGANTrainer(factory, shards, _config("resident"))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -474,13 +462,12 @@ class TestLifecycle:
             trainer.close_backend()
 
 
-@pytest.mark.parametrize("backend", ("resident", "thread"))
 class TestPersistentServing:
     """The pool is a serving layer owned by the trainer, warm across train()s."""
 
-    def test_second_train_reuses_warm_slots(self, backend, small_shards_and_factory):
+    def test_second_train_reuses_warm_slots(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config(backend)) as trainer:
+        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
             trainer.train()
             backend = trainer._backend
             assert isinstance(backend, ResidentBackend)
@@ -495,7 +482,7 @@ class TestPersistentServing:
             assert backend.ipc_bytes_sent - bytes_after_cold < bytes_after_cold
         assert trainer._backend is None
 
-    def test_sequential_trains_match_serial(self, backend, small_shards_and_factory):
+    def test_sequential_trains_match_serial(self, small_shards_and_factory):
         # Warm reuse is not just cheap, it is exact: two back-to-back
         # train() calls on one trainer stay bitwise identical to the serial
         # reference doing the same thing.
@@ -508,7 +495,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run(backend)
+        resident = run("resident")
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -519,11 +506,11 @@ class TestPersistentServing:
             )
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_train_mirrors_state_without_reclaiming(self, backend, small_shards_and_factory):
+    def test_train_mirrors_state_without_reclaiming(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
         serial = MDGANTrainer(factory, shards, _config("serial"))
         serial.train()
-        with MDGANTrainer(factory, shards, _config(backend)) as resident:
+        with MDGANTrainer(factory, shards, _config("resident")) as resident:
             resident.train()
             backend = resident._backend
             # The trainer's objects hold the final models (mirror) while the
@@ -537,7 +524,7 @@ class TestPersistentServing:
             assert all(backend.installed(w.index) for w in resident.workers)
 
     def test_mutation_between_trains_goes_through_reclaim(
-        self, backend, small_shards_and_factory
+        self, small_shards_and_factory
     ):
         # The documented mutation contract survives the persistent pool:
         # reclaim authority (sync), mutate, train again — bitwise equal to a
@@ -554,7 +541,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run(backend)
+        resident = run("resident")
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -565,7 +552,7 @@ class TestPersistentServing:
             )
 
     def test_close_backend_between_trains_matches_serial(
-        self, backend, small_shards_and_factory
+        self, small_shards_and_factory
     ):
         # Regression: the end-of-train mirror must leave the trainer's
         # objects *complete* (including the sampler's mid-epoch shuffle
@@ -581,7 +568,7 @@ class TestPersistentServing:
                 return trainer
 
         serial = run("serial")
-        resident = run(backend)
+        resident = run("resident")
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -593,9 +580,9 @@ class TestPersistentServing:
             assert s_worker.sampler.samples_drawn == r_worker.sampler.samples_drawn
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_flgan_second_train_reuses_warm_slots(self, backend, small_shards_and_factory):
+    def test_flgan_second_train_reuses_warm_slots(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with FLGANTrainer(factory, shards, _config(backend)) as trainer:
+        with FLGANTrainer(factory, shards, _config("resident")) as trainer:
             trainer.train()
             backend = trainer._backend
             installs_cold = backend.install_count
@@ -603,11 +590,11 @@ class TestPersistentServing:
             assert trainer._backend is backend
             assert backend.install_count == installs_cold
 
-    def test_mirror_payload_carries_no_dataset(self, backend, small_shards_and_factory):
+    def test_mirror_payload_carries_no_dataset(self, small_shards_and_factory):
         # The end-of-train refresh must not re-ship the shard: the mirror op
         # returns exactly the model/optimizer/cursor view, nothing bulkier.
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config(backend)) as trainer:
+        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
             trainer.train_iteration(1)
             backend = trainer._backend
             mirrors = backend.pull_mirror([w.index for w in trainer.workers])
@@ -622,9 +609,9 @@ class TestPersistentServing:
             # Mirroring kept the pool warm and authoritative.
             assert all(backend.installed(w.index) for w in trainer.workers)
 
-    def test_close_is_idempotent_and_reclaims(self, backend, small_shards_and_factory):
+    def test_close_is_idempotent_and_reclaims(self, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config(backend))
+        trainer = MDGANTrainer(factory, shards, _config("resident"))
         trainer.train_iteration(1)
         trainer.close()
         assert trainer._backend is None

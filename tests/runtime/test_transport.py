@@ -416,16 +416,6 @@ class TestSlotSchedulingPolicy:
             backend.close()
         assert os.sched_getscheduler(0) == owner
 
-    def test_slot_threads_keep_their_owners_policy(self):
-        owner = os.sched_getscheduler(0)
-        backend = ResidentBackend(
-            max_workers=1, transport=LocalPipeTransport(serve_slot, threads=True)
-        )
-        try:
-            assert backend.run_steps("transport-policy", [(0, _fresh_state, None)]) == [owner]
-        finally:
-            backend.close()
-
 
 # -- slot death (unified TransportError regression) --------------------------------
 

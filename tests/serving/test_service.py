@@ -33,6 +33,7 @@ from repro.nn import Sequential
 from repro.nn.layers import BatchNorm
 from repro.runtime import ChaosTransport, ResidentBackend, TransportError, create_transport
 from repro.runtime.ledger import InflightLedger
+from repro.runtime.slot import SlotHandler
 from repro.serving import GeneratorService, ServiceClosed
 
 
@@ -135,7 +136,7 @@ class TestBitwiseContract:
         k, batch_size = 3, 4
         draws = _draw_requests(factory, generator.dtype, batch_size, k, seed=9)
         served = {}
-        for backend in ("serial", "thread", "resident"):
+        for backend in ("serial", "resident"):
             config = _config(backend=backend, batch_size=batch_size)
             with GeneratorService(copy.deepcopy(generator), factory, config) as service:
                 images = [
@@ -144,14 +145,13 @@ class TestBitwiseContract:
                 served[backend] = (images, service.generator)
         ref_images, ref_generator = served["serial"]
         ref_layers = [layer for layer in ref_generator.layers if isinstance(layer, BatchNorm)]
-        for backend in ("thread", "resident"):
-            images, got_generator = served[backend]
-            for got, ref in zip(images, ref_images):
-                assert np.array_equal(got, ref)
-            got_layers = [layer for layer in got_generator.layers if isinstance(layer, BatchNorm)]
-            for got, ref in zip(got_layers, ref_layers):
-                assert np.array_equal(got.running_mean, ref.running_mean)
-                assert np.array_equal(got.running_var, ref.running_var)
+        images, got_generator = served["resident"]
+        for got, ref in zip(images, ref_images):
+            assert np.array_equal(got, ref)
+        got_layers = [layer for layer in got_generator.layers if isinstance(layer, BatchNorm)]
+        for got, ref in zip(got_layers, ref_layers):
+            assert np.array_equal(got.running_mean, ref.running_mean)
+            assert np.array_equal(got.running_var, ref.running_var)
         # The folds really moved the statistics away from their initial state.
         initial = [layer for layer in generator.layers if isinstance(layer, BatchNorm)]
         assert not np.array_equal(initial[0].running_mean, ref_layers[0].running_mean)
@@ -292,6 +292,17 @@ class TestPipelinedDispatch:
         # request is answered bitwise as the serial-inline service answers
         # it, and close() ends the dispatcher.
         _, factory = ring_setup
+        handle_frame, first = SlotHandler.__call__, [True]
+
+        def hold_first_generate(handler, op, payload):
+            # Patched before the pool forks, so each slot inherits it with its
+            # own flag: a slot's first group stays in flight for 0.2 s.
+            if op == "generate" and first[0]:
+                first[0] = False
+                time.sleep(0.2)
+            return handle_frame(handler, op, payload)
+
+        monkeypatch.setattr(SlotHandler, "__call__", hold_first_generate)
         posted = _count_generate_posts(monkeypatch)
         generator = factory.make_generator(np.random.default_rng(0))
         seeds = [[100 * client + i for i in range(6)] for client in range(8)]
@@ -300,12 +311,16 @@ class TestPipelinedDispatch:
         try:
             service = GeneratorService(copy.deepcopy(generator), factory, _config())
             try:
+                # Held on slot 0 while the clients post: they overlap by construction.
+                held = service.submit(seed=10**6)
                 with ThreadPoolExecutor(max_workers=8) as pool:
                     futures = [
                         pool.submit(lambda ss: [service.serve(seed=s, timeout=60) for s in ss], ss)
                         for ss in seeds
                     ]
                     batches = [future.result(timeout=120) for future in futures]
+                held = held.result(timeout=60)
+                assert held.latency_seconds >= 0.2  # the forked slot kept the hold
                 assert service.stats.summary()["failures"] == 0
                 assert max(in_flight for _, in_flight in posted) >= 1
             finally:
@@ -315,6 +330,7 @@ class TestPipelinedDispatch:
             sys.setswitchinterval(previous)
         serial = GeneratorService(copy.deepcopy(generator), factory, _config(backend="serial"))
         with serial:
+            assert np.array_equal(held.images, serial.serve(seed=10**6).images)
             for client_seeds, client_batches in zip(seeds, batches):
                 for seed, batch in zip(client_seeds, client_batches):
                     assert np.array_equal(batch.images, serial.serve(seed=seed).images)

@@ -121,8 +121,8 @@ def trainer_fields(trainer, history) -> dict:
         "batchnorm": {name: _batchnorm_stats(model) for name, model in models.items()},
         "optimizer": {name: _optimizer_state(opt) for name, opt in optimizers.items()},
     }
-    # The wire meters of the resident backend only: thread's slots are
-    # in-process, so its bytes never leave the process.
+    # The wire meters of the resident backend only: serial's inline slot
+    # moves no bytes.
     executor = getattr(trainer, "executor", None)
     if getattr(executor, "name", None) != "resident":
         return fields
@@ -261,14 +261,14 @@ def _standalone():
     }
 
 
-def _service(backend="resident"):
+def _service():
     import numpy as np
 
     from repro.serving import GeneratorService
 
     factory, _ = _cnn()
     generator = factory.make_generator(np.random.default_rng(5))
-    with GeneratorService(generator, factory, _config(backend)) as service:
+    with GeneratorService(generator, factory, _config("resident")) as service:
         service.warmup()
         samples = [service.serve(seed=seed).images for seed in range(4)]
         samples += [service.serve(batch_size=3).images for _ in range(2)]
@@ -291,7 +291,6 @@ def _rows(runner_name):
 
 CONFIGS = {
     "mdgan-serial": _mdgan(_toy),
-    "mdgan-thread": _mdgan(_toy, "thread"),
     "mdgan-resident-pipe": _mdgan(_toy, "resident"),
     "mdgan-resident-tcp": _mdgan(_toy, "resident-tcp"),
     "mdgan-depth1": _mdgan(_toy, pipeline_depth=1),
@@ -303,17 +302,16 @@ CONFIGS = {
     "cnn-k2-serial": _mdgan(_cnn, precision="float32"),
     "cnn-k2-resident": _mdgan(_cnn, "resident", precision="float32"),
     "cnn-k2-depth1": _mdgan(_cnn, precision="float32", pipeline_depth=1),
-    "cnn-k2-depth1-thread": _mdgan(_cnn, "thread", precision="float32", pipeline_depth=1),
+    "cnn-k2-depth1-resident": _mdgan(_cnn, "resident", precision="float32", pipeline_depth=1),
     "cnn-mbd-serial": _mdgan(_cnn_mbd, precision="float32"),
     "flgan-serial": _flgan("serial"),
     "flgan-async-serial": _flgan("serial", aggregation="async"),
     # Rounds of 4 iterations: a depth-1 window holds steps between rounds.
     "flgan-depth1-serial": _flgan("serial", epochs_per_swap=0.8, pipeline_depth=1),
-    "flgan-thread": _flgan("thread"),
     "flgan-resident": _flgan("resident"),
     "flgan-cnn-serial": _flgan("serial", _cnn, precision="float32"),
+    "flgan-cnn-resident": _flgan("resident", _cnn, precision="float32"),
     "service-samples": _service,
-    "service-thread": lambda: _service("thread"),
     "standalone": _standalone,
     "run_table2": _rows("run_table2"),
     "run_table3": _rows("run_table3"),
