@@ -27,7 +27,9 @@ from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.simulation import CrashSchedule, worker_name
 
-BACKENDS = ("serial", "resident")
+#: ``"resident-tcp"`` is the resident backend over tcp worker hosts, whose
+#: completion order :func:`_config` leaves to the sockets.
+BACKENDS = ("serial", "resident", "resident-tcp")
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,8 @@ def _config(**overrides) -> TrainingConfig:
         max_workers=2,
     )
     base.update(overrides)
+    if base.get("backend") == "resident-tcp":
+        base.update(backend="resident", transport="tcp")
     return TrainingConfig(**base)
 
 
@@ -235,12 +239,13 @@ class TestMDGANAsync:
             history = trainer.train()
         assert history.events_of_kind("swap")
 
-    def test_crashed_workers_are_discarded(self, small_shards_and_factory):
+    @pytest.mark.parametrize("backend", ("resident", "resident-tcp"))
+    def test_crashed_workers_are_discarded(self, backend, small_shards_and_factory):
         shards, factory = small_shards_and_factory
         schedule = CrashSchedule(
             {2: [worker_name(0)], 4: [worker_name(1), worker_name(2), worker_name(3)]}
         )
-        config = _config(backend="resident", iterations=8)
+        config = _config(backend=backend, iterations=8)
         with MDGANTrainer(
             factory, shards, config, crash_schedule=schedule
         ) as trainer:
@@ -252,12 +257,16 @@ class TestMDGANAsync:
         assert history.iterations
         assert len(history.iterations) < 8
 
-    def test_straggler_contributions_stay_bounded(self, small_shards_and_factory, monkeypatch):
+    @pytest.mark.parametrize("backend", ("resident", "resident-tcp"))
+    def test_straggler_contributions_stay_bounded(
+        self, backend, small_shards_and_factory, monkeypatch
+    ):
         # A 10x-slowed worker must not stall the fleet (other workers keep
         # flushing) yet its contributions still obey the bound.  The program
-        # is re-registered before the pool opens; the pipe slots fork after
-        # that (Linux's default start method on Python 3.10-3.13), so they
-        # inherit it.  The straggler benchmark injects through this seam too.
+        # is re-registered before the pool opens; the pipe slots and the
+        # loopback tcp worker hosts fork after that (Linux's default start
+        # method on Python 3.10-3.13), so they inherit it.  The straggler
+        # benchmark injects through this seam too.
         shards, factory = small_shards_and_factory
         from repro.runtime import programs
 
@@ -269,7 +278,7 @@ class TestMDGANAsync:
             return program.step(state, step_input)
 
         monkeypatch.setitem(programs._PROGRAMS, "mdgan", replace(program, step=slow))
-        config = _config(backend="resident", max_workers=4, max_staleness=3)
+        config = _config(backend=backend, max_workers=4, max_staleness=3)
         with MDGANTrainer(factory, shards, config) as trainer:
             history = trainer.train()
         assert len(history.iterations) == config.iterations

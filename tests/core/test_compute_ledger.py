@@ -31,6 +31,9 @@ L, B = 2, 8
 def _config(**overrides) -> TrainingConfig:
     base = dict(iterations=6, batch_size=B, disc_steps=L, seed=11, max_workers=2)
     base.update(overrides)
+    if base.get("backend") == "resident-tcp":
+        # The ledgers travel back in tcp worker hosts' replies too.
+        base.update(backend="resident", transport="tcp")
     return TrainingConfig(**base)
 
 
@@ -56,7 +59,7 @@ def _assert_mdgan_worker_ledgers(trainer) -> list:
 
 
 class TestMDGANWorkerLedger:
-    @pytest.mark.parametrize("backend", ["serial", "resident"])
+    @pytest.mark.parametrize("backend", ["serial", "resident", "resident-tcp"])
     def test_closed_form_under_a_crash(self, backend, ring_shards, toy_factory):
         trainer = MDGANTrainer(
             toy_factory,
@@ -98,7 +101,7 @@ class TestMDGANWorkerLedger:
 
 
 class TestFLGANWorkerLedger:
-    @pytest.mark.parametrize("backend", ["serial", "resident"])
+    @pytest.mark.parametrize("backend", ["serial", "resident", "resident-tcp"])
     def test_closed_form_and_the_factor_of_two(self, backend, ring_shards, toy_factory):
         iterations = 6
         with FLGANTrainer(

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import sys
 import threading
 import warnings
 
@@ -210,6 +211,47 @@ def ring():
 
 def _config(backend, **overrides):
     return TrainingConfig(iterations=3, batch_size=8, seed=1, backend=backend, **overrides)
+
+
+class TestResidentSlots:
+    """``resident``'s slots are child processes (pipe) or worker hosts (tcp)."""
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_pool_is_lazy_and_reusable_after_close(self, transport):
+        items = [(key, dict, key) for key in (2, 3)]
+        backend = create_backend("resident", max_workers=2, transport=transport)
+        try:
+            assert backend._transport is None  # construction starts nothing
+            assert backend.run_steps("backend-square", items) == [4, 9]
+            first = list(backend._transport._processes)
+            assert len(first) == 2 and all(p.is_alive() for p in first)
+            backend.close()
+            assert backend._transport is None
+            assert not any(p.is_alive() for p in first)
+            # A closed pool reopens on its next use, with fresh processes.
+            assert backend.run_steps("backend-square", items) == [4, 9]
+            second = backend._transport._processes
+            assert len(second) == 2 and not set(second) & set(first)
+            backend.close()
+            backend.close()  # idempotent
+            assert not any(p.is_alive() for p in second)
+        finally:
+            backend.close()
+
+    def test_a_slot_per_worker_under_fast_switching_matches_serial(self, ring):
+        # Four slot processes, the owner's threads switching every 10 us:
+        # replies merge in worker order, so no interleaving may move a bit.
+        reference = MDGANTrainer(*ring, _config("serial")).train()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MDGANTrainer(*ring, _config("resident", max_workers=4)) as trainer:
+                got = trainer.train()
+                assert trainer._backend.alive_slot_count() == 4
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.generator_loss == reference.generator_loss
+        assert got.discriminator_loss == reference.discriminator_loss
 
 
 def test_close_quietly_swallows_close_errors_silently():

@@ -12,6 +12,8 @@ pool fail-stop, and never hang.  On the resident backend both are views of
 one in-flight ledger: ``TestOneLedger`` interleaves every view on one slot,
 and ``TestFaultsThroughBothViews`` runs the same injections through
 ``PendingSteps.result()`` and ``collect_any()``, fail-stop and elastic.
+The collector and dropped-frame tests run over both transports: pipe slots
+and tcp worker hosts.
 """
 
 from __future__ import annotations
@@ -117,9 +119,10 @@ def _two_keys_on_distinct_slots(backend):
     raise AssertionError("no distinct-slot key pair found")  # pragma: no cover
 
 
+@pytest.mark.parametrize("transport", ("pipe", "tcp"))
 class TestResidentCollector:
-    def test_completion_order_and_mid_flight_params(self):
-        backend = create_backend("resident", max_workers=2)
+    def test_completion_order_and_mid_flight_params(self, transport):
+        backend = create_backend("resident", max_workers=2, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             assert isinstance(collector, ResidentCollector)
@@ -143,16 +146,16 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_open_collector_requires_program_name(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_open_collector_requires_program_name(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             with pytest.raises(ValueError, match="program"):
                 backend.open_collector()
         finally:
             backend.close()
 
-    def test_fifo_and_collector_modes_are_mutually_exclusive(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_fifo_and_collector_modes_are_mutually_exclusive(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.0})
@@ -166,8 +169,8 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_duplicate_key_dispatch_is_rejected(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_duplicate_key_dispatch_is_rejected(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.2})
@@ -178,8 +181,8 @@ class TestResidentCollector:
         finally:
             backend.close()
 
-    def test_explicit_timeout_does_not_poison(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_explicit_timeout_does_not_poison(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")
             collector.dispatch(0, _fresh_state, {"sleep": 0.5})
@@ -228,11 +231,16 @@ class TestCollectAnyFaultInjection:
         finally:
             backend.close()
 
-    def test_dropped_pipe_frame_surfaces_as_timeout_not_hang(self):
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_dropped_frame_surfaces_as_timeout_not_hang(self, transport):
         # A dispatch frame lost on the wire means the slot never replies;
         # the transport's read_timeout must turn the silent wait into a
         # clean TransportError instead of an infinite collect_any.
-        transport = ChaosTransport(LocalPipeTransport(serve_slot, read_timeout=1.0))
+        if transport == "pipe":
+            inner = LocalPipeTransport(serve_slot, read_timeout=1.0)
+        else:
+            inner = TcpTransport(connect_timeout=30.0, read_timeout=1.0)
+        transport = ChaosTransport(inner)
         backend = ResidentBackend(max_workers=1, transport=transport)
         try:
             collector = backend.open_collector("collect-echo")

@@ -994,16 +994,19 @@ class TestComposedElastic:
 
 
 class TestFailStopParity:
-    def test_fail_stop_bitwise_identical_across_backends(self, ring_setup4):
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_fail_stop_bitwise_identical_across_backends(self, transport, ring_setup4):
         # Acceptance (c): the explicit fail-stop policy runs zero elastic
-        # code and stays bitwise identical on both backends.
+        # code and stays bitwise identical on both backends, over pipes and
+        # over tcp worker hosts.
         shards, factory = ring_setup4
         reference = None
         for backend in ("serial", "resident"):
+            options = {"transport": transport} if backend == "resident" else {}
             trainer = MDGANTrainer(
                 factory,
                 shards,
-                _config(backend=backend, iterations=3, on_slot_loss="fail_stop"),
+                _config(backend=backend, iterations=3, on_slot_loss="fail_stop", **options),
             )
             history = trainer.train()
             trainer.close_backend()

@@ -17,11 +17,14 @@ from repro.datasets import make_gaussian_ring, partition_iid
 from repro.models import build_toy_gan
 from repro.simulation import CrashSchedule
 
-#: Backend specs for parametrized parity tests.  ``"resident-tcp"`` is a
-#: pseudo-backend spec: :func:`_config` maps it to the resident backend with
-#: ``transport="tcp"``, so every parity scenario also pins that seeded runs
-#: over loopback sockets are bitwise identical to pipes and to serial.
-PARALLEL_BACKENDS = ("resident", "resident-tcp")
+#: Backend specs for parametrized parity tests.  ``"resident-tcp"`` and
+#: ``"resident-4slots"`` are pseudo-backend specs: :func:`_config` maps the
+#: first to the resident backend with ``transport="tcp"``, so every parity
+#: scenario also pins that seeded runs over loopback sockets are bitwise
+#: identical to pipes and to serial, and the second to one pipe slot per
+#: worker (plain ``"resident"`` puts two workers on each of two slots), so
+#: the worker-to-slot layout moves no bit either.
+PARALLEL_BACKENDS = ("resident", "resident-tcp", "resident-4slots")
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,8 @@ def _config(backend: str, **overrides) -> TrainingConfig:
     base = dict(iterations=5, batch_size=8, seed=11, backend=backend, max_workers=2)
     if backend == "resident-tcp":
         base.update(backend="resident", transport="tcp")
+    elif backend == "resident-4slots":
+        base.update(backend="resident", max_workers=4)
     base.update(overrides)
     return TrainingConfig(**base)
 

@@ -349,13 +349,14 @@ class TestPipelinedMDGAN:
         assert history.staleness == [0, 1, 2, 2, 2, 2]
         assert max(history.staleness) <= 2
 
-    def test_fixed_depth_deterministic_across_backends(self, ring_setup):
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_fixed_depth_deterministic_across_backends(self, transport, ring_setup):
         shards, factory = ring_setup
         ref_trainer, ref = _mdgan_run(
             factory, shards, _config("serial", pipeline_depth=1)
         )
         got_trainer, got = _mdgan_run(
-            factory, shards, _config("resident", pipeline_depth=1)
+            factory, shards, _config("resident", transport=transport, pipeline_depth=1)
         )
         assert got.generator_loss == ref.generator_loss
         assert got.discriminator_loss == ref.discriminator_loss
@@ -398,21 +399,22 @@ class TestPipelinedMDGAN:
         _, pipe = _mdgan_run(factory, shards, _config("serial", pipeline_depth=1))
         assert pipe.generator_loss != sync.generator_loss
 
-    def test_pipelined_with_crashes_and_partial_participation(self, ring_setup):
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_pipelined_with_crashes_and_partial_participation(self, transport, ring_setup):
         shards, factory = ring_setup
 
-        def build(backend):
+        def build(backend, **options):
             return MDGANTrainer(
                 factory,
                 shards,
-                _config(backend, pipeline_depth=1, participation_fraction=0.75),
+                _config(backend, pipeline_depth=1, participation_fraction=0.75, **options),
                 crash_schedule=CrashSchedule({2: ["worker-1"], 4: ["worker-3"]}),
             )
 
         ref_trainer = build("serial")
         ref = ref_trainer.train()
         assert [e["kind"] for e in ref.events].count("crash") == 2
-        got_trainer = build("resident")
+        got_trainer = build("resident", transport=transport)
         got = got_trainer.train()
         assert got.generator_loss == ref.generator_loss
         assert got.staleness == ref.staleness
@@ -561,17 +563,18 @@ class TestPipelinedFLGAN:
         ).train()
         assert history.generator_loss == ref.generator_loss
 
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     @pytest.mark.parametrize("depth", [1, 2])
     def test_serial_depth_matches_sync_with_rounds_longer_than_the_window(
-        self, ring_setup, depth
+        self, ring_setup, depth, transport
     ):
         # A round of more than depth + 1 iterations keeps older steps in
         # flight behind newer ones between rounds: on the inline slot a
         # late merge would rewind the worker's own RNG/sampler cursors.
         shards, factory = ring_setup
 
-        def run(backend, depth):
-            config = _config(backend, epochs_per_swap=0.8, pipeline_depth=depth)
+        def run(backend, depth, **options):
+            config = _config(backend, epochs_per_swap=0.8, pipeline_depth=depth, **options)
             with FLGANTrainer(factory, shards, config) as trainer:
                 history = trainer.train()
                 assert trainer.iterations_per_round > depth + 1
@@ -588,7 +591,7 @@ class TestPipelinedFLGAN:
         assert got[:2] == ref[:2]
         assert np.array_equal(got[2], ref[2])
         assert got[3] == 0.0
-        pooled = run("resident", depth)
+        pooled = run("resident", depth, transport=transport)
         assert pooled[:2] == ref[:2]
         assert np.array_equal(pooled[2], ref[2])
         assert pooled[3] >= 2

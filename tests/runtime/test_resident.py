@@ -6,7 +6,9 @@ then only deltas cross the IPC boundary, the state-epoch counter invalidates
 stale residents, sync returns authority to the trainer, child-side failures
 surface with their traceback, the pool survives (and is exactly reused
 across) consecutive ``train()`` calls, installs ride the slot channel, and
-slot affinity is reproducible across interpreter runs.
+slot affinity is reproducible across interpreter runs.  The protocol-error,
+lifecycle and serving tests run over both transports: slots that are child
+processes on pipes, and worker hosts over tcp.
 """
 
 from __future__ import annotations
@@ -307,13 +309,14 @@ class TestSyncAndInvalidation:
         finally:
             trainer.close_backend()
 
-    def test_pool_failure_poisons_the_backend(self, small_shards_and_factory):
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_pool_failure_poisons_the_backend(self, transport, small_shards_and_factory):
         # After any failed request some residents may hold steps the trainer
         # never merged and other slots may have unread replies: the backend
         # must fail stop (pool torn down, later calls refused) instead of
         # desyncing pipes or silently resuming from stale state.
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _pooled_config(transport))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -334,25 +337,26 @@ class TestSyncAndInvalidation:
             trainer.close_backend()
 
 
+@pytest.mark.parametrize("transport", ("pipe", "tcp"))
 class TestProtocolErrors:
-    def test_pull_params_requires_installed_state(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_pull_params_requires_installed_state(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         with pytest.raises(ValueError, match="pull_params requires"):
             backend.pull_params([0])
         backend.close()
 
-    def test_unknown_program_propagates_child_traceback(self):
-        backend = create_backend("resident", max_workers=1)
+    def test_unknown_program_propagates_child_traceback(self, transport):
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             with pytest.raises(RuntimeError, match="Unknown resident program"):
                 backend.run_steps("no-such-program", [(0, lambda: object(), None)])
         finally:
             backend.close()
 
-    def test_missing_install_is_an_error(self):
+    def test_missing_install_is_an_error(self, transport):
         # A supplier returning None means "no install payload": stepping a
         # never-installed worker must fail loudly, not train on nothing.
-        backend = create_backend("resident", max_workers=1)
+        backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             with pytest.raises(RuntimeError, match="no resident state"):
                 backend.run_steps("mdgan", [(0, lambda: None, None)])
@@ -443,10 +447,11 @@ class TestInflightLedger:
             generated.result()
 
 
+@pytest.mark.parametrize("transport", ("pipe", "tcp"))
 class TestLifecycle:
-    def test_pool_restart_reinstalls_state(self, small_shards_and_factory):
+    def test_pool_restart_reinstalls_state(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _pooled_config(transport))
         try:
             trainer.train_iteration(1)
             backend = trainer._backend
@@ -462,12 +467,13 @@ class TestLifecycle:
             trainer.close_backend()
 
 
+@pytest.mark.parametrize("transport", ("pipe", "tcp"))
 class TestPersistentServing:
     """The pool is a serving layer owned by the trainer, warm across train()s."""
 
-    def test_second_train_reuses_warm_slots(self, small_shards_and_factory):
+    def test_second_train_reuses_warm_slots(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
+        with MDGANTrainer(factory, shards, _pooled_config(transport)) as trainer:
             trainer.train()
             backend = trainer._backend
             assert isinstance(backend, ResidentBackend)
@@ -482,20 +488,20 @@ class TestPersistentServing:
             assert backend.ipc_bytes_sent - bytes_after_cold < bytes_after_cold
         assert trainer._backend is None
 
-    def test_sequential_trains_match_serial(self, small_shards_and_factory):
+    def test_sequential_trains_match_serial(self, transport, small_shards_and_factory):
         # Warm reuse is not just cheap, it is exact: two back-to-back
         # train() calls on one trainer stay bitwise identical to the serial
         # reference doing the same thing.
         shards, factory = small_shards_and_factory
 
-        def run(backend_name):
-            with MDGANTrainer(factory, shards, _config(backend_name)) as trainer:
+        def run(config):
+            with MDGANTrainer(factory, shards, config) as trainer:
                 trainer.train()
                 trainer.train()
                 return trainer
 
-        serial = run("serial")
-        resident = run("resident")
+        serial = run(_config("serial"))
+        resident = run(_pooled_config(transport))
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -506,11 +512,11 @@ class TestPersistentServing:
             )
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_train_mirrors_state_without_reclaiming(self, small_shards_and_factory):
+    def test_train_mirrors_state_without_reclaiming(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
         serial = MDGANTrainer(factory, shards, _config("serial"))
         serial.train()
-        with MDGANTrainer(factory, shards, _config("resident")) as resident:
+        with MDGANTrainer(factory, shards, _pooled_config(transport)) as resident:
             resident.train()
             backend = resident._backend
             # The trainer's objects hold the final models (mirror) while the
@@ -524,7 +530,7 @@ class TestPersistentServing:
             assert all(backend.installed(w.index) for w in resident.workers)
 
     def test_mutation_between_trains_goes_through_reclaim(
-        self, small_shards_and_factory
+        self, transport, small_shards_and_factory
     ):
         # The documented mutation contract survives the persistent pool:
         # reclaim authority (sync), mutate, train again — bitwise equal to a
@@ -532,16 +538,16 @@ class TestPersistentServing:
         shards, factory = small_shards_and_factory
         replacement, _ = make_gaussian_ring(n_train=48, n_test=8, image_size=8, seed=29)
 
-        def run(backend_name):
-            with MDGANTrainer(factory, shards, _config(backend_name)) as trainer:
+        def run(config):
+            with MDGANTrainer(factory, shards, config) as trainer:
                 trainer.train()
                 trainer.sync_worker_state([trainer.workers[1]])
                 trainer.workers[1].sampler.replace_dataset(replacement)
                 trainer.train()
                 return trainer
 
-        serial = run("serial")
-        resident = run("resident")
+        serial = run(_config("serial"))
+        resident = run(_pooled_config(transport))
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -552,7 +558,7 @@ class TestPersistentServing:
             )
 
     def test_close_backend_between_trains_matches_serial(
-        self, small_shards_and_factory
+        self, transport, small_shards_and_factory
     ):
         # Regression: the end-of-train mirror must leave the trainer's
         # objects *complete* (including the sampler's mid-epoch shuffle
@@ -560,15 +566,15 @@ class TestPersistentServing:
         # still bitwise-exact — not just warm reuse.
         shards, factory = small_shards_and_factory
 
-        def run(backend_name):
-            with MDGANTrainer(factory, shards, _config(backend_name)) as trainer:
+        def run(config):
+            with MDGANTrainer(factory, shards, config) as trainer:
                 trainer.train()
                 trainer.close_backend()  # cold restart: next train re-installs
                 trainer.train()
                 return trainer
 
-        serial = run("serial")
-        resident = run("resident")
+        serial = run(_config("serial"))
+        resident = run(_pooled_config(transport))
         assert np.array_equal(
             serial.generator.get_parameters(), resident.generator.get_parameters()
         )
@@ -580,9 +586,9 @@ class TestPersistentServing:
             assert s_worker.sampler.samples_drawn == r_worker.sampler.samples_drawn
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
 
-    def test_flgan_second_train_reuses_warm_slots(self, small_shards_and_factory):
+    def test_flgan_second_train_reuses_warm_slots(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        with FLGANTrainer(factory, shards, _config("resident")) as trainer:
+        with FLGANTrainer(factory, shards, _pooled_config(transport)) as trainer:
             trainer.train()
             backend = trainer._backend
             installs_cold = backend.install_count
@@ -590,11 +596,11 @@ class TestPersistentServing:
             assert trainer._backend is backend
             assert backend.install_count == installs_cold
 
-    def test_mirror_payload_carries_no_dataset(self, small_shards_and_factory):
+    def test_mirror_payload_carries_no_dataset(self, transport, small_shards_and_factory):
         # The end-of-train refresh must not re-ship the shard: the mirror op
         # returns exactly the model/optimizer/cursor view, nothing bulkier.
         shards, factory = small_shards_and_factory
-        with MDGANTrainer(factory, shards, _config("resident")) as trainer:
+        with MDGANTrainer(factory, shards, _pooled_config(transport)) as trainer:
             trainer.train_iteration(1)
             backend = trainer._backend
             mirrors = backend.pull_mirror([w.index for w in trainer.workers])
@@ -609,9 +615,9 @@ class TestPersistentServing:
             # Mirroring kept the pool warm and authoritative.
             assert all(backend.installed(w.index) for w in trainer.workers)
 
-    def test_close_is_idempotent_and_reclaims(self, small_shards_and_factory):
+    def test_close_is_idempotent_and_reclaims(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
-        trainer = MDGANTrainer(factory, shards, _config("resident"))
+        trainer = MDGANTrainer(factory, shards, _pooled_config(transport))
         trainer.train_iteration(1)
         trainer.close()
         assert trainer._backend is None

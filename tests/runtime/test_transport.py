@@ -35,6 +35,7 @@ from repro.runtime import (
     MembershipPolicy,
     ResidentBackend,
     TransportError,
+    create_backend,
 )
 from repro.runtime.resident import ResidentProgram, register_program, serve_slot
 from repro.runtime.transport import (
@@ -412,6 +413,17 @@ class TestSlotSchedulingPolicy:
         try:
             items = [(0, _fresh_state, None), (1, _fresh_state, None)]
             assert backend.run_steps("transport-policy", items) == [os.SCHED_BATCH] * 2
+        finally:
+            backend.close()
+        assert os.sched_getscheduler(0) == owner
+
+    def test_the_inline_slot_keeps_its_owners_policy(self):
+        # ``serial``'s slot runs on the caller's thread: it must not demote
+        # the trainer itself to the batch policy.
+        owner = os.sched_getscheduler(0)
+        backend = create_backend("serial")
+        try:
+            assert backend.run_steps("transport-policy", [(0, _fresh_state, None)]) == [owner]
         finally:
             backend.close()
         assert os.sched_getscheduler(0) == owner
