@@ -192,10 +192,11 @@ def discriminator_update(
     discriminator: Sequential,
     objective: GANObjective,
     optimizer: Optimizer,
-    real_images: np.ndarray,
+    real_images: Optional[np.ndarray],
     real_labels: Optional[np.ndarray],
     fake_images: np.ndarray,
     fake_labels: Optional[np.ndarray],
+    real_loss: Optional[float] = None,
 ) -> float:
     """One discriminator learning step (paper Section II-1).
 
@@ -206,20 +207,24 @@ def discriminator_update(
     gradient, then the generated one's — and a single optimizer step is
     applied.  Nobody reads the gradient with respect to the images here, so
     the pass does not compute it.  Returns the total loss.
+
+    Given ``real_loss``, the real batch's pass has run (its gradient alone in
+    ``grads``): only the generated batch's runs, the second separate pass.
     """
-    discriminator.zero_grad()
-    n = len(real_images)
-    segments = (n, len(fake_images))
-    outputs = discriminator.forward(
-        np.concatenate([real_images, fake_images]), training=True, segments=segments
-    )
-    loss_real, grad_real = objective.discriminator_real_term(outputs[:n], real_labels)
-    loss_fake, grad_fake = objective.discriminator_fake_term(outputs[n:], fake_labels)
-    discriminator.backward(
-        np.concatenate([grad_real, grad_fake]), input_grad=False, segments=segments
-    )
+    x, segments = fake_images, None
+    if real_loss is None:
+        discriminator.zero_grad()
+        x = np.concatenate([real_images, fake_images])
+        segments = (len(real_images), len(fake_images))
+    outputs = discriminator.forward(x, training=True, segments=segments)
+    n = len(outputs) - len(fake_images)
+    loss_fake, grad = objective.discriminator_fake_term(outputs[n:], fake_labels)
+    if real_loss is None:
+        real_loss, grad_real = objective.discriminator_real_term(outputs[:n], real_labels)
+        grad = np.concatenate([grad_real, grad])
+    discriminator.backward(grad, input_grad=False, segments=segments)
     optimizer.step(discriminator)
-    return float(loss_real + loss_fake)
+    return float(real_loss + loss_fake)
 
 
 def generator_feedback(

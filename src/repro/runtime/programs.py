@@ -29,6 +29,9 @@ class ResidentProgram:
     but *not* bulky immutable payloads like dataset shards, so bringing
     state home does not scale with shard bytes; when ``None`` the full
     resident state is returned instead.
+
+    ``prepare`` (optional) does in a slot's idle time what of the next ``step``
+    needs only the state, kept in it for that step; ``rollback`` undoes it.
     """
 
     name: str
@@ -36,6 +39,8 @@ class ResidentProgram:
     pull_params: Callable[[Any], Any]
     push_params: Callable[[Any, Any], None]
     mirror: Optional[Callable[[Any], Any]] = None
+    prepare: Optional[Callable[[Any], None]] = None
+    rollback: Callable[[Any], None] = lambda state: None
 
 
 _PROGRAMS: Dict[str, ResidentProgram] = {}

@@ -7,6 +7,11 @@ around it, run in pool processes (the pipe transport's children) and in
 remote worker hosts (:mod:`repro.runtime.worker_host`), so a worker host imports it without
 importing the pool.  The inline slot (``serial``) calls a handler directly,
 with the frame objects themselves.
+
+While no frame is pending the byte loop *prepares*: each resident stepped
+since it was last prepared runs its program's ``prepare`` (MD-GAN: the real
+half of the next discriminator step) for its next ``run``; any op but ``run``
+and ``generate`` rolls every resident back first.  The inline slot never idles.
 """
 
 from __future__ import annotations
@@ -37,10 +42,25 @@ class SlotHandler:
     def __init__(self) -> None:
         self.residents: Dict[Any, list] = {}
         self.generators: Dict[Any, Any] = {}
+        #: Residents stepped since they were last prepared (a dict as an ordered set).
+        self.unprepared: Dict[Any, None] = {}
+
+    def prepare_next(self) -> None:
+        """Prepare the resident that stepped last, if it is still here and its program can."""
+        entry = self.residents.get(self.unprepared.popitem()[0])
+        program = entry and get_program(entry[0])
+        if program and program.prepare is not None:
+            try:
+                program.prepare(entry[2])
+            except Exception:  # as found again: the next run recomputes it, and reports
+                program.rollback(entry[2])
 
     def __call__(self, op: str, payload):
         """Execute one frame; return its reply payload."""
         residents = self.residents
+        if op not in ("run", "generate"):
+            for program_name, _, state in residents.values():
+                get_program(program_name).rollback(state)
         if op == "run":
             out = []
             for key, program_name, epoch, install, step_payload in payload:
@@ -58,6 +78,7 @@ class SlotHandler:
                         "mutated outside the pool without re-install)"
                     )
                 out.append(get_program(entry[0]).step(entry[2], step_payload))
+                self.unprepared[key] = None
             return out
         if op == "generate":
             key, install, params, g_inputs = payload
@@ -110,10 +131,12 @@ def serve_slot(channel) -> None:
     connection for :mod:`repro.runtime.worker_host`.  Every reply is
     ``("ok", payload)`` or ``("err", traceback_text)``; the server re-raises
     errors, so a failure in worker code surfaces in the trainer with the
-    slot traceback attached.
+    slot traceback attached.  While no frame is pending, it prepares.
     """
     handle = SlotHandler()
     while True:
+        while handle.unprepared and not channel.poll(0):
+            handle.prepare_next()
         try:
             raw = channel.recv_bytes()
         except (EOFError, OSError):

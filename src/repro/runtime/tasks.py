@@ -30,7 +30,7 @@ pickle preserves that sharing because both travel in the same state object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,15 +148,69 @@ class MDGANStepResult:
     rng_state: Dict[str, Any]
 
 
+@dataclass
+class MDGANPrepared:
+    """A state's ``_prepared`` (never a field: no install or mirror carries it)."""
+
+    #: The first discriminator step's real term; its gradient is in ``grads``.
+    real_loss: Optional[float]
+    #: What computing it moves, as it was: the sampler, every random stream,
+    #: every layer's attributes (a pass rebinds what it changes).
+    sampler_cursor: Dict[str, Any]
+    streams: List[Tuple[np.random.Generator, Dict[str, Any]]]
+    layers: List[Tuple[Any, Dict[str, Any]]]
+
+
+def mdgan_prepare(state: MDGANResidentState) -> None:
+    """Draw the next real batch and backpropagate its term, before the step's input exists.
+
+    The real term depends only on the worker's own discriminator and shard;
+    :func:`mdgan_step` runs the rest of the step, bitwise a plain step.
+    """
+    layers = state.discriminator.layers
+    streams = [state.rng] + [layer._rng for layer in layers if hasattr(layer, "_rng")]
+    state._prepared = prepared = MDGANPrepared(
+        real_loss=None,
+        sampler_cursor=state.sampler.cursor_state(),
+        streams=[(rng, rng.bit_generator.state) for rng in streams],
+        layers=[(layer, dict(vars(layer))) for layer in layers],
+    )
+    real_images, real_labels = state.sampler.next_batch()
+    state.discriminator.zero_grad()
+    outputs = state.discriminator.forward(real_images, training=True)
+    labels = real_labels if state.objective.conditional else None
+    prepared.real_loss, grad = state.objective.discriminator_real_term(outputs, labels)
+    state.discriminator.backward(grad, input_grad=False)
+
+
+def mdgan_rollback(state: MDGANResidentState) -> None:
+    """Undo :func:`mdgan_prepare`: the state is again as its last step left it."""
+    prepared = vars(state).pop("_prepared", None)
+    if prepared is None:
+        return
+    state.sampler.restore_cursor_state(prepared.sampler_cursor)
+    for rng, rng_state in prepared.streams:
+        rng.bit_generator.state = rng_state
+    for layer, attributes in prepared.layers:
+        vars(layer).update(attributes)
+    state.discriminator.zero_grad()
+
+
 def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResult:
     """``L`` discriminator steps plus the error feedback ``F_n``.
 
     Mutates ``state`` in place and touches nothing else; the owner charges
-    the step's compute when it merges the result.
+    the step's compute when it merges the result.  On a prepared state
+    (:func:`mdgan_prepare`) the first step's real half is already done.
     """
+    prepared = vars(state).pop("_prepared", None)
     disc_loss = 0.0
     for _ in range(state.disc_steps):
-        real_images, real_labels = state.sampler.next_batch()
+        real_images = real_labels = real_loss = None
+        if prepared is None:
+            real_images, real_labels = state.sampler.next_batch()
+        else:
+            real_loss, prepared = prepared.real_loss, None
         disc_loss = discriminator_update(
             state.discriminator,
             state.objective,
@@ -165,6 +219,7 @@ def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResu
             real_labels if state.objective.conditional else None,
             step.x_d,
             step.labels_d,
+            real_loss=real_loss,
         )
 
     # Only the owner holds X_n^(g)'s noise; the feedback needs images and labels.
@@ -298,6 +353,8 @@ register_program(
         pull_params=_mdgan_pull_params,
         push_params=_mdgan_push_params,
         mirror=mirror_payload,
+        prepare=mdgan_prepare,
+        rollback=mdgan_rollback,
     )
 )
 register_program(
