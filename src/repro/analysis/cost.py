@@ -192,6 +192,11 @@ def table3_communication(inputs: CostInputs) -> Dict[str, Dict[str, float]]:
     ``worker_to_server_at_server``, ``num_server_worker_rounds``,
     ``worker_to_worker_at_worker``, ``num_worker_worker_rounds``.  The C->W
     rows count :data:`GENERATED_BATCHES` batches per worker.
+
+    The FL-GAN column counts parameters only, as the paper does.  The
+    trainer's meter also charges the BatchNorm running statistics FedAvg
+    averages, 2·C floats per BatchNorm layer of C channels, so a CNN
+    ``traffic-check`` reads about 1.0004 (mnist-cnn, smoke scale), not 1.
     """
     w, theta, d, b, n, i, m, _, _, e = inputs.floats()
 

@@ -164,11 +164,11 @@ class MembershipController:
         """``wait``: block for replacement capacity, then reassign the lost workers.
 
         The lost workers stay alive, restored from their last mirror (or kept
-        as the trainer's current objects when no boundary has passed yet —
-        either way everything since the last merge is gone, exactly the
-        crash-discard semantics); the next dispatch reinstalls them on a
-        surviving slot.  Raises :class:`TransportError` when no capacity
-        appears within ``rejoin_timeout``.
+        as the trainer's objects, the consistent install-time state, when no
+        boundary has passed yet — either way everything the slot did since
+        is gone, exactly the crash-discard semantics); the next dispatch
+        reinstalls them on a surviving slot.  Raises :class:`TransportError`
+        when no capacity appears within ``rejoin_timeout``.
         """
         pool = self.trainer.executor
         deadline = time.monotonic() + self.policy.rejoin_timeout

@@ -217,7 +217,7 @@ class EngineHooks:
         return None, None, None
 
     def _async_fold(self, ctx: AsyncContext, worker: Any, unit: Any, result: Any) -> Any:
-        """Adopt one answered step; return its contribution payload or ``None``."""
+        """Merge one answered step; return its contribution payload or ``None``."""
         raise NotImplementedError  # pragma: no cover - trainers override
 
     def _async_merge(self, ctx: AsyncContext, contributions: list, stalenesses: list) -> None:

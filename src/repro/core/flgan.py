@@ -100,7 +100,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             "batch_size": config.batch_size,
         }
         #: Dispatched-but-unmerged local iterations; deeper than 0 only
-        #: under ``pipeline_depth > 0`` on a pool (see _sync_schedule).
+        #: under ``pipeline_depth > 0`` (see _sync_schedule).
         self._pipeline_window = InflightWindow(0)
 
         # The server keeps the reference (averaged) generator/discriminator.
@@ -165,23 +165,19 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
     #
     # A local iteration between federated rounds is
     # ``repro.runtime.tasks.flgan_step`` on every backend; every backend
-    # installs the full local GAN once per round era and only losses plus
-    # RNG/sampler cursors come back.  How state is installed, adopted,
-    # mirrored and reclaimed comes from WorkerStateOwner.
+    # installs the full local GAN once per round era and only the losses
+    # come back.  How state is installed, mirrored and reclaimed comes from
+    # WorkerStateOwner.
 
     def _merge_local_result(self, worker: FLGANWorkerState, result) -> tuple:
-        """Merge phase: adopt the round-tripped state (or cursors), charge the step.
-
-        The step is charged in MD-GAN's categories, holding the full GAN.
-        """
-        step = self._adopt_step(worker, result)
+        """Merge phase: charge the step (in MD-GAN's categories, holding the full GAN)."""
         ledger = self.cluster.workers[worker.index].compute
         w, theta = worker.generator.num_parameters, worker.discriminator.num_parameters
         ledger.charge_all(
             flgan_local_iteration_ops(self.config.batch_size, w, theta, self.config.disc_steps)
         )
         ledger.observe_memory(w + theta)
-        return step.gen_loss, step.disc_loss
+        return result.gen_loss, result.disc_loss
 
     def _federated_round(self, iteration: int) -> None:
         """Workers upload their GANs, the server averages and broadcasts.
@@ -273,14 +269,6 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             pool.push_params(push_map)
 
     # -- main loop --------------------------------------------------------------------
-    def _dispatch_local_iteration(self, active: Sequence[FLGANWorkerState]):
-        """Dispatch one local iteration for every active worker, non-blocking.
-
-        Returns a handle whose ``result()`` yields per-worker results in
-        worker-index order.
-        """
-        return self._start_steps([(worker, None) for worker in active])
-
     def _merge_local_iteration(
         self, iteration: int, active: Sequence[FLGANWorkerState], results
     ) -> None:
@@ -455,8 +443,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         in worker-index order, so seeded runs are bitwise identical across
         serial/resident — including ``pipeline_depth > 0``, where the
         in-flight window drains before every federated round / evaluation
-        (FL-GAN pipelining introduces no staleness); ``serial`` keeps no
-        window (see :meth:`_sync_schedule`).  On success the pool stays
+        (FL-GAN pipelining introduces no staleness).  On success the pool stays
         warm for re-entry; on failure cleanup is best-effort;
         :meth:`close` releases the backend.
         """
@@ -473,7 +460,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         window = self._pipeline_window
         round_length = self.iterations_per_round
         active = self._alive_workers()
-        window.push((iteration, active, self._dispatch_local_iteration(active)))
+        window.push((iteration, active, self._start_steps([(worker, None) for worker in active])))
         if stats is not None and window.depth:
             stats.observe_in_flight(len(window))
         at_boundary = (
@@ -491,16 +478,11 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             self._federated_round(iteration)
 
     def _sync_schedule(self, engine: ExecutionEngine):
-        """The per-iteration body over this run's window of ``pipeline_depth``.
-
-        ``serial``'s inline slot steps the worker's own objects at dispatch,
-        so its window stays at depth 0: nothing overlaps, and a late merge
-        would fold older RNG/sampler cursors back over newer ones.
-        """
+        """The per-iteration body over this run's window of ``pipeline_depth``."""
         depth = self.config.pipeline_depth
         if depth > 0:
             engine.stats = PipelineStats(depth=depth)
-        self._pipeline_window = InflightWindow(0 if self.executor.inline else depth)
+        self._pipeline_window = InflightWindow(depth)
         return partial(self._sync_iteration, stats=engine.stats)
 
     def _pipeline_idle(self) -> bool:

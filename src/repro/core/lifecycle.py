@@ -181,8 +181,10 @@ class WorkerStateOwner(BackendOwner):
     (:mod:`repro.runtime.tasks`; its ``STATE_FIELDS`` tuple names the
     stateful fields a worker object and the state object share) and the
     static per-run context in ``_step_context``; everything that moves
-    worker state — install payload, result adoption, sync — is derived
-    from those here, once for both trainers.
+    worker state — install payload and sync — is derived from those here,
+    once for both trainers.  An installed worker's slot is the one owner of
+    its state, RNG and sampler cursor included: the trainer's objects hold
+    the install-time state until :meth:`sync_worker_state` copies it back.
     Host contract: ``self.workers`` (objects with ``index`` and the state
     fields), ``self.cluster.workers[i]`` nodes, and the engine hooks'
     ``_async_program``.
@@ -219,18 +221,6 @@ class WorkerStateOwner(BackendOwner):
     def _dispatch_unit(self, collector, worker: Any, step_input: Any = None) -> None:
         """Dispatch one step for ``worker`` through an as-completed collector."""
         collector.dispatch(worker.index, partial(self._resident_state, worker), step_input)
-
-    def _adopt_step(self, worker: Any, result):
-        """Fold one step's RNG/sampler cursors back into ``worker``; return the result.
-
-        A step leaves the state in its slot, so only the cursors fold back.
-        On ``serial`` the slot's state is the worker's own objects, so the
-        fold rewrites the values they already hold.
-        """
-        worker.rng.bit_generator.state = result.rng_state
-        worker.sampler.samples_drawn = result.samples_drawn
-        worker.sampler.epochs_completed = result.epochs_completed
-        return result
 
     def sync_worker_state(
         self, workers: Optional[Sequence[Any]] = None, reclaim: bool = True

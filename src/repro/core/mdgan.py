@@ -313,20 +313,8 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
     # merged in worker-index order, so any backend yields bitwise-identical
     # trajectories.  Every backend installs worker state once and ships only
     # the step input (serial's inline slot installs the workers' own
-    # objects).  How state is installed, adopted, mirrored and reclaimed —
+    # objects).  How state is installed, mirrored and reclaimed —
     # and backend ownership — comes from WorkerStateOwner.
-
-    def _dispatch_worker_phase(
-        self, work: List[Tuple[MDGANWorkerState, MDGANStepInput]]
-    ) -> tuple[List[MDGANWorkerState], PendingSteps]:
-        """Dispatch the per-worker phase (Algorithm 1 steps 2-3) asynchronously.
-
-        Hands the ``(worker, step_input)`` pairs to the backend without
-        blocking.  Returns ``(live_workers, handle)``; ``handle.result()``
-        yields the results in worker-index order.
-        """
-        handle = self._start_steps(work)
-        return [worker for worker, _ in work], handle
 
     def _merge_worker_phase(
         self,
@@ -361,8 +349,7 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         worker: MDGANWorkerState,
         result,
     ) -> MDGANStepResult:
-        """Merge phase: adopt worker state/cursors, charge the step and ``F_n``."""
-        step = self._adopt_step(worker, result)
+        """Merge phase: charge the step and ``F_n``."""
         node = self.cluster.workers[worker.index]
         theta = worker.discriminator.num_parameters
         node.compute.charge_all(
@@ -373,10 +360,10 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
             MessageKind.ERROR_FEEDBACK,
             node.name,
             SERVER_NAME,
-            payload_nbytes(step.feedback),
+            payload_nbytes(result.feedback),
             iteration,
         )
-        return step
+        return result
 
     def _swap_discriminators(self, iteration: int) -> None:
         """The SWAP procedure: gossip discriminator parameters between workers.
@@ -493,9 +480,9 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         else:
             batches, staleness = self._take_batches(iteration, k)
         work = self._distribute_batches(iteration, batches, participants)
-        live_workers, handle = self._dispatch_worker_phase(work)
+        handle = self._start_steps(work)
         lookahead = None if queue is None else self._start_lookahead(iteration)
-        merged = self._merge_worker_phase(iteration, live_workers, handle)
+        merged = self._merge_worker_phase(iteration, [worker for worker, _ in work], handle)
         if lookahead is not None:
             self._finish_lookahead(lookahead, staleness)
         self._finish_iteration(iteration, *merged, staleness=staleness)

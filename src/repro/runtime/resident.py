@@ -12,8 +12,7 @@ slot holds the full state of the workers assigned to it (sticky
 assignment is reproducible across interpreter runs) across iterations, so the
 trainer ships only the per-iteration *inputs* (generated batches for MD-GAN,
 nothing at all for FL-GAN local epochs) and receives only the per-iteration
-*outputs* (losses, error feedback and the RNG/sampler cursors that keep the
-trainer's accounting exact).
+*outputs* (losses and error feedback).
 
 Because trainers sometimes mutate worker state outside the pool (the SWAP
 gossip, FedAvg broadcasts, crash handling, ``replace_dataset``), the protocol
@@ -173,12 +172,10 @@ class ResidentBackend:
         #: ``"HOST:PORT"`` for the ``tcp`` transport's external mode
         #: (``None`` = loopback with spawned workers); ignored by ``pipe``.
         self.transport_address = transport_address
-        #: Whether the slots run in the caller on the frame objects themselves
-        #: (``serial``): each step runs at dispatch, so nothing overlaps.
-        self.inline = isinstance(transport, InlineTransport)
         #: Whether the pipelined MD-GAN loop uses :meth:`start_generation`.  It
-        #: ships no forward snapshot, so an inline slot would replay each forward.
-        self.supports_resident_generation = not self.inline
+        #: ships no forward snapshot, so ``serial``'s inline slot would replay
+        #: each forward.
+        self.supports_resident_generation = not isinstance(transport, InlineTransport)
         #: Seconds to wait for worker connections when opening a ``tcp`` pool.
         self.connect_timeout = connect_timeout
         #: Max seconds to wait for any single slot reply (``None`` = forever);

@@ -11,17 +11,21 @@ generated batches.  This module states exactly that, once per algorithm:
   adoption are all derived from that one tuple;
 * a **step input** (``MDGANStepInput``; FL-GAN local iterations need none);
 * a **step result** (``MDGANStepResult`` / ``FLGANStepResult``) carrying only
-  what the worker computed: losses, feedback and the RNG/sampler cursors
+  what the server receives: losses and, for MD-GAN, the feedback ``F_n``
   (the owner charges the step's Table II compute at the merge);
 * one **step function** ``step(state, step_input) -> result``
   (:func:`mdgan_step` / :func:`flgan_step`) that mutates the state in place.
 
 Every backend (:mod:`repro.runtime.resident`) installs the state into a
 pool slot once and runs the step function as that slot's program, so only
-inputs and results cross to the slot.  On ``serial``'s inline slot the
-install is the trainer's own worker objects, passed by reference, so the
-step mutates them in place.  Every backend therefore runs the *same* step
-function and produces bitwise identical seeded trajectories.
+inputs and results cross to the slot.  The slot is then the one owner of
+the worker's state, RNG and sampler cursor included: the trainer's own
+objects keep their install-time values until a mirror pull
+(``pull_mirror`` / ``pull_state``) copies the slot's state back.  On
+``serial``'s inline slot the install is the trainer's own worker objects,
+passed by reference, so the step mutates them in place.  Every backend
+therefore runs the *same* step function and produces bitwise identical
+seeded trajectories.
 
 The sampler and the worker RNG share one :class:`numpy.random.Generator`;
 pickle preserves that sharing because both travel in the same state object.
@@ -134,18 +138,11 @@ class MDGANStepInput:
 
 @dataclass
 class MDGANStepResult:
-    """Result of one MD-GAN worker step: outputs and cursors only.
-
-    ``rng_state``/``samples_drawn``/``epochs_completed`` let the trainer keep
-    its local accounting exact while the heavyweight state stays resident.
-    """
+    """Result of one MD-GAN worker step: its losses and the feedback ``F_n``."""
 
     disc_loss: float
     gen_loss: float
     feedback: np.ndarray
-    samples_drawn: int
-    epochs_completed: int
-    rng_state: Dict[str, Any]
 
 
 @dataclass
@@ -225,14 +222,7 @@ def mdgan_step(state: MDGANResidentState, step: MDGANStepInput) -> MDGANStepResu
     # Only the owner holds X_n^(g)'s noise; the feedback needs images and labels.
     gen_batch = GeneratedBatch(images=step.x_g, noise=None, labels=step.labels_g)
     gen_loss, feedback = generator_feedback(state.discriminator, state.objective, gen_batch)
-    return MDGANStepResult(
-        disc_loss=disc_loss,
-        gen_loss=gen_loss,
-        feedback=feedback,
-        samples_drawn=state.sampler.samples_drawn,
-        epochs_completed=state.sampler.epochs_completed,
-        rng_state=state.rng.bit_generator.state,
-    )
+    return MDGANStepResult(disc_loss=disc_loss, gen_loss=gen_loss, feedback=feedback)
 
 
 # -- FL-GAN: one local iteration of the full GAN ----------------------------------
@@ -267,7 +257,7 @@ class FLGANResidentState:
 
 @dataclass
 class FLGANStepResult:
-    """Result of one FL-GAN local iteration: losses + cursors.
+    """Result of one FL-GAN local iteration: its losses.
 
     Between federated rounds the trainer needs nothing else — the local GAN
     evolves entirely inside the worker state.
@@ -275,9 +265,6 @@ class FLGANStepResult:
 
     gen_loss: float
     disc_loss: float
-    samples_drawn: int
-    epochs_completed: int
-    rng_state: Dict[str, Any]
 
 
 def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
@@ -309,13 +296,7 @@ def flgan_step(state: FLGANResidentState, step: None = None) -> FLGANStepResult:
         state.batch_size,
         state.rng,
     )
-    return FLGANStepResult(
-        gen_loss=gen_loss,
-        disc_loss=disc_loss,
-        samples_drawn=state.sampler.samples_drawn,
-        epochs_completed=state.sampler.epochs_completed,
-        rng_state=state.rng.bit_generator.state,
-    )
+    return FLGANStepResult(gen_loss=gen_loss, disc_loss=disc_loss)
 
 
 # -- resident program registration -------------------------------------------------

@@ -194,24 +194,39 @@ def test_losses_recorded_every_iteration(ring_shards, toy_factory, tiny_config):
     assert all(np.isfinite(history.generator_loss))
 
 
+def _batchnorm_cnn_setup():
+    """A BatchNorm CNN GAN over four 40-image MNIST-like shards."""
+    from repro.datasets import make_mnist_like
+    from repro.models import build_mnist_cnn_gan
+
+    train, _ = make_mnist_like(n_train=160, n_test=20, image_size=16, seed=7)
+    factory = build_mnist_cnn_gan(
+        image_shape=train.spec.shape, num_classes=train.num_classes, width_factor=0.25
+    )
+    return factory, [train.subset(np.arange(start, start + 40)) for start in (0, 40, 80, 120)]
+
+
+@pytest.mark.parametrize("model", ["toy", "batchnorm-cnn"])
 @pytest.mark.parametrize("aggregation", ["sync", "async"])
 def test_model_transfer_bytes_match_rounds_closed_form(
-    ring_shards, toy_factory, aggregation
+    ring_shards, toy_factory, aggregation, model
 ):
     # Table III, FL-GAN column: every round moves each contributor's full
-    # GAN up and the average back down, (|θ_G| + |θ_D|) floats each way.
+    # GAN up and the average back down, (|w| + |θ|) floats each way, plus
+    # the BatchNorm running statistics that FedAvg averages with them.
+    factory, shards = (toy_factory, ring_shards) if model == "toy" else _batchnorm_cnn_setup()
     config = TrainingConfig(
-        iterations=12, batch_size=10, epochs_per_swap=0.2, seed=4,
-        aggregation=aggregation, max_staleness=2,
+        iterations=12, batch_size=10, epochs_per_swap=0.2 if model == "toy" else 0.75,
+        seed=4, aggregation=aggregation, max_staleness=2,
     )
-    trainer = FLGANTrainer(toy_factory, ring_shards, config)
+    trainer = FLGANTrainer(factory, shards, config)
     history = trainer.train()
     rounds = history.events_of_kind("federated_round")
     assert len(rounds) >= 2
-    model_floats = (
-        trainer.server_generator.num_parameters
-        + trainer.server_discriminator.num_parameters
-    )
+    server = (trainer.server_generator, trainer.server_discriminator)
+    buffers = sum(net.get_buffers().size for net in server)
+    assert (buffers > 0) == (model != "toy")
+    model_floats = sum(net.num_parameters for net in server) + buffers
     expected = sum(r["workers"] for r in rounds) * model_floats * 4
     meter = trainer.cluster.meter
     assert meter.total_bytes(MessageKind.MODEL_UPDATE) == expected

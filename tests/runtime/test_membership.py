@@ -504,9 +504,17 @@ class TestDegradeTcp:
             for worker, shard in zip(trainer.workers, shards):
                 assert len(worker.sampler) == len(shard)
             # The revived worker contributes from the very next iteration.
-            drawn_before = trainer.workers[1].sampler.samples_drawn
+            # Its slot owns its sampler once installed: read the pool's mirror
+            # (the trainer's objects until the first install).
+            def samples_drawn():
+                mirror = backend.pull_mirror([1]).get(1)
+                if mirror is None:
+                    return trainer.workers[1].sampler.samples_drawn
+                return mirror["sampler_cursor"]["samples_drawn"]
+
+            drawn_before = samples_drawn()
             ExecutionEngine(trainer).sync_iteration(5, trainer._sync_iteration)
-            assert trainer.workers[1].sampler.samples_drawn > drawn_before
+            assert samples_drawn() > drawn_before
             assert history.membership["join"] >= 1
             assert history.membership["revive"] >= 1
         finally:

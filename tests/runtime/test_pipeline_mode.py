@@ -550,14 +550,15 @@ class TestPipelinedFLGAN:
         restored = TrainingHistory.from_dict(trainer.history.as_dict())
         assert restored.overlap == trainer.history.overlap
 
-    def test_non_resident_depth_falls_back_to_sync(self, ring_setup):
+    def test_serial_windowed_matches_sync(self, ring_setup):
+        # serial runs the same window as the pool: its inline slot answers
+        # each step at dispatch, and the merge only charges and records.
         shards, factory = ring_setup
         trainer = FLGANTrainer(
             factory, shards, _config("serial", epochs_per_swap=0.4, pipeline_depth=2)
         )
         history = trainer.train()
-        # Recorded overlap shows the fallback: nothing was ever in flight.
-        assert history.overlap["max_in_flight"] == 0.0
+        assert history.overlap["max_in_flight"] >= 2
         ref = FLGANTrainer(
             factory, shards, _config("serial", epochs_per_swap=0.4)
         ).train()
@@ -569,8 +570,8 @@ class TestPipelinedFLGAN:
         self, ring_setup, depth, transport
     ):
         # A round of more than depth + 1 iterations keeps older steps in
-        # flight behind newer ones between rounds: on the inline slot a
-        # late merge would rewind the worker's own RNG/sampler cursors.
+        # flight behind newer ones between rounds: a late merge must leave
+        # the inline slot's RNG/sampler cursors (the worker's own) alone.
         shards, factory = ring_setup
 
         def run(backend, depth, **options):
@@ -590,11 +591,12 @@ class TestPipelinedFLGAN:
         got = run("serial", depth)
         assert got[:2] == ref[:2]
         assert np.array_equal(got[2], ref[2])
-        assert got[3] == 0.0
         pooled = run("resident", depth, transport=transport)
         assert pooled[:2] == ref[:2]
         assert np.array_equal(pooled[2], ref[2])
         assert pooled[3] >= 2
+        # The overlap record does not depend on placement.
+        assert got[3] == pooled[3]
 
 def test_resident_state_type_still_used():
     """Guard: the resident MD-GAN install payload keeps its public shape."""

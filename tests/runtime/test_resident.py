@@ -13,6 +13,7 @@ processes on pipes, and worker hosts over tcp.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import zlib
 from pathlib import Path
@@ -511,6 +512,38 @@ class TestPersistentServing:
                 r_worker.discriminator.get_parameters(),
             )
             assert s_worker.rng.bit_generator.state == r_worker.rng.bit_generator.state
+
+    def test_slot_alone_owns_the_cursors_until_a_mirror_pull(
+        self, transport, small_shards_and_factory
+    ):
+        # An installed worker's RNG and sampler cursor live in its slot only:
+        # steps leave the trainer's objects at their install-time values, and
+        # a mirror pull is what brings the slot's (serial's) values back.
+        shards, factory = small_shards_and_factory
+
+        def cursors(trainer):
+            return [
+                (w.rng.bit_generator.state, w.sampler.cursor_state()) for w in trainer.workers
+            ]
+
+        def assert_same(expected, got):
+            for (rng_a, cursor_a), (rng_b, cursor_b) in zip(expected, got):
+                assert rng_a == rng_b
+                cursor_a, cursor_b = dict(cursor_a), dict(cursor_b)
+                assert np.array_equal(cursor_a.pop("order"), cursor_b.pop("order"))
+                assert cursor_a == cursor_b
+
+        serial = MDGANTrainer(factory, shards, _config("serial"))
+        with MDGANTrainer(factory, shards, _pooled_config(transport)) as resident:
+            before = copy.deepcopy(cursors(resident))
+            for iteration in (1, 2, 3):
+                serial.train_iteration(iteration)
+                resident.train_iteration(iteration)
+            assert_same(before, cursors(resident))
+            resident.sync_worker_state(reclaim=False)
+            assert_same(cursors(serial), cursors(resident))
+            _assert_same_worker_state(serial, resident)
+        serial.close()
 
     def test_train_mirrors_state_without_reclaiming(self, transport, small_shards_and_factory):
         shards, factory = small_shards_and_factory
