@@ -181,10 +181,6 @@ class EngineHooks:
         """
         raise NotImplementedError  # pragma: no cover - trainers override
 
-    def _sync_should_continue(self, iteration: int) -> bool:
-        """Pre-iteration continue check (e.g. the all-crashed early exit)."""
-        return True
-
     def _pipeline_idle(self) -> bool:
         """Whether no pipelined work is in flight (the membership boundary needs this)."""
         return True
@@ -287,7 +283,8 @@ class ExecutionEngine:
         iteration = 0
         try:
             for iteration in range(1, cfg.iterations + 1):
-                if not trainer._sync_should_continue(iteration):
+                if not trainer._alive_workers():
+                    trainer.history.record_event(iteration, "all_workers_crashed")
                     break
                 self.sync_iteration(iteration, step)
                 self._evaluate_if_due(iteration)

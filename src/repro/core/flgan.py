@@ -206,7 +206,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         if not states:
             return
         average = self._fedavg(states, weights)
-        self._broadcast_average(iteration, alive, average, pool)
+        self._broadcast_average(iteration, alive, average)
         self.history.record_event(iteration, "federated_round", workers=len(states))
 
     def _server_models(self) -> Dict[str, Sequential]:
@@ -242,14 +242,13 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
         iteration: int,
         workers: Sequence[FLGANWorkerState],
         average: Dict[str, np.ndarray],
-        pool,
     ) -> None:
         """Broadcast the averaged model to ``workers`` and write it into each.
 
         Each hand-over is charged as one ``MODEL_BROADCAST`` message.
-        Installed residents receive the model through ``pool.push_params``
-        (the backend at a synchronous round, the open collector
-        mid-flight); every other worker's own objects are set directly.
+        Installed residents receive the model through the backend's
+        ``push_params`` (mid-flight on an async run, behind the steps queued
+        on each slot); every other worker's own objects are set directly.
         """
         nbytes = payload_nbytes(average)
         push_map: Dict[int, Dict[str, np.ndarray]] = {}
@@ -266,7 +265,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             else:
                 load_model_state(flgan_models(worker), average)
         if push_map:
-            pool.push_params(push_map)
+            self.executor.push_params(push_map)
 
     # -- main loop --------------------------------------------------------------------
     def _merge_local_iteration(
@@ -321,9 +320,8 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
                 ctx.sched.discard(key)
             return None
         try:
-            # The GAN lives in the pool: snapshot it through the collector's
-            # mid-flight pull.
-            payload = ctx.collector.pull_params([key])[key]
+            # The GAN lives in the pool: snapshot it with a mid-flight pull.
+            payload = self.executor.pull_params([key])[key]
         except SlotLossError:
             # The worker's slot died at its round boundary: the round's
             # contribution is lost with it (the turn's loss check discards it).
@@ -372,7 +370,7 @@ class FLGANTrainer(EngineHooks, WorkerStateOwner):
             self.workers[c.key] for c in contributions if self.cluster.workers[c.key].alive
         ]
         try:
-            self._broadcast_average(update, receivers, average, ctx.collector)
+            self._broadcast_average(update, receivers, average)
         except SlotLossError:
             # A contributor's slot died during the broadcast push: its
             # merged copy is lost (the turn's loss check applies the

@@ -57,7 +57,7 @@ class GANObjective:
     picklable :class:`~repro.models.base.FactorySpec` view — the objective
     (and the helpers below) only consult the dimensional facts, never the
     builders, so trainers hand the spec to worker tasks that must survive a
-    pickle round-trip on the ``process`` execution backend.
+    pickle round-trip into a resident pool slot.
     """
 
     def __init__(

@@ -707,13 +707,6 @@ class MDGANTrainer(EngineHooks, WorkerStateOwner):
         engine.stats = self._pipeline_stats
         return self.train_iteration
 
-    def _sync_should_continue(self, iteration: int) -> bool:
-        """Stop (and record) once every worker has crashed."""
-        if not self._alive_workers():
-            self.history.record_event(iteration, "all_workers_crashed")
-            return False
-        return True
-
     def _drain_pipeline_for_membership(self) -> None:
         """Discard the lookahead queue and any in-flight pool frames.
 

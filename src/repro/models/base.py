@@ -37,7 +37,7 @@ class FactorySpec:
     :mod:`repro.runtime` never stamp out new models — they only need the
     dimensional facts used by the loss/feedback helpers — so the trainers
     hand them this frozen view instead of the full factory, keeping the
-    ``process`` backend's pickle round-trip possible for every architecture.
+    resident pool's pickled install frames possible for every architecture.
     """
 
     name: str

@@ -12,8 +12,9 @@ wait loop, owns every timeout and the routing of every fault.
 :class:`PendingSteps` ("wait until all of my entries are answered") and
 :class:`ResidentCollector` ("wait until any step entry is answered") are
 views over the ledger, as are the backend's boundary ops ("append, wait for
-mine").  A reply queued ahead of the one a view waits for reaches its own
-entry on the way, so the views interleave freely on one slot.
+mine").  The per-slot FIFO is the pool's only ordering rule: a reply queued
+ahead of the one a view waits for reaches its own entry on the way, so the
+views interleave freely on one slot and may wait in any order.
 """
 
 from __future__ import annotations
@@ -314,8 +315,8 @@ class PendingSteps:
     :meth:`ResidentBackend.start_generation`.  The request bytes were
     already written to the slot channels at submit time, so the pool slots
     compute while the trainer does other work; ``result`` only waits for
-    this batch's ledger entries.  Handles **must be collected in dispatch
-    order** — enforced here, and violations raise.
+    this batch's ledger entries, so handles may be collected in any order:
+    replies queued ahead of this batch's reach their own entries on the way.
     """
 
     def __init__(self, backend, size: int, op: str = "run") -> None:
@@ -341,7 +342,7 @@ class PendingSteps:
         return self._dead or all(entry.done for entry, _ in self._frames)
 
     def result(self) -> List[Any]:
-        """Collect the slot replies (in dispatch order) and return the results.
+        """Wait for this batch's replies and return its results (in item order).
 
         Positions whose slot was quarantined (elastic pools only) come back
         as :data:`LOST`; a lost ``generate`` frame raises instead, because
@@ -354,20 +355,10 @@ class PendingSteps:
                 "resident pool was closed or poisoned before these steps were "
                 "collected; their results are lost"
             )
-        ledger = self._backend._ledger
         waiting = [entry for entry, _ in self._frames if not entry.done]
         if waiting:
             self._backend._check_usable()
-            # entries() lists each slot oldest-first, so walking it backwards
-            # leaves every slot's *oldest* unanswered handle frame in the map.
-            handle_frames = [e for e in ledger.entries() if isinstance(e.owner, PendingSteps)]
-            oldest = {frame.slot: frame for frame in reversed(handle_frames)}
-            if any(oldest[entry.slot] is not entry for entry in waiting):
-                raise RuntimeError(
-                    "resident step handles must be collected in dispatch order "
-                    "(slot pipes are FIFO)"
-                )
-            ledger.wait(waiting)
+            self._backend._ledger.wait(waiting)
         values: List[Any] = [None] * self._size
         for entry, positions in self._frames:
             if entry.lost and self._op != "run":
@@ -387,16 +378,15 @@ class ResidentCollector:
     slot and :meth:`collect_any` returns whichever step is answered next.
     Per-slot ordering stays FIFO (slot channels are ordered); *across*
     slots, completion order is whatever the pool produces.  On ``serial``'s
-    one inline slot each step runs at dispatch, so completion order is
-    dispatch order and async runs are deterministic.  One collector models
-    one in-flight set: trainers open one per run and close it before any
-    whole-pool operation (state mirror, swap) runs.
+    one inline slot each step runs at dispatch, so steps complete in the
+    order they were dispatched and async runs are deterministic.  One
+    collector models one in-flight set: trainers open one per run.
 
-    Boundary ops remain available mid-flight through :meth:`pull_params` /
-    :meth:`push_params`: their frame queues on the slot behind any
-    outstanding step frames, and step replies that arrive while the boundary
-    reply is awaited land in the ready buffer, served by a later
-    :meth:`collect_any`.  Faults are routed by the ledger's wait loop:
+    The backend's boundary ops run mid-flight like any other view: their
+    frame queues on the slot behind any outstanding step frames, and step
+    replies that arrive while the boundary reply is awaited land in the
+    ready buffer, served by a later :meth:`collect_any`.  Faults are routed
+    by the ledger's wait loop:
     fail-stop pools poison (a ``TransportError`` naming the slot and op,
     and the collector refuses further use); elastic pools answer each step
     frame that was in flight on the dead slot with exactly one
@@ -416,8 +406,8 @@ class ResidentCollector:
     def outstanding(self) -> int:
         """Dispatched steps not yet returned by :meth:`collect_any`.
 
-        Includes step replies already received off the wire (while waiting
-        for a boundary reply) but not yet handed to the caller.
+        Includes step replies already received off the wire (while another
+        view waited) but not yet handed to the caller.
         """
         return len(self._backend._ledger.entries(self)) + len(self._ready)
 
@@ -460,16 +450,6 @@ class ResidentCollector:
                 raise RuntimeError("collect_any called with no outstanding steps")
             ledger.wait(entries, first=True, timeout=timeout)
         return self._ready.popleft()
-
-    def pull_params(self, keys: Sequence) -> Dict[Any, Any]:
-        """Fetch flat parameter vectors mid-flight (state stays resident)."""
-        self._check_open()
-        return self._backend._pull_params(list(keys))
-
-    def push_params(self, params_by_key: Dict[Any, Any]) -> None:
-        """Write flat parameter vectors into installed residents mid-flight."""
-        self._check_open()
-        self._backend._push_params(params_by_key)
 
     def drain(self) -> int:
         """Collect and discard every outstanding step; return the count."""

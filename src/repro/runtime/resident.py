@@ -28,9 +28,8 @@ carries an explicit **state-epoch counter** per worker:
   :meth:`ResidentBackend.pull_state` — "mirror, then drop": it returns the
   program's mirror payload (the same one :meth:`ResidentBackend.pull_mirror`
   serves, so the immutable dataset shard never re-crosses the wire), drops
-  the resident copy and bumps the worker's epoch.  The next ``run_steps``
-  call detects the epoch mismatch and re-installs fresh state from the
-  trainer.
+  the resident copy and bumps the worker's epoch.  The next step dispatch
+  detects the epoch mismatch and re-installs fresh state from the trainer.
 
 Pool slots double-check the epoch of every step they execute and fail
 loudly on a mismatch, so any state handed through the protocol can never be
@@ -64,7 +63,9 @@ through one in-flight ledger (:mod:`repro.runtime.ledger`), whose single wait
 loop reads every reply and routes every fault: a wire failure either poisons
 the pool fail-stop (:class:`~repro.runtime.transport.TransportError` naming
 the slot and op) or, under an elastic membership policy, quarantines the slot
-and answers its queued frames :data:`LOST`.
+and answers its queued frames :data:`LOST`.  The ledger's per-slot FIFO is the
+only ordering rule: any view may wait first, and a boundary op posted behind
+in-flight steps answers after them.
 
 The backend also meters its own IPC: :attr:`ResidentBackend.ipc_bytes_sent`
 and :attr:`ResidentBackend.ipc_bytes_received` count the pickled bytes that
@@ -221,8 +222,8 @@ class ResidentBackend:
         #: Every frame written to a slot and not yet answered; the only
         #: reader of the slot channels (:mod:`repro.runtime.ledger`).
         self._ledger = InflightLedger(self)
-        #: The open :class:`ResidentCollector`, if any; whole-pool boundary
-        #: ops refuse to run while it has outstanding steps.
+        #: The open :class:`ResidentCollector`, if any (drained by
+        #: :meth:`drain_inflight`).
         self._collector: Optional[ResidentCollector] = None
         #: Live :class:`PoolMembership` state, built lazily on first use when
         #: an elastic :attr:`membership_policy` is set; ``None`` otherwise.
@@ -495,28 +496,6 @@ class ResidentBackend:
         if missing:
             raise ValueError(f"{op} requires installed resident state; missing for {missing}")
 
-    def _inflight_batches(self) -> int:
-        """Number of :class:`PendingSteps` batches with unanswered frames."""
-        entries = self._ledger.entries()
-        return len({id(e.owner) for e in entries if isinstance(e.owner, PendingSteps)})
-
-    def _require_no_inflight(self, op: str) -> None:
-        self._check_usable()
-        batches = self._inflight_batches()
-        if batches:
-            raise RuntimeError(
-                f"{op} cannot run while {batches} step batch(es) are "
-                "in flight; collect the PendingSteps handles (or call "
-                "drain_inflight()) first"
-            )
-        if self._collector is not None and self._collector.outstanding:
-            raise RuntimeError(
-                f"{op} cannot run while the open collector has "
-                f"{self._collector.outstanding} step(s) outstanding; collect "
-                "them (or use the collector's own pull_params/push_params, "
-                "which interleave safely) first"
-            )
-
     # -- invalidation protocol --------------------------------------------------
     def installed(self, key) -> bool:
         """Whether the pool holds a *current* resident copy for ``key``."""
@@ -525,25 +504,20 @@ class ResidentBackend:
     def invalidate(self, key) -> None:
         """Mark trainer-side state authoritative for ``key``.
 
-        Bumps the state epoch, so the next :meth:`run_steps` ships a fresh
+        Bumps the state epoch, so the next step dispatch ships a fresh
         install and any lingering pool copy is rejected as stale.
         """
         self._epochs[key] = self._epochs.get(key, 0) + 1
 
     # -- resident protocol ------------------------------------------------------
-    def open_collector(self, program: Optional[str] = None) -> "ResidentCollector":
+    def open_collector(self, program: str) -> "ResidentCollector":
         """Open a :class:`ResidentCollector` for as-completed step collection.
 
         ``program`` names the registered :class:`ResidentProgram` every
-        dispatched step runs.
-        Only one collector is live at a time; reopening detaches a previous
-        (fully collected) one.
+        dispatched step runs.  Only one collector is live at a time;
+        reopening detaches the previous one.
         """
-        if program is None:
-            raise ValueError(
-                "ResidentBackend.open_collector requires the resident program name"
-            )
-        self._require_no_inflight("open_collector")
+        self._check_usable()
         if self._collector is not None:
             self._collector._dead = True
         self._collector = ResidentCollector(self, program)
@@ -590,9 +564,8 @@ class ResidentBackend:
         :class:`PendingSteps` handle is returned; the pool computes while the
         trainer does other work, and ``handle.result()`` collects the replies
         (in item order).  Multiple batches may be in flight at once — slots
-        execute them FIFO — but handles must be collected in dispatch order,
-        and the parameter boundary ops (pull/push) are refused while any step
-        is uncollected.  ``state_supplier`` provides the install payload when
+        execute them FIFO — and their handles may be collected in any order.
+        ``state_supplier`` provides the install payload when
         the pool holds no current copy for ``key`` (see :meth:`_run_item`).
         """
         handle = PendingSteps(self, len(items), op="run")
@@ -636,8 +609,7 @@ class ResidentBackend:
         bitwise.
 
         Returns a :class:`PendingSteps` handle whose ``result()`` yields the
-        per-batch replies in batch order; it participates in the same
-        dispatch-order collection discipline as step batches.
+        per-batch replies in batch order, collectable like a step batch's.
         """
         key, version = handle.key, handle.version
         pending = PendingSteps(self, len(g_inputs), op="generate")
@@ -683,43 +655,28 @@ class ResidentBackend:
                 self._generator_versions[(key, slot_index)] = version
         return pending
 
-    def run_steps(
-        self,
-        program: str,
-        items: Sequence[Tuple[Any, Callable[[], Any], Any]],
-    ) -> List[Any]:
-        """Run one per-iteration step for every ``(key, state_supplier, payload)``.
+    def drain_inflight(self) -> None:
+        """Wait out and discard every unanswered frame.
 
-        Synchronous convenience over :meth:`start_steps` — dispatch and
-        collect in one call.  Results come back in item order; the per-worker
-        work itself runs concurrently across pool slots.
-        """
-        return self.start_steps(program, items).result()
-
-    def drain_inflight(self) -> int:
-        """Wait out and discard every unanswered frame; return the batch count.
-
-        Exception-path safety valve used before boundary ops: the steps *did*
-        execute in the pool (resident state reflects them), only their
-        results are dropped, so a subsequent :meth:`pull_state` observes
-        consistent post-step state.  Discard-only: a frame lost with a
+        Settles every slot before a membership boundary or a mirror: the
+        steps *did* execute in the pool (resident state reflects them), only
+        their results are dropped, so a subsequent :meth:`pull_state`
+        observes consistent post-step state.  Discard-only: a frame lost with a
         quarantined slot is answered :data:`LOST`, never raised as a
         :class:`SlotLossError`, so draining is safe inside a loss-recovery
         path.  On the normal path every handle is collected and this is a no-op.
         """
-        drained = self._inflight_batches()
         self._ledger.wait(self._ledger.entries())
         if self._collector is not None and not self._collector._dead:
-            drained += self._collector.drain()
-        return drained
+            self._collector.drain()
 
     def _exchange(
         self, op: str, keys: Iterable, payload_for: Callable[[List], Any]
     ) -> Tuple[Dict[Any, Any], Optional[SlotLossError]]:
         """Post one boundary op per slot group and wait for exactly those replies.
 
-        Replies queued ahead of them (steps dispatched through an open
-        collector) reach their own entries on the way.  Elastic pools keep
+        Replies queued ahead of them (steps of any view) reach their own
+        entries on the way.  Elastic pools keep
         going when a slot is lost mid-exchange: the surviving slots' replies
         are still read (skipping them would desynchronize every later op on
         those channels) and the first loss is returned for the caller to
@@ -742,16 +699,29 @@ class ResidentBackend:
                 merged.update(entry.reply)
         return merged, slot_loss
 
-    def _pull_params(self, keys: List) -> Dict[Any, Any]:
-        """The pull behind both the guarded public op and the collector's mid-flight one."""
+    def pull_params(self, keys: Sequence) -> Dict[Any, Any]:
+        """Fetch flat parameter vectors from installed residents (state stays put).
+
+        Safe mid-flight: each slot answers after the steps queued ahead.
+        """
+        keys = list(keys)
+        if not keys:
+            return {}
+        self._check_usable()
         self._require_installed(keys, "pull_params")
         merged, slot_loss = self._exchange("pull_params", keys, lambda slot_keys: slot_keys)
         if slot_loss is not None:
             raise slot_loss
         return merged
 
-    def _push_params(self, params_by_key: Dict[Any, Any]) -> None:
-        """The push behind both the guarded public op and the collector's mid-flight one."""
+    def push_params(self, params_by_key: Dict[Any, Any]) -> None:
+        """Write flat parameter vectors into installed residents in place.
+
+        Safe mid-flight: each slot applies them after the steps queued ahead.
+        """
+        if not params_by_key:
+            return
+        self._check_usable()
         self._require_installed(params_by_key, "push_params")
         _, slot_loss = self._exchange(
             "push_params",
@@ -760,21 +730,6 @@ class ResidentBackend:
         )
         if slot_loss is not None:
             raise slot_loss
-
-    def pull_params(self, keys: Sequence) -> Dict[Any, Any]:
-        """Fetch flat parameter vectors from installed residents (state stays put)."""
-        keys = list(keys)
-        if not keys:
-            return {}
-        self._require_no_inflight("pull_params")
-        return self._pull_params(keys)
-
-    def push_params(self, params_by_key: Dict[Any, Any]) -> None:
-        """Write flat parameter vectors into installed residents in place."""
-        if not params_by_key:
-            return
-        self._require_no_inflight("push_params")
-        self._push_params(params_by_key)
 
     def _pull_mirrors(
         self, op: str, keys: Sequence

@@ -17,7 +17,7 @@ exposes that same machinery to callers outside the training loop:
   arrival order, on the service RNG — or on a per-request RNG when the
   caller supplies a ``seed``, making the request order-independent),
   forwards run on slot-resident generator copies, and BatchNorm batch
-  statistics fold back into the service's generator in dispatch order.
+  statistics fold back into the service's generator in posting order.
   Samples are bit-for-bit what a serial
   :func:`~repro.core.gan_ops.sample_generator_images` loop would produce
   from the same draws.
@@ -114,7 +114,7 @@ class GeneratorService(BackendOwner):
     ----------
     generator:
         The (built) generator network to serve from.  The service folds
-        BatchNorm running statistics back into it in dispatch order, exactly
+        BatchNorm running statistics back into it in posting order, exactly
         like the training-time generation paths.
     factory:
         The :class:`~repro.models.base.GANFactory` describing latent
@@ -172,8 +172,8 @@ class GeneratorService(BackendOwner):
         versioned :class:`~repro.runtime.pipeline.GeneratorHandle` is
         shared, so generator updates applied by further training invalidate
         the service's param cache automatically.  Use between training
-        phases — the resident protocol requires dispatch-order collection,
-        so the service must not dispatch while a ``train()`` call is live.
+        phases — the pool's in-flight ledger is driven from one thread at a
+        time, so the service must not dispatch while a ``train()`` call is live.
         """
         service = cls(
             trainer.generator,
@@ -323,7 +323,7 @@ class GeneratorService(BackendOwner):
             raise ServiceClosed("generator service is closed")
 
     def _dispatch_loop(self) -> None:
-        """Post queued requests to idle slots; answer posted groups in dispatch order.
+        """Post queued requests to idle slots; answer posted groups in posting order.
 
         While a slot is idle, up to ``max_coalesce`` queued requests become
         one ``start_generation`` group; otherwise the loop blocks on the

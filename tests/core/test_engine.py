@@ -66,7 +66,6 @@ class TestEngineHooksDefaults:
     def test_optional_hooks_are_inert(self):
         hooks = EngineHooks()
         ctx = object()
-        assert hooks._sync_should_continue(1) is True
         assert hooks._async_begin(ctx) is None
         assert hooks._async_dispatch(ctx) is None
         assert hooks._async_after_update(ctx, 1) is None

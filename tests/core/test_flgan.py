@@ -69,7 +69,7 @@ def test_fanout_path_matches_resident_path(ring_shards, toy_factory, tiny_config
         (worker.index, lambda w=worker: resident._resident_state(w), None)
         for worker in resident.workers
     ]
-    step_results = backend.run_steps("flgan", items)
+    step_results = backend.start_steps("flgan", items).result()
     resident_losses = [
         resident._merge_local_result(worker, result)
         for worker, result in zip(resident.workers, step_results)

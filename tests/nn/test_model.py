@@ -219,7 +219,8 @@ class TestFlatBuffers:
         values = np.arange(params.size, dtype=params.dtype)
         backend = ResidentBackend(max_workers=1, transport="pipe")
         try:
-            (seen,) = backend.run_steps("flat-views", [(0, lambda: {"model": model}, values)])
+            items = [(0, lambda: {"model": model}, values)]
+            (seen,) = backend.start_steps("flat-views", items).result()
             np.testing.assert_array_equal(seen, values)  # the installed copy's views
             mirrored = backend.pull_mirror([0])[0]
         finally:

@@ -221,14 +221,14 @@ class TestResidentSlots:
         backend = create_backend("resident", max_workers=2, transport=transport)
         try:
             assert backend._transport is None  # construction starts nothing
-            assert backend.run_steps("backend-square", items) == [4, 9]
+            assert backend.start_steps("backend-square", items).result() == [4, 9]
             first = list(backend._transport._processes)
             assert len(first) == 2 and all(p.is_alive() for p in first)
             backend.close()
             assert backend._transport is None
             assert not any(p.is_alive() for p in first)
             # A closed pool reopens on its next use, with fresh processes.
-            assert backend.run_steps("backend-square", items) == [4, 9]
+            assert backend.start_steps("backend-square", items).result() == [4, 9]
             second = backend._transport._processes
             assert len(second) == 2 and not set(second) & set(first)
             backend.close()

@@ -1,6 +1,6 @@
 """Completion-order collection API tests (``open_collector`` / ``collect_any``).
 
-The ``PendingSteps`` handles collect whole batches in dispatch order; the
+The ``PendingSteps`` handles collect whole batches; the
 collector hands back whichever unit finishes next and powers
 ``aggregation="async"``.  These tests pin its order semantics (FIFO on
 ``serial``'s inline slot, completion order on pools), its mid-flight
@@ -131,41 +131,18 @@ class TestResidentCollector:
             collector.dispatch(fast, _fresh_state, {"sleep": 0.0})
             # Mid-flight parameter traffic: the pull answers while both
             # steps are still outstanding (step replies get buffered).
-            pulled = collector.pull_params([fast])
+            pulled = backend.pull_params([fast])
             assert pulled[fast]["count"] in (0, 1)
             first_key, _ = collector.collect_any()
             second_key, _ = collector.collect_any()
             assert first_key == fast
             assert second_key == slow
-            collector.push_params({fast: {"count": 100}})
+            backend.push_params({fast: {"count": 100}})
             collector.dispatch(fast, _fresh_state, {"sleep": 0.0})
             key, (count, _) = collector.collect_any()
             assert key == fast
             assert count == 101  # pushed params reached the resident state
             collector.close()
-        finally:
-            backend.close()
-
-    def test_open_collector_requires_program_name(self, transport):
-        backend = create_backend("resident", max_workers=1, transport=transport)
-        try:
-            with pytest.raises(ValueError, match="program"):
-                backend.open_collector()
-        finally:
-            backend.close()
-
-    def test_fifo_and_collector_modes_are_mutually_exclusive(self, transport):
-        backend = create_backend("resident", max_workers=1, transport=transport)
-        try:
-            collector = backend.open_collector("collect-echo")
-            collector.dispatch(0, _fresh_state, {"sleep": 0.0})
-            # The strict-FIFO surface refuses while steps are uncollected ...
-            with pytest.raises(RuntimeError, match="collector"):
-                backend.pull_params([0])
-            collector.collect_any()
-            collector.close()
-            # ... and closing the drained collector re-enables it.
-            assert backend.pull_params([0])[0]["count"] == 1
         finally:
             backend.close()
 
@@ -320,7 +297,7 @@ class TestOneLedger:
             # The boundary op is last in the slot's queue: waiting for *its*
             # reply delivers the three replies queued ahead of it to their
             # own views on the way.
-            assert collector.pull_params([0]) == {0: {"count": 1}}
+            assert backend.pull_params([0]) == {0: {"count": 1}}
             assert backend._ledger.entries() == []
             assert collector.outstanding == 1
             assert batch.result() == [(1, "fifo")]
@@ -333,10 +310,35 @@ class TestOneLedger:
             backend.close()
 
     @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_boundary_ops_answer_behind_inflight_steps_of_both_views(self, transport):
+        # The per-slot FIFO is the only ordering rule: a pull or push posted
+        # behind an in-flight step batch and a collector step on the same
+        # slot answers after both, and each view still gets its own reply.
+        backend = ResidentBackend(max_workers=1, transport=transport)
+        try:
+            collector = backend.open_collector("collect-echo")
+            collector.dispatch(0, _fresh_state, {"sleep": 0.2})
+            batch = backend.start_steps("collect-echo", [(1, _fresh_state, "pull")])
+            assert backend.pull_params([0, 1]) == {0: {"count": 1}, 1: {"count": 1}}
+            assert batch.result() == [(1, "pull")]
+            assert collector.collect_any() == (0, (1, {"sleep": 0.2}))
+            collector.dispatch(0, _fresh_state, {"sleep": 0.2})
+            batch = backend.start_steps("collect-echo", [(1, _fresh_state, "push")])
+            backend.push_params({0: {"count": 10}, 1: {"count": 20}})
+            # The steps ran before the push landed, and the push is what stays.
+            assert batch.result() == [(2, "push")]
+            assert collector.collect_any() == (0, (2, {"sleep": 0.2}))
+            assert backend.pull_params([0, 1]) == {0: {"count": 10}, 1: {"count": 20}}
+            assert backend._ledger.entries() == []
+            collector.close()
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
     def test_waiting_on_a_later_view_first_still_routes_earlier_replies(self, transport):
-        # Same queue, but the *generate* handle is collected first: the
-        # collector step queued ahead of it lands in the ready buffer, the
-        # run handle behind it stays in flight (and still guards boundary ops).
+        # Same queue, but the *run* handle at its tail is collected first:
+        # the collector step queued ahead of it lands in the ready buffer and
+        # the generate handle gets its own reply on the way.
         generator, g_input = _toy_generation()
         backend = ResidentBackend(max_workers=1, transport=transport)
         try:
@@ -346,15 +348,35 @@ class TestOneLedger:
                 GeneratorHandle(), lambda: generator, generator.get_parameters, [g_input]
             )
             batch = backend.start_steps("collect-echo", [(1, _fresh_state, {"sleep": 0.2})])
-            with pytest.raises(RuntimeError, match="dispatch order"):
-                batch.result()
-            assert generated.result()[0][0].shape[0] == 4
-            assert [entry.owner for entry in backend._ledger.entries()] == [batch]
-            assert collector.collect_any() == (0, (1, "step"))
-            with pytest.raises(RuntimeError, match="1 step batch"):
-                backend.pull_params([0])
             assert batch.result() == [(1, {"sleep": 0.2})]
+            assert backend._ledger.entries() == []
+            assert collector.outstanding == 1
+            assert generated.result()[0][0].shape[0] == 4
+            assert collector.collect_any() == (0, (1, "step"))
             assert backend.pull_params([0, 1]) == {0: {"count": 1}, 1: {"count": 1}}
+            collector.close()
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_drain_inflight_settles_both_views(self, transport):
+        # A membership boundary drains every slot: the step batch's handle
+        # still returns its reply, the collector's step is discarded, and
+        # resident state reflects both steps.
+        backend = ResidentBackend(max_workers=2, transport=transport)
+        try:
+            first, second = _two_keys_on_distinct_slots(backend)
+            collector = backend.open_collector("collect-echo")
+            collector.dispatch(first, _fresh_state, {"sleep": 0.2})
+            batch = backend.start_steps("collect-echo", [(second, _fresh_state, "run")])
+            backend.drain_inflight()
+            assert backend._ledger.entries() == []
+            assert collector.outstanding == 0
+            assert batch.result() == [(1, "run")]
+            assert backend.pull_params([first, second]) == {
+                first: {"count": 1},
+                second: {"count": 1},
+            }
             collector.close()
         finally:
             backend.close()
@@ -415,7 +437,7 @@ class TestFaultsThroughBothViews:
             assert (excinfo.value.slot_index, excinfo.value.op) == (0, "run")
             assert backend._transport is None  # fail-stop: pool torn down
             with pytest.raises(RuntimeError, match="previously failed"):
-                backend.run_steps("collect-echo", [(0, _fresh_state, "c")])
+                backend.start_steps("collect-echo", [(0, _fresh_state, "c")]).result()
         finally:
             backend.close()
 

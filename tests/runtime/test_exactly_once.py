@@ -70,9 +70,9 @@ def test_lost_slot_answers_only_the_frames_queued_on_it():
     # the idle key 3, which the trainer learns about from pending_loss.
     backend = _pipe_pool(MembershipPolicy(on_slot_loss="degrade"))
     try:
-        assert backend.run_steps(
+        assert backend.start_steps(
             "once-echo", [(1, _fresh_state, "a"), (3, _fresh_state, "b")]
-        ) == [(1, "a"), (1, "b")]
+        ).result() == [(1, "a"), (1, "b")]
         assert backend._slot_for(1) == backend._slot_for(3) == 1
         collector = backend.open_collector("once-echo")
         backend._transport.kill_slot(1)

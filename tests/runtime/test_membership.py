@@ -162,9 +162,9 @@ class TestChaosHarness:
         transport = ChaosTransport(LocalPipeTransport(serve_slot))
         backend = ResidentBackend(max_workers=2, transport=transport)
         try:
-            out = backend.run_steps(
+            out = backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
             assert out == [(1, "a"), (1, "b")]
             assert backend.pull_params([0])[0]["count"] == 1
         finally:
@@ -178,14 +178,14 @@ class TestElasticBackendPipe:
     def test_killed_slot_quarantines_and_pool_survives(self):
         backend, transport = _elastic_pipe_backend()
         try:
-            out = backend.run_steps(
+            out = backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
             assert out == [(1, "a"), (1, "b")]
             transport.kill_slot(0)
-            out = backend.run_steps(
+            out = backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a2"), (1, _fresh_state, "b2")]
-            )
+            ).result()
             # Key 0 lived on the dead slot: its result is LOST, the
             # survivor's step still completed.
             assert out[0] is LOST
@@ -197,7 +197,7 @@ class TestElasticBackendPipe:
             # The lost key re-dispatches onto the surviving slot: its install
             # was popped at quarantine time, so the (fresh) trainer-side
             # state is re-shipped and the step runs there.
-            out = backend.run_steps("member-echo", [(0, _fresh_state, "a3")])
+            out = backend.start_steps("member-echo", [(0, _fresh_state, "a3")]).result()
             assert out == [(1, "a3")]
             assert backend._slot_for(0) == backend._slot_for(1)
         finally:
@@ -208,28 +208,28 @@ class TestElasticBackendPipe:
         # slot is handled exactly like fail-stop (poison, not quarantine).
         backend, transport = _elastic_pipe_backend()
         try:
-            backend.run_steps(
+            backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
             transport.kill_slot(0)
-            out = backend.run_steps("member-echo", [(0, _fresh_state, "a2")])
+            out = backend.start_steps("member-echo", [(0, _fresh_state, "a2")]).result()
             assert out == [LOST]  # slot 0 quarantined; slot 1 is the last alive
             transport.kill_slot(1)
             with pytest.raises(TransportError) as excinfo:
-                backend.run_steps("member-echo", [(1, _fresh_state, "b3")])
+                backend.start_steps("member-echo", [(1, _fresh_state, "b3")]).result()
             assert not isinstance(excinfo.value, SlotLossError)
             assert backend._transport is None  # fail-stop: pool torn down
             with pytest.raises(RuntimeError, match="previously failed"):
-                backend.run_steps("member-echo", [(1, _fresh_state, "b4")])
+                backend.start_steps("member-echo", [(1, _fresh_state, "b4")]).result()
         finally:
             backend.close()
 
     def test_stale_fault_on_quarantined_slot_is_ignored(self):
         backend, transport = _elastic_pipe_backend()
         try:
-            backend.run_steps(
+            backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
             lost = backend.quarantine_slot(0, reason="scripted")
             assert lost == [0]
             # Quarantining twice is idempotent ...
@@ -249,9 +249,9 @@ class TestElasticBackendPipe:
         # also survive the unusable channel.
         backend, transport = _elastic_pipe_backend()
         try:
-            backend.run_steps(
+            backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
 
             def exploding_close():
                 raise OSError("close exploded")
@@ -260,7 +260,7 @@ class TestElasticBackendPipe:
             lost = backend.quarantine_slot(0, reason="scripted kill")
             assert lost == [0]  # the real outcome survived the broken close
             assert backend.membership.counters["slot_loss"] == 1
-            out = backend.run_steps("member-echo", [(1, _fresh_state, "b2")])
+            out = backend.start_steps("member-echo", [(1, _fresh_state, "b2")]).result()
             assert out == [(2, "b2")]
         finally:
             backend.close()  # must not raise through the exploding channel
@@ -276,10 +276,10 @@ class TestElasticBackendPipe:
             results = []
             for step in range(6):
                 results.append(
-                    backend.run_steps(
+                    backend.start_steps(
                         "member-echo",
                         [(0, _fresh_state, step), (1, _fresh_state, step)],
-                    )
+                    ).result()
                 )
             assert len(schedule) == 0  # the scripted fault fired
             assert backend.membership.counters["slot_loss"] == 1
@@ -299,13 +299,13 @@ class TestElasticBackendPipe:
         )
         backend, transport = _elastic_pipe_backend(policy=policy)
         try:
-            backend.run_steps(
+            backend.start_steps(
                 "member-echo", [(0, _fresh_state, "a"), (1, _fresh_state, "b")]
-            )
+            ).result()
             transport.kill_slot(0)
-            out = backend.run_steps(
+            out = backend.start_steps(
                 "member-echo", [(0, _fresh_state, "x"), (1, _fresh_state, "y")]
-            )
+            ).result()
             assert out[0] is LOST
             replacement = backend.open_replacement_slot()
             assert replacement == 2  # appended; existing indices never renumber
@@ -315,7 +315,7 @@ class TestElasticBackendPipe:
             assert counters["reconnect_attempt"] == 1
             # The orphaned key was repointed at the new slot and reinstalls.
             assert backend._slot_for(0) == replacement
-            out = backend.run_steps("member-echo", [(0, _fresh_state, "x2")])
+            out = backend.start_steps("member-echo", [(0, _fresh_state, "x2")]).result()
             assert out == [(1, "x2")]
         finally:
             backend.close()

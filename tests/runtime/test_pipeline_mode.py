@@ -155,35 +155,37 @@ class TestPipelineStats:
 
 
 class TestResidentPendingSteps:
-    def test_out_of_order_collect_raises(self, ring_setup):
-        backend = ResidentBackend(max_workers=2)
+    @pytest.mark.parametrize("transport", ("pipe", "tcp"))
+    def test_handles_collected_out_of_dispatch_order_return_their_own_values(
+        self, ring_setup, transport
+    ):
+        # The slot's FIFO is the only ordering rule: waiting on the later
+        # handle first delivers the earlier reply to its own handle on the
+        # way, so each handle returns what it returns with one step in flight.
+        one_at_a_time = ResidentBackend(max_workers=2, transport=transport)
+        swapped = ResidentBackend(max_workers=2, transport=transport)
         try:
-            first = backend.start_steps("flgan", _flgan_items2())
-            second = backend.start_steps("flgan", _flgan_items2())
-            with pytest.raises(RuntimeError, match="dispatch order"):
-                second.result()
-            first.result()
-            second.result()
+            expected = [
+                one_at_a_time.start_steps("flgan", _flgan_items2()).result() for _ in range(2)
+            ]
+            first = swapped.start_steps("flgan", _flgan_items2())
+            second = swapped.start_steps("flgan", _flgan_items2())
+            later = second.result()
+            assert [first.result(), later] == expected
+            assert expected[0] != expected[1]
         finally:
-            backend.close()
-
-    def test_boundary_ops_refused_while_inflight(self, ring_setup):
-        backend = ResidentBackend(max_workers=2)
-        try:
-            handle = backend.start_steps("flgan", _flgan_items2())
-            with pytest.raises(RuntimeError, match="in flight"):
-                backend.pull_params([0])
-            handle.result()
-        finally:
-            backend.close()
+            one_at_a_time.close()
+            swapped.close()
 
     def test_drain_inflight_collects_everything(self):
         backend = ResidentBackend(max_workers=2)
         try:
-            backend.start_steps("flgan", _flgan_items2())
-            backend.start_steps("flgan", _flgan_items2())
-            assert backend.drain_inflight() == 2
-            assert backend.drain_inflight() == 0
+            first = backend.start_steps("flgan", _flgan_items2())
+            second = backend.start_steps("flgan", _flgan_items2())
+            backend.drain_inflight()
+            assert backend._ledger.entries() == []
+            # Drained replies reached their handles.
+            assert len(first.result()) == len(second.result()) == 1
         finally:
             backend.close()
 

@@ -350,7 +350,7 @@ class TestProtocolErrors:
         backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             with pytest.raises(RuntimeError, match="Unknown resident program"):
-                backend.run_steps("no-such-program", [(0, lambda: object(), None)])
+                backend.start_steps("no-such-program", [(0, lambda: object(), None)]).result()
         finally:
             backend.close()
 
@@ -360,7 +360,7 @@ class TestProtocolErrors:
         backend = create_backend("resident", max_workers=1, transport=transport)
         try:
             with pytest.raises(RuntimeError, match="no resident state"):
-                backend.run_steps("mdgan", [(0, lambda: None, None)])
+                backend.start_steps("mdgan", [(0, lambda: None, None)]).result()
         finally:
             backend.close()
 
@@ -389,13 +389,9 @@ class TestInflightLedger:
             again = backend.start_generation(
                 GeneratorHandle(), lambda: generator, generator.get_parameters, g_inputs
             )
-            # The boundary guard counts batches (handles), not frames.
             assert len(backend._ledger.entries()) == 4
-            with pytest.raises(RuntimeError, match="2 step batch"):
-                backend.pull_params([0])
-            assert backend.drain_inflight() == 2
+            backend.drain_inflight()
             assert backend._ledger.entries() == []
-            assert backend.drain_inflight() == 0
             assert set(backend.pull_params([0])) == {0}
             # Drained replies were delivered to their handles, not lost.
             assert [images.shape[0] for images, _ in generated.result()] == [4, 4]
@@ -421,7 +417,7 @@ class TestInflightLedger:
                 GeneratorHandle(), lambda: generator, generator.get_parameters, g_inputs
             )
             transport.kill_slot(1)
-            assert backend.drain_inflight() == 1
+            backend.drain_inflight()
             assert backend.alive_slot_count() == 1
             assert backend.membership.counters["slot_loss"] == 1
             with pytest.raises(SlotLossError) as excinfo:

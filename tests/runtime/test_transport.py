@@ -267,7 +267,8 @@ class TestFilenoContract:
         chaos = ChaosTransport(inner)
         backend = ResidentBackend(max_workers=1, transport=chaos)
         try:
-            assert backend.run_steps("transport-sleep", [(0, _fresh_state, 0.0)]) == [0.0]
+            items = [(0, _fresh_state, 0.0)]
+            assert backend.start_steps("transport-sleep", items).result() == [0.0]
             handle = backend.start_steps("transport-sleep", [(0, _fresh_state, 30.0)])
             chaos.kill_slot(0)
             started = time.monotonic()
@@ -288,7 +289,7 @@ class TestFilenoContract:
         )
         try:
             items = [(0, _fresh_state, 0.0), (1, _fresh_state, 0.0)]
-            assert backend.run_steps("transport-sleep", items) == [0.0, 0.0]
+            assert backend.start_steps("transport-sleep", items).result() == [0.0, 0.0]
             handle = backend.start_steps(
                 "transport-sleep", [(0, _fresh_state, 30.0), (1, _fresh_state, 0.1)]
             )
@@ -412,7 +413,7 @@ class TestSlotSchedulingPolicy:
         backend = ResidentBackend(max_workers=2, transport=inner)
         try:
             items = [(0, _fresh_state, None), (1, _fresh_state, None)]
-            assert backend.run_steps("transport-policy", items) == [os.SCHED_BATCH] * 2
+            assert backend.start_steps("transport-policy", items).result() == [os.SCHED_BATCH] * 2
         finally:
             backend.close()
         assert os.sched_getscheduler(0) == owner
@@ -423,7 +424,8 @@ class TestSlotSchedulingPolicy:
         owner = os.sched_getscheduler(0)
         backend = create_backend("serial")
         try:
-            assert backend.run_steps("transport-policy", [(0, _fresh_state, None)]) == [owner]
+            items = [(0, _fresh_state, None)]
+            assert backend.start_steps("transport-policy", items).result() == [owner]
         finally:
             backend.close()
         assert os.sched_getscheduler(0) == owner
@@ -470,18 +472,18 @@ class TestFaultInjection:
         transport = ChaosTransport(LocalPipeTransport(serve_slot, read_timeout=1.0))
         backend = ResidentBackend(max_workers=1, transport=transport)
         try:
-            out = backend.run_steps("transport-echo", [(0, _fresh_state, "a")])
+            out = backend.start_steps("transport-echo", [(0, _fresh_state, "a")]).result()
             assert out == [(1, "a")]
             transport.channel(0).force_next("drop")
             started = time.monotonic()
             with pytest.raises(TransportError, match="timed out") as excinfo:
-                backend.run_steps("transport-echo", [(0, _fresh_state, "b")])
+                backend.start_steps("transport-echo", [(0, _fresh_state, "b")]).result()
             assert time.monotonic() - started < 10.0
             assert excinfo.value.slot_index == 0
             assert excinfo.value.op == "run"
             assert backend._transport is None
             with pytest.raises(RuntimeError, match="previously failed"):
-                backend.run_steps("transport-echo", [(0, _fresh_state, "c")])
+                backend.start_steps("transport-echo", [(0, _fresh_state, "c")]).result()
         finally:
             backend.close()
 
@@ -492,16 +494,16 @@ class TestFaultInjection:
         transport = ChaosTransport(TcpTransport(connect_timeout=30.0))
         backend = ResidentBackend(max_workers=1, transport=transport)
         try:
-            out = backend.run_steps("transport-echo", [(0, _fresh_state, "a")])
+            out = backend.start_steps("transport-echo", [(0, _fresh_state, "a")]).result()
             assert out == [(1, "a")]
             transport.channel(0).force_next("truncate")
             with pytest.raises(TransportError) as excinfo:
-                backend.run_steps("transport-echo", [(0, _fresh_state, "b")])
+                backend.start_steps("transport-echo", [(0, _fresh_state, "b")]).result()
             assert excinfo.value.slot_index == 0
             assert excinfo.value.op == "run"
             assert backend._transport is None
             with pytest.raises(RuntimeError, match="previously failed"):
-                backend.run_steps("transport-echo", [(0, _fresh_state, "c")])
+                backend.start_steps("transport-echo", [(0, _fresh_state, "c")]).result()
         finally:
             backend.close()
 
